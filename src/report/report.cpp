@@ -344,6 +344,9 @@ Json make_stream_report(const RunMetadata& meta, Json dataset,
   replay["users"] = result.decisions.size();
   replay["wall_seconds"] = result.wall_seconds;
   replay["events_per_second"] = result.events_per_second;
+  replay["finish_seconds"] = result.finish_seconds;
+  replay["end_to_end_events_per_second"] =
+      result.end_to_end_events_per_second;
   Json latency = Json::object();
   latency["p50"] = result.latency.p50;
   latency["p95"] = result.latency.p95;
@@ -437,6 +440,9 @@ std::vector<std::vector<std::string>> stream_summary_rows(
   rows.push_back({"users", std::to_string(result.decisions.size())});
   rows.push_back({"wall_seconds", fixed(result.wall_seconds, 3)});
   rows.push_back({"events_per_second", fixed(result.events_per_second, 1)});
+  rows.push_back({"finish_seconds", fixed(result.finish_seconds, 3)});
+  rows.push_back({"end_to_end_events_per_second",
+                  fixed(result.end_to_end_events_per_second, 1)});
   rows.push_back({"latency_p50_ms", fixed(result.latency.p50 * 1e3, 3)});
   rows.push_back({"latency_p95_ms", fixed(result.latency.p95 * 1e3, 3)});
   rows.push_back({"latency_p99_ms", fixed(result.latency.p99 * 1e3, 3)});
@@ -489,6 +495,14 @@ std::vector<std::vector<std::string>> stream_summary_rows(
       {"wall_seconds", fixed(replay->number_or("wall_seconds", 0.0), 3)});
   rows.push_back({"events_per_second",
                   fixed(replay->number_or("events_per_second", 0.0), 1)});
+  // Older documents carry no finish timing; omit rather than print zeros.
+  if (replay->find("end_to_end_events_per_second") != nullptr) {
+    rows.push_back({"finish_seconds",
+                    fixed(replay->number_or("finish_seconds", 0.0), 3)});
+    rows.push_back(
+        {"end_to_end_events_per_second",
+         fixed(replay->number_or("end_to_end_events_per_second", 0.0), 1)});
+  }
   if (const Json* latency = replay->find("latency_seconds")) {
     rows.push_back(
         {"latency_p50_ms", fixed(latency->number_or("p50", 0.0) * 1e3, 3)});

@@ -116,6 +116,9 @@ inline constexpr const char* kBenchSchema = "mood-bench/1";
 ///   "replay": {          // measured outcome
 ///     "events": 24576, "batches": 96, "users": 20,
 ///     "wall_seconds": 1.84, "events_per_second": 13356.5,
+///     "finish_seconds": 0.21,   // the timed canonical finish() pass
+///     "end_to_end_events_per_second": 11992.7,  // events /
+///                                // (wall_seconds + finish_seconds)
 ///     "latency_seconds": {"p50": ..., "p95": ..., "p99": ...,
 ///                          "max": ..., "mean": ...},
 ///     "latency": {         // full distribution behind latency_seconds:

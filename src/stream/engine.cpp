@@ -731,11 +731,16 @@ void StreamEngine::finish() {
     stop_loop(/*swallow=*/false);
   }
   MOOD_TRACE("stream.finish");
+  // Fans out per user on the shared pool. Order cannot change a verdict:
+  // every noise stream is forked from (seed, user, mechanism, window
+  // start), and the kernel and registry counters are order-free atomic
+  // sums — the same properties the concurrent loop workers rely on.
   store_.for_each([&](UserState& state) {
     // Fold any points that arrived after the last drain (the replay
     // driver always drains, so this is a safety net for direct engine
     // users), then run the kernel's canonical final decision. Quarantined
-    // users stay frozen; a fault here quarantines like the drain path.
+    // users stay frozen; a fault here quarantines like the drain path
+    // (strict policies: the first fault aborts finish()).
     decide_user(state, /*canonical=*/true, /*degrade=*/false);
   });
 }

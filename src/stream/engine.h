@@ -19,10 +19,11 @@
 ///     (kernel.fold — window deltas + incremental profile maintenance)
 ///     and decided (kernel.decide — risk + mechanism selection);
 ///   * finish(): folds leftovers and kernel.finalize()s every resident
-///     user, so the final per-user decisions and winners are exactly what
-///     the kernel's batch pass computes on the final window — a
-///     structural property now, since both modes execute the same kernel
-///     code, and still CI-verified end to end by `mood replay`.
+///     user, per user in parallel on the shared ThreadPool (the pool
+///     --jobs sizes), so the final per-user decisions and winners are
+///     exactly what the kernel's batch pass computes on the final window
+///     — a structural property now, since both modes execute the same
+///     kernel code, and still CI-verified end to end by `mood replay`.
 ///
 /// Determinism invariants (CI-enforced):
 ///   * A user's decision sequence is a pure function of that user's event
@@ -281,9 +282,12 @@ class StreamEngine {
 
   /// Final flush: folds leftovers and runs the kernel's canonical
   /// finalize on every resident user (full search on the final window for
-  /// every at-risk user not already searched there). Call once, after the
-  /// last drain(); excluded from throughput accounting by the replay
-  /// driver.
+  /// every at-risk user not already searched there), fanned out per user
+  /// on the shared ThreadPool — serially when called from a pool task.
+  /// Loop mode quiesces and joins the shard workers first. Strict
+  /// policies rethrow the first decision fault; kQuarantine isolates the
+  /// faulting user. Call once, after the last drain(); run_replay reports
+  /// its time as finish_seconds.
   void finish();
 
   /// Snapshot of every resident user's final state, sorted by user id.
@@ -298,6 +302,10 @@ class StreamEngine {
     return kernel_.engine();
   }
   [[nodiscard]] std::size_t user_count() const { return store_.user_count(); }
+  /// Ingested-but-unfolded events resident in `shard` (0 after finish()).
+  [[nodiscard]] std::size_t pending_events(std::size_t shard) const {
+    return store_.pending_events(shard);
+  }
 
   // ---- Checkpoint / restore ------------------------------------------
   /// Enables periodic crash-consistent snapshots (see snapshot.h for the

@@ -15,8 +15,9 @@
 /// Latency accounting: an event's latency runs from its (scheduled)
 /// arrival at the gateway to the completion of the drain() that decided
 /// its micro-batch — ingest queueing plus decision time, which is what a
-/// caller blocked on the gateway would observe. finish() runs after the
-/// clock stops (it is a flush, not serving work).
+/// caller blocked on the gateway would observe. The canonical finish()
+/// pass is timed separately (finish_seconds) and counted in the
+/// end-to-end throughput, not in per-event latency.
 ///
 /// Since PR 9 the percentiles come from the engine's per-shard
 /// log-bucketed latency histogram (mood_replay_latency_seconds, see
@@ -82,6 +83,10 @@ struct ReplayResult {
   std::size_t session_events = 0;  ///< events ingested by this process
   double wall_seconds = 0.0;       ///< first arrival -> last drain done
   double events_per_second = 0.0;  ///< session_events / wall_seconds
+  double finish_seconds = 0.0;     ///< the canonical finish() pass
+  /// session_events / (wall_seconds + finish_seconds): the serving rate
+  /// with the final verdicts' cost included.
+  double end_to_end_events_per_second = 0.0;
   LatencySummary latency;
   /// The full latency distribution behind `latency`: merged across
   /// shards, plus one per-shard view (index == shard). Serialized as the
@@ -124,7 +129,8 @@ std::size_t inject_poison(std::vector<StreamEvent>& events,
 /// batch engines drain every options.batch_events; loop engines stream
 /// every event straight to the shard workers (pumping the checkpoint/
 /// export cadences per event) and quiesce before the clock stops, so
-/// events_per_second covers the full decision work. Pacing
+/// events_per_second covers every admission-time decision;
+/// end_to_end_events_per_second adds the timed finish() pass. Pacing
 /// (target_rate/time_compression) is per-event in both modes — but only
 /// loop mode turns it into per-event decision latency; batch latency is
 /// floored by batch accumulation. The engine should be freshly

@@ -1,9 +1,11 @@
 #include "stream/user_state.h"
 
 #include <algorithm>
+#include <exception>
 #include <limits>
 
 #include "support/error.h"
+#include "support/thread_pool.h"
 
 namespace mood::stream {
 
@@ -192,14 +194,32 @@ std::size_t UserStateStore::drain_shard(
 }
 
 void UserStateStore::for_each(const std::function<void(UserState&)>& fn) {
+  // Every shard lock, in shard order (the only multi-lock acquisition in
+  // the store, so the order cannot deadlock against anything).
+  std::vector<std::unique_lock<std::mutex>> locks;
+  locks.reserve(shards_.size());
+  std::vector<UserState*> users;
   for (Shard& shard : shards_) {
-    const std::lock_guard lock(shard.mutex);
-    for (auto& [user, state] : shard.states) {
-      const std::size_t before = state.pending.size();
-      fn(state);
-      shard.backlog = shard.backlog - before + state.pending.size();
+    locks.emplace_back(shard.mutex);
+    for (auto& [user, state] : shard.states) users.push_back(&state);
+  }
+  // Grain 1: the pool's dynamic cursor balances skewed per-user costs.
+  std::exception_ptr error;
+  try {
+    support::parallel_for(users.size(),
+                          [&](std::size_t i) { fn(*users[i]); });
+  } catch (...) {
+    error = std::current_exception();
+  }
+  // fn folds pending queues concurrently, so the backlog is recomputed
+  // afterwards (on the error path too) instead of adjusted per call.
+  for (Shard& shard : shards_) {
+    shard.backlog = 0;
+    for (const auto& [user, state] : shard.states) {
+      shard.backlog += state.pending.size();
     }
   }
+  if (error) std::rethrow_exception(error);
 }
 
 void UserStateStore::for_each(

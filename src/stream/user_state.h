@@ -7,10 +7,11 @@
 /// by its own mutex, each holding a user-id-keyed map of UserState. Events
 /// enqueue O(1) into the owning user's pending queue (ingest path); the
 /// decision pipeline later drains every shard's dirty users in parallel
-/// (one task per shard on the shared ThreadPool — see engine.h). A user's
-/// state is only ever touched under its shard's lock, and a user maps to
-/// exactly one shard, so per-user processing is race-free by construction
-/// and decisions are independent of the shard count.
+/// (one task per shard on the shared ThreadPool — see engine.h), and the
+/// canonical finish() pass fans out per user (for_each). A user's state is
+/// only ever touched under its shard's lock, by one thread at a time, and
+/// a user maps to exactly one shard, so per-user processing is race-free
+/// by construction and decisions are independent of the shard count.
 ///
 /// Capacity: max_users_per_shard bounds resident states; admission above
 /// the bound evicts the least-recently-updated user (preferring users with
@@ -150,8 +151,12 @@ class UserStateStore {
   std::size_t drain_shard(std::size_t shard,
                           const std::function<void(UserState&)>& fn);
 
-  /// Runs fn on every resident state, shard by shard, under each shard's
-  /// lock — the final-flush path.
+  /// Runs fn once on every resident state, in parallel per user on the
+  /// shared ThreadPool (bounded by its size; serial when called from a
+  /// pool task), while holding every shard lock — the canonical finish()
+  /// pass. fn must be safe to run concurrently on distinct states. Each
+  /// shard's backlog is recomputed afterwards. The first exception fn
+  /// throws is rethrown once every started call has returned.
   void for_each(const std::function<void(UserState&)>& fn);
 
   /// Read-only traversal for snapshots (same locking).

@@ -340,6 +340,13 @@ TEST(CliReplay, TelemetrySinksWriteMetricsAndTraceArtifacts) {
     shard_total += shard.int_or("count", 0);
   }
   EXPECT_EQ(shard_total, latency->int_or("count", -1));
+  // The canonical finish() pass is timed and folded into the end-to-end
+  // rate, which can only be the slower of the two.
+  const report::Json* replay = document.find("replay");
+  EXPECT_GT(replay->number_or("finish_seconds", -1.0), 0.0);
+  EXPECT_GT(replay->number_or("end_to_end_events_per_second", -1.0), 0.0);
+  EXPECT_LT(replay->number_or("end_to_end_events_per_second", 0.0),
+            replay->number_or("events_per_second", 0.0));
 
   // The trace is valid JSON with trace_event rows.
   std::ifstream trace_file(trace_path);
@@ -360,6 +367,9 @@ TEST(CliReplay, TelemetrySinksWriteMetricsAndTraceArtifacts) {
   ASSERT_EQ(summary.code, kExitOk) << summary.err;
   EXPECT_NE(summary.out.find("latency_p50_ms"), std::string::npos);
   EXPECT_NE(summary.out.find("latency_shard0_events"), std::string::npos);
+  EXPECT_NE(summary.out.find("finish_seconds"), std::string::npos);
+  EXPECT_NE(summary.out.find("end_to_end_events_per_second"),
+            std::string::npos);
 }
 
 TEST(CliMetrics, RejectsMissingAndUnsupportedInputs) {

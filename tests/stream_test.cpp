@@ -8,10 +8,16 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <chrono>
+#include <cstdlib>
+#include <future>
 #include <limits>
 #include <string>
 #include <string_view>
+#include <thread>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "attacks/ap_attack.h"
@@ -34,6 +40,7 @@
 #include "support/error.h"
 #include "support/failpoint.h"
 #include "support/logging.h"
+#include "support/thread_pool.h"
 #include "telemetry/exposition.h"
 #include "telemetry/metrics.h"
 #include "telemetry/trace.h"
@@ -165,7 +172,8 @@ TEST(UserStateStore, LruEvictionPrefersLeastRecentlyTouchedCleanUser) {
   EXPECT_EQ(store.eviction_count(), 1u);
 
   std::vector<std::string> resident;
-  store.for_each([&](UserState& state) { resident.push_back(state.user); });
+  std::as_const(store).for_each(
+      [&](const UserState& state) { resident.push_back(state.user); });
   std::sort(resident.begin(), resident.end());
   EXPECT_EQ(resident, (std::vector<std::string>{"a", "c"}));
 }
@@ -207,6 +215,86 @@ TEST(UserStateStore, EvictionAtExactCapacityWhenEveryResidentIsDirty) {
   ASSERT_EQ(pending.size(), 2u);
   EXPECT_EQ(pending.at("b"), 3u);
   EXPECT_EQ(pending.at("c"), 1u);
+}
+
+/// Enqueues `users` users with 1..5 pending events each over `store`.
+std::size_t fill_store(UserStateStore& store, std::size_t users) {
+  std::size_t events = 0;
+  for (std::size_t u = 0; u < users; ++u) {
+    for (std::size_t e = 0; e <= u % 5; ++e, ++events) {
+      store.enqueue(StreamEvent{"u" + std::to_string(u),
+                                {{45.0, 5.0}, mobility::Timestamp(100 + e)},
+                                events});
+    }
+  }
+  return events;
+}
+
+std::size_t total_backlog(const UserStateStore& store) {
+  std::size_t backlog = 0;
+  for (std::size_t s = 0; s < store.shard_count(); ++s) {
+    backlog += store.pending_events(s);
+  }
+  return backlog;
+}
+
+/// The finish() traversal: every resident state exactly once, in parallel,
+/// with each shard's backlog recomputed from the folded queues.
+TEST(UserStateStore, ParallelForEachVisitsEveryUserOnceAndRecomputesBacklog) {
+  UserStateStore store(StoreConfig{3, 0});
+  const std::size_t events = fill_store(store, 41);
+  ASSERT_EQ(total_backlog(store), events);
+
+  std::atomic<std::size_t> visits{0};
+  store.for_each([&](UserState& state) {
+    visits.fetch_add(1, std::memory_order_relaxed);
+    state.dead_letters += 1;  // a per-state mark: no shared writes
+    state.pending.clear();
+  });
+  EXPECT_EQ(visits.load(), 41u);
+  std::as_const(store).for_each(
+      [](const UserState& state) { EXPECT_EQ(state.dead_letters, 1u); });
+  for (std::size_t s = 0; s < store.shard_count(); ++s) {
+    EXPECT_EQ(store.pending_events(s), 0u) << "shard " << s;
+  }
+}
+
+/// A throwing visit still leaves every shard's backlog equal to what its
+/// states actually hold, and the first error reaches the caller.
+TEST(UserStateStore, ParallelForEachRethrowsAndKeepsBacklogExact) {
+  UserStateStore store(StoreConfig{3, 0});
+  fill_store(store, 41);
+  EXPECT_THROW(store.for_each([](UserState& state) {
+                 if (state.user == "u17") throw support::Error("boom");
+                 state.pending.clear();
+               }),
+               support::Error);
+  std::size_t held = 0;
+  std::as_const(store).for_each(
+      [&](const UserState& state) { held += state.pending.size(); });
+  EXPECT_GE(held, 3u);  // u17's own queue (17 % 5 + 1 events) survives
+  EXPECT_EQ(total_backlog(store), held);
+}
+
+/// Called from inside a shared-pool task, the traversal degrades to a
+/// serial loop on that worker instead of waiting on its own pool.
+TEST(UserStateStore, ForEachInsideAPoolTaskRunsSeriallyOnThatWorker) {
+  UserStateStore store(StoreConfig{3, 0});
+  fill_store(store, 41);
+  std::thread::id worker;
+  std::vector<std::thread::id> seen;  // unguarded on purpose: serial
+  support::ThreadPool::shared()
+      .submit([&] {
+        worker = std::this_thread::get_id();
+        store.for_each([&](UserState& state) {
+          seen.push_back(std::this_thread::get_id());
+          state.pending.clear();
+        });
+      })
+      .get();
+  ASSERT_EQ(seen.size(), 41u);
+  for (const std::thread::id& id : seen) EXPECT_EQ(id, worker);
+  EXPECT_EQ(total_backlog(store), 0u);
 }
 
 // ------------------------------- incremental profile equivalence --------
@@ -569,6 +657,12 @@ TEST_F(StreamTest, ReplayMeasuresThroughputAndOrderedLatencies) {
                 options.batch_events);
   EXPECT_GT(result.wall_seconds, 0.0);
   EXPECT_GT(result.events_per_second, 0.0);
+  // The canonical pass is timed and counted in the end-to-end rate.
+  EXPECT_GT(result.finish_seconds, 0.0);
+  EXPECT_DOUBLE_EQ(result.end_to_end_events_per_second,
+                   static_cast<double>(result.session_events) /
+                       (result.wall_seconds + result.finish_seconds));
+  EXPECT_LT(result.end_to_end_events_per_second, result.events_per_second);
   EXPECT_GE(result.latency.p50, 0.0);
   EXPECT_LE(result.latency.p50, result.latency.p95);
   EXPECT_LE(result.latency.p95, result.latency.p99);
@@ -1380,6 +1474,221 @@ TEST_F(StreamTest, LoopPacingFloorsWallClockNotDecisionCoverage) {
             static_cast<double>(result.session_events - 1) / 50000.0);
   EXPECT_EQ(result.latency_histogram.count, result.events);
   EXPECT_EQ(result.events, events_->size());
+}
+
+// ------------------------------------------ parallel canonical finish --
+
+/// Every StreamStats counter, by name.
+constexpr std::pair<const char*, std::uint64_t StreamStats::*>
+    kStatFields[] = {
+        {"events", &StreamStats::events},
+        {"batches", &StreamStats::batches},
+        {"decisions", &StreamStats::decisions},
+        {"exposed_events", &StreamStats::exposed_events},
+        {"protected_events", &StreamStats::protected_events},
+        {"searches", &StreamStats::searches},
+        {"rechecks", &StreamStats::rechecks},
+        {"profile_refreshes", &StreamStats::profile_refreshes},
+        {"stay_updates", &StreamStats::stay_updates},
+        {"stay_rebuilds", &StreamStats::stay_rebuilds},
+        {"heatmap_updates", &StreamStats::heatmap_updates},
+        {"evicted_points", &StreamStats::evicted_points},
+        {"evicted_users", &StreamStats::evicted_users},
+        {"lppm_applications", &StreamStats::lppm_applications},
+        {"attack_invocations", &StreamStats::attack_invocations},
+        {"index_prunes", &StreamStats::index_prunes},
+        {"exact_evals", &StreamStats::exact_evals},
+        {"index_rebuilds", &StreamStats::index_rebuilds},
+        {"checkpoints", &StreamStats::checkpoints},
+        {"checkpoint_bytes", &StreamStats::checkpoint_bytes},
+        {"checkpoint_failures", &StreamStats::checkpoint_failures},
+        {"bad_records", &StreamStats::bad_records},
+        {"dead_letters", &StreamStats::dead_letters},
+        {"quarantined_users", &StreamStats::quarantined_users},
+        {"shed_decisions", &StreamStats::shed_decisions},
+        {"degraded_batches", &StreamStats::degraded_batches},
+        {"backpressure_events", &StreamStats::backpressure_events},
+        {"quarantined_snapshots", &StreamStats::quarantined_snapshots},
+};
+
+/// Final decisions and winners equal the kernel's batch pass.
+void expect_matches_gateway(const std::vector<UserDecision>& decisions,
+                            const core::GatewayResult& gateway) {
+  ASSERT_EQ(decisions.size(), gateway.users.size());
+  std::unordered_map<mobility::UserId, const core::GatewayOutcome*> oracle;
+  for (const auto& outcome : gateway.users) oracle[outcome.user] = &outcome;
+  for (const UserDecision& d : decisions) {
+    ASSERT_TRUE(oracle.contains(d.user)) << d.user;
+    EXPECT_EQ(d.decision, oracle.at(d.user)->decision) << d.user;
+    EXPECT_EQ(d.winner, oracle.at(d.user)->winner) << d.user;
+  }
+}
+
+void expect_same_verdicts(const UserDecision& a, const UserDecision& b) {
+  EXPECT_EQ(a.user, b.user);
+  EXPECT_EQ(a.decision, b.decision) << a.user;
+  EXPECT_EQ(a.winner, b.winner) << a.user;
+  EXPECT_EQ(a.events, b.events) << a.user;
+  EXPECT_EQ(a.searches, b.searches) << a.user;
+}
+
+void expect_no_backlog(const StreamEngine& engine) {
+  for (std::size_t s = 0; s < engine.config().shards; ++s) {
+    EXPECT_EQ(engine.pending_events(s), 0u) << "shard " << s;
+  }
+}
+
+/// Ingests the whole stream and decides it — drain() in batch mode,
+/// quiesce() in loop mode — stopping right before finish().
+void serve(StreamEngine& engine, const std::vector<StreamEvent>& events) {
+  for (const StreamEvent& event : events) engine.ingest(event);
+  if (engine.config().engine == EngineMode::kLoop) {
+    engine.quiesce();
+  } else {
+    engine.drain();
+  }
+}
+
+/// One run's final decisions plus the counters it added. The population
+/// index counters live on the harness's shared attacks, so stats() is
+/// taken as a difference against the freshly constructed engine.
+struct FinishedRun {
+  std::vector<UserDecision> decisions;
+  StreamStats work;
+};
+
+FinishedRun finish_run(StreamEngine& engine,
+                       const std::vector<StreamEvent>& events) {
+  const StreamStats before = engine.stats();
+  serve(engine, events);
+  engine.finish();
+  expect_no_backlog(engine);
+  FinishedRun run{engine.decisions(), engine.stats()};
+  for (const auto& [name, field] : kStatFields) {
+    run.work.*field -= before.*field;
+  }
+  return run;
+}
+
+/// The parallel canonical pass is a pure function of the stream: both
+/// engines, any shard count, repeated, reach the kernel's batch verdicts
+/// with identical counters.
+TEST_F(StreamTest, ParallelFinishIsDeterministicAcrossEnginesAndShards) {
+  const core::GatewayResult gateway = harness_->evaluate_gateway();
+  for (const EngineMode mode : {EngineMode::kBatch, EngineMode::kLoop}) {
+    for (const std::size_t shards : {1u, 2u, 4u}) {
+      SCOPED_TRACE(std::string(to_string(mode)) + " x" +
+                   std::to_string(shards));
+      StreamConfig config;
+      config.engine = mode;
+      config.shards = shards;
+      StreamEngine first_engine(harness_->make_engine(), config);
+      const FinishedRun first = finish_run(first_engine, *events_);
+      StreamEngine second_engine(harness_->make_engine(), config);
+      const FinishedRun second = finish_run(second_engine, *events_);
+
+      expect_matches_gateway(first.decisions, gateway);
+      ASSERT_EQ(first.decisions.size(), second.decisions.size());
+      for (std::size_t i = 0; i < first.decisions.size(); ++i) {
+        expect_same_verdicts(first.decisions[i], second.decisions[i]);
+      }
+      for (const auto& [name, field] : kStatFields) {
+        EXPECT_EQ(first.work.*field, second.work.*field) << name;
+      }
+      EXPECT_EQ(first.work.events, events_->size());
+    }
+  }
+}
+
+/// finish() on events that were ingested but never drained folds them in
+/// the parallel pass and leaves every shard's backlog at zero.
+TEST_F(StreamTest, ParallelFinishFoldsUndrainedEventsAndClearsBacklog) {
+  StreamConfig config;
+  config.shards = 3;
+  StreamEngine engine(harness_->make_engine(), config);
+  for (const StreamEvent& event : *events_) engine.ingest(event);
+  std::size_t backlog = 0;
+  for (std::size_t s = 0; s < config.shards; ++s) {
+    backlog += engine.pending_events(s);
+  }
+  EXPECT_EQ(backlog, events_->size());
+  engine.finish();
+  expect_no_backlog(engine);
+  expect_matches_gateway(engine.decisions(), harness_->evaluate_gateway());
+}
+
+/// finish() from inside a shared-pool task must not wait on its own pool:
+/// it runs serially on that worker and reaches the same verdicts.
+TEST_F(StreamTest, FinishInsideAPoolTaskRunsSeriallyWithoutDeadlock) {
+  const core::GatewayResult gateway = harness_->evaluate_gateway();
+  for (const EngineMode mode : {EngineMode::kBatch, EngineMode::kLoop}) {
+    SCOPED_TRACE(to_string(mode));
+    StreamConfig config;
+    config.engine = mode;
+    config.shards = 2;
+    StreamEngine direct(harness_->make_engine(), config);
+    const FinishedRun reference = finish_run(direct, *events_);
+
+    StreamEngine nested(harness_->make_engine(), config);
+    serve(nested, *events_);
+    std::future<void> done =
+        support::ThreadPool::shared().submit([&] { nested.finish(); });
+    if (done.wait_for(std::chrono::minutes(5)) != std::future_status::ready) {
+      ADD_FAILURE() << "finish() inside a pool task did not return";
+      std::abort();  // the task still references this frame
+    }
+    done.get();
+    expect_no_backlog(nested);
+    const std::vector<UserDecision> decisions = nested.decisions();
+    expect_matches_gateway(decisions, gateway);
+    ASSERT_EQ(decisions.size(), reference.decisions.size());
+    for (std::size_t i = 0; i < decisions.size(); ++i) {
+      expect_same_verdicts(decisions[i], reference.decisions[i]);
+    }
+  }
+}
+
+/// A decision fault inside the parallel pass: quarantine isolates exactly
+/// the one user it hit, strict mode aborts finish() with the fault.
+TEST_F(StreamTest, FaultInParallelFinishQuarantinesOneUserOrThrows) {
+  for (const EngineMode mode : {EngineMode::kBatch, EngineMode::kLoop}) {
+    SCOPED_TRACE(to_string(mode));
+    StreamConfig config;
+    config.engine = mode;
+    config.shards = 3;
+    config.resilience.on_bad_record = BadRecordPolicy::kQuarantine;
+    StreamEngine clean_engine(harness_->make_engine(), config);
+    const FinishedRun clean = finish_run(clean_engine, *events_);
+
+    StreamEngine engine(harness_->make_engine(), config);
+    serve(engine, *events_);
+    testing::FailPoint::arm("stream.decide.user",
+                            testing::FailAction::kThrow);
+    engine.finish();
+    expect_no_backlog(engine);
+    EXPECT_EQ(engine.stats().quarantined_users, 1u);
+    const std::vector<UserDecision> decisions = engine.decisions();
+    ASSERT_EQ(decisions.size(), clean.decisions.size());
+    std::size_t quarantined = 0;
+    for (std::size_t i = 0; i < decisions.size(); ++i) {
+      if (decisions[i].quarantined) {
+        ++quarantined;
+        EXPECT_NE(decisions[i].quarantine_reason.find("injected a fault"),
+                  std::string::npos);
+        continue;
+      }
+      expect_same_verdicts(decisions[i], clean.decisions[i]);
+    }
+    EXPECT_EQ(quarantined, 1u);
+
+    StreamConfig strict_config = config;
+    strict_config.resilience.on_bad_record = BadRecordPolicy::kFail;
+    StreamEngine strict(harness_->make_engine(), strict_config);
+    serve(strict, *events_);
+    testing::FailPoint::arm("stream.decide.user",
+                            testing::FailAction::kThrow);
+    EXPECT_THROW(strict.finish(), testing::InjectedFault);
+  }
 }
 
 }  // namespace
