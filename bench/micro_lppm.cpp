@@ -5,6 +5,11 @@
 
 #include <benchmark/benchmark.h>
 
+#include <map>
+#include <memory>
+#include <utility>
+#include <vector>
+
 #include "lppm/composition.h"
 #include "lppm/geo_ind.h"
 #include "lppm/heatmap_confusion.h"
@@ -51,27 +56,56 @@ void BM_TRL_Apply(benchmark::State& state) {
 }
 BENCHMARK(BM_TRL_Apply)->Arg(100)->Arg(400)->Arg(1600);
 
+/// A donor pool of `donors` generated users and the HMC over it, built
+/// once per argument pair (google-benchmark re-enters the function for
+/// every trial run).
+struct HmcFixture {
+  mobility::Dataset dataset;
+  geo::CellGrid grid;
+  lppm::HeatmapConfusion hmc;
+};
+
+const HmcFixture& hmc_fixture(std::int64_t records_per_day,
+                              std::int64_t donors) {
+  static std::map<std::pair<std::int64_t, std::int64_t>,
+                  std::unique_ptr<HmcFixture>>
+      cache;
+  auto& slot = cache[{records_per_day, donors}];
+  if (slot == nullptr) {
+    simulation::GeneratorParams params;
+    params.users = static_cast<std::size_t>(donors);
+    params.days = 4;
+    params.records_per_user_per_day = static_cast<double>(records_per_day);
+    params.seed = 6;
+    auto dataset = simulation::generate(params);
+    const std::vector<mobility::Trace> background(dataset.traces().begin(),
+                                                  dataset.traces().end());
+    geo::CellGrid grid(
+        geo::LocalProjection(dataset.traces()[0].front().position), 800.0);
+    auto pool = std::make_shared<lppm::DonorPool>(background, grid);
+    lppm::HeatmapConfusion hmc(grid, std::move(pool), 0.8);
+    slot = std::make_unique<HmcFixture>(
+        HmcFixture{std::move(dataset), std::move(grid), std::move(hmc)});
+  }
+  return *slot;
+}
+
+/// HMC on one user against a pool of state.range(1) donors: the donor scan
+/// grows with the pool, the record rewrite with the trace (range(0) =
+/// records per user per day). 24 donors is a small city, 531 the
+/// Cabspotting fleet.
 void BM_HMC_Apply(benchmark::State& state) {
-  simulation::GeneratorParams params;
-  params.users = 24;
-  params.days = 4;
-  params.records_per_user_per_day = static_cast<double>(state.range(0));
-  params.seed = 6;
-  const auto dataset = simulation::generate(params);
-  std::vector<mobility::Trace> background(dataset.traces().begin(),
-                                          dataset.traces().end());
-  const geo::CellGrid grid(
-      geo::LocalProjection(dataset.traces()[0].front().position), 800.0);
-  const auto pool = std::make_shared<lppm::DonorPool>(background, grid);
-  const lppm::HeatmapConfusion hmc(grid, pool, 0.8);
-  const auto& trace = dataset.traces()[0];
+  const HmcFixture& fixture = hmc_fixture(state.range(0), state.range(1));
+  const auto& trace = fixture.dataset.traces()[0];
   for (auto _ : state) {
-    benchmark::DoNotOptimize(hmc.apply(trace, support::RngStream(1)));
+    benchmark::DoNotOptimize(fixture.hmc.apply(trace, support::RngStream(1)));
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(trace.size()));
 }
-BENCHMARK(BM_HMC_Apply)->Arg(100)->Arg(400);
+BENCHMARK(BM_HMC_Apply)
+    ->ArgNames({"records_per_day", "donors"})
+    ->ArgsProduct({{100, 400}, {24, 531}});
 
 void BM_Composition_Apply(benchmark::State& state) {
   const auto trace = bench_trace(400);

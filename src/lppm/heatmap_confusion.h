@@ -28,6 +28,7 @@
 /// them), and broad flat fleets like Cabspotting where the cell cap binds
 /// (Fig. 7d).
 
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -83,17 +84,48 @@ class HeatmapConfusion final : public Lppm {
       double user_total, const DonorPool::Entry& donor) const;
 
   /// The donor chosen for a heatmap (exposed for tests/analysis): the
-  /// non-self pool entry with minimal relocation cost. Returns nullptr
-  /// if no eligible donor exists.
+  /// first non-self pool entry, in pool order, with minimal
+  /// relocation_cost. Returns nullptr if no eligible donor exists.
+  ///
+  /// Branch-and-bound: every cost term is non-negative and the terms are
+  /// summed in relocation_cost's order from bit-identical haversines
+  /// (geo::TrigPoint), so a donor is dropped as soon as its partial cost
+  /// is no longer below the best so far — exactly the donor, and the
+  /// cost, that the exhaustive scan of relocation_cost would pick.
   [[nodiscard]] const DonorPool::Entry* choose_donor(
       const profiles::Heatmap& user_map, const mobility::UserId& owner) const;
 
  private:
+  /// The donor-independent half of a plan: the user's hottest cells that
+  /// the coverage/cell budgets select, in rank order.
+  struct UserPlan {
+    double total = 0.0;  ///< user_total; <= 0 prices every donor at inf
+    std::vector<geo::CellIndex> cells;
+    std::vector<double> masses;           ///< count / user_total
+    std::vector<geo::TrigPoint> centers;  ///< trig_point(cell_center(cell))
+  };
+
+  struct Choice {
+    const DonorPool::Entry* donor = nullptr;
+    /// relocation_cost of `donor`; infinity while there is none.
+    double cost = std::numeric_limits<double>::infinity();
+  };
+
+  [[nodiscard]] UserPlan plan_for(const profiles::Heatmap& user_map) const;
+  [[nodiscard]] Choice cheapest_donor(const UserPlan& plan,
+                                      const mobility::UserId& owner) const;
+
   geo::CellGrid grid_;
   std::shared_ptr<const DonorPool> pool_;
   double hot_coverage_;
   std::size_t max_mapped_cells_;
   double distortion_budget_m_;
+  /// Centres of the donor ranks a plan can read, flat in pool order:
+  /// entry i owns donor_centers_[donor_offsets_[i] .. donor_offsets_[i+1]),
+  /// its first min(max_mapped_cells, ranked.size()) cells (`rank % n`
+  /// never reaches further).
+  std::vector<geo::TrigPoint> donor_centers_;
+  std::vector<std::size_t> donor_offsets_;
 };
 
 }  // namespace mood::lppm

@@ -7,6 +7,22 @@
 
 namespace mood::metrics {
 
+namespace {
+
+/// Interpolated position at `t` between the bracketing records, where `hi`
+/// is the first record with time >= t and `lo` its predecessor.
+geo::GeoPoint interpolate(const mobility::Record& lo,
+                          const mobility::Record& hi, mobility::Timestamp t) {
+  if (hi.time == lo.time) return lo.position;
+  const double ratio = static_cast<double>(t - lo.time) /
+                       static_cast<double>(hi.time - lo.time);
+  return geo::GeoPoint{
+      lo.position.lat + ratio * (hi.position.lat - lo.position.lat),
+      lo.position.lon + ratio * (hi.position.lon - lo.position.lon)};
+}
+
+}  // namespace
+
 geo::GeoPoint temporal_projection(const mobility::Trace& original,
                                   mobility::Timestamp t) {
   support::expects(!original.empty(),
@@ -21,13 +37,7 @@ geo::GeoPoint temporal_projection(const mobility::Trace& original,
       [](const mobility::Record& r, mobility::Timestamp v) {
         return r.time < v;
       });
-  const auto lo = hi - 1;
-  if (hi->time == lo->time) return lo->position;
-  const double ratio = static_cast<double>(t - lo->time) /
-                       static_cast<double>(hi->time - lo->time);
-  return geo::GeoPoint{
-      lo->position.lat + ratio * (hi->position.lat - lo->position.lat),
-      lo->position.lon + ratio * (hi->position.lon - lo->position.lon)};
+  return interpolate(*(hi - 1), *hi, t);
 }
 
 double spatial_temporal_distortion(const mobility::Trace& original,
@@ -37,10 +47,26 @@ double spatial_temporal_distortion(const mobility::Trace& original,
   if (protected_trace.empty()) {
     return std::numeric_limits<double>::infinity();
   }
+  // temporal_projection for every protected record, without its binary
+  // search: protected records are time-sorted (Trace invariant), so the
+  // first original record with time >= t only moves forward.
+  const auto& records = original.records();
+  const auto& first = records.front();
+  const auto& last = records.back();
+  std::size_t hi = 0;
   double total = 0.0;
   for (const auto& record : protected_trace.records()) {
-    total += geo::haversine_m(record.position,
-                              temporal_projection(original, record.time));
+    const mobility::Timestamp t = record.time;
+    geo::GeoPoint projected;
+    if (t <= first.time) {
+      projected = first.position;
+    } else if (t >= last.time) {
+      projected = last.position;
+    } else {
+      while (records[hi].time < t) ++hi;
+      projected = interpolate(records[hi - 1], records[hi], t);
+    }
+    total += geo::haversine_m(record.position, projected);
   }
   return total / static_cast<double>(protected_trace.size());
 }

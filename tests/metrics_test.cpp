@@ -4,8 +4,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
 
 #include "metrics/data_loss.h"
+#include "lppm/trilateration.h"
 #include "metrics/distortion.h"
 #include "support/error.h"
 #include "test_helpers.h"
@@ -70,6 +72,42 @@ TEST(Std, UsesTemporalProjectionNotIndexAlignment) {
   const Trace dense("u", {rec(45.25, 5.0, 25), rec(45.5, 5.0, 50),
                           rec(45.75, 5.0, 75)});
   EXPECT_NEAR(spatial_temporal_distortion(original, dense), 0.0, 1e-6);
+}
+
+TEST(Std, MatchesTemporalProjectionRecordByRecord) {
+  // STD walks the original trace with a forward cursor instead of one
+  // binary search per protected record. Every prefix of the protected
+  // trace must give exactly the mean of temporal_projection distances:
+  // repeated timestamps in both traces (TRL emits 3 records per time) and
+  // protected times before the first and after the last original record.
+  const Trace original(
+      "u", {rec(45.00, 5.00, 100), rec(45.01, 5.02, 200),
+            rec(45.03, 5.01, 200), rec(45.02, 5.04, 350),
+            rec(45.05, 5.03, 500), rec(45.04, 5.05, 500),
+            rec(45.06, 5.06, 500), rec(45.08, 5.02, 900)});
+  const Trace dummies =
+      lppm::Trilateration(600.0).apply(original, support::RngStream(3));
+  std::vector<mobility::Record> records = dummies.records();
+  for (const mobility::Timestamp t : {0, 50, 100, 150, 200, 201, 275, 499,
+                                      500, 650, 899, 900, 901, 2000}) {
+    records.push_back(rec(45.02 + 1e-5 * static_cast<double>(t), 5.01, t));
+    records.push_back(rec(45.03, 5.02 - 1e-5 * static_cast<double>(t), t));
+  }
+  const Trace protected_trace("u", std::move(records));
+  ASSERT_LT(protected_trace.front().time, original.front().time);
+  ASSERT_GT(protected_trace.back().time, original.back().time);
+
+  double total = 0.0;
+  std::vector<mobility::Record> prefix;
+  for (const auto& record : protected_trace.records()) {
+    total += geo::haversine_m(record.position,
+                              temporal_projection(original, record.time));
+    prefix.push_back(record);
+    const double expected = total / static_cast<double>(prefix.size());
+    ASSERT_EQ(spatial_temporal_distortion(original, Trace("u", prefix)),
+              expected)
+        << "after " << prefix.size() << " records (t=" << record.time << ")";
+  }
 }
 
 TEST(Std, EmptyProtectedIsInfinite) {
