@@ -1,15 +1,15 @@
 // Throughput/latency bench for the online gateway (src/stream): replays
 // one preset through the StreamEngine over a (shard count x staleness
-// bound x engine x arrival rate) grid and reports sustained events/sec
-// plus p50/p95/p99 decision latency per run — the scaling story behind
-// the committed BENCH_pr5.json and the PR 10 loop-engine BENCH_pr10.json.
+// bound x arrival rate) grid and reports sustained events/sec plus
+// p50/p95/p99 decision latency per run — the scaling story behind the
+// committed BENCH_pr5.json and the loop-engine BENCH_pr10.json.
 //
 //   ./replay_throughput [--datasets=privamov] [--scale=0.25] [--seed=7]
-//                       [--shards=1,2,4,8] [--staleness=0] [--batch=256]
-//                       [--engines=loop,batch] [--arrival-rate=0]
+//                       [--shards=1,2,4,8] [--staleness=0]
+//                       [--arrival-rate=0]
 //                       [--loop-slack=64] [--loop-recheck=16]
 //                       [--checkpoint-every=0] [--checkpoint-dir=DIR]
-//                       [--shed-high=0] [--shed-low=0] [--drain-budget=0]
+//                       [--shed-high=0] [--shed-low=0]
 //                       [--json=replay.json]
 //
 // Defaults to privamov (the most at-risk population, so the mechanism-
@@ -18,28 +18,25 @@
 // tradeoff instead of anecdotes: higher bounds defer the PIT/POI profile
 // refreshes at the cost of mid-stream decisions lagging the window (the
 // final decisions are canonicalised by finish() and must stay identical).
-// --engines runs each grid point under every listed execution mode (loop:
-// per-shard worker threads deciding at admission; batch: the micro-batch
-// determinism oracle) and the gate compares decisions across both — the
-// PR 10 loop-vs-batch twin grid. --arrival-rate is a comma list of paced
-// open-loop arrival rates in events/sec (0 = unpaced, the throughput
-// mode); paced loop runs measure genuine per-event decision latency,
-// which is the p99 the PR 10 acceptance bar caps at 10 ms.
+// --arrival-rate is a comma list of paced open-loop arrival rates in
+// events/sec (0 = unpaced, the throughput mode); paced runs measure the
+// per-event decision latency a caller observes, which an unpaced run's
+// queueing would swamp.
 // --checkpoint-every=N additionally re-runs every grid point with
-// periodic mood-snapshot/1 checkpoints (cadence N events, written to
+// periodic mood-snapshot/2 checkpoints (cadence N events, written to
 // --checkpoint-dir or a temp directory) and prints the throughput
 // overhead — the number the PR 7 acceptance bar caps at 10%.
-// --shed-high/--shed-low/--drain-budget switch on the PR 8 overload
-// controls for every grid point, pricing the degraded-decision path
-// (validating admission is always on and costs the same either way).
+// --shed-high/--shed-low switch on load shedding for every grid point,
+// pricing the degraded-decision path (validating admission is always on
+// and costs the same either way).
 // --telemetry-twin=1 (the default) runs each grid point twice — stage
 // timers off, then stage timers on with an active trace session — and
 // prints the telemetry overhead, the number the PR 9 acceptance bar
 // caps at 3%. Set --telemetry-twin=0 for the old single-run grid
 // (stage timers on, no trace).
-// Shedding and budgets only defer work that finish() re-does canonically,
-// so the determinism gate below still applies unchanged — a divergence
-// under shedding is a real bug, not an expected artefact.
+// Shedding only defers work that finish() re-does canonically, so the
+// determinism gate below still applies unchanged — a divergence under
+// shedding is a real bug, not an expected artefact.
 // --json writes an array of "mood-stream/1" documents, one per grid
 // point. Every run's final decisions are compared across the whole grid
 // (checkpointed runs included — checkpointing must never perturb them);
@@ -97,27 +94,6 @@ std::vector<std::size_t> parse_list(const std::string& flag,
   return values;
 }
 
-/// Comma-list of engine modes; exits 2 on anything but loop|batch.
-std::vector<mood::stream::EngineMode> parse_engines(const std::string& list) {
-  std::vector<mood::stream::EngineMode> modes;
-  std::string current;
-  for (const char c : list + ",") {
-    if (c != ',') {
-      current.push_back(c);
-      continue;
-    }
-    if (current.empty()) continue;
-    try {
-      modes.push_back(mood::stream::parse_engine_mode(current));
-    } catch (const mood::support::UsageError& e) {
-      std::fprintf(stderr, "--engines: %s\n", e.what());
-      std::exit(2);
-    }
-    current.clear();
-  }
-  return modes;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -130,14 +106,13 @@ int main(int argc, char** argv) {
   const auto shard_counts = parse_list("shards", options.get_string("shards", "1,2,4,8"));
   const auto staleness_bounds =
       parse_list("staleness", options.get_string("staleness", "0"));
-  const auto engines = parse_engines(options.get_string("engines", "loop,batch"));
   const auto arrival_rates =
       parse_list("arrival-rate", options.get_string("arrival-rate", "0"));
-  if (shard_counts.empty() || staleness_bounds.empty() || engines.empty() ||
+  if (shard_counts.empty() || staleness_bounds.empty() ||
       arrival_rates.empty()) {
     std::fprintf(stderr,
-                 "--shards/--staleness/--engines/--arrival-rate lists must "
-                 "be non-empty\n");
+                 "--shards/--staleness/--arrival-rate lists must be "
+                 "non-empty\n");
     return 2;
   }
   const auto loop_slack =
@@ -146,8 +121,6 @@ int main(int argc, char** argv) {
       static_cast<std::size_t>(options.get_int("loop-recheck", 16));
 
   stream::ReplayOptions replay_options;
-  replay_options.batch_events =
-      static_cast<std::size_t>(options.get_int("batch", 256));
   const auto checkpoint_every =
       static_cast<std::uint64_t>(options.get_int("checkpoint-every", 0));
   const bool telemetry_twin = options.get_int("telemetry-twin", 1) != 0;
@@ -156,8 +129,6 @@ int main(int argc, char** argv) {
       static_cast<std::size_t>(options.get_int("shed-high", 0));
   resilience.shed_low_watermark =
       static_cast<std::size_t>(options.get_int("shed-low", 0));
-  resilience.drain_budget =
-      static_cast<std::size_t>(options.get_int("drain-budget", 0));
   if (resilience.shed_low_watermark > resilience.shed_high_watermark) {
     std::fprintf(stderr, "--shed-low must not exceed --shed-high\n");
     return 2;
@@ -178,20 +149,18 @@ int main(int argc, char** argv) {
     const auto events = stream::make_event_stream(harness.pairs());
     std::printf("%s: %zu users, %zu events\n", name.c_str(),
                 harness.pairs().size(), events.size());
-    std::printf("%6s %8s %8s %10s %5s %12s %10s %10s %10s %10s %10s\n",
-                "engine", "rate", "shards", "staleness", "mode", "events/s",
-                "p50_ms", "p95_ms", "p99_ms", "searches", "refreshes");
+    std::printf("%8s %8s %10s %5s %12s %10s %10s %10s %10s %10s\n", "rate",
+                "shards", "staleness", "mode", "events/s", "p50_ms", "p95_ms",
+                "p99_ms", "searches", "refreshes");
 
-    // Final decisions must agree across the whole grid: shard count,
-    // drain parallelism, execution mode (loop vs batch) and arrival
-    // pacing never affect them, staleness short-cuts and loop cheap-path
-    // verdicts are repaired by finish()'s canonical re-decision, and
-    // checkpoint writes happen strictly between micro-batches (batch) or
-    // at quiesced cuts (loop).
+    // Final decisions must agree across the whole grid: shard count and
+    // arrival pacing never affect them, staleness short-cuts and
+    // cheap-path verdicts are repaired by finish()'s canonical
+    // re-decision, and checkpoint writes happen at quiesced cuts.
     std::vector<stream::UserDecision> reference;
     const auto gate = [&](const stream::ReplayResult& result,
-                          const char* engine_tag, std::size_t rate,
-                          std::size_t shards, std::size_t staleness) {
+                          std::size_t rate, std::size_t shards,
+                          std::size_t staleness) {
       if (reference.empty()) {
         reference = result.decisions;
         return;
@@ -199,10 +168,10 @@ int main(int argc, char** argv) {
       if (result.decisions.size() != reference.size()) {
         std::fprintf(stderr,
                      "DETERMINISM VIOLATION: %zu users decided at "
-                     "engine=%s rate=%zu shards=%zu staleness=%zu, %zu in "
-                     "the reference run\n",
-                     result.decisions.size(), engine_tag, rate, shards,
-                     staleness, reference.size());
+                     "rate=%zu shards=%zu staleness=%zu, %zu in the "
+                     "reference run\n",
+                     result.decisions.size(), rate, shards, staleness,
+                     reference.size());
         exit_code = 1;
         return;
       }
@@ -213,20 +182,18 @@ int main(int argc, char** argv) {
             a.winner != b.winner) {
           std::fprintf(stderr,
                        "DETERMINISM VIOLATION: user %s decided "
-                       "differently at engine=%s rate=%zu shards=%zu "
+                       "differently at rate=%zu shards=%zu "
                        "staleness=%zu\n",
-                       b.user.c_str(), engine_tag, rate, shards, staleness);
+                       b.user.c_str(), rate, shards, staleness);
           exit_code = 1;
         }
       }
     };
 
-    for (const stream::EngineMode engine_mode : engines) {
     for (const std::size_t arrival_rate : arrival_rates) {
     for (const std::size_t staleness : staleness_bounds) {
       for (const std::size_t shards : shard_counts) {
         stream::StreamConfig config;
-        config.engine = engine_mode;
         config.loop_slack = loop_slack;
         config.loop_recheck = loop_recheck;
         config.shards = shards;
@@ -262,18 +229,16 @@ int main(int argc, char** argv) {
             std::filesystem::remove_all(checkpoint_dir);
             engine.configure_checkpoints(
                 {checkpoint_dir, checkpoint_every},
-                {ctx.seed, dataset.name(), events.size(),
-                 replay_options.batch_events});
+                {ctx.seed, dataset.name(), events.size()});
           }
           if (variant.traced) telemetry::TraceSession::instance().start();
           const stream::ReplayResult result =
               stream::run_replay(engine, events, replay_options);
           if (variant.traced) telemetry::TraceSession::instance().stop();
           std::printf(
-              "%6s %8zu %8zu %10zu %5s %12.0f %10.3f %10.3f %10.3f %10llu "
+              "%8zu %8zu %10zu %5s %12.0f %10.3f %10.3f %10.3f %10llu "
               "%10llu",
-              stream::to_string(engine_mode), arrival_rate, shards,
-              staleness, variant.tag, result.events_per_second,
+              arrival_rate, shards, staleness, variant.tag, result.events_per_second,
               result.latency.p50 * 1e3, result.latency.p95 * 1e3,
               result.latency.p99 * 1e3,
               static_cast<unsigned long long>(result.stats.searches),
@@ -301,8 +266,7 @@ int main(int argc, char** argv) {
                   overhead);
             }
           }
-          gate(result, stream::to_string(engine_mode), arrival_rate, shards,
-               staleness);
+          gate(result, arrival_rate, shards, staleness);
 
           report::RunMetadata meta;
           meta.tool = "replay_throughput";
@@ -314,7 +278,6 @@ int main(int argc, char** argv) {
               result, std::nullopt, /*include_users=*/false));
         }
       }
-    }
     }
     }
   }

@@ -16,10 +16,12 @@
 ///   * *Batch* (`ExperimentHarness`): one kernel pass per full test trace
 ///     — decide_trace() folds the whole trace once and finalises.
 ///   * *Stream* (`StreamEngine`): the kernel is driven by window deltas —
-///     fold() appends pending records and evicts expired ones, decide()
-///     issues the per-micro-batch verdict, finalize() canonicalises after
-///     the last batch. Identical final windows therefore produce
-///     bit-identical decisions by construction, not by test.
+///     each shard worker folds one admitted record and issues that
+///     event's verdict through one decision tier (decide, decide_recheck,
+///     decide_held, or decide_degraded while shedding); finalize()
+///     canonicalises after the last event. Identical final windows
+///     therefore produce bit-identical decisions by construction, not by
+///     test.
 ///
 /// Per user the kernel owns the compiled profiles of all three standard
 /// attacks, maintained incrementally:
@@ -176,7 +178,8 @@ class DecisionKernel {
   DecisionKernel& operator=(const DecisionKernel&) = delete;
 
   // ---- Streaming entry points ----------------------------------------
-  /// Folds pending records into the window (evicting expired/over-cap
+  // One function per tier: bench/gateway/gateway_bench.cpp calls them by name.
+  /// Folds new records into the window (evicting expired/over-cap
   /// points from the front) and maintains the AP heatmap incrementally;
   /// PIT/POI folds are deferred to the next refresh. The records are only
   /// read (taken by reference so the batch entry points fold whole test
@@ -184,13 +187,13 @@ class DecisionKernel {
   std::size_t fold(UserKernelState& state,
                    const std::vector<mobility::Record>& pending) const;
 
-  /// Issues one micro-batch verdict: refresh profiles (under the staleness
+  /// Issues one full verdict: refresh profiles (under the staleness
   /// bound), run the targeted risk queries, apply the keep/recheck/search
-  /// selection policy. `folded` is fold()'s return value for this batch
-  /// (events carried by the verdict); callers skip the call when 0.
+  /// selection policy. `folded` is fold()'s return value (events carried
+  /// by the verdict); 0 makes the call a no-op.
   void decide(UserKernelState& state, std::size_t folded) const;
 
-  /// Degraded micro-batch verdict — the overload-shedding path. Holds the
+  /// Degraded verdict — the overload-shedding path. Holds the
   /// user's last verdict instead of running the risk queries: a protected
   /// user with a held mechanism gets the cheap recheck only (its outcome
   /// is recorded in the cost counters but a failing recheck defers the

@@ -323,7 +323,6 @@ Json make_stream_report(const RunMetadata& meta, Json dataset,
   document["dataset"] = std::move(dataset);
 
   Json stream_doc = Json::object();
-  stream_doc["engine"] = stream::to_string(config.engine);
   stream_doc["loop_slack"] = config.loop_slack;
   stream_doc["loop_recheck"] = config.loop_recheck;
   stream_doc["shards"] = config.shards;
@@ -332,7 +331,6 @@ Json make_stream_report(const RunMetadata& meta, Json dataset,
   stream_doc["max_points"] = config.max_points;
   stream_doc["max_users_per_shard"] = config.max_users_per_shard;
   stream_doc["staleness_points"] = config.staleness_points;
-  stream_doc["batch_events"] = options.batch_events;
   stream_doc["target_rate"] = options.target_rate;
   stream_doc["time_compression"] = options.time_compression;
   stream_doc["stage_timers"] = config.telemetry.stage_timers;
@@ -340,7 +338,6 @@ Json make_stream_report(const RunMetadata& meta, Json dataset,
 
   Json replay = Json::object();
   replay["events"] = result.events;
-  replay["batches"] = result.batches;
   replay["users"] = result.decisions.size();
   replay["wall_seconds"] = result.wall_seconds;
   replay["events_per_second"] = result.events_per_second;
@@ -436,7 +433,6 @@ std::vector<std::vector<std::string>> stream_summary_rows(
     exposed_users += decision.decision == stream::Decision::kExpose ? 1 : 0;
   }
   rows.push_back({"events", std::to_string(result.events)});
-  rows.push_back({"batches", std::to_string(result.batches)});
   rows.push_back({"users", std::to_string(result.decisions.size())});
   rows.push_back({"wall_seconds", fixed(result.wall_seconds, 3)});
   rows.push_back({"events_per_second", fixed(result.events_per_second, 1)});
@@ -489,7 +485,10 @@ std::vector<std::vector<std::string>> stream_summary_rows(
     return std::to_string(object.int_or(key, 0));
   };
   rows.push_back({"events", count(*replay, "events")});
-  rows.push_back({"batches", count(*replay, "batches")});
+  // Only documents written by the retired micro-batch engine carry it.
+  if (replay->find("batches") != nullptr) {
+    rows.push_back({"batches", count(*replay, "batches")});
+  }
   rows.push_back({"users", count(*replay, "users")});
   rows.push_back(
       {"wall_seconds", fixed(replay->number_or("wall_seconds", 0.0), 3)});

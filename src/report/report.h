@@ -108,13 +108,17 @@ inline constexpr const char* kBenchSchema = "mood-bench/1";
 ///   "schema": "mood-stream/1",
 ///   "meta": { ... RunMetadata, as in mood-result/1 ... },
 ///   "dataset": { ... dataset_summary() ... },
-///   "stream": {          // gateway + replay configuration
+///   "stream": {          // gateway + replay configuration (documents
+///                        // written by older builds also carry the
+///                        // engine mode and micro-batch size here, and
+///                        // "replay.batches")
+///     "loop_slack": 64, "loop_recheck": 16,
 ///     "shards": 8, "window_seconds": 0, "max_points": 0,
 ///     "max_users_per_shard": 0, "staleness_points": 0,
-///     "batch_events": 256, "target_rate": 0.0, "time_compression": 0.0
+///     "target_rate": 0.0, "time_compression": 0.0, "stage_timers": true
 ///   },
 ///   "replay": {          // measured outcome
-///     "events": 24576, "batches": 96, "users": 20,
+///     "events": 24576, "users": 20,
 ///     "wall_seconds": 1.84, "events_per_second": 13356.5,
 ///     "finish_seconds": 0.21,   // the timed canonical finish() pass
 ///     "end_to_end_events_per_second": 11992.7,  // events /
@@ -151,7 +155,7 @@ inline constexpr const char* kBenchSchema = "mood-bench/1";
 ///                     "resume_events": 0,    // this process's checkpoint
 ///                     "quarantined_snapshots": 0},  // corrupt snapshot
 ///                          // files renamed aside during restore
-///                          // activity (mood-snapshot/1 files written /
+///                          // activity (mood-snapshot/2 files written /
 ///                          // the restore position) — deliberately
 ///                          // outside "cost": a restored run's per_user +
 ///                          // cost + decisions are bit-identical to the
@@ -160,7 +164,8 @@ inline constexpr const char* kBenchSchema = "mood-bench/1";
 ///     "resilience": {      // fault-tolerance counters (resilience.h);
 ///                          // all zero at the strict defaults
 ///       "bad_records": 0, "dead_letters": 0, "quarantined_users": 0,
-///       "shed_decisions": 0, "degraded_batches": 0,
+///       "shed_decisions": 0,
+///       "degraded_batches": 0,   // shed engagements
 ///       "backpressure_events": 0},
 ///     "batch_match": true  // replayed final decisions == batch evaluators
 ///                          // (null when verification was skipped)
@@ -176,8 +181,8 @@ inline constexpr const char* kBenchSchema = "mood-bench/1";
 /// \endverbatim
 ///
 /// Latencies are seconds; `window_slices` counts the 24 h preslice
-/// partitions of the user's final window. Decisions are deterministic in
-/// the event stream and batch size — identical across --jobs and shard
+/// partitions of the user's final window. Decisions and counters are
+/// deterministic in the event stream — identical across --jobs and shard
 /// counts; only the timing numbers vary.
 inline constexpr const char* kStreamSchema = "mood-stream/1";
 

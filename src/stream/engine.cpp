@@ -35,8 +35,8 @@ double seconds_since(Clock::time_point start) {
 /// *this process's* checkpoint activity (reported outside the decision
 /// cost block), not the logical stream, so they stay raw.
 constexpr std::uint64_t StreamStats::* kContinuedStats[] = {
-    &StreamStats::events,          &StreamStats::batches,
-    &StreamStats::decisions,       &StreamStats::exposed_events,
+    &StreamStats::events,          &StreamStats::decisions,
+    &StreamStats::exposed_events,
     &StreamStats::protected_events, &StreamStats::searches,
     &StreamStats::rechecks,        &StreamStats::profile_refreshes,
     &StreamStats::stay_updates,    &StreamStats::stay_rebuilds,
@@ -66,7 +66,6 @@ struct StatGauge {
 };
 constexpr StatGauge kStatGauges[] = {
     {"mood_gateway_events", &StreamStats::events},
-    {"mood_gateway_batches", &StreamStats::batches},
     {"mood_gateway_decisions", &StreamStats::decisions},
     {"mood_gateway_exposed_events", &StreamStats::exposed_events},
     {"mood_gateway_protected_events", &StreamStats::protected_events},
@@ -86,7 +85,7 @@ constexpr StatGauge kStatGauges[] = {
     {"mood_gateway_shed_decisions", &StreamStats::shed_decisions},
 };
 
-/// Loop-mode ring capacity. With a backpressure bound, the ring is the
+/// Ring capacity. With a backpressure bound, the ring is the
 /// bounded buffer --max-pending promises: the kAdmittedSlow signal fires
 /// at the bound, and the producer only blocks (never drops) at 2x it.
 /// Unbounded configs get a deep default so the producer rarely stalls.
@@ -109,28 +108,17 @@ void backoff(std::size_t& spins) {
 }
 }  // namespace
 
-const char* to_string(EngineMode mode) {
-  return mode == EngineMode::kLoop ? "loop" : "batch";
-}
-
-EngineMode parse_engine_mode(const std::string& name) {
-  if (name == "batch") return EngineMode::kBatch;
-  if (name == "loop") return EngineMode::kLoop;
-  throw support::UsageError("unknown engine mode '" + name +
-                            "' (expected batch|loop)");
-}
-
 /// One queued ingest: the event, its arrival stamp (latency accounting
-/// starts at admission, like the batch replay driver's), and the
-/// producer's stateless poison classification.
+/// starts at admission), and the producer's stateless poison
+/// classification.
 struct StreamEngine::LoopItem {
   StreamEvent event;
   Clock::time_point arrival;
   const char* fault = nullptr;
 };
 
-/// Loop-mode machinery: one SPSC ring + worker thread per shard, plus the
-/// producer-visible fault slot. Owned by the engine, torn down (joined)
+/// The execution machinery: one SPSC ring + worker thread per shard, plus
+/// the producer-visible fault slot. Owned by the engine, torn down (joined)
 /// in stop_loop().
 struct StreamEngine::LoopState {
   struct Lane {
@@ -171,7 +159,6 @@ StreamEngine::StreamEngine(decision::MoodEngine engine, StreamConfig config)
   // Wire every counter site once; the hot paths below only ever touch
   // these cached instruments (lock-free lanes), never the registry map.
   events_ = &registry_.counter("mood_stream_events_total");
-  batches_ = &registry_.counter("mood_stream_batches_total");
   checkpoints_ = &registry_.counter("mood_stream_checkpoints_total");
   checkpoint_bytes_ = &registry_.counter("mood_stream_checkpoint_bytes_total");
   checkpoint_failures_ =
@@ -189,7 +176,6 @@ StreamEngine::StreamEngine(decision::MoodEngine engine, StreamConfig config)
       &registry_.counter("mood_stream_metrics_export_failures_total");
   stage_ingest_ = &registry_.histogram("mood_stage_ingest_seconds");
   stage_decide_ = &registry_.histogram("mood_stage_decide_seconds");
-  stage_drain_ = &registry_.histogram("mood_stage_drain_seconds");
   stage_checkpoint_ = &registry_.histogram("mood_stage_checkpoint_seconds");
   stage_dequeue_ = &registry_.histogram("mood_stage_dequeue_seconds");
   replay_latency_ = &registry_.histogram("mood_replay_latency_seconds");
@@ -213,7 +199,6 @@ void StreamEngine::ensure_loop_lanes() {
 }
 
 void StreamEngine::start_loop() {
-  if (config_.engine != EngineMode::kLoop) return;
   ensure_loop_lanes();
   if (loop_->started) return;
   loop_->started = true;
@@ -249,10 +234,11 @@ void StreamEngine::stop_loop(bool swallow) {
 }
 
 void StreamEngine::quiesce() {
-  if (config_.engine != EngineMode::kLoop || loop_ == nullptr ||
-      !loop_->started) {
-    return;
-  }
+  if (loop_ == nullptr) return;
+  // Rings pre-filled with loop_autostart off still owe their events a
+  // worker: without one, the wait below would never end and finish()
+  // would tear the rings down unprocessed.
+  start_loop();
   for (auto& lane : loop_->lanes) {
     // The producer is the only pusher, so `pushed` is stable here; wait
     // for this lane's worker to catch up. A worker fault can stall
@@ -273,7 +259,6 @@ void StreamEngine::quiesce() {
 }
 
 void StreamEngine::pump_cadences() {
-  if (config_.engine != EngineMode::kLoop) return;
   const std::uint64_t position = stream_position();
   const bool checkpoint_due =
       !checkpoint_policy_.dir.empty() && checkpoint_policy_.every_events > 0 &&
@@ -290,89 +275,24 @@ void StreamEngine::pump_cadences() {
 }
 
 IngestStatus StreamEngine::ingest(const StreamEvent& event) {
-  if (config_.engine == EngineMode::kLoop) return loop_ingest(event);
+  ensure_loop_lanes();
+  if (config_.loop_autostart && !loop_->started) start_loop();
+  check_loop_failure();
+
   // Every presented event advances the stream position, admitted or not:
   // checkpoint/resume indexes into the replay stream, and a resumed run
   // must skip exactly the events this run consumed — including the ones
   // it dropped.
   events_->add(1);
   const bool timed = config_.telemetry.stage_timers;
-  const Clock::time_point t0 = timed ? Clock::now() : Clock::time_point{};
-  const ResilienceConfig& res = config_.resilience;
-
-  // Stateless classification first. An unattributable event (empty or
-  // oversized id) cannot be quarantined — there is no user to trust the
-  // id of — so skip/quarantine both dead-letter it without state.
-  if (event.user.empty() || event.user.size() > kMaxUserIdBytes) {
-    bad_records_->add(1);
-    if (res.on_bad_record == BadRecordPolicy::kFail) {
-      throw BadRecordError(
-          std::string("gateway admission: ") +
-          to_string(AdmissionFault::kOversizedId) + " (" +
-          std::to_string(event.user.size()) + " bytes) at position " +
-          std::to_string(stream_position() - 1));
-    }
-    dead_letters_->add(1);
-    return IngestStatus::kDeadLettered;
-  }
-  const char* fault = valid_coordinate(event.record.position)
-                          ? nullptr
-                          : to_string(AdmissionFault::kBadCoordinate);
-
-  const AdmitResult admitted =
-      store_.enqueue(event, res.on_bad_record, fault != nullptr, fault);
-  switch (admitted.status) {
-    case AdmitResult::Status::kRejected:
-      bad_records_->add(1, admitted.shard);
-      if (res.on_bad_record == BadRecordPolicy::kFail) {
-        throw BadRecordError(std::string("gateway admission: ") +
-                             admitted.reason + " from user '" + event.user +
-                             "' at position " +
-                             std::to_string(stream_position() - 1));
-      }
-      return IngestStatus::kRejected;
-    case AdmitResult::Status::kQuarantined:
-      bad_records_->add(1, admitted.shard);
-      dead_letters_->add(admitted.dead_letters, admitted.shard);
-      quarantined_users_->add(1, admitted.shard);
-      support::log_warn("quarantined user '", event.user, "' at position ",
-                        stream_position() - 1, ": ", admitted.reason);
-      return IngestStatus::kQuarantined;
-    case AdmitResult::Status::kDeadLettered:
-      dead_letters_->add(admitted.dead_letters, admitted.shard);
-      return IngestStatus::kDeadLettered;
-    case AdmitResult::Status::kAdmitted:
-      break;
-  }
-  // Admission latency of accepted events (classification + enqueue under
-  // the shard lock), on the owning shard's lane.
-  if (timed) stage_ingest_->record(seconds_since(t0), admitted.shard);
-  if (res.max_pending_per_shard > 0 &&
-      admitted.shard_backlog > res.max_pending_per_shard) {
-    // Explicit backpressure: the signal is counted and surfaced, never
-    // acted on internally — an early drain here would make batch
-    // boundaries depend on shard hashing and break determinism.
-    backpressure_events_->add(1, admitted.shard);
-    return IngestStatus::kAdmittedSlow;
-  }
-  return IngestStatus::kAdmitted;
-}
-
-IngestStatus StreamEngine::loop_ingest(const StreamEvent& event) {
-  ensure_loop_lanes();
-  if (config_.loop_autostart && !loop_->started) start_loop();
-  check_loop_failure();
-
-  events_->add(1);
-  const bool timed = config_.telemetry.stage_timers;
   const Clock::time_point arrival = Clock::now();
   const ResilienceConfig& res = config_.resilience;
 
   // Stateless classification stays on the producer: an unattributable
-  // event (empty or oversized id) never reaches a worker, exactly like
-  // the batch path; bad coordinates are flagged here (cheap, and keeps
-  // the classification vocabulary identical) but dispositioned by the
-  // worker, which owns the stateful half.
+  // event (empty or oversized id) cannot be quarantined — there is no
+  // user to trust the id of — so it never reaches a worker. Bad
+  // coordinates are flagged here but dispositioned by the worker, which
+  // owns the stateful half.
   if (event.user.empty() || event.user.size() > kMaxUserIdBytes) {
     bad_records_->add(1);
     if (res.on_bad_record == BadRecordPolicy::kFail) {
@@ -404,7 +324,9 @@ IngestStatus StreamEngine::loop_ingest(const StreamEvent& event) {
   std::size_t spins = 0;
   while (!lane.ring.try_push(std::move(item))) {
     // Ring full: block, never drop — backpressure is a signal, not a
-    // loss. A worker fault would stall this forever, so re-check it.
+    // loss. Pre-filled rings (loop_autostart off) get their workers now,
+    // or this would spin forever; a worker fault would too, so re-check.
+    start_loop();
     check_loop_failure();
     backoff(spins);
   }
@@ -457,11 +379,10 @@ void StreamEngine::loop_process(std::size_t shard, LoopItem& item) {
   const bool timed = config_.telemetry.stage_timers;
   if (timed) stage_dequeue_->record(seconds_since(item.arrival), shard);
 
-  // Shed hysteresis on the instantaneous ring depth (the loop-mode
+  // Shed hysteresis on the instantaneous ring depth (the shard's
   // backlog), evaluated per dequeue by the only thread touching the
-  // latch. Unlike the event-count-deterministic batch latch, ring depth
-  // is timing-dependent — degraded verdicts are repaired by the
-  // canonical finish(), so decisions stay deterministic regardless.
+  // latch. Ring depth is timing-dependent, but degraded verdicts are
+  // repaired by the canonical finish(), so decisions stay deterministic.
   bool shed = false;
   if (res.shed_high_watermark > 0) {
     const std::uint64_t depth =
@@ -476,8 +397,7 @@ void StreamEngine::loop_process(std::size_t shard, LoopItem& item) {
       }
     } else if (depth >= res.shed_high_watermark) {
       latch = 1;
-      // One degraded episode per engagement (the batch analogue counts
-      // one per shard drain that shed).
+      // One degraded episode per engagement.
       degraded_batches_->add(1, shard);
       support::log_info("shed engaged on shard ", shard, " (ring depth ",
                         depth, " >= high ", res.shed_high_watermark, ")");
@@ -488,7 +408,9 @@ void StreamEngine::loop_process(std::size_t shard, LoopItem& item) {
   const Clock::time_point d0 = timed ? Clock::now() : Clock::time_point{};
   const AdmitResult admitted = store_.admit_and_process(
       item.event, res.on_bad_record, item.fault != nullptr, item.fault,
-      [&](UserState& state) { loop_decide_user(state, shard, shed); });
+      [&](UserState& state) {
+        loop_decide_user(state, item.event.record, shard, shed);
+      });
   switch (admitted.status) {
     case AdmitResult::Status::kRejected:
       bad_records_->add(1, shard);
@@ -521,25 +443,30 @@ void StreamEngine::loop_process(std::size_t shard, LoopItem& item) {
   replay_latency_->record(seconds_since(item.arrival), shard);
 }
 
-void StreamEngine::loop_decide_user(UserState& state, std::size_t shard,
-                                    bool shed) {
+void StreamEngine::loop_decide_user(UserState& state, mobility::Record record,
+                                    std::size_t shard, bool shed) {
   MOOD_TRACE("stream.decide", {.shard = static_cast<std::uint32_t>(shard),
                                .user = state.user});
-  const std::size_t queued = state.pending.size();
   if (MOOD_FAIL_POINT("stream.drain.corrupt") ==
-          testing::FailAction::kCorrupt &&
-      !state.pending.empty()) {
-    state.pending.front().position.lat =
-        std::numeric_limits<double>::quiet_NaN();
+      testing::FailAction::kCorrupt) {
+    record.position.lat = std::numeric_limits<double>::quiet_NaN();
   }
-  (void)run_isolated(state, queued, [&]() -> DecideOutcome {
+  run_isolated(state, /*queued=*/1, [&] {
     MOOD_FAIL_POINT("stream.decide.user");  // kThrow fires inside hit()
-    const std::size_t folded = fold_pending(state);
-    if (folded == 0) return DecideOutcome::kFull;
+    if (config_.resilience.on_bad_record == BadRecordPolicy::kQuarantine &&
+        (!std::isfinite(record.position.lat) ||
+         !std::isfinite(record.position.lon))) {
+      // NaNs poison every distance they touch: keep them out of the
+      // compiled profiles.
+      throw BadRecordError("poisoned pending record (non-finite "
+                           "coordinate) for user '" +
+                           state.user + "'");
+    }
     decision::UserKernelState& k = state.kernel;
+    kernel_.fold(k, {record});
     if (shed) {
-      kernel_.decide_degraded(k, folded);
-      return DecideOutcome::kDegraded;
+      kernel_.decide_degraded(k, 1);
+      return;
     }
     // The decision tier is a pure function of this user's folded-event
     // ordinal (k.events counts exactly the admitted, folded events), so
@@ -547,183 +474,41 @@ void StreamEngine::loop_decide_user(UserState& state, std::size_t shard,
     // shard count, and checkpoint cut position.
     if (!k.has_decision || config_.loop_slack == 0 ||
         k.events % config_.loop_slack == 0) {
-      kernel_.decide(k, folded);
+      kernel_.decide(k, 1);
     } else if (config_.loop_recheck > 0 &&
                k.events % config_.loop_recheck == 0) {
-      kernel_.decide_recheck(k, folded);
+      kernel_.decide_recheck(k, 1);
     } else {
-      kernel_.decide_held(k, folded);
+      kernel_.decide_held(k, 1);
     }
-    return DecideOutcome::kFull;
   });
 }
 
-std::size_t StreamEngine::fold_pending(UserState& state) {
-  const std::vector<mobility::Record> pending = std::move(state.pending);
-  state.pending.clear();
-  if (config_.resilience.on_bad_record == BadRecordPolicy::kQuarantine) {
-    // In-memory poison (post-admission corruption; in practice the
-    // stream.drain.corrupt fail point) must not reach the compiled
-    // profiles — NaNs poison every distance they touch.
-    for (const mobility::Record& record : pending) {
-      if (!std::isfinite(record.position.lat) ||
-          !std::isfinite(record.position.lon)) {
-        throw BadRecordError("poisoned pending record (non-finite "
-                             "coordinate) for user '" +
-                             state.user + "'");
-      }
-    }
-  }
-  return kernel_.fold(state.kernel, pending);
-}
-
-StreamEngine::DecideOutcome StreamEngine::decide_user(UserState& state,
-                                                      bool canonical,
-                                                      bool degrade) {
-  if (state.quarantined) {
-    // Frozen. Anything still queued (quarantine tripped mid-drain) is
-    // dead-lettered, never folded.
-    if (!state.pending.empty()) {
-      dead_letters_->add(state.pending.size());
-      state.dead_letters += state.pending.size();
-      state.pending.clear();
-    }
-    return DecideOutcome::kSkipped;
-  }
-  const std::size_t queued = state.pending.size();
-  if (MOOD_FAIL_POINT("stream.drain.corrupt") ==
-          testing::FailAction::kCorrupt &&
-      !state.pending.empty()) {
-    state.pending.front().position.lat =
-        std::numeric_limits<double>::quiet_NaN();
-  }
-  const auto run = [&]() -> DecideOutcome {
-    MOOD_FAIL_POINT("stream.decide.user");  // kThrow fires inside hit()
-    const std::size_t folded = fold_pending(state);
-    if (canonical) {
-      kernel_.finalize(state.kernel, folded);
-      return DecideOutcome::kFull;
-    }
-    if (degrade) {
-      kernel_.decide_degraded(state.kernel, folded);
-      return DecideOutcome::kDegraded;
-    }
-    kernel_.decide(state.kernel, folded);
-    return DecideOutcome::kFull;
-  };
-  return run_isolated(state, queued, run);
-}
-
 template <typename Run>
-StreamEngine::DecideOutcome StreamEngine::run_isolated(UserState& state,
-                                                       std::size_t queued,
-                                                       Run&& run) {
+void StreamEngine::run_isolated(UserState& state, std::size_t queued,
+                                Run&& run) {
   if (config_.resilience.on_bad_record != BadRecordPolicy::kQuarantine) {
-    return run();  // strict: a decision-path fault aborts, as before PR 8
+    run();  // strict: a decision-path fault aborts the run
+    return;
   }
   try {
-    return run();
+    run();
   } catch (const std::exception& e) {
     // Per-user fault isolation: freeze this user, hold their last
-    // verdict, keep the shard drain alive. The queued points died with
-    // the fault (folded or not, they produced no decision).
+    // verdict, keep the shard worker alive. The queued event died with
+    // the fault (folded or not, it produced no decision).
     state.quarantined = true;
     state.quarantine_reason = e.what();
-    state.pending.clear();
     state.dead_letters += queued;
     dead_letters_->add(queued);
     quarantined_users_->add(1);
     support::log_warn("quarantined user '", state.user,
                       "' on decision fault: ", e.what());
-    return DecideOutcome::kQuarantined;
   }
-}
-
-std::size_t StreamEngine::drain() {
-  support::expects(config_.engine == EngineMode::kBatch,
-                   "StreamEngine::drain: batch mode only (loop workers "
-                   "decide at admission time)");
-  std::atomic<std::size_t> decided{0};
-  const ResilienceConfig& res = config_.resilience;
-  const bool timed = config_.telemetry.stage_timers;
-  // The batch tag spans carry: this drain's ordinal (0-based).
-  const std::uint64_t batch = batches_->value();
-  const auto drain_one = [&](std::size_t shard) {
-    MOOD_TRACE("stream.drain",
-               {.shard = static_cast<std::uint32_t>(shard), .batch = batch});
-    const Clock::time_point t0 = timed ? Clock::now() : Clock::time_point{};
-    // Shed hysteresis, evaluated once per shard per drain on the pending
-    // backlog: engage at the high watermark, release at the low one. The
-    // latch is only touched by this shard's own drain task.
-    bool shed = false;
-    if (res.shed_high_watermark > 0) {
-      const std::size_t backlog = store_.pending_events(shard);
-      std::uint8_t& latch = shedding_[shard];
-      if (latch != 0) {
-        if (backlog <= res.shed_low_watermark) {
-          latch = 0;
-          support::log_info("shed released on shard ", shard, " at batch ",
-                            batch, " (backlog ", backlog, " <= low ",
-                            res.shed_low_watermark, ")");
-        }
-      } else if (backlog >= res.shed_high_watermark) {
-        latch = 1;
-        support::log_info("shed engaged on shard ", shard, " at batch ",
-                          batch, " (backlog ", backlog, " >= high ",
-                          res.shed_high_watermark, ")");
-      }
-      shed = latch != 0;
-    }
-    std::size_t full_decides = 0;
-    std::size_t degraded_decides = 0;
-    decided.fetch_add(
-        store_.drain_shard(
-            shard,
-            [&](UserState& state) {
-              // Degrade when shedding, or past the drain budget (the
-              // budget caps *full* decisions per shard per batch; the
-              // tail of the dirty list gets held-verdict rechecks).
-              const bool degrade =
-                  shed || (res.drain_budget > 0 &&
-                           full_decides >= res.drain_budget);
-              MOOD_TRACE("stream.decide",
-                         {.shard = static_cast<std::uint32_t>(shard),
-                          .user = state.user,
-                          .batch = batch});
-              const Clock::time_point u0 =
-                  timed ? Clock::now() : Clock::time_point{};
-              switch (decide_user(state, /*canonical=*/false, degrade)) {
-                case DecideOutcome::kFull:
-                  ++full_decides;
-                  break;
-                case DecideOutcome::kDegraded:
-                  ++degraded_decides;
-                  break;
-                default:
-                  break;
-              }
-              if (timed) stage_decide_->record(seconds_since(u0), shard);
-            }),
-        std::memory_order_relaxed);
-    if (degraded_decides > 0) degraded_batches_->add(1, shard);
-    if (timed) stage_drain_->record(seconds_since(t0), shard);
-  };
-  if (config_.parallel_drain && store_.shard_count() > 1) {
-    support::parallel_for(store_.shard_count(), drain_one);
-  } else {
-    for (std::size_t s = 0; s < store_.shard_count(); ++s) drain_one(s);
-  }
-  batches_->add(1);
-  // Checkpoint boundary: every pending queue and dirty list is empty here
-  // (the drain above folded or dead-lettered them all), so the captured
-  // state is exactly "the stream up to this position, fully decided".
-  maybe_checkpoint();
-  maybe_export_metrics();
-  return decided.load();
 }
 
 void StreamEngine::finish() {
-  if (config_.engine == EngineMode::kLoop && loop_ != nullptr) {
+  if (loop_ != nullptr) {
     // Drain the rings and retire the workers; a captured worker fault
     // surfaces here (both calls rethrow). After this the engine is
     // single-threaded again and the canonical pass below owns all state.
@@ -734,14 +519,16 @@ void StreamEngine::finish() {
   // Fans out per user on the shared pool. Order cannot change a verdict:
   // every noise stream is forked from (seed, user, mechanism, window
   // start), and the kernel and registry counters are order-free atomic
-  // sums — the same properties the concurrent loop workers rely on.
+  // sums — the same properties the concurrent shard workers rely on.
   store_.for_each([&](UserState& state) {
-    // Fold any points that arrived after the last drain (the replay
-    // driver always drains, so this is a safety net for direct engine
-    // users), then run the kernel's canonical final decision. Quarantined
-    // users stay frozen; a fault here quarantines like the drain path
-    // (strict policies: the first fault aborts finish()).
-    decide_user(state, /*canonical=*/true, /*degrade=*/false);
+    // The kernel's canonical final decision. Quarantined users stay
+    // frozen; a fault here quarantines the user (strict policies: the
+    // first fault aborts finish()).
+    if (state.quarantined) return;
+    run_isolated(state, /*queued=*/0, [&] {
+      MOOD_FAIL_POINT("stream.decide.user");  // kThrow fires inside hit()
+      kernel_.finalize(state.kernel, 0);
+    });
   });
 }
 
@@ -777,7 +564,6 @@ StreamStats StreamEngine::raw_stats() const {
   const decision::KernelStats kernel = kernel_.stats();
   StreamStats s;
   s.events = events_->value();
-  s.batches = batches_->value();
   s.decisions = kernel.decisions;
   s.exposed_events = kernel.exposed_events;
   s.protected_events = kernel.protected_events;
@@ -840,14 +626,12 @@ SnapshotData StreamEngine::capture_snapshot() const {
   data.config = config_;
   data.stream_position = stream_position();
   data.stats = stats();
-  data.batches = data.stats.batches;
   data.shard_clocks = store_.shard_clocks();
   store_.for_each([&](const UserState& state) {
     const decision::UserKernelState& k = state.kernel;
     UserSnapshot u;
     u.user = state.user;
     u.window = k.window.records();
-    u.pending = state.pending;
     u.heatmap_built = k.heatmap_built;
     if (k.heatmap_built) {
       u.heatmap_total = k.heatmap.raw_total();
@@ -889,8 +673,8 @@ SnapshotData StreamEngine::capture_snapshot() const {
 }
 
 void StreamEngine::restore_snapshot(const SnapshotData& data) {
-  support::expects(events_->value() == 0 && batches_->value() == 0 &&
-                       position_offset_ == 0 && store_.user_count() == 0,
+  support::expects(events_->value() == 0 && position_offset_ == 0 &&
+                       store_.user_count() == 0,
                    "StreamEngine::restore_snapshot: must run on a freshly "
                    "constructed engine");
   // Resuming under different knobs would silently change published
@@ -910,28 +694,24 @@ void StreamEngine::restore_snapshot(const SnapshotData& data) {
   if (snap.on_bad_record != mine.on_bad_record ||
       snap.max_pending_per_shard != mine.max_pending_per_shard ||
       snap.shed_high_watermark != mine.shed_high_watermark ||
-      snap.shed_low_watermark != mine.shed_low_watermark ||
-      snap.drain_budget != mine.drain_budget) {
+      snap.shed_low_watermark != mine.shed_low_watermark) {
     throw SnapshotError(
         "snapshot resilience config does not match this gateway "
-        "(on-bad-record/max-pending/shed watermarks/drain-budget must all "
-        "agree)");
+        "(on-bad-record/max-pending/shed watermarks must all agree)");
   }
-  // The execution mode and loop cadences shape the mid-stream decision
-  // sequence (and therefore the continued counters), so a resumed run
-  // must keep them. loop_autostart is timing-only and excluded.
-  if (data.config.engine != config_.engine ||
-      data.config.loop_slack != config_.loop_slack ||
+  // The decision cadences shape the mid-stream decision sequence (and
+  // therefore the continued counters), so a resumed run must keep them.
+  // loop_autostart is timing-only and excluded.
+  if (data.config.loop_slack != config_.loop_slack ||
       data.config.loop_recheck != config_.loop_recheck) {
     throw SnapshotError(
-        "snapshot engine mode does not match this gateway "
-        "(engine/loop-slack/loop-recheck must all agree)");
+        "snapshot decision cadences do not match this gateway "
+        "(loop-slack/loop-recheck must agree)");
   }
 
   for (const UserSnapshot& u : data.users) {
     UserState state;
     state.user = u.user;
-    state.pending = u.pending;
     state.last_touch = u.last_touch;
     decision::UserKernelState& k = state.kernel;
     // The restored window arrives sorted (it was captured from a Trace),
@@ -985,7 +765,7 @@ void StreamEngine::restore_snapshot(const SnapshotData& data) {
   stats_floor_ = raw_stats();
   support::log_info("restored gateway state at position ",
                     data.stream_position, " (", data.users.size(),
-                    " users, ", data.stats.batches, " batches)");
+                    " users)");
 }
 
 std::uint64_t StreamEngine::checkpoint_now() {
@@ -1039,30 +819,22 @@ void StreamEngine::refresh_gauges() const {
   }
   registry_.gauge("mood_gateway_resident_users")
       .set(static_cast<double>(store_.user_count()));
-  std::size_t backlog = 0;
+  // Instantaneous ingest-ring depths — the gateway's backlog. The
+  // registry's gauges are single-series (no label support), so the
+  // per-shard views get suffixed names alongside the total.
+  std::uint64_t total = 0;
   for (std::size_t shard = 0; shard < store_.shard_count(); ++shard) {
-    backlog += store_.pending_events(shard);
-  }
-  registry_.gauge("mood_gateway_pending_events")
-      .set(static_cast<double>(backlog));
-  if (config_.engine == EngineMode::kLoop) {
-    // Instantaneous ingest-ring depths. The registry's gauges are
-    // single-series (no label support), so the per-shard views get
-    // suffixed names alongside the total.
-    std::uint64_t total = 0;
-    for (std::size_t shard = 0; shard < store_.shard_count(); ++shard) {
-      std::uint64_t depth = 0;
-      if (loop_ != nullptr) {
-        const LoopState::Lane& lane = loop_->lanes[shard];
-        depth = lane.pushed.load(std::memory_order_relaxed) -
-                lane.processed.load(std::memory_order_relaxed);
-      }
-      total += depth;
-      registry_.gauge("mood_queue_depth_shard" + std::to_string(shard))
-          .set(static_cast<double>(depth));
+    std::uint64_t depth = 0;
+    if (loop_ != nullptr) {
+      const LoopState::Lane& lane = loop_->lanes[shard];
+      depth = lane.pushed.load(std::memory_order_relaxed) -
+              lane.processed.load(std::memory_order_relaxed);
     }
-    registry_.gauge("mood_queue_depth").set(static_cast<double>(total));
+    total += depth;
+    registry_.gauge("mood_queue_depth_shard" + std::to_string(shard))
+        .set(static_cast<double>(depth));
   }
+  registry_.gauge("mood_queue_depth").set(static_cast<double>(total));
 }
 
 telemetry::MetricsSnapshot StreamEngine::metrics_snapshot() const {

@@ -9,51 +9,36 @@
 /// all three attacks, targeted branch-and-bound risk queries, the
 /// keep/recheck/search mechanism-selection policy — lives in
 /// decision::DecisionKernel, shared verbatim with the batch evaluators
-/// (ExperimentHarness::evaluate_gateway). What remains here is the online
-/// plumbing around it:
+/// (ExperimentHarness::evaluate_gateway), which are the oracle. What
+/// remains here is the online plumbing around it, one execution engine:
 ///
-///   * ingest(): events enqueue O(1) into the sharded UserStateStore
-///     (any thread);
-///   * drain(): one task per shard on the shared ThreadPool; every user
-///     that received points since the last drain is folded
-///     (kernel.fold — window deltas + incremental profile maintenance)
-///     and decided (kernel.decide — risk + mechanism selection);
-///   * finish(): folds leftovers and kernel.finalize()s every resident
+///   * ingest(): stateless admission checks on the producer, then a push
+///     into the owning shard's lock-free SPSC ring (spsc_queue.h);
+///   * one long-lived worker thread per shard: dequeue → stateful
+///     admission → one-record kernel.fold → a decision tier picked by the
+///     user's own folded-event ordinal — a full risk+search decision on the
+///     slack cadence (loop_slack), an inline held-mechanism recheck on the
+///     recheck cadence (loop_recheck), a pure held verdict otherwise;
+///   * quiesce(): the cut barrier (rings empty, worker state visible) that
+///     checkpoints and metrics exports run behind;
+///   * finish(): retires the workers and kernel.finalize()s every resident
 ///     user, per user in parallel on the shared ThreadPool (the pool
 ///     --jobs sizes), so the final per-user decisions and winners are
-///     exactly what the kernel's batch pass computes on the final window
-///     — a structural property now, since both modes execute the same
-///     kernel code, and still CI-verified end to end by `mood replay`.
+///     exactly what the kernel's batch pass computes on the final window.
 ///
 /// Determinism invariants (CI-enforced):
 ///   * A user's decision sequence is a pure function of that user's event
-///     sequence and the micro-batch boundaries — never of the shard
-///     count, --jobs, or wall-clock timing. The kernel's incremental
-///     profile state is likewise a pure function of the window content
-///     (chunk-independent), so batch size cannot leak into decisions.
-///   * finish() canonicalises winners whatever staleness or recheck
-///     short-cuts were taken mid-stream.
+///     sequence — never of the shard count, --jobs, wall-clock timing, or
+///     where a checkpoint cut fell. The kernel's incremental profile state
+///     is likewise a pure function of the window content.
+///   * finish() canonicalises winners whatever staleness, held-verdict or
+///     shed short-cuts were taken mid-stream.
 ///
 /// PR 8 adds the resilience layer (see resilience.h): a validating
-/// admission path in ingest() with per-user quarantine, fault isolation
-/// around each user's fold/decide, and count-triggered overload control
-/// (backpressure signal, shed hysteresis, drain budget). All off by
-/// default; every trigger is event-count based, so the invariants above
-/// extend to chaos runs — a poisoned user never perturbs a healthy one.
-///
-/// PR 10 adds the continuous execution mode (EngineMode::kLoop): one
-/// long-lived worker thread per shard, fed by a lock-free SPSC ring
-/// (spsc_queue.h) the producer pushes into from ingest(). Each worker
-/// runs dequeue → fold → admission-time cheap path: a full risk+search
-/// decision only on the per-user slack cadence (loop_slack), an inline
-/// held-mechanism recheck on the recheck cadence (loop_recheck), and a
-/// pure held verdict otherwise — the shed/degrade idiom, but as the
-/// steady state, with the canonical finish() unchanged. The decision
-/// tier is a pure function of the user's own folded-event ordinal, so
-/// counters and decisions stay deterministic (independent of timing,
-/// shard count, and checkpoint cut position), and finish() makes the
-/// final decisions bit-identical to batch mode — batch is retained as
-/// the determinism oracle (`--engine=loop|batch`).
+/// admission path with per-user quarantine, fault isolation around each
+/// user's fold/decide, and overload control (backpressure signal on ring
+/// depth, shed hysteresis). All off by default; a poisoned user never
+/// perturbs a healthy one, and shed verdicts are repaired by finish().
 
 #include <atomic>
 #include <cstdint>
@@ -73,27 +58,20 @@ namespace mood::stream {
 /// knob here may influence a decision, so none of them participate in the
 /// snapshot config fingerprint.
 struct TelemetryConfig {
-  /// Per-stage latency histograms (ingest admission, per-user decide,
-  /// shard drain, checkpoint write). Costs two steady_clock reads per
+  /// Per-stage latency histograms (ingest admission, ring residence,
+  /// per-event decide, checkpoint write). Costs two steady_clock reads per
   /// instrumented section; off leaves the stage histograms empty. The
   /// replay-latency histogram is independent of this knob — it replaces
   /// the old sort-all-samples percentile pass outright.
   bool stage_timers = true;
 };
 
-/// Execution mode of the decision pipeline.
+/// The one execution mode: per-shard workers fed by SPSC ingest rings.
+/// Kept as a lone value because bench/gateway/gateway_bench.cpp assigns
+/// StreamConfig::engine.
 enum class EngineMode : std::uint8_t {
-  /// ingest()/drain() micro-batches — the determinism oracle, and the
-  /// code-level default so direct engine users keep the PR ≤ 9 contract.
-  kBatch = 0,
-  /// Long-lived per-shard workers fed by SPSC ingest rings; decisions
-  /// happen at admission time, drain() is unused. The CLI default.
   kLoop = 1,
 };
-
-[[nodiscard]] const char* to_string(EngineMode mode);
-/// Parses "batch"/"loop"; throws support::Error on anything else.
-[[nodiscard]] EngineMode parse_engine_mode(const std::string& name);
 
 /// Gateway tuning knobs. The window/staleness subset configures the
 /// embedded DecisionKernel; the rest is scheduling.
@@ -103,21 +81,20 @@ struct StreamConfig {
   std::size_t max_points = 0;           ///< per-user point cap; 0 = unbounded
   std::size_t max_users_per_shard = 0;  ///< LRU capacity; 0 = unbounded
   std::size_t staleness_points = 0;     ///< PIT/POI refresh bound; 0 = every fold
-  bool parallel_drain = true;           ///< shard tasks on the shared pool
-  /// Execution mode (see EngineMode). Decision-relevant mid-stream (the
-  /// loop cadences below shape the decision sequence), so it participates
+  /// Read by nothing; kept because bench/gateway/gateway_bench.cpp assigns it.
+  EngineMode engine = EngineMode::kLoop;
+  /// Full risk+search decision every `loop_slack`-th folded event of a
+  /// user (plus always on their first). 0 = full decision every event
+  /// (slow). Shapes the mid-stream decision sequence, so it participates
   /// in the snapshot config fingerprint.
-  EngineMode engine = EngineMode::kBatch;
-  /// Loop mode: full risk+search decision every `loop_slack`-th folded
-  /// event of a user (plus always on their first). 0 = full decision
-  /// every event (the batch-per-event oracle, slow).
   std::size_t loop_slack = 64;
-  /// Loop mode: inline held-mechanism recheck every `loop_recheck`-th
-  /// folded event of a user (between slack cadences). 0 = never.
+  /// Inline held-mechanism recheck every `loop_recheck`-th folded event of
+  /// a user (between slack cadences). 0 = never. Fingerprinted too.
   std::size_t loop_recheck = 16;
-  /// Loop mode: start the shard workers lazily on the first ingest
-  /// (default). Tests set false and call start_loop() explicitly to
-  /// pre-fill the rings — e.g. to drive the shed latch deterministically.
+  /// Start the shard workers lazily on the first ingest (default). Tests
+  /// set false to pre-fill the rings — e.g. to drive the shed latch
+  /// deterministically; the workers then start at start_loop(), at the
+  /// first quiesce()/finish(), or when a push finds its ring full.
   /// Timing-only, never serialized.
   bool loop_autostart = true;
   /// Fault-tolerance knobs (see resilience.h); the defaults are strict —
@@ -131,8 +108,7 @@ struct StreamConfig {
 /// re-export of the kernel's counters plus the store/scheduler ones.
 struct StreamStats {
   std::uint64_t events = 0;            ///< ingested
-  std::uint64_t batches = 0;           ///< drain() calls
-  std::uint64_t decisions = 0;         ///< per-user-per-batch verdicts
+  std::uint64_t decisions = 0;         ///< per-event verdicts
   std::uint64_t exposed_events = 0;    ///< events carried by expose verdicts
   std::uint64_t protected_events = 0;  ///< events carried by protect verdicts
   std::uint64_t searches = 0;          ///< full mechanism selections
@@ -161,7 +137,7 @@ struct StreamStats {
   std::uint64_t dead_letters = 0;        ///< events dropped via quarantine
   std::uint64_t quarantined_users = 0;   ///< users ever quarantined
   std::uint64_t shed_decisions = 0;      ///< degraded held-verdict decisions
-  std::uint64_t degraded_batches = 0;    ///< shard drains that shed work
+  std::uint64_t degraded_batches = 0;    ///< shed engagements (ring depth)
   std::uint64_t backpressure_events = 0; ///< ingests over the shard bound
   /// Snapshot files renamed aside (.quarantined) during restore — this
   /// process's forensics, raw like the checkpoint counters.
@@ -169,11 +145,10 @@ struct StreamStats {
 };
 
 /// Periodic checkpointing knobs. Disabled unless both are set. A
-/// checkpoint is written at the end of any drain() whose cumulative
-/// ingested-event position advanced `every_events` or more past the last
-/// checkpoint — an event-count cadence, so checkpoint boundaries are a
-/// deterministic function of the event stream and batch size, never of
-/// wall-clock timing.
+/// checkpoint is written at a quiesced cut as soon as the cumulative
+/// ingested-event position advanced `every_events` past the last one
+/// (pump_cadences) — an event-count cadence, so checkpoint positions are a
+/// deterministic function of the event stream, never of wall-clock timing.
 struct CheckpointPolicy {
   std::string dir;                  ///< snapshot directory; "" = disabled
   std::uint64_t every_events = 0;   ///< cadence in events; 0 = disabled
@@ -187,7 +162,9 @@ struct SnapshotContext {
   std::uint64_t seed = 0;          ///< generator + harness seed
   std::string dataset;             ///< dataset display name
   std::uint64_t total_events = 0;  ///< full replay stream length
-  std::uint64_t batch_events = 0;  ///< micro-batch size (drain cadence)
+  /// Not encoded; kept because bench/gateway/gateway_bench.cpp
+  /// aggregate-initialises all four fields.
+  std::uint64_t batch_events = 0;
 };
 
 struct SnapshotData;  // full definition in stream/snapshot.h
@@ -215,8 +192,8 @@ struct UserDecision {
 /// react to (the replay driver counts; a real service would also slow its
 /// reads on kAdmittedSlow).
 enum class IngestStatus : std::uint8_t {
-  kAdmitted,     ///< enqueued on the fast path
-  kAdmittedSlow, ///< enqueued, but the shard backlog crossed the
+  kAdmitted,     ///< pushed on the fast path
+  kAdmittedSlow, ///< pushed, but the shard's ring depth crossed the
                  ///< backpressure bound — an explicit slow-down signal
   kRejected,     ///< malformed, dropped (kSkip; kFail throws instead)
   kQuarantined,  ///< malformed, and it tripped quarantine on its user
@@ -230,67 +207,58 @@ class StreamEngine {
   /// the engine's attacks must outlive this object.
   StreamEngine(decision::MoodEngine engine, StreamConfig config);
 
-  /// Joins the loop workers (loop mode); worker faults pending at
-  /// destruction are swallowed — call finish()/quiesce() to observe them.
+  /// Joins the shard workers; worker faults pending at destruction are
+  /// swallowed — call finish()/quiesce() to observe them.
   ~StreamEngine();
   StreamEngine(const StreamEngine&) = delete;
   StreamEngine& operator=(const StreamEngine&) = delete;
 
-  /// Admits one event (thread-safe, O(1)). The admission path classifies
-  /// malformed events — non-finite or out-of-range coordinates, per-user
-  /// timestamp regressions, oversized/empty ids — and handles them per
-  /// config().resilience.on_bad_record: kFail throws BadRecordError (the
-  /// strict default), kSkip drops the record, kQuarantine freezes the
-  /// carrying user. Every presented event advances stream_position(),
-  /// admitted or not, so checkpoint/resume indices stay aligned with the
-  /// replay stream.
-  ///
-  /// Loop mode: the stateless checks (id shape, coordinate range) still
-  /// classify here on the producer, but the stateful half of admission —
-  /// monotonicity, quarantine — happens asynchronously on the shard
-  /// worker, so ingest() returns kAdmitted (or kAdmittedSlow once the
-  /// ring depth crosses max_pending_per_shard) for events a worker later
-  /// rejects; their outcomes surface in stats() and decisions(). A worker
-  /// fault (e.g. BadRecordError under the strict policy) is rethrown here
-  /// on a subsequent ingest, or at quiesce()/finish().
+  /// Admits one event (producer thread only). The stateless checks — id
+  /// shape, coordinate range — classify here: an unattributable event
+  /// (empty or oversized id) is handled per
+  /// config().resilience.on_bad_record right away (kFail throws
+  /// BadRecordError, the strict default; otherwise dead-lettered). Every
+  /// other event is pushed into its shard's ring — blocking, never
+  /// dropping, when the ring is full — and the stateful half of admission
+  /// (monotonicity, quarantine) runs on the shard worker, so ingest()
+  /// returns kAdmitted (or kAdmittedSlow once the ring depth crosses
+  /// max_pending_per_shard) for events a worker later rejects; their
+  /// outcomes surface in stats() and decisions(). A worker fault (e.g.
+  /// BadRecordError under the strict policy) is rethrown here on a
+  /// subsequent ingest, or at quiesce()/finish(). Every presented event
+  /// advances stream_position(), admitted or not, so checkpoint/resume
+  /// indices stay aligned with the replay stream.
   IngestStatus ingest(const StreamEvent& event);
 
-  /// Decides every user with pending points; returns users decided.
-  /// Batch mode only (loop workers decide at admission time).
-  std::size_t drain();
-
-  // ---- Loop mode (EngineMode::kLoop) ---------------------------------
   /// Starts the per-shard workers. Implicit on the first ingest when
   /// config().loop_autostart; explicit start lets tests pre-fill rings.
-  /// No-op when already started or in batch mode.
+  /// No-op when already started.
   void start_loop();
 
   /// Blocks until every event pushed so far has been fully processed by
   /// its shard worker (the rings are empty and the last decision done),
   /// then returns with all worker-side state visible to the caller.
+  /// Starts the workers first if the rings were pre-filled without them.
   /// Rethrows a captured worker fault. This is the checkpoint-cut
-  /// protocol: capture_snapshot() in loop mode is only meaningful after a
-  /// quiesce. No-op in batch mode or before the workers started.
+  /// protocol: capture_snapshot() is only meaningful after a quiesce.
   void quiesce();
 
   /// Producer-side cadence pump: when the checkpoint or metrics-export
   /// cadence has elapsed, quiesces the workers and runs it. Call once per
   /// ingested event (run_replay does); two integer compares when nothing
   /// is due, so checkpoint cuts stay an event-count-deterministic
-  /// function of the stream. No-op in batch mode (drain() pumps there).
+  /// function of the stream.
   void pump_cadences();
 
-  /// Final flush: folds leftovers and runs the kernel's canonical
-  /// finalize on every resident user (full search on the final window for
-  /// every at-risk user not already searched there), fanned out per user
-  /// on the shared ThreadPool — serially when called from a pool task.
-  /// Loop mode quiesces and joins the shard workers first. Strict
-  /// policies rethrow the first decision fault; kQuarantine isolates the
-  /// faulting user. Call once, after the last drain(); run_replay reports
-  /// its time as finish_seconds.
+  /// Final flush: quiesces and joins the shard workers, then runs the
+  /// kernel's canonical finalize on every resident user (full search on
+  /// the final window for every at-risk user not already searched there),
+  /// fanned out per user on the shared ThreadPool — serially when called
+  /// from a pool task. Strict policies rethrow the first decision fault;
+  /// kQuarantine isolates the faulting user. Call once, after the last
+  /// ingest; run_replay reports its time as finish_seconds.
   void finish();
 
-  /// Snapshot of every resident user's final state, sorted by user id.
   [[nodiscard]] std::vector<UserDecision> decisions() const;
 
   [[nodiscard]] StreamStats stats() const;
@@ -302,21 +270,17 @@ class StreamEngine {
     return kernel_.engine();
   }
   [[nodiscard]] std::size_t user_count() const { return store_.user_count(); }
-  /// Ingested-but-unfolded events resident in `shard` (0 after finish()).
-  [[nodiscard]] std::size_t pending_events(std::size_t shard) const {
-    return store_.pending_events(shard);
-  }
 
   // ---- Checkpoint / restore ------------------------------------------
   /// Enables periodic crash-consistent snapshots (see snapshot.h for the
-  /// mood-snapshot/1 format and the write protocol). `context` is the
+  /// mood-snapshot/2 format and the write protocol). `context` is the
   /// identity fingerprint embedded in every snapshot.
   void configure_checkpoints(CheckpointPolicy policy, SnapshotContext context);
 
   /// Serializes the complete gateway state — every resident user's
   /// window, incremental profiles, verdict and counters, plus shard/LRU
-  /// metadata and the cumulative stats — as of now. Call between drains
-  /// (drain() itself calls it on the checkpoint cadence).
+  /// metadata and the cumulative stats — as of now. Call after quiesce()
+  /// (pump_cadences() does, on the checkpoint cadence).
   [[nodiscard]] SnapshotData capture_snapshot() const;
 
   /// Rehydrates a captured snapshot into this engine. Two-phase by
@@ -329,9 +293,8 @@ class StreamEngine {
 
   /// Writes one snapshot through the crash-consistent protocol to the
   /// configured directory, immediately. Returns bytes committed. Throws
-  /// support::IoError on failure (drain()'s periodic path catches it and
-  /// counts a checkpoint_failure instead — a gateway outlives a full
-  /// disk).
+  /// support::IoError on failure (the periodic path catches it and counts
+  /// a checkpoint_failure instead — a gateway outlives a full disk).
   std::uint64_t checkpoint_now();
 
   /// Cumulative ingested-event position: events ingested this process
@@ -350,16 +313,16 @@ class StreamEngine {
   [[nodiscard]] telemetry::MetricsRegistry& metrics() { return registry_; }
 
   /// Name-sorted snapshot of every instrument, with the gateway's
-  /// instantaneous gauges (resident users, pending backlog, continued
-  /// stats mirror) refreshed first. The input to the exposition writer
+  /// instantaneous gauges (resident users, ring depths, continued stats
+  /// mirror) refreshed first. The input to the exposition writer
   /// and the mood-stream/1 latency block.
   [[nodiscard]] telemetry::MetricsSnapshot metrics_snapshot() const;
 
   /// Enables periodic Prometheus-style exposition rewrites to `path`
-  /// (atomic tmp->fsync->rename, see telemetry/exposition.h) at the end
-  /// of any drain() whose stream position advanced `every_events` or
-  /// more past the last export — the same event-count cadence contract
-  /// as checkpoints. 0 disables the periodic path; export_metrics_now()
+  /// (atomic tmp->fsync->rename, see telemetry/exposition.h) at a
+  /// quiesced cut once the stream position advanced `every_events` past
+  /// the last export — the same event-count cadence contract as
+  /// checkpoints. 0 disables the periodic path; export_metrics_now()
   /// still works.
   void configure_metrics_export(std::string path, std::uint64_t every_events);
 
@@ -373,13 +336,6 @@ class StreamEngine {
     return store_.shard_of(user);
   }
 
-  /// Records one end-to-end decision latency (seconds) into the
-  /// mood_replay_latency_seconds histogram on the user's shard lane.
-  /// Called by run_replay once per event, after the deciding drain.
-  void record_decision_latency(const mobility::UserId& user, double seconds) {
-    replay_latency_->record(seconds, store_.shard_of(user));
-  }
-
   /// Merged / per-shard views of the replay-latency histogram. Session-
   /// scoped like wall-clock throughput: a restored gateway cannot
   /// retroactively measure the crashed process's timings.
@@ -390,40 +346,15 @@ class StreamEngine {
   replay_latency_shards() const;
 
  private:
-  /// Folds state.pending through the kernel; returns points folded.
-  /// Under the quarantine policy it first scans the batch for non-finite
-  /// coordinates (in-memory poison that slipped past admission — in
-  /// practice the `stream.drain.corrupt` fail point) and throws
-  /// BadRecordError so the caller quarantines instead of corrupting the
-  /// compiled profiles.
-  std::size_t fold_pending(UserState& state);
-
-  enum class DecideOutcome : std::uint8_t {
-    kSkipped,      ///< user already quarantined — untouched
-    kFull,         ///< full fold+decide (counts against a drain budget)
-    kDegraded,     ///< held-verdict shed path
-    kQuarantined,  ///< a fault escaped; the user was quarantined here
-  };
-
-  /// Fault-isolation wrapper shared by the batch and loop decide paths:
-  /// runs `run` directly under strict policies, or quarantines the user
-  /// (freeze + dead-letter `queued` points) when a fault escapes under
-  /// kQuarantine. Defined in engine.cpp (instantiated there only).
+  /// Fault-isolation wrapper around one user's kernel work: runs `run`
+  /// directly under strict policies, or quarantines the user (freeze +
+  /// dead-letter `queued` events) when a fault escapes under kQuarantine.
+  /// Defined in engine.cpp (instantiated there only).
   template <typename Run>
-  DecideOutcome run_isolated(UserState& state, std::size_t queued, Run&& run);
+  void run_isolated(UserState& state, std::size_t queued, Run&& run);
 
-  /// One user's fold+decide under the fault-isolation policy; shared by
-  /// drain() and finish() (`canonical` selects finalize over decide).
-  DecideOutcome decide_user(UserState& state, bool canonical, bool degrade);
-
-  // ---- Loop-mode internals (engine == kLoop; see LoopState) ----------
   struct LoopItem;   // one queued ingest (engine.cpp)
   struct LoopState;  // per-shard rings, workers, counters (engine.cpp)
-
-  /// ingest()'s loop branch: stateless classification on the producer,
-  /// then push into the owning shard's ring (blocking, never dropping,
-  /// when full). Returns kAdmittedSlow past the max_pending bound.
-  IngestStatus loop_ingest(const StreamEvent& event);
 
   /// Allocates the per-shard rings without spawning workers (the
   /// autostart-off pre-fill path); start_loop() spawns on top.
@@ -438,11 +369,17 @@ class StreamEngine {
   /// latency accounting. Throws on strict-policy faults.
   void loop_process(std::size_t shard, LoopItem& item);
 
-  /// The admitted-event decision: fold, then pick the tier — full decide
-  /// on the slack cadence (or first verdict), inline recheck on the
-  /// recheck cadence, held verdict otherwise; decide_degraded while the
-  /// shed latch is engaged. Runs under the shard lock on the worker.
-  void loop_decide_user(UserState& state, std::size_t shard, bool shed);
+  /// The admitted-event decision: a one-record fold of `record`, then the
+  /// tier — full decide on the slack cadence (or first verdict), inline
+  /// recheck on the recheck cadence, held verdict otherwise;
+  /// decide_degraded while the shed latch is engaged. Under the
+  /// quarantine policy a non-finite `record` (in-memory poison that
+  /// slipped past admission — in practice the `stream.drain.corrupt` fail
+  /// point) throws BadRecordError before it can reach the compiled
+  /// profiles, so the user is quarantined instead. Runs under the shard
+  /// lock on the worker.
+  void loop_decide_user(UserState& state, mobility::Record record,
+                        std::size_t shard, bool shed);
 
   /// Joins the workers; rethrows the first captured fault unless
   /// `swallow` (destructor path).
@@ -451,14 +388,14 @@ class StreamEngine {
   /// Rethrows the first captured worker fault, if any (producer side).
   void check_loop_failure();
 
-  /// drain()-tail hook: checkpoint when the cadence has elapsed.
+  /// Cadence hook: checkpoint when the cadence has elapsed.
   void maybe_checkpoint();
 
-  /// drain()-tail hook: rewrite the metrics exposition when the export
-  /// cadence has elapsed. Failures are counted, never fatal.
+  /// Cadence hook: rewrite the metrics exposition when the export cadence
+  /// has elapsed. Failures are counted, never fatal.
   void maybe_export_metrics();
 
-  /// Refreshes the mirror gauges (resident users, backlog, continued
+  /// Refreshes the mirror gauges (resident users, ring depths, continued
   /// stats) ahead of a snapshot/exposition.
   void refresh_gauges() const;
 
@@ -478,7 +415,6 @@ class StreamEngine {
   // registry map). All raw per-process values; stats() applies the
   // restore continuation on top.
   telemetry::Counter* events_ = nullptr;
-  telemetry::Counter* batches_ = nullptr;
   telemetry::Counter* checkpoints_ = nullptr;
   telemetry::Counter* checkpoint_bytes_ = nullptr;
   telemetry::Counter* checkpoint_failures_ = nullptr;
@@ -493,15 +429,13 @@ class StreamEngine {
   // off) and the always-on replay-latency histogram.
   telemetry::Histogram* stage_ingest_ = nullptr;
   telemetry::Histogram* stage_decide_ = nullptr;
-  telemetry::Histogram* stage_drain_ = nullptr;
   telemetry::Histogram* stage_checkpoint_ = nullptr;
-  /// Loop mode: ring residence time (arrival → worker dequeue), lane =
-  /// shard. Empty in batch mode or with the stage timers off.
+  /// Ring residence time (arrival → worker dequeue), lane = shard.
   telemetry::Histogram* stage_dequeue_ = nullptr;
   telemetry::Histogram* replay_latency_ = nullptr;
 
-  /// Loop-mode machinery (rings, worker threads, fault slot); null in
-  /// batch mode. The pointee is owned here and joined in stop_loop().
+  /// Rings, worker threads, fault slot; null before the first ingest and
+  /// after finish(). The pointee is owned here and joined in stop_loop().
   std::unique_ptr<LoopState> loop_;
 
   CheckpointPolicy checkpoint_policy_;
@@ -526,9 +460,9 @@ class StreamEngine {
   std::uint64_t last_metrics_position_ = 0;
 
   /// Per-shard shed latch (the hysteresis state). Only the shard's own
-  /// drain task reads/writes its slot, so no atomics are needed; the
-  /// latches round-trip through snapshots so a restored gateway sheds
-  /// exactly like the uninterrupted run.
+  /// worker reads/writes its slot while it runs (the producer reads them
+  /// at quiesced cuts), so no atomics are needed; the latches round-trip
+  /// through snapshots.
   std::vector<std::uint8_t> shedding_;
 };
 

@@ -74,9 +74,8 @@ std::size_t inject_poison(std::vector<StreamEvent>& events,
   }
 
   // Rotate through the malformed kinds the admission path classifies.
-  // Everything is in-place: stream length and order never change, so the
-  // micro-batch boundaries healthy users see are identical to the clean
-  // stream's.
+  // Everything is in-place: stream length and order never change, so
+  // healthy users see exactly the clean stream.
   std::size_t victim_event = 0;
   std::size_t poisoned = 0;
   for (StreamEvent& event : events) {
@@ -104,96 +103,48 @@ std::size_t inject_poison(std::vector<StreamEvent>& events,
 ReplayResult run_replay(StreamEngine& engine,
                         const std::vector<StreamEvent>& events,
                         const ReplayOptions& options) {
-  const bool loop = engine.config().engine == EngineMode::kLoop;
-  support::expects(options.batch_events > 0,
-                   "run_replay: batch_events must be > 0");
   support::expects(options.target_rate >= 0.0 &&
                        options.time_compression >= 0.0,
                    "run_replay: pacing knobs must be non-negative");
   const std::size_t resume = options.resume_events;
   support::expects(resume <= events.size(),
                    "run_replay: resume_events is past the stream end");
-  // Loop mode has no micro-batch boundaries; any quiesced checkpoint
-  // position is a valid resume point.
-  support::expects(loop || resume % options.batch_events == 0 ||
-                       resume == events.size(),
-                   "run_replay: resume_events must fall on a micro-batch "
-                   "boundary");
 
   ReplayResult result;
-  if (events.size() == resume) {
-    const Clock::time_point finish_start = Clock::now();
-    engine.finish();
-    result.finish_seconds = seconds_since(finish_start);
-    result.decisions = engine.decisions();
-    result.stats = engine.stats();
-    result.events = static_cast<std::size_t>(result.stats.events);
-    result.batches = static_cast<std::size_t>(result.stats.batches);
-    result.latency_histogram = engine.replay_latency();
-    result.latency_per_shard = engine.replay_latency_shards();
-    result.latency = summarize(result.latency_histogram);
-    return result;
-  }
-
   const bool paced = options.target_rate > 0.0 ||
                      options.time_compression > 0.0;
-  const mobility::Timestamp t0 = events[resume].record.time;
-  // Scheduled arrival offset (seconds from *session* start) of event i.
-  const auto scheduled = [&](std::size_t i) {
-    if (options.target_rate > 0.0) {
-      return static_cast<double>(i - resume) / options.target_rate;
-    }
-    return static_cast<double>(events[i].record.time - t0) /
-           options.time_compression;
-  };
-
-  // Per-batch arrival stamps only — O(batch_events) memory however long
-  // the stream is. Latencies go straight into the engine's per-shard
-  // log-bucketed histogram once the deciding drain completes.
-  std::vector<double> arrivals(loop ? 0 : options.batch_events, 0.0);
   const Clock::time_point start = Clock::now();
-  const auto pace = [&](std::size_t i) {
-    const double due = scheduled(i);
-    if (seconds_since(start) < due) {
-      std::this_thread::sleep_until(
-          start + std::chrono::duration_cast<Clock::duration>(
-                      std::chrono::duration<double>(due)));
-    }
-  };
-
-  if (loop) {
+  if (resume < events.size()) {
+    const mobility::Timestamp t0 = events[resume].record.time;
+    // Scheduled arrival offset (seconds from *session* start) of event i.
+    const auto scheduled = [&](std::size_t i) {
+      if (options.target_rate > 0.0) {
+        return static_cast<double>(i - resume) / options.target_rate;
+      }
+      return static_cast<double>(events[i].record.time - t0) /
+             options.time_compression;
+    };
     // Open-loop arrival process: pace each event individually, hand it
     // straight to the shard workers, and pump the checkpoint/export
     // cadences (two integer compares when nothing is due). The workers
     // record each event's arrival→decision latency themselves.
     for (std::size_t i = resume; i < events.size(); ++i) {
-      if (paced) pace(i);
+      if (paced) {
+        const double due = scheduled(i);
+        if (seconds_since(start) < due) {
+          std::this_thread::sleep_until(
+              start + std::chrono::duration_cast<Clock::duration>(
+                          std::chrono::duration<double>(due)));
+        }
+      }
       engine.ingest(events[i]);
       engine.pump_cadences();
     }
     // The throughput clock covers the full decision work: stop it only
     // once every queued event is decided.
     engine.quiesce();
-  } else {
-    std::size_t next = resume;
-    while (next < events.size()) {
-      const std::size_t batch_end =
-          std::min(next + options.batch_events, events.size());
-      for (std::size_t i = next; i < batch_end; ++i) {
-        if (paced) pace(i);
-        engine.ingest(events[i]);
-        arrivals[i - next] = seconds_since(start);
-      }
-      engine.drain();
-      const double done = seconds_since(start);
-      for (std::size_t i = next; i < batch_end; ++i) {
-        engine.record_decision_latency(
-            events[i].user, std::max(0.0, done - arrivals[i - next]));
-      }
-      next = batch_end;
-    }
+    result.wall_seconds = seconds_since(start);
   }
-  result.wall_seconds = seconds_since(start);
 
   // The canonical pass is part of what a verdict costs: timed on its own
   // so both the serving rate and the end-to-end rate can be reported.
@@ -216,9 +167,8 @@ ReplayResult run_replay(StreamEngine& engine,
   result.decisions = engine.decisions();
   result.stats = engine.stats();
   // Cumulative across a restore (continued engine counters); equal to the
-  // plain stream length / batch count when no restore happened.
+  // plain stream length when no restore happened.
   result.events = static_cast<std::size_t>(result.stats.events);
-  result.batches = static_cast<std::size_t>(result.stats.batches);
   return result;
 }
 

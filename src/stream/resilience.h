@@ -9,26 +9,24 @@
 /// compose, all disabled by default so the strict path — and the CI
 /// batch-equivalence and restore bit-identity gates — is untouched:
 ///
-///   * **Admission** (StreamEngine::ingest): every event is classified
-///     before it can touch user state. Non-finite or out-of-range
-///     coordinates, per-user timestamp regressions, and oversized/empty
-///     user ids are malformed. BadRecordPolicy decides their fate:
-///     kFail aborts the run (the strict default), kSkip drops the one
-///     record, kQuarantine freezes the *carrying user* — the poison is
-///     evidence the source is compromised, so subsequent events of that
-///     user are dead-lettered rather than trusted.
-///   * **Fault isolation** (drain path, kQuarantine only): an exception
-///     out of one user's fold/decide — including FailPoint-injected
-///     corruption and throws — quarantines that user and never unwinds
-///     the shard drain. A quarantined user's kernel state is frozen and
+///   * **Admission** (StreamEngine::ingest and the shard workers): every
+///     event is classified before it can touch user state. Non-finite or
+///     out-of-range coordinates, per-user timestamp regressions, and
+///     oversized/empty user ids are malformed. BadRecordPolicy decides
+///     their fate: kFail aborts the run (the strict default), kSkip drops
+///     the one record, kQuarantine freezes the *carrying user* — the
+///     poison is evidence the source is compromised, so subsequent events
+///     of that user are dead-lettered rather than trusted.
+///   * **Fault isolation** (kQuarantine only): an exception out of one
+///     user's fold/decide/finalize — including FailPoint-injected
+///     corruption and throws — quarantines that user and never takes the
+///     shard worker down. A quarantined user's kernel state is frozen and
 ///     their published decision holds at the last verdict.
-///   * **Overload control**: a per-shard pending-queue bound raises an
+///   * **Overload control**: a per-shard ring-depth bound raises an
 ///     explicit backpressure signal (counted, surfaced to the caller —
 ///     never silently dropping events); a load-shed policy with
-///     hysteresis degrades a backlogged shard's drains to held-decision
-///     rechecks (full search() deferred); a drain budget downgrades the
-///     tail of a batch the same way. Every trigger is event-count based,
-///     so chaos outcomes are reproducible — wall-clock never decides.
+///     hysteresis degrades a backlogged shard's decisions to held-verdict
+///     rechecks (full search() deferred) while its ring depth stays high.
 ///
 /// Degraded verdicts are explicitly flagged (per-user `degraded` counts,
 /// the `resilience` block of mood-stream/1) and are repaired at finish():
@@ -82,30 +80,26 @@ class BadRecordError : public support::Error {
 
 /// Gateway resilience knobs (a member of StreamConfig). The defaults turn
 /// every feature off: strict admission, no quarantine, no backpressure
-/// accounting, no shedding, unbounded drains.
+/// accounting, no shedding.
 struct ResilienceConfig {
   BadRecordPolicy on_bad_record = BadRecordPolicy::kFail;
 
-  /// Per-shard pending-event bound; a shard whose backlog crosses it
-  /// raises the backpressure signal on ingest (counted + returned to the
-  /// caller; events are never dropped for pressure). 0 = unbounded.
+  /// Per-shard ring-depth bound; a shard whose backlog crosses it raises
+  /// the backpressure signal on ingest (counted + returned to the caller;
+  /// events are never dropped for pressure) and sizes the ring at twice
+  /// the bound. 0 = unbounded.
   std::size_t max_pending_per_shard = 0;
 
-  /// Load-shed engage threshold: a shard whose pending backlog at drain
-  /// time reaches this many events enters shed mode and degrades its
+  /// Load-shed engage threshold: a shard whose ring depth at a dequeue
+  /// reaches this many events enters shed mode and degrades its
   /// decisions to held-verdict rechecks. 0 = shedding off.
   std::size_t shed_high_watermark = 0;
 
   /// Load-shed release threshold (hysteresis): a shedding shard leaves
-  /// shed mode at the first drain whose backlog is at or below this.
-  /// Must be <= shed_high_watermark; 0 with shedding on means "release
-  /// only on an empty backlog".
+  /// shed mode at the first dequeue whose ring depth is at or below this.
+  /// Must be <= shed_high_watermark. The event being dequeued counts
+  /// toward the depth, so 0 with shedding on never releases.
   std::size_t shed_low_watermark = 0;
-
-  /// Max full decisions per shard per drain; users beyond the budget (in
-  /// deterministic first-dirty order) get the degraded path this batch.
-  /// 0 = unbounded.
-  std::size_t drain_budget = 0;
 };
 
 /// Why an event or user left the healthy path. The stable vocabulary used

@@ -149,7 +149,7 @@ class Reader {
   }
 
   [[noreturn]] void fail(const char* detail) const {
-    throw SnapshotError(std::string("mood-snapshot/1: malformed ") + what_ +
+    throw SnapshotError(std::string("mood-snapshot/2: malformed ") + what_ +
                         ": " + detail);
   }
 
@@ -299,7 +299,6 @@ clustering::TrackedVisitStatesSnapshot get_visit_states(Reader& in) {
 void put_user(std::string& out, const UserSnapshot& u) {
   put_string(out, u.user);
   put_records(out, u.window);
-  put_records(out, u.pending);
 
   put_bool(out, u.heatmap_built);
   put_double(out, u.heatmap_total);
@@ -357,7 +356,6 @@ UserSnapshot get_user(Reader& in) {
   UserSnapshot u;
   u.user = in.get_string();
   u.window = get_records(in);
-  u.pending = get_records(in);
 
   u.heatmap_built = in.get_bool();
   u.heatmap_total = in.get_double();
@@ -430,7 +428,6 @@ std::string encode_config_section(const SnapshotData& data) {
   put_u64(out, data.context.seed);
   put_string(out, data.context.dataset);
   put_u64(out, data.context.total_events);
-  put_u64(out, data.context.batch_events);
   put_u64(out, data.config.shards);
   put_i64(out, data.config.window_seconds);
   put_u64(out, data.config.max_points);
@@ -441,11 +438,9 @@ std::string encode_config_section(const SnapshotData& data) {
   put_u64(out, res.max_pending_per_shard);
   put_u64(out, res.shed_high_watermark);
   put_u64(out, res.shed_low_watermark);
-  put_u64(out, res.drain_budget);
-  // PR 10: execution mode + loop cadences. Decision-relevant mid-stream
-  // (the loop tier policy keys on them), so they live in the fingerprint;
+  // The decision cadences are decision-relevant mid-stream (the tier
+  // policy keys on them), so they live in the fingerprint;
   // loop_autostart is timing-only and excluded.
-  put_u8(out, static_cast<std::uint8_t>(data.config.engine));
   put_u64(out, data.config.loop_slack);
   put_u64(out, data.config.loop_recheck);
   return out;
@@ -455,7 +450,6 @@ void decode_config_section(Reader& in, SnapshotData& data) {
   data.context.seed = in.get_u64();
   data.context.dataset = in.get_string();
   data.context.total_events = in.get_u64();
-  data.context.batch_events = in.get_u64();
   data.config.shards = static_cast<std::size_t>(in.get_u64());
   data.config.window_seconds = in.get_i64();
   data.config.max_points = static_cast<std::size_t>(in.get_u64());
@@ -470,12 +464,6 @@ void decode_config_section(Reader& in, SnapshotData& data) {
   res.max_pending_per_shard = static_cast<std::size_t>(in.get_u64());
   res.shed_high_watermark = static_cast<std::size_t>(in.get_u64());
   res.shed_low_watermark = static_cast<std::size_t>(in.get_u64());
-  res.drain_budget = static_cast<std::size_t>(in.get_u64());
-  const std::uint8_t engine = in.get_u8();
-  if (engine > static_cast<std::uint8_t>(EngineMode::kLoop)) {
-    in.fail("engine mode byte out of range");
-  }
-  data.config.engine = static_cast<EngineMode>(engine);
   data.config.loop_slack = static_cast<std::size_t>(in.get_u64());
   data.config.loop_recheck = static_cast<std::size_t>(in.get_u64());
   in.expect_done();
@@ -484,10 +472,9 @@ void decode_config_section(Reader& in, SnapshotData& data) {
 std::string encode_stats_section(const SnapshotData& data) {
   std::string out;
   put_u64(out, data.stream_position);
-  put_u64(out, data.batches);
   const StreamStats& s = data.stats;
   for (const std::uint64_t v :
-       {s.events, s.batches, s.decisions, s.exposed_events, s.protected_events,
+       {s.events, s.decisions, s.exposed_events, s.protected_events,
         s.searches, s.rechecks, s.profile_refreshes, s.stay_updates,
         s.stay_rebuilds, s.heatmap_updates, s.evicted_points, s.evicted_users,
         s.lppm_applications, s.attack_invocations, s.index_prunes,
@@ -506,10 +493,9 @@ std::string encode_stats_section(const SnapshotData& data) {
 
 void decode_stats_section(Reader& in, SnapshotData& data) {
   data.stream_position = in.get_u64();
-  data.batches = in.get_u64();
   StreamStats& s = data.stats;
   for (std::uint64_t* field :
-       {&s.events, &s.batches, &s.decisions, &s.exposed_events,
+       {&s.events, &s.decisions, &s.exposed_events,
         &s.protected_events, &s.searches, &s.rechecks, &s.profile_refreshes,
         &s.stay_updates, &s.stay_rebuilds, &s.heatmap_updates,
         &s.evicted_points, &s.evicted_users, &s.lppm_applications,
@@ -706,17 +692,17 @@ SnapshotData decode_snapshot(std::string_view bytes) {
       bytes.compare(0, sizeof(kSnapshotMagic),
                     std::string_view(kSnapshotMagic,
                                      sizeof(kSnapshotMagic))) != 0) {
-    throw SnapshotError("mood-snapshot/1: bad magic (not a snapshot file)");
+    throw SnapshotError("mood-snapshot/2: bad magic (not a snapshot file)");
   }
   header.skip(sizeof(kSnapshotMagic));
   const std::uint32_t version = header.get_u32();
   if (version != kSnapshotVersion) {
-    throw SnapshotError("mood-snapshot/1: unsupported snapshot version " +
+    throw SnapshotError("mood-snapshot/2: unsupported snapshot version " +
                         std::to_string(version));
   }
   const std::uint32_t section_count = header.get_u32();
   if (section_count != kSectionCount) {
-    throw SnapshotError("mood-snapshot/1: expected " +
+    throw SnapshotError("mood-snapshot/2: expected " +
                         std::to_string(kSectionCount) + " sections, found " +
                         std::to_string(section_count));
   }
@@ -727,7 +713,7 @@ SnapshotData decode_snapshot(std::string_view bytes) {
     const std::uint32_t id = header.get_u32();
     const std::uint64_t len = header.get_u64();
     if (len > header.remaining()) {
-      throw SnapshotError("mood-snapshot/1: truncated section " +
+      throw SnapshotError("mood-snapshot/2: truncated section " +
                           std::to_string(id));
     }
     const std::string_view payload =
@@ -735,11 +721,11 @@ SnapshotData decode_snapshot(std::string_view bytes) {
     header.skip(len);
     const std::uint32_t stored_crc = header.get_u32();
     if (snapshot_crc32(payload) != stored_crc) {
-      throw SnapshotError("mood-snapshot/1: CRC mismatch in section " +
+      throw SnapshotError("mood-snapshot/2: CRC mismatch in section " +
                           std::to_string(id));
     }
     if (id < 1 || id > kSectionCount || seen[id]) {
-      throw SnapshotError("mood-snapshot/1: unexpected section id " +
+      throw SnapshotError("mood-snapshot/2: unexpected section id " +
                           std::to_string(id));
     }
     seen[id] = true;
@@ -766,11 +752,11 @@ SnapshotData decode_snapshot(std::string_view bytes) {
   header.expect_done();
   if (data.shard_clocks.size() != data.config.shards) {
     throw SnapshotError(
-        "mood-snapshot/1: shard clock count does not match config");
+        "mood-snapshot/2: shard clock count does not match config");
   }
   if (data.shard_shedding.size() != data.config.shards) {
     throw SnapshotError(
-        "mood-snapshot/1: shed latch count does not match config");
+        "mood-snapshot/2: shed latch count does not match config");
   }
   return data;
 }

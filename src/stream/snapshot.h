@@ -1,14 +1,13 @@
 #pragma once
 
 /// \file snapshot.h
-/// mood-snapshot/1 — the gateway's versioned checkpoint format, and the
+/// mood-snapshot/2 — the gateway's versioned checkpoint format, and the
 /// crash-consistent file protocol around it.
 ///
 /// A deployed gateway (the paper's pitch) must survive restarts without
 /// silently changing its published decisions, so restore *correctness* is
-/// the bar: a run killed at any checkpoint boundary and restored must
-/// produce the byte-identical mood-stream/1 decision set as an
-/// uninterrupted run. The snapshot therefore serializes the complete
+/// the bar: a run killed at any checkpoint cut and restored must produce
+/// the byte-identical mood-stream/1 decision set as an uninterrupted run. The snapshot therefore serializes the complete
 /// per-user kernel state — not just the windows: under a staleness bound
 /// the cached PIT/POI profiles reflect the window *at the last refresh*,
 /// including records since evicted, so they cannot be rebuilt from the
@@ -18,7 +17,8 @@
 /// ## File layout (little-endian throughout)
 ///
 ///   offset 0   magic   "MOODSNAP"            (8 bytes)
-///          8   u32     version (= 1)
+///          8   u32     version (= 2; version 1 carried the retired
+///                      micro-batch engine's fields and is refused)
 ///         12   u32     section count (= 3)
 ///         16   sections, each:
 ///                u32   section id            (1 CONFIG, 2 STATS, 3 USERS)
@@ -31,17 +31,18 @@
 /// byte. Section payloads:
 ///
 ///   CONFIG  identity fingerprint: SnapshotContext (seed, dataset name,
-///           total_events, batch_events) + the StreamConfig window knobs
-///           (shards, window_seconds, max_points, max_users_per_shard,
+///           total_events) + the StreamConfig window knobs (shards,
+///           window_seconds, max_points, max_users_per_shard,
 ///           staleness_points) + the resilience knobs (on_bad_record as
-///           u8, max_pending_per_shard, shed watermarks, drain_budget).
-///           Restore refuses a mismatch.
-///   STATS   stream_position, batches, the full cumulative StreamStats
-///           (including the resilience counters), the per-shard LRU
-///           clocks, and the per-shard shed latches (hysteresis state).
+///           u8, max_pending_per_shard, shed watermarks) + the decision
+///           cadences (loop_slack, loop_recheck). Restore refuses a
+///           mismatch.
+///   STATS   stream_position, the full cumulative StreamStats (including
+///           the resilience counters), the per-shard LRU clocks, and the
+///           per-shard shed latches (hysteresis state).
 ///   USERS   user count, then one UserSnapshot per resident user, sorted
-///           by user id: window records, pending queue, heatmap raw
-///           counts, stay-tracker snapshot, compiled PIT/POI states,
+///           by user id: window records, heatmap raw counts,
+///           stay-tracker snapshot, compiled PIT/POI states,
 ///           staleness deltas, verdict, per-user counters, LRU stamp,
 ///           quarantine state (flag, reason, dead letters) and the
 ///           admission timestamp watermark.
@@ -98,7 +99,7 @@ class SnapshotError : public support::UsageError {
 
 inline constexpr char kSnapshotMagic[8] = {'M', 'O', 'O', 'D',
                                            'S', 'N', 'A', 'P'};
-inline constexpr std::uint32_t kSnapshotVersion = 1;
+inline constexpr std::uint32_t kSnapshotVersion = 2;
 inline constexpr const char* kSnapshotSuffix = ".moodsnap";
 
 /// Complete captured state of one resident user — a plain-value mirror of
@@ -106,7 +107,6 @@ inline constexpr const char* kSnapshotSuffix = ".moodsnap";
 struct UserSnapshot {
   mobility::UserId user;
   std::vector<mobility::Record> window;   ///< sliding window, in order
-  std::vector<mobility::Record> pending;  ///< ingested, not yet folded
 
   bool heatmap_built = false;
   double heatmap_total = 0.0;
@@ -144,12 +144,11 @@ struct UserSnapshot {
   mobility::Timestamp last_time = 0;    ///< newest admitted timestamp
 };
 
-/// One decoded (or to-be-encoded) mood-snapshot/1 document.
+/// One decoded (or to-be-encoded) mood-snapshot/2 document.
 struct SnapshotData {
-  SnapshotContext context;
+  SnapshotContext context;  ///< three of its four fields are encoded
   StreamConfig config;  ///< window-knob subset is fingerprinted
   std::uint64_t stream_position = 0;  ///< events ingested when captured
-  std::uint64_t batches = 0;          ///< drains run when captured
   StreamStats stats;                  ///< cumulative counters when captured
   std::vector<std::uint64_t> shard_clocks;  ///< per-shard LRU clocks
   std::vector<std::uint8_t> shard_shedding; ///< per-shard shed latches

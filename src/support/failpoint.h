@@ -19,8 +19,8 @@
 ///     no-atexit death, matching SIGKILL. Drive it from gtest death tests
 ///     (EXPECT_EXIT) or a sacrificial CLI subprocess.
 ///   * kCorrupt — returned to the call site, which mangles its own data
-///     in place (e.g. the drain path poisons a user's pending event with
-///     a NaN coordinate). Sites that don't know how to self-corrupt
+///     in place (e.g. a shard worker poisons the admitted event with a
+///     NaN coordinate). Sites that don't know how to self-corrupt
 ///     treat it as kError.
 ///   * kThrow — throw testing::InjectedFault at the site: a typed,
 ///     recognizable exception for exercising the decision-path fault

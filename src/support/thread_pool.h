@@ -44,7 +44,7 @@ class ThreadPool {
   /// Contract (enforced, not advisory): the shared pool is built lazily
   /// exactly once, on the first shared() call — which parallel_for and
   /// everything built on it (harness evaluators, the stream gateway's
-  /// drain) performs implicitly. configure_shared must therefore run
+  /// finish()) performs implicitly. configure_shared must therefore run
   /// before ANY of those; once the pool exists, reconfiguration throws
   /// PreconditionError instead of silently keeping the old worker count.
   /// Calling it several times before the pool is built is fine (the last

@@ -126,9 +126,6 @@ void TraceSession::dump_chrome_json(std::ostream& out) const {
     if (span.shard != SpanTags::kNoShard) {
       arg("shard", std::to_string(span.shard), false);
     }
-    if (span.batch != SpanTags::kNoBatch) {
-      arg("batch", std::to_string(span.batch), false);
-    }
     if (span.user[0] != '\0') {
       arg("user", std::string_view(span.user,
                                    ::strnlen(span.user, sizeof(span.user))),
@@ -147,7 +144,6 @@ ScopedSpan::ScopedSpan(const char* name, SpanTags tags) noexcept {
   active_ = true;
   record_.name = name;
   record_.shard = tags.shard;
-  record_.batch = tags.batch;
   record_.thread = detail::thread_slot();
   if (!tags.user.empty()) {
     const std::size_t n =

@@ -6,8 +6,8 @@
 /// (load the file in Perfetto / chrome://tracing).
 ///
 /// Usage:
-///   MOOD_TRACE("stream.drain", {.shard = s, .batch = n});
-///   MOOD_TRACE("stream.decide", {.shard = s, .user = id, .batch = n});
+///   MOOD_TRACE("stream.decide", {.shard = s, .user = id});
+///   MOOD_TRACE("stream.finish");
 /// The span covers the enclosing scope (RAII). Span names must be
 /// string literals (or otherwise outlive the session) — records store
 /// the pointer, never a copy.
@@ -37,10 +37,8 @@ namespace mood::telemetry {
 /// the dumped JSON.
 struct SpanTags {
   static constexpr std::uint32_t kNoShard = 0xffffffffu;
-  static constexpr std::uint64_t kNoBatch = ~std::uint64_t{0};
   std::uint32_t shard = kNoShard;
   std::string_view user{};
-  std::uint64_t batch = kNoBatch;
 };
 
 /// One completed span in the ring. Fixed size: the user tag is a
@@ -51,7 +49,6 @@ struct SpanRecord {
   std::uint64_t dur_ns = 0;
   std::uint32_t shard = SpanTags::kNoShard;
   std::uint32_t thread = 0;
-  std::uint64_t batch = SpanTags::kNoBatch;
   char user[24] = {};
 };
 

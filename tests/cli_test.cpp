@@ -139,63 +139,15 @@ TEST(CliFlags, UnknownPresetIsRuntimeFailure) {
 
 TEST(CliReplay, RejectsBadKnobs) {
   EXPECT_EQ(run_cli({"replay", "--shards=0"}).code, kExitUsage);
-  EXPECT_EQ(run_cli({"replay", "--batch=0"}).code, kExitUsage);
   EXPECT_EQ(run_cli({"replay", "--rate=-1"}).code, kExitUsage);
   EXPECT_EQ(run_cli({"replay", "--no-such-flag"}).code, kExitUsage);
-  const auto bad_engine = run_cli({"replay", "--engine=turbo"});
-  EXPECT_EQ(bad_engine.code, kExitUsage);
-  EXPECT_NE(bad_engine.err.find("unknown engine mode"), std::string::npos);
   EXPECT_EQ(run_cli({"replay", "--loop-slack=-1"}).code, kExitUsage);
   EXPECT_EQ(run_cli({"replay", "--loop-recheck=-1"}).code, kExitUsage);
-  // The drain budget paces batch drains; the loop engine's analogue is
-  // --loop-slack, so combining them is a misconfiguration.
-  EXPECT_EQ(run_cli({"replay", "--drain-budget=2"}).code, kExitUsage);
-  EXPECT_EQ(
-      run_cli({"replay", "--engine=batch", "--drain-budget=2", "--shards=0"})
-          .code,
-      kExitUsage);
-}
-
-TEST(CliReplay, LoopAndBatchEnginesPublishIdenticalDecisions) {
-  // The loop-vs-batch determinism gate, CLI-shaped: the default loop
-  // engine and the micro-batch oracle must publish the same per-user
-  // decisions (cheap-path counters like searches legitimately differ).
-  const auto loop = run_cli({"replay", "--preset=small", "--scale=0.05",
-                             "--users=8", "--days=6", "--seed=3",
-                             "--shards=3"});
-  ASSERT_EQ(loop.code, kExitOk) << loop.err;
-  const auto batch = run_cli({"replay", "--preset=small", "--scale=0.05",
-                              "--users=8", "--days=6", "--seed=3",
-                              "--shards=3", "--engine=batch", "--batch=128"});
-  ASSERT_EQ(batch.code, kExitOk) << batch.err;
-
-  const report::Json a = report::Json::parse(loop.out);
-  const report::Json b = report::Json::parse(batch.out);
-  EXPECT_EQ(a.find("stream")->string_or("engine", ""), "loop");
-  EXPECT_EQ(b.find("stream")->string_or("engine", ""), "batch");
-  // Both engines verified against the batch evaluators in-process too.
-  ASSERT_NE(a.find("replay")->find("batch_match"), nullptr);
-  // Final per-USER decisions are the determinism contract.  Per-event
-  // exposure tallies count each event against the decision in force when
-  // it arrived, so they drift with the loop's slack/recheck cadence.
-  const auto* loop_decisions = a.find("replay")->find("decisions");
-  const auto* batch_decisions = b.find("replay")->find("decisions");
-  EXPECT_EQ(loop_decisions->int_or("exposed_users", -1),
-            batch_decisions->int_or("exposed_users", -2));
-  EXPECT_EQ(loop_decisions->int_or("protected_users", -1),
-            batch_decisions->int_or("protected_users", -2));
-  const auto& loop_users = a.find("per_user")->items();
-  const auto& batch_users = b.find("per_user")->items();
-  ASSERT_EQ(loop_users.size(), batch_users.size());
-  for (std::size_t i = 0; i < loop_users.size(); ++i) {
-    EXPECT_EQ(loop_users[i].string_or("user", "a"),
-              batch_users[i].string_or("user", "b"));
-    EXPECT_EQ(loop_users[i].string_or("decision", "a"),
-              batch_users[i].string_or("decision", "b"));
-    EXPECT_EQ(loop_users[i].string_or("winner", "a"),
-              batch_users[i].string_or("winner", "b"));
-    EXPECT_EQ(loop_users[i].int_or("events", -1),
-              batch_users[i].int_or("events", -2));
+  // The retired micro-batch engine's flags are unknown flags now.
+  for (const char* retired : {"--engine=loop", "--batch=128",
+                              "--serial-drain", "--drain-budget=2"}) {
+    const auto result = run_cli({"replay", retired});
+    EXPECT_EQ(result.code, kExitUsage) << retired;
   }
 }
 
@@ -238,20 +190,18 @@ TEST(CliReplay, CheckpointThenRestoreReproducesTheRunExactly) {
   std::filesystem::remove_all(dir);
 
   auto straight = run_cli({"replay", "--preset=small", "--scale=0.05",
-                           "--users=8", "--days=6", "--seed=3", "--shards=3",
-                           "--batch=128"});
+                           "--users=8", "--days=6", "--seed=3", "--shards=3"});
   ASSERT_EQ(straight.code, kExitOk) << straight.err;
 
   auto checkpointed = run_cli(
       {"replay", "--preset=small", "--scale=0.05", "--users=8", "--days=6",
-       "--seed=3", "--shards=3", "--batch=128",
-       "--checkpoint-dir=" + dir, "--checkpoint-every=256"});
+       "--seed=3", "--shards=3", "--checkpoint-dir=" + dir,
+       "--checkpoint-every=256"});
   ASSERT_EQ(checkpointed.code, kExitOk) << checkpointed.err;
 
   auto restored = run_cli(
       {"replay", "--preset=small", "--scale=0.05", "--users=8", "--days=6",
-       "--seed=3", "--shards=3", "--batch=128", "--restore",
-       "--checkpoint-dir=" + dir});
+       "--seed=3", "--shards=3", "--restore", "--checkpoint-dir=" + dir});
   ASSERT_EQ(restored.code, kExitOk) << restored.err;
   EXPECT_NE(restored.err.find("restored checkpoint at position"),
             std::string::npos);
@@ -267,24 +217,22 @@ TEST(CliReplay, CheckpointThenRestoreReproducesTheRunExactly) {
     EXPECT_EQ(*replay_got->find("decisions"), *replay_want->find("decisions"));
     EXPECT_EQ(*replay_got->find("cost"), *replay_want->find("cost"));
     EXPECT_EQ(*replay_got->find("events"), *replay_want->find("events"));
-    EXPECT_EQ(*replay_got->find("batches"), *replay_want->find("batches"));
   }
 
   // The restored run reports its resume position in the checkpoint block,
-  // and it matches a batch boundary of the configured cadence.
+  // and it is a multiple of the configured checkpoint cadence.
   const report::Json restored_doc = report::Json::parse(restored.out);
   const report::Json* checkpoint =
       restored_doc.find("replay")->find("checkpoint");
   ASSERT_NE(checkpoint, nullptr);
   const std::int64_t resume = checkpoint->int_or("resume_events", 0);
   EXPECT_GT(resume, 0);
-  EXPECT_EQ(resume % 128, 0);
+  EXPECT_EQ(resume % 256, 0);
 
   // A fingerprint mismatch (different seed) is refused with exit 2.
   const auto mismatched = run_cli(
       {"replay", "--preset=small", "--scale=0.05", "--users=8", "--days=6",
-       "--seed=4", "--shards=3", "--batch=128", "--restore",
-       "--checkpoint-dir=" + dir});
+       "--seed=4", "--shards=3", "--restore", "--checkpoint-dir=" + dir});
   EXPECT_EQ(mismatched.code, kExitUsage);
   EXPECT_NE(mismatched.err.find("different replay"), std::string::npos);
 }
@@ -314,7 +262,7 @@ TEST(CliReplay, TelemetrySinksWriteMetricsAndTraceArtifacts) {
 
   const auto replayed = run_cli(
       {"replay", "--preset=small", "--scale=0.05", "--users=8", "--days=6",
-       "--seed=3", "--shards=3", "--batch=128", "--out=" + stream_path,
+       "--seed=3", "--shards=3", "--out=" + stream_path,
        "--metrics-out=" + metrics_path, "--trace-out=" + trace_path,
        "--log-level=warn"});
   ASSERT_EQ(replayed.code, kExitOk) << replayed.err;
@@ -441,6 +389,8 @@ TEST(CliReport, DispatchesBenchAndStreamSchemas) {
   EXPECT_NE(table.out.find("mood-bench/1"), std::string::npos);
   EXPECT_NE(table.out.find("events_per_second"), std::string::npos);
   EXPECT_NE(table.out.find("mood-stream/1"), std::string::npos);
+  // An older document's micro-batch count still renders.
+  EXPECT_NE(table.out.find("batches"), std::string::npos);
 
   // JSON merging accepts any known schema.
   const auto merged = run_cli({"report", bench_path, stream_path,
@@ -526,11 +476,16 @@ TEST(CliReplay, ReplaysAndVerifiesAgainstBatch) {
   // batch evaluators (exit 1 on divergence), and the emitted document is a
   // well-formed mood-stream/1.
   auto replay = run_cli({"replay", "--preset=small", "--scale=0.05",
-                         "--users=8", "--days=6", "--seed=3", "--shards=3",
-                         "--batch=128"});
+                         "--users=8", "--days=6", "--seed=3", "--shards=3"});
   ASSERT_EQ(replay.code, kExitOk) << replay.err;
   const report::Json document = report::Json::parse(replay.out);
   EXPECT_EQ(document.string_or("schema", ""), "mood-stream/1");
+  // One execution engine: the configuration block is the shard layout,
+  // windows, decision cadences, pacing and stage timers — no engine or
+  // micro-batch keys — and no batch count is written.
+  EXPECT_EQ(document.find("stream")->find("engine"), nullptr);
+  EXPECT_EQ(document.find("stream")->size(), 10u);
+  EXPECT_EQ(document.find("replay")->find("batches"), nullptr);
 
   const report::Json* replay_doc = document.find("replay");
   ASSERT_NE(replay_doc, nullptr);

@@ -1,8 +1,8 @@
-// Tests for checkpoint/restore (src/stream/snapshot): the mood-snapshot/1
-// byte format (round trip, golden file, rejection of malformed input), the
-// crash-consistent file protocol under injected faults at every named fail
-// point — including SIGKILL-equivalent deaths — and the headline restore
-// property: a replay captured at any checkpoint boundary and resumed in a
+// Tests for checkpoint/restore (src/stream/snapshot): the mood-snapshot/2
+// byte format (round trip, golden files, rejection of malformed input),
+// the crash-consistent file protocol under injected faults at every named
+// fail point — including SIGKILL-equivalent deaths — and the headline
+// restore property: a replay captured at any quiesced cut and resumed in a
 // fresh engine produces the bit-identical decision set and cost counters
 // of an uninterrupted run, across shard counts, staleness bounds, window
 // caps and LRU evictions.
@@ -34,7 +34,7 @@ using mood::testing::FailAction;
 using mood::testing::FailPoint;
 
 /// Compact population in the stream_test mold, sized so a full replay is
-/// cheap enough to repeat once per checkpoint boundary.
+/// cheap enough to repeat once per checkpoint cut.
 simulation::GeneratorParams population_params() {
   simulation::GeneratorParams p;
   p.users = 8;
@@ -85,15 +85,12 @@ class SnapshotTest : public ::testing::Test {
     return run_replay(engine, *events_, options);
   }
 
-  /// Drives a fresh gateway to `boundary` (a multiple of `batch`), exactly
-  /// as run_replay would, and captures its state there.
-  static SnapshotData capture_at(StreamConfig config, std::size_t boundary,
-                                 std::size_t batch) {
+  /// Drives a fresh gateway through the first `cut` events, quiesces it
+  /// — the cut a checkpoint takes — and captures its state there.
+  static SnapshotData capture_at(StreamConfig config, std::size_t cut) {
     StreamEngine engine(harness_->make_engine(), config);
-    for (std::size_t i = 0; i < boundary; ++i) {
-      engine.ingest((*events_)[i]);
-      if ((i + 1) % batch == 0) engine.drain();
-    }
+    for (std::size_t i = 0; i < cut; ++i) engine.ingest((*events_)[i]);
+    engine.quiesce();
     return engine.capture_snapshot();
   }
 
@@ -138,11 +135,9 @@ void expect_identical_outcome(const ReplayResult& actual,
     EXPECT_EQ(a.window_slices, e.window_slices) << a.user;
   }
   EXPECT_EQ(actual.events, expected.events);
-  EXPECT_EQ(actual.batches, expected.batches);
   const StreamStats& a = actual.stats;
   const StreamStats& e = expected.stats;
   EXPECT_EQ(a.events, e.events);
-  EXPECT_EQ(a.batches, e.batches);
   EXPECT_EQ(a.decisions, e.decisions);
   EXPECT_EQ(a.exposed_events, e.exposed_events);
   EXPECT_EQ(a.protected_events, e.protected_events);
@@ -170,12 +165,9 @@ SnapshotData tiny_snapshot(std::uint64_t position) {
   d.context.seed = 7;
   d.context.dataset = "tiny";
   d.context.total_events = 64;
-  d.context.batch_events = 8;
   d.config.shards = 1;
   d.stream_position = position;
-  d.batches = position / 8;
   d.stats.events = position;
-  d.stats.batches = position / 8;
   d.shard_clocks = {position};
   d.shard_shedding = {0};
   UserSnapshot u;
@@ -200,16 +192,15 @@ TEST(SnapshotFormat, EncodeDecodeRoundTripsEveryField) {
   d.context.seed = 42;
   d.context.dataset = "roundtrip";
   d.context.total_events = 1000;
-  d.context.batch_events = 128;
   d.config.shards = 3;
   d.config.window_seconds = 86400;
   d.config.max_points = 64;
   d.config.max_users_per_shard = 5;
   d.config.staleness_points = 10;
+  d.config.loop_slack = 5;
+  d.config.loop_recheck = 3;
   d.stream_position = 512;
-  d.batches = 4;
   d.stats.events = 512;
-  d.stats.batches = 4;
   d.stats.decisions = 17;
   d.stats.searches = 3;
   d.stats.checkpoints = 2;  // travels verbatim even though reported raw
@@ -226,7 +217,6 @@ TEST(SnapshotFormat, EncodeDecodeRoundTripsEveryField) {
   UserSnapshot rich;
   rich.user = "ada";
   rich.window = {{{45.5, 4.25}, 100}, {{45.75, 4.25}, 200}};
-  rich.pending = {{{46.0, 4.5}, 300}};
   rich.heatmap_built = true;
   rich.heatmap_total = 3.5;
   rich.heatmap_counts = {{{1, -2}, 2.0}, {{0, 3}, 1.5}};
@@ -287,14 +277,14 @@ TEST(SnapshotFormat, EncodeDecodeRoundTripsEveryField) {
   EXPECT_EQ(back.context.seed, 42u);
   EXPECT_EQ(back.context.dataset, "roundtrip");
   EXPECT_EQ(back.context.total_events, 1000u);
-  EXPECT_EQ(back.context.batch_events, 128u);
   EXPECT_EQ(back.config.shards, 3u);
   EXPECT_EQ(back.config.window_seconds, 86400);
   EXPECT_EQ(back.config.max_points, 64u);
   EXPECT_EQ(back.config.max_users_per_shard, 5u);
   EXPECT_EQ(back.config.staleness_points, 10u);
+  EXPECT_EQ(back.config.loop_slack, 5u);
+  EXPECT_EQ(back.config.loop_recheck, 3u);
   EXPECT_EQ(back.stream_position, 512u);
-  EXPECT_EQ(back.batches, 4u);
   EXPECT_EQ(back.stats.decisions, 17u);
   EXPECT_EQ(back.stats.checkpoints, 2u);
   EXPECT_EQ(back.stats.bad_records, 6u);
@@ -313,7 +303,6 @@ TEST(SnapshotFormat, EncodeDecodeRoundTripsEveryField) {
   ASSERT_EQ(a.window.size(), 2u);
   EXPECT_EQ(a.window[0].position.lat, 45.5);
   EXPECT_EQ(a.window[1].time, 200);
-  ASSERT_EQ(a.pending.size(), 1u);
   EXPECT_TRUE(a.heatmap_built);
   EXPECT_EQ(a.heatmap_total, 3.5);
   ASSERT_EQ(a.heatmap_counts.size(), 2u);
@@ -371,7 +360,7 @@ TEST(SnapshotFormat, RejectsBadMagicVersionAndSectionDamage) {
   EXPECT_THROW(decode_snapshot(bad), SnapshotError);
 
   bad = good;
-  bad[8] = 2;  // version
+  bad[8] = 3;  // version
   try {
     (void)decode_snapshot(bad);
     FAIL() << "unknown version accepted";
@@ -441,16 +430,13 @@ SnapshotData golden_data() {
   d.context.seed = 7;
   d.context.dataset = "golden";
   d.context.total_events = 6;
-  d.context.batch_events = 2;
   d.config.shards = 2;
   d.config.window_seconds = 3600;
   d.config.max_points = 4;
   d.config.max_users_per_shard = 3;
   d.config.staleness_points = 5;
   d.stream_position = 4;
-  d.batches = 2;
   d.stats.events = 4;
-  d.stats.batches = 2;
   d.stats.decisions = 3;
   d.stats.exposed_events = 1;
   d.stats.protected_events = 3;
@@ -465,7 +451,6 @@ SnapshotData golden_data() {
   d.config.resilience.max_pending_per_shard = 32;
   d.config.resilience.shed_high_watermark = 16;
   d.config.resilience.shed_low_watermark = 8;
-  d.config.resilience.drain_budget = 4;
   d.shard_clocks = {3, 1};
   d.shard_shedding = {1, 0};
 
@@ -519,6 +504,12 @@ std::string golden_path() {
   return std::string(MOOD_TEST_DATA_DIR) + "/golden.moodsnap";
 }
 
+std::string read_file(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string((std::istreambuf_iterator<char>(in)),
+                     std::istreambuf_iterator<char>());
+}
+
 TEST(SnapshotGolden, WriterMatchesCheckedInGoldenFile) {
   const std::string bytes = encode_snapshot(golden_data());
   if (std::getenv("MOOD_UPDATE_GOLDEN") != nullptr) {
@@ -537,7 +528,7 @@ TEST(SnapshotGolden, WriterMatchesCheckedInGoldenFile) {
   // must come with a version bump (or a deliberate fixture regeneration).
   ASSERT_EQ(stored.size(), bytes.size());
   EXPECT_TRUE(stored == bytes) << "writer output diverged from the "
-                                  "documented mood-snapshot/1 layout";
+                                  "documented mood-snapshot/2 layout";
 }
 
 TEST(SnapshotGolden, CheckedInGoldenFileDecodes) {
@@ -561,26 +552,46 @@ TEST(SnapshotGolden, CheckedInGoldenFileDecodes) {
   EXPECT_EQ(d.users[1].dead_letters, 2u);
 }
 
+/// The last version-1 file ever written (the golden fixture as of the
+/// micro-batch engine): decode refuses it by version, never misparses it.
+TEST(SnapshotGolden, VersionOneFileIsRefusedByVersion) {
+  const std::string stored =
+      read_file(std::string(MOOD_TEST_DATA_DIR) + "/golden-v1.moodsnap");
+  ASSERT_FALSE(stored.empty()) << "missing fixture golden-v1.moodsnap";
+  try {
+    (void)decode_snapshot(stored);
+    FAIL() << "a version-1 snapshot decoded";
+  } catch (const SnapshotError& e) {
+    EXPECT_NE(std::string(e.what()).find("unsupported snapshot version 1"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
 // ----------------------------------------------- restore bit-identity --
 
 TEST_F(SnapshotTest, RestoreAtEveryCheckpointBoundaryIsBitIdentical) {
+  // A --checkpoint-every=256 run cuts at every multiple of 256: the cadence
+  // pump runs after each ingest and quiesces on the exact event.
+  const std::string dir = scratch_dir("every_cut");
   StreamConfig config;
   config.shards = 4;
-  ReplayOptions options;
-  options.batch_events = 256;
-  const ReplayResult reference = replay_with(config, options);
+  StreamEngine checkpointed(harness_->make_engine(), config);
+  checkpointed.configure_checkpoints(
+      {dir, 256}, {13, "snapshot-test", events_->size()});
+  const ReplayResult reference = run_replay(checkpointed, *events_, {});
+  EXPECT_EQ(read_latest_snapshot(dir).stream_position,
+            events_->size() / 256 * 256);
 
-  for (std::size_t boundary = options.batch_events;
-       boundary < events_->size(); boundary += options.batch_events) {
-    // Capture at the boundary, push the document through the real byte
+  for (std::size_t cut = 256; cut < events_->size(); cut += 256) {
+    // Capture at the cut, push the document through the real byte
     // format, restore into a fresh gateway, and finish the stream.
     const SnapshotData snap =
-        decode_snapshot(encode_snapshot(
-            capture_at(config, boundary, options.batch_events)));
-    ASSERT_EQ(snap.stream_position, boundary);
-    const ReplayResult resumed = resume_from(snap, config, options);
+        decode_snapshot(encode_snapshot(capture_at(config, cut)));
+    ASSERT_EQ(snap.stream_position, cut);
+    const ReplayResult resumed = resume_from(snap, config, {});
     expect_identical_outcome(resumed, reference);
-    EXPECT_EQ(resumed.session_events, events_->size() - boundary);
+    EXPECT_EQ(resumed.session_events, events_->size() - cut);
   }
 }
 
@@ -603,24 +614,20 @@ TEST_F(SnapshotTest, RestoreIsBitIdenticalAcrossGatewayConfigs) {
   lru.shards = 1;
   lru.max_users_per_shard = 2;
 
-  ReplayOptions options;
-  options.batch_events = 128;
   for (const StreamConfig& config :
        {shards1, stale, capped, windowed, lru}) {
-    const ReplayResult reference = replay_with(config, options);
-    const std::size_t batches = events_->size() / options.batch_events;
-    for (const std::size_t at : {batches / 3, 2 * batches / 3}) {
-      const std::size_t boundary =
-          std::max<std::size_t>(1, at) * options.batch_events;
-      const SnapshotData snap = decode_snapshot(encode_snapshot(
-          capture_at(config, boundary, options.batch_events)));
-      const ReplayResult resumed = resume_from(snap, config, options);
+    const ReplayResult reference = replay_with(config);
+    for (const std::size_t cut :
+         {events_->size() / 3, 2 * events_->size() / 3}) {
+      const SnapshotData snap =
+          decode_snapshot(encode_snapshot(capture_at(config, cut)));
+      const ReplayResult resumed = resume_from(snap, config, {});
       expect_identical_outcome(resumed, reference);
     }
   }
   // The LRU configuration really evicted users, so the restore path was
   // exercised against a store that dropped state between checkpoints.
-  EXPECT_GT(replay_with(lru, options).stats.evicted_users, 0u);
+  EXPECT_GT(replay_with(lru).stats.evicted_users, 0u);
 }
 
 TEST_F(SnapshotTest, RestoreContinuesIndexCountersAcrossDedicatedHarnesses) {
@@ -633,73 +640,57 @@ TEST_F(SnapshotTest, RestoreContinuesIndexCountersAcrossDedicatedHarnesses) {
   config.min_records = 8;
   StreamConfig stream_config;
   stream_config.shards = 2;
-  ReplayOptions options;
-  options.batch_events = 256;
-  const std::size_t boundary = 2 * options.batch_events;
+  const std::size_t boundary = 512;
 
   core::ExperimentHarness straight(*dataset_, config, 13);
   StreamEngine uninterrupted(straight.make_engine(), stream_config);
-  const ReplayResult reference =
-      run_replay(uninterrupted, *events_, options);
+  const ReplayResult reference = run_replay(uninterrupted, *events_, {});
 
   core::ExperimentHarness first_life(*dataset_, config, 13);
   StreamEngine before_crash(first_life.make_engine(), stream_config);
   for (std::size_t i = 0; i < boundary; ++i) {
     before_crash.ingest((*events_)[i]);
-    if ((i + 1) % options.batch_events == 0) before_crash.drain();
   }
+  before_crash.quiesce();
   const SnapshotData snap = decode_snapshot(
       encode_snapshot(before_crash.capture_snapshot()));
 
   core::ExperimentHarness second_life(*dataset_, config, 13);
   StreamEngine restored(second_life.make_engine(), stream_config);
   restored.restore_snapshot(snap);
+  ReplayOptions options;
   options.resume_events = boundary;
   const ReplayResult resumed = run_replay(restored, *events_, options);
   expect_identical_outcome(resumed, reference, /*include_index=*/true);
 }
 
-TEST_F(SnapshotTest, PendingEventsSurviveCaptureBetweenDrains) {
-  // Capture with undrained events in flight: the pending queues must
-  // travel through the snapshot and be folded by the restored engine.
+TEST_F(SnapshotTest, RestoreAtAnArbitraryQuiescedPositionIsBitIdentical) {
+  // A cut off every checkpoint cadence: the quiesce barrier alone makes
+  // it consistent — every event before it is folded and decided, nothing
+  // is in flight.
   StreamConfig config;
   config.shards = 2;
-  const std::size_t cut = 300;  // deliberately not a batch boundary
+  const std::size_t cut = 301;
+  const ReplayResult reference = replay_with(config);
 
-  StreamEngine direct(harness_->make_engine(), config);
-  StreamEngine source(harness_->make_engine(), config);
-  for (std::size_t i = 0; i < cut; ++i) {
-    direct.ingest((*events_)[i]);
-    source.ingest((*events_)[i]);
-  }
   const SnapshotData snap =
-      decode_snapshot(encode_snapshot(source.capture_snapshot()));
-  std::size_t pending = 0;
-  for (const UserSnapshot& u : snap.users) pending += u.pending.size();
-  EXPECT_EQ(pending, cut);
+      decode_snapshot(encode_snapshot(capture_at(config, cut)));
+  std::uint64_t folded = 0;
+  for (const UserSnapshot& u : snap.users) folded += u.events;
+  EXPECT_EQ(folded, cut);
 
   StreamEngine restored(harness_->make_engine(), config);
   restored.restore_snapshot(snap);
   EXPECT_EQ(restored.stream_position(), cut);
-  direct.drain();
-  restored.drain();  // restored pending users must be on the dirty lists
-  direct.finish();
-  restored.finish();
-  const auto expected = direct.decisions();
-  const auto actual = restored.decisions();
-  ASSERT_EQ(actual.size(), expected.size());
-  for (std::size_t i = 0; i < expected.size(); ++i) {
-    EXPECT_EQ(actual[i].user, expected[i].user);
-    EXPECT_EQ(actual[i].decision, expected[i].decision);
-    EXPECT_EQ(actual[i].winner, expected[i].winner);
-    EXPECT_EQ(actual[i].events, expected[i].events);
-  }
+  ReplayOptions options;
+  options.resume_events = cut;
+  expect_identical_outcome(run_replay(restored, *events_, options), reference);
 }
 
 TEST_F(SnapshotTest, RestoreRefusesMismatchedGatewayConfig) {
   StreamConfig config;
   config.shards = 2;
-  const SnapshotData snap = capture_at(config, 256, 256);
+  const SnapshotData snap = capture_at(config, 256);
 
   StreamConfig other = config;
   other.staleness_points = 99;
@@ -726,17 +717,16 @@ TEST_F(SnapshotTest, PeriodicCheckpointsFollowEventCadenceAndPrune) {
   const std::string dir = scratch_dir("cadence");
   StreamConfig config;
   config.shards = 2;
-  ReplayOptions options;
-  options.batch_events = 128;
 
   StreamEngine engine(harness_->make_engine(), config);
-  engine.configure_checkpoints(
-      {dir, 256}, {13, "snapshot-test", events_->size(), 128});
-  const ReplayResult result = run_replay(engine, *events_, options);
+  engine.configure_checkpoints({dir, 256},
+                               {13, "snapshot-test", events_->size()});
+  const ReplayResult result = run_replay(engine, *events_, {});
 
-  // Cadence 256 with batch 128: a checkpoint on every second drain.
+  // Cadence 256: a checkpoint at every multiple of 256 events.
   const StreamStats stats = engine.stats();
   EXPECT_GE(stats.checkpoints, 2u);
+  EXPECT_EQ(stats.checkpoints, events_->size() / 256);
   EXPECT_GT(stats.checkpoint_bytes, 0u);
   EXPECT_EQ(stats.checkpoint_failures, 0u);
 
@@ -757,7 +747,7 @@ TEST_F(SnapshotTest, PeriodicCheckpointsFollowEventCadenceAndPrune) {
   EXPECT_EQ(latest.context.dataset, "snapshot-test");
 
   // Checkpointing must not have perturbed the decisions themselves.
-  expect_identical_outcome(result, replay_with(config, options));
+  expect_identical_outcome(result, replay_with(config));
 }
 
 TEST_F(SnapshotTest, RestoreFromDiskContinuesBitIdentically) {
@@ -767,25 +757,23 @@ TEST_F(SnapshotTest, RestoreFromDiskContinuesBitIdentically) {
   StreamConfig config;
   config.shards = 3;
   config.staleness_points = 100;
-  ReplayOptions options;
-  options.batch_events = 128;
-  const ReplayResult reference = replay_with(config, options);
+  const ReplayResult reference = replay_with(config);
 
   StreamEngine writer(harness_->make_engine(), config);
-  writer.configure_checkpoints(
-      {dir, 384}, {13, "snapshot-test", events_->size(), 128});
-  // Drive only a prefix — the "crash" point — past a few checkpoints.
-  const std::size_t crash_at = (events_->size() / 2 / 128) * 128;
+  writer.configure_checkpoints({dir, 384},
+                               {13, "snapshot-test", events_->size()});
+  // Drive only a prefix — the "crash" point — past a few checkpoints,
+  // pumping the cadence exactly as run_replay does.
+  const std::size_t crash_at = events_->size() / 2;
   for (std::size_t i = 0; i < crash_at; ++i) {
     writer.ingest((*events_)[i]);
-    if ((i + 1) % 128 == 0) writer.drain();
+    writer.pump_cadences();
   }
   ASSERT_GE(writer.stats().checkpoints, 1u);
 
   const SnapshotData snap = read_latest_snapshot(dir);
-  EXPECT_GT(snap.stream_position, 0u);
-  EXPECT_LE(snap.stream_position, crash_at);
-  const ReplayResult resumed = resume_from(snap, config, options);
+  EXPECT_EQ(snap.stream_position, crash_at / 384 * 384);
+  const ReplayResult resumed = resume_from(snap, config, {});
   expect_identical_outcome(resumed, reference);
 }
 
@@ -919,8 +907,8 @@ TEST_F(SnapshotFaultTest, ReadQuarantinesCorruptCandidatesAndSkipsUnreadable) {
 }
 
 TEST_F(SnapshotFaultTest, PeriodicPathAbsorbsWriteFailuresAndRetries) {
-  // An injected checkpoint failure mid-replay must not surface: the drain
-  // counts a checkpoint_failure and the next cadence retries.
+  // An injected checkpoint failure mid-replay must not surface: the
+  // cadence pump counts a checkpoint_failure and the next cadence retries.
   simulation::GeneratorParams params = population_params();
   params.users = 4;
   params.days = 3;
@@ -936,12 +924,9 @@ TEST_F(SnapshotFaultTest, PeriodicPathAbsorbsWriteFailuresAndRetries) {
   StreamConfig stream_config;
   stream_config.shards = 2;
   StreamEngine engine(harness.make_engine(), stream_config);
-  engine.configure_checkpoints({dir, 128},
-                               {13, "fault", events.size(), 64});
+  engine.configure_checkpoints({dir, 128}, {13, "fault", events.size()});
   FailPoint::arm("snapshot.write.fsync", FailAction::kError);
-  ReplayOptions options;
-  options.batch_events = 64;
-  ASSERT_NO_THROW(run_replay(engine, events, options));
+  ASSERT_NO_THROW(run_replay(engine, events, {}));
   const StreamStats stats = engine.stats();
   EXPECT_EQ(stats.checkpoint_failures, 1u);
   EXPECT_GE(stats.checkpoints, 1u);  // later cadences succeeded

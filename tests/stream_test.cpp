@@ -3,7 +3,7 @@
 // heatmap exactly, PIT/POI under the staleness-rebuild policy), and the
 // StreamEngine/Replay pipeline's headline invariant — final streamed
 // decisions are bit-identical to the batch evaluators, independent of
-// batch size, shard count and drain parallelism.
+// shard count, worker timing, quiesce cuts and decision cadences.
 
 #include <gtest/gtest.h>
 
@@ -129,46 +129,72 @@ TEST_F(StreamTest, EventStreamReassemblesEachUsersTestTrace) {
 
 // -------------------------------------------------------------- store --
 
-TEST(UserStateStore, ShardingIsStableAndEnqueueMarksDirty) {
+/// Admits one event under `policy`; the processing function only counts
+/// its calls.
+AdmitResult admit(UserStateStore& store, const StreamEvent& event,
+                  std::size_t* processed = nullptr,
+                  BadRecordPolicy policy = BadRecordPolicy::kFail) {
+  return store.admit_and_process(event, policy, /*poisoned=*/false, nullptr,
+                                 [&](UserState&) {
+                                   if (processed != nullptr) ++*processed;
+                                 });
+}
+
+TEST(UserStateStore, ShardingIsStableAndAdmissionProcessesInline) {
   UserStateStore store(StoreConfig{4, 0});
   EXPECT_EQ(store.shard_count(), 4u);
   EXPECT_EQ(store.shard_of("alice"), store.shard_of("alice"));
 
-  store.enqueue(StreamEvent{"alice", {{45.0, 5.0}, 100}, 0});
-  store.enqueue(StreamEvent{"alice", {{45.0, 5.0}, 200}, 1});
-  store.enqueue(StreamEvent{"bob", {{46.0, 6.0}, 150}, 2});
+  // Every admitted event reaches the processing function exactly once,
+  // on its own user's state, with the admission watermark already moved.
+  std::vector<std::string> seen;
+  const auto record_user = [&](UserState& state) {
+    seen.push_back(state.user);
+    EXPECT_TRUE(state.has_last_time);
+  };
+  for (const StreamEvent& event :
+       {StreamEvent{"alice", {{45.0, 5.0}, 100}, 0},
+        StreamEvent{"alice", {{45.0, 5.0}, 200}, 1},
+        StreamEvent{"bob", {{46.0, 6.0}, 150}, 2}}) {
+    const AdmitResult result = store.admit_and_process(
+        event, BadRecordPolicy::kFail, false, nullptr, record_user);
+    EXPECT_EQ(result.status, AdmitResult::Status::kAdmitted);
+    EXPECT_EQ(result.shard, store.shard_of(event.user));
+  }
+  EXPECT_EQ(seen, (std::vector<std::string>{"alice", "alice", "bob"}));
   EXPECT_EQ(store.user_count(), 2u);
 
-  std::size_t visited = 0;
-  std::size_t pending = 0;
-  for (std::size_t s = 0; s < store.shard_count(); ++s) {
-    visited += store.drain_shard(s, [&](UserState& state) {
-      pending += state.pending.size();
-      state.pending.clear();
-    });
-  }
-  EXPECT_EQ(visited, 2u);
-  EXPECT_EQ(pending, 3u);
-
-  // Drained users are no longer dirty.
-  visited = 0;
-  for (std::size_t s = 0; s < store.shard_count(); ++s) {
-    visited += store.drain_shard(s, [](UserState&) {});
-  }
-  EXPECT_EQ(visited, 0u);
+  // A timestamp regression is the store's half of admission: rejected
+  // without processing under skip, quarantined (then dead-lettered) under
+  // quarantine.
+  std::size_t processed = 0;
+  const StreamEvent regressed{"alice", {{45.0, 5.0}, 50}, 3};
+  EXPECT_EQ(admit(store, regressed, &processed, BadRecordPolicy::kSkip).status,
+            AdmitResult::Status::kRejected);
+  EXPECT_EQ(
+      admit(store, regressed, &processed, BadRecordPolicy::kQuarantine).status,
+      AdmitResult::Status::kQuarantined);
+  const AdmitResult dead = admit(store, StreamEvent{"alice", {{45.0, 5.0}, 300}, 4},
+                                 &processed, BadRecordPolicy::kQuarantine);
+  EXPECT_EQ(dead.status, AdmitResult::Status::kDeadLettered);
+  EXPECT_EQ(dead.dead_letters, 1u);
+  EXPECT_EQ(processed, 0u);
 }
 
 TEST(UserStateStore, LruEvictionPrefersLeastRecentlyTouchedCleanUser) {
   // One shard so every user competes for the same capacity.
   UserStateStore store(StoreConfig{1, 2});
-  store.enqueue(StreamEvent{"a", {{45.0, 5.0}, 100}, 0});
-  store.enqueue(StreamEvent{"b", {{45.0, 5.0}, 200}, 1});
-  store.drain_shard(0, [](UserState& state) { state.pending.clear(); });
+  admit(store, StreamEvent{"a", {{45.0, 5.0}, 100}, 0});
+  admit(store, StreamEvent{"b", {{45.0, 5.0}, 200}, 1});
   // Touch "a" again so "b" is the LRU candidate.
-  store.enqueue(StreamEvent{"a", {{45.0, 5.0}, 300}, 2});
+  admit(store, StreamEvent{"a", {{45.0, 5.0}, 300}, 2});
 
-  store.enqueue(StreamEvent{"c", {{45.0, 5.0}, 400}, 3});
+  admit(store, StreamEvent{"c", {{45.0, 5.0}, 400}, 3});
   EXPECT_EQ(store.user_count(), 2u);
+  EXPECT_EQ(store.eviction_count(), 1u);
+
+  // Re-admitting a resident at the exact capacity bound evicts nobody.
+  admit(store, StreamEvent{"c", {{45.0, 5.0}, 450}, 4});
   EXPECT_EQ(store.eviction_count(), 1u);
 
   std::vector<std::string> resident;
@@ -182,98 +208,46 @@ TEST(UserStateStore, RejectsZeroShards) {
   EXPECT_THROW(UserStateStore(StoreConfig{0, 0}), support::PreconditionError);
 }
 
-/// The exact --max-users boundary with *every* resident state dirty: the
-/// store must still admit the newcomer by evicting the least-recently-
-/// touched dirty user, drop that user's id from the dirty list (no
-/// dangling drains), and lose no pending events of the survivors.
-TEST(UserStateStore, EvictionAtExactCapacityWhenEveryResidentIsDirty) {
-  UserStateStore store(StoreConfig{1, 2});
-  store.enqueue(StreamEvent{"a", {{45.0, 5.0}, 100}, 0});
-  store.enqueue(StreamEvent{"b", {{45.0, 5.0}, 200}, 1});
-  store.enqueue(StreamEvent{"b", {{45.0, 5.0}, 250}, 2});
-  ASSERT_EQ(store.user_count(), 2u);  // at the exact capacity bound
-
-  // Nobody drained: both residents hold undecided events. Admitting "c"
-  // must evict "a" (least-recently-touched; the all-dirty fallback).
-  store.enqueue(StreamEvent{"c", {{45.0, 5.0}, 300}, 3});
-  EXPECT_EQ(store.user_count(), 2u);
-  EXPECT_EQ(store.eviction_count(), 1u);
-
-  // Re-enqueueing a resident at the bound must NOT evict anyone.
-  store.enqueue(StreamEvent{"b", {{45.0, 5.0}, 350}, 4});
-  EXPECT_EQ(store.user_count(), 2u);
-  EXPECT_EQ(store.eviction_count(), 1u);
-
-  // The drain sees exactly the survivors, with their queues intact — and
-  // never chases the evicted user's dangling dirty entry.
-  std::unordered_map<std::string, std::size_t> pending;
-  const std::size_t visited = store.drain_shard(0, [&](UserState& state) {
-    pending[state.user] = state.pending.size();
-    state.pending.clear();
-  });
-  EXPECT_EQ(visited, 2u);
-  ASSERT_EQ(pending.size(), 2u);
-  EXPECT_EQ(pending.at("b"), 3u);
-  EXPECT_EQ(pending.at("c"), 1u);
-}
-
-/// Enqueues `users` users with 1..5 pending events each over `store`.
-std::size_t fill_store(UserStateStore& store, std::size_t users) {
+/// Admits `users` users with 1..5 events each into `store`.
+void fill_store(UserStateStore& store, std::size_t users) {
   std::size_t events = 0;
   for (std::size_t u = 0; u < users; ++u) {
     for (std::size_t e = 0; e <= u % 5; ++e, ++events) {
-      store.enqueue(StreamEvent{"u" + std::to_string(u),
-                                {{45.0, 5.0}, mobility::Timestamp(100 + e)},
-                                events});
+      admit(store, StreamEvent{"u" + std::to_string(u),
+                               {{45.0, 5.0}, mobility::Timestamp(100 + e)},
+                               events});
     }
   }
-  return events;
 }
 
-std::size_t total_backlog(const UserStateStore& store) {
-  std::size_t backlog = 0;
-  for (std::size_t s = 0; s < store.shard_count(); ++s) {
-    backlog += store.pending_events(s);
-  }
-  return backlog;
-}
-
-/// The finish() traversal: every resident state exactly once, in parallel,
-/// with each shard's backlog recomputed from the folded queues.
-TEST(UserStateStore, ParallelForEachVisitsEveryUserOnceAndRecomputesBacklog) {
+/// The finish() traversal: every resident state exactly once, in parallel.
+TEST(UserStateStore, ParallelForEachVisitsEveryUserOnce) {
   UserStateStore store(StoreConfig{3, 0});
-  const std::size_t events = fill_store(store, 41);
-  ASSERT_EQ(total_backlog(store), events);
+  fill_store(store, 41);
 
   std::atomic<std::size_t> visits{0};
   store.for_each([&](UserState& state) {
     visits.fetch_add(1, std::memory_order_relaxed);
     state.dead_letters += 1;  // a per-state mark: no shared writes
-    state.pending.clear();
   });
   EXPECT_EQ(visits.load(), 41u);
   std::as_const(store).for_each(
       [](const UserState& state) { EXPECT_EQ(state.dead_letters, 1u); });
-  for (std::size_t s = 0; s < store.shard_count(); ++s) {
-    EXPECT_EQ(store.pending_events(s), 0u) << "shard " << s;
-  }
 }
 
-/// A throwing visit still leaves every shard's backlog equal to what its
-/// states actually hold, and the first error reaches the caller.
-TEST(UserStateStore, ParallelForEachRethrowsAndKeepsBacklogExact) {
+/// A throwing visit reaches the caller, and the store (every shard lock
+/// released) stays fully usable afterwards.
+TEST(UserStateStore, ParallelForEachRethrowsTheFirstError) {
   UserStateStore store(StoreConfig{3, 0});
   fill_store(store, 41);
   EXPECT_THROW(store.for_each([](UserState& state) {
                  if (state.user == "u17") throw support::Error("boom");
-                 state.pending.clear();
                }),
                support::Error);
-  std::size_t held = 0;
-  std::as_const(store).for_each(
-      [&](const UserState& state) { held += state.pending.size(); });
-  EXPECT_GE(held, 3u);  // u17's own queue (17 % 5 + 1 events) survives
-  EXPECT_EQ(total_backlog(store), held);
+  std::atomic<std::size_t> visits{0};
+  store.for_each([&](UserState&) { visits.fetch_add(1); });
+  EXPECT_EQ(visits.load(), 41u);
+  EXPECT_EQ(store.user_count(), 41u);
 }
 
 /// Called from inside a shared-pool task, the traversal degrades to a
@@ -286,15 +260,13 @@ TEST(UserStateStore, ForEachInsideAPoolTaskRunsSeriallyOnThatWorker) {
   support::ThreadPool::shared()
       .submit([&] {
         worker = std::this_thread::get_id();
-        store.for_each([&](UserState& state) {
+        store.for_each([&](UserState&) {
           seen.push_back(std::this_thread::get_id());
-          state.pending.clear();
         });
       })
       .get();
   ASSERT_EQ(seen.size(), 41u);
   for (const std::thread::id& id : seen) EXPECT_EQ(id, worker);
-  EXPECT_EQ(total_backlog(store), 0u);
 }
 
 // ------------------------------- incremental profile equivalence --------
@@ -569,39 +541,54 @@ void expect_matches_batch(const std::vector<UserDecision>& decisions,
 TEST_F(StreamTest, FinalDecisionsMatchBatchEvaluators) {
   const BatchOracle oracle = batch_oracle(*harness_);
   StreamConfig config;
-  config.shards = 4;
+  config.shards = 3;
   const auto result = replay_with(config);
   expect_matches_batch(result.decisions, oracle);
   EXPECT_EQ(result.stats.exposed_events + result.stats.protected_events,
             result.events);
 }
 
+/// Ingests the shared stream with a quiesce() barrier after every `burst`
+/// events (the cut a checkpoint takes), then finishes.
+std::vector<UserDecision> serve_in_bursts(StreamEngine& engine,
+                                          const std::vector<StreamEvent>& events,
+                                          std::size_t burst) {
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    engine.ingest(events[i]);
+    if ((i + 1) % burst == 0) engine.quiesce();
+  }
+  engine.finish();
+  return engine.decisions();
+}
+
 TEST_F(StreamTest, DecisionsAreIndependentOfShardsBatchAndParallelism) {
+  // Axes: shard count (= worker threads), the producer's burst size
+  // between quiesce barriers, and whether the workers run while the
+  // producer ingests. The decision tier keys on per-user event ordinals,
+  // so even the per-user search counts must agree.
   StreamConfig base;
   base.shards = 4;
-  ReplayOptions options;
-  options.batch_events = 256;
-  const auto reference = replay_with(base, options);
+  StreamEngine reference_engine(harness_->make_engine(), base);
+  const auto reference = serve_in_bursts(reference_engine, *events_, 256);
 
   StreamConfig one_shard = base;
   one_shard.shards = 1;
-  StreamConfig serial = base;
-  serial.parallel_drain = false;
-  serial.shards = 7;
-  ReplayOptions tiny_batches;
-  tiny_batches.batch_events = 37;
-  ReplayOptions one_batch;
-  one_batch.batch_events = 1u << 20;
+  StreamConfig seven = base;
+  seven.shards = 7;
+  StreamConfig prefilled = base;
+  prefilled.loop_autostart = false;
 
-  for (const auto& result :
-       {replay_with(one_shard, options), replay_with(serial, options),
-        replay_with(base, tiny_batches), replay_with(base, one_batch)}) {
-    ASSERT_EQ(result.decisions.size(), reference.decisions.size());
-    for (std::size_t i = 0; i < result.decisions.size(); ++i) {
-      EXPECT_EQ(result.decisions[i].user, reference.decisions[i].user);
-      EXPECT_EQ(result.decisions[i].decision,
-                reference.decisions[i].decision);
-      EXPECT_EQ(result.decisions[i].winner, reference.decisions[i].winner);
+  for (const auto& [config, burst] :
+       {std::pair{one_shard, std::size_t{256}}, std::pair{seven, std::size_t{1}},
+        std::pair{base, std::size_t{37}}, std::pair{prefilled, events_->size()}}) {
+    StreamEngine engine(harness_->make_engine(), config);
+    const auto decisions = serve_in_bursts(engine, *events_, burst);
+    ASSERT_EQ(decisions.size(), reference.size());
+    for (std::size_t i = 0; i < decisions.size(); ++i) {
+      EXPECT_EQ(decisions[i].user, reference[i].user);
+      EXPECT_EQ(decisions[i].decision, reference[i].decision);
+      EXPECT_EQ(decisions[i].winner, reference[i].winner);
+      EXPECT_EQ(decisions[i].searches, reference[i].searches);
     }
   }
 }
@@ -647,14 +634,10 @@ TEST_F(StreamTest, LruCapEvictsUsers) {
 TEST_F(StreamTest, ReplayMeasuresThroughputAndOrderedLatencies) {
   StreamConfig config;
   config.shards = 4;
-  ReplayOptions options;
-  options.batch_events = 128;
-  const auto result = replay_with(config, options);
+  const auto result = replay_with(config);
 
   EXPECT_EQ(result.events, events_->size());
-  EXPECT_EQ(result.batches,
-            (events_->size() + options.batch_events - 1) /
-                options.batch_events);
+  EXPECT_EQ(result.session_events, events_->size());
   EXPECT_GT(result.wall_seconds, 0.0);
   EXPECT_GT(result.events_per_second, 0.0);
   // The canonical pass is timed and counted in the end-to-end rate.
@@ -667,15 +650,12 @@ TEST_F(StreamTest, ReplayMeasuresThroughputAndOrderedLatencies) {
   EXPECT_LE(result.latency.p50, result.latency.p95);
   EXPECT_LE(result.latency.p95, result.latency.p99);
   EXPECT_LE(result.latency.p99, result.latency.max);
-  EXPECT_GT(result.stats.batches, 0u);
 }
 
 TEST_F(StreamTest, ReplayLatencyHistogramCoversEveryEvent) {
   StreamConfig config;
   config.shards = 4;
-  ReplayOptions options;
-  options.batch_events = 128;
-  const auto result = replay_with(config, options);
+  const auto result = replay_with(config);
 
   // Every ingested event records exactly one latency sample on its
   // owning shard's lane; the merged histogram is the lane sum.
@@ -715,7 +695,7 @@ TEST_F(StreamTest, StageTimersOffChangesNoDecision) {
   EXPECT_EQ(result.latency_histogram.count, result.events);
   StreamEngine probe(harness_->make_engine(), untimed);
   probe.ingest((*events_)[0]);
-  probe.drain();
+  probe.quiesce();
   for (const auto& entry : probe.metrics_snapshot().histograms) {
     if (entry.name.rfind("mood_stage_", 0) == 0) {
       EXPECT_TRUE(entry.merged.empty()) << entry.name;
@@ -745,10 +725,11 @@ TEST_F(StreamTest, MetricsSnapshotMirrorsGatewayCounters) {
     return -1.0;
   };
   EXPECT_EQ(counter("mood_stream_events_total"), result.events);
-  EXPECT_EQ(counter("mood_stream_batches_total"), result.batches);
   EXPECT_DOUBLE_EQ(gauge("mood_gateway_events"), double(result.stats.events));
   EXPECT_DOUBLE_EQ(gauge("mood_gateway_searches"),
                    double(result.stats.searches));
+  // The rings are the backlog: empty once the replay finished.
+  EXPECT_DOUBLE_EQ(gauge("mood_queue_depth"), 0.0);
   // Names are sorted, and the exposition of a live engine renders.
   EXPECT_TRUE(std::is_sorted(
       snapshot.counters.begin(), snapshot.counters.end(),
@@ -765,23 +746,20 @@ TEST_F(StreamTest, TelemetryOnRestoredReplayDiffsCleanAgainstStraight) {
   telemetry::TraceSession::instance().start(1 << 12);
   StreamConfig config;
   config.shards = 2;
-  ReplayOptions options;
-  options.batch_events = 256;
 
   StreamEngine straight(harness_->make_engine(), config);
-  const auto reference = run_replay(straight, *events_, options);
+  const auto reference = run_replay(straight, *events_, {});
 
-  const std::size_t boundary = 2 * options.batch_events;
+  const std::size_t cut = 512;
   StreamEngine first(harness_->make_engine(), config);
-  for (std::size_t i = 0; i < boundary; ++i) {
-    first.ingest((*events_)[i]);
-    if ((i + 1) % options.batch_events == 0) first.drain();
-  }
+  for (std::size_t i = 0; i < cut; ++i) first.ingest((*events_)[i]);
+  first.quiesce();
   const SnapshotData snap =
       decode_snapshot(encode_snapshot(first.capture_snapshot()));
   StreamEngine second(harness_->make_engine(), config);
   second.restore_snapshot(snap);
-  options.resume_events = boundary;
+  ReplayOptions options;
+  options.resume_events = cut;
   const auto resumed = run_replay(second, *events_, options);
   telemetry::TraceSession::instance().stop();
 
@@ -796,35 +774,20 @@ TEST_F(StreamTest, TelemetryOnRestoredReplayDiffsCleanAgainstStraight) {
   EXPECT_EQ(resumed.stats.decisions, reference.stats.decisions);
   // The latency histogram is session-scoped: the resumed process only
   // measured the events it replayed itself.
-  EXPECT_EQ(resumed.latency_histogram.count, events_->size() - boundary);
+  EXPECT_EQ(resumed.latency_histogram.count, events_->size() - cut);
 }
 
 TEST_F(StreamTest, ReplayOfEmptyStreamIsWellFormed) {
   StreamEngine engine(harness_->make_engine(), StreamConfig{});
   const auto result = run_replay(engine, {});
   EXPECT_EQ(result.events, 0u);
-  EXPECT_EQ(result.batches, 0u);
   EXPECT_TRUE(result.decisions.empty());
 }
 
-TEST_F(StreamTest, ReplayRejectsZeroBatch) {
+TEST_F(StreamTest, ReplayRejectsOverlongResume) {
+  // A resume position must lie inside the stream.
   StreamEngine engine(harness_->make_engine(), StreamConfig{});
   ReplayOptions options;
-  options.batch_events = 0;
-  EXPECT_THROW(run_replay(engine, *events_, options),
-               support::PreconditionError);
-}
-
-TEST_F(StreamTest, ReplayRejectsMisalignedOrOverlongResume) {
-  // Resume positions must fall on micro-batch boundaries (checkpoints are
-  // written at drain boundaries, so any legitimate restore position does)
-  // and inside the stream.
-  StreamEngine engine(harness_->make_engine(), StreamConfig{});
-  ReplayOptions options;
-  options.batch_events = 128;
-  options.resume_events = 100;
-  EXPECT_THROW(run_replay(engine, *events_, options),
-               support::PreconditionError);
   options.resume_events = events_->size() + 128;
   EXPECT_THROW(run_replay(engine, *events_, options),
                support::PreconditionError);
@@ -845,15 +808,20 @@ TEST_F(StreamTest, StrictAdmissionThrowsTypedBadRecordError) {
   StreamConfig config;
   config.shards = 1;
 
+  // Coordinate faults are flagged on the producer and dispositioned by the
+  // shard worker; the strict policy's BadRecordError surfaces no later
+  // than the quiesce barrier.
   StreamEngine nan_engine(harness_->make_engine(), config);
   StreamEvent bad = (*events_)[0];
   bad.record.position.lat = std::numeric_limits<double>::quiet_NaN();
-  EXPECT_THROW(nan_engine.ingest(bad), BadRecordError);
+  nan_engine.ingest(bad);
+  EXPECT_THROW(nan_engine.quiesce(), BadRecordError);
 
   StreamEngine off_planet(harness_->make_engine(), config);
   bad = (*events_)[0];
   bad.record.position.lat = 95.0;  // finite but outside the legal band
-  EXPECT_THROW(off_planet.ingest(bad), BadRecordError);
+  off_planet.ingest(bad);
+  EXPECT_THROW(off_planet.quiesce(), BadRecordError);
 
   StreamEngine id_engine(harness_->make_engine(), config);
   StreamEvent huge = (*events_)[0];
@@ -865,10 +833,13 @@ TEST_F(StreamTest, StrictAdmissionThrowsTypedBadRecordError) {
   StreamEngine time_engine(harness_->make_engine(), config);
   const StreamEvent first = (*events_)[0];
   EXPECT_EQ(time_engine.ingest(first), IngestStatus::kAdmitted);
+  time_engine.quiesce();
   StreamEvent regressed = first;
   regressed.record.time -= 100;
-  EXPECT_THROW(time_engine.ingest(regressed), BadRecordError);
+  time_engine.ingest(regressed);
+  EXPECT_THROW(time_engine.quiesce(), BadRecordError);
   EXPECT_EQ(time_engine.ingest(first), IngestStatus::kAdmitted);
+  EXPECT_NO_THROW(time_engine.quiesce());
 }
 
 TEST_F(StreamTest, SkipPolicyDropsBadRecordsAndCounts) {
@@ -877,11 +848,11 @@ TEST_F(StreamTest, SkipPolicyDropsBadRecordsAndCounts) {
   config.resilience.on_bad_record = BadRecordPolicy::kSkip;
   StreamEngine engine(harness_->make_engine(), config);
 
+  // The worker rejects the bad coordinate; the producer only pushed it.
   StreamEvent bad = (*events_)[0];
   bad.record.position.lon = std::numeric_limits<double>::infinity();
-  EXPECT_EQ(engine.ingest(bad), IngestStatus::kRejected);
+  EXPECT_EQ(engine.ingest(bad), IngestStatus::kAdmitted);
   EXPECT_EQ(engine.ingest((*events_)[0]), IngestStatus::kAdmitted);
-  engine.drain();
   engine.finish();
 
   const StreamStats stats = engine.stats();
@@ -894,6 +865,7 @@ TEST_F(StreamTest, SkipPolicyDropsBadRecordsAndCounts) {
   const auto decisions = engine.decisions();
   ASSERT_EQ(decisions.size(), 1u);
   EXPECT_FALSE(decisions[0].quarantined);
+  EXPECT_EQ(decisions[0].events, 1u);
 }
 
 TEST_F(StreamTest, QuarantineIsolatesPoisonedUserFromHealthyDecisions) {
@@ -944,76 +916,58 @@ TEST_F(StreamTest, QuarantineIsolatesPoisonedUserFromHealthyDecisions) {
 }
 
 TEST_F(StreamTest, ShedHysteresisEngagesBetweenWatermarksAndReleases) {
+  // Rings pre-filled before any worker runs make the dequeue-time depths
+  // exact: with n events queued on one shard, the k-th dequeue sees
+  // depth n - k.
   StreamConfig config;
   config.shards = 1;
-  config.parallel_drain = false;
+  config.loop_autostart = false;
   config.resilience.shed_high_watermark = 64;
   config.resilience.shed_low_watermark = 16;
-  StreamEngine engine(harness_->make_engine(), config);
-  std::size_t next = 0;
-  const auto ingest_n = [&](std::size_t n) {
-    for (std::size_t i = 0; i < n; ++i) engine.ingest((*events_)[next++]);
-  };
 
   // Below the high watermark: full decisions, latch off.
-  ingest_n(32);
-  engine.drain();
-  EXPECT_EQ(engine.stats().degraded_batches, 0u);
+  StreamEngine calm(harness_->make_engine(), config);
+  for (std::size_t i = 0; i < 32; ++i) calm.ingest((*events_)[i]);
+  calm.quiesce();  // starts the workers of the pre-filled ring
+  EXPECT_EQ(calm.stats().degraded_batches, 0u);
+  EXPECT_EQ(calm.stats().shed_decisions, 0u);
 
-  // Backlog at/above high: the latch engages and the batch degrades to
-  // held verdicts (users decided in the first drain are genuinely held).
-  ingest_n(128);
-  engine.drain();
-  const StreamStats engaged = engine.stats();
-  EXPECT_EQ(engaged.degraded_batches, 1u);
-  EXPECT_GT(engaged.shed_decisions, 0u);
-  EXPECT_EQ(engine.capture_snapshot().shard_shedding,
-            (std::vector<std::uint8_t>{1}));
-
-  // Backlog between the watermarks: hysteresis holds the latch engaged.
-  ingest_n(32);
-  engine.drain();
-  EXPECT_EQ(engine.stats().degraded_batches, 2u);
-
-  // Backlog at/below low: the latch releases and decisions are full again.
-  ingest_n(8);
-  engine.drain();
-  const StreamStats released = engine.stats();
-  EXPECT_EQ(released.degraded_batches, 2u);
+  // 128 queued: the latch engages at depth 128, holds between the
+  // watermarks (depths 63..17) and releases at depth 16 — so exactly
+  // the first 112 events are shed. A user's first-ever verdict always
+  // takes the full path, so those never count as shed decisions.
+  StreamEngine engine(harness_->make_engine(), config);
+  for (std::size_t i = 0; i < 128; ++i) engine.ingest((*events_)[i]);
+  engine.quiesce();
+  std::unordered_map<mobility::UserId, bool> seen;
+  std::uint64_t first_verdicts = 0;
+  for (std::size_t i = 0; i < 112; ++i) {
+    if (!seen[(*events_)[i].user]) {
+      seen[(*events_)[i].user] = true;
+      ++first_verdicts;
+    }
+  }
+  const StreamStats stats = engine.stats();
+  EXPECT_EQ(stats.degraded_batches, 1u);
+  EXPECT_EQ(stats.shed_decisions, 112u - first_verdicts);
   EXPECT_EQ(engine.capture_snapshot().shard_shedding,
             (std::vector<std::uint8_t>{0}));
-}
-
-TEST_F(StreamTest, DrainBudgetDegradesBatchTailButFinishCanonicalizes) {
-  const BatchOracle oracle = batch_oracle(*harness_);
-  StreamConfig config;
-  config.shards = 1;
-  config.parallel_drain = false;
-  config.resilience.drain_budget = 2;  // at most 2 full decisions per drain
-  const auto result = replay_with(config);
-
-  EXPECT_GT(result.stats.shed_decisions, 0u);
-  EXPECT_GT(result.stats.degraded_batches, 0u);
-  std::uint64_t degraded = 0;
-  for (const auto& decision : result.decisions) degraded += decision.degraded;
-  EXPECT_GT(degraded, 0u);
-  // finish() re-searches every user whose verdict was held, so degraded
-  // mid-stream batches never change the final published decisions.
-  expect_matches_batch(result.decisions, oracle);
 }
 
 TEST_F(StreamTest, ShedDecisionsAreRepairedByFinish) {
   const BatchOracle oracle = batch_oracle(*harness_);
   StreamConfig config;
   config.shards = 2;
-  config.parallel_drain = false;
+  config.loop_autostart = false;
   config.resilience.shed_high_watermark = 48;
   config.resilience.shed_low_watermark = 12;
-  ReplayOptions options;
-  options.batch_events = 128;  // backlog 64/shard: sheds most batches
-  const auto result = replay_with(config, options);
-  EXPECT_GT(result.stats.degraded_batches, 0u);
-  expect_matches_batch(result.decisions, oracle);
+  StreamEngine engine(harness_->make_engine(), config);
+  // The whole stream queued before any worker runs: both shards shed most
+  // of it, and finish() (which starts the workers itself) repairs it.
+  for (const StreamEvent& event : *events_) engine.ingest(event);
+  engine.finish();
+  EXPECT_EQ(engine.stats().degraded_batches, 2u);
+  expect_matches_batch(engine.decisions(), oracle);
 }
 
 TEST_F(StreamTest, BackpressureSignalsWithoutChangingDecisions) {
@@ -1021,41 +975,43 @@ TEST_F(StreamTest, BackpressureSignalsWithoutChangingDecisions) {
   config.shards = 2;
   const auto reference = replay_with(config);
 
+  // Workers not started: the ring depth only grows, so the slow signal
+  // fires deterministically past 8 queued events, and a ring that fills
+  // (capacity 16) starts the workers instead of blocking forever.
   StreamConfig bounded = config;
+  bounded.loop_autostart = false;
   bounded.resilience.max_pending_per_shard = 8;
-  bool saw_slow = false;
-  StreamEngine probe(harness_->make_engine(), bounded);
-  for (std::size_t i = 0; i < 64; ++i) {
-    if (probe.ingest((*events_)[i]) == IngestStatus::kAdmittedSlow) {
-      saw_slow = true;
-    }
-  }
-  EXPECT_TRUE(saw_slow);
-
   StreamEngine engine(harness_->make_engine(), bounded);
-  const auto result = run_replay(engine, *events_, {});
-  EXPECT_GT(result.stats.backpressure_events, 0u);
-  // Backpressure is a *signal* to the producer, never a decision input:
-  // batch boundaries and outcomes are untouched.
-  ASSERT_EQ(result.decisions.size(), reference.decisions.size());
+  bool saw_slow = false;
+  for (const StreamEvent& event : *events_) {
+    saw_slow |= engine.ingest(event) == IngestStatus::kAdmittedSlow;
+  }
+  engine.finish();
+  EXPECT_TRUE(saw_slow);
+  EXPECT_GT(engine.stats().backpressure_events, 0u);
+  // Backpressure is a *signal* to the producer, never a decision input.
+  const auto decisions = engine.decisions();
+  ASSERT_EQ(decisions.size(), reference.decisions.size());
   for (std::size_t i = 0; i < reference.decisions.size(); ++i) {
-    EXPECT_EQ(result.decisions[i].decision, reference.decisions[i].decision);
-    EXPECT_EQ(result.decisions[i].winner, reference.decisions[i].winner);
+    EXPECT_EQ(decisions[i].decision, reference.decisions[i].decision);
+    EXPECT_EQ(decisions[i].winner, reference.decisions[i].winner);
+    EXPECT_EQ(decisions[i].events, reference.decisions[i].events);
   }
 }
 
 TEST_F(StreamTest, InjectedDecideFaultQuarantinesExactlyOneUser) {
   StreamConfig config;
-  config.shards = 1;
-  config.parallel_drain = false;  // deterministic drain order
+  config.shards = 3;
   const auto clean = replay_with(config);
 
-  // Under the strict default the injected fault propagates out of drain().
+  // Under the strict default the worker's injected fault is rethrown on
+  // the producer and propagates out of the replay.
   testing::FailPoint::arm("stream.decide.user", testing::FailAction::kThrow);
   StreamEngine strict(harness_->make_engine(), config);
   EXPECT_THROW(run_replay(strict, *events_, {}), testing::InjectedFault);
 
-  // Under quarantine the faulting user is isolated and the drain survives.
+  // Under quarantine the faulting user is isolated and its worker
+  // survives — whichever shard it lives on.
   StreamConfig quarantine = config;
   quarantine.resilience.on_bad_record = BadRecordPolicy::kQuarantine;
   testing::FailPoint::arm("stream.decide.user", testing::FailAction::kThrow);
@@ -1084,7 +1040,6 @@ TEST_F(StreamTest, InjectedDecideFaultQuarantinesExactlyOneUser) {
 TEST_F(StreamTest, CorruptFailPointIsCaughtByTheFoldPoisonScan) {
   StreamConfig config;
   config.shards = 1;
-  config.parallel_drain = false;
   config.resilience.on_bad_record = BadRecordPolicy::kQuarantine;
   testing::FailPoint::arm("stream.drain.corrupt",
                           testing::FailAction::kCorrupt);
@@ -1098,6 +1053,7 @@ TEST_F(StreamTest, CorruptFailPointIsCaughtByTheFoldPoisonScan) {
     found = true;
     EXPECT_NE(decision.quarantine_reason.find("poisoned pending record"),
               std::string::npos);
+    EXPECT_GE(decision.dead_letters, 1u);
   }
   EXPECT_TRUE(found);
 }
@@ -1112,19 +1068,15 @@ TEST_F(StreamTest, QuarantineStateRoundTripsThroughSnapshotAndResume) {
   StreamConfig config;
   config.shards = 2;
   config.resilience.on_bad_record = BadRecordPolicy::kQuarantine;
-  ReplayOptions options;
-  options.batch_events = 256;
 
   StreamEngine straight(harness_->make_engine(), config);
-  const auto reference = run_replay(straight, poisoned_events, options);
+  const auto reference = run_replay(straight, poisoned_events, {});
   ASSERT_EQ(reference.stats.quarantined_users, 2u);
 
-  const std::size_t boundary = 2 * options.batch_events;
+  const std::size_t boundary = 512;
   StreamEngine first(harness_->make_engine(), config);
-  for (std::size_t i = 0; i < boundary; ++i) {
-    first.ingest(poisoned_events[i]);
-    if ((i + 1) % options.batch_events == 0) first.drain();
-  }
+  for (std::size_t i = 0; i < boundary; ++i) first.ingest(poisoned_events[i]);
+  first.quiesce();
   const SnapshotData snap =
       decode_snapshot(encode_snapshot(first.capture_snapshot()));
   bool any_quarantined = false;
@@ -1133,6 +1085,7 @@ TEST_F(StreamTest, QuarantineStateRoundTripsThroughSnapshotAndResume) {
 
   StreamEngine second(harness_->make_engine(), config);
   second.restore_snapshot(snap);
+  ReplayOptions options;
   options.resume_events = boundary;
   const auto resumed = run_replay(second, poisoned_events, options);
 
@@ -1166,33 +1119,22 @@ TEST_F(StreamTest, ReplayResumeAtStreamEndOnlyFinishes) {
   EXPECT_TRUE(result.decisions.empty());  // fresh engine held no users
 }
 
-// ------------------------------------------------------- loop engine --
+// ------------------------------------------------- shard workers ------
 
-TEST(EngineModeTest, ParsesSpellingsAndRejectsUnknowns) {
-  EXPECT_EQ(parse_engine_mode("batch"), EngineMode::kBatch);
-  EXPECT_EQ(parse_engine_mode("loop"), EngineMode::kLoop);
-  EXPECT_THROW((void)parse_engine_mode("turbo"), support::UsageError);
-  EXPECT_STREQ(to_string(EngineMode::kLoop), "loop");
-  EXPECT_STREQ(to_string(EngineMode::kBatch), "batch");
-}
-
-/// Continuous-serving config: per-shard worker threads fed by SPSC rings,
-/// deciding at admission time (PR 10).
-StreamConfig loop_config(std::size_t shards = 4) {
+StreamConfig sharded(std::size_t shards = 4) {
   StreamConfig config;
-  config.engine = EngineMode::kLoop;
   config.shards = shards;
   return config;
 }
 
 TEST_F(StreamTest, LoopFinalDecisionsMatchBatchEvaluators) {
   const BatchOracle oracle = batch_oracle(*harness_);
-  const auto result = replay_with(loop_config());
+  const auto result = replay_with(sharded());
   expect_matches_batch(result.decisions, oracle);
   EXPECT_EQ(result.stats.exposed_events + result.stats.protected_events,
             result.events);
-  // Latency parity with batch mode: every presented event leaves exactly
-  // one end-to-end sample in the replay histogram.
+  // Every presented event leaves exactly one end-to-end sample in the
+  // replay histogram.
   EXPECT_EQ(result.latency_histogram.count, result.events);
   // A clean strict run must leave the resilience counters untouched —
   // the held/recheck admission tiers are cheap paths, not degradations.
@@ -1203,50 +1145,37 @@ TEST_F(StreamTest, LoopFinalDecisionsMatchBatchEvaluators) {
 }
 
 TEST_F(StreamTest, LoopDecisionsMatchBatchAcrossShardsSlackAndRecheck) {
-  StreamConfig batch;
-  batch.shards = 4;
-  const auto reference = replay_with(batch);
-
+  const BatchOracle oracle = batch_oracle(*harness_);
   std::vector<StreamConfig> variants;
-  variants.push_back(loop_config(1));
-  variants.push_back(loop_config(3));
-  variants.push_back(loop_config(8));
-  StreamConfig eager = loop_config();  // full decision on every event
+  variants.push_back(sharded(1));
+  variants.push_back(sharded(3));
+  variants.push_back(sharded(8));
+  StreamConfig eager = sharded();  // full decision on every event
   eager.loop_slack = 0;
   variants.push_back(eager);
-  StreamConfig lazy = loop_config();  // mostly held, odd cadences
+  StreamConfig lazy = sharded();  // mostly held, odd cadences
   lazy.loop_slack = 7;
   lazy.loop_recheck = 3;
   variants.push_back(lazy);
-  StreamConfig no_recheck = loop_config();
+  StreamConfig no_recheck = sharded();
   no_recheck.loop_recheck = 0;
   variants.push_back(no_recheck);
 
   for (const StreamConfig& config : variants) {
     const auto result = replay_with(config);
-    ASSERT_EQ(result.decisions.size(), reference.decisions.size());
-    for (std::size_t i = 0; i < result.decisions.size(); ++i) {
-      EXPECT_EQ(result.decisions[i].user, reference.decisions[i].user);
-      EXPECT_EQ(result.decisions[i].decision,
-                reference.decisions[i].decision);
-      EXPECT_EQ(result.decisions[i].winner, reference.decisions[i].winner);
-      EXPECT_EQ(result.decisions[i].events, reference.decisions[i].events);
-    }
+    expect_matches_batch(result.decisions, oracle);
+    std::uint64_t events = 0;
+    for (const auto& decision : result.decisions) events += decision.events;
+    EXPECT_EQ(events, events_->size());
   }
 }
 
-TEST_F(StreamTest, LoopModeRejectsDrain) {
-  StreamEngine engine(harness_->make_engine(), loop_config(1));
-  EXPECT_THROW(engine.drain(), support::PreconditionError);
-}
-
 TEST_F(StreamTest, LoopCheckpointRestoreRoundTripsMidStream) {
-  StreamConfig config = loop_config(2);
+  StreamConfig config = sharded(2);
   StreamEngine straight(harness_->make_engine(), config);
   const auto reference = run_replay(straight, *events_, {});
 
-  // Loop cuts have no micro-batch alignment requirement: any quiesced
-  // position is valid, so pick one off every batch multiple on purpose.
+  // Any quiesced position is a valid cut, however odd.
   const std::size_t cut = 333;
   StreamEngine first(harness_->make_engine(), config);
   for (std::size_t i = 0; i < cut; ++i) first.ingest((*events_)[i]);
@@ -1254,7 +1183,6 @@ TEST_F(StreamTest, LoopCheckpointRestoreRoundTripsMidStream) {
   const SnapshotData snap =
       decode_snapshot(encode_snapshot(first.capture_snapshot()));
   EXPECT_EQ(snap.stream_position, cut);
-  EXPECT_EQ(snap.config.engine, EngineMode::kLoop);
 
   StreamEngine second(harness_->make_engine(), config);
   second.restore_snapshot(snap);
@@ -1279,19 +1207,14 @@ TEST_F(StreamTest, LoopCheckpointRestoreRoundTripsMidStream) {
 }
 
 TEST_F(StreamTest, LoopRestoreRefusesEngineModeMismatch) {
-  StreamConfig config = loop_config(2);
+  StreamConfig config = sharded(2);
   StreamEngine first(harness_->make_engine(), config);
   for (std::size_t i = 0; i < 100; ++i) first.ingest((*events_)[i]);
   first.quiesce();
   const SnapshotData snap = first.capture_snapshot();
 
-  // A loop checkpoint must not restore into a batch gateway (the cut may
-  // not fall on a drain boundary) — nor under different loop cadences.
-  StreamConfig batch = config;
-  batch.engine = EngineMode::kBatch;
-  StreamEngine batch_engine(harness_->make_engine(), batch);
-  EXPECT_THROW(batch_engine.restore_snapshot(snap), SnapshotError);
-
+  // The decision cadences shape the mid-stream decision sequence, so a
+  // checkpoint must not restore under different ones.
   StreamConfig other_slack = config;
   other_slack.loop_slack = 5;
   StreamEngine slack_engine(harness_->make_engine(), other_slack);
@@ -1305,8 +1228,8 @@ TEST_F(StreamTest, LoopRestoreRefusesEngineModeMismatch) {
 
 TEST_F(StreamTest, LoopStrictFaultSurfacesOnTheProducer) {
   // Unattributable events never reach a worker: the producer classifies
-  // and throws synchronously, exactly like the batch path.
-  StreamEngine id_engine(harness_->make_engine(), loop_config(1));
+  // and throws synchronously.
+  StreamEngine id_engine(harness_->make_engine(), sharded(1));
   StreamEvent huge = (*events_)[0];
   huge.user = std::string(kMaxUserIdBytes + 1, 'x');
   EXPECT_THROW(id_engine.ingest(huge), BadRecordError);
@@ -1314,7 +1237,7 @@ TEST_F(StreamTest, LoopStrictFaultSurfacesOnTheProducer) {
   // A bad coordinate is flagged at ingest but dispositioned by the shard
   // worker; under the strict default its BadRecordError is rethrown on
   // the producer no later than the quiesce barrier.
-  StreamEngine nan_engine(harness_->make_engine(), loop_config(1));
+  StreamEngine nan_engine(harness_->make_engine(), sharded(1));
   StreamEvent bad = (*events_)[0];
   bad.record.position.lat = std::numeric_limits<double>::quiet_NaN();
   nan_engine.ingest(bad);
@@ -1322,7 +1245,7 @@ TEST_F(StreamTest, LoopStrictFaultSurfacesOnTheProducer) {
 
   // Same for the stateful per-user monotonicity check, which only the
   // worker (owner of the user state) can evaluate.
-  StreamEngine time_engine(harness_->make_engine(), loop_config(1));
+  StreamEngine time_engine(harness_->make_engine(), sharded(1));
   const StreamEvent first = (*events_)[0];
   time_engine.ingest(first);
   StreamEvent regressed = first;
@@ -1332,9 +1255,11 @@ TEST_F(StreamTest, LoopStrictFaultSurfacesOnTheProducer) {
 }
 
 TEST_F(StreamTest, LoopQuarantineIsolatesPoisonedUserFromHealthyDecisions) {
-  StreamConfig batch;
-  batch.shards = 4;
-  const auto clean = replay_with(batch);
+  // Odd cadences on two shards: isolation must not depend on the tiers.
+  StreamConfig config = sharded(2);
+  config.loop_slack = 7;
+  config.loop_recheck = 3;
+  const auto clean = replay_with(config);
 
   std::vector<StreamEvent> poisoned_events = *events_;
   PoisonSpec spec;
@@ -1346,7 +1271,7 @@ TEST_F(StreamTest, LoopQuarantineIsolatesPoisonedUserFromHealthyDecisions) {
     victim = std::min(victim, event.user);
   }
 
-  StreamConfig quarantine = loop_config();
+  StreamConfig quarantine = config;
   quarantine.resilience.on_bad_record = BadRecordPolicy::kQuarantine;
   StreamEngine engine(harness_->make_engine(), quarantine);
   const auto result = run_replay(engine, poisoned_events, {});
@@ -1365,18 +1290,19 @@ TEST_F(StreamTest, LoopQuarantineIsolatesPoisonedUserFromHealthyDecisions) {
       EXPECT_GT(a.dead_letters, 0u);
       continue;
     }
-    // Isolation holds across execution modes: a poisoned neighbour never
-    // perturbs a healthy user's published outcome.
+    // A poisoned neighbour never perturbs a healthy user's published
+    // outcome, nor their mid-stream work.
     EXPECT_FALSE(a.quarantined) << a.user;
     EXPECT_EQ(a.decision, e.decision) << a.user;
     EXPECT_EQ(a.winner, e.winner) << a.user;
     EXPECT_EQ(a.events, e.events) << a.user;
+    EXPECT_EQ(a.searches, e.searches) << a.user;
     EXPECT_EQ(a.window_points, e.window_points) << a.user;
   }
 }
 
 TEST_F(StreamTest, LoopInjectedDecideFaultQuarantinesExactlyOneUser) {
-  StreamConfig config = loop_config(1);
+  StreamConfig config = sharded(1);
   const auto clean = replay_with(config);
 
   // Under the strict default the worker's injected fault is rethrown on
@@ -1414,7 +1340,7 @@ TEST_F(StreamTest, LoopInjectedDecideFaultQuarantinesExactlyOneUser) {
 
 TEST_F(StreamTest, LoopShedEngagesOnRingDepthAndFinishRepairs) {
   const BatchOracle oracle = batch_oracle(*harness_);
-  StreamConfig config = loop_config(1);
+  StreamConfig config = sharded(1);
   config.loop_autostart = false;
   config.resilience.shed_high_watermark = 64;
   config.resilience.shed_low_watermark = 16;
@@ -1440,14 +1366,12 @@ TEST_F(StreamTest, LoopShedEngagesOnRingDepthAndFinishRepairs) {
 }
 
 TEST_F(StreamTest, LoopBackpressureSignalsWithoutChangingDecisions) {
-  StreamConfig batch;
-  batch.shards = 2;
-  const auto reference = replay_with(batch);
+  const auto reference = replay_with(sharded(2));
 
-  // Bounded rings (capacity 2*max_pending): the producer outruns the
-  // deciding workers, so the slow signal must fire; it stays a signal —
-  // nothing is dropped and decisions are untouched.
-  StreamConfig bounded = loop_config(2);
+  // Bounded rings (capacity 2*max_pending) with running workers: an
+  // unpaced producer outruns them, so the slow signal must fire; it stays
+  // a signal — nothing is dropped and decisions are untouched.
+  StreamConfig bounded = sharded(2);
   bounded.resilience.max_pending_per_shard = 8;
   StreamEngine engine(harness_->make_engine(), bounded);
   const auto result = run_replay(engine, *events_, {});
@@ -1462,7 +1386,7 @@ TEST_F(StreamTest, LoopBackpressureSignalsWithoutChangingDecisions) {
 }
 
 TEST_F(StreamTest, LoopPacingFloorsWallClockNotDecisionCoverage) {
-  StreamConfig config = loop_config(2);
+  StreamConfig config = sharded(2);
   ReplayOptions paced;
   paced.target_rate = 50000.0;  // fast, but a real open-loop floor
   StreamEngine engine(harness_->make_engine(), config);
@@ -1482,7 +1406,6 @@ TEST_F(StreamTest, LoopPacingFloorsWallClockNotDecisionCoverage) {
 constexpr std::pair<const char*, std::uint64_t StreamStats::*>
     kStatFields[] = {
         {"events", &StreamStats::events},
-        {"batches", &StreamStats::batches},
         {"decisions", &StreamStats::decisions},
         {"exposed_events", &StreamStats::exposed_events},
         {"protected_events", &StreamStats::protected_events},
@@ -1532,21 +1455,11 @@ void expect_same_verdicts(const UserDecision& a, const UserDecision& b) {
   EXPECT_EQ(a.searches, b.searches) << a.user;
 }
 
-void expect_no_backlog(const StreamEngine& engine) {
-  for (std::size_t s = 0; s < engine.config().shards; ++s) {
-    EXPECT_EQ(engine.pending_events(s), 0u) << "shard " << s;
-  }
-}
-
-/// Ingests the whole stream and decides it — drain() in batch mode,
-/// quiesce() in loop mode — stopping right before finish().
+/// Ingests the whole stream and decides it, stopping right before
+/// finish().
 void serve(StreamEngine& engine, const std::vector<StreamEvent>& events) {
   for (const StreamEvent& event : events) engine.ingest(event);
-  if (engine.config().engine == EngineMode::kLoop) {
-    engine.quiesce();
-  } else {
-    engine.drain();
-  }
+  engine.quiesce();
 }
 
 /// One run's final decisions plus the counters it added. The population
@@ -1562,7 +1475,6 @@ FinishedRun finish_run(StreamEngine& engine,
   const StreamStats before = engine.stats();
   serve(engine, events);
   engine.finish();
-  expect_no_backlog(engine);
   FinishedRun run{engine.decisions(), engine.stats()};
   for (const auto& [name, field] : kStatFields) {
     run.work.*field -= before.*field;
@@ -1571,16 +1483,17 @@ FinishedRun finish_run(StreamEngine& engine,
 }
 
 /// The parallel canonical pass is a pure function of the stream: both
-/// engines, any shard count, repeated, reach the kernel's batch verdicts
-/// with identical counters.
+/// worker start modes (lazy on the first ingest, or rings pre-filled
+/// before any worker runs), any shard count, repeated, reach the kernel's
+/// batch verdicts with identical counters.
 TEST_F(StreamTest, ParallelFinishIsDeterministicAcrossEnginesAndShards) {
   const core::GatewayResult gateway = harness_->evaluate_gateway();
-  for (const EngineMode mode : {EngineMode::kBatch, EngineMode::kLoop}) {
+  for (const bool autostart : {true, false}) {
     for (const std::size_t shards : {1u, 2u, 4u}) {
-      SCOPED_TRACE(std::string(to_string(mode)) + " x" +
-                   std::to_string(shards));
+      SCOPED_TRACE(std::string(autostart ? "autostart" : "prefilled") +
+                   " x" + std::to_string(shards));
       StreamConfig config;
-      config.engine = mode;
+      config.loop_autostart = autostart;
       config.shards = shards;
       StreamEngine first_engine(harness_->make_engine(), config);
       const FinishedRun first = finish_run(first_engine, *events_);
@@ -1600,95 +1513,88 @@ TEST_F(StreamTest, ParallelFinishIsDeterministicAcrossEnginesAndShards) {
   }
 }
 
-/// finish() on events that were ingested but never drained folds them in
-/// the parallel pass and leaves every shard's backlog at zero.
+/// finish() on events still sitting in rings no worker ever ran on (the
+/// autostart-off pre-fill, start_loop() never called): it starts the
+/// workers, decides every ringed event, and leaves the rings empty.
 TEST_F(StreamTest, ParallelFinishFoldsUndrainedEventsAndClearsBacklog) {
   StreamConfig config;
   config.shards = 3;
+  config.loop_autostart = false;
   StreamEngine engine(harness_->make_engine(), config);
   for (const StreamEvent& event : *events_) engine.ingest(event);
-  std::size_t backlog = 0;
-  for (std::size_t s = 0; s < config.shards; ++s) {
-    backlog += engine.pending_events(s);
-  }
-  EXPECT_EQ(backlog, events_->size());
   engine.finish();
-  expect_no_backlog(engine);
-  expect_matches_gateway(engine.decisions(), harness_->evaluate_gateway());
+  const std::vector<UserDecision> decisions = engine.decisions();
+  expect_matches_gateway(decisions, harness_->evaluate_gateway());
+  std::uint64_t events = 0;
+  for (const UserDecision& d : decisions) events += d.events;
+  EXPECT_EQ(events, events_->size());
+  for (const auto& [name, value] : engine.metrics_snapshot().gauges) {
+    if (name.rfind("mood_queue_depth", 0) == 0) {
+      EXPECT_EQ(value, 0.0) << name;
+    }
+  }
 }
 
 /// finish() from inside a shared-pool task must not wait on its own pool:
 /// it runs serially on that worker and reaches the same verdicts.
 TEST_F(StreamTest, FinishInsideAPoolTaskRunsSeriallyWithoutDeadlock) {
   const core::GatewayResult gateway = harness_->evaluate_gateway();
-  for (const EngineMode mode : {EngineMode::kBatch, EngineMode::kLoop}) {
-    SCOPED_TRACE(to_string(mode));
-    StreamConfig config;
-    config.engine = mode;
-    config.shards = 2;
-    StreamEngine direct(harness_->make_engine(), config);
-    const FinishedRun reference = finish_run(direct, *events_);
+  StreamConfig config;
+  config.shards = 2;
+  StreamEngine direct(harness_->make_engine(), config);
+  const FinishedRun reference = finish_run(direct, *events_);
 
-    StreamEngine nested(harness_->make_engine(), config);
-    serve(nested, *events_);
-    std::future<void> done =
-        support::ThreadPool::shared().submit([&] { nested.finish(); });
-    if (done.wait_for(std::chrono::minutes(5)) != std::future_status::ready) {
-      ADD_FAILURE() << "finish() inside a pool task did not return";
-      std::abort();  // the task still references this frame
-    }
-    done.get();
-    expect_no_backlog(nested);
-    const std::vector<UserDecision> decisions = nested.decisions();
-    expect_matches_gateway(decisions, gateway);
-    ASSERT_EQ(decisions.size(), reference.decisions.size());
-    for (std::size_t i = 0; i < decisions.size(); ++i) {
-      expect_same_verdicts(decisions[i], reference.decisions[i]);
-    }
+  StreamEngine nested(harness_->make_engine(), config);
+  serve(nested, *events_);
+  std::future<void> done =
+      support::ThreadPool::shared().submit([&] { nested.finish(); });
+  if (done.wait_for(std::chrono::minutes(5)) != std::future_status::ready) {
+    ADD_FAILURE() << "finish() inside a pool task did not return";
+    std::abort();  // the task still references this frame
+  }
+  done.get();
+  const std::vector<UserDecision> decisions = nested.decisions();
+  expect_matches_gateway(decisions, gateway);
+  ASSERT_EQ(decisions.size(), reference.decisions.size());
+  for (std::size_t i = 0; i < decisions.size(); ++i) {
+    expect_same_verdicts(decisions[i], reference.decisions[i]);
   }
 }
 
 /// A decision fault inside the parallel pass: quarantine isolates exactly
 /// the one user it hit, strict mode aborts finish() with the fault.
 TEST_F(StreamTest, FaultInParallelFinishQuarantinesOneUserOrThrows) {
-  for (const EngineMode mode : {EngineMode::kBatch, EngineMode::kLoop}) {
-    SCOPED_TRACE(to_string(mode));
-    StreamConfig config;
-    config.engine = mode;
-    config.shards = 3;
-    config.resilience.on_bad_record = BadRecordPolicy::kQuarantine;
-    StreamEngine clean_engine(harness_->make_engine(), config);
-    const FinishedRun clean = finish_run(clean_engine, *events_);
+  StreamConfig config;
+  config.shards = 3;
+  config.resilience.on_bad_record = BadRecordPolicy::kQuarantine;
+  StreamEngine clean_engine(harness_->make_engine(), config);
+  const FinishedRun clean = finish_run(clean_engine, *events_);
 
-    StreamEngine engine(harness_->make_engine(), config);
-    serve(engine, *events_);
-    testing::FailPoint::arm("stream.decide.user",
-                            testing::FailAction::kThrow);
-    engine.finish();
-    expect_no_backlog(engine);
-    EXPECT_EQ(engine.stats().quarantined_users, 1u);
-    const std::vector<UserDecision> decisions = engine.decisions();
-    ASSERT_EQ(decisions.size(), clean.decisions.size());
-    std::size_t quarantined = 0;
-    for (std::size_t i = 0; i < decisions.size(); ++i) {
-      if (decisions[i].quarantined) {
-        ++quarantined;
-        EXPECT_NE(decisions[i].quarantine_reason.find("injected a fault"),
-                  std::string::npos);
-        continue;
-      }
-      expect_same_verdicts(decisions[i], clean.decisions[i]);
+  StreamEngine engine(harness_->make_engine(), config);
+  serve(engine, *events_);
+  testing::FailPoint::arm("stream.decide.user", testing::FailAction::kThrow);
+  engine.finish();
+  EXPECT_EQ(engine.stats().quarantined_users, 1u);
+  const std::vector<UserDecision> decisions = engine.decisions();
+  ASSERT_EQ(decisions.size(), clean.decisions.size());
+  std::size_t quarantined = 0;
+  for (std::size_t i = 0; i < decisions.size(); ++i) {
+    if (decisions[i].quarantined) {
+      ++quarantined;
+      EXPECT_NE(decisions[i].quarantine_reason.find("injected a fault"),
+                std::string::npos);
+      continue;
     }
-    EXPECT_EQ(quarantined, 1u);
-
-    StreamConfig strict_config = config;
-    strict_config.resilience.on_bad_record = BadRecordPolicy::kFail;
-    StreamEngine strict(harness_->make_engine(), strict_config);
-    serve(strict, *events_);
-    testing::FailPoint::arm("stream.decide.user",
-                            testing::FailAction::kThrow);
-    EXPECT_THROW(strict.finish(), testing::InjectedFault);
+    expect_same_verdicts(decisions[i], clean.decisions[i]);
   }
+  EXPECT_EQ(quarantined, 1u);
+
+  StreamConfig strict_config = config;
+  strict_config.resilience.on_bad_record = BadRecordPolicy::kFail;
+  StreamEngine strict(harness_->make_engine(), strict_config);
+  serve(strict, *events_);
+  testing::FailPoint::arm("stream.decide.user", testing::FailAction::kThrow);
+  EXPECT_THROW(strict.finish(), testing::InjectedFault);
 }
 
 }  // namespace

@@ -244,7 +244,7 @@ TEST(Trace, ChromeJsonIsWellFormedAndTagged) {
   TraceSession& session = TraceSession::instance();
   session.start(64);
   {
-    MOOD_TRACE("test.decide", {.shard = 3, .user = "u\"quoted\"", .batch = 7});
+    MOOD_TRACE("test.decide", {.shard = 3, .user = "u\"quoted\""});
   }
   { MOOD_TRACE("test.plain"); }
   session.stop();
@@ -265,7 +265,6 @@ TEST(Trace, ChromeJsonIsWellFormedAndTagged) {
   const report::Json* args = decide.find("args");
   ASSERT_NE(nullptr, args);
   EXPECT_EQ(3, args->int_or("shard", -1));
-  EXPECT_EQ(7, args->int_or("batch", -1));
   EXPECT_EQ("u\"quoted\"", args->string_or("user", ""));
   // Untagged spans get a thread-derived tid away from shard numbers.
   EXPECT_GE(events->items()[1].int_or("tid", -1), 1000);

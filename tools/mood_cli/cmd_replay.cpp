@@ -2,12 +2,11 @@
 // offline dataset. Builds the usual ExperimentHarness (train attacks on
 // the background halves), converts the test halves into one globally
 // time-ordered event stream, replays it through the sharded StreamEngine
-// — by default continuously (--engine=loop: per-shard worker threads
-// deciding at admission time), or in micro-batches (--engine=batch, the
-// determinism oracle) — optionally paced by a target event rate or a
-// dataset-time compression factor — and emits a versioned "mood-stream/1"
-// JSON document (see src/report/report.h) with sustained throughput and
-// p50/p95/p99 decision latency.
+// (per-shard worker threads deciding each event at admission time),
+// optionally paced by a target event rate or a dataset-time compression
+// factor, and emits a versioned "mood-stream/1" JSON document (see
+// src/report/report.h) with sustained throughput and p50/p95/p99 decision
+// latency.
 //
 // Unless the window knobs make the replay lossy, the final per-user
 // decisions are verified against harness.evaluate_gateway() — the same
@@ -121,7 +120,7 @@ int cmd_replay(int argc, const char* const* argv, std::ostream& out,
       "mood replay",
       "Replay a dataset as a live event stream through the online MooD\n"
       "gateway: sharded per-user sliding windows, incremental profile\n"
-      "maintenance, micro-batched protect/expose decisions. Writes a\n"
+      "maintenance, per-event protect/expose decisions. Writes a\n"
       "mood-stream/1 JSON document with sustained throughput and decision\n"
       "latency percentiles; verifies the final decisions against the batch\n"
       "evaluators (exit 1 on mismatch) unless the window knobs make the\n"
@@ -147,21 +146,15 @@ int cmd_replay(int argc, const char* const* argv, std::ostream& out,
   flags.add_int("max-users", 0,
                 "resident users per shard before LRU eviction (0 = "
                 "unbounded)");
-  flags.add_string("engine", "loop",
-                   "execution mode: loop (per-shard worker threads decide "
-                   "each event at admission — per-event latency) | batch "
-                   "(micro-batched drains, the determinism oracle)");
   flags.add_int("loop-slack", 64,
-                "loop engine: full re-decision every N folded events per "
-                "user; held verdicts between (0 = decide every event)");
+                "full re-decision every N folded events per user; held "
+                "verdicts between (0 = decide every event)");
   flags.add_int("loop-recheck", 16,
-                "loop engine: cheap held-mechanism recheck every N folded "
-                "events per user between full decisions (0 = off)");
-  flags.add_int("batch", 256,
-                "micro-batch size (events per drain; batch engine only)");
+                "cheap held-mechanism recheck every N folded events per "
+                "user between full decisions (0 = off)");
   flags.add_int("staleness", 0,
                 "points before the PIT/POI window profiles are recompiled "
-                "(0 = every batch; the AP heatmap is always exact)");
+                "(0 = every decision; the AP heatmap is always exact)");
   flags.add_double("rate", 0.0,
                    "target ingest rate in events/second (0 = unpaced)");
   flags.add_double("compression", 0.0,
@@ -176,32 +169,27 @@ int cmd_replay(int argc, const char* const* argv, std::ostream& out,
                  "gate (skipped automatically for lossy window "
                  "configurations)");
   flags.add_string("checkpoint-dir", "",
-                   "directory for crash-consistent mood-snapshot/1 "
+                   "directory for crash-consistent mood-snapshot/2 "
                    "checkpoints (empty = checkpointing off)");
   flags.add_int("checkpoint-every", 0,
-                "write a checkpoint every N ingested events, at the next "
-                "micro-batch boundary (0 = off; requires --checkpoint-dir)");
+                "write a checkpoint every N ingested events, at a quiesced "
+                "cut (0 = off; requires --checkpoint-dir)");
   flags.add_bool("restore", false,
                  "resume from the newest usable snapshot in "
                  "--checkpoint-dir instead of replaying from the start");
-  flags.add_bool("serial-drain", false,
-                 "decide shards sequentially instead of on the thread pool");
   flags.add_string("on-bad-record", "fail",
                    "admission policy for malformed events: fail (throw, the "
                    "strict default) | skip (drop + count) | quarantine "
                    "(isolate the user, dead-letter their events)");
   flags.add_int("max-pending", 0,
-                "per-shard pending-event backlog before ingest signals "
-                "backpressure (0 = unbounded, no signal)");
+                "per-shard ring depth before ingest signals backpressure "
+                "(0 = unbounded, no signal)");
   flags.add_int("shed-high", 0,
-                "per-shard backlog at which a drain sheds load — held "
+                "per-shard ring depth at which a shard sheds load — held "
                 "verdicts instead of full decisions (0 = never shed)");
   flags.add_int("shed-low", 0,
-                "backlog at which a shedding shard recovers (hysteresis; "
+                "ring depth at which a shedding shard recovers (hysteresis; "
                 "0 with --shed-high set = half of --shed-high)");
-  flags.add_int("drain-budget", 0,
-                "full decisions per shard per drain before the batch tail "
-                "degrades to held verdicts (0 = unbounded)");
   flags.add_int("poison-users", 0,
                 "chaos drill: corrupt events of the first N user ids in "
                 "place before replaying (0 = off)");
@@ -215,16 +203,16 @@ int cmd_replay(int argc, const char* const* argv, std::ostream& out,
                    "(atomic tmp+fsync+rename) on the export cadence and "
                    "once after the replay (empty = off)");
   flags.add_int("metrics-every", 0,
-                "rewrite --metrics-out every N ingested events, at the "
-                "next micro-batch boundary (0 = follow "
-                "--checkpoint-every; final rewrite always happens)");
+                "rewrite --metrics-out every N ingested events, at a "
+                "quiesced cut (0 = follow --checkpoint-every; final "
+                "rewrite always happens)");
   flags.add_string("trace-out", "",
                    "dump a Chrome trace_event JSON of the replay's spans "
                    "here — load in chrome://tracing or Perfetto (empty = "
                    "tracing off)");
   flags.add_bool("stage-timers", true,
                  "record per-stage latency histograms (ingest admission, "
-                 "per-user decide, drain, checkpoint)");
+                 "ring residence, per-event decide, checkpoint)");
   flags.add_string("log-level", "off",
                    "gateway transition logging to stderr: off | warn | "
                    "info | debug (off keeps stderr to progress lines "
@@ -253,9 +241,6 @@ int cmd_replay(int argc, const char* const* argv, std::ostream& out,
   if (flags.get_int("shards") <= 0) {
     throw support::UsageError("mood replay: --shards must be positive");
   }
-  if (flags.get_int("batch") <= 0) {
-    throw support::UsageError("mood replay: --batch must be positive");
-  }
   if (flags.get_double("window-hours") < 0.0 || flags.get_int("max-points") < 0 ||
       flags.get_int("max-users") < 0 || flags.get_int("staleness") < 0 ||
       flags.get_double("rate") < 0.0 || flags.get_double("compression") < 0.0) {
@@ -276,25 +261,16 @@ int cmd_replay(int argc, const char* const* argv, std::ostream& out,
         "mood replay: --metrics-every requires --metrics-out");
   }
   if (flags.get_int("max-pending") < 0 || flags.get_int("shed-high") < 0 ||
-      flags.get_int("shed-low") < 0 || flags.get_int("drain-budget") < 0 ||
-      flags.get_int("poison-users") < 0) {
+      flags.get_int("shed-low") < 0 || flags.get_int("poison-users") < 0) {
     throw support::UsageError(
         "mood replay: resilience knobs must be non-negative");
   }
   if (flags.get_int("poison-stride") <= 0) {
     throw support::UsageError("mood replay: --poison-stride must be positive");
   }
-  const stream::EngineMode engine_mode =
-      stream::parse_engine_mode(flags.get_string("engine"));
   if (flags.get_int("loop-slack") < 0 || flags.get_int("loop-recheck") < 0) {
     throw support::UsageError(
         "mood replay: loop cadences must be non-negative");
-  }
-  if (flags.get_int("drain-budget") > 0 &&
-      engine_mode == stream::EngineMode::kLoop) {
-    throw support::UsageError(
-        "mood replay: --drain-budget is a batch-engine knob (the loop "
-        "engine paces full decisions with --loop-slack)");
   }
   const stream::BadRecordPolicy bad_record_policy =
       stream::parse_bad_record_policy(flags.get_string("on-bad-record"));
@@ -377,7 +353,6 @@ int cmd_replay(int argc, const char* const* argv, std::ostream& out,
 
   // ---- Gateway + replay ----------------------------------------------
   stream::StreamConfig stream_config;
-  stream_config.engine = engine_mode;
   stream_config.loop_slack =
       static_cast<std::size_t>(flags.get_int("loop-slack"));
   stream_config.loop_recheck =
@@ -391,19 +366,14 @@ int cmd_replay(int argc, const char* const* argv, std::ostream& out,
       static_cast<std::size_t>(flags.get_int("max-users"));
   stream_config.staleness_points =
       static_cast<std::size_t>(flags.get_int("staleness"));
-  stream_config.parallel_drain = !flags.get_bool("serial-drain");
   stream_config.resilience.on_bad_record = bad_record_policy;
   stream_config.resilience.max_pending_per_shard =
       static_cast<std::size_t>(flags.get_int("max-pending"));
   stream_config.resilience.shed_high_watermark = shed_high;
   stream_config.resilience.shed_low_watermark = shed_low;
-  stream_config.resilience.drain_budget =
-      static_cast<std::size_t>(flags.get_int("drain-budget"));
   stream_config.telemetry.stage_timers = flags.get_bool("stage-timers");
 
   stream::ReplayOptions replay_options;
-  replay_options.batch_events =
-      static_cast<std::size_t>(flags.get_int("batch"));
   replay_options.target_rate = flags.get_double("rate");
   replay_options.time_compression = flags.get_double("compression");
 
@@ -441,7 +411,6 @@ int cmd_replay(int argc, const char* const* argv, std::ostream& out,
   snapshot_context.seed = meta.seed;
   snapshot_context.dataset = dataset.name();
   snapshot_context.total_events = events.size();
-  snapshot_context.batch_events = replay_options.batch_events;
   if (!checkpoint_dir.empty() && flags.get_int("checkpoint-every") > 0) {
     stream::CheckpointPolicy policy;
     policy.dir = checkpoint_dir;
@@ -454,29 +423,23 @@ int cmd_replay(int argc, const char* const* argv, std::ostream& out,
     std::size_t quarantined_files = 0;
     const stream::SnapshotData snapshot =
         stream::read_latest_snapshot(checkpoint_dir, &quarantined_files);
-    // The snapshot must describe this exact replay: same seed, dataset,
-    // stream length, and micro-batch cadence — anything else would resume
-    // a different stream and silently change the published decisions.
-    // (restore_snapshot additionally vets the gateway config.)
+    // The snapshot must describe this exact replay: same seed, dataset
+    // and stream length — anything else would resume a different stream
+    // and silently change the published decisions. (restore_snapshot
+    // additionally vets the gateway config.)
     if (snapshot.context.seed != snapshot_context.seed ||
         snapshot.context.dataset != snapshot_context.dataset ||
-        snapshot.context.total_events != snapshot_context.total_events ||
-        snapshot.context.batch_events != snapshot_context.batch_events) {
+        snapshot.context.total_events != snapshot_context.total_events) {
       throw support::UsageError(
           "mood replay: snapshot in '" + checkpoint_dir +
-          "' fingerprints a different replay (seed/dataset/stream/batch "
+          "' fingerprints a different replay (seed/dataset/stream "
           "mismatch) — refusing to resume from it");
     }
-    // Loop checkpoints are quiesced cuts at any position; batch ones must
-    // land on a micro-batch boundary for the resumed drains to line up.
-    if (snapshot.stream_position > events.size() ||
-        (engine_mode == stream::EngineMode::kBatch &&
-         snapshot.stream_position % replay_options.batch_events != 0 &&
-         snapshot.stream_position != events.size())) {
+    if (snapshot.stream_position > events.size()) {
       throw support::UsageError(
           "mood replay: snapshot position " +
           std::to_string(snapshot.stream_position) +
-          " is not a micro-batch boundary of this stream");
+          " is past the end of this stream");
     }
     engine.restore_snapshot(snapshot);
     engine.note_quarantined_snapshots(quarantined_files);
@@ -494,11 +457,7 @@ int cmd_replay(int argc, const char* const* argv, std::ostream& out,
 
   err << "replaying " << events.size() << " events from "
       << harness.pairs().size() << " users through " << stream_config.shards
-      << " shards (" << stream::to_string(engine_mode);
-  if (engine_mode == stream::EngineMode::kBatch) {
-    err << ", batch " << replay_options.batch_events;
-  }
-  err << ")...\n";
+      << " shards...\n";
   const auto replay_started = elapsed();
   const stream::ReplayResult result =
       stream::run_replay(engine, events, replay_options);
@@ -542,8 +501,8 @@ int cmd_replay(int argc, const char* const* argv, std::ostream& out,
                      stream_config.max_points > 0 ||
                      stream_config.max_users_per_shard > 0;
   // Dropped or dead-lettered events likewise mean the gateway decided on
-  // different inputs than the batch pass would. Shedding and drain budgets
-  // do NOT skip verification: finish() canonicalizes every user, so final
+  // different inputs than the batch pass would. Shedding does NOT skip
+  // verification: finish() canonicalizes every user, so final
   // decisions must still match the batch oracle exactly.
   const bool degraded_inputs = result.stats.bad_records > 0 ||
                                result.stats.quarantined_users > 0;
