@@ -1,18 +1,19 @@
 // Perf bench for the attack-inference hot path: times the targeted
 // re-identification query per attack and the end-to-end evaluate_mood_full
-// pipeline through the pre-optimization reference scans, the linear
-// branch-and-bound scans (PR 3) and the population index (PR 6), verifying
+// pipeline through the linear branch-and-bound scans (the reference
+// oracle) and the population index (the production path), verifying
 // decision-for-decision agreement.
 //
 //   ./perf_attack_inference [--datasets=cabspotting] [--scale=0.25]
 //                           [--seed=7] [--repetitions=3] [--skip-full]
-//                           [--index=on|off|ab] [--json=perf.json]
+//                           [--json=perf.json]
 //
 // Defaults to cabspotting — the paper's largest population (531 users),
 // where the O(users x cells) scans dominate and pruning is the production
-// story. --json writes one "mood-bench/1" document (for the committed
-// BENCH_pr3.json trajectory seeds); with multiple --datasets the document
-// covers the last one.
+// story. --json writes one "mood-bench/1" document; with multiple
+// --datasets the document covers the last one. (The committed
+// BENCH_pr3.json predates this layout's current meaning: its "reference"
+// is the since-deleted pre-optimization hash-map scan path.)
 //
 // Population-scaling sweep (the PR 6 sublinearity evidence):
 //
@@ -250,17 +251,6 @@ int main(int argc, char** argv) {
   core::InferenceBenchOptions bench_options;
   bench_options.repetitions = static_cast<std::size_t>(repetitions);
   bench_options.run_full = !options.get_bool("skip-full", false);
-  const std::string index_flag = options.get_string("index", "on");
-  if (index_flag == "on") {
-    bench_options.index_mode = core::BenchIndexMode::kOn;
-  } else if (index_flag == "off") {
-    bench_options.index_mode = core::BenchIndexMode::kOff;
-  } else if (index_flag == "ab") {
-    bench_options.index_mode = core::BenchIndexMode::kAb;
-  } else {
-    std::fprintf(stderr, "--index must be on, off or ab\n");
-    return 2;
-  }
 
   bool all_ok = true;
   for (const auto& preset : ctx.datasets) {
@@ -275,17 +265,10 @@ int main(int argc, char** argv) {
     std::printf("%-24s %8s %12s %12s %8s %8s %s\n", "benchmark", "queries",
                 "reference_s", "optimized_s", "speedup", "prune", "agree");
     for (const auto& benchmark : cases) {
-      char prune[16];
-      if (benchmark.index_timed) {
-        std::snprintf(prune, sizeof prune, "%7.1f%%",
-                      100.0 * benchmark.prune_rate());
-      } else {
-        std::snprintf(prune, sizeof prune, "%8s", "-");
-      }
-      std::printf("%-24s %8zu %12.3f %12.3f %7.1fx %s %s\n",
+      std::printf("%-24s %8zu %12.3f %12.3f %7.1fx %7.1f%% %s\n",
                   benchmark.name.c_str(), benchmark.queries,
                   benchmark.reference_seconds, benchmark.optimized_seconds,
-                  benchmark.speedup(), prune,
+                  benchmark.speedup(), 100.0 * benchmark.prune_rate(),
                   benchmark.agreement ? "yes" : "NO");
       if (!benchmark.agreement) {
         std::printf("  MISMATCH: %s\n", benchmark.mismatch.c_str());

@@ -7,28 +7,16 @@ namespace mood::attacks {
 
 void ApAttack::train(const std::vector<mobility::Trace>& background) {
   compiled_.clear();
-  reference_.clear();
   compiled_.reserve(background.size());
-  reference_.reserve(background.size());
   for (const auto& trace : background) {
-    auto map = profiles::Heatmap::from_trace(trace, grid_);
-    compiled_.emplace_back(trace.user(), profiles::CompiledHeatmap(map));
-    reference_.emplace_back(trace.user(), std::move(map));
+    compiled_.emplace_back(trace.user(),
+                           profiles::CompiledHeatmap::from_trace(trace, grid_));
   }
   index_.build(compiled_);
 }
 
 std::optional<mobility::UserId> ApAttack::reidentify(
     const mobility::Trace& anonymous_trace) const {
-  if (mode_ == QueryMode::kReference) {
-    const auto anonymous_map =
-        profiles::Heatmap::from_trace(anonymous_trace, grid_);
-    if (anonymous_map.empty()) return std::nullopt;
-    return naive_argmin(reference_, [&](const profiles::Heatmap& map) {
-      return profiles::topsoe_divergence(anonymous_map, map);
-    });
-  }
-
   const auto anonymous_map =
       profiles::CompiledHeatmap::from_trace(anonymous_trace, grid_);
   if (anonymous_map.empty()) return std::nullopt;
@@ -44,9 +32,6 @@ std::optional<mobility::UserId> ApAttack::reidentify(
 
 bool ApAttack::reidentifies_target(const mobility::Trace& anonymous_trace,
                                    const mobility::UserId& owner) const {
-  if (mode_ == QueryMode::kReference) {
-    return Attack::reidentifies_target(anonymous_trace, owner);
-  }
   return reidentifies_compiled(compile_anonymous(anonymous_trace), owner);
 }
 

@@ -13,8 +13,7 @@
 /// map) and, by default, prune candidates through the index before
 /// pricing survivors with branch-and-bound bounded divergences — see
 /// population_index.h and bounded_scan.h. The linear scans stay available
-/// as the index's oracle (QueryMode::kScan) and the raw hash-map profiles
-/// as the original one (QueryMode::kReference).
+/// as the index's oracle (QueryMode::kScan).
 
 #include <string>
 #include <utility>
@@ -66,9 +65,7 @@ class ApAttack final : public Attack {
   /// Targeted query over a pre-compiled anonymous heatmap. Decision-
   /// identical to reidentifies_target(trace, owner) whenever
   /// `anonymous_map` carries the same cells as compile_anonymous(trace).
-  /// Always a compiled-profile path — index by default, linear scan in
-  /// kScan/kReference mode (reference mode only reroutes the trace-based
-  /// entry points).
+  /// Index by default, linear scan in kScan mode.
   [[nodiscard]] bool reidentifies_compiled(
       const profiles::CompiledHeatmap& anonymous_map,
       const mobility::UserId& owner) const;
@@ -79,10 +76,6 @@ class ApAttack final : public Attack {
   geo::CellGrid grid_;
   std::vector<std::pair<mobility::UserId, profiles::CompiledHeatmap>>
       compiled_;
-  /// Uncompiled profiles, same order — the reference-mode oracle. Kept
-  /// unconditionally: profile maps are a rounding error next to the
-  /// training traces the surrounding harness already holds in memory.
-  std::vector<std::pair<mobility::UserId, profiles::Heatmap>> reference_;
   /// Pruning index over compiled_; rebuilt by train().
   PopulationIndex<ApIndexTraits> index_;
   QueryMode mode_ = QueryMode::kIndex;

@@ -19,14 +19,11 @@
 
 namespace mood::attacks {
 
-/// Which machinery serves re-identification queries. Every mode answers
-/// every query with the *same decision* — the modes exist so the faster
-/// paths can be validated against the slower ones (inference_bench A/B,
-/// replay verification, CI gates), never to trade accuracy for speed.
+/// Which machinery serves re-identification queries. Both modes answer
+/// every query with the *same decision* — the scans exist so the index
+/// can be validated against them (inference_bench, replay verification,
+/// CI gates), never to trade accuracy for speed.
 enum class QueryMode {
-  /// Pre-optimization hash-map scans over the legacy profiles — the
-  /// original oracle, O(population * profile) per query.
-  kReference,
   /// Flat compiled profiles + linear branch-and-bound scans
   /// (bounded_scan.h) — prices candidates in training order, pruning with
   /// the best distance so far. The oracle for the index.
@@ -90,15 +87,6 @@ class Attack {
   /// The active query machinery.
   [[nodiscard]] virtual QueryMode query_mode() const {
     return QueryMode::kScan;
-  }
-
-  /// Reference mode: route every query through the pre-optimization
-  /// hash-map scans (the oracle the optimized paths are validated
-  /// against). Kept as the stable two-state switch older call sites use;
-  /// leaving reference mode returns to the production default (kIndex).
-  /// Not thread-safe — flip only outside parallel sections.
-  virtual void set_reference_mode(bool on) {
-    set_query_mode(on ? QueryMode::kReference : QueryMode::kIndex);
   }
 
   /// Population-index work counters (zero for attacks without an index).

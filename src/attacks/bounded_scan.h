@@ -15,7 +15,10 @@
 ///    re-identified as `owner`?" query: it prices the owner first and walks
 ///    the rest of the population with that price as the bound.
 ///
-/// Both preserve the naive scan's first-strict-min tie-breaking exactly.
+/// Both preserve the naive first-strict-min scan's tie-breaking exactly:
+/// the first user attaining the minimum finite distance wins. They are the
+/// oracle the population index (population_index.h) is validated against,
+/// and the index delegates to them below kIndexMinPopulation.
 /// The bounded distance callable must satisfy the contract documented on
 /// the profiles' *_bounded functions: bounded(profile, bound) returns the
 /// exact distance whenever it is <= bound, and some value > bound (usually
@@ -30,32 +33,10 @@
 
 namespace mood::attacks {
 
-/// The naive first-strict-min argmin scan — the reference-mode oracle the
-/// bounded scans are validated against, single-sourced so every attack's
-/// legacy path shares one implementation. `distance` is called as
-/// distance(profile). Returns the first user attaining the minimum finite
-/// distance, or nullopt when every distance is infinite.
-template <typename Profile, typename Distance>
-std::optional<mobility::UserId> naive_argmin(
-    const std::vector<std::pair<mobility::UserId, Profile>>& profiles,
-    const Distance& distance) {
-  double best = std::numeric_limits<double>::infinity();
-  const mobility::UserId* best_user = nullptr;
-  for (const auto& [user, profile] : profiles) {
-    const double d = distance(profile);
-    if (d < best) {
-      best = d;
-      best_user = &user;
-    }
-  }
-  if (best_user == nullptr) return std::nullopt;
-  return *best_user;
-}
-
 /// Argmin over trained profiles with branch-and-bound pruning. `bounded`
 /// is called as bounded(profile, current_best). Returns the first user
 /// attaining the minimum finite distance, or nullopt when every distance
-/// is infinite — exactly naive_argmin's answer.
+/// is infinite — exactly the naive scan's answer.
 template <typename Profile, typename BoundedDistance>
 std::optional<mobility::UserId> scan_argmin(
     const std::vector<std::pair<mobility::UserId, Profile>>& profiles,
@@ -73,26 +54,15 @@ std::optional<mobility::UserId> scan_argmin(
   return *best_user;
 }
 
-/// True iff the naive argmin scan would answer `owner`: the owner's
-/// distance is finite, every earlier user is strictly farther (an earlier
-/// tie would win the first-strict-min scan) and no later user is strictly
-/// closer. Prices the owner once with `exact`, then walks the rest of the
+/// scan_is_first_argmin for the owner at `owner_index`, the first entry
+/// carrying the owner's id (callers that already know it skip the linear
+/// lookup). Prices the owner once with `exact`, then walks the rest of the
 /// population with the owner's distance as the pruning bound.
 template <typename Profile, typename ExactDistance, typename BoundedDistance>
-bool scan_is_first_argmin(
+bool scan_is_first_argmin_at(
     const std::vector<std::pair<mobility::UserId, Profile>>& profiles,
-    const mobility::UserId& owner, const ExactDistance& exact,
+    std::size_t owner_index, const ExactDistance& exact,
     const BoundedDistance& bounded) {
-  std::size_t owner_index = profiles.size();
-  for (std::size_t i = 0; i < profiles.size(); ++i) {
-    if (profiles[i].first == owner) {
-      owner_index = i;
-      break;
-    }
-  }
-  // Unknown owner: the scan can only ever answer trained users.
-  if (owner_index == profiles.size()) return false;
-
   const double target = exact(profiles[owner_index].second);
   if (target == std::numeric_limits<double>::infinity()) return false;
 
@@ -103,6 +73,24 @@ bool scan_is_first_argmin(
     if (bounded(profiles[i].second, target) < target) return false;
   }
   return true;
+}
+
+/// True iff the naive argmin scan would answer `owner`: the owner's
+/// distance is finite, every earlier user is strictly farther (an earlier
+/// tie would win the first-strict-min scan) and no later user is strictly
+/// closer.
+template <typename Profile, typename ExactDistance, typename BoundedDistance>
+bool scan_is_first_argmin(
+    const std::vector<std::pair<mobility::UserId, Profile>>& profiles,
+    const mobility::UserId& owner, const ExactDistance& exact,
+    const BoundedDistance& bounded) {
+  for (std::size_t i = 0; i < profiles.size(); ++i) {
+    if (profiles[i].first == owner) {
+      return scan_is_first_argmin_at(profiles, i, exact, bounded);
+    }
+  }
+  // Unknown owner: the scan can only ever answer trained users.
+  return false;
 }
 
 }  // namespace mood::attacks

@@ -7,33 +7,19 @@ namespace mood::attacks {
 
 void PitAttack::train(const std::vector<mobility::Trace>& background) {
   compiled_.clear();
-  reference_.clear();
   compiled_.reserve(background.size());
-  reference_.reserve(background.size());
   for (const auto& trace : background) {
-    auto profile = profiles::MarkovProfile::from_trace(trace, params_);
     compiled_.emplace_back(trace.user(),
-                           profiles::CompiledMarkovProfile(profile));
-    reference_.emplace_back(trace.user(), std::move(profile));
+                           profiles::CompiledMarkovProfile(
+                               profiles::MarkovProfile::from_trace(trace,
+                                                                   params_)));
   }
   index_.build(compiled_);
 }
 
 std::optional<mobility::UserId> PitAttack::reidentify(
     const mobility::Trace& anonymous_trace) const {
-  if (mode_ == QueryMode::kReference) {
-    const auto anonymous_profile =
-        profiles::MarkovProfile::from_trace(anonymous_trace, params_);
-    if (anonymous_profile.empty()) return std::nullopt;
-    return naive_argmin(
-        reference_, [&](const profiles::MarkovProfile& profile) {
-          return profiles::stats_prox_distance(anonymous_profile, profile,
-                                               proximity_scale_m_);
-        });
-  }
-
-  const profiles::CompiledMarkovProfile anonymous_profile(
-      profiles::MarkovProfile::from_trace(anonymous_trace, params_));
+  const auto anonymous_profile = compile_anonymous(anonymous_trace);
   if (anonymous_profile.empty()) return std::nullopt;
   const auto bounded = [&](const profiles::CompiledMarkovProfile& profile,
                            double bound) {
@@ -48,9 +34,6 @@ std::optional<mobility::UserId> PitAttack::reidentify(
 
 bool PitAttack::reidentifies_target(const mobility::Trace& anonymous_trace,
                                     const mobility::UserId& owner) const {
-  if (mode_ == QueryMode::kReference) {
-    return Attack::reidentifies_target(anonymous_trace, owner);
-  }
   return reidentifies_compiled(compile_anonymous(anonymous_trace), owner);
 }
 

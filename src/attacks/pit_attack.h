@@ -13,8 +13,7 @@
 /// weight-prefix summaries); queries prune candidates through the index
 /// by default before pricing survivors with branch-and-bound bounded
 /// distances — see population_index.h and bounded_scan.h. The linear
-/// scans stay available as the index's oracle (QueryMode::kScan) and the
-/// raw profiles as the original one (QueryMode::kReference).
+/// scans stay available as the index's oracle (QueryMode::kScan).
 
 #include <string>
 #include <utility>
@@ -68,8 +67,8 @@ class PitAttack final : public Attack {
 
   /// Targeted query over a pre-compiled anonymous MMC. Decision-identical
   /// to reidentifies_target(trace, owner) whenever `anonymous_profile`
-  /// equals compile_anonymous(trace). Always a compiled-profile path —
-  /// index by default, linear scan in kScan/kReference mode.
+  /// equals compile_anonymous(trace). Index by default, linear scan in
+  /// kScan mode.
   [[nodiscard]] bool reidentifies_compiled(
       const profiles::CompiledMarkovProfile& anonymous_profile,
       const mobility::UserId& owner) const;
@@ -83,11 +82,6 @@ class PitAttack final : public Attack {
   double proximity_scale_m_;
   std::vector<std::pair<mobility::UserId, profiles::CompiledMarkovProfile>>
       compiled_;
-  /// Uncompiled profiles, same order — the reference-mode oracle. Kept
-  /// unconditionally: profile storage is a rounding error next to the
-  /// training traces the surrounding harness already holds in memory.
-  std::vector<std::pair<mobility::UserId, profiles::MarkovProfile>>
-      reference_;
   /// Pruning index over compiled_; rebuilt by train(). Depends on
   /// proximity_scale_m_, so it must be declared after it.
   PopulationIndex<PitIndexTraits> index_{PitIndexTraits{proximity_scale_m_}};

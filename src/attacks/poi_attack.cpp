@@ -7,34 +7,22 @@ namespace mood::attacks {
 
 void PoiAttack::train(const std::vector<mobility::Trace>& background) {
   compiled_.clear();
-  reference_.clear();
   compiled_.reserve(background.size());
-  reference_.reserve(background.size());
   for (const auto& trace : background) {
     // Users with no extractable POIs cannot be matched; training still
     // records them so trained_users() reflects the population, but an
     // empty profile yields infinite distance and never wins.
-    auto profile = profiles::PoiProfile::from_trace(trace, params_);
     compiled_.emplace_back(trace.user(),
-                           profiles::CompiledPoiProfile(profile));
-    reference_.emplace_back(trace.user(), std::move(profile));
+                           profiles::CompiledPoiProfile(
+                               profiles::PoiProfile::from_trace(trace,
+                                                                params_)));
   }
   index_.build(compiled_);
 }
 
 std::optional<mobility::UserId> PoiAttack::reidentify(
     const mobility::Trace& anonymous_trace) const {
-  if (mode_ == QueryMode::kReference) {
-    const auto anonymous_profile =
-        profiles::PoiProfile::from_trace(anonymous_trace, params_);
-    if (anonymous_profile.empty()) return std::nullopt;
-    return naive_argmin(reference_, [&](const profiles::PoiProfile& profile) {
-      return profiles::poi_profile_distance(anonymous_profile, profile);
-    });
-  }
-
-  const profiles::CompiledPoiProfile anonymous_profile(
-      profiles::PoiProfile::from_trace(anonymous_trace, params_));
+  const auto anonymous_profile = compile_anonymous(anonymous_trace);
   if (anonymous_profile.empty()) return std::nullopt;
   const auto bounded = [&](const profiles::CompiledPoiProfile& profile,
                            double bound) {
@@ -49,9 +37,6 @@ std::optional<mobility::UserId> PoiAttack::reidentify(
 
 bool PoiAttack::reidentifies_target(const mobility::Trace& anonymous_trace,
                                     const mobility::UserId& owner) const {
-  if (mode_ == QueryMode::kReference) {
-    return Attack::reidentifies_target(anonymous_trace, owner);
-  }
   return reidentifies_compiled(compile_anonymous(anonymous_trace), owner);
 }
 

@@ -10,8 +10,7 @@
 /// summaries); queries prune candidates through the index by default
 /// before pricing survivors with branch-and-bound bounded distances — see
 /// population_index.h and bounded_scan.h. The linear scans stay available
-/// as the index's oracle (QueryMode::kScan) and the raw profiles as the
-/// original one (QueryMode::kReference).
+/// as the index's oracle (QueryMode::kScan).
 
 #include <string>
 #include <utility>
@@ -63,9 +62,8 @@ class PoiAttack final : public Attack {
 
   /// Targeted query over a pre-compiled anonymous POI set. Decision-
   /// identical to reidentifies_target(trace, owner) whenever
-  /// `anonymous_profile` equals compile_anonymous(trace). Always a
-  /// compiled-profile path — index by default, linear scan in
-  /// kScan/kReference mode.
+  /// `anonymous_profile` equals compile_anonymous(trace). Index by
+  /// default, linear scan in kScan mode.
   [[nodiscard]] bool reidentifies_compiled(
       const profiles::CompiledPoiProfile& anonymous_profile,
       const mobility::UserId& owner) const;
@@ -78,10 +76,6 @@ class PoiAttack final : public Attack {
   clustering::PoiParams params_;
   std::vector<std::pair<mobility::UserId, profiles::CompiledPoiProfile>>
       compiled_;
-  /// Uncompiled profiles, same order — the reference-mode oracle. Kept
-  /// unconditionally: profile storage is a rounding error next to the
-  /// training traces the surrounding harness already holds in memory.
-  std::vector<std::pair<mobility::UserId, profiles::PoiProfile>> reference_;
   /// Pruning index over compiled_; rebuilt by train().
   PopulationIndex<PoiIndexTraits> index_;
   QueryMode mode_ = QueryMode::kIndex;

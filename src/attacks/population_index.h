@@ -27,7 +27,7 @@
 /// lower_bound <= exact is guaranteed as *computed* values (summaries.h
 /// admissibility contract). First-strict-min tie-breaking is therefore
 /// bit-identical to scan_argmin / scan_is_first_argmin, which the replay
-/// verification gate and `mood bench --index=ab` enforce end to end.
+/// verification gate and `mood bench` enforce end to end.
 ///
 /// ## Coherence under updates
 ///
@@ -41,8 +41,9 @@
 /// is what a layout-reordering index would need — counted in stats so the
 /// stream cost model sees it).
 ///
-/// Populations below kIndexMinPopulation delegate to plain bounded scans
-/// (see the constant below) — same counters, no summary reads.
+/// Populations below kIndexMinPopulation delegate to the bounded scans of
+/// bounded_scan.h (see the constant below) — same counters, no summary
+/// reads.
 ///
 /// Queries are const and thread-safe (counters are relaxed atomics);
 /// build()/update() must happen outside parallel sections, matching the
@@ -59,6 +60,7 @@
 #include <vector>
 
 #include "attacks/attack.h"
+#include "attacks/bounded_scan.h"
 #include "mobility/trace.h"
 #include "profiles/summaries.h"
 
@@ -143,23 +145,15 @@ class PopulationIndex {
   [[nodiscard]] std::optional<mobility::UserId> argmin(
       const Summary& query, const BoundedDistance& bounded) const {
     const Population& population = *population_;
-    double best = std::numeric_limits<double>::infinity();
-    const mobility::UserId* best_user = nullptr;
     std::uint64_t pruned = 0;
     std::uint64_t evals = 0;
     if (population.size() < kIndexMinPopulation) {
-      for (const auto& [user, profile] : population) {
-        ++evals;
-        const double d = bounded(profile, best);
-        if (d < best) {
-          best = d;
-          best_user = &user;
-        }
-      }
-      flush_counters(pruned, evals);
-      if (best_user == nullptr) return std::nullopt;
-      return *best_user;
+      auto answer = scan_argmin(population, counting(bounded, evals));
+      flush_counters(0, evals);
+      return answer;
     }
+    double best = std::numeric_limits<double>::infinity();
+    const mobility::UserId* best_user = nullptr;
     std::size_t i = 0;
     for (std::size_t c = 0; c < clusters_.size(); ++c) {
       const std::size_t end =
@@ -205,24 +199,19 @@ class PopulationIndex {
     }
     const std::size_t owner_at = it->second;
     std::uint64_t pruned = 0;
-    std::uint64_t evals = 1;
+    std::uint64_t evals = 0;
+    if (population.size() < kIndexMinPopulation) {
+      const bool owns = scan_is_first_argmin_at(population, owner_at,
+                                                counting(exact, evals),
+                                                counting(bounded, evals));
+      flush_counters(0, evals);
+      return owns;
+    }
+    ++evals;
     const double target = exact(population[owner_at].second);
     if (target == std::numeric_limits<double>::infinity()) {
-      flush_counters(0, evals);
-      return false;
-    }
-    if (population.size() < kIndexMinPopulation) {
-      for (std::size_t i = 0; i < population.size(); ++i) {
-        if (i == owner_at) continue;
-        ++evals;
-        const double d = bounded(population[i].second, target);
-        if (i < owner_at ? d <= target : d < target) {
-          flush_counters(pruned, evals);
-          return false;
-        }
-      }
       flush_counters(pruned, evals);
-      return true;
+      return false;
     }
     // A candidate whose lower bound strictly exceeds the target can
     // neither tie (earlier) nor beat (later) the owner — skipping it
@@ -270,6 +259,16 @@ class PopulationIndex {
     const std::size_t end =
         std::min(begin + kIndexClusterSize, summaries_.size());
     clusters_[c] = traits_.aggregate(summaries_, begin, end);
+  }
+
+  /// Wraps a distance callable so that every call counts one exact
+  /// evaluation — how the delegated scans keep the index's counters.
+  template <typename Distance>
+  static auto counting(const Distance& distance, std::uint64_t& evals) {
+    return [&distance, &evals](const auto&... args) {
+      ++evals;
+      return distance(args...);
+    };
   }
 
   void flush_counters(std::uint64_t pruned, std::uint64_t evals) const {

@@ -32,10 +32,6 @@ void train_all(const std::vector<AttackPtr>& suite,
   for (const auto& attack : suite) attack->train(background);
 }
 
-void set_reference_mode(const std::vector<AttackPtr>& suite, bool on) {
-  for (const auto& attack : suite) attack->set_reference_mode(on);
-}
-
 void set_query_mode(const std::vector<AttackPtr>& suite, QueryMode mode) {
   for (const auto& attack : suite) attack->set_query_mode(mode);
 }

@@ -39,11 +39,6 @@ AttackPtr make_attack(const std::string& name, const geo::GeoPoint& reference,
 void train_all(const std::vector<AttackPtr>& suite,
                const std::vector<mobility::Trace>& background);
 
-/// Flips every attack of a suite between the optimized path and the
-/// pre-optimization reference scans (see Attack::set_reference_mode).
-/// Not thread-safe — call outside parallel sections.
-void set_reference_mode(const std::vector<AttackPtr>& suite, bool on);
-
 /// Selects the query machinery for every attack of a suite (see
 /// attacks::QueryMode). Not thread-safe — call outside parallel sections.
 void set_query_mode(const std::vector<AttackPtr>& suite, QueryMode mode);

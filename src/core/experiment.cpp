@@ -181,10 +181,6 @@ std::vector<const attacks::Attack*> ExperimentHarness::attack_views(
   return views;
 }
 
-void ExperimentHarness::set_attack_reference_mode(bool on) const {
-  attacks::set_reference_mode(attacks_, on);
-}
-
 void ExperimentHarness::set_attack_query_mode(attacks::QueryMode mode) const {
   attacks::set_query_mode(attacks_, mode);
 }

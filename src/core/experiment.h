@@ -205,22 +205,16 @@ class ExperimentHarness {
       const std::vector<std::size_t>& attack_subset = {},
       decision::KernelConfig kernel_config = {}) const;
 
-  /// Routes every trained attack through the pre-optimization reference
-  /// scans (Attack::set_reference_mode) — the A/B switch the perf bench
-  /// and equivalence smoke checks flip between timed runs. const because
-  /// it does not change the harness's observable results, only which
-  /// (decision-equivalent) implementation answers queries. Not
-  /// thread-safe — call outside parallel sections.
-  void set_attack_reference_mode(bool on) const;
-
-  /// Selects the attacks' query machinery directly (reference scans,
-  /// linear branch-and-bound scans, or the population index — see
-  /// attacks::QueryMode). Same const + thread-safety caveats as
-  /// set_attack_reference_mode.
+  /// Selects the attacks' query machinery (linear branch-and-bound scans
+  /// or the population index — see attacks::QueryMode): the switch the
+  /// perf bench flips between timed runs. const because it does not
+  /// change the harness's observable results, only which (decision-
+  /// equivalent) implementation answers queries. Not thread-safe — call
+  /// outside parallel sections.
   void set_attack_query_mode(attacks::QueryMode mode) const;
 
   /// Population-index work counters summed over every attack of the
-  /// suite (all zero when queries run in scan/reference mode).
+  /// suite (unchanged while queries run in scan mode).
   [[nodiscard]] attacks::IndexStats attack_index_stats() const;
 
   /// Index of the AP attack inside attacks() (the single-attack

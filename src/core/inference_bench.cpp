@@ -58,8 +58,8 @@ TimedPasses time_target_queries(const attacks::Attack& attack,
 }
 
 /// Argmin answers + targeted decisions of one attack over every pair, in
-/// whatever query mode is currently set (the agreement sweeps compare
-/// these across modes).
+/// whatever query mode is currently set (the agreement sweep compares
+/// these across the two modes).
 struct SweepAnswers {
   std::vector<std::optional<mobility::UserId>> answers;
   std::vector<bool> decisions;
@@ -78,87 +78,69 @@ SweepAnswers sweep(const attacks::Attack& attack,
   return out;
 }
 
-/// First divergence between two sweeps ("" when none). `left`/`right`
-/// label the modes for the mismatch message.
+/// First divergence between the scan and index sweeps ("" when none).
 std::string compare_sweeps(const attacks::Attack& attack,
                            const ExperimentHarness& harness,
-                           const SweepAnswers& a, const std::string& left,
-                           const SweepAnswers& b, const std::string& right) {
+                           const SweepAnswers& scan,
+                           const SweepAnswers& index) {
   for (std::size_t i = 0; i < harness.pairs().size(); ++i) {
-    if (a.answers[i] == b.answers[i] && a.decisions[i] == b.decisions[i]) {
+    if (scan.answers[i] == index.answers[i] &&
+        scan.decisions[i] == index.decisions[i]) {
       continue;
     }
     std::ostringstream what;
     what << attack.name() << " diverges on user "
-         << harness.pairs()[i].test.user() << ": " << left << "="
-         << a.answers[i].value_or("(none)") << " " << right << "="
-         << b.answers[i].value_or("(none)");
+         << harness.pairs()[i].test.user()
+         << ": scan=" << scan.answers[i].value_or("(none)")
+         << " index=" << index.answers[i].value_or("(none)");
     return what.str();
   }
   return "";
 }
 
+/// Index work counter deltas since `before`, over a population of
+/// `population` candidates per query.
+void record_index_work(InferenceBenchCase& result,
+                       const attacks::IndexStats& before,
+                       const attacks::IndexStats& after,
+                       std::uint64_t population) {
+  result.index_queries = after.queries - before.queries;
+  result.index_pruned = after.pruned_candidates - before.pruned_candidates;
+  result.index_exact_evals = after.exact_evaluations - before.exact_evaluations;
+  result.index_candidates = result.index_queries * population;
+}
+
 InferenceBenchCase bench_attack(const attacks::Attack& attack,
                                 const ExperimentHarness& harness,
-                                std::size_t repetitions,
-                                BenchIndexMode index_mode) {
-  const attacks::QueryMode production = index_mode == BenchIndexMode::kOff
-                                            ? attacks::QueryMode::kScan
-                                            : attacks::QueryMode::kIndex;
+                                std::size_t repetitions) {
   InferenceBenchCase result;
   result.name = slug(attack.name()) + "-reidentify";
   result.queries = harness.pairs().size();
 
   // Agreement sweep (untimed): argmin answers and targeted decisions of
-  // the production path vs the reference oracle — and, in ab mode, vs the
-  // linear-scan oracle as well.
-  harness.set_attack_query_mode(production);
-  const SweepAnswers optimized_sweep = sweep(attack, harness);
-  if (index_mode == BenchIndexMode::kAb) {
-    harness.set_attack_query_mode(attacks::QueryMode::kScan);
-    const SweepAnswers scan_sweep = sweep(attack, harness);
-    result.mismatch = compare_sweeps(attack, harness, scan_sweep, "scan",
-                                     optimized_sweep, "index");
-  }
-  if (result.mismatch.empty()) {
-    harness.set_attack_query_mode(attacks::QueryMode::kReference);
-    const SweepAnswers reference_sweep = sweep(attack, harness);
-    result.mismatch =
-        compare_sweeps(attack, harness, reference_sweep, "reference",
-                       optimized_sweep, "optimized");
-  }
+  // the index vs the linear-scan oracle.
+  harness.set_attack_query_mode(attacks::QueryMode::kScan);
+  const SweepAnswers scan_sweep = sweep(attack, harness);
+  harness.set_attack_query_mode(attacks::QueryMode::kIndex);
+  const SweepAnswers index_sweep = sweep(attack, harness);
+  result.mismatch = compare_sweeps(attack, harness, scan_sweep, index_sweep);
   result.agreement = result.mismatch.empty();
 
-  // Timed passes: reference first, then (ab only) the linear scans, then
-  // the production path, with index work counters sampled around it.
-  harness.set_attack_query_mode(attacks::QueryMode::kReference);
+  // Timed passes: the scan oracle first, then the index, with its work
+  // counters sampled around it.
+  harness.set_attack_query_mode(attacks::QueryMode::kScan);
   const TimedPasses reference =
       time_target_queries(attack, harness, repetitions);
   result.reference_seconds = reference.seconds_per_pass;
   result.reference_passes = reference.passes;
-  if (index_mode == BenchIndexMode::kAb) {
-    harness.set_attack_query_mode(attacks::QueryMode::kScan);
-    const TimedPasses scan = time_target_queries(attack, harness, repetitions);
-    result.scan_seconds = scan.seconds_per_pass;
-    result.scan_passes = scan.passes;
-  }
-  harness.set_attack_query_mode(production);
+  harness.set_attack_query_mode(attacks::QueryMode::kIndex);
   const attacks::IndexStats before = attack.index_stats();
   const TimedPasses optimized =
       time_target_queries(attack, harness, repetitions);
   result.optimized_seconds = optimized.seconds_per_pass;
   result.optimized_passes = optimized.passes;
-  if (production == attacks::QueryMode::kIndex) {
-    const attacks::IndexStats after = attack.index_stats();
-    result.index_timed = true;
-    result.index_queries = after.queries - before.queries;
-    result.index_pruned = after.pruned_candidates - before.pruned_candidates;
-    result.index_exact_evals =
-        after.exact_evaluations - before.exact_evaluations;
-    result.index_candidates =
-        result.index_queries *
-        static_cast<std::uint64_t>(attack.trained_users());
-  }
+  record_index_work(result, before, attack.index_stats(),
+                    static_cast<std::uint64_t>(attack.trained_users()));
   return result;
 }
 
@@ -203,18 +185,14 @@ std::string compare_mood_results(const MoodResult& reference,
 
 InferenceBenchCase bench_full_pipeline(
     const ExperimentHarness& harness,
-    const std::vector<std::size_t>& attack_subset,
-    BenchIndexMode index_mode) {
-  const attacks::QueryMode production = index_mode == BenchIndexMode::kOff
-                                            ? attacks::QueryMode::kScan
-                                            : attacks::QueryMode::kIndex;
+    const std::vector<std::size_t>& attack_subset) {
   InferenceBenchCase result;
   result.name = "evaluate-mood-full";
   result.queries = harness.pairs().size();
 
-  harness.set_attack_query_mode(attacks::QueryMode::kReference);
+  harness.set_attack_query_mode(attacks::QueryMode::kScan);
   const MoodResult reference = harness.evaluate_mood_full(attack_subset);
-  harness.set_attack_query_mode(production);
+  harness.set_attack_query_mode(attacks::QueryMode::kIndex);
   const attacks::IndexStats before = harness.attack_index_stats();
   const MoodResult optimized = harness.evaluate_mood_full(attack_subset);
 
@@ -222,20 +200,12 @@ InferenceBenchCase bench_full_pipeline(
   result.optimized_seconds = optimized.wall_seconds;
   result.mismatch = compare_mood_results(reference, optimized);
   result.agreement = result.mismatch.empty();
-  if (production == attacks::QueryMode::kIndex) {
-    const attacks::IndexStats after = harness.attack_index_stats();
-    result.index_timed = true;
-    result.index_queries = after.queries - before.queries;
-    result.index_pruned = after.pruned_candidates - before.pruned_candidates;
-    result.index_exact_evals =
-        after.exact_evaluations - before.exact_evaluations;
-    std::uint64_t population = 0;
-    for (const auto& attack : harness.attacks()) {
-      population = std::max(
-          population, static_cast<std::uint64_t>(attack->trained_users()));
-    }
-    result.index_candidates = result.index_queries * population;
+  std::uint64_t population = 0;
+  for (const auto& attack : harness.attacks()) {
+    population = std::max(
+        population, static_cast<std::uint64_t>(attack->trained_users()));
   }
+  record_index_work(result, before, harness.attack_index_stats(), population);
   return result;
 }
 
@@ -258,12 +228,10 @@ std::vector<InferenceBenchCase> run_inference_bench(
 
   std::vector<InferenceBenchCase> cases;
   for (const auto* attack : attacks) {
-    cases.push_back(bench_attack(*attack, harness, options.repetitions,
-                                 options.index_mode));
+    cases.push_back(bench_attack(*attack, harness, options.repetitions));
   }
   if (options.run_full) {
-    cases.push_back(bench_full_pipeline(harness, options.attack_subset,
-                                        options.index_mode));
+    cases.push_back(bench_full_pipeline(harness, options.attack_subset));
   }
   return cases;
 }

@@ -3,11 +3,13 @@
 /// \file inference_bench.h
 /// A/B measurement harness for the attack-inference hot path.
 ///
-/// Every trained attack keeps its pre-optimization implementation behind
-/// Attack::set_reference_mode (hash-map profiles, full population scans).
-/// The bench times the same workload through both paths and — just as
-/// importantly — verifies the two agree decision for decision, so a perf
-/// regression hunt can never silently trade correctness for speed:
+/// Every trained attack answers queries either through its population
+/// index (attacks::QueryMode::kIndex, the production default) or through
+/// the linear branch-and-bound scans the index is validated against
+/// (kScan, the oracle). The bench times the same workload through both
+/// and — just as importantly — verifies the two agree decision for
+/// decision, so a perf regression hunt can never silently trade
+/// correctness for speed:
 ///
 ///  * one re-identification microbench per attack: the targeted
 ///    reidentifies_target(test_trace, owner) predicate over every
@@ -29,37 +31,21 @@
 
 namespace mood::core {
 
-/// Which fast path the bench times as "optimized", and how deep the
-/// cross-validation goes.
-enum class BenchIndexMode {
-  kOff,  ///< optimized = linear branch-and-bound scans (index unused)
-  kOn,   ///< optimized = population index, validated against reference
-  /// Full three-way A/B: reference vs linear scans vs index — the index
-  /// is timed as "optimized", the scans are timed separately
-  /// (scan_seconds), and the agreement sweep compares all three paths.
-  kAb,
-};
-
-/// Outcome of one A/B case.
+/// Outcome of one A/B case. "reference" is the kScan oracle, "optimized"
+/// the kIndex production path.
 struct InferenceBenchCase {
   std::string name;       ///< "ap-attack-reidentify", "evaluate-mood-full"...
   std::size_t queries = 0;            ///< workload size per timed pass
   std::size_t reference_passes = 1;   ///< timed passes actually averaged over
   std::size_t optimized_passes = 1;   ///< (the fast path repeats more often)
-  double reference_seconds = 0.0;     ///< one pass, pre-optimization path
-  double optimized_seconds = 0.0;     ///< one pass, production path (index
-                                      ///< by default, scans in kOff mode)
-  bool agreement = true;          ///< all timed paths decided identically
+  double reference_seconds = 0.0;     ///< one pass, linear-scan oracle
+  double optimized_seconds = 0.0;     ///< one pass, population index
+  bool agreement = true;          ///< both paths decided identically
   std::string mismatch;           ///< first disagreement ("" when none)
 
-  // Populated in kAb mode: the linear-scan oracle timed on its own.
-  double scan_seconds = 0.0;          ///< one pass, branch-and-bound scans
-  std::size_t scan_passes = 0;        ///< 0 = scan path not timed separately
-
-  // Populated when the optimized path was the population index: work
-  // counter deltas over the optimized timed passes. pruned + exact can
-  // undershoot candidates — a targeted query stops at the first defeat.
-  bool index_timed = false;
+  // Index work counter deltas over the optimized timed passes. pruned +
+  // exact can undershoot candidates — a targeted query stops at the first
+  // defeat.
   std::uint64_t index_queries = 0;        ///< queries served by the index
   std::uint64_t index_candidates = 0;     ///< queries x population
   std::uint64_t index_pruned = 0;         ///< skipped via lower bounds
@@ -94,15 +80,12 @@ struct InferenceBenchOptions {
   std::size_t repetitions = 3;
   bool run_full = true;         ///< include the evaluate_mood_full A/B case
   std::vector<std::size_t> attack_subset;  ///< indices; empty = all
-  /// Which fast path to time and how many paths to cross-validate
-  /// (`mood bench --index=on|off|ab`).
-  BenchIndexMode index_mode = BenchIndexMode::kOn;
 };
 
 /// Runs the microbenches (and, if configured, the full-pipeline A/B) on a
-/// built harness. Leaves the harness in the production query mode of the
-/// configured index_mode (kIndex, or kScan for kOff). Cases appear in
-/// attack order followed by "evaluate-mood-full".
+/// built harness. Leaves the harness in the production query mode
+/// (kIndex). Cases appear in attack order followed by
+/// "evaluate-mood-full".
 std::vector<InferenceBenchCase> run_inference_bench(
     const ExperimentHarness& harness, const InferenceBenchOptions& options);
 

@@ -113,7 +113,7 @@ struct KernelStats {
   std::uint64_t attack_invocations = 0;
   /// Population-index counters, pulled from the attacks at snapshot time
   /// (the index lives inside each trained attack; the kernel reads, never
-  /// writes). All zero when queries run in scan/reference mode.
+  /// writes). All zero when queries run in scan mode.
   std::uint64_t index_prunes = 0;    ///< candidates skipped via lower bounds
   std::uint64_t exact_evals = 0;     ///< candidates priced exactly
   std::uint64_t index_rebuilds = 0;  ///< full index (re)builds

@@ -220,20 +220,14 @@ Json to_json(const core::InferenceBenchCase& result) {
   object["speedup"] = result.speedup();
   object["agreement"] = result.agreement;
   object["mismatch"] = result.mismatch;
-  if (result.scan_passes > 0) {
-    object["scan_seconds"] = result.scan_seconds;
-    object["scan_passes"] = result.scan_passes;
-  }
-  if (result.index_timed) {
-    Json index = Json::object();
-    index["queries"] = result.index_queries;
-    index["candidates"] = result.index_candidates;
-    index["pruned_candidates"] = result.index_pruned;
-    index["exact_evaluations"] = result.index_exact_evals;
-    index["prune_rate"] = result.prune_rate();
-    index["exact_evaluations_per_query"] = result.exact_evals_per_query();
-    object["index"] = std::move(index);
-  }
+  Json index = Json::object();
+  index["queries"] = result.index_queries;
+  index["candidates"] = result.index_candidates;
+  index["pruned_candidates"] = result.index_pruned;
+  index["exact_evaluations"] = result.index_exact_evals;
+  index["prune_rate"] = result.prune_rate();
+  index["exact_evaluations_per_query"] = result.exact_evals_per_query();
+  object["index"] = std::move(index);
   return object;
 }
 
@@ -260,9 +254,7 @@ std::vector<std::vector<std::string>> bench_summary_rows(
                     fixed(benchmark.reference_seconds, 3),
                     fixed(benchmark.optimized_seconds, 3),
                     fixed(benchmark.speedup(), 1) + "x",
-                    benchmark.index_timed
-                        ? fixed(100.0 * benchmark.prune_rate(), 1) + "%"
-                        : "-",
+                    fixed(100.0 * benchmark.prune_rate(), 1) + "%",
                     benchmark.agreement ? "yes" : "NO"});
   }
   return rows;

@@ -82,14 +82,11 @@ inline constexpr const char* kResultSchema = "mood-result/1";
 ///       "name": "ap-attack-reidentify",  // or "evaluate-mood-full"
 ///       "queries": 531,
 ///       "reference_passes": 3, "optimized_passes": 12,  // passes timed
-///       "reference_seconds": 2.42,   // per pass, pre-optimization scans
-///       "optimized_seconds": 0.19,   // per pass, production path (index
-///                                    // by default, scans with --index=off)
-///       "speedup": 12.7,
+///       "reference_seconds": 0.31,   // per pass, linear-scan oracle (kScan)
+///       "optimized_seconds": 0.19,   // per pass, population index (kIndex)
+///       "speedup": 1.6,              // reference / optimized
 ///       "agreement": true, "mismatch": "",
-///       "scan_seconds": 0.31, "scan_passes": 4,  // --index=ab only: the
-///                                    // linear-scan oracle, timed separately
-///       "index": {                   // present when the index was timed
+///       "index": {                   // index work over the optimized passes
 ///         "queries": 1593, "candidates": 846083,
 ///         "pruned_candidates": 812000, "exact_evaluations": 31000,
 ///         "prune_rate": 0.9597, "exact_evaluations_per_query": 19.5
@@ -98,6 +95,13 @@ inline constexpr const char* kResultSchema = "mood-result/1";
 ///   ]
 /// }
 /// \endverbatim
+///
+/// Documents written before the pre-optimization hash-map scans were
+/// deleted used "reference_*" for those scans (so their speedups are
+/// against that path, not the linear-scan oracle), may lack "index"
+/// (`--index=off` runs), and may carry "scan_seconds"/"scan_passes" for
+/// the linear scans (`--index=ab` runs). `mood report` still renders
+/// them.
 inline constexpr const char* kBenchSchema = "mood-bench/1";
 
 /// Identifier of the online-gateway replay layout produced by
@@ -242,7 +246,8 @@ Json make_bench_report(const RunMetadata& meta, Json dataset,
                        const std::vector<core::InferenceBenchCase>& cases);
 
 /// One summary row per benchmark case (header first): name, queries,
-/// reference_s, optimized_s, speedup, agreement.
+/// reference_s (scan oracle), optimized_s (index), speedup, prune,
+/// agreement.
 std::vector<std::vector<std::string>> bench_summary_rows(
     const std::vector<core::InferenceBenchCase>& cases);
 
@@ -279,7 +284,8 @@ std::vector<std::vector<std::string>> stream_summary_rows(
 
 /// One summary row per benchmark case extracted from a mood-bench/1
 /// document (header first): name, queries, reference_s, optimized_s,
-/// speedup, agreement.
+/// speedup, prune ("-" for older documents without an index block),
+/// agreement.
 std::vector<std::vector<std::string>> bench_summary_rows(
     const Json& bench_document);
 

@@ -122,7 +122,7 @@ struct StreamStats {
   std::uint64_t lppm_applications = 0; ///< search/recheck cost counters
   std::uint64_t attack_invocations = 0;
   /// Population-index counters (via the kernel, from the trained
-  /// attacks). Zero when queries run in scan/reference mode.
+  /// attacks). Zero when queries run in scan mode.
   std::uint64_t index_prunes = 0;    ///< candidates skipped via lower bounds
   std::uint64_t exact_evals = 0;     ///< candidates priced exactly
   std::uint64_t index_rebuilds = 0;  ///< full index (re)builds

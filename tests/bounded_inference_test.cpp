@@ -1,22 +1,28 @@
-// Equivalence and property tests for the PR-3 inference hot path: compiled
-// flat profiles, bounded divergences and the branch-and-bound
-// re-identification scans must reproduce the legacy hash-map oracles
-// decision for decision — including ties, empty profiles and the
-// disjoint-support Topsoe ceiling — and the parallel evaluators must be
-// schedule-independent.
+// Equivalence and property tests for the inference hot path: compiled flat
+// profiles and bounded divergences must reproduce the legacy profile
+// distances, and both query modes — the branch-and-bound scans and the
+// population index — must answer every re-identification exactly as a
+// naive argmin over the legacy profiles, including ties, empty profiles
+// and the disjoint-support Topsoe ceiling. The parallel evaluators must
+// be schedule-independent.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <functional>
 #include <limits>
+#include <optional>
+#include <utility>
 #include <vector>
 
+#include "attacks/population_index.h"
 #include "attacks/suite.h"
 #include "core/experiment.h"
 #include "geo/cell_grid.h"
 #include "profiles/heatmap.h"
 #include "profiles/markov_profile.h"
 #include "profiles/poi_profile.h"
+#include "simulation/generator.h"
 #include "simulation/presets.h"
 #include "support/rng.h"
 #include "test_helpers.h"
@@ -222,40 +228,134 @@ TEST(CompiledPoiProfile, BoundedContract) {
 
 // ------------------------------------- attack decision equivalence ----
 
-/// Trains the standard suite on a population and checks, for every test
-/// trace and several owner hypotheses, that the optimized path and the
-/// reference path agree on reidentify() and reidentifies_target().
+/// The naive first-strict-min argmin: the first user attaining the minimum
+/// finite distance, nullopt when every distance is infinite. The question
+/// every attack answers (paper Eq. 1), asked without compiled profiles,
+/// bounds, pruning or an index.
+template <typename Profile, typename Distance>
+std::optional<mobility::UserId> naive_argmin(
+    const std::vector<std::pair<mobility::UserId, Profile>>& profiles,
+    const Distance& distance) {
+  double best = kInf;
+  const mobility::UserId* best_user = nullptr;
+  for (const auto& [user, profile] : profiles) {
+    const double d = distance(profile);
+    if (d < best) {
+      best = d;
+      best_user = &user;
+    }
+  }
+  if (best_user == nullptr) return std::nullopt;
+  return *best_user;
+}
+
+/// A trained attack's answer recomputed from scratch.
+using Oracle = std::function<std::optional<mobility::UserId>(const Trace&)>;
+
+/// Builds the legacy (uncompiled) profile of every background trace of the
+/// harness, in training order, and answers a query with naive_argmin over
+/// the legacy distance to the query's legacy profile.
+template <typename Profile, typename Build, typename Distance>
+Oracle legacy_oracle(const core::ExperimentHarness& harness, Build build,
+                     Distance distance) {
+  std::vector<std::pair<mobility::UserId, Profile>> profiles;
+  for (const auto& pair : harness.pairs()) {
+    profiles.emplace_back(pair.train.user(), build(pair.train));
+  }
+  return [profiles = std::move(profiles), build,
+          distance](const Trace& trace) -> std::optional<mobility::UserId> {
+    const Profile anonymous = build(trace);
+    if (anonymous.empty()) return std::nullopt;
+    return naive_argmin(profiles, [&](const Profile& profile) {
+      return distance(anonymous, profile);
+    });
+  };
+}
+
+/// The oracle for each attack of the harness, in attacks() order.
+std::vector<Oracle> naive_oracles(const core::ExperimentHarness& harness) {
+  const attacks::SuiteParams& params = harness.config().attack_params;
+  std::vector<Oracle> oracles;
+  for (const auto& attack : harness.attacks()) {
+    if (const auto* ap = dynamic_cast<const attacks::ApAttack*>(attack.get())) {
+      oracles.push_back(legacy_oracle<profiles::Heatmap>(
+          harness,
+          [grid = ap->grid()](const Trace& trace) {
+            return profiles::Heatmap::from_trace(trace, grid);
+          },
+          [](const profiles::Heatmap& a, const profiles::Heatmap& b) {
+            return profiles::topsoe_divergence(a, b);
+          }));
+    } else if (dynamic_cast<const attacks::PitAttack*>(attack.get())) {
+      oracles.push_back(legacy_oracle<profiles::MarkovProfile>(
+          harness,
+          [poi = params.poi](const Trace& trace) {
+            return profiles::MarkovProfile::from_trace(trace, poi);
+          },
+          [scale = params.pit_proximity_scale_m](
+              const profiles::MarkovProfile& a,
+              const profiles::MarkovProfile& b) {
+            return profiles::stats_prox_distance(a, b, scale);
+          }));
+    } else if (dynamic_cast<const attacks::PoiAttack*>(attack.get())) {
+      oracles.push_back(legacy_oracle<profiles::PoiProfile>(
+          harness,
+          [poi = params.poi](const Trace& trace) {
+            return profiles::PoiProfile::from_trace(trace, poi);
+          },
+          [](const profiles::PoiProfile& a, const profiles::PoiProfile& b) {
+            return profiles::poi_profile_distance(a, b);
+          }));
+    } else {
+      ADD_FAILURE() << "no oracle for " << attack->name();
+    }
+  }
+  return oracles;
+}
+
+/// Asks every attack of the harness about `trace` in both query modes and
+/// checks it against the naive oracle: reidentify() must return the
+/// oracle's answer, and reidentifies_target() must hold exactly for that
+/// answer — asked for the true `owner`, a stranger and the answer itself.
+/// Leaves the attacks in the production mode (kIndex).
+void expect_oracle_agreement(const core::ExperimentHarness& harness,
+                             const std::vector<Oracle>& oracles,
+                             const Trace& trace,
+                             const mobility::UserId& owner) {
+  ASSERT_EQ(oracles.size(), harness.attacks().size());
+  for (std::size_t a = 0; a < oracles.size(); ++a) {
+    const attacks::Attack& attack = *harness.attacks()[a];
+    const auto truth = oracles[a](trace);
+    std::vector<mobility::UserId> owners = {owner, "nobody-in-training"};
+    if (truth.has_value()) owners.push_back(*truth);
+    for (const auto mode :
+         {attacks::QueryMode::kScan, attacks::QueryMode::kIndex}) {
+      harness.set_attack_query_mode(mode);
+      const char* label = mode == attacks::QueryMode::kScan ? " (scan)"
+                                                            : " (index)";
+      EXPECT_EQ(attack.reidentify(trace), truth)
+          << attack.name() << label << " on " << owner;
+      for (const auto& candidate : owners) {
+        EXPECT_EQ(attack.reidentifies_target(trace, candidate),
+                  truth.has_value() && *truth == candidate)
+            << attack.name() << label << " target " << candidate << " on "
+            << owner;
+      }
+    }
+  }
+  harness.set_attack_query_mode(attacks::QueryMode::kIndex);
+}
+
+/// Trains the standard suite on a population and checks every raw test
+/// trace against the naive oracle.
 void expect_decision_equivalence(const mobility::Dataset& dataset,
                                  std::size_t min_records = 16) {
   core::ExperimentConfig config;
   config.min_records = min_records;
   const core::ExperimentHarness harness(dataset, config, 7);
-  for (const auto& attack : harness.attacks()) {
-    for (const auto& pair : harness.pairs()) {
-      attack->set_reference_mode(false);
-      const auto fast = attack->reidentify(pair.test);
-      attack->set_reference_mode(true);
-      const auto slow = attack->reidentify(pair.test);
-      EXPECT_EQ(fast, slow) << attack->name() << " on " << pair.test.user();
-
-      // Owner hypotheses: the true owner, the argmin answer, a stranger.
-      std::vector<mobility::UserId> owners = {pair.test.user(),
-                                              "nobody-in-training"};
-      if (slow.has_value()) owners.push_back(*slow);
-      for (const auto& owner : owners) {
-        attack->set_reference_mode(false);
-        const bool fast_hit = attack->reidentifies_target(pair.test, owner);
-        attack->set_reference_mode(true);
-        const bool slow_hit = attack->reidentifies_target(pair.test, owner);
-        EXPECT_EQ(fast_hit, slow_hit)
-            << attack->name() << " target " << owner << " on "
-            << pair.test.user();
-        // The targeted query must equal the argmin predicate.
-        EXPECT_EQ(fast_hit, slow.has_value() && *slow == owner)
-            << attack->name() << " target " << owner;
-      }
-    }
-    attack->set_reference_mode(false);
+  const auto oracles = naive_oracles(harness);
+  for (const auto& pair : harness.pairs()) {
+    expect_oracle_agreement(harness, oracles, pair.test, pair.test.user());
   }
 }
 
@@ -268,35 +368,54 @@ TEST(BoundedScanEquivalence, GeneratedPreset) {
       simulation::make_preset_dataset("privamov", 0.05, 11), 8);
 }
 
+TEST(BoundedScanEquivalence, PrunedIndexMatchesTheOracle) {
+  // Every other case trains fewer than kIndexMinPopulation users, where
+  // the index delegates to the scans. Past it, the cluster and profile
+  // bounds actually skip candidates — and must still skip none the naive
+  // argmin would pick.
+  auto params = simulation::preset_params("privamov", 0.05, 11);
+  params.users = 80;
+  core::ExperimentConfig config;
+  config.min_records = 8;
+  const core::ExperimentHarness harness(simulation::generate(params), config,
+                                        7);
+  ASSERT_GE(harness.pairs().size(), attacks::kIndexMinPopulation);
+  std::vector<attacks::IndexStats> before;
+  for (const auto& attack : harness.attacks()) {
+    before.push_back(attack->index_stats());
+  }
+  const auto oracles = naive_oracles(harness);
+  for (const auto& pair : harness.pairs()) {
+    expect_oracle_agreement(harness, oracles, pair.test, pair.test.user());
+  }
+  for (std::size_t a = 0; a < harness.attacks().size(); ++a) {
+    const auto& attack = *harness.attacks()[a];
+    EXPECT_GT(attack.index_stats().pruned_candidates,
+              before[a].pruned_candidates)
+        << attack.name() << " never pruned: the case tests nothing";
+  }
+}
+
 TEST(BoundedScanEquivalence, ObfuscatedTraces) {
   // Decisions must also agree on protected outputs (where near-ties and
   // no-match cases live), not just raw traces.
   const auto dataset = distinct_population(6);
   core::ExperimentConfig config;
   const core::ExperimentHarness harness(dataset, config, 7);
+  const auto oracles = naive_oracles(harness);
   for (const auto* lppm : harness.registry().singles()) {
     for (const auto& pair : harness.pairs()) {
       auto rng = support::RngStream(7).fork(pair.test.user()).fork(
           lppm->name());
       const Trace output = lppm->apply(pair.test, std::move(rng));
-      for (const auto& attack : harness.attacks()) {
-        attack->set_reference_mode(false);
-        const bool fast =
-            attack->reidentifies_target(output, pair.test.user());
-        attack->set_reference_mode(true);
-        const bool slow =
-            attack->reidentifies_target(output, pair.test.user());
-        attack->set_reference_mode(false);
-        EXPECT_EQ(fast, slow) << attack->name() << "/" << lppm->name()
-                              << " on " << pair.test.user();
-      }
+      expect_oracle_agreement(harness, oracles, output, pair.test.user());
     }
   }
 }
 
 TEST(BoundedScanEquivalence, TwinUsersTieBreaksToFirstTrained) {
   // Two users with byte-identical traces: every distance ties exactly, and
-  // the first trained profile must win in both paths.
+  // the first trained profile must win in the oracle and in both modes.
   mobility::Dataset dataset("twins");
   const auto day = [&](const std::string& user) {
     std::vector<mobility::Record> records;
@@ -316,35 +435,31 @@ TEST(BoundedScanEquivalence, TwinUsersTieBreaksToFirstTrained) {
   core::ExperimentConfig config;
   config.min_records = 8;
   const core::ExperimentHarness harness(dataset, config, 7);
-  for (const auto& attack : harness.attacks()) {
-    for (const bool reference : {false, true}) {
-      attack->set_reference_mode(reference);
-      const auto& twin_b_test = harness.pairs()[1].test;
-      ASSERT_EQ(twin_b_test.user(), "twinB");
-      const auto answer = attack->reidentify(twin_b_test);
-      ASSERT_TRUE(answer.has_value()) << attack->name();
-      EXPECT_EQ(*answer, "twinA")
-          << attack->name() << (reference ? " (reference)" : " (optimized)");
-      EXPECT_FALSE(attack->reidentifies_target(twin_b_test, "twinB"));
-      EXPECT_TRUE(attack->reidentifies_target(twin_b_test, "twinA"));
-    }
-    attack->set_reference_mode(false);
+  const auto oracles = naive_oracles(harness);
+  const auto& twin_b_test = harness.pairs()[1].test;
+  ASSERT_EQ(twin_b_test.user(), "twinB");
+  for (std::size_t a = 0; a < oracles.size(); ++a) {
+    EXPECT_EQ(oracles[a](twin_b_test), std::optional<mobility::UserId>("twinA"))
+        << harness.attacks()[a]->name();
   }
+  expect_oracle_agreement(harness, oracles, twin_b_test, "twinB");
 }
 
 TEST(BoundedScanEquivalence, EmptyAnonymousProfileNeverReidentifies) {
   const auto dataset = distinct_population(4);
   core::ExperimentConfig config;
   const core::ExperimentHarness harness(dataset, config, 7);
+  const auto oracles = naive_oracles(harness);
   // Two records moving fast: no POIs, and (being only two samples) a
   // heatmap that matches nobody meaningfully; the empty trace exercises
   // the no-profile path everywhere.
   const Trace sparse("user0", {testing::rec(44.0, 4.0, 0),
                                testing::rec(44.5, 4.5, kHour)});
   const Trace empty("user0", {});
-  for (const auto& attack : harness.attacks()) {
-    for (const bool reference : {false, true}) {
-      attack->set_reference_mode(reference);
+  for (const auto mode :
+       {attacks::QueryMode::kScan, attacks::QueryMode::kIndex}) {
+    harness.set_attack_query_mode(mode);
+    for (const auto& attack : harness.attacks()) {
       EXPECT_FALSE(attack->reidentifies_target(empty, "user0"))
           << attack->name();
       EXPECT_EQ(attack->reidentify(empty), std::nullopt) << attack->name();
@@ -354,8 +469,9 @@ TEST(BoundedScanEquivalence, EmptyAnonymousProfileNeverReidentifies) {
             << attack->name();
       }
     }
-    attack->set_reference_mode(false);
   }
+  expect_oracle_agreement(harness, oracles, empty, "user0");
+  expect_oracle_agreement(harness, oracles, sparse, "user0");
 }
 
 // ------------------------------------------------ determinism ----------

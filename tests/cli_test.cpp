@@ -151,6 +151,17 @@ TEST(CliReplay, RejectsBadKnobs) {
   }
 }
 
+TEST(CliBench, RetiredIndexFlagIsUnknown) {
+  // With two query modes there is one comparison, index vs scan oracle,
+  // so `mood bench` no longer takes --index; it is rejected before any
+  // dataset is generated.
+  for (const char* retired : {"--index=ab", "--index=on", "--index=off"}) {
+    const auto result = run_cli({"bench", retired});
+    EXPECT_EQ(result.code, kExitUsage) << retired;
+    EXPECT_NE(result.err.find("--index"), std::string::npos) << retired;
+  }
+}
+
 TEST(CliReplay, RejectsInconsistentCheckpointFlags) {
   // Every checkpoint/restore misconfiguration is a typed usage failure
   // (exit 2), reported before any replay work starts.

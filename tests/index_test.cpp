@@ -369,18 +369,48 @@ TEST_P(IndexDecisionIdentity, SmallPopulationsDelegateToTheScans) {
   }
   const auto query =
       profiles::CompiledHeatmap::from_trace(hotspot_trace(rng, "q"), grid);
-  expect_index_matches_scan(
-      index, population, profiles::summarize(query),
-      [&](const profiles::CompiledHeatmap& p) {
-        return profiles::topsoe_divergence(query, p);
-      },
-      [&](const profiles::CompiledHeatmap& p, double bound) {
-        return profiles::topsoe_divergence_bounded(query, p, bound);
-      });
-  // Delegated queries count work but never prune.
-  EXPECT_GT(index.stats().queries, 0u);
-  EXPECT_GT(index.stats().exact_evaluations, 0u);
-  EXPECT_EQ(index.stats().pruned_candidates, 0u);
+  const auto exact = [&](const profiles::CompiledHeatmap& p) {
+    return profiles::topsoe_divergence(query, p);
+  };
+  const auto bounded = [&](const profiles::CompiledHeatmap& p, double bound) {
+    return profiles::topsoe_divergence_bounded(query, p, bound);
+  };
+  expect_index_matches_scan(index, population, profiles::summarize(query),
+                            exact, bounded);
+
+  // Delegated queries keep the counters exactly: one query per call, one
+  // exact evaluation per distance the scan prices, no prunes.
+  const attacks::IndexStats before = index.stats();
+  EXPECT_EQ(before.pruned_candidates, 0u);
+  std::uint64_t queries = 1;
+  (void)index.argmin(profiles::summarize(query), bounded);
+  // The branch-and-bound argmin prices every candidate (with a bound).
+  std::uint64_t priced = population.size();
+  const auto counted_exact = [&](const profiles::CompiledHeatmap& p) {
+    ++priced;
+    return exact(p);
+  };
+  const auto counted_bounded = [&](const profiles::CompiledHeatmap& p,
+                                   double bound) {
+    ++priced;
+    return bounded(p, bound);
+  };
+  std::vector<mobility::UserId> owners{"ghost"};
+  for (const auto& [user, profile] : population) owners.push_back(user);
+  for (const auto& owner : owners) {
+    (void)index.is_first_argmin(profiles::summarize(query), owner, exact,
+                                bounded);
+    ++queries;
+    (void)attacks::scan_is_first_argmin(population, owner, counted_exact,
+                                        counted_bounded);
+  }
+  const attacks::IndexStats after = index.stats();
+  EXPECT_EQ(after.queries - before.queries, queries);
+  EXPECT_EQ(after.exact_evaluations - before.exact_evaluations, priced);
+  EXPECT_EQ(after.pruned_candidates, 0u);
+  // Not vacuous: the argmin's winner, asked as owner, walks the whole
+  // population unbeaten.
+  EXPECT_GE(priced, 2 * population.size());
 }
 
 TEST_P(IndexDecisionIdentity, PeriodicRebuildFiresAndPreservesDecisions) {

@@ -1,9 +1,10 @@
-// `mood bench`: run the attack-inference A/B microbenchmarks (reference
-// hash-map scans vs compiled flat profiles + branch-and-bound) and the
-// optional end-to-end evaluate_mood_full comparison on a preset, emit a
-// versioned "mood-bench/1" JSON document (see src/report/report.h), and
-// fail (exit 1) if the two paths ever disagree on a decision — the
-// perf-smoke CI gate.
+// `mood bench`: run the attack-inference A/B microbenchmarks (the
+// population index vs the linear branch-and-bound scans that are its
+// oracle) and the optional end-to-end evaluate_mood_full comparison on a
+// preset, emit a versioned "mood-bench/1" JSON document (see
+// src/report/report.h; "reference" is the scan oracle, "optimized" the
+// index), and fail (exit 1) if the two paths ever disagree on a decision —
+// the perf-smoke CI gate.
 
 #include <chrono>
 #include <ostream>
@@ -51,10 +52,11 @@ int cmd_bench(int argc, const char* const* argv, std::ostream& out,
   support::FlagSet flags(
       "mood bench",
       "Benchmark the attack-inference hot path: times re-identification\n"
-      "and the full MooD pipeline through both the pre-optimization\n"
-      "reference scans and the optimized flat-profile/branch-and-bound\n"
-      "path, verifies the two agree decision for decision, and writes a\n"
-      "mood-bench/1 JSON document. Exits 1 on any disagreement.");
+      "and the full MooD pipeline through both the linear branch-and-bound\n"
+      "scans (the reference oracle) and the population index (the\n"
+      "optimized production path), verifies the two agree decision for\n"
+      "decision, and writes a mood-bench/1 JSON document. Exits 1 on any\n"
+      "disagreement.");
   flags.add_string("preset", "cabspotting",
                    "dataset preset (mdc | privamov | geolife | cabspotting "
                    "| city-small | small)");
@@ -67,9 +69,6 @@ int cmd_bench(int argc, const char* const* argv, std::ostream& out,
                 "minimum timed passes per reidentify microbench");
   flags.add_int("min-records", 0,
                 "active-user floor per half (0 = default; 'small' uses 8)");
-  flags.add_string("index", "on",
-                   "population index: on (index vs reference), off (scans "
-                   "vs reference), ab (reference vs scans vs index)");
   flags.add_bool("skip-full", false,
                  "skip the end-to-end evaluate_mood_full A/B case");
   flags.add_string("out", "-", "bench JSON path ('-' = stdout)");
@@ -87,17 +86,6 @@ int cmd_bench(int argc, const char* const* argv, std::ostream& out,
   const auto repetitions = flags.get_int("repetitions");
   if (repetitions <= 0) {
     throw support::UsageError("mood bench: --repetitions must be positive");
-  }
-  const std::string index_flag = flags.get_string("index");
-  core::BenchIndexMode index_mode;
-  if (index_flag == "on") {
-    index_mode = core::BenchIndexMode::kOn;
-  } else if (index_flag == "off") {
-    index_mode = core::BenchIndexMode::kOff;
-  } else if (index_flag == "ab") {
-    index_mode = core::BenchIndexMode::kAb;
-  } else {
-    throw support::UsageError("mood bench: --index must be on, off or ab");
   }
   if (const auto jobs = flags.get_int("jobs"); jobs > 0) {
     support::ThreadPool::configure_shared(static_cast<std::size_t>(jobs));
@@ -134,9 +122,8 @@ int cmd_bench(int argc, const char* const* argv, std::ostream& out,
   core::InferenceBenchOptions options;
   options.repetitions = static_cast<std::size_t>(repetitions);
   options.run_full = !flags.get_bool("skip-full");
-  options.index_mode = index_mode;
   err << "benchmarking " << harness.pairs().size() << " users on "
-      << dataset.name() << " (index=" << index_flag << ")...\n";
+      << dataset.name() << "...\n";
   const auto bench_started = elapsed();
   const auto cases = core::run_inference_bench(harness, options);
   meta.timings.emplace_back("bench", elapsed() - bench_started);
