@@ -7,7 +7,7 @@
 //   ./replay_throughput [--datasets=privamov] [--scale=0.25] [--seed=7]
 //                       [--shards=1,2,4,8] [--staleness=0]
 //                       [--arrival-rate=0]
-//                       [--loop-slack=64] [--loop-recheck=16]
+//                       [--loop-slack=64]
 //                       [--checkpoint-every=0] [--checkpoint-dir=DIR]
 //                       [--shed-high=0] [--shed-low=0]
 //                       [--json=replay.json]
@@ -23,7 +23,7 @@
 // per-event decision latency a caller observes, which an unpaced run's
 // queueing would swamp.
 // --checkpoint-every=N additionally re-runs every grid point with
-// periodic mood-snapshot/2 checkpoints (cadence N events, written to
+// periodic mood-snapshot/3 checkpoints (cadence N events, written to
 // --checkpoint-dir or a temp directory) and prints the throughput
 // overhead — the number the PR 7 acceptance bar caps at 10%.
 // --shed-high/--shed-low switch on load shedding for every grid point,
@@ -117,8 +117,6 @@ int main(int argc, char** argv) {
   }
   const auto loop_slack =
       static_cast<std::size_t>(options.get_int("loop-slack", 64));
-  const auto loop_recheck =
-      static_cast<std::size_t>(options.get_int("loop-recheck", 16));
 
   stream::ReplayOptions replay_options;
   const auto checkpoint_every =
@@ -195,7 +193,6 @@ int main(int argc, char** argv) {
       for (const std::size_t shards : shard_counts) {
         stream::StreamConfig config;
         config.loop_slack = loop_slack;
-        config.loop_recheck = loop_recheck;
         config.shards = shards;
         config.staleness_points = staleness;
         config.resilience = resilience;

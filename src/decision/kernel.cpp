@@ -228,28 +228,12 @@ void DecisionKernel::decide_degraded(UserKernelState& state,
     decide(state, folded);
     return;
   }
-  // Hold the last verdict. No profile refresh, no risk queries, no flip
-  // accounting — the canonical finalize() repairs all of it because the
-  // fold already advanced state.events past searched_events.
-  if (state.decision == Decision::kProtect) {
-    if (!state.winner.empty()) {
-      // The one cheap check shedding keeps: does the held mechanism still
-      // defeat every attack? A failing recheck defers the full search
-      // (that is the point of shedding) instead of running it.
-      ++state.rechecks;
-      rechecks_.fetch_add(1, kRelaxed);
-      ProtectionResult cost;
-      (void)engine_.recheck(state.winner, state.window, &cost);
-      lppm_applications_.fetch_add(cost.lppm_applications, kRelaxed);
-      attack_invocations_.fetch_add(cost.attack_invocations, kRelaxed);
-    }
-    protected_events_.fetch_add(folded, kRelaxed);
-  } else {
-    exposed_events_.fetch_add(folded, kRelaxed);
-  }
+  // Hold the last verdict: no profile refresh, no risk queries, no LPPM,
+  // no flip accounting. The canonical finalize() repairs all of it
+  // because the fold already advanced state.events past searched_events.
+  decide_held(state, folded);
   ++state.degraded;
   shed_decisions_.fetch_add(1, kRelaxed);
-  decisions_.fetch_add(1, kRelaxed);
 }
 
 void DecisionKernel::decide_held(UserKernelState& state,
@@ -272,28 +256,7 @@ void DecisionKernel::decide_held(UserKernelState& state,
 
 void DecisionKernel::decide_recheck(UserKernelState& state,
                                     std::size_t folded) const {
-  if (folded == 0) return;
-  if (!state.has_decision) {
-    decide(state, folded);
-    return;
-  }
-  if (state.decision == Decision::kProtect) {
-    if (!state.winner.empty()) {
-      // Same cheap check decide_degraded keeps: a failing recheck defers
-      // the full search to the next slack cadence rather than stalling
-      // the worker inline.
-      ++state.rechecks;
-      rechecks_.fetch_add(1, kRelaxed);
-      ProtectionResult cost;
-      (void)engine_.recheck(state.winner, state.window, &cost);
-      lppm_applications_.fetch_add(cost.lppm_applications, kRelaxed);
-      attack_invocations_.fetch_add(cost.attack_invocations, kRelaxed);
-    }
-    protected_events_.fetch_add(folded, kRelaxed);
-  } else {
-    exposed_events_.fetch_add(folded, kRelaxed);
-  }
-  decisions_.fetch_add(1, kRelaxed);
+  decide_held(state, folded);
 }
 
 void DecisionKernel::finalize(UserKernelState& state,

@@ -17,11 +17,11 @@
 ///     — decide_trace() folds the whole trace once and finalises.
 ///   * *Stream* (`StreamEngine`): the kernel is driven by window deltas —
 ///     each shard worker folds one admitted record and issues that
-///     event's verdict through one decision tier (decide, decide_recheck,
-///     decide_held, or decide_degraded while shedding); finalize()
-///     canonicalises after the last event. Identical final windows
-///     therefore produce bit-identical decisions by construction, not by
-///     test.
+///     event's verdict through one decision tier (decide on the slack
+///     cadence, decide_held otherwise, or decide_degraded while
+///     shedding); finalize() canonicalises after the last event.
+///     Identical final windows therefore produce bit-identical decisions
+///     by construction, not by test.
 ///
 /// Per user the kernel owns the compiled profiles of all three standard
 /// attacks, maintained incrementally:
@@ -102,7 +102,9 @@ struct KernelStats {
   std::uint64_t exposed_events = 0;    ///< events carried by expose verdicts
   std::uint64_t protected_events = 0;  ///< events carried by protect verdicts
   std::uint64_t searches = 0;          ///< full mechanism selections
-  std::uint64_t rechecks = 0;          ///< cheap current-winner re-checks
+  /// Cheap current-winner re-checks, run only by decide()'s selection
+  /// step on the slack cadence (the held tiers run none).
+  std::uint64_t rechecks = 0;
   std::uint64_t shed_decisions = 0;    ///< degraded held-verdict decisions
   std::uint64_t profile_refreshes = 0; ///< PIT/POI compiled-form refreshes
   std::uint64_t stay_updates = 0;      ///< incremental stay-tracker syncs
@@ -193,17 +195,15 @@ class DecisionKernel {
   /// by the verdict); 0 makes the call a no-op.
   void decide(UserKernelState& state, std::size_t folded) const;
 
-  /// Degraded verdict — the overload-shedding path. Holds the
-  /// user's last verdict instead of running the risk queries: a protected
-  /// user with a held mechanism gets the cheap recheck only (its outcome
-  /// is recorded in the cost counters but a failing recheck defers the
-  /// full search instead of running it), everyone else just carries the
-  /// held decision forward. A user with no verdict yet falls through to
-  /// the full decide() — shedding never leaves a user undecided
-  /// (fail-closed). Degraded verdicts are flagged in state.degraded and
-  /// KernelStats::shed_decisions, and are repaired at finalize(): the
-  /// fold already advanced state.events past searched_events, so the
-  /// canonical pass re-searches exactly as if the shed never happened.
+  /// Degraded verdict — the overload-shedding path. decide_held() plus
+  /// the shed accounting: the user's last verdict is carried forward with
+  /// no risk query, no LPPM application and no attack. A user with no
+  /// verdict yet falls through to the full decide() — shedding never
+  /// leaves a user undecided (fail-closed). Degraded verdicts are flagged
+  /// in state.degraded and KernelStats::shed_decisions, and are repaired
+  /// at finalize(): the fold already advanced state.events past
+  /// searched_events, so the canonical pass re-searches exactly as if the
+  /// shed never happened.
   void decide_degraded(UserKernelState& state, std::size_t folded) const;
 
   /// Loop-engine steady-state verdict — the admission-time cheap path.
@@ -217,10 +217,9 @@ class DecisionKernel {
   /// shedding: the fold advanced state.events past searched_events.
   void decide_held(UserKernelState& state, std::size_t folded) const;
 
-  /// Loop-engine cadence verdict: decide_held plus the one cheap check —
-  /// does the held mechanism still defeat every attack on the grown
-  /// window? A failing recheck defers the full search to the next slack
-  /// cadence (or finalize()) instead of running it inline.
+  /// Exactly decide_held(), counters included. Pinned: this wrapper exists
+  /// only because bench/gateway/gateway_bench.cpp calls it by name;
+  /// ROADMAP item 1(c) deletes it.
   void decide_recheck(UserKernelState& state, std::size_t folded) const;
 
   /// Canonical final decision: force-refresh stale profiles, re-run risk,

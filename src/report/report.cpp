@@ -316,7 +316,6 @@ Json make_stream_report(const RunMetadata& meta, Json dataset,
 
   Json stream_doc = Json::object();
   stream_doc["loop_slack"] = config.loop_slack;
-  stream_doc["loop_recheck"] = config.loop_recheck;
   stream_doc["shards"] = config.shards;
   stream_doc["window_seconds"] =
       static_cast<std::int64_t>(config.window_seconds);

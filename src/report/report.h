@@ -114,9 +114,9 @@ inline constexpr const char* kBenchSchema = "mood-bench/1";
 ///   "dataset": { ... dataset_summary() ... },
 ///   "stream": {          // gateway + replay configuration (documents
 ///                        // written by older builds also carry the
-///                        // engine mode and micro-batch size here, and
-///                        // "replay.batches")
-///     "loop_slack": 64, "loop_recheck": 16,
+///                        // engine mode, micro-batch size and
+///                        // recheck cadence here, and "replay.batches")
+///     "loop_slack": 64,
 ///     "shards": 8, "window_seconds": 0, "max_points": 0,
 ///     "max_users_per_shard": 0, "staleness_points": 0,
 ///     "target_rate": 0.0, "time_compression": 0.0, "stage_timers": true
@@ -159,7 +159,7 @@ inline constexpr const char* kBenchSchema = "mood-bench/1";
 ///                     "resume_events": 0,    // this process's checkpoint
 ///                     "quarantined_snapshots": 0},  // corrupt snapshot
 ///                          // files renamed aside during restore
-///                          // activity (mood-snapshot/2 files written /
+///                          // activity (mood-snapshot/3 files written /
 ///                          // the restore position) — deliberately
 ///                          // outside "cost": a restored run's per_user +
 ///                          // cost + decisions are bit-identical to the

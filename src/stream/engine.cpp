@@ -475,9 +475,6 @@ void StreamEngine::loop_decide_user(UserState& state, mobility::Record record,
     if (!k.has_decision || config_.loop_slack == 0 ||
         k.events % config_.loop_slack == 0) {
       kernel_.decide(k, 1);
-    } else if (config_.loop_recheck > 0 &&
-               k.events % config_.loop_recheck == 0) {
-      kernel_.decide_recheck(k, 1);
     } else {
       kernel_.decide_held(k, 1);
     }
@@ -699,14 +696,13 @@ void StreamEngine::restore_snapshot(const SnapshotData& data) {
         "snapshot resilience config does not match this gateway "
         "(on-bad-record/max-pending/shed watermarks must all agree)");
   }
-  // The decision cadences shape the mid-stream decision sequence (and
-  // therefore the continued counters), so a resumed run must keep them.
+  // The slack cadence shapes the mid-stream decision sequence (and
+  // therefore the continued counters), so a resumed run must keep it.
   // loop_autostart is timing-only and excluded.
-  if (data.config.loop_slack != config_.loop_slack ||
-      data.config.loop_recheck != config_.loop_recheck) {
+  if (data.config.loop_slack != config_.loop_slack) {
     throw SnapshotError(
-        "snapshot decision cadences do not match this gateway "
-        "(loop-slack/loop-recheck must agree)");
+        "snapshot decision cadence does not match this gateway "
+        "(loop-slack must agree)");
   }
 
   for (const UserSnapshot& u : data.users) {

@@ -17,8 +17,7 @@
 ///   * one long-lived worker thread per shard: dequeue → stateful
 ///     admission → one-record kernel.fold → a decision tier picked by the
 ///     user's own folded-event ordinal — a full risk+search decision on the
-///     slack cadence (loop_slack), an inline held-mechanism recheck on the
-///     recheck cadence (loop_recheck), a pure held verdict otherwise;
+///     slack cadence (loop_slack), a pure held verdict otherwise;
 ///   * quiesce(): the cut barrier (rings empty, worker state visible) that
 ///     checkpoints and metrics exports run behind;
 ///   * finish(): retires the workers and kernel.finalize()s every resident
@@ -88,8 +87,9 @@ struct StreamConfig {
   /// (slow). Shapes the mid-stream decision sequence, so it participates
   /// in the snapshot config fingerprint.
   std::size_t loop_slack = 64;
-  /// Inline held-mechanism recheck every `loop_recheck`-th folded event of
-  /// a user (between slack cadences). 0 = never. Fingerprinted too.
+  /// Read by nothing: the engine and snapshot restore ignore it. Pinned
+  /// because bench/gateway/gateway_bench.cpp reads it; ROADMAP item 1(c)
+  /// deletes it.
   std::size_t loop_recheck = 16;
   /// Start the shard workers lazily on the first ingest (default). Tests
   /// set false to pre-fill the rings — e.g. to drive the shed latch
@@ -112,7 +112,9 @@ struct StreamStats {
   std::uint64_t exposed_events = 0;    ///< events carried by expose verdicts
   std::uint64_t protected_events = 0;  ///< events carried by protect verdicts
   std::uint64_t searches = 0;          ///< full mechanism selections
-  std::uint64_t rechecks = 0;          ///< cheap current-winner re-checks
+  /// Cheap current-winner re-checks; only the slack-cadence ones that
+  /// precede a search decision (the held tier runs none).
+  std::uint64_t rechecks = 0;
   std::uint64_t profile_refreshes = 0; ///< PIT/POI compiled-form refreshes
   std::uint64_t stay_updates = 0;      ///< incremental stay-tracker syncs
   std::uint64_t stay_rebuilds = 0;     ///< full re-extractions among them
@@ -273,7 +275,7 @@ class StreamEngine {
 
   // ---- Checkpoint / restore ------------------------------------------
   /// Enables periodic crash-consistent snapshots (see snapshot.h for the
-  /// mood-snapshot/2 format and the write protocol). `context` is the
+  /// mood-snapshot/3 format and the write protocol). `context` is the
   /// identity fingerprint embedded in every snapshot.
   void configure_checkpoints(CheckpointPolicy policy, SnapshotContext context);
 
@@ -370,10 +372,9 @@ class StreamEngine {
   void loop_process(std::size_t shard, LoopItem& item);
 
   /// The admitted-event decision: a one-record fold of `record`, then the
-  /// tier — full decide on the slack cadence (or first verdict), inline
-  /// recheck on the recheck cadence, held verdict otherwise;
-  /// decide_degraded while the shed latch is engaged. Under the
-  /// quarantine policy a non-finite `record` (in-memory poison that
+  /// tier — full decide on the slack cadence (or first verdict), held
+  /// verdict otherwise; decide_degraded while the shed latch is engaged.
+  /// Under the quarantine policy a non-finite `record` (in-memory poison that
   /// slipped past admission — in practice the `stream.drain.corrupt` fail
   /// point) throws BadRecordError before it can reach the compiled
   /// profiles, so the user is quarantined instead. Runs under the shard

@@ -25,8 +25,9 @@
 ///   * **Overload control**: a per-shard ring-depth bound raises an
 ///     explicit backpressure signal (counted, surfaced to the caller —
 ///     never silently dropping events); a load-shed policy with
-///     hysteresis degrades a backlogged shard's decisions to held-verdict
-///     rechecks (full search() deferred) while its ring depth stays high.
+///     hysteresis degrades a backlogged shard's decisions to held
+///     verdicts (no risk query, no LPPM, no attack; full search()
+///     deferred) while its ring depth stays high.
 ///
 /// Degraded verdicts are explicitly flagged (per-user `degraded` counts,
 /// the `resilience` block of mood-stream/1) and are repaired at finish():

@@ -149,7 +149,7 @@ class Reader {
   }
 
   [[noreturn]] void fail(const char* detail) const {
-    throw SnapshotError(std::string("mood-snapshot/2: malformed ") + what_ +
+    throw SnapshotError(std::string("mood-snapshot/3: malformed ") + what_ +
                         ": " + detail);
   }
 
@@ -438,11 +438,10 @@ std::string encode_config_section(const SnapshotData& data) {
   put_u64(out, res.max_pending_per_shard);
   put_u64(out, res.shed_high_watermark);
   put_u64(out, res.shed_low_watermark);
-  // The decision cadences are decision-relevant mid-stream (the tier
-  // policy keys on them), so they live in the fingerprint;
-  // loop_autostart is timing-only and excluded.
+  // The slack cadence is decision-relevant mid-stream (the tier policy
+  // keys on it), so it lives in the fingerprint; loop_autostart is
+  // timing-only and excluded.
   put_u64(out, data.config.loop_slack);
-  put_u64(out, data.config.loop_recheck);
   return out;
 }
 
@@ -465,7 +464,6 @@ void decode_config_section(Reader& in, SnapshotData& data) {
   res.shed_high_watermark = static_cast<std::size_t>(in.get_u64());
   res.shed_low_watermark = static_cast<std::size_t>(in.get_u64());
   data.config.loop_slack = static_cast<std::size_t>(in.get_u64());
-  data.config.loop_recheck = static_cast<std::size_t>(in.get_u64());
   in.expect_done();
 }
 
@@ -692,17 +690,17 @@ SnapshotData decode_snapshot(std::string_view bytes) {
       bytes.compare(0, sizeof(kSnapshotMagic),
                     std::string_view(kSnapshotMagic,
                                      sizeof(kSnapshotMagic))) != 0) {
-    throw SnapshotError("mood-snapshot/2: bad magic (not a snapshot file)");
+    throw SnapshotError("mood-snapshot/3: bad magic (not a snapshot file)");
   }
   header.skip(sizeof(kSnapshotMagic));
   const std::uint32_t version = header.get_u32();
   if (version != kSnapshotVersion) {
-    throw SnapshotError("mood-snapshot/2: unsupported snapshot version " +
+    throw SnapshotError("mood-snapshot/3: unsupported snapshot version " +
                         std::to_string(version));
   }
   const std::uint32_t section_count = header.get_u32();
   if (section_count != kSectionCount) {
-    throw SnapshotError("mood-snapshot/2: expected " +
+    throw SnapshotError("mood-snapshot/3: expected " +
                         std::to_string(kSectionCount) + " sections, found " +
                         std::to_string(section_count));
   }
@@ -713,7 +711,7 @@ SnapshotData decode_snapshot(std::string_view bytes) {
     const std::uint32_t id = header.get_u32();
     const std::uint64_t len = header.get_u64();
     if (len > header.remaining()) {
-      throw SnapshotError("mood-snapshot/2: truncated section " +
+      throw SnapshotError("mood-snapshot/3: truncated section " +
                           std::to_string(id));
     }
     const std::string_view payload =
@@ -721,11 +719,11 @@ SnapshotData decode_snapshot(std::string_view bytes) {
     header.skip(len);
     const std::uint32_t stored_crc = header.get_u32();
     if (snapshot_crc32(payload) != stored_crc) {
-      throw SnapshotError("mood-snapshot/2: CRC mismatch in section " +
+      throw SnapshotError("mood-snapshot/3: CRC mismatch in section " +
                           std::to_string(id));
     }
     if (id < 1 || id > kSectionCount || seen[id]) {
-      throw SnapshotError("mood-snapshot/2: unexpected section id " +
+      throw SnapshotError("mood-snapshot/3: unexpected section id " +
                           std::to_string(id));
     }
     seen[id] = true;
@@ -752,11 +750,11 @@ SnapshotData decode_snapshot(std::string_view bytes) {
   header.expect_done();
   if (data.shard_clocks.size() != data.config.shards) {
     throw SnapshotError(
-        "mood-snapshot/2: shard clock count does not match config");
+        "mood-snapshot/3: shard clock count does not match config");
   }
   if (data.shard_shedding.size() != data.config.shards) {
     throw SnapshotError(
-        "mood-snapshot/2: shed latch count does not match config");
+        "mood-snapshot/3: shed latch count does not match config");
   }
   return data;
 }

@@ -1,7 +1,7 @@
 #pragma once
 
 /// \file snapshot.h
-/// mood-snapshot/2 — the gateway's versioned checkpoint format, and the
+/// mood-snapshot/3 — the gateway's versioned checkpoint format, and the
 /// crash-consistent file protocol around it.
 ///
 /// A deployed gateway (the paper's pitch) must survive restarts without
@@ -17,8 +17,9 @@
 /// ## File layout (little-endian throughout)
 ///
 ///   offset 0   magic   "MOODSNAP"            (8 bytes)
-///          8   u32     version (= 2; version 1 carried the retired
-///                      micro-batch engine's fields and is refused)
+///          8   u32     version (= 3; version 1 carried the retired
+///                      micro-batch engine's fields, version 2 the
+///                      retired recheck cadence; both are refused)
 ///         12   u32     section count (= 3)
 ///         16   sections, each:
 ///                u32   section id            (1 CONFIG, 2 STATS, 3 USERS)
@@ -35,8 +36,7 @@
 ///           window_seconds, max_points, max_users_per_shard,
 ///           staleness_points) + the resilience knobs (on_bad_record as
 ///           u8, max_pending_per_shard, shed watermarks) + the decision
-///           cadences (loop_slack, loop_recheck). Restore refuses a
-///           mismatch.
+///           slack cadence (loop_slack). Restore refuses a mismatch.
 ///   STATS   stream_position, the full cumulative StreamStats (including
 ///           the resilience counters), the per-shard LRU clocks, and the
 ///           per-shard shed latches (hysteresis state).
@@ -99,7 +99,7 @@ class SnapshotError : public support::UsageError {
 
 inline constexpr char kSnapshotMagic[8] = {'M', 'O', 'O', 'D',
                                            'S', 'N', 'A', 'P'};
-inline constexpr std::uint32_t kSnapshotVersion = 2;
+inline constexpr std::uint32_t kSnapshotVersion = 3;
 inline constexpr const char* kSnapshotSuffix = ".moodsnap";
 
 /// Complete captured state of one resident user — a plain-value mirror of
@@ -144,7 +144,7 @@ struct UserSnapshot {
   mobility::Timestamp last_time = 0;    ///< newest admitted timestamp
 };
 
-/// One decoded (or to-be-encoded) mood-snapshot/2 document.
+/// One decoded (or to-be-encoded) mood-snapshot/3 document.
 struct SnapshotData {
   SnapshotContext context;  ///< three of its four fields are encoded
   StreamConfig config;  ///< window-knob subset is fingerprinted

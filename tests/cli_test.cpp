@@ -142,13 +142,21 @@ TEST(CliReplay, RejectsBadKnobs) {
   EXPECT_EQ(run_cli({"replay", "--rate=-1"}).code, kExitUsage);
   EXPECT_EQ(run_cli({"replay", "--no-such-flag"}).code, kExitUsage);
   EXPECT_EQ(run_cli({"replay", "--loop-slack=-1"}).code, kExitUsage);
-  EXPECT_EQ(run_cli({"replay", "--loop-recheck=-1"}).code, kExitUsage);
   // The retired micro-batch engine's flags are unknown flags now.
   for (const char* retired : {"--engine=loop", "--batch=128",
                               "--serial-drain", "--drain-budget=2"}) {
     const auto result = run_cli({"replay", retired});
     EXPECT_EQ(result.code, kExitUsage) << retired;
   }
+}
+
+TEST(CliReplay, RetiredRecheckFlagIsUnknown) {
+  // The held-mechanism recheck cadence is gone; its flag is rejected as an
+  // unknown flag before any dataset is generated.
+  const auto result = run_cli({"replay", "--loop-recheck=16"});
+  EXPECT_EQ(result.code, kExitUsage);
+  EXPECT_NE(result.err.find("unknown flag --loop-recheck"), std::string::npos)
+      << result.err;
 }
 
 TEST(CliBench, RetiredIndexFlagIsUnknown) {
@@ -492,10 +500,10 @@ TEST(CliReplay, ReplaysAndVerifiesAgainstBatch) {
   const report::Json document = report::Json::parse(replay.out);
   EXPECT_EQ(document.string_or("schema", ""), "mood-stream/1");
   // One execution engine: the configuration block is the shard layout,
-  // windows, decision cadences, pacing and stage timers — no engine or
-  // micro-batch keys — and no batch count is written.
+  // windows, slack cadence, pacing and stage timers — no engine,
+  // micro-batch or recheck-cadence keys — and no batch count is written.
   EXPECT_EQ(document.find("stream")->find("engine"), nullptr);
-  EXPECT_EQ(document.find("stream")->size(), 10u);
+  EXPECT_EQ(document.find("stream")->size(), 9u);
   EXPECT_EQ(document.find("replay")->find("batches"), nullptr);
 
   const report::Json* replay_doc = document.find("replay");

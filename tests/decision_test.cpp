@@ -9,6 +9,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "attacks/attack.h"
@@ -199,6 +202,210 @@ TEST_F(DecisionKernelTest, StatsAccumulateAcrossDecisions) {
   EXPECT_GT(stats.heatmap_updates, 0u);
   EXPECT_GT(stats.profile_refreshes, 0u);
   EXPECT_GT(stats.attack_invocations, 0u);
+}
+
+// ------------------------------------------------ held-verdict tiers --
+
+/// Every KernelStats counter by name, in declaration order.
+std::vector<std::pair<const char*, std::uint64_t>> counters(
+    const KernelStats& s) {
+  return {{"decisions", s.decisions},
+          {"exposed_events", s.exposed_events},
+          {"protected_events", s.protected_events},
+          {"searches", s.searches},
+          {"rechecks", s.rechecks},
+          {"shed_decisions", s.shed_decisions},
+          {"profile_refreshes", s.profile_refreshes},
+          {"stay_updates", s.stay_updates},
+          {"stay_rebuilds", s.stay_rebuilds},
+          {"heatmap_updates", s.heatmap_updates},
+          {"evicted_points", s.evicted_points},
+          {"lppm_applications", s.lppm_applications},
+          {"attack_invocations", s.attack_invocations},
+          {"index_prunes", s.index_prunes},
+          {"exact_evals", s.exact_evals},
+          {"index_rebuilds", s.index_rebuilds}};
+}
+
+/// Runs `call` and returns how much it moved each kernel counter.
+template <typename Call>
+std::vector<std::pair<const char*, std::uint64_t>> delta_of(
+    const DecisionKernel& kernel, Call&& call) {
+  auto before = counters(kernel.stats());
+  call();
+  auto after = counters(kernel.stats());
+  for (std::size_t i = 0; i < after.size(); ++i) {
+    after[i].second -= before[i].second;
+  }
+  return after;
+}
+
+std::uint64_t counter(
+    const std::vector<std::pair<const char*, std::uint64_t>>& delta,
+    const std::string& name) {
+  for (const auto& [key, value] : delta) {
+    if (name == key) return value;
+  }
+  ADD_FAILURE() << "no counter " << name;
+  return 0;
+}
+
+/// Field-by-field equality of two kernel states: the window, both
+/// compiled profile sides, the stay tracker, the verdict and the per-user
+/// counters.
+void expect_same_state(const UserKernelState& a, const UserKernelState& b) {
+  EXPECT_TRUE(a.window == b.window);
+  EXPECT_EQ(a.heatmap_built, b.heatmap_built);
+  EXPECT_EQ(a.heatmap.raw_total(), b.heatmap.raw_total());
+  EXPECT_EQ(a.heatmap.raw_counts(), b.heatmap.raw_counts());
+  EXPECT_EQ(a.stays_init, b.stays_init);
+  EXPECT_EQ(a.stay_origin, b.stay_origin);
+  EXPECT_EQ(a.stay_origin_set, b.stay_origin_set);
+  if (a.stays_init && b.stays_init) {
+    const auto sa = a.stays.snapshot();
+    const auto sb = b.stays.snapshot();
+    EXPECT_EQ(sa.stays.finals.size(), sb.stays.finals.size());
+    EXPECT_EQ(sa.stays.run_valid, sb.stays.run_valid);
+    EXPECT_EQ(sa.stays.run_anchor, sb.stays.run_anchor);
+    EXPECT_EQ(sa.stays.run_j, sb.stays.run_j);
+    EXPECT_EQ(sa.stays.base, sb.stays.base);
+    EXPECT_EQ(sa.stays.size, sb.stays.size);
+    EXPECT_EQ(sa.stays.generation, sb.stays.generation);
+    EXPECT_EQ(sa.stays.updates, sb.stays.updates);
+    EXPECT_EQ(sa.stays.rebuilds, sb.stays.rebuilds);
+    EXPECT_EQ(sa.visits.states.size(), sb.visits.states.size());
+    EXPECT_EQ(sa.visits.folded, sb.visits.folded);
+    EXPECT_EQ(sa.synced_generation, sb.synced_generation);
+  }
+  ASSERT_EQ(a.markov.states().size(), b.markov.states().size());
+  for (std::size_t i = 0; i < a.markov.states().size(); ++i) {
+    EXPECT_EQ(a.markov.states()[i].center.lat_rad,
+              b.markov.states()[i].center.lat_rad);
+    EXPECT_EQ(a.markov.states()[i].center.lon_deg,
+              b.markov.states()[i].center.lon_deg);
+    EXPECT_EQ(a.markov.states()[i].weight, b.markov.states()[i].weight);
+  }
+  ASSERT_EQ(a.poi.centers().size(), b.poi.centers().size());
+  for (std::size_t i = 0; i < a.poi.centers().size(); ++i) {
+    EXPECT_EQ(a.poi.centers()[i].lat_rad, b.poi.centers()[i].lat_rad);
+    EXPECT_EQ(a.poi.centers()[i].lon_deg, b.poi.centers()[i].lon_deg);
+  }
+  EXPECT_EQ(a.profiles_built, b.profiles_built);
+  EXPECT_EQ(a.stale_appended, b.stale_appended);
+  EXPECT_EQ(a.stale_evicted, b.stale_evicted);
+  EXPECT_EQ(a.stale_points, b.stale_points);
+  EXPECT_EQ(a.has_decision, b.has_decision);
+  EXPECT_EQ(a.decision, b.decision);
+  EXPECT_EQ(a.winner, b.winner);
+  EXPECT_EQ(a.searched_events, b.searched_events);
+  EXPECT_EQ(a.events, b.events);
+  EXPECT_EQ(a.risk_transitions, b.risk_transitions);
+  EXPECT_EQ(a.searches, b.searches);
+  EXPECT_EQ(a.rechecks, b.rechecks);
+  EXPECT_EQ(a.degraded, b.degraded);
+}
+
+/// decide_recheck is exactly decide_held: two states driven through the
+/// same events in lockstep under the gateway's tier rule (full decide on
+/// the first verdict and every 64th event), one taking decide_recheck and
+/// one decide_held on every 16th event, stay field-for-field equal, and
+/// each pair of calls moves every kernel counter by the same amount.
+TEST_F(DecisionKernelTest, DecideRecheckIsExactlyDecideHeld) {
+  const DecisionKernel kernel = harness_->make_kernel();
+  std::uint64_t held_protected_calls = 0;
+  for (const auto& pair : harness_->pairs()) {
+    UserKernelState via_recheck;
+    UserKernelState via_held;
+    via_recheck.window.set_user(pair.test.user());
+    via_held.window.set_user(pair.test.user());
+    for (const mobility::Record& record : pair.test.records()) {
+      const auto fold_a = delta_of(kernel, [&] {
+        kernel.fold(via_recheck, {record});
+      });
+      const auto fold_b = delta_of(kernel, [&] {
+        kernel.fold(via_held, {record});
+      });
+      EXPECT_EQ(fold_a, fold_b) << pair.test.user();
+      const std::uint64_t k = via_recheck.events;
+      if (!via_recheck.has_decision || k % 64 == 0) {
+        const auto a = delta_of(kernel, [&] { kernel.decide(via_recheck, 1); });
+        const auto b = delta_of(kernel, [&] { kernel.decide(via_held, 1); });
+        EXPECT_EQ(a, b) << pair.test.user() << " event " << k;
+      } else if (k % 16 == 0) {
+        if (via_held.decision == Decision::kProtect &&
+            !via_held.winner.empty()) {
+          ++held_protected_calls;
+        }
+        const auto a = delta_of(kernel, [&] {
+          kernel.decide_recheck(via_recheck, 1);
+        });
+        const auto b = delta_of(kernel, [&] {
+          kernel.decide_held(via_held, 1);
+        });
+        EXPECT_EQ(a, b) << pair.test.user() << " event " << k;
+        // Event accounting only: one decision, no risk query, no LPPM.
+        EXPECT_EQ(counter(a, "decisions"), 1u);
+        EXPECT_EQ(counter(a, "exposed_events") + counter(a, "protected_events"),
+                  1u);
+        EXPECT_EQ(counter(a, "rechecks"), 0u);
+        EXPECT_EQ(counter(a, "lppm_applications"), 0u);
+        EXPECT_EQ(counter(a, "attack_invocations"), 0u);
+        EXPECT_EQ(counter(a, "exact_evals"), 0u);
+      } else {
+        kernel.decide_held(via_recheck, 1);
+        kernel.decide_held(via_held, 1);
+      }
+      expect_same_state(via_recheck, via_held);
+    }
+    const auto a = delta_of(kernel, [&] { kernel.finalize(via_recheck, 0); });
+    const auto b = delta_of(kernel, [&] { kernel.finalize(via_held, 0); });
+    EXPECT_EQ(a, b) << pair.test.user();
+    expect_same_state(via_recheck, via_held);
+  }
+  // The comparison is not vacuous: protected users holding a winner hit
+  // the old recheck cadence.
+  EXPECT_GT(held_protected_calls, 0u);
+}
+
+/// Shedding holds the verdict and keeps its counters, but runs no LPPM
+/// and no attack, even for a protected user holding a winner.
+TEST_F(DecisionKernelTest, DecideDegradedRunsNoLppmAndNoAttack) {
+  const DecisionKernel kernel = harness_->make_kernel();
+  std::size_t protected_users = 0;
+  for (const auto& pair : harness_->pairs()) {
+    const auto& records = pair.test.records();
+    ASSERT_GE(records.size(), 2u);
+    UserKernelState state;
+    state.window.set_user(pair.test.user());
+    kernel.fold(state, std::vector<mobility::Record>(records.begin(),
+                                                     records.end() - 1));
+    kernel.decide(state, records.size() - 1);
+    if (state.decision != Decision::kProtect || state.winner.empty()) {
+      continue;
+    }
+    ++protected_users;
+    const std::string winner = state.winner;
+    const std::uint64_t rechecks = state.rechecks;
+    const std::uint64_t searched_events = state.searched_events;
+    kernel.fold(state, {records.back()});
+    const auto delta = delta_of(kernel, [&] {
+      kernel.decide_degraded(state, 1);
+    });
+    EXPECT_EQ(counter(delta, "rechecks"), 0u) << pair.test.user();
+    EXPECT_EQ(counter(delta, "lppm_applications"), 0u) << pair.test.user();
+    EXPECT_EQ(counter(delta, "attack_invocations"), 0u) << pair.test.user();
+    EXPECT_EQ(counter(delta, "exact_evals"), 0u) << pair.test.user();
+    EXPECT_EQ(counter(delta, "searches"), 0u) << pair.test.user();
+    EXPECT_EQ(counter(delta, "decisions"), 1u) << pair.test.user();
+    EXPECT_EQ(counter(delta, "protected_events"), 1u) << pair.test.user();
+    EXPECT_EQ(counter(delta, "shed_decisions"), 1u) << pair.test.user();
+    EXPECT_EQ(state.decision, Decision::kProtect) << pair.test.user();
+    EXPECT_EQ(state.winner, winner) << pair.test.user();
+    EXPECT_EQ(state.rechecks, rechecks) << pair.test.user();
+    EXPECT_EQ(state.searched_events, searched_events) << pair.test.user();
+    EXPECT_EQ(state.degraded, 1u) << pair.test.user();
+  }
+  EXPECT_GT(protected_users, 0u);
 }
 
 }  // namespace

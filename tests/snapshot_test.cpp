@@ -1,4 +1,4 @@
-// Tests for checkpoint/restore (src/stream/snapshot): the mood-snapshot/2
+// Tests for checkpoint/restore (src/stream/snapshot): the mood-snapshot/3
 // byte format (round trip, golden files, rejection of malformed input),
 // the crash-consistent file protocol under injected faults at every named
 // fail point — including SIGKILL-equivalent deaths — and the headline
@@ -198,7 +198,6 @@ TEST(SnapshotFormat, EncodeDecodeRoundTripsEveryField) {
   d.config.max_users_per_shard = 5;
   d.config.staleness_points = 10;
   d.config.loop_slack = 5;
-  d.config.loop_recheck = 3;
   d.stream_position = 512;
   d.stats.events = 512;
   d.stats.decisions = 17;
@@ -283,7 +282,6 @@ TEST(SnapshotFormat, EncodeDecodeRoundTripsEveryField) {
   EXPECT_EQ(back.config.max_users_per_shard, 5u);
   EXPECT_EQ(back.config.staleness_points, 10u);
   EXPECT_EQ(back.config.loop_slack, 5u);
-  EXPECT_EQ(back.config.loop_recheck, 3u);
   EXPECT_EQ(back.stream_position, 512u);
   EXPECT_EQ(back.stats.decisions, 17u);
   EXPECT_EQ(back.stats.checkpoints, 2u);
@@ -360,7 +358,7 @@ TEST(SnapshotFormat, RejectsBadMagicVersionAndSectionDamage) {
   EXPECT_THROW(decode_snapshot(bad), SnapshotError);
 
   bad = good;
-  bad[8] = 3;  // version
+  bad[8] = static_cast<char>(kSnapshotVersion + 1);  // version
   try {
     (void)decode_snapshot(bad);
     FAIL() << "unknown version accepted";
@@ -528,7 +526,7 @@ TEST(SnapshotGolden, WriterMatchesCheckedInGoldenFile) {
   // must come with a version bump (or a deliberate fixture regeneration).
   ASSERT_EQ(stored.size(), bytes.size());
   EXPECT_TRUE(stored == bytes) << "writer output diverged from the "
-                                  "documented mood-snapshot/2 layout";
+                                  "documented mood-snapshot/3 layout";
 }
 
 TEST(SnapshotGolden, CheckedInGoldenFileDecodes) {
@@ -552,20 +550,33 @@ TEST(SnapshotGolden, CheckedInGoldenFileDecodes) {
   EXPECT_EQ(d.users[1].dead_letters, 2u);
 }
 
-/// The last version-1 file ever written (the golden fixture as of the
-/// micro-batch engine): decode refuses it by version, never misparses it.
-TEST(SnapshotGolden, VersionOneFileIsRefusedByVersion) {
+/// Decode refuses a retired version by its version field, never
+/// misparses it.
+void expect_refused_by_version(const std::string& fixture, int version) {
   const std::string stored =
-      read_file(std::string(MOOD_TEST_DATA_DIR) + "/golden-v1.moodsnap");
-  ASSERT_FALSE(stored.empty()) << "missing fixture golden-v1.moodsnap";
+      read_file(std::string(MOOD_TEST_DATA_DIR) + "/" + fixture);
+  ASSERT_FALSE(stored.empty()) << "missing fixture " << fixture;
   try {
     (void)decode_snapshot(stored);
-    FAIL() << "a version-1 snapshot decoded";
+    FAIL() << "a version-" << version << " snapshot decoded";
   } catch (const SnapshotError& e) {
-    EXPECT_NE(std::string(e.what()).find("unsupported snapshot version 1"),
+    EXPECT_NE(std::string(e.what()).find("unsupported snapshot version " +
+                                         std::to_string(version)),
               std::string::npos)
         << e.what();
   }
+}
+
+/// The last version-1 file ever written (the golden fixture as of the
+/// micro-batch engine).
+TEST(SnapshotGolden, VersionOneFileIsRefusedByVersion) {
+  expect_refused_by_version("golden-v1.moodsnap", 1);
+}
+
+/// The last version-2 file ever written (the golden fixture as of the
+/// held-mechanism recheck cadence, whose field its CONFIG section carries).
+TEST(SnapshotGolden, VersionTwoFileIsRefusedByVersion) {
+  expect_refused_by_version("golden-v2.moodsnap", 2);
 }
 
 // ----------------------------------------------- restore bit-identity --

@@ -1137,7 +1137,7 @@ TEST_F(StreamTest, LoopFinalDecisionsMatchBatchEvaluators) {
   // replay histogram.
   EXPECT_EQ(result.latency_histogram.count, result.events);
   // A clean strict run must leave the resilience counters untouched —
-  // the held/recheck admission tiers are cheap paths, not degradations.
+  // the held admission tier is a cheap path, not a degradation.
   EXPECT_EQ(result.stats.bad_records, 0u);
   EXPECT_EQ(result.stats.quarantined_users, 0u);
   EXPECT_EQ(result.stats.degraded_batches, 0u);
@@ -1153,13 +1153,12 @@ TEST_F(StreamTest, LoopDecisionsMatchBatchAcrossShardsSlackAndRecheck) {
   StreamConfig eager = sharded();  // full decision on every event
   eager.loop_slack = 0;
   variants.push_back(eager);
-  StreamConfig lazy = sharded();  // mostly held, odd cadences
+  StreamConfig lazy = sharded();  // mostly held, odd cadence
   lazy.loop_slack = 7;
-  lazy.loop_recheck = 3;
   variants.push_back(lazy);
-  StreamConfig no_recheck = sharded();
-  no_recheck.loop_recheck = 0;
-  variants.push_back(no_recheck);
+  StreamConfig every_event = sharded();  // slack 1: decide every event
+  every_event.loop_slack = 1;
+  variants.push_back(every_event);
 
   for (const StreamConfig& config : variants) {
     const auto result = replay_with(config);
@@ -1213,17 +1212,12 @@ TEST_F(StreamTest, LoopRestoreRefusesEngineModeMismatch) {
   first.quiesce();
   const SnapshotData snap = first.capture_snapshot();
 
-  // The decision cadences shape the mid-stream decision sequence, so a
-  // checkpoint must not restore under different ones.
+  // The slack cadence shapes the mid-stream decision sequence, so a
+  // checkpoint must not restore under a different one.
   StreamConfig other_slack = config;
   other_slack.loop_slack = 5;
   StreamEngine slack_engine(harness_->make_engine(), other_slack);
   EXPECT_THROW(slack_engine.restore_snapshot(snap), SnapshotError);
-
-  StreamConfig other_recheck = config;
-  other_recheck.loop_recheck = 2;
-  StreamEngine recheck_engine(harness_->make_engine(), other_recheck);
-  EXPECT_THROW(recheck_engine.restore_snapshot(snap), SnapshotError);
 }
 
 TEST_F(StreamTest, LoopStrictFaultSurfacesOnTheProducer) {
@@ -1255,10 +1249,9 @@ TEST_F(StreamTest, LoopStrictFaultSurfacesOnTheProducer) {
 }
 
 TEST_F(StreamTest, LoopQuarantineIsolatesPoisonedUserFromHealthyDecisions) {
-  // Odd cadences on two shards: isolation must not depend on the tiers.
+  // An odd cadence on two shards: isolation must not depend on the tiers.
   StreamConfig config = sharded(2);
   config.loop_slack = 7;
-  config.loop_recheck = 3;
   const auto clean = replay_with(config);
 
   std::vector<StreamEvent> poisoned_events = *events_;

@@ -149,9 +149,6 @@ int cmd_replay(int argc, const char* const* argv, std::ostream& out,
   flags.add_int("loop-slack", 64,
                 "full re-decision every N folded events per user; held "
                 "verdicts between (0 = decide every event)");
-  flags.add_int("loop-recheck", 16,
-                "cheap held-mechanism recheck every N folded events per "
-                "user between full decisions (0 = off)");
   flags.add_int("staleness", 0,
                 "points before the PIT/POI window profiles are recompiled "
                 "(0 = every decision; the AP heatmap is always exact)");
@@ -169,7 +166,7 @@ int cmd_replay(int argc, const char* const* argv, std::ostream& out,
                  "gate (skipped automatically for lossy window "
                  "configurations)");
   flags.add_string("checkpoint-dir", "",
-                   "directory for crash-consistent mood-snapshot/2 "
+                   "directory for crash-consistent mood-snapshot/3 "
                    "checkpoints (empty = checkpointing off)");
   flags.add_int("checkpoint-every", 0,
                 "write a checkpoint every N ingested events, at a quiesced "
@@ -268,9 +265,9 @@ int cmd_replay(int argc, const char* const* argv, std::ostream& out,
   if (flags.get_int("poison-stride") <= 0) {
     throw support::UsageError("mood replay: --poison-stride must be positive");
   }
-  if (flags.get_int("loop-slack") < 0 || flags.get_int("loop-recheck") < 0) {
+  if (flags.get_int("loop-slack") < 0) {
     throw support::UsageError(
-        "mood replay: loop cadences must be non-negative");
+        "mood replay: --loop-slack must be non-negative");
   }
   const stream::BadRecordPolicy bad_record_policy =
       stream::parse_bad_record_policy(flags.get_string("on-bad-record"));
@@ -355,8 +352,6 @@ int cmd_replay(int argc, const char* const* argv, std::ostream& out,
   stream::StreamConfig stream_config;
   stream_config.loop_slack =
       static_cast<std::size_t>(flags.get_int("loop-slack"));
-  stream_config.loop_recheck =
-      static_cast<std::size_t>(flags.get_int("loop-recheck"));
   stream_config.shards = static_cast<std::size_t>(flags.get_int("shards"));
   stream_config.window_seconds = static_cast<mobility::Timestamp>(
       flags.get_double("window-hours") * 3600.0);
