@@ -335,16 +335,8 @@ Json make_stream_report(const RunMetadata& meta, Json dataset,
   replay["finish_seconds"] = result.finish_seconds;
   replay["end_to_end_events_per_second"] =
       result.end_to_end_events_per_second;
-  Json latency = Json::object();
-  latency["p50"] = result.latency.p50;
-  latency["p95"] = result.latency.p95;
-  latency["p99"] = result.latency.p99;
-  latency["max"] = result.latency.max;
-  latency["mean"] = result.latency.mean;
-  replay["latency_seconds"] = std::move(latency);
-  // Full distribution behind the summary above: the gateway's per-shard
-  // log-bucketed histogram (telemetry/metrics.h). "latency_seconds" stays
-  // for consumers of older documents; new tooling should prefer this.
+  // Decision latency: the gateway's per-shard log-bucketed histogram
+  // (telemetry/metrics.h) with its derived percentiles.
   Json latency_hist = to_json(result.latency_histogram);
   latency_hist["unit"] = "seconds";
   Json per_shard = Json::array();
@@ -493,16 +485,13 @@ std::vector<std::vector<std::string>> stream_summary_rows(
         {"end_to_end_events_per_second",
          fixed(replay->number_or("end_to_end_events_per_second", 0.0), 1)});
   }
-  if (const Json* latency = replay->find("latency_seconds")) {
+  if (const Json* latency = replay->find("latency")) {
     rows.push_back(
         {"latency_p50_ms", fixed(latency->number_or("p50", 0.0) * 1e3, 3)});
     rows.push_back(
         {"latency_p95_ms", fixed(latency->number_or("p95", 0.0) * 1e3, 3)});
     rows.push_back(
         {"latency_p99_ms", fixed(latency->number_or("p99", 0.0) * 1e3, 3)});
-  }
-  // Per-shard latency (the "latency" histogram block, PR 9+ documents).
-  if (const Json* latency = replay->find("latency")) {
     if (const Json* per_shard = latency->find("per_shard");
         per_shard != nullptr && per_shard->is_array()) {
       for (const Json& shard : per_shard->items()) {

@@ -127,10 +127,8 @@ inline constexpr const char* kBenchSchema = "mood-bench/1";
 ///     "finish_seconds": 0.21,   // the timed canonical finish() pass
 ///     "end_to_end_events_per_second": 11992.7,  // events /
 ///                                // (wall_seconds + finish_seconds)
-///     "latency_seconds": {"p50": ..., "p95": ..., "p99": ...,
-///                          "max": ..., "mean": ...},
-///     "latency": {         // full distribution behind latency_seconds:
-///                          // the per-shard log-bucketed histogram
+///     "latency": {         // decision latency: the per-shard
+///                          // log-bucketed histogram
 ///                          // (telemetry/metrics.h). Percentiles are
 ///                          // bucket midpoints (<= ~3.2% relative
 ///                          // error); count/sum/mean are exact. Like

@@ -30,60 +30,12 @@ double seconds_since(Clock::time_point start) {
   return std::chrono::duration<double>(Clock::now() - start).count();
 }
 
-/// The counters that continue across a restore as baseline + (raw -
-/// floor). The checkpoint counters are deliberately absent: they describe
-/// *this process's* checkpoint activity (reported outside the decision
-/// cost block), not the logical stream, so they stay raw.
-constexpr std::uint64_t StreamStats::* kContinuedStats[] = {
-    &StreamStats::events,          &StreamStats::decisions,
-    &StreamStats::exposed_events,
-    &StreamStats::protected_events, &StreamStats::searches,
-    &StreamStats::rechecks,        &StreamStats::profile_refreshes,
-    &StreamStats::stay_updates,    &StreamStats::stay_rebuilds,
-    &StreamStats::heatmap_updates, &StreamStats::evicted_points,
-    &StreamStats::evicted_users,   &StreamStats::lppm_applications,
-    &StreamStats::attack_invocations, &StreamStats::index_prunes,
-    &StreamStats::exact_evals,     &StreamStats::index_rebuilds,
-    &StreamStats::bad_records,     &StreamStats::dead_letters,
-    &StreamStats::quarantined_users, &StreamStats::shed_decisions,
-    &StreamStats::degraded_batches, &StreamStats::backpressure_events,
-};
-
 /// Same bounds the dataset loader enforces (mobility/io.cpp); a finite
 /// fix outside them is corrupt, not exotic.
 bool valid_coordinate(const geo::GeoPoint& p) {
   return std::isfinite(p.lat) && std::isfinite(p.lon) && p.lat > -89.0 &&
          p.lat < 89.0 && p.lon >= -180.0 && p.lon <= 180.0;
 }
-
-/// Mirror gauges published at exposition time: the continued (restore-
-/// aware) StreamStats, one gauge per field, named for the stream report
-/// vocabulary. Gauges, not counters, because stats() already applies the
-/// continuation math — re-counting would double-apply it.
-struct StatGauge {
-  const char* name;
-  std::uint64_t StreamStats::* field;
-};
-constexpr StatGauge kStatGauges[] = {
-    {"mood_gateway_events", &StreamStats::events},
-    {"mood_gateway_decisions", &StreamStats::decisions},
-    {"mood_gateway_exposed_events", &StreamStats::exposed_events},
-    {"mood_gateway_protected_events", &StreamStats::protected_events},
-    {"mood_gateway_searches", &StreamStats::searches},
-    {"mood_gateway_rechecks", &StreamStats::rechecks},
-    {"mood_gateway_profile_refreshes", &StreamStats::profile_refreshes},
-    {"mood_gateway_stay_updates", &StreamStats::stay_updates},
-    {"mood_gateway_stay_rebuilds", &StreamStats::stay_rebuilds},
-    {"mood_gateway_heatmap_updates", &StreamStats::heatmap_updates},
-    {"mood_gateway_evicted_points", &StreamStats::evicted_points},
-    {"mood_gateway_evicted_users", &StreamStats::evicted_users},
-    {"mood_gateway_lppm_applications", &StreamStats::lppm_applications},
-    {"mood_gateway_attack_invocations", &StreamStats::attack_invocations},
-    {"mood_gateway_index_prunes", &StreamStats::index_prunes},
-    {"mood_gateway_exact_evals", &StreamStats::exact_evals},
-    {"mood_gateway_index_rebuilds", &StreamStats::index_rebuilds},
-    {"mood_gateway_shed_decisions", &StreamStats::shed_decisions},
-};
 
 /// Ring capacity. With a backpressure bound, the ring is the
 /// bounded buffer --max-pending promises: the kAdmittedSlow signal fires
@@ -601,8 +553,11 @@ StreamStats StreamEngine::stats() const {
   // the restore completed (e.g. the attack-training index rebuild, which
   // the baseline already counts once). Both are all-zero when no restore
   // happened, leaving s untouched.
-  for (const auto field : kContinuedStats) {
-    s.*field = stats_baseline_.*field + (s.*field - stats_floor_.*field);
+  for (const StreamStatField& f : kStreamStatFields) {
+    if (f.continued) {
+      s.*f.member =
+          stats_baseline_.*f.member + (s.*f.member - stats_floor_.*f.member);
+    }
   }
   return s;
 }
@@ -810,8 +765,10 @@ void StreamEngine::maybe_checkpoint() {
 
 void StreamEngine::refresh_gauges() const {
   const StreamStats s = stats();
-  for (const StatGauge& g : kStatGauges) {
-    registry_.gauge(g.name).set(static_cast<double>(s.*g.field));
+  for (const StreamStatField& f : kStreamStatFields) {
+    if (f.gauge != nullptr) {
+      registry_.gauge(f.gauge).set(static_cast<double>(s.*f.member));
+    }
   }
   registry_.gauge("mood_gateway_resident_users")
       .set(static_cast<double>(store_.user_count()));

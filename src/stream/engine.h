@@ -40,7 +40,9 @@
 /// perturbs a healthy one, and shed verdicts are repaired by finish().
 
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <vector>
@@ -145,6 +147,69 @@ struct StreamStats {
   /// process's forensics, raw like the checkpoint counters.
   std::uint64_t quarantined_snapshots = 0;
 };
+
+/// One StreamStats counter, listed once for every consumer.
+struct StreamStatField {
+  std::uint64_t StreamStats::* member;
+  /// Mirror gauge published at exposition time (refresh_gauges), named for
+  /// the stream report vocabulary; nullptr for none. Gauges, not counters,
+  /// because stats() already applies the continuation math — re-counting
+  /// would double-apply it.
+  const char* gauge;
+  /// Continues across a restore as baseline + (raw - floor). The
+  /// checkpoint counters and quarantined_snapshots do not: they describe
+  /// *this process's* checkpoint activity (reported outside the decision
+  /// cost block), not the logical stream, so they stay raw.
+  bool continued;
+};
+
+/// Every StreamStats counter in declaration order, which is also the order
+/// of the mood-snapshot/3 STATS section. Drives stats() continuation, the
+/// mood_gateway_* mirror gauges and the snapshot codec.
+inline constexpr StreamStatField kStreamStatFields[] = {
+    {&StreamStats::events, "mood_gateway_events", true},
+    {&StreamStats::decisions, "mood_gateway_decisions", true},
+    {&StreamStats::exposed_events, "mood_gateway_exposed_events", true},
+    {&StreamStats::protected_events, "mood_gateway_protected_events", true},
+    {&StreamStats::searches, "mood_gateway_searches", true},
+    {&StreamStats::rechecks, "mood_gateway_rechecks", true},
+    {&StreamStats::profile_refreshes, "mood_gateway_profile_refreshes", true},
+    {&StreamStats::stay_updates, "mood_gateway_stay_updates", true},
+    {&StreamStats::stay_rebuilds, "mood_gateway_stay_rebuilds", true},
+    {&StreamStats::heatmap_updates, "mood_gateway_heatmap_updates", true},
+    {&StreamStats::evicted_points, "mood_gateway_evicted_points", true},
+    {&StreamStats::evicted_users, "mood_gateway_evicted_users", true},
+    {&StreamStats::lppm_applications, "mood_gateway_lppm_applications", true},
+    {&StreamStats::attack_invocations, "mood_gateway_attack_invocations",
+     true},
+    {&StreamStats::index_prunes, "mood_gateway_index_prunes", true},
+    {&StreamStats::exact_evals, "mood_gateway_exact_evals", true},
+    {&StreamStats::index_rebuilds, "mood_gateway_index_rebuilds", true},
+    {&StreamStats::checkpoints, nullptr, false},
+    {&StreamStats::checkpoint_bytes, nullptr, false},
+    {&StreamStats::checkpoint_failures, nullptr, false},
+    {&StreamStats::bad_records, nullptr, true},
+    {&StreamStats::dead_letters, nullptr, true},
+    {&StreamStats::quarantined_users, nullptr, true},
+    {&StreamStats::shed_decisions, "mood_gateway_shed_decisions", true},
+    {&StreamStats::degraded_batches, nullptr, true},
+    {&StreamStats::backpressure_events, nullptr, true},
+    {&StreamStats::quarantined_snapshots, nullptr, false},
+};
+
+static_assert(
+    [] {
+      for (std::size_t i = 0; i < std::size(kStreamStatFields); ++i) {
+        for (std::size_t j = 0; j < i; ++j) {
+          if (kStreamStatFields[i].member == kStreamStatFields[j].member) {
+            return false;
+          }
+        }
+      }
+      return std::size(kStreamStatFields) * sizeof(std::uint64_t) ==
+             sizeof(StreamStats);
+    }(),
+    "kStreamStatFields must list every StreamStats counter exactly once");
 
 /// Periodic checkpointing knobs. Disabled unless both are set. A
 /// checkpoint is written at a quiesced cut as soon as the cumulative

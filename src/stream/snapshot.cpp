@@ -8,10 +8,12 @@
 #include <array>
 #include <bit>
 #include <cerrno>
+#include <concepts>
 #include <cstring>
 #include <filesystem>
 #include <optional>
 #include <system_error>
+#include <type_traits>
 
 #include "support/failpoint.h"
 #include "support/logging.h"
@@ -32,510 +34,339 @@ constexpr char kTmpName[] = ".snapshot.tmp";
 constexpr char kFilePrefix[] = "snapshot-";
 constexpr std::size_t kKeepSnapshots = 2;
 
-// ---- Little-endian primitives ----------------------------------------
-// Byte-by-byte so the wire format is identical on any host; doubles travel
-// as their IEEE-754 bit pattern.
-
-void put_u8(std::string& out, std::uint8_t v) {
-  out.push_back(static_cast<char>(v));
+/// Every decode error names the format, so a version bump edits one line.
+[[noreturn]] void fail_format(const std::string& detail) {
+  throw SnapshotError("mood-snapshot/" + std::to_string(kSnapshotVersion) +
+                      ": " + detail);
 }
 
-void put_u32(std::string& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out.push_back(static_cast<char>((v >> (8 * i)) & 0xFF));
+// ---- Codecs ----------------------------------------------------------
+// Each record's layout is written once, as a walk_* function templated on
+// the direction. Writer (encode) and Reader (decode) share one vocabulary:
+//   io(field)                     a fixed-width field;
+//   io_enum(field, max, detail)   a one-byte enumeration;
+//   seq(vector, min_bytes, each)  a u64 count, then `each` per element;
+//   check(cond, detail)           a decode-only invariant.
+// Integers are fixed-width little-endian, byte by byte so the wire format
+// is identical on any host; doubles travel as their IEEE-754 bit pattern,
+// bools as one byte, strings as u64 length + raw bytes.
+
+static_assert(sizeof(std::size_t) == 8, "size_t fields travel as u64");
+
+class Writer {
+ public:
+  static constexpr bool kEncode = true;
+
+  explicit Writer(std::string& out) : out_(out) {}
+
+  template <std::integral T>
+  void io(T v) {
+    const auto u = static_cast<std::make_unsigned_t<T>>(v);
+    char bytes[sizeof(T)];
+    for (std::size_t i = 0; i < sizeof(T); ++i) {
+      bytes[i] = static_cast<char>((u >> (8 * i)) & 0xFF);
+    }
+    out_.append(bytes, sizeof(T));
   }
-}
-
-void put_u64(std::string& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out.push_back(static_cast<char>((v >> (8 * i)) & 0xFF));
+  void io(bool v) { io(static_cast<std::uint8_t>(v ? 1 : 0)); }
+  void io(double v) { io(std::bit_cast<std::uint64_t>(v)); }
+  void io(const std::string& s) {
+    io(static_cast<std::uint64_t>(s.size()));
+    out_.append(s);
   }
-}
 
-void put_i32(std::string& out, std::int32_t v) {
-  put_u32(out, static_cast<std::uint32_t>(v));
-}
+  template <typename E>
+  void io_enum(E v, E /*max*/, const char* /*detail*/) {
+    io(static_cast<std::uint8_t>(v));
+  }
 
-void put_i64(std::string& out, std::int64_t v) {
-  put_u64(out, static_cast<std::uint64_t>(v));
-}
+  template <typename T, typename Each>
+  void seq(const std::vector<T>& v, std::size_t /*min_element_bytes*/,
+           Each each) {
+    io(static_cast<std::uint64_t>(v.size()));
+    for (const T& element : v) each(element);
+  }
 
-void put_double(std::string& out, double v) {
-  put_u64(out, std::bit_cast<std::uint64_t>(v));
-}
+  void check(bool /*cond*/, const char* /*detail*/) {}
 
-void put_bool(std::string& out, bool v) { put_u8(out, v ? 1 : 0); }
-
-void put_string(std::string& out, const std::string& s) {
-  put_u64(out, s.size());
-  out.append(s);
-}
+ private:
+  std::string& out_;
+};
 
 /// Bounds-checked sequential reader over one payload. Every overrun or
 /// malformed value throws SnapshotError — decode never returns a partial
 /// document.
 class Reader {
  public:
+  static constexpr bool kEncode = false;
+
   Reader(std::string_view bytes, const char* what)
-      : bytes_(bytes), what_(what) {}
+      : pos_(bytes.data()), end_(bytes.data() + bytes.size()), what_(what) {}
 
-  std::uint8_t get_u8() {
-    need(1);
-    return static_cast<std::uint8_t>(bytes_[pos_++]);
-  }
-
-  std::uint32_t get_u32() {
-    need(4);
-    std::uint32_t v = 0;
-    for (int i = 0; i < 4; ++i) {
-      v |= static_cast<std::uint32_t>(
-               static_cast<std::uint8_t>(bytes_[pos_ + i]))
+  template <std::integral T>
+  void io(T& v) {
+    need(sizeof(T));
+    std::uint64_t u = 0;
+    for (std::size_t i = 0; i < sizeof(T); ++i) {
+      u |= static_cast<std::uint64_t>(static_cast<std::uint8_t>(pos_[i]))
            << (8 * i);
     }
-    pos_ += 4;
-    return v;
+    pos_ += sizeof(T);
+    v = static_cast<T>(u);
+  }
+  void io(bool& v) {
+    std::uint8_t b = 0;
+    io(b);
+    check(b <= 1, "boolean byte out of range");
+    v = b != 0;
+  }
+  void io(double& v) {
+    std::uint64_t bits = 0;
+    io(bits);
+    v = std::bit_cast<double>(bits);
+  }
+  void io(std::string& s) {
+    std::uint64_t len = 0;
+    io(len);
+    s = std::string(take(len));
   }
 
-  std::uint64_t get_u64() {
-    need(8);
-    std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i) {
-      v |= static_cast<std::uint64_t>(
-               static_cast<std::uint8_t>(bytes_[pos_ + i]))
-           << (8 * i);
-    }
-    pos_ += 8;
-    return v;
+  template <typename E>
+  void io_enum(E& v, E max, const char* detail) {
+    std::uint8_t b = 0;
+    io(b);
+    check(b <= static_cast<std::uint8_t>(max), detail);
+    v = static_cast<E>(b);
   }
 
-  std::int32_t get_i32() { return static_cast<std::int32_t>(get_u32()); }
-  std::int64_t get_i64() { return static_cast<std::int64_t>(get_u64()); }
-  double get_double() { return std::bit_cast<double>(get_u64()); }
-
-  bool get_bool() {
-    const std::uint8_t v = get_u8();
-    if (v > 1) fail("boolean byte out of range");
-    return v != 0;
+  /// The count is validated against the bytes actually left, so a corrupt
+  /// length cannot drive a giant allocation before the next bounds check
+  /// fires.
+  template <typename T, typename Each>
+  void seq(std::vector<T>& v, std::size_t min_element_bytes, Each each) {
+    std::uint64_t count = 0;
+    io(count);
+    check(count <= remaining() / min_element_bytes,
+          "element count exceeds remaining payload");
+    v.reserve(static_cast<std::size_t>(count));
+    for (std::uint64_t i = 0; i < count; ++i) each(v.emplace_back());
   }
 
-  std::string get_string() {
-    const std::uint64_t len = get_u64();
-    need(len);
-    std::string s(bytes_.substr(pos_, len));
-    pos_ += len;
-    return s;
+  void check(bool cond, const char* detail) const {
+    if (!cond) fail(detail);
   }
 
-  void skip(std::uint64_t n) {
+  /// The next `n` bytes, consumed.
+  std::string_view take(std::uint64_t n) {
     need(n);
-    pos_ += static_cast<std::size_t>(n);
+    const std::string_view out(pos_, static_cast<std::size_t>(n));
+    pos_ += n;
+    return out;
   }
 
-  /// Validates an element count against the bytes actually left, so a
-  /// corrupt length cannot drive a giant allocation before the next
-  /// bounds check fires.
-  std::size_t get_count(std::size_t min_element_bytes) {
-    const std::uint64_t count = get_u64();
-    if (min_element_bytes > 0 && count > remaining() / min_element_bytes) {
-      fail("element count exceeds remaining payload");
-    }
-    return static_cast<std::size_t>(count);
+  [[nodiscard]] std::size_t remaining() const {
+    return static_cast<std::size_t>(end_ - pos_);
   }
 
-  [[nodiscard]] std::size_t remaining() const { return bytes_.size() - pos_; }
-
-  void expect_done() const {
-    if (pos_ != bytes_.size()) fail("trailing bytes");
-  }
+  void expect_done() const { check(pos_ == end_, "trailing bytes"); }
 
   [[noreturn]] void fail(const char* detail) const {
-    throw SnapshotError(std::string("mood-snapshot/3: malformed ") + what_ +
-                        ": " + detail);
+    fail_format(std::string("malformed ") + what_ + ": " + detail);
   }
 
  private:
-  void need(std::uint64_t n) {
+  void need(std::uint64_t n) const {
     if (n > remaining()) fail("truncated payload");
   }
 
-  std::string_view bytes_;
+  // A cursor of pointers, not an index: the walks store integers through
+  // references, which the compiler must assume can alias a size_t member.
+  const char* pos_;
+  const char* end_;
   const char* what_;
-  std::size_t pos_ = 0;
 };
 
-// ---- Composite encoders/decoders -------------------------------------
+/// What a walk visits: a const record when encoding, a mutable one when
+/// decoding.
+template <typename Codec, typename T>
+using Field = std::conditional_t<Codec::kEncode, const T, T>;
 
-void put_record(std::string& out, const mobility::Record& r) {
-  put_double(out, r.position.lat);
-  put_double(out, r.position.lon);
-  put_i64(out, r.time);
+// ---- Field walks -----------------------------------------------------
+
+template <typename Codec>
+void walk_record(Codec& c, Field<Codec, mobility::Record>& r) {
+  c.io(r.position.lat);
+  c.io(r.position.lon);
+  c.io(r.time);
 }
 
-mobility::Record get_record(Reader& in) {
-  mobility::Record r;
-  r.position.lat = in.get_double();
-  r.position.lon = in.get_double();
-  r.time = in.get_i64();
-  return r;
+template <typename Codec>
+void walk_trig_point(Codec& c, Field<Codec, geo::TrigPoint>& p) {
+  c.io(p.lat_rad);
+  c.io(p.lon_deg);
+  c.io(p.cos_lat);
 }
 
-void put_records(std::string& out, const std::vector<mobility::Record>& v) {
-  put_u64(out, v.size());
-  for (const auto& r : v) put_record(out, r);
+template <typename Codec>
+void walk_poi(Codec& c, Field<Codec, clustering::Poi>& p) {
+  c.io(p.center.lat);
+  c.io(p.center.lon);
+  c.io(p.record_count);
+  c.io(p.dwell);
+  c.io(p.start);
+  c.io(p.end);
 }
 
-std::vector<mobility::Record> get_records(Reader& in) {
-  const std::size_t count = in.get_count(24);
-  std::vector<mobility::Record> v;
-  v.reserve(count);
-  for (std::size_t i = 0; i < count; ++i) v.push_back(get_record(in));
-  return v;
+template <typename Codec>
+void walk_stay_tracker(Codec& c,
+                       Field<Codec, clustering::StayTrackerSnapshot>& s) {
+  c.io(s.params.max_diameter_m);
+  c.io(s.params.min_dwell);
+  c.io(s.params.min_points);
+  c.io(s.has_origin);
+  c.io(s.origin.lat);
+  c.io(s.origin.lon);
+  c.seq(s.finals, 64, [&](auto& stay) {
+    walk_poi(c, stay.poi);
+    c.io(stay.start);
+    c.io(stay.end);
+  });
+  c.io(s.run_valid);
+  c.io(s.run_anchor);
+  c.io(s.run_j);
+  c.io(s.run_sx);
+  c.io(s.run_sy);
+  c.io(s.run_t_start);
+  c.io(s.run_t_end);
+  c.io(s.base);
+  c.io(s.size);
+  c.io(s.generation);
+  c.io(s.updates);
+  c.io(s.rebuilds);
 }
 
-void put_poi(std::string& out, const clustering::Poi& p) {
-  put_double(out, p.center.lat);
-  put_double(out, p.center.lon);
-  put_u64(out, p.record_count);
-  put_i64(out, p.dwell);
-  put_i64(out, p.start);
-  put_i64(out, p.end);
+template <typename Codec>
+void walk_visit_states(
+    Codec& c, Field<Codec, clustering::TrackedVisitStatesSnapshot>& s) {
+  walk_stay_tracker(c, s.stays);
+  c.io(s.visits.merge_distance_m);
+  c.seq(s.visits.states, 48, [&](auto& poi) { walk_poi(c, poi); });
+  c.io(s.visits.folded);
+  c.io(s.synced_generation);
 }
 
-clustering::Poi get_poi(Reader& in) {
-  clustering::Poi p;
-  p.center.lat = in.get_double();
-  p.center.lon = in.get_double();
-  p.record_count = static_cast<std::size_t>(in.get_u64());
-  p.dwell = in.get_i64();
-  p.start = in.get_i64();
-  p.end = in.get_i64();
-  return p;
+template <typename Codec>
+void walk_user(Codec& c, Field<Codec, UserSnapshot>& u) {
+  c.io(u.user);
+  c.seq(u.window, 24, [&](auto& record) { walk_record(c, record); });
+
+  c.io(u.heatmap_built);
+  c.io(u.heatmap_total);
+  c.seq(u.heatmap_counts, 16, [&](auto& cell) {
+    c.io(cell.first.ix);
+    c.io(cell.first.iy);
+    c.io(cell.second);
+  });
+
+  c.io(u.stays_init);
+  c.io(u.stay_origin_set);
+  c.io(u.stay_origin.lat);
+  c.io(u.stay_origin.lon);
+  if (u.stays_init) walk_visit_states(c, u.stays);
+
+  c.io(u.profiles_built);
+  c.seq(u.markov_states, 32, [&](auto& state) {
+    walk_trig_point(c, state.center);
+    c.io(state.weight);
+  });
+  c.seq(u.poi_centers, 24, [&](auto& center) { walk_trig_point(c, center); });
+  c.io(u.stale_appended);
+  c.io(u.stale_evicted);
+  c.io(u.stale_points);
+
+  c.io(u.has_decision);
+  c.io_enum(u.decision, std::uint8_t{1}, "decision byte out of range");
+  c.io(u.winner);
+  c.io(u.searched_events);
+
+  c.io(u.events);
+  c.io(u.risk_transitions);
+  c.io(u.searches);
+  c.io(u.rechecks);
+  c.io(u.degraded);
+  c.io(u.last_touch);
+
+  c.io(u.quarantined);
+  c.io(u.quarantine_reason);
+  c.check(u.quarantined || u.quarantine_reason.empty(),
+          "quarantine reason on a non-quarantined user");
+  c.io(u.dead_letters);
+  c.io(u.has_last_time);
+  c.io(u.last_time);
 }
 
-void put_stay_tracker(std::string& out,
-                      const clustering::StayTrackerSnapshot& s) {
-  put_double(out, s.params.max_diameter_m);
-  put_i64(out, s.params.min_dwell);
-  put_u64(out, s.params.min_points);
-  put_bool(out, s.has_origin);
-  put_double(out, s.origin.lat);
-  put_double(out, s.origin.lon);
-  put_u64(out, s.finals.size());
-  for (const auto& stay : s.finals) {
-    put_poi(out, stay.poi);
-    put_u64(out, stay.start);
-    put_u64(out, stay.end);
-  }
-  put_bool(out, s.run_valid);
-  put_u64(out, s.run_anchor);
-  put_u64(out, s.run_j);
-  put_double(out, s.run_sx);
-  put_double(out, s.run_sy);
-  put_i64(out, s.run_t_start);
-  put_i64(out, s.run_t_end);
-  put_u64(out, s.base);
-  put_u64(out, s.size);
-  put_u64(out, s.generation);
-  put_u64(out, s.updates);
-  put_u64(out, s.rebuilds);
-}
-
-clustering::StayTrackerSnapshot get_stay_tracker(Reader& in) {
-  clustering::StayTrackerSnapshot s;
-  s.params.max_diameter_m = in.get_double();
-  s.params.min_dwell = in.get_i64();
-  s.params.min_points = static_cast<std::size_t>(in.get_u64());
-  s.has_origin = in.get_bool();
-  s.origin.lat = in.get_double();
-  s.origin.lon = in.get_double();
-  const std::size_t finals = in.get_count(64);
-  s.finals.reserve(finals);
-  for (std::size_t i = 0; i < finals; ++i) {
-    clustering::StayTrackerSnapshot::Stay stay;
-    stay.poi = get_poi(in);
-    stay.start = in.get_u64();
-    stay.end = in.get_u64();
-    s.finals.push_back(stay);
-  }
-  s.run_valid = in.get_bool();
-  s.run_anchor = in.get_u64();
-  s.run_j = in.get_u64();
-  s.run_sx = in.get_double();
-  s.run_sy = in.get_double();
-  s.run_t_start = in.get_i64();
-  s.run_t_end = in.get_i64();
-  s.base = in.get_u64();
-  s.size = in.get_u64();
-  s.generation = in.get_u64();
-  s.updates = in.get_u64();
-  s.rebuilds = in.get_u64();
-  return s;
-}
-
-void put_visit_states(std::string& out,
-                      const clustering::TrackedVisitStatesSnapshot& s) {
-  put_stay_tracker(out, s.stays);
-  put_double(out, s.visits.merge_distance_m);
-  put_u64(out, s.visits.states.size());
-  for (const auto& poi : s.visits.states) put_poi(out, poi);
-  put_u64(out, s.visits.folded);
-  put_u64(out, s.synced_generation);
-}
-
-clustering::TrackedVisitStatesSnapshot get_visit_states(Reader& in) {
-  clustering::TrackedVisitStatesSnapshot s;
-  s.stays = get_stay_tracker(in);
-  s.visits.merge_distance_m = in.get_double();
-  const std::size_t states = in.get_count(48);
-  s.visits.states.reserve(states);
-  for (std::size_t i = 0; i < states; ++i) {
-    s.visits.states.push_back(get_poi(in));
-  }
-  s.visits.folded = static_cast<std::size_t>(in.get_u64());
-  s.synced_generation = in.get_u64();
-  return s;
-}
-
-void put_user(std::string& out, const UserSnapshot& u) {
-  put_string(out, u.user);
-  put_records(out, u.window);
-
-  put_bool(out, u.heatmap_built);
-  put_double(out, u.heatmap_total);
-  put_u64(out, u.heatmap_counts.size());
-  for (const auto& [cell, count] : u.heatmap_counts) {
-    put_i32(out, cell.ix);
-    put_i32(out, cell.iy);
-    put_double(out, count);
-  }
-
-  put_bool(out, u.stays_init);
-  put_bool(out, u.stay_origin_set);
-  put_double(out, u.stay_origin.lat);
-  put_double(out, u.stay_origin.lon);
-  if (u.stays_init) put_visit_states(out, u.stays);
-
-  put_bool(out, u.profiles_built);
-  put_u64(out, u.markov_states.size());
-  for (const auto& state : u.markov_states) {
-    put_double(out, state.center.lat_rad);
-    put_double(out, state.center.lon_deg);
-    put_double(out, state.center.cos_lat);
-    put_double(out, state.weight);
-  }
-  put_u64(out, u.poi_centers.size());
-  for (const auto& center : u.poi_centers) {
-    put_double(out, center.lat_rad);
-    put_double(out, center.lon_deg);
-    put_double(out, center.cos_lat);
-  }
-  put_u64(out, u.stale_appended);
-  put_u64(out, u.stale_evicted);
-  put_u64(out, u.stale_points);
-
-  put_bool(out, u.has_decision);
-  put_u8(out, u.decision);
-  put_string(out, u.winner);
-  put_u64(out, u.searched_events);
-
-  put_u64(out, u.events);
-  put_u64(out, u.risk_transitions);
-  put_u64(out, u.searches);
-  put_u64(out, u.rechecks);
-  put_u64(out, u.degraded);
-  put_u64(out, u.last_touch);
-
-  put_bool(out, u.quarantined);
-  put_string(out, u.quarantine_reason);
-  put_u64(out, u.dead_letters);
-  put_bool(out, u.has_last_time);
-  put_i64(out, u.last_time);
-}
-
-UserSnapshot get_user(Reader& in) {
-  UserSnapshot u;
-  u.user = in.get_string();
-  u.window = get_records(in);
-
-  u.heatmap_built = in.get_bool();
-  u.heatmap_total = in.get_double();
-  const std::size_t cells = in.get_count(16);
-  u.heatmap_counts.reserve(cells);
-  for (std::size_t i = 0; i < cells; ++i) {
-    geo::CellIndex cell;
-    cell.ix = in.get_i32();
-    cell.iy = in.get_i32();
-    const double count = in.get_double();
-    u.heatmap_counts.emplace_back(cell, count);
-  }
-
-  u.stays_init = in.get_bool();
-  u.stay_origin_set = in.get_bool();
-  u.stay_origin.lat = in.get_double();
-  u.stay_origin.lon = in.get_double();
-  if (u.stays_init) u.stays = get_visit_states(in);
-
-  u.profiles_built = in.get_bool();
-  const std::size_t markov = in.get_count(32);
-  u.markov_states.reserve(markov);
-  for (std::size_t i = 0; i < markov; ++i) {
-    profiles::CompiledMarkovState state;
-    state.center.lat_rad = in.get_double();
-    state.center.lon_deg = in.get_double();
-    state.center.cos_lat = in.get_double();
-    state.weight = in.get_double();
-    u.markov_states.push_back(state);
-  }
-  const std::size_t pois = in.get_count(24);
-  u.poi_centers.reserve(pois);
-  for (std::size_t i = 0; i < pois; ++i) {
-    geo::TrigPoint center;
-    center.lat_rad = in.get_double();
-    center.lon_deg = in.get_double();
-    center.cos_lat = in.get_double();
-    u.poi_centers.push_back(center);
-  }
-  u.stale_appended = in.get_u64();
-  u.stale_evicted = in.get_u64();
-  u.stale_points = in.get_u64();
-
-  u.has_decision = in.get_bool();
-  u.decision = in.get_u8();
-  if (u.decision > 1) in.fail("decision byte out of range");
-  u.winner = in.get_string();
-  u.searched_events = in.get_u64();
-
-  u.events = in.get_u64();
-  u.risk_transitions = in.get_u64();
-  u.searches = in.get_u64();
-  u.rechecks = in.get_u64();
-  u.degraded = in.get_u64();
-  u.last_touch = in.get_u64();
-
-  u.quarantined = in.get_bool();
-  u.quarantine_reason = in.get_string();
-  if (!u.quarantined && !u.quarantine_reason.empty()) {
-    in.fail("quarantine reason on a non-quarantined user");
-  }
-  u.dead_letters = in.get_u64();
-  u.has_last_time = in.get_bool();
-  u.last_time = in.get_i64();
-  return u;
-}
-
-std::string encode_config_section(const SnapshotData& data) {
-  std::string out;
-  put_u64(out, data.context.seed);
-  put_string(out, data.context.dataset);
-  put_u64(out, data.context.total_events);
-  put_u64(out, data.config.shards);
-  put_i64(out, data.config.window_seconds);
-  put_u64(out, data.config.max_points);
-  put_u64(out, data.config.max_users_per_shard);
-  put_u64(out, data.config.staleness_points);
-  const ResilienceConfig& res = data.config.resilience;
-  put_u8(out, static_cast<std::uint8_t>(res.on_bad_record));
-  put_u64(out, res.max_pending_per_shard);
-  put_u64(out, res.shed_high_watermark);
-  put_u64(out, res.shed_low_watermark);
+template <typename Codec>
+void walk_config(Codec& c, Field<Codec, SnapshotData>& data) {
+  c.io(data.context.seed);
+  c.io(data.context.dataset);
+  c.io(data.context.total_events);
+  c.io(data.config.shards);
+  c.io(data.config.window_seconds);
+  c.io(data.config.max_points);
+  c.io(data.config.max_users_per_shard);
+  c.io(data.config.staleness_points);
+  auto& res = data.config.resilience;
+  c.io_enum(res.on_bad_record, BadRecordPolicy::kQuarantine,
+            "bad-record policy byte out of range");
+  c.io(res.max_pending_per_shard);
+  c.io(res.shed_high_watermark);
+  c.io(res.shed_low_watermark);
   // The slack cadence is decision-relevant mid-stream (the tier policy
   // keys on it), so it lives in the fingerprint; loop_autostart is
   // timing-only and excluded.
-  put_u64(out, data.config.loop_slack);
-  return out;
+  c.io(data.config.loop_slack);
 }
 
-void decode_config_section(Reader& in, SnapshotData& data) {
-  data.context.seed = in.get_u64();
-  data.context.dataset = in.get_string();
-  data.context.total_events = in.get_u64();
-  data.config.shards = static_cast<std::size_t>(in.get_u64());
-  data.config.window_seconds = in.get_i64();
-  data.config.max_points = static_cast<std::size_t>(in.get_u64());
-  data.config.max_users_per_shard = static_cast<std::size_t>(in.get_u64());
-  data.config.staleness_points = static_cast<std::size_t>(in.get_u64());
-  ResilienceConfig& res = data.config.resilience;
-  const std::uint8_t policy = in.get_u8();
-  if (policy > static_cast<std::uint8_t>(BadRecordPolicy::kQuarantine)) {
-    in.fail("bad-record policy byte out of range");
+template <typename Codec>
+void walk_stats(Codec& c, Field<Codec, SnapshotData>& data) {
+  c.io(data.stream_position);
+  for (const StreamStatField& field : kStreamStatFields) {
+    c.io(data.stats.*field.member);
   }
-  res.on_bad_record = static_cast<BadRecordPolicy>(policy);
-  res.max_pending_per_shard = static_cast<std::size_t>(in.get_u64());
-  res.shed_high_watermark = static_cast<std::size_t>(in.get_u64());
-  res.shed_low_watermark = static_cast<std::size_t>(in.get_u64());
-  data.config.loop_slack = static_cast<std::size_t>(in.get_u64());
-  in.expect_done();
+  c.seq(data.shard_clocks, 8, [&](auto& clock) { c.io(clock); });
+  c.seq(data.shard_shedding, 1, [&](auto& latch) {
+    c.io_enum(latch, std::uint8_t{1}, "shed latch byte out of range");
+  });
 }
 
-std::string encode_stats_section(const SnapshotData& data) {
-  std::string out;
-  put_u64(out, data.stream_position);
-  const StreamStats& s = data.stats;
-  for (const std::uint64_t v :
-       {s.events, s.decisions, s.exposed_events, s.protected_events,
-        s.searches, s.rechecks, s.profile_refreshes, s.stay_updates,
-        s.stay_rebuilds, s.heatmap_updates, s.evicted_points, s.evicted_users,
-        s.lppm_applications, s.attack_invocations, s.index_prunes,
-        s.exact_evals, s.index_rebuilds, s.checkpoints, s.checkpoint_bytes,
-        s.checkpoint_failures, s.bad_records, s.dead_letters,
-        s.quarantined_users, s.shed_decisions, s.degraded_batches,
-        s.backpressure_events, s.quarantined_snapshots}) {
-    put_u64(out, v);
-  }
-  put_u64(out, data.shard_clocks.size());
-  for (const std::uint64_t clock : data.shard_clocks) put_u64(out, clock);
-  put_u64(out, data.shard_shedding.size());
-  for (const std::uint8_t latch : data.shard_shedding) put_u8(out, latch);
-  return out;
+template <typename Codec>
+void walk_users(Codec& c, Field<Codec, SnapshotData>& data) {
+  c.seq(data.users, 1, [&](auto& user) {
+    walk_user(c, user);
+    const auto i = static_cast<std::size_t>(&user - data.users.data());
+    c.check(i == 0 || data.users[i - 1].user < user.user,
+            "users not strictly sorted by id");
+  });
 }
 
-void decode_stats_section(Reader& in, SnapshotData& data) {
-  data.stream_position = in.get_u64();
-  StreamStats& s = data.stats;
-  for (std::uint64_t* field :
-       {&s.events, &s.decisions, &s.exposed_events,
-        &s.protected_events, &s.searches, &s.rechecks, &s.profile_refreshes,
-        &s.stay_updates, &s.stay_rebuilds, &s.heatmap_updates,
-        &s.evicted_points, &s.evicted_users, &s.lppm_applications,
-        &s.attack_invocations, &s.index_prunes, &s.exact_evals,
-        &s.index_rebuilds, &s.checkpoints, &s.checkpoint_bytes,
-        &s.checkpoint_failures, &s.bad_records, &s.dead_letters,
-        &s.quarantined_users, &s.shed_decisions, &s.degraded_batches,
-        &s.backpressure_events, &s.quarantined_snapshots}) {
-    *field = in.get_u64();
-  }
-  const std::size_t shards = in.get_count(8);
-  data.shard_clocks.reserve(shards);
-  for (std::size_t i = 0; i < shards; ++i) {
-    data.shard_clocks.push_back(in.get_u64());
-  }
-  const std::size_t latches = in.get_count(1);
-  data.shard_shedding.reserve(latches);
-  for (std::size_t i = 0; i < latches; ++i) {
-    const std::uint8_t latch = in.get_u8();
-    if (latch > 1) in.fail("shed latch byte out of range");
-    data.shard_shedding.push_back(latch);
-  }
-  in.expect_done();
-}
+/// Section payloads by id; the names label decode errors.
+constexpr const char* kSectionNames[kSectionCount + 1] = {
+    nullptr, "CONFIG section", "STATS section", "USERS section"};
 
-std::string encode_users_section(const SnapshotData& data) {
-  std::string out;
-  put_u64(out, data.users.size());
-  for (const auto& user : data.users) put_user(out, user);
-  return out;
-}
-
-void decode_users_section(Reader& in, SnapshotData& data) {
-  const std::size_t count = in.get_count(1);
-  data.users.reserve(count);
-  for (std::size_t i = 0; i < count; ++i) {
-    data.users.push_back(get_user(in));
-    if (i > 0 && !(data.users[i - 1].user < data.users[i].user)) {
-      in.fail("users not strictly sorted by id");
-    }
+template <typename Codec>
+void walk_section(Codec& c, std::uint32_t id,
+                  Field<Codec, SnapshotData>& data) {
+  switch (id) {
+    case kSectionConfig:
+      walk_config(c, data);
+      break;
+    case kSectionStats:
+      walk_stats(c, data);
+      break;
+    case kSectionUsers:
+      walk_users(c, data);
+      break;
   }
-  in.expect_done();
 }
 
 // ---- File helpers ----------------------------------------------------
@@ -667,94 +498,74 @@ std::uint32_t snapshot_crc32(std::string_view bytes) {
 }
 
 std::string encode_snapshot(const SnapshotData& data) {
-  const std::array<std::pair<std::uint32_t, std::string>, kSectionCount>
-      sections = {{{kSectionConfig, encode_config_section(data)},
-                   {kSectionStats, encode_stats_section(data)},
-                   {kSectionUsers, encode_users_section(data)}}};
   std::string out;
   out.append(kSnapshotMagic, sizeof(kSnapshotMagic));
-  put_u32(out, kSnapshotVersion);
-  put_u32(out, kSectionCount);
-  for (const auto& [id, payload] : sections) {
-    put_u32(out, id);
-    put_u64(out, payload.size());
+  Writer header(out);
+  header.io(kSnapshotVersion);
+  header.io(kSectionCount);
+  for (std::uint32_t id = kSectionConfig; id <= kSectionCount; ++id) {
+    std::string payload;
+    Writer section(payload);
+    walk_section(section, id, data);
+    header.io(id);
+    header.io(static_cast<std::uint64_t>(payload.size()));
     out.append(payload);
-    put_u32(out, snapshot_crc32(payload));
+    header.io(snapshot_crc32(payload));
   }
   return out;
 }
 
 SnapshotData decode_snapshot(std::string_view bytes) {
-  Reader header(bytes, "header");
   if (bytes.size() < sizeof(kSnapshotMagic) + 8 ||
       bytes.compare(0, sizeof(kSnapshotMagic),
                     std::string_view(kSnapshotMagic,
                                      sizeof(kSnapshotMagic))) != 0) {
-    throw SnapshotError("mood-snapshot/3: bad magic (not a snapshot file)");
+    fail_format("bad magic (not a snapshot file)");
   }
-  header.skip(sizeof(kSnapshotMagic));
-  const std::uint32_t version = header.get_u32();
+  Reader header(bytes, "header");
+  (void)header.take(sizeof(kSnapshotMagic));
+  std::uint32_t version = 0;
+  header.io(version);
   if (version != kSnapshotVersion) {
-    throw SnapshotError("mood-snapshot/3: unsupported snapshot version " +
-                        std::to_string(version));
+    fail_format("unsupported snapshot version " + std::to_string(version));
   }
-  const std::uint32_t section_count = header.get_u32();
+  std::uint32_t section_count = 0;
+  header.io(section_count);
   if (section_count != kSectionCount) {
-    throw SnapshotError("mood-snapshot/3: expected " +
-                        std::to_string(kSectionCount) + " sections, found " +
-                        std::to_string(section_count));
+    fail_format("expected " + std::to_string(kSectionCount) +
+                " sections, found " + std::to_string(section_count));
   }
 
   SnapshotData data;
   bool seen[kSectionCount + 1] = {};
   for (std::uint32_t i = 0; i < section_count; ++i) {
-    const std::uint32_t id = header.get_u32();
-    const std::uint64_t len = header.get_u64();
+    std::uint32_t id = 0;
+    std::uint64_t len = 0;
+    header.io(id);
+    header.io(len);
     if (len > header.remaining()) {
-      throw SnapshotError("mood-snapshot/3: truncated section " +
-                          std::to_string(id));
+      fail_format("truncated section " + std::to_string(id));
     }
-    const std::string_view payload =
-        bytes.substr(bytes.size() - header.remaining(), len);
-    header.skip(len);
-    const std::uint32_t stored_crc = header.get_u32();
+    const std::string_view payload = header.take(len);
+    std::uint32_t stored_crc = 0;
+    header.io(stored_crc);
     if (snapshot_crc32(payload) != stored_crc) {
-      throw SnapshotError("mood-snapshot/3: CRC mismatch in section " +
-                          std::to_string(id));
+      fail_format("CRC mismatch in section " + std::to_string(id));
     }
     if (id < 1 || id > kSectionCount || seen[id]) {
-      throw SnapshotError("mood-snapshot/3: unexpected section id " +
-                          std::to_string(id));
+      fail_format("unexpected section id " + std::to_string(id));
     }
     seen[id] = true;
-    switch (id) {
-      case kSectionConfig: {
-        Reader in(payload, "CONFIG section");
-        decode_config_section(in, data);
-        break;
-      }
-      case kSectionStats: {
-        Reader in(payload, "STATS section");
-        decode_stats_section(in, data);
-        break;
-      }
-      case kSectionUsers: {
-        Reader in(payload, "USERS section");
-        decode_users_section(in, data);
-        break;
-      }
-      default:
-        break;
-    }
+    Reader in(payload, kSectionNames[id]);
+    walk_section(in, id, data);
+    in.expect_done();
   }
   header.expect_done();
   if (data.shard_clocks.size() != data.config.shards) {
-    throw SnapshotError(
-        "mood-snapshot/3: shard clock count does not match config");
+    fail_format("shard clock count does not match config");
   }
   if (data.shard_shedding.size() != data.config.shards) {
-    throw SnapshotError(
-        "mood-snapshot/3: shed latch count does not match config");
+    fail_format("shed latch count does not match config");
   }
   return data;
 }

@@ -7,8 +7,9 @@
 /// A deployed gateway (the paper's pitch) must survive restarts without
 /// silently changing its published decisions, so restore *correctness* is
 /// the bar: a run killed at any checkpoint cut and restored must produce
-/// the byte-identical mood-stream/1 decision set as an uninterrupted run. The snapshot therefore serializes the complete
-/// per-user kernel state — not just the windows: under a staleness bound
+/// the byte-identical mood-stream/1 decision set as an uninterrupted run.
+/// The snapshot therefore serializes the complete per-user kernel state —
+/// not just the windows: under a staleness bound
 /// the cached PIT/POI profiles reflect the window *at the last refresh*,
 /// including records since evicted, so they cannot be rebuilt from the
 /// current window and are captured directly (tracker internals via
@@ -29,7 +30,9 @@
 ///
 /// Integers are fixed-width little-endian; doubles are their IEEE-754
 /// bit pattern as u64; strings are u64 length + raw bytes; bools one
-/// byte. Section payloads:
+/// byte. Each record's layout is written once, as a `walk_*` function in
+/// snapshot.cpp that both encode_snapshot and decode_snapshot drive, so
+/// the two directions cannot disagree on a field. Section payloads:
 ///
 ///   CONFIG  identity fingerprint: SnapshotContext (seed, dataset name,
 ///           total_events) + the StreamConfig window knobs (shards,
@@ -37,9 +40,10 @@
 ///           staleness_points) + the resilience knobs (on_bad_record as
 ///           u8, max_pending_per_shard, shed watermarks) + the decision
 ///           slack cadence (loop_slack). Restore refuses a mismatch.
-///   STATS   stream_position, the full cumulative StreamStats (including
-///           the resilience counters), the per-shard LRU clocks, and the
-///           per-shard shed latches (hysteresis state).
+///   STATS   stream_position, the full cumulative StreamStats in
+///           kStreamStatFields order (including the resilience counters),
+///           the per-shard LRU clocks, and the per-shard shed latches
+///           (hysteresis state).
 ///   USERS   user count, then one UserSnapshot per resident user, sorted
 ///           by user id: window records, heatmap raw counts,
 ///           stay-tracker snapshot, compiled PIT/POI states,

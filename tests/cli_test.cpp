@@ -512,7 +512,8 @@ TEST(CliReplay, ReplaysAndVerifiesAgainstBatch) {
   const report::Json* match = replay_doc->find("batch_match");
   ASSERT_NE(match, nullptr);
   EXPECT_TRUE(match->is_bool() && match->as_bool());
-  const report::Json* latency = replay_doc->find("latency_seconds");
+  EXPECT_EQ(replay_doc->find("latency_seconds"), nullptr);
+  const report::Json* latency = replay_doc->find("latency");
   ASSERT_NE(latency, nullptr);
   EXPECT_GE(latency->number_or("p99", -1.0), latency->number_or("p50", 0.0));
 

@@ -14,6 +14,8 @@
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "core/experiment.h"
@@ -548,6 +550,61 @@ TEST(SnapshotGolden, CheckedInGoldenFileDecodes) {
   EXPECT_TRUE(d.users[1].quarantined);
   EXPECT_EQ(d.users[1].quarantine_reason, "bad coordinate");
   EXPECT_EQ(d.users[1].dead_letters, 2u);
+  // Decode is the exact inverse of encode on the checked-in bytes.
+  EXPECT_TRUE(encode_snapshot(d) == stored);
+}
+
+TEST(SnapshotFormat, CrcFixedMutationsDecodeOrRejectCleanly) {
+  // Flip bits in every byte after the 16-byte header, then recompute every
+  // section CRC so the mutation reaches the value decoder. Decode must
+  // either reject the bytes or return a document that re-encodes to them
+  // exactly: no value may decode to something encode writes differently.
+  const std::string golden = read_file(golden_path());
+  ASSERT_GT(golden.size(), 16u) << "missing fixture " << golden_path();
+  // Section table of the unmutated file: (payload offset, payload length).
+  std::vector<std::pair<std::size_t, std::size_t>> sections;
+  for (std::size_t pos = 16; pos < golden.size();) {
+    std::uint64_t len = 0;
+    for (std::size_t i = 0; i < 8; ++i) {
+      len |= static_cast<std::uint64_t>(
+                 static_cast<std::uint8_t>(golden[pos + 4 + i]))
+             << (8 * i);
+    }
+    sections.emplace_back(pos + 12, static_cast<std::size_t>(len));
+    pos += 12 + len + 4;
+  }
+  ASSERT_EQ(sections.size(), 3u);
+
+  std::size_t accepted = 0;
+  std::size_t rejected = 0;
+  for (std::size_t at = 16; at < golden.size(); ++at) {
+    for (const std::uint8_t mask :
+         {std::uint8_t{0x01}, std::uint8_t{0x80}, std::uint8_t{0xFF}}) {
+      std::string bytes = golden;
+      bytes[at] = static_cast<char>(static_cast<std::uint8_t>(bytes[at]) ^
+                                    mask);
+      for (const auto& [offset, len] : sections) {
+        const std::uint32_t crc =
+            snapshot_crc32(std::string_view(bytes).substr(offset, len));
+        for (std::size_t i = 0; i < 4; ++i) {
+          bytes[offset + len + i] = static_cast<char>((crc >> (8 * i)) & 0xFF);
+        }
+      }
+      try {
+        const SnapshotData decoded = decode_snapshot(bytes);
+        ++accepted;
+        EXPECT_TRUE(encode_snapshot(decoded) == bytes)
+            << "byte " << at << " mask " << static_cast<int>(mask)
+            << " decoded to a document that re-encodes differently";
+      } catch (const SnapshotError&) {
+        ++rejected;
+      }
+    }
+  }
+  RecordProperty("accepted", static_cast<int>(accepted));
+  RecordProperty("rejected", static_cast<int>(rejected));
+  EXPECT_GT(accepted, 0u);
+  EXPECT_GT(rejected, 0u);
 }
 
 /// Decode refuses a retired version by its version field, never
