@@ -129,8 +129,8 @@ class Parser {
   Json parse_value() {
     skip_whitespace();
     switch (peek()) {
-      case '{': return parse_object();
-      case '[': return parse_array();
+      case '{': return parse_nested(&Parser::parse_object);
+      case '[': return parse_nested(&Parser::parse_array);
       case '"': return Json(parse_string());
       case 't':
         if (consume_literal("true")) return Json(true);
@@ -143,6 +143,15 @@ class Parser {
         fail("invalid literal");
       default: return parse_number();
     }
+  }
+
+  /// One array/object level. The parse is abandoned on the first throw,
+  /// so the depth is only unwound on success.
+  Json parse_nested(Json (Parser::*parse)()) {
+    if (++depth_ > Json::kMaxParseDepth) fail("nesting too deep");
+    Json value = (this->*parse)();
+    --depth_;
+    return value;
   }
 
   Json parse_object() {
@@ -302,6 +311,7 @@ class Parser {
 
   std::string_view text_;
   std::size_t pos_ = 0;
+  std::size_t depth_ = 0;  ///< open arrays/objects around pos_
 };
 
 }  // namespace

@@ -17,8 +17,11 @@
 ///    them and result consumers (python -m json.tool, jq) reject bare NaN.
 ///  * The parser is strict RFC 8259: it throws support::IoError with a
 ///    byte offset on malformed input, and decodes \uXXXX escapes
-///    (including surrogate pairs) to UTF-8.
+///    (including surrogate pairs) to UTF-8. Arrays and objects nest at
+///    most kMaxParseDepth deep, so outside input cannot exhaust the stack
+///    through the parser's recursion.
 
+#include <cstddef>
 #include <cstdint>
 #include <iosfwd>
 #include <string>
@@ -105,8 +108,13 @@ class Json {
   /// Streams dump(indent) plus a trailing newline when pretty-printing.
   void write(std::ostream& out, int indent = 2) const;
 
+  /// Deepest array/object nesting parse() accepts; mood-*/1 documents
+  /// nest about 6 deep.
+  static constexpr std::size_t kMaxParseDepth = 256;
+
   /// Parses a complete JSON document (trailing whitespace allowed, trailing
-  /// garbage is an error). Throws support::IoError on malformed input.
+  /// garbage is an error). Throws support::IoError on malformed input,
+  /// including nesting deeper than kMaxParseDepth.
   static Json parse(std::string_view text);
 
   friend bool operator==(const Json&, const Json&) = default;

@@ -323,8 +323,6 @@ Json make_stream_report(const RunMetadata& meta, Json dataset,
   stream_doc["max_users_per_shard"] = config.max_users_per_shard;
   stream_doc["staleness_points"] = config.staleness_points;
   stream_doc["target_rate"] = options.target_rate;
-  stream_doc["time_compression"] = options.time_compression;
-  stream_doc["stage_timers"] = config.telemetry.stage_timers;
   document["stream"] = std::move(stream_doc);
 
   Json replay = Json::object();

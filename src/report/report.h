@@ -105,7 +105,7 @@ inline constexpr const char* kResultSchema = "mood-result/1";
 inline constexpr const char* kBenchSchema = "mood-bench/1";
 
 /// Identifier of the online-gateway replay layout produced by
-/// make_stream_report() (`mood replay`, bench/replay_throughput):
+/// make_stream_report() (`mood replay`):
 ///
 /// \verbatim
 /// {
@@ -114,12 +114,14 @@ inline constexpr const char* kBenchSchema = "mood-bench/1";
 ///   "dataset": { ... dataset_summary() ... },
 ///   "stream": {          // gateway + replay configuration (documents
 ///                        // written by older builds also carry the
-///                        // engine mode, micro-batch size and
-///                        // recheck cadence here, and "replay.batches")
+///                        // engine mode, micro-batch size, recheck
+///                        // cadence, time-compression pacing factor
+///                        // and stage-timer switch here, and
+///                        // "replay.batches")
 ///     "loop_slack": 64,
 ///     "shards": 8, "window_seconds": 0, "max_points": 0,
 ///     "max_users_per_shard": 0, "staleness_points": 0,
-///     "target_rate": 0.0, "time_compression": 0.0, "stage_timers": true
+///     "target_rate": 0.0
 ///   },
 ///   "replay": {          // measured outcome
 ///     "events": 24576, "users": 20,

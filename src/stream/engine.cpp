@@ -24,8 +24,7 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-/// Elapsed seconds for the stage histograms; only evaluated when the
-/// stage timers are on.
+/// Elapsed seconds for the stage and replay-latency histograms.
 double seconds_since(Clock::time_point start) {
   return std::chrono::duration<double>(Clock::now() - start).count();
 }
@@ -236,7 +235,6 @@ IngestStatus StreamEngine::ingest(const StreamEvent& event) {
   // must skip exactly the events this run consumed — including the ones
   // it dropped.
   events_->add(1);
-  const bool timed = config_.telemetry.stage_timers;
   const Clock::time_point arrival = Clock::now();
   const ResilienceConfig& res = config_.resilience;
 
@@ -282,7 +280,7 @@ IngestStatus StreamEngine::ingest(const StreamEvent& event) {
     check_loop_failure();
     backoff(spins);
   }
-  if (timed) stage_ingest_->record(seconds_since(arrival), shard);
+  stage_ingest_->record(seconds_since(arrival), shard);
 
   if (res.max_pending_per_shard > 0) {
     const std::uint64_t depth =
@@ -328,8 +326,7 @@ void StreamEngine::loop_worker(std::size_t shard) {
 void StreamEngine::loop_process(std::size_t shard, LoopItem& item) {
   LoopState::Lane& lane = loop_->lanes[shard];
   const ResilienceConfig& res = config_.resilience;
-  const bool timed = config_.telemetry.stage_timers;
-  if (timed) stage_dequeue_->record(seconds_since(item.arrival), shard);
+  stage_dequeue_->record(seconds_since(item.arrival), shard);
 
   // Shed hysteresis on the instantaneous ring depth (the shard's
   // backlog), evaluated per dequeue by the only thread touching the
@@ -357,7 +354,7 @@ void StreamEngine::loop_process(std::size_t shard, LoopItem& item) {
     shed = latch != 0;
   }
 
-  const Clock::time_point d0 = timed ? Clock::now() : Clock::time_point{};
+  const Clock::time_point d0 = Clock::now();
   const AdmitResult admitted = store_.admit_and_process(
       item.event, res.on_bad_record, item.fault != nullptr, item.fault,
       [&](UserState& state) {
@@ -387,7 +384,7 @@ void StreamEngine::loop_process(std::size_t shard, LoopItem& item) {
       dead_letters_->add(admitted.dead_letters, shard);
       break;
     case AdmitResult::Status::kAdmitted:
-      if (timed) stage_decide_->record(seconds_since(d0), shard);
+      stage_decide_->record(seconds_since(d0), shard);
       break;
   }
   // Every presented event leaves one end-to-end sample: arrival at
@@ -724,18 +721,14 @@ std::uint64_t StreamEngine::checkpoint_now() {
                    "StreamEngine::checkpoint_now: no checkpoint directory "
                    "configured");
   MOOD_TRACE("stream.checkpoint");
-  const Clock::time_point t0 = config_.telemetry.stage_timers
-                                   ? Clock::now()
-                                   : Clock::time_point{};
+  const Clock::time_point t0 = Clock::now();
   const SnapshotData data = capture_snapshot();
   const std::string bytes = encode_snapshot(data);
   write_snapshot_file(checkpoint_policy_.dir, bytes);
   last_checkpoint_position_ = data.stream_position;
   checkpoints_->add(1);
   checkpoint_bytes_->add(bytes.size());
-  if (config_.telemetry.stage_timers) {
-    stage_checkpoint_->record(seconds_since(t0));
-  }
+  stage_checkpoint_->record(seconds_since(t0));
   support::log_info("checkpoint committed at position ",
                     data.stream_position, " (", bytes.size(), " bytes)");
   return bytes.size();

@@ -55,18 +55,6 @@
 
 namespace mood::stream {
 
-/// Observability knobs (see src/telemetry). Telemetry is timing-only: no
-/// knob here may influence a decision, so none of them participate in the
-/// snapshot config fingerprint.
-struct TelemetryConfig {
-  /// Per-stage latency histograms (ingest admission, ring residence,
-  /// per-event decide, checkpoint write). Costs two steady_clock reads per
-  /// instrumented section; off leaves the stage histograms empty. The
-  /// replay-latency histogram is independent of this knob — it replaces
-  /// the old sort-all-samples percentile pass outright.
-  bool stage_timers = true;
-};
-
 /// The one execution mode: per-shard workers fed by SPSC ingest rings.
 /// Kept as a lone value because bench/gateway/gateway_bench.cpp assigns
 /// StreamConfig::engine.
@@ -102,8 +90,6 @@ struct StreamConfig {
   /// Fault-tolerance knobs (see resilience.h); the defaults are strict —
   /// everything off — so the batch-equivalence gates are untouched.
   ResilienceConfig resilience;
-  /// Observability knobs; never serialized, never decision-relevant.
-  TelemetryConfig telemetry;
 };
 
 /// Aggregate gateway counters (monotonic; snapshot via stats()). Mostly a
@@ -491,8 +477,8 @@ class StreamEngine {
   telemetry::Counter* backpressure_events_ = nullptr;
   telemetry::Counter* quarantined_snapshots_ = nullptr;
   telemetry::Counter* metrics_export_failures_ = nullptr;
-  // Stage histograms (lane = shard; empty when telemetry.stage_timers is
-  // off) and the always-on replay-latency histogram.
+  // Stage histograms (lane = shard; two steady_clock reads per timed
+  // section) and the replay-latency histogram, all always on.
   telemetry::Histogram* stage_ingest_ = nullptr;
   telemetry::Histogram* stage_decide_ = nullptr;
   telemetry::Histogram* stage_checkpoint_ = nullptr;

@@ -103,34 +103,25 @@ std::size_t inject_poison(std::vector<StreamEvent>& events,
 ReplayResult run_replay(StreamEngine& engine,
                         const std::vector<StreamEvent>& events,
                         const ReplayOptions& options) {
-  support::expects(options.target_rate >= 0.0 &&
-                       options.time_compression >= 0.0,
-                   "run_replay: pacing knobs must be non-negative");
+  support::expects(options.target_rate >= 0.0,
+                   "run_replay: target_rate must be non-negative");
   const std::size_t resume = options.resume_events;
   support::expects(resume <= events.size(),
                    "run_replay: resume_events is past the stream end");
 
   ReplayResult result;
-  const bool paced = options.target_rate > 0.0 ||
-                     options.time_compression > 0.0;
+  const bool paced = options.target_rate > 0.0;
   const Clock::time_point start = Clock::now();
   if (resume < events.size()) {
-    const mobility::Timestamp t0 = events[resume].record.time;
-    // Scheduled arrival offset (seconds from *session* start) of event i.
-    const auto scheduled = [&](std::size_t i) {
-      if (options.target_rate > 0.0) {
-        return static_cast<double>(i - resume) / options.target_rate;
-      }
-      return static_cast<double>(events[i].record.time - t0) /
-             options.time_compression;
-    };
     // Open-loop arrival process: pace each event individually, hand it
     // straight to the shard workers, and pump the checkpoint/export
     // cadences (two integer compares when nothing is due). The workers
     // record each event's arrival→decision latency themselves.
     for (std::size_t i = resume; i < events.size(); ++i) {
       if (paced) {
-        const double due = scheduled(i);
+        // Scheduled arrival offset from *session* start.
+        const double due =
+            static_cast<double>(i - resume) / options.target_rate;
         if (seconds_since(start) < due) {
           std::this_thread::sleep_until(
               start + std::chrono::duration_cast<Clock::duration>(

@@ -6,10 +6,10 @@
 ///
 /// Converts per-user test traces into one globally time-ordered event
 /// stream and pushes it through a StreamEngine event by event, optionally
-/// paced (a target event rate, or dataset-time compression) as an open
-/// arrival process, measuring sustained throughput and per-event decision
-/// latency (p50/p95/p99). Pacing and thread counts shape the latency
-/// numbers, never the decisions.
+/// paced at a target event rate as an open arrival process, measuring
+/// sustained throughput and per-event decision latency (p50/p95/p99).
+/// Pacing and thread counts shape the latency numbers, never the
+/// decisions.
 ///
 /// Latency accounting: an event's latency runs from its arrival at
 /// ingest() to the completion of its decision on the shard worker — ring
@@ -42,9 +42,6 @@ struct ReplayOptions {
   /// Events per wall-clock second pushed into the gateway; 0 = unpaced
   /// (maximum sustainable rate — the throughput-bench mode).
   double target_rate = 0.0;
-  /// Dataset seconds replayed per wall-clock second; 0 = off. Ignored when
-  /// target_rate is set. (A 30-day dataset at 86400 replays in ~30 s.)
-  double time_compression = 0.0;
   /// Resume position: skip the first `resume_events` events (already
   /// folded into the engine by restore_snapshot) and continue from there.
   /// Any position a checkpoint produced is valid: the engine quiesces

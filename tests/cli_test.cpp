@@ -142,11 +142,16 @@ TEST(CliReplay, RejectsBadKnobs) {
   EXPECT_EQ(run_cli({"replay", "--rate=-1"}).code, kExitUsage);
   EXPECT_EQ(run_cli({"replay", "--no-such-flag"}).code, kExitUsage);
   EXPECT_EQ(run_cli({"replay", "--loop-slack=-1"}).code, kExitUsage);
-  // The retired micro-batch engine's flags are unknown flags now.
-  for (const char* retired : {"--engine=loop", "--batch=128",
-                              "--serial-drain", "--drain-budget=2"}) {
+  // Retired flags are unknown flags now: the micro-batch engine's, the
+  // stage-timer switch, dataset-time pacing and the index toggle.
+  for (const std::string retired :
+       {"--engine=loop", "--batch=128", "--serial-drain", "--drain-budget=2",
+        "--stage-timers=false", "--compression=86400", "--index=off"}) {
     const auto result = run_cli({"replay", retired});
     EXPECT_EQ(result.code, kExitUsage) << retired;
+    EXPECT_NE(result.err.find(retired.substr(0, retired.find('='))),
+              std::string::npos)
+        << result.err;
   }
 }
 
@@ -500,10 +505,11 @@ TEST(CliReplay, ReplaysAndVerifiesAgainstBatch) {
   const report::Json document = report::Json::parse(replay.out);
   EXPECT_EQ(document.string_or("schema", ""), "mood-stream/1");
   // One execution engine: the configuration block is the shard layout,
-  // windows, slack cadence, pacing and stage timers — no engine,
-  // micro-batch or recheck-cadence keys — and no batch count is written.
+  // windows, slack cadence and target rate — no engine, micro-batch,
+  // recheck-cadence, compression or stage-timer keys — and no batch count
+  // is written.
   EXPECT_EQ(document.find("stream")->find("engine"), nullptr);
-  EXPECT_EQ(document.find("stream")->size(), 9u);
+  EXPECT_EQ(document.find("stream")->size(), 7u);
   EXPECT_EQ(document.find("replay")->find("batches"), nullptr);
 
   const report::Json* replay_doc = document.find("replay");

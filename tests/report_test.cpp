@@ -8,6 +8,8 @@
 #include <cmath>
 #include <limits>
 #include <sstream>
+#include <string>
+#include <string_view>
 
 #include "core/experiment.h"
 #include "report/json.h"
@@ -106,6 +108,39 @@ TEST(Json, ParseErrors) {
   EXPECT_THROW(Json::parse("\"\\x\""), support::IoError);
   EXPECT_THROW(Json::parse("\"\\ud83d\""), support::IoError);  // lone surrogate
   EXPECT_THROW(Json::parse("{\"a\" 1}"), support::IoError);
+}
+
+TEST(Json, ParseRejectsNestingPastTheDepthCap) {
+  const auto repeat = [](std::string_view piece, std::size_t n) {
+    std::string text;
+    for (std::size_t i = 0; i < n; ++i) text += piece;
+    return text;
+  };
+  // Hostile documents nest far past the cap: each must be a clean IoError
+  // naming the offset where the cap tripped, not a stack overflow.
+  for (const std::string_view open : {"[", "{\"a\":"}) {
+    try {
+      (void)Json::parse(repeat(open, 100000));
+      ADD_FAILURE() << open << " nested 100000 deep was accepted";
+    } catch (const support::IoError& e) {
+      EXPECT_NE(std::string(e.what()).find("nesting too deep at byte"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+
+  // At the cap both shapes still parse; one level more is rejected.
+  const auto arrays = [&](std::size_t depth) {
+    return repeat("[", depth) + repeat("]", depth);
+  };
+  const auto objects = [&](std::size_t depth) {
+    return repeat("{\"a\":", depth) + "1" + repeat("}", depth);
+  };
+  const std::size_t cap = Json::kMaxParseDepth;
+  EXPECT_TRUE(Json::parse(arrays(cap)).is_array());
+  EXPECT_EQ(Json::parse(objects(cap)).size(), 1u);
+  EXPECT_THROW(Json::parse(arrays(cap + 1)), support::IoError);
+  EXPECT_THROW(Json::parse(objects(cap + 1)), support::IoError);
 }
 
 TEST(Json, ParseNumbers) {

@@ -3,8 +3,7 @@
 // the background halves), converts the test halves into one globally
 // time-ordered event stream, replays it through the sharded StreamEngine
 // (per-shard worker threads deciding each event at admission time),
-// optionally paced by a target event rate or a dataset-time compression
-// factor, and emits a versioned "mood-stream/1" JSON document (see
+// optionally paced by a target event rate, and emits a versioned "mood-stream/1" JSON document (see
 // src/report/report.h) with sustained throughput and p50/p95/p99 decision
 // latency.
 //
@@ -154,12 +153,6 @@ int cmd_replay(int argc, const char* const* argv, std::ostream& out,
                 "(0 = every decision; the AP heatmap is always exact)");
   flags.add_double("rate", 0.0,
                    "target ingest rate in events/second (0 = unpaced)");
-  flags.add_double("compression", 0.0,
-                   "dataset seconds replayed per wall second (0 = off; "
-                   "ignored when --rate is set)");
-  flags.add_string("index", "on",
-                   "population index for the streamed risk queries: on | "
-                   "off (linear branch-and-bound scans)");
   flags.add_bool("verify", true,
                  "check final decisions against the batch evaluators run "
                  "on the linear-scan oracle — an index-vs-scan divergence "
@@ -207,9 +200,6 @@ int cmd_replay(int argc, const char* const* argv, std::ostream& out,
                    "dump a Chrome trace_event JSON of the replay's spans "
                    "here — load in chrome://tracing or Perfetto (empty = "
                    "tracing off)");
-  flags.add_bool("stage-timers", true,
-                 "record per-stage latency histograms (ingest admission, "
-                 "ring residence, per-event decide, checkpoint)");
   flags.add_string("log-level", "off",
                    "gateway transition logging to stderr: off | warn | "
                    "info | debug (off keeps stderr to progress lines "
@@ -240,7 +230,7 @@ int cmd_replay(int argc, const char* const* argv, std::ostream& out,
   }
   if (flags.get_double("window-hours") < 0.0 || flags.get_int("max-points") < 0 ||
       flags.get_int("max-users") < 0 || flags.get_int("staleness") < 0 ||
-      flags.get_double("rate") < 0.0 || flags.get_double("compression") < 0.0) {
+      flags.get_double("rate") < 0.0) {
     throw support::UsageError(
         "mood replay: window/pacing knobs must be non-negative");
   }
@@ -296,13 +286,6 @@ int cmd_replay(int argc, const char* const* argv, std::ostream& out,
   // Fault-injection hook (tests/CI only; compiled out of Release builds —
   // a no-op unless MOOD_FAILPOINTS is set in the environment).
   testing::FailPoint::arm_from_env();
-  const std::string index_flag = flags.get_string("index");
-  if (index_flag != "on" && index_flag != "off") {
-    throw support::UsageError("mood replay: --index must be on or off");
-  }
-  const attacks::QueryMode stream_mode = index_flag == "on"
-                                             ? attacks::QueryMode::kIndex
-                                             : attacks::QueryMode::kScan;
   if (const auto jobs = flags.get_int("jobs"); jobs > 0) {
     support::ThreadPool::configure_shared(static_cast<std::size_t>(jobs));
   }
@@ -366,11 +349,9 @@ int cmd_replay(int argc, const char* const* argv, std::ostream& out,
       static_cast<std::size_t>(flags.get_int("max-pending"));
   stream_config.resilience.shed_high_watermark = shed_high;
   stream_config.resilience.shed_low_watermark = shed_low;
-  stream_config.telemetry.stage_timers = flags.get_bool("stage-timers");
 
   stream::ReplayOptions replay_options;
   replay_options.target_rate = flags.get_double("rate");
-  replay_options.time_compression = flags.get_double("compression");
 
   auto events = stream::make_event_stream(harness.pairs());
   if (const auto victims = flags.get_int("poison-users"); victims > 0) {
@@ -381,7 +362,6 @@ int cmd_replay(int argc, const char* const* argv, std::ostream& out,
     err << "chaos drill: poisoned " << poisoned << " events across "
         << poison.users << " users (stride " << poison.stride << ")\n";
   }
-  harness.set_attack_query_mode(stream_mode);
   stream::StreamEngine engine(harness.make_engine(), stream_config);
 
   // ---- Telemetry sinks -------------------------------------------------
@@ -512,12 +492,12 @@ int cmd_replay(int argc, const char* const* argv, std::ostream& out,
              "inputs than the batch pass)\n";
     } else {
       const auto verify_started = elapsed();
-      // Run the batch pass on the linear-scan oracle whatever mode the
-      // stream used, so an index replay is verified against independent
-      // machinery (decisions must be bit-identical across modes).
+      // The stream queried the population index (the attacks' default);
+      // run the batch pass on the linear-scan oracle, so the replay is
+      // verified against independent machinery (decisions must be
+      // bit-identical across modes).
       harness.set_attack_query_mode(attacks::QueryMode::kScan);
       batch_match = verify_against_batch(harness, result.decisions, err);
-      harness.set_attack_query_mode(stream_mode);
       meta.timings.emplace_back("verify", elapsed() - verify_started);
     }
   }
