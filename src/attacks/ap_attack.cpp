@@ -1,7 +1,6 @@
 #include "attacks/ap_attack.h"
 
 #include "attacks/bounded_scan.h"
-#include "profiles/summaries.h"
 
 namespace mood::attacks {
 
@@ -25,7 +24,7 @@ std::optional<mobility::UserId> ApAttack::reidentify(
     return profiles::topsoe_divergence_bounded(anonymous_map, map, bound);
   };
   if (mode_ == QueryMode::kIndex && index_.built()) {
-    return index_.argmin(profiles::summarize(anonymous_map), bounded);
+    return index_.argmin(anonymous_map, bounded);
   }
   return scan_argmin(compiled_, bounded);
 }
@@ -47,8 +46,7 @@ bool ApAttack::reidentifies_compiled(
     return profiles::topsoe_divergence_bounded(anonymous_map, map, bound);
   };
   if (mode_ == QueryMode::kIndex && index_.built()) {
-    return index_.is_first_argmin(profiles::summarize(anonymous_map), owner,
-                                  exact, bounded);
+    return index_.is_first_argmin(anonymous_map, owner, exact, bounded);
   }
   return scan_is_first_argmin(compiled_, owner, exact, bounded);
 }

@@ -1,7 +1,6 @@
 #include "attacks/pit_attack.h"
 
 #include "attacks/bounded_scan.h"
-#include "profiles/summaries.h"
 
 namespace mood::attacks {
 
@@ -27,7 +26,7 @@ std::optional<mobility::UserId> PitAttack::reidentify(
                                                  proximity_scale_m_, bound);
   };
   if (mode_ == QueryMode::kIndex && index_.built()) {
-    return index_.argmin(profiles::summarize(anonymous_profile), bounded);
+    return index_.argmin(anonymous_profile, bounded);
   }
   return scan_argmin(compiled_, bounded);
 }
@@ -51,8 +50,7 @@ bool PitAttack::reidentifies_compiled(
                                                  proximity_scale_m_, bound);
   };
   if (mode_ == QueryMode::kIndex && index_.built()) {
-    return index_.is_first_argmin(profiles::summarize(anonymous_profile),
-                                  owner, exact, bounded);
+    return index_.is_first_argmin(anonymous_profile, owner, exact, bounded);
   }
   return scan_is_first_argmin(compiled_, owner, exact, bounded);
 }

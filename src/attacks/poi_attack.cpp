@@ -1,7 +1,6 @@
 #include "attacks/poi_attack.h"
 
 #include "attacks/bounded_scan.h"
-#include "profiles/summaries.h"
 
 namespace mood::attacks {
 
@@ -30,7 +29,7 @@ std::optional<mobility::UserId> PoiAttack::reidentify(
                                                   bound);
   };
   if (mode_ == QueryMode::kIndex && index_.built()) {
-    return index_.argmin(profiles::summarize(anonymous_profile), bounded);
+    return index_.argmin(anonymous_profile, bounded);
   }
   return scan_argmin(compiled_, bounded);
 }
@@ -53,8 +52,7 @@ bool PoiAttack::reidentifies_compiled(
                                                   bound);
   };
   if (mode_ == QueryMode::kIndex && index_.built()) {
-    return index_.is_first_argmin(profiles::summarize(anonymous_profile),
-                                  owner, exact, bounded);
+    return index_.is_first_argmin(anonymous_profile, owner, exact, bounded);
   }
   return scan_is_first_argmin(compiled_, owner, exact, bounded);
 }

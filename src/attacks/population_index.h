@@ -34,12 +34,12 @@
 /// build() snapshots summaries of the population vector it is given (and
 /// keeps a pointer to it — the vector must stay alive and in place, which
 /// holds for the attacks' training vectors). When an entry's profile is
-/// mutated in place (e.g. CompiledHeatmap::apply_update), update(i)
-/// re-summarizes the entry and refreshes its cluster aggregate exactly, so
-/// queries stay coherent after any number of incremental updates; a full
-/// rebuild is still forced after `size()` updates as a hygiene bound (and
-/// is what a layout-reordering index would need — counted in stats so the
-/// stream cost model sees it).
+/// mutated in place (e.g. CompiledHeatmap::apply_update, then compile()),
+/// update(i) re-summarizes the entry and refreshes its cluster aggregate
+/// exactly, so queries stay coherent after any number of incremental
+/// updates; a full rebuild is still forced after `size()` updates as a
+/// hygiene bound (and is what a layout-reordering index would need —
+/// counted in stats so the stream cost model sees it).
 ///
 /// Populations below kIndexMinPopulation delegate to the bounded scans of
 /// bounded_scan.h (see the constant below) — same counters, no summary
@@ -140,10 +140,12 @@ class PopulationIndex {
 
   /// scan_argmin through the index: first user attaining the minimum
   /// finite distance, nullopt when every distance is infinite. `bounded`
-  /// follows the bounded-distance contract of bounded_scan.h.
+  /// follows the bounded-distance contract of bounded_scan.h. The query
+  /// profile is summarized only when the summaries are consulted, never
+  /// for a delegated query.
   template <typename BoundedDistance>
   [[nodiscard]] std::optional<mobility::UserId> argmin(
-      const Summary& query, const BoundedDistance& bounded) const {
+      const Profile& query, const BoundedDistance& bounded) const {
     const Population& population = *population_;
     std::uint64_t pruned = 0;
     std::uint64_t evals = 0;
@@ -152,19 +154,20 @@ class PopulationIndex {
       flush_counters(0, evals);
       return answer;
     }
+    const Summary summary = traits_.summarize(query);
     double best = std::numeric_limits<double>::infinity();
     const mobility::UserId* best_user = nullptr;
     std::size_t i = 0;
     for (std::size_t c = 0; c < clusters_.size(); ++c) {
       const std::size_t end =
           std::min(i + kIndexClusterSize, summaries_.size());
-      if (traits_.cluster_lower_bound(query, clusters_[c]) > best) {
+      if (traits_.cluster_lower_bound(summary, clusters_[c]) > best) {
         pruned += end - i;
         i = end;
         continue;
       }
       for (; i < end; ++i) {
-        if (traits_.lower_bound(query, summaries_[i]) > best) {
+        if (traits_.lower_bound(summary, summaries_[i]) > best) {
           ++pruned;
           continue;
         }
@@ -185,9 +188,10 @@ class PopulationIndex {
   /// answer exactly `owner`? Prices the owner once with `exact`, then
   /// walks the rest of the population with the owner's distance as the
   /// pruning bound — earlier users defeat on <=, later on <, exactly as
-  /// the linear scan.
+  /// the linear scan. Like argmin, summarizes the query only when the
+  /// summaries are consulted.
   template <typename ExactDistance, typename BoundedDistance>
-  [[nodiscard]] bool is_first_argmin(const Summary& query,
+  [[nodiscard]] bool is_first_argmin(const Profile& query,
                                      const mobility::UserId& owner,
                                      const ExactDistance& exact,
                                      const BoundedDistance& bounded) const {
@@ -213,6 +217,7 @@ class PopulationIndex {
       flush_counters(pruned, evals);
       return false;
     }
+    const Summary summary = traits_.summarize(query);
     // A candidate whose lower bound strictly exceeds the target can
     // neither tie (earlier) nor beat (later) the owner — skipping it
     // leaves the scan's verdict untouched.
@@ -220,14 +225,14 @@ class PopulationIndex {
     for (std::size_t c = 0; c < clusters_.size(); ++c) {
       const std::size_t end =
           std::min(i + kIndexClusterSize, summaries_.size());
-      if (traits_.cluster_lower_bound(query, clusters_[c]) > target) {
+      if (traits_.cluster_lower_bound(summary, clusters_[c]) > target) {
         pruned += end - i - (owner_at >= i && owner_at < end ? 1 : 0);
         i = end;
         continue;
       }
       for (; i < end; ++i) {
         if (i == owner_at) continue;
-        if (traits_.lower_bound(query, summaries_[i]) > target) {
+        if (traits_.lower_bound(summary, summaries_[i]) > target) {
           ++pruned;
           continue;
         }

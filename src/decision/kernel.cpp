@@ -41,15 +41,9 @@ DecisionKernel::DecisionKernel(MoodEngine engine, KernelConfig config)
       pit_ != nullptr && has_stay_params_ && pit_->params() == stay_params_;
 }
 
-std::size_t DecisionKernel::fold(UserKernelState& state,
-                                 const std::vector<mobility::Record>& pending)
-    const {
+std::size_t DecisionKernel::fold(
+    UserKernelState& state, std::span<const mobility::Record> pending) const {
   if (pending.empty()) return 0;
-  if (state.window.empty() && state.window.tracked_slice() == 0) {
-    // Fresh (or LRU-recycled) window: enable O(1) preslice bookkeeping so
-    // window-slice snapshots never re-scan the timestamps.
-    state.window.track_slices(engine_.config().preslice);
-  }
   if (!state.stay_origin_set) {
     // Pin the stay-clustering projection at the first record ever folded
     // — before any eviction can move the window front — so the PIT/POI
@@ -73,34 +67,40 @@ std::size_t DecisionKernel::fold(UserKernelState& state,
   if (config_.max_points > 0 && records.size() - expired > config_.max_points) {
     expired = records.size() - config_.max_points;
   }
-  std::vector<mobility::Record> evicted(
-      records.begin(), records.begin() + static_cast<std::ptrdiff_t>(expired));
-  if (expired > 0) {
-    state.window.drop_front(expired);
-    evicted_points_.fetch_add(expired, kRelaxed);
-  }
 
   if (ap_ != nullptr) {
+    // Counts only: the cells are compiled when a verdict reads them
+    // (refresh_profiles). The evicted records are read straight from the
+    // window front, before drop_front.
+    const auto evicted = std::span(records).first(expired);
     if (!state.heatmap_built) {
       state.heatmap =
           profiles::CompiledHeatmap::incremental(state.window, ap_->grid());
+      state.heatmap.apply_update({}, evicted, ap_->grid());
       state.heatmap_built = true;
     } else {
       state.heatmap.apply_update(pending, evicted, ap_->grid());
     }
     heatmap_updates_.fetch_add(1, kRelaxed);
   }
+  if (expired > 0) {
+    state.window.drop_front(expired);
+    evicted_points_.fetch_add(expired, kRelaxed);
+  }
   // PIT/POI folds are deferred to the next refresh (possibly several folds
   // later under a staleness bound) — accumulate the window deltas.
   state.stale_appended += pending.size();
   state.stale_evicted += expired;
-  state.stale_points += pending.size() + evicted.size();
+  state.stale_points += pending.size() + expired;
   state.events += pending.size();
   return pending.size();
 }
 
 void DecisionKernel::refresh_profiles(UserKernelState& state,
                                       bool force) const {
+  // The AP heatmap is always exact: its counts are current after every
+  // fold, and compiling them is cheap next to the query that follows.
+  state.heatmap.compile();
   if (pit_ == nullptr && poi_ == nullptr) return;
   const bool stale = !state.profiles_built || state.stale_points > 0;
   if (!stale) return;
@@ -282,12 +282,6 @@ bool DecisionKernel::at_risk_trace(const mobility::Trace& trace) const {
   fold(state, trace.records());
   refresh_profiles(state, /*force=*/true);
   return at_risk(state);
-}
-
-void DecisionKernel::restore_window_tracking(UserKernelState& state) const {
-  if (!state.window.empty() && state.window.tracked_slice() == 0) {
-    state.window.track_slices(engine_.config().preslice);
-  }
 }
 
 KernelStats DecisionKernel::stats() const {

@@ -26,8 +26,11 @@
 /// Per user the kernel owns the compiled profiles of all three standard
 /// attacks, maintained incrementally:
 ///
-///   * the AP heatmap exactly, via CompiledHeatmap::apply_update (integer
-///     counts — bit-identical to a from-scratch compile);
+///   * the AP heatmap exactly: fold() edits its integer cell counts in
+///     place per appended or evicted record (CompiledHeatmap::apply_update)
+///     and leaves the cells stale; refresh_profiles() compiles them before
+///     every read (decide, finalize, at_risk_trace), ahead of the PIT/POI
+///     staleness bound — bit-identical to a from-scratch compile;
 ///   * the PIT and POI profiles through ONE shared StayTracker (both
 ///     attacks cluster the same stay points when their PoiParams agree, as
 ///     the standard suite's do) plus a VisitAccumulator, compiled into
@@ -50,8 +53,8 @@
 
 #include <atomic>
 #include <cstdint>
+#include <span>
 #include <string>
-#include <vector>
 
 #include "clustering/incremental_stays.h"
 #include "decision/mood_engine.h"
@@ -130,7 +133,9 @@ struct UserKernelState {
   mobility::Trace window;
 
   // ---- Incremental compiled profiles ---------------------------------
-  profiles::CompiledHeatmap heatmap;  ///< AP side; exact integer folds
+  /// AP side: exact integer counts, folded per event; the cells are
+  /// compiled at the next refresh.
+  profiles::CompiledHeatmap heatmap;
   bool heatmap_built = false;
   /// PIT/POI side: one shared stay tracker + merged visit states. The
   /// projection origin is pinned at the first record ever folded —
@@ -181,13 +186,16 @@ class DecisionKernel {
 
   // ---- Streaming entry points ----------------------------------------
   // One function per tier: bench/gateway/gateway_bench.cpp calls them by name.
-  /// Folds new records into the window (evicting expired/over-cap
-  /// points from the front) and maintains the AP heatmap incrementally;
-  /// PIT/POI folds are deferred to the next refresh. The records are only
-  /// read (taken by reference so the batch entry points fold whole test
-  /// traces without copying them). Returns the number of records folded.
+  /// Per-event bookkeeping only: appends the records to the window,
+  /// evicts expired/over-cap points from the front, and edits the AP
+  /// heatmap's counts for both (the evicted records are read from the
+  /// window front before drop_front, never copied). Everything derived —
+  /// the AP cells, the PIT/POI profiles — is left stale for the next
+  /// refresh. The records are only read (a span, so the stream folds one
+  /// event and the batch entry points a whole test trace without copying).
+  /// Returns the number of records folded.
   std::size_t fold(UserKernelState& state,
-                   const std::vector<mobility::Record>& pending) const;
+                   std::span<const mobility::Record> pending) const;
 
   /// Issues one full verdict: refresh profiles (under the staleness
   /// bound), run the targeted risk queries, apply the keep/recheck/search
@@ -242,14 +250,6 @@ class DecisionKernel {
 
   /// Targeted risk query over a state with fresh profiles.
   [[nodiscard]] bool at_risk(const UserKernelState& state) const;
-
-  /// Checkpoint-restore hook: re-enables the O(1) preslice bookkeeping on
-  /// a freshly deserialized window. fold() only turns tracking on for
-  /// *empty* windows, so a state restored mid-stream must call this once
-  /// or its window_slices snapshots would read 0 forever. track_slices
-  /// derives the same cut offsets the incremental bookkeeping maintains,
-  /// so restored slice counts are bit-identical to an uninterrupted run.
-  void restore_window_tracking(UserKernelState& state) const;
 
   [[nodiscard]] const MoodEngine& engine() const { return engine_; }
   [[nodiscard]] const KernelConfig& config() const { return config_; }

@@ -36,59 +36,30 @@ const Record& Trace::at(std::size_t i) const {
 void Trace::append(const Record& r) {
   support::expects(records_.empty() || r.time >= records_.back().time,
                    "Trace::append would break time ordering");
-  if (tracked_slice_ > 0) {
-    // Same cut rule as slices(): a record at or past the current slice's
-    // end starts a new slice whose window is jumped to directly (empty
-    // slices are never materialised, so gaps cost O(1)).
-    if (records_.empty()) {
-      slice_starts_ = {0};
-      tracked_end_ = r.time + tracked_slice_;
-    } else if (r.time >= tracked_end_) {
-      slice_starts_.push_back(records_.size());
-      const Timestamp t0 = records_.front().time;
-      tracked_end_ =
-          t0 + ((r.time - t0) / tracked_slice_ + 1) * tracked_slice_;
-    }
-  }
   records_.push_back(r);
-}
-
-void Trace::track_slices(Timestamp slice) {
-  support::expects(slice > 0, "Trace::track_slices: slice must be > 0");
-  tracked_slice_ = slice;
-  rebuild_slice_tracking();
-}
-
-void Trace::rebuild_slice_tracking() {
-  slice_starts_.clear();
-  tracked_end_ = 0;
-  if (tracked_slice_ <= 0 || records_.empty()) return;
-  const Timestamp t0 = records_.front().time;
-  tracked_end_ = t0 + tracked_slice_;
-  slice_starts_.push_back(0);
-  for (std::size_t i = 1; i < records_.size(); ++i) {
-    if (records_[i].time >= tracked_end_) {
-      slice_starts_.push_back(i);
-      tracked_end_ = t0 + ((records_[i].time - t0) / tracked_slice_ + 1) *
-                              tracked_slice_;
-    }
-  }
 }
 
 std::size_t Trace::slice_count(Timestamp slice) const {
   support::expects(slice > 0, "Trace::slice_count: slice must be > 0");
-  if (slice == tracked_slice_) return slice_starts_.size();
-  return slices(slice).size();
+  if (records_.empty()) return 0;
+  // Same cut rule as slices(): a record at or past the current slice's end
+  // opens the slice that contains it (empty slices are never counted).
+  const Timestamp t0 = records_.front().time;
+  std::size_t count = 1;
+  Timestamp current_end = t0 + slice;
+  for (const Record& r : records_) {
+    if (r.time >= current_end) {
+      ++count;
+      current_end = t0 + ((r.time - t0) / slice + 1) * slice;
+    }
+  }
+  return count;
 }
 
 void Trace::drop_front(std::size_t n) {
-  if (n == 0) return;
   n = std::min(n, records_.size());
   records_.erase(records_.begin(),
                  records_.begin() + static_cast<std::ptrdiff_t>(n));
-  // The slice grid is anchored on the (new) first record, so the whole
-  // partition shifts: re-derive rather than patch offsets.
-  if (tracked_slice_ > 0) rebuild_slice_tracking();
 }
 
 Timestamp Trace::duration() const {
@@ -127,24 +98,6 @@ std::vector<Trace> Trace::slices(Timestamp slice) const {
   support::expects(slice > 0, "Trace::slices: slice duration must be > 0");
   std::vector<Trace> out;
   if (records_.empty()) return out;
-  if (slice == tracked_slice_) {
-    // Fast path: the cut offsets are maintained incrementally by append(),
-    // so no re-scan of the timestamps is needed (equivalence with the
-    // from-scratch derivation below is regression-tested).
-    out.reserve(slice_starts_.size());
-    for (std::size_t k = 0; k < slice_starts_.size(); ++k) {
-      const std::size_t begin = slice_starts_[k];
-      const std::size_t end = k + 1 < slice_starts_.size()
-                                  ? slice_starts_[k + 1]
-                                  : records_.size();
-      out.emplace_back(
-          user_,
-          std::vector<Record>(
-              records_.begin() + static_cast<std::ptrdiff_t>(begin),
-              records_.begin() + static_cast<std::ptrdiff_t>(end)));
-    }
-    return out;
-  }
   const Timestamp t0 = records_.front().time;
   std::vector<Record> current;
   Timestamp current_end = t0 + slice;

@@ -47,30 +47,17 @@ class Trace {
   [[nodiscard]] auto end() const { return records_.end(); }
 
   /// Appends a record; its time must be >= the current last record's time.
-  /// O(1) amortised, including the tracked-slice bookkeeping (see
-  /// track_slices) — the append fast path the streaming gateway's sliding
+  /// O(1) amortised — the append fast path the streaming gateway's sliding
   /// windows are built on.
   void append(const Record& r);
 
-  /// Enables incremental slice bookkeeping for the given duration:
-  /// maintains the cut offsets that slices(slice) would derive, updating
-  /// them in O(1) per append instead of re-scanning the whole trace per
-  /// slices() call. Derives the current offsets once (O(size)); calling it
-  /// again with a different duration re-derives. Tracking is a property of
-  /// this object only — traces returned by between()/split_in_half()/
-  /// slices() start untracked. Precondition: slice > 0.
-  void track_slices(Timestamp slice);
-
-  /// The tracked slice duration (0 when tracking is off).
-  [[nodiscard]] Timestamp tracked_slice() const { return tracked_slice_; }
-
-  /// Number of slices a slices(slice) call would return. O(1) when `slice`
-  /// is tracked, O(size) otherwise.
+  /// Number of slices a slices(slice) call would return: one counting pass
+  /// over the timestamps, no Trace copies. Precondition: slice > 0.
   [[nodiscard]] std::size_t slice_count(Timestamp slice) const;
 
   /// Removes the first `n` records (all of them if n >= size), keeping the
-  /// user id; tracked-slice bookkeeping is re-derived. O(size) — the
-  /// sliding window amortises it by evicting in batches.
+  /// user id. O(size) — the sliding window amortises it by evicting in
+  /// batches.
   void drop_front(std::size_t n);
 
   /// Wall-clock span covered: back().time - front().time (0 if size < 2).
@@ -90,21 +77,11 @@ class Trace {
   /// Geographic bounding box of all records.
   [[nodiscard]] geo::BoundingBox bounding_box() const;
 
-  /// Equality is over owner and records only — whether slice bookkeeping
-  /// is enabled is an access-path optimisation, not part of the value.
-  friend bool operator==(const Trace& a, const Trace& b) {
-    return a.user_ == b.user_ && a.records_ == b.records_;
-  }
+  friend bool operator==(const Trace& a, const Trace& b) = default;
 
  private:
-  /// Re-derives slice_starts_ for tracked_slice_ from scratch.
-  void rebuild_slice_tracking();
-
   UserId user_;
   std::vector<Record> records_;
-  Timestamp tracked_slice_ = 0;          ///< 0 = tracking off
-  std::vector<std::size_t> slice_starts_;  ///< index of each slice's first record
-  Timestamp tracked_end_ = 0;            ///< end time of the current slice
 };
 
 }  // namespace mood::mobility

@@ -85,18 +85,21 @@ constexpr double kInfinity = std::numeric_limits<double>::infinity();
 /// p ln(2p); 0 for p = 0 (the limit).
 double self_term(double p) { return p <= 0.0 ? 0.0 : p * std::log(2.0 * p); }
 
-std::vector<CompiledHeatmapCell> compile_cells(
-    std::vector<std::pair<geo::CellIndex, double>> counts, double total) {
-  std::sort(counts.begin(), counts.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-  std::vector<CompiledHeatmapCell> cells;
-  cells.reserve(counts.size());
+/// Compiles (cell, count) pairs already sorted by cell into the empty
+/// `out` (reusing its capacity).
+void compile_cells(const std::vector<std::pair<geo::CellIndex, double>>& counts,
+                   double total, std::vector<CompiledHeatmapCell>& out) {
+  out.reserve(counts.size());
   for (const auto& [cell, count] : counts) {
     const double p = count / total;
-    cells.push_back(
+    out.push_back(
         CompiledHeatmapCell{cell, p, self_term(p), p * std::log(2.0)});
   }
-  return cells;
+}
+
+bool cell_less(const std::pair<geo::CellIndex, double>& entry,
+               const geo::CellIndex& cell) {
+  return entry.first < cell;
 }
 
 /// Run-collapsed (cell, count) pairs of a record range, sorted by cell with
@@ -134,15 +137,17 @@ CompiledHeatmap::CompiledHeatmap(const Heatmap& source) {
   if (source.empty() || source.total() <= 0.0) return;
   std::vector<std::pair<geo::CellIndex, double>> counts(
       source.counts().begin(), source.counts().end());
-  cells_ = compile_cells(std::move(counts), source.total());
+  std::sort(counts.begin(), counts.end(),
+            [](const auto& a, const auto& b) { return a.first < b.first; });
+  compile_cells(counts, source.total(), cells_);
 }
 
 CompiledHeatmap CompiledHeatmap::from_trace(const mobility::Trace& trace,
                                             const geo::CellGrid& grid) {
   CompiledHeatmap compiled;
   if (trace.empty()) return compiled;
-  compiled.cells_ = compile_cells(collapse_cells(trace.records(), grid),
-                                  static_cast<double>(trace.size()));
+  compile_cells(collapse_cells(trace.records(), grid),
+                static_cast<double>(trace.size()), compiled.cells_);
   return compiled;
 }
 
@@ -153,9 +158,7 @@ CompiledHeatmap CompiledHeatmap::incremental(const mobility::Trace& trace,
   if (trace.empty()) return compiled;
   compiled.counts_ = collapse_cells(trace.records(), grid);
   compiled.total_ = static_cast<double>(trace.size());
-  // collapse_cells already sorted and merged, so compile_cells' sort is a
-  // no-op pass; probabilities are bit-identical to from_trace.
-  compiled.cells_ = compile_cells(compiled.counts_, compiled.total_);
+  compile_cells(compiled.counts_, compiled.total_, compiled.cells_);
   return compiled;
 }
 
@@ -168,72 +171,55 @@ CompiledHeatmap CompiledHeatmap::from_counts(
   compiled.updatable_ = true;
   compiled.counts_ = std::move(counts);
   compiled.total_ = total;
-  // counts_ arrive sorted (raw_counts() order), so compile_cells' sort is
-  // a no-op pass and the cells are bit-identical to the captured heatmap.
+  // counts_ arrive sorted (raw_counts() order), so the cells are
+  // bit-identical to the captured heatmap's.
   if (compiled.total_ > 0.0) {
-    compiled.cells_ = compile_cells(compiled.counts_, compiled.total_);
+    compile_cells(compiled.counts_, compiled.total_, compiled.cells_);
   }
   return compiled;
 }
 
-void CompiledHeatmap::apply_update(const std::vector<mobility::Record>& added,
-                                   const std::vector<mobility::Record>& removed,
+void CompiledHeatmap::apply_update(std::span<const mobility::Record> added,
+                                   std::span<const mobility::Record> removed,
                                    const geo::CellGrid& grid) {
   support::expects(updatable_,
                    "CompiledHeatmap::apply_update: heatmap was not built by "
                    "incremental() (raw counts not retained)");
   if (added.empty() && removed.empty()) return;
-  auto delta = collapse_cells(added, grid);
-  for (auto& [cell, count] : collapse_cells(removed, grid)) {
-    delta.emplace_back(cell, -count);
-  }
-  std::sort(delta.begin(), delta.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-
-  // Sorted merge of counts_ and delta into a fresh count vector. All
-  // counts are exact integers, so additions and removals are exact and the
-  // merged counts equal what collapse_cells would produce on the updated
-  // window.
-  std::vector<std::pair<geo::CellIndex, double>> merged;
-  merged.reserve(counts_.size() + delta.size());
-  std::size_t i = 0;
-  std::size_t j = 0;
-  const auto push = [&](const geo::CellIndex& cell, double count) {
-    support::expects(count >= 0.0,
-                     "CompiledHeatmap::apply_update: removal without a "
-                     "matching count");
-    if (count > 0.0) merged.emplace_back(cell, count);
-  };
-  while (i < counts_.size() || j < delta.size()) {
-    if (j == delta.size() ||
-        (i < counts_.size() && counts_[i].first < delta[j].first)) {
-      merged.push_back(counts_[i]);
-      ++i;
-    } else if (i == counts_.size() || delta[j].first < counts_[i].first) {
-      // Duplicate delta cells (one from added, one from removed) merge here.
-      double count = delta[j].second;
-      const geo::CellIndex cell = delta[j].first;
-      while (++j < delta.size() && delta[j].first == cell) {
-        count += delta[j].second;
-      }
-      push(cell, count);
+  // Counts are exact integers, so each in-place edit leaves exactly the
+  // counts collapse_cells would produce on the updated window.
+  for (const auto& record : added) {
+    const geo::CellIndex cell = grid.cell_of(record.position);
+    const auto it =
+        std::lower_bound(counts_.begin(), counts_.end(), cell, cell_less);
+    if (it != counts_.end() && it->first == cell) {
+      it->second += 1.0;
     } else {
-      double count = counts_[i].second + delta[j].second;
-      const geo::CellIndex cell = delta[j].first;
-      while (++j < delta.size() && delta[j].first == cell) {
-        count += delta[j].second;
-      }
-      push(cell, count);
-      ++i;
+      counts_.emplace(it, cell, 1.0);
     }
   }
-  counts_ = std::move(merged);
+  for (const auto& record : removed) {
+    const geo::CellIndex cell = grid.cell_of(record.position);
+    const auto it =
+        std::lower_bound(counts_.begin(), counts_.end(), cell, cell_less);
+    support::expects(it != counts_.end() && it->first == cell,
+                     "CompiledHeatmap::apply_update: removal without a "
+                     "matching count");
+    it->second -= 1.0;
+    if (it->second == 0.0) counts_.erase(it);
+  }
   total_ += static_cast<double>(added.size()) -
             static_cast<double>(removed.size());
   support::ensures(total_ >= 0.0 && (total_ > 0.0 || counts_.empty()),
                    "CompiledHeatmap::apply_update: count bookkeeping drifted");
-  cells_ = total_ > 0.0 ? compile_cells(counts_, total_)
-                        : std::vector<CompiledHeatmapCell>{};
+  stale_ = true;
+}
+
+void CompiledHeatmap::compile() {
+  if (!stale_) return;
+  cells_.clear();
+  if (total_ > 0.0) compile_cells(counts_, total_, cells_);
+  stale_ = false;
 }
 
 double topsoe_divergence(const CompiledHeatmap& a, const CompiledHeatmap& b) {

@@ -7,6 +7,7 @@
 /// divergence; HMC [Maouche et al. 2018] aligns a user's heatmap onto a
 /// donor's to confuse that matching.
 
+#include <span>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -14,6 +15,7 @@
 #include "geo/cell_grid.h"
 #include "mobility/record.h"
 #include "mobility/trace.h"
+#include "support/error.h"
 
 namespace mood::profiles {
 
@@ -70,10 +72,13 @@ struct CompiledHeatmapCell {
   double solo_term = 0.0;    ///< p ln 2 — the cell's term when q = 0
 };
 
-/// Immutable flat form of a Heatmap for the inference hot path: cells
-/// sorted by index with pre-normalised probabilities, so the Topsoe
-/// divergence becomes a cache-friendly two-pointer merge instead of hash
-/// lookups, and partial sums can drive branch-and-bound early exits.
+/// Flat form of a Heatmap for the inference hot path: cells sorted by
+/// index with pre-normalised probabilities, so the Topsoe divergence
+/// becomes a cache-friendly two-pointer merge instead of hash lookups, and
+/// partial sums can drive branch-and-bound early exits. Training profiles
+/// are immutable; a streaming window's updatable form keeps raw counts,
+/// edited per record by apply_update and turned into cells by compile()
+/// only when a query reads them.
 class CompiledHeatmap {
  public:
   CompiledHeatmap() = default;
@@ -97,18 +102,27 @@ class CompiledHeatmap {
   static CompiledHeatmap incremental(const mobility::Trace& trace,
                                      const geo::CellGrid& grid);
 
-  /// Incremental maintenance for sliding windows: adds one count per
-  /// record of `added`, removes one per record of `removed`, then
-  /// renormalises. O(cells + delta log delta) — independent of the window
-  /// length. Counts are exact small integers, so the updated heatmap is
-  /// bit-identical to from_trace on the updated window (the streaming
-  /// gateway's incremental-vs-full equivalence tests rely on this; callers
-  /// that want a staleness bound instead simply rebuild via incremental()
-  /// every N updates). Preconditions: built by incremental(); every
-  /// removed record was previously added.
-  void apply_update(const std::vector<mobility::Record>& added,
-                    const std::vector<mobility::Record>& removed,
+  /// Incremental count maintenance for sliding windows: adds one count per
+  /// record of `added`, then removes one per record of `removed`, editing
+  /// the sorted raw counts in place (a binary search and an increment, or
+  /// an insert for a new cell; a decrement, or an erase when a cell drops
+  /// to zero). O(log cells) per record plus the insert/erase shift —
+  /// independent of the window length, with no sort, no merge and no
+  /// allocation once the counts' capacity is reached. It does NOT
+  /// renormalise: the cells become stale until compile(), and reading a
+  /// stale heatmap's cells is a precondition failure. Counts are exact
+  /// small integers, so the compiled heatmap is bit-identical to
+  /// from_trace on the updated window whatever the interleaving of
+  /// updates. Preconditions: built by incremental() or from_counts();
+  /// every removed record was previously added.
+  void apply_update(std::span<const mobility::Record> added,
+                    std::span<const mobility::Record> removed,
                     const geo::CellGrid& grid);
+
+  /// Recomputes the cells (p, p ln 2p, p ln 2) from the raw counts if an
+  /// apply_update left them stale: one pass over the counts, no copy and
+  /// no re-sort. A no-op on a fresh heatmap.
+  void compile();
 
   /// True when built by incremental() (raw counts retained, apply_update
   /// allowed).
@@ -116,9 +130,10 @@ class CompiledHeatmap {
 
   /// Raw (cell, count) pairs in ascending cell order — exact small
   /// integers; non-empty only for updatable() heatmaps. Together with
-  /// raw_total() this is the full mutable state: from_counts(raw_counts(),
-  /// raw_total()) reproduces this heatmap bit-identically, which is how
-  /// the gateway's checkpoint format round-trips it.
+  /// raw_total() this is the full mutable state, stale or not:
+  /// from_counts(raw_counts(), raw_total()) reproduces this heatmap's
+  /// compiled cells bit-identically, which is how the gateway's checkpoint
+  /// format round-trips it.
   [[nodiscard]] const std::vector<std::pair<geo::CellIndex, double>>&
   raw_counts() const {
     return counts_;
@@ -132,12 +147,16 @@ class CompiledHeatmap {
   static CompiledHeatmap from_counts(
       std::vector<std::pair<geo::CellIndex, double>> counts, double total);
 
-  /// Cells in ascending index order.
+  /// Cells in ascending index order. Precondition: no apply_update since
+  /// the last compile().
   [[nodiscard]] const std::vector<CompiledHeatmapCell>& cells() const {
+    support::expects(!stale_,
+                     "CompiledHeatmap::cells: counts changed since the last "
+                     "compile()");
     return cells_;
   }
-  [[nodiscard]] bool empty() const { return cells_.empty(); }
-  [[nodiscard]] std::size_t cell_count() const { return cells_.size(); }
+  [[nodiscard]] bool empty() const { return cells().empty(); }
+  [[nodiscard]] std::size_t cell_count() const { return cells().size(); }
 
  private:
   std::vector<CompiledHeatmapCell> cells_;
@@ -146,6 +165,7 @@ class CompiledHeatmap {
   std::vector<std::pair<geo::CellIndex, double>> counts_;
   double total_ = 0.0;
   bool updatable_ = false;
+  bool stale_ = false;  ///< counts_ changed since cells_ was compiled
 };
 
 /// Topsoe divergence over compiled heatmaps. Symmetric; same decision

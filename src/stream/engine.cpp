@@ -412,7 +412,7 @@ void StreamEngine::loop_decide_user(UserState& state, mobility::Record record,
                            state.user + "'");
     }
     decision::UserKernelState& k = state.kernel;
-    kernel_.fold(k, {record});
+    kernel_.fold(k, {&record, 1});
     if (shed) {
       kernel_.decide_degraded(k, 1);
       return;
@@ -480,6 +480,7 @@ void StreamEngine::finish() {
 
 std::vector<UserDecision> StreamEngine::decisions() const {
   std::vector<UserDecision> out;
+  const mobility::Timestamp preslice = kernel_.engine().config().preslice;
   store_.for_each([&](const UserState& state) {
     const decision::UserKernelState& k = state.kernel;
     UserDecision d;
@@ -490,9 +491,7 @@ std::vector<UserDecision> StreamEngine::decisions() const {
     d.risk_transitions = k.risk_transitions;
     d.searches = k.searches;
     d.window_points = k.window.size();
-    d.window_slices = k.window.tracked_slice() > 0
-                          ? k.window.slice_count(k.window.tracked_slice())
-                          : 0;
+    d.window_slices = k.window.slice_count(preslice);
     d.quarantined = state.quarantined;
     d.quarantine_reason = state.quarantine_reason;
     d.dead_letters = state.dead_letters;
@@ -667,7 +666,6 @@ void StreamEngine::restore_snapshot(const SnapshotData& data) {
     // timestamps, whose relative order a re-sort could not disturb anyway
     // (stable, and only invoked when actually unsorted).
     k.window = mobility::Trace(u.user, u.window);
-    kernel_.restore_window_tracking(k);
     k.heatmap_built = u.heatmap_built;
     if (u.heatmap_built) {
       k.heatmap = profiles::CompiledHeatmap::from_counts(u.heatmap_counts,

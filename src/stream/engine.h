@@ -231,7 +231,7 @@ struct UserDecision {
   std::uint64_t risk_transitions = 0;
   std::uint64_t searches = 0;
   std::size_t window_points = 0;
-  std::size_t window_slices = 0;      ///< preslice partitions (tracked, O(1))
+  std::size_t window_slices = 0;      ///< preslice partitions, computed at read
   /// Resilience flags: a quarantined user's decision is the held last
   /// verdict (state frozen, reason recorded); `degraded` counts verdicts
   /// issued on the shed path (always repaired by the canonical finish).

@@ -320,10 +320,10 @@ TEST_F(DecisionKernelTest, DecideRecheckIsExactlyDecideHeld) {
     via_held.window.set_user(pair.test.user());
     for (const mobility::Record& record : pair.test.records()) {
       const auto fold_a = delta_of(kernel, [&] {
-        kernel.fold(via_recheck, {record});
+        kernel.fold(via_recheck, {&record, 1});
       });
       const auto fold_b = delta_of(kernel, [&] {
-        kernel.fold(via_held, {record});
+        kernel.fold(via_held, {&record, 1});
       });
       EXPECT_EQ(fold_a, fold_b) << pair.test.user();
       const std::uint64_t k = via_recheck.events;
@@ -387,7 +387,7 @@ TEST_F(DecisionKernelTest, DecideDegradedRunsNoLppmAndNoAttack) {
     const std::string winner = state.winner;
     const std::uint64_t rechecks = state.rechecks;
     const std::uint64_t searched_events = state.searched_events;
-    kernel.fold(state, {records.back()});
+    kernel.fold(state, {&records.back(), 1});
     const auto delta = delta_of(kernel, [&] {
       kernel.decide_degraded(state, 1);
     });

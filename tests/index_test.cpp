@@ -217,7 +217,7 @@ template <typename Traits, typename Profile, typename Exact, typename Bounded>
 void expect_index_matches_scan(
     const attacks::PopulationIndex<Traits>& index,
     const std::vector<std::pair<mobility::UserId, Profile>>& population,
-    const typename Traits::Summary& query, const Exact& exact,
+    const Profile& query, const Exact& exact,
     const Bounded& bounded) {
   EXPECT_EQ(index.argmin(query, bounded),
             attacks::scan_argmin(population, bounded));
@@ -257,7 +257,7 @@ TEST_P(IndexDecisionIdentity, PoiIndexMatchesScans) {
                            : profiles::CompiledPoiProfile::incremental(
                                  hotspot_trace(rng, "q"));
     expect_index_matches_scan(
-        index, population, profiles::summarize(query),
+        index, population, query,
         [&](const profiles::CompiledPoiProfile& p) {
           return profiles::poi_profile_distance(query, p);
         },
@@ -290,7 +290,7 @@ TEST_P(IndexDecisionIdentity, PitIndexMatchesScans) {
                            : profiles::CompiledMarkovProfile::incremental(
                                  hotspot_trace(rng, "q"));
     expect_index_matches_scan(
-        index, population, profiles::summarize(query),
+        index, population, query,
         [&](const profiles::CompiledMarkovProfile& p) {
           return profiles::stats_prox_distance(query, p, 1000.0);
         },
@@ -320,7 +320,7 @@ TEST_P(IndexDecisionIdentity, ApIndexMatchesScansAndStaysCoherentUnderUpdates) {
 
   const auto check = [&](const profiles::CompiledHeatmap& query) {
     expect_index_matches_scan(
-        index, population, profiles::summarize(query),
+        index, population, query,
         [&](const profiles::CompiledHeatmap& p) {
           return profiles::topsoe_divergence(query, p);
         },
@@ -340,6 +340,7 @@ TEST_P(IndexDecisionIdentity, ApIndexMatchesScansAndStaysCoherentUnderUpdates) {
     const std::size_t i = rng.uniform_index(70);
     population[i].second.apply_update(hotspot_trace(rng, "delta").records(),
                                       {}, grid);
+    population[i].second.compile();
     index.update(i);
   }
   for (int q = 0; q < 6; ++q) {
@@ -365,6 +366,7 @@ TEST_P(IndexDecisionIdentity, SmallPopulationsDelegateToTheScans) {
     const std::size_t i = rng.uniform_index(population.size());
     population[i].second.apply_update(hotspot_trace(rng, "delta").records(),
                                       {}, grid);
+    population[i].second.compile();
     index.update(i);
   }
   const auto query =
@@ -375,15 +377,14 @@ TEST_P(IndexDecisionIdentity, SmallPopulationsDelegateToTheScans) {
   const auto bounded = [&](const profiles::CompiledHeatmap& p, double bound) {
     return profiles::topsoe_divergence_bounded(query, p, bound);
   };
-  expect_index_matches_scan(index, population, profiles::summarize(query),
-                            exact, bounded);
+  expect_index_matches_scan(index, population, query, exact, bounded);
 
   // Delegated queries keep the counters exactly: one query per call, one
   // exact evaluation per distance the scan prices, no prunes.
   const attacks::IndexStats before = index.stats();
   EXPECT_EQ(before.pruned_candidates, 0u);
   std::uint64_t queries = 1;
-  (void)index.argmin(profiles::summarize(query), bounded);
+  (void)index.argmin(query, bounded);
   // The branch-and-bound argmin prices every candidate (with a bound).
   std::uint64_t priced = population.size();
   const auto counted_exact = [&](const profiles::CompiledHeatmap& p) {
@@ -398,8 +399,7 @@ TEST_P(IndexDecisionIdentity, SmallPopulationsDelegateToTheScans) {
   std::vector<mobility::UserId> owners{"ghost"};
   for (const auto& [user, profile] : population) owners.push_back(user);
   for (const auto& owner : owners) {
-    (void)index.is_first_argmin(profiles::summarize(query), owner, exact,
-                                bounded);
+    (void)index.is_first_argmin(query, owner, exact, bounded);
     ++queries;
     (void)attacks::scan_is_first_argmin(population, owner, counted_exact,
                                         counted_bounded);
@@ -432,13 +432,14 @@ TEST_P(IndexDecisionIdentity, PeriodicRebuildFiresAndPreservesDecisions) {
     const std::size_t i = rng.uniform_index(population.size());
     population[i].second.apply_update(hotspot_trace(rng, "delta").records(),
                                       {}, grid);
+    population[i].second.compile();
     index.update(i);
   }
   EXPECT_GE(index.stats().rebuilds, 2u);
   const auto query =
       profiles::CompiledHeatmap::from_trace(hotspot_trace(rng, "q"), grid);
   expect_index_matches_scan(
-      index, population, profiles::summarize(query),
+      index, population, query,
       [&](const profiles::CompiledHeatmap& p) {
         return profiles::topsoe_divergence(query, p);
       },

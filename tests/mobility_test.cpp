@@ -173,46 +173,43 @@ TEST(Trace, SlicesRejectNonPositiveDuration) {
   EXPECT_THROW(trace.slices(0), support::PreconditionError);
 }
 
-TEST(Trace, TrackedSlicesMatchFullRebuildUnderAppend) {
-  // The streaming fast path: maintain slice bookkeeping across appends and
-  // compare against a freshly built (untracked) trace after every one.
-  // Gap sizes exercise within-slice, boundary, multi-slice-jump and
-  // same-timestamp appends.
+TEST(Trace, SliceCountMatchesSlicesAcrossAppendsDropsAndGaps) {
+  // slice_count is the counting form of slices(): they must agree after
+  // every append and every front eviction. Gap sizes exercise
+  // within-slice, boundary, multi-slice-jump and same-timestamp appends;
+  // evictions re-anchor the slice grid on the new first record.
   const std::vector<Timestamp> gaps = {0,         5 * kMinute, kHour,
                                        3 * kHour, 0,           26 * kHour,
                                        kMinute,   2 * kHour,   40 * kDay,
-                                       3599,      1};
-  Trace tracked("u", {});
-  tracked.track_slices(2 * kHour);
-  EXPECT_EQ(tracked.tracked_slice(), 2 * kHour);
+                                       3599,      1,           kHour - 1};
+  const auto expect_counts_match = [](const Trace& trace) {
+    for (const Timestamp slice : {kHour, 2 * kHour, kDay}) {
+      ASSERT_EQ(trace.slice_count(slice), trace.slices(slice).size())
+          << "slice " << slice << ", size " << trace.size();
+    }
+  };
+  Trace trace("u", {});
+  expect_counts_match(trace);
   Timestamp t = 500;
   int i = 0;
   for (const Timestamp gap : gaps) {
     t += gap;
-    tracked.append(rec(45 + 0.001 * i++, 5, t));
-    const Trace rebuilt("u", {tracked.records().begin(),
-                              tracked.records().end()});
-    ASSERT_EQ(tracked.slices(2 * kHour), rebuilt.slices(2 * kHour));
-    ASSERT_EQ(tracked.slice_count(2 * kHour),
-              rebuilt.slices(2 * kHour).size());
-    // Untracked durations still take the derivation path.
-    ASSERT_EQ(tracked.slices(kHour), rebuilt.slices(kHour));
+    trace.append(rec(45 + 0.001 * i++, 5, t));
+    expect_counts_match(trace);
+    if (i % 3 == 0) {
+      trace.drop_front(2);
+      expect_counts_match(trace);
+    }
   }
+  trace.drop_front(100);  // clamps to size
+  EXPECT_TRUE(trace.empty());
+  EXPECT_EQ(trace.slice_count(kHour), 0u);
+  EXPECT_THROW(static_cast<void>(trace.slice_count(0)),
+               support::PreconditionError);
 }
 
-TEST(Trace, TrackSlicesOnExistingTraceDerivesCurrentPartition) {
-  std::vector<Record> records;
-  for (int m = 0; m < 600; m += 10) records.push_back(rec(45, 5, m * 60));
-  Trace trace("u", std::move(records));
-  const auto expected = trace.slices(2 * kHour);
-  trace.track_slices(2 * kHour);
-  EXPECT_EQ(trace.slices(2 * kHour), expected);
-  EXPECT_EQ(trace.slice_count(2 * kHour), expected.size());
-}
-
-TEST(Trace, DropFrontEvictsAndRedrivesTracking) {
+TEST(Trace, DropFrontEvictsAndReanchorsSlices) {
   Trace trace("u", {});
-  trace.track_slices(kHour);
   for (int i = 0; i < 10; ++i) {
     trace.append(rec(45, 5, i * 30 * kMinute));
   }
@@ -222,17 +219,7 @@ TEST(Trace, DropFrontEvictsAndRedrivesTracking) {
   // The slice grid re-anchors on the new first record.
   const Trace rebuilt("u", {trace.records().begin(), trace.records().end()});
   EXPECT_EQ(trace.slices(kHour), rebuilt.slices(kHour));
-
-  trace.drop_front(100);  // clamps to size
-  EXPECT_TRUE(trace.empty());
-  EXPECT_EQ(trace.slice_count(kHour), 0u);
-}
-
-TEST(Trace, EqualityIgnoresSliceTracking) {
-  Trace a("u", {rec(45, 5, 0), rec(45, 5, kHour)});
-  Trace b("u", {rec(45, 5, 0), rec(45, 5, kHour)});
-  a.track_slices(kHour);
-  EXPECT_EQ(a, b);
+  EXPECT_EQ(trace.slice_count(kHour), 3u);
 }
 
 TEST(Trace, BoundingBoxCoversAllRecords) {

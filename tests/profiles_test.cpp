@@ -3,7 +3,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <random>
+#include <vector>
 
 #include "geo/cell_grid.h"
 #include "profiles/heatmap.h"
@@ -281,10 +285,12 @@ TEST_F(HeatmapTest, ApplyUpdateFoldsArrivalsExactly) {
   // prefixes.
   const std::size_t cut = 37;
   map.apply_update({records.begin(), records.begin() + cut}, {}, grid_);
+  map.compile();
   expect_bit_identical(
       map, CompiledHeatmap::from_trace(
                Trace("u", {records.begin(), records.begin() + cut}), grid_));
   map.apply_update({records.begin() + cut, records.end()}, {}, grid_);
+  map.compile();
   expect_bit_identical(map, CompiledHeatmap::from_trace(trace, grid_));
 }
 
@@ -296,24 +302,118 @@ TEST_F(HeatmapTest, ApplyUpdateRemovesExpirationsExactly) {
   const std::vector<mobility::Record> gone(records.begin(),
                                            records.begin() + 40);
   map.apply_update({}, gone, grid_);
+  map.compile();
   expect_bit_identical(
       map, CompiledHeatmap::from_trace(
                Trace("u", {records.begin() + 40, records.end()}), grid_));
   // Removing everything empties the heatmap cleanly.
   map.apply_update({}, {records.begin() + 40, records.end()}, grid_);
+  map.compile();
   EXPECT_TRUE(map.empty());
 }
 
 TEST_F(HeatmapTest, ApplyUpdateGuardsItsPreconditions) {
   const auto trace = three_place_trace();
   auto frozen = CompiledHeatmap::from_trace(trace, grid_);
-  EXPECT_THROW(frozen.apply_update({trace.records().front()}, {}, grid_),
+  EXPECT_THROW(frozen.apply_update({&trace.records().front(), 1}, {}, grid_),
                support::PreconditionError);
   auto map = CompiledHeatmap::incremental(Trace("u", {}), grid_);
   // Removing a record that was never added must fail loudly, not corrupt
   // the counts.
-  EXPECT_THROW(map.apply_update({}, {trace.records().front()}, grid_),
+  EXPECT_THROW(map.apply_update({}, {&trace.records().front(), 1}, grid_),
                support::PreconditionError);
+}
+
+/// The count edits of apply_update, compiled, match a from-scratch
+/// incremental() build of the same window: raw counts and cells, bit for
+/// bit. Updates interleave appends and front evictions at random (several
+/// updates may land between two compiles, as between two gateway
+/// decides), after a scripted prefix in which one cell drops to zero and
+/// comes back.
+TEST_F(HeatmapTest, CountEditsCompileToIncrementalOnAnyInterleaving) {
+  const std::vector<GeoPoint> places = {
+      kHome, kWork, kGym, GeoPoint{45.7700, 4.8500}, GeoPoint{45.7400, 4.8000},
+      GeoPoint{45.8000, 4.9000}};
+  const GeoPoint rare{45.7000, 4.7000};
+  const auto expect_matches_window = [&](CompiledHeatmap& map,
+                                         const Trace& window) {
+    map.compile();
+    const auto fresh = CompiledHeatmap::incremental(window, grid_);
+    ASSERT_EQ(map.raw_counts(), fresh.raw_counts());
+    ASSERT_EQ(map.raw_total(), fresh.raw_total());
+    expect_bit_identical(map, fresh);
+  };
+
+  for (const std::uint32_t seed : {1u, 7u, 42u, 2024u}) {
+    std::mt19937 rng(seed);
+    Trace window("u", {});
+    auto map = CompiledHeatmap::incremental(window, grid_);
+    mobility::Timestamp t = 0;
+    const auto append = [&](const GeoPoint& where) {
+      t += static_cast<mobility::Timestamp>(rng() % 600);
+      window.append(mobility::Record{where, t});
+      return window.records().back();
+    };
+
+    // Scripted: the rare cell appears, is evicted to zero, and returns.
+    const std::vector<mobility::Record> first = {append(rare), append(kHome),
+                                                 append(kHome)};
+    map.apply_update(first, {}, grid_);
+    expect_matches_window(map, window);
+    const auto rare_cell = grid_.cell_of(rare);
+    const auto has_rare = [&] {
+      return std::any_of(map.raw_counts().begin(), map.raw_counts().end(),
+                         [&](const auto& entry) {
+                           return entry.first == rare_cell;
+                         });
+    };
+    ASSERT_TRUE(has_rare());
+    map.apply_update({}, {window.records().data(), 1}, grid_);
+    window.drop_front(1);
+    expect_matches_window(map, window);
+    ASSERT_FALSE(has_rare());
+    const mobility::Record back = append(rare);
+    map.apply_update({&back, 1}, {}, grid_);
+    expect_matches_window(map, window);
+    ASSERT_TRUE(has_rare());
+
+    // Random: each step appends up to four records (drawn so that rarely
+    // seen cells keep dropping out and returning) and evicts up to as many
+    // from the front, in one update; compile every few steps.
+    for (int step = 0; step < 400; ++step) {
+      std::vector<mobility::Record> added;
+      for (std::uint32_t n = rng() % 5; n > 0; --n) {
+        added.push_back(
+            append(rng() % 16 == 0 ? rare : places[rng() % places.size()]));
+      }
+      const std::size_t evict =
+          std::min<std::size_t>(rng() % 5, window.size());
+      map.apply_update(added, {window.records().data(), evict}, grid_);
+      window.drop_front(evict);
+      if (step % 3 == 0) expect_matches_window(map, window);
+    }
+    expect_matches_window(map, window);
+  }
+}
+
+TEST_F(HeatmapTest, StaleCellsCannotBeRead) {
+  const auto trace = three_place_trace();
+  auto map = CompiledHeatmap::incremental(Trace("u", {}), grid_);
+  map.apply_update(trace.records(), {}, grid_);
+  EXPECT_THROW(static_cast<void>(map.cells()), support::PreconditionError);
+  EXPECT_THROW(static_cast<void>(map.empty()), support::PreconditionError);
+  EXPECT_THROW(static_cast<void>(topsoe_divergence(map, map)),
+               support::PreconditionError);
+  // The raw counts stay readable: they are what a checkpoint captures.
+  EXPECT_EQ(map.raw_total(), static_cast<double>(trace.size()));
+  const auto restored =
+      CompiledHeatmap::from_counts(map.raw_counts(), map.raw_total());
+  map.compile();
+  expect_bit_identical(map, restored);
+  expect_bit_identical(map, CompiledHeatmap::from_trace(trace, grid_));
+  // An empty update leaves fresh cells readable.
+  map.apply_update({}, {}, grid_);
+  EXPECT_NO_THROW(static_cast<void>(map.cells()));
 }
 
 }  // namespace

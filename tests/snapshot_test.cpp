@@ -755,6 +755,38 @@ TEST_F(SnapshotTest, RestoreAtAnArbitraryQuiescedPositionIsBitIdentical) {
   expect_identical_outcome(run_replay(restored, *events_, options), reference);
 }
 
+TEST_F(SnapshotTest, RestoreBetweenCadencesWhileEvictingIsBitIdentical) {
+  // A cut between two slack-cadence decides: users whose latest events
+  // took the held tier carry AP counts that no compile has read yet, and
+  // a 36 h sliding window keeps evicting after the restore. The
+  // resumed run must publish the uninterrupted run's verdicts, winners and
+  // window slices.
+  StreamConfig config;
+  config.shards = 2;
+  config.window_seconds = 36 * 3600;
+  const ReplayResult reference = replay_with(config);
+  std::size_t multi_slice = 0;
+  for (const UserDecision& d : reference.decisions) {
+    if (d.window_slices > 1) ++multi_slice;
+  }
+  EXPECT_GT(multi_slice, 0u);
+
+  const std::size_t cut = 2 * events_->size() / 3 + 1;
+  const SnapshotData snap =
+      decode_snapshot(encode_snapshot(capture_at(config, cut)));
+  EXPECT_GT(snap.stats.evicted_points, 0u);
+  std::size_t between_cadences = 0;
+  for (const UserSnapshot& u : snap.users) {
+    if (u.has_decision && u.events % config.loop_slack != 0) {
+      ++between_cadences;
+    }
+  }
+  EXPECT_GT(between_cadences, 0u);
+  const ReplayResult resumed = resume_from(snap, config, {});
+  EXPECT_GT(resumed.stats.evicted_points, snap.stats.evicted_points);
+  expect_identical_outcome(resumed, reference);
+}
+
 TEST_F(SnapshotTest, RestoreRefusesMismatchedGatewayConfig) {
   StreamConfig config;
   config.shards = 2;

@@ -301,7 +301,8 @@ TEST_F(StreamTest, IncrementalProfilesAreDecisionIdenticalPointByPoint) {
       profiles::CompiledHeatmap::incremental(window, ap->grid());
   for (const auto& record : pair.test.records()) {
     window.append(record);
-    heatmap.apply_update({record}, {}, ap->grid());
+    heatmap.apply_update({&record, 1}, {}, ap->grid());
+    heatmap.compile();
 
     // AP: the folded heatmap is bit-identical to a from-scratch compile.
     const auto fresh =
@@ -348,8 +349,9 @@ TEST_F(StreamTest, IncrementalHeatmapSurvivesSlidingWindowEviction) {
                          static_cast<std::ptrdiff_t>(window.size() - cap));
       window.drop_front(window.size() - cap);
     }
-    heatmap.apply_update({records[i]}, evicted, ap->grid());
+    heatmap.apply_update({&records[i], 1}, evicted, ap->grid());
   }
+  heatmap.compile();
   const auto fresh =
       profiles::CompiledHeatmap::from_trace(window, ap->grid());
   ASSERT_EQ(heatmap.cell_count(), fresh.cell_count());
