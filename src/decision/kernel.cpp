@@ -212,66 +212,42 @@ void DecisionKernel::apply_verdict(UserKernelState& state, bool risk,
   }
 }
 
-void DecisionKernel::decide(UserKernelState& state, std::size_t folded) const {
-  if (folded == 0) return;
-  refresh_profiles(state, /*force=*/false);
-  apply_verdict(state, at_risk(state), folded, /*canonical=*/false);
-  decisions_.fetch_add(1, kRelaxed);
+Tier tier_for(const UserKernelState& state, std::size_t slack, bool shed) {
+  if (!state.has_decision) return Tier::kFull;
+  if (shed) return Tier::kShed;
+  return slack == 0 || state.events % slack == 0 ? Tier::kFull : Tier::kHeld;
 }
 
-void DecisionKernel::decide_degraded(UserKernelState& state,
-                                     std::size_t folded) const {
-  if (folded == 0) return;
-  if (!state.has_decision) {
-    // Fail-closed: shedding never leaves a user undecided — a first-ever
-    // verdict always takes the full path.
-    decide(state, folded);
-    return;
-  }
-  // Hold the last verdict: no profile refresh, no risk queries, no LPPM,
-  // no flip accounting. The canonical finalize() repairs all of it
-  // because the fold already advanced state.events past searched_events.
-  decide_held(state, folded);
-  ++state.degraded;
-  shed_decisions_.fetch_add(1, kRelaxed);
-}
-
-void DecisionKernel::decide_held(UserKernelState& state,
-                                 std::size_t folded) const {
-  if (folded == 0) return;
-  if (!state.has_decision) {
-    decide(state, folded);
-    return;
-  }
-  // Pure hold: no profile refresh, no risk queries, no selection. The
-  // verdict's event accounting still happens so stats() stays an exact
-  // partition of folded events; finalize() repairs the verdict itself.
-  if (state.decision == Decision::kProtect) {
-    protected_events_.fetch_add(folded, kRelaxed);
+void DecisionKernel::step(UserKernelState& state, std::size_t folded,
+                          Tier tier) const {
+  const bool canonical = tier == Tier::kFinal;
+  if (canonical ? state.window.empty() : folded == 0) return;
+  // Fail-closed: a user's first verdict always takes the full path.
+  if (!state.has_decision && !canonical) tier = Tier::kFull;
+  if (tier == Tier::kFull || canonical) {
+    refresh_profiles(state, /*force=*/canonical);
+    apply_verdict(state, at_risk(state), folded, canonical);
   } else {
-    exposed_events_.fetch_add(folded, kRelaxed);
+    // Hold: no profile refresh, no risk queries, no selection, no flip
+    // accounting. The verdict's event accounting still happens so stats()
+    // stays an exact partition of folded events.
+    if (state.decision == Decision::kProtect) {
+      protected_events_.fetch_add(folded, kRelaxed);
+    } else {
+      exposed_events_.fetch_add(folded, kRelaxed);
+    }
+    if (tier == Tier::kShed) {
+      ++state.degraded;
+      shed_decisions_.fetch_add(1, kRelaxed);
+    }
   }
-  decisions_.fetch_add(1, kRelaxed);
-}
-
-void DecisionKernel::decide_recheck(UserKernelState& state,
-                                    std::size_t folded) const {
-  decide_held(state, folded);
-}
-
-void DecisionKernel::finalize(UserKernelState& state,
-                              std::size_t folded) const {
-  if (state.window.empty()) return;
-  refresh_profiles(state, /*force=*/true);
-  apply_verdict(state, at_risk(state), folded, /*canonical=*/true);
   if (folded > 0) decisions_.fetch_add(1, kRelaxed);
 }
 
 Verdict DecisionKernel::decide_trace(const mobility::Trace& trace) const {
   UserKernelState state;
   state.window.set_user(trace.user());
-  const std::size_t folded = fold(state, trace.records());
-  finalize(state, folded);
+  step(state, fold(state, trace.records()), Tier::kFinal);
   return Verdict{state.decision, state.winner};
 }
 

@@ -17,9 +17,9 @@
 ///     — decide_trace() folds the whole trace once and finalises.
 ///   * *Stream* (`StreamEngine`): the kernel is driven by window deltas —
 ///     each shard worker folds one admitted record and issues that
-///     event's verdict through one decision tier (decide on the slack
-///     cadence, decide_held otherwise, or decide_degraded while
-///     shedding); finalize() canonicalises after the last event.
+///     event's verdict through step() at the tier tier_for() picks (full
+///     on the slack cadence, held otherwise, shed while the shard is
+///     overloaded); step(Tier::kFinal) canonicalises after the last event.
 ///     Identical final windows therefore produce bit-identical decisions
 ///     by construction, not by test.
 ///
@@ -29,7 +29,7 @@
 ///   * the AP heatmap exactly: fold() edits its integer cell counts in
 ///     place per appended or evicted record (CompiledHeatmap::apply_update)
 ///     and leaves the cells stale; refresh_profiles() compiles them before
-///     every read (decide, finalize, at_risk_trace), ahead of the PIT/POI
+///     every read (full and final tiers, at_risk_trace), ahead of the PIT/POI
 ///     staleness bound — bit-identical to a from-scratch compile;
 ///   * the PIT and POI profiles through ONE shared StayTracker (both
 ///     attacks cluster the same stay points when their PoiParams agree, as
@@ -37,7 +37,7 @@
 ///     their flat forms with from_states — incremental stay-point
 ///     maintenance with a bounded rebuild fallback when an eviction splits
 ///     a stay. A staleness bound (KernelConfig::staleness_points) defers
-///     even the incremental folds; finalize() always forces freshness.
+///     even the incremental folds; the final tier always forces freshness.
 ///
 /// Risk queries run the PR 3 targeted branch-and-bound predicates over the
 /// compiled window profiles; mechanism selection applies the
@@ -46,7 +46,7 @@
 /// expose->protect transitions or when the mechanism breaks.
 ///
 /// Thread-safety: the kernel itself is immutable after construction;
-/// fold/decide/finalize mutate only the caller-owned UserKernelState plus
+/// fold/step mutate only the caller-owned UserKernelState plus
 /// the kernel's atomic counters, so distinct users may be driven
 /// concurrently (the stream engine fans out one task per shard, the batch
 /// evaluators one per user).
@@ -90,6 +90,14 @@ struct Verdict {
   std::string winner;
 };
 
+/// The decision tiers step() runs; tier_for() picks the gateway's.
+enum class Tier {
+  kFull,   ///< refresh profiles, risk queries, keep/recheck/search policy
+  kHeld,   ///< carry the last verdict forward: event accounting only
+  kShed,   ///< kHeld under overload, also counted as degraded
+  kFinal,  ///< canonical: force-refresh, risk, re-search a stale winner
+};
+
 /// Kernel tuning knobs (the window/staleness subset of the gateway's
 /// StreamConfig; the batch evaluators run with the defaults — no window,
 /// always fresh).
@@ -105,7 +113,7 @@ struct KernelStats {
   std::uint64_t exposed_events = 0;    ///< events carried by expose verdicts
   std::uint64_t protected_events = 0;  ///< events carried by protect verdicts
   std::uint64_t searches = 0;          ///< full mechanism selections
-  /// Cheap current-winner re-checks, run only by decide()'s selection
+  /// Cheap current-winner re-checks, run only by the full tier's selection
   /// step on the slack cadence (the held tiers run none).
   std::uint64_t rechecks = 0;
   std::uint64_t shed_decisions = 0;    ///< degraded held-verdict decisions
@@ -175,6 +183,15 @@ struct UserKernelState {
   std::uint64_t degraded = 0;          ///< held-verdict (shed) decisions
 };
 
+/// The gateway's tier rule, its one definition: kFull on the user's first
+/// verdict; then kShed while the user's shard is overloaded (`shed`);
+/// else kFull on every `slack`-th folded event (every event for slack 0)
+/// and kHeld between. Shedding aside, a pure function of the user's
+/// folded-event ordinal (state.events), so mid-stream counters never
+/// depend on timing, shard count or checkpoint cuts.
+[[nodiscard]] Tier tier_for(const UserKernelState& state, std::size_t slack,
+                            bool shed);
+
 class DecisionKernel {
  public:
   /// Takes ownership of a configured MoodEngine (typically
@@ -185,7 +202,6 @@ class DecisionKernel {
   DecisionKernel& operator=(const DecisionKernel&) = delete;
 
   // ---- Streaming entry points ----------------------------------------
-  // One function per tier: bench/gateway/gateway_bench.cpp calls them by name.
   /// Per-event bookkeeping only: appends the records to the window,
   /// evicts expired/over-cap points from the front, and edits the AP
   /// heatmap's counts for both (the evicted records are read from the
@@ -197,45 +213,34 @@ class DecisionKernel {
   std::size_t fold(UserKernelState& state,
                    std::span<const mobility::Record> pending) const;
 
-  /// Issues one full verdict: refresh profiles (under the staleness
-  /// bound), run the targeted risk queries, apply the keep/recheck/search
-  /// selection policy. `folded` is fold()'s return value (events carried
-  /// by the verdict); 0 makes the call a no-op.
-  void decide(UserKernelState& state, std::size_t folded) const;
+  /// Issues one verdict at `tier` — the one function that runs a tier.
+  /// `folded` counts the events the verdict carries (fold()'s return
+  /// value); 0 makes every tier but kFinal a no-op, and kFinal a no-op on
+  /// an empty window. kFull and kFinal refresh the profiles (kFinal
+  /// forcibly) and run every trained attack's targeted risk query; kFinal
+  /// then re-searches an at-risk user unless the last full search saw
+  /// exactly this window, so its verdict is decide_trace()'s on it. kHeld
+  /// and kShed run no query, no LPPM and no attack. Fail-closed: kHeld or
+  /// kShed on a user with no verdict yet runs kFull. Held and shed
+  /// verdicts are repaired by kFinal: the fold advanced state.events past
+  /// searched_events, so the canonical pass re-searches as if the hold
+  /// never happened.
+  void step(UserKernelState& state, std::size_t folded, Tier tier) const;
 
-  /// Degraded verdict — the overload-shedding path. decide_held() plus
-  /// the shed accounting: the user's last verdict is carried forward with
-  /// no risk query, no LPPM application and no attack. A user with no
-  /// verdict yet falls through to the full decide() — shedding never
-  /// leaves a user undecided (fail-closed). Degraded verdicts are flagged
-  /// in state.degraded and KernelStats::shed_decisions, and are repaired
-  /// at finalize(): the fold already advanced state.events past
-  /// searched_events, so the canonical pass re-searches exactly as if the
-  /// shed never happened.
-  void decide_degraded(UserKernelState& state, std::size_t folded) const;
-
-  /// Loop-engine steady-state verdict — the admission-time cheap path.
-  /// Holds the user's last verdict with zero risk queries: event
-  /// accounting only (protected/exposed counters plus one decision).
-  /// Unlike decide_degraded it is NOT an overload artefact — it never
-  /// touches state.degraded or KernelStats::shed_decisions, so a clean
-  /// loop-mode run keeps the resilience counters all-zero. A user with no
-  /// verdict yet falls through to the full decide() (fail-closed), and
-  /// finalize() repairs the held verdict canonically just as for
-  /// shedding: the fold advanced state.events past searched_events.
-  void decide_held(UserKernelState& state, std::size_t folded) const;
-
-  /// Exactly decide_held(), counters included. Pinned: this wrapper exists
-  /// only because bench/gateway/gateway_bench.cpp calls it by name;
-  /// ROADMAP item 1(c) deletes it.
-  void decide_recheck(UserKernelState& state, std::size_t folded) const;
-
-  /// Canonical final decision: force-refresh stale profiles, re-run risk,
-  /// and re-search at-risk users whose last full search did not see
-  /// exactly this window — so the final verdict is what decide_trace()
-  /// would produce on the final window. `folded` counts records folded by
-  /// the caller since the last decide().
-  void finalize(UserKernelState& state, std::size_t folded = 0) const;
+  // Pinned one-line forwards to step(): bench/gateway/gateway_bench.cpp
+  // calls them by name. ROADMAP item 1(c) deletes them.
+  void decide(UserKernelState& state, std::size_t folded) const {
+    step(state, folded, Tier::kFull);
+  }
+  void decide_held(UserKernelState& state, std::size_t folded) const {
+    step(state, folded, Tier::kHeld);
+  }
+  void decide_recheck(UserKernelState& state, std::size_t folded) const {
+    step(state, folded, Tier::kHeld);
+  }
+  void finalize(UserKernelState& state, std::size_t folded = 0) const {
+    step(state, folded, Tier::kFinal);
+  }
 
   // ---- Batch entry points --------------------------------------------
   /// One kernel pass over a full trace: fold everything, finalise —
@@ -248,15 +253,14 @@ class DecisionKernel {
   /// branch-and-bound query against them.
   [[nodiscard]] bool at_risk_trace(const mobility::Trace& trace) const;
 
-  /// Targeted risk query over a state with fresh profiles.
-  [[nodiscard]] bool at_risk(const UserKernelState& state) const;
-
   [[nodiscard]] const MoodEngine& engine() const { return engine_; }
   [[nodiscard]] const KernelConfig& config() const { return config_; }
   [[nodiscard]] KernelStats stats() const;
 
  private:
   void refresh_profiles(UserKernelState& state, bool force) const;
+  /// Targeted risk query over a state with fresh profiles.
+  [[nodiscard]] bool at_risk(const UserKernelState& state) const;
   void select_mechanism(UserKernelState& state, bool force_search) const;
   void apply_verdict(UserKernelState& state, bool risk, std::size_t folded,
                      bool canonical) const;

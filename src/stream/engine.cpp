@@ -47,6 +47,21 @@ std::size_t ring_capacity(const ResilienceConfig& res) {
   return 8192;
 }
 
+/// The constructor's preconditions, checked before a member is sized.
+const StreamConfig& checked(const StreamConfig& config) {
+  support::expects(config.shards > 0 && config.shards <= kMaxShards,
+                   "StreamEngine: shards must be in [1, kMaxShards]");
+  const ResilienceConfig& res = config.resilience;
+  support::expects(res.max_pending_per_shard <= kMaxPendingPerShard,
+                   "StreamEngine: max_pending_per_shard exceeds "
+                   "kMaxPendingPerShard");
+  support::expects(
+      res.shed_low_watermark <= res.shed_high_watermark ||
+          res.shed_high_watermark == 0,
+      "StreamEngine: shed_low_watermark must not exceed shed_high_watermark");
+  return config;
+}
+
 /// Worker/producer wait loop backoff: spin briefly (the common
 /// sub-microsecond case), then sleep — bounded idle CPU at a latency cost
 /// far below the p99 target.
@@ -96,17 +111,11 @@ StreamEngine::StreamEngine(decision::MoodEngine engine, StreamConfig config)
     : kernel_(std::move(engine),
               decision::KernelConfig{config.window_seconds, config.max_points,
                                      config.staleness_points}),
-      config_(config),
-      registry_(config.shards),
-      store_(StoreConfig{config.shards, config.max_users_per_shard,
+      config_(checked(config)),
+      registry_(config_.shards),
+      store_(StoreConfig{config_.shards, config_.max_users_per_shard,
                          &registry_}),
-      shedding_(config.shards, 0) {
-  support::expects(config_.shards > 0, "StreamEngine: shards must be > 0");
-  support::expects(
-      config_.resilience.shed_low_watermark <=
-              config_.resilience.shed_high_watermark ||
-          config_.resilience.shed_high_watermark == 0,
-      "StreamEngine: shed_low_watermark must not exceed shed_high_watermark");
+      shedding_(config_.shards, 0) {
   // Wire every counter site once; the hot paths below only ever touch
   // these cached instruments (lock-free lanes), never the registry map.
   events_ = &registry_.counter("mood_stream_events_total");
@@ -413,20 +422,7 @@ void StreamEngine::loop_decide_user(UserState& state, mobility::Record record,
     }
     decision::UserKernelState& k = state.kernel;
     kernel_.fold(k, {&record, 1});
-    if (shed) {
-      kernel_.decide_degraded(k, 1);
-      return;
-    }
-    // The decision tier is a pure function of this user's folded-event
-    // ordinal (k.events counts exactly the admitted, folded events), so
-    // mid-stream counters are deterministic — independent of timing,
-    // shard count, and checkpoint cut position.
-    if (!k.has_decision || config_.loop_slack == 0 ||
-        k.events % config_.loop_slack == 0) {
-      kernel_.decide(k, 1);
-    } else {
-      kernel_.decide_held(k, 1);
-    }
+    kernel_.step(k, 1, decision::tier_for(k, config_.loop_slack, shed));
   });
 }
 
@@ -473,7 +469,7 @@ void StreamEngine::finish() {
     if (state.quarantined) return;
     run_isolated(state, /*queued=*/0, [&] {
       MOOD_FAIL_POINT("stream.decide.user");  // kThrow fires inside hit()
-      kernel_.finalize(state.kernel, 0);
+      kernel_.step(state.kernel, 0, decision::Tier::kFinal);
     });
   });
 }

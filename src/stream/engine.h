@@ -15,14 +15,14 @@
 ///   * ingest(): stateless admission checks on the producer, then a push
 ///     into the owning shard's lock-free SPSC ring (spsc_queue.h);
 ///   * one long-lived worker thread per shard: dequeue → stateful
-///     admission → one-record kernel.fold → a decision tier picked by the
-///     user's own folded-event ordinal — a full risk+search decision on the
-///     slack cadence (loop_slack), a pure held verdict otherwise;
+///     admission → one-record kernel.fold → one kernel.step at the tier
+///     decision::tier_for picks: full risk+search on the slack cadence
+///     (loop_slack), held otherwise, shed while the shard is overloaded;
 ///   * quiesce(): the cut barrier (rings empty, worker state visible) that
 ///     checkpoints and metrics exports run behind;
-///   * finish(): retires the workers and kernel.finalize()s every resident
-///     user, per user in parallel on the shared ThreadPool (the pool
-///     --jobs sizes), so the final per-user decisions and winners are
+///   * finish(): retires the workers and steps every resident user
+///     through Tier::kFinal, in parallel on the shared ThreadPool (the
+///     pool --jobs sizes), so the final per-user decisions and winners are
 ///     exactly what the kernel's batch pass computes on the final window.
 ///
 /// Determinism invariants (CI-enforced):
@@ -62,10 +62,15 @@ enum class EngineMode : std::uint8_t {
   kLoop = 1,
 };
 
+/// Caps on the knobs that size per-shard resources: a shard costs an OS
+/// thread and a ring of twice max_pending_per_shard slots.
+inline constexpr std::size_t kMaxShards = 256;
+inline constexpr std::size_t kMaxPendingPerShard = std::size_t{1} << 20;
+
 /// Gateway tuning knobs. The window/staleness subset configures the
 /// embedded DecisionKernel; the rest is scheduling.
 struct StreamConfig {
-  std::size_t shards = 8;               ///< user-state shards (> 0)
+  std::size_t shards = 8;  ///< user-state shards, in [1, kMaxShards]
   mobility::Timestamp window_seconds = 0;  ///< sliding window span; 0 = keep all
   std::size_t max_points = 0;           ///< per-user point cap; 0 = unbounded
   std::size_t max_users_per_shard = 0;  ///< LRU capacity; 0 = unbounded
@@ -304,7 +309,7 @@ class StreamEngine {
   void pump_cadences();
 
   /// Final flush: quiesces and joins the shard workers, then runs the
-  /// kernel's canonical finalize on every resident user (full search on
+  /// kernel's canonical final tier on every resident user (full search on
   /// the final window for every at-risk user not already searched there),
   /// fanned out per user on the shared ThreadPool — serially when called
   /// from a pool task. Strict policies rethrow the first decision fault;
@@ -422,9 +427,10 @@ class StreamEngine {
   /// latency accounting. Throws on strict-policy faults.
   void loop_process(std::size_t shard, LoopItem& item);
 
-  /// The admitted-event decision: a one-record fold of `record`, then the
-  /// tier — full decide on the slack cadence (or first verdict), held
-  /// verdict otherwise; decide_degraded while the shed latch is engaged.
+  /// The admitted-event decision: a one-record fold of `record`, then one
+  /// kernel.step at decision::tier_for(state, loop_slack, shed) — full on
+  /// the slack cadence (or first verdict), held otherwise, shed while the
+  /// shard's shed latch is engaged.
   /// Under the quarantine policy a non-finite `record` (in-memory poison that
   /// slipped past admission — in practice the `stream.drain.corrupt` fail
   /// point) throws BadRecordError before it can reach the compiled

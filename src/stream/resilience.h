@@ -93,7 +93,7 @@ struct ResilienceConfig {
 
   /// Load-shed engage threshold: a shard whose ring depth at a dequeue
   /// reaches this many events enters shed mode and degrades its
-  /// decisions to held-verdict rechecks. 0 = shedding off.
+  /// decisions to held verdicts. 0 = shedding off.
   std::size_t shed_high_watermark = 0;
 
   /// Load-shed release threshold (hysteresis): a shedding shard leaves

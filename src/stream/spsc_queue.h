@@ -1,10 +1,10 @@
 #pragma once
 
 // Single-producer single-consumer lock-free ring buffer — the ingest lane
-// between the gateway's producer thread and one per-shard worker in
-// `--engine=loop` mode (engine.h). One queue per shard keeps the contract
-// strictly SPSC: the thread calling StreamEngine::ingest is the only
-// pusher, the shard's worker the only popper.
+// between the gateway's producer thread and one per-shard worker
+// (engine.h). One queue per shard keeps the contract strictly SPSC: the
+// thread calling StreamEngine::ingest is the only pusher, the shard's
+// worker the only popper.
 //
 // Memory-ordering contract (pinned by tests/spsc_queue_test.cpp, which
 // runs under ASan/UBSan in CI and TSan locally):
@@ -16,12 +16,14 @@
 //     relaxed mirror of the opposing index next to each, so the steady
 //     state is one cache-line ping per wrap, not per element.
 //
-// Capacity is rounded up to a power of two so wrap is a mask, not a mod.
+// Capacity is rounded up to a power of two so wrap is a mask, not a mod;
+// a capacity with no power of two above it in size_t is rejected.
 // The ring holds at most capacity() elements (indices are monotonically
 // increasing 64-bit counters, so the classic "one empty slot" tax does
 // not apply).
 
 #include <atomic>
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <utility>
@@ -35,11 +37,11 @@ template <typename T>
 class SpscQueue {
  public:
   explicit SpscQueue(std::size_t min_capacity) {
-    support::expects(min_capacity > 0, "SpscQueue capacity must be positive");
-    std::size_t capacity = 1;
-    while (capacity < min_capacity) capacity <<= 1;
-    slots_.resize(capacity);
-    mask_ = capacity - 1;
+    constexpr std::size_t kMaxCapacity = std::bit_floor(SIZE_MAX);
+    support::expects(min_capacity > 0 && min_capacity <= kMaxCapacity,
+                     "SpscQueue capacity must be in [1, 2^(bits-1)]");
+    slots_.resize(std::bit_ceil(min_capacity));
+    mask_ = slots_.size() - 1;
   }
 
   SpscQueue(const SpscQueue&) = delete;

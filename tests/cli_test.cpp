@@ -15,6 +15,7 @@
 #include "mood_cli/cli.h"
 #include "report/json.h"
 #include "report/report.h"
+#include "stream/engine.h"
 #include "support/error.h"
 #include "support/options.h"
 
@@ -150,6 +151,23 @@ TEST(CliReplay, RejectsBadKnobs) {
     const auto result = run_cli({"replay", retired});
     EXPECT_EQ(result.code, kExitUsage) << retired;
     EXPECT_NE(result.err.find(retired.substr(0, retired.find('='))),
+              std::string::npos)
+        << result.err;
+  }
+}
+
+TEST(CliReplay, RejectsOversizedResourceFlags) {
+  // Each shard costs a worker thread and a ring of twice --max-pending
+  // slots; values past the caps are usage errors, caught before any
+  // dataset is generated.
+  for (const std::string& flag :
+       {"--shards=" + std::to_string(stream::kMaxShards + 1),
+        std::string("--shards=9223372036854775807"),
+        "--max-pending=" + std::to_string(stream::kMaxPendingPerShard + 1),
+        std::string("--max-pending=9223372036854775807")}) {
+    const auto result = run_cli({"replay", flag});
+    EXPECT_EQ(result.code, kExitUsage) << flag;
+    EXPECT_NE(result.err.find(flag.substr(0, flag.find('='))),
               std::string::npos)
         << result.err;
   }

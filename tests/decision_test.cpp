@@ -1,7 +1,7 @@
 // Tests for the decision layer's DecisionKernel — the single MooD decision
 // procedure shared by the batch harness and the online gateway. The
 // headline structural property: one-shot decide_trace() and any chunked
-// fold()/decide()/finalize() drive over the same records produce identical
+// fold()/step() drive over the same records produce identical
 // final verdicts, because the incremental profile state is a pure function
 // of the window content (chunk-independent), and finalize canonicalises
 // whatever staleness/recheck short-cuts were taken mid-stream.
@@ -69,9 +69,9 @@ class DecisionKernelTest : public ::testing::Test {
       std::vector<mobility::Record> pending(records.begin() + next,
                                             records.begin() + end);
       folded_last = kernel.fold(state, std::move(pending));
-      kernel.decide(state, folded_last);
+      kernel.step(state, folded_last, Tier::kFull);
     }
-    kernel.finalize(state);
+    kernel.step(state, 0, Tier::kFinal);
     return Verdict{state.decision, state.winner};
   }
 
@@ -305,11 +305,77 @@ void expect_same_state(const UserKernelState& a, const UserKernelState& b) {
   EXPECT_EQ(a.degraded, b.degraded);
 }
 
+/// The tier rule over events 1..130: a user with no verdict always gets
+/// kFull; with one, shedding gets kShed, else kFull exactly on the slack
+/// multiples (every event for slack 0 and 1) and kHeld between. The full
+/// events are listed, not recomputed, so the table is no copy of the rule.
+TEST_F(DecisionKernelTest, TierForIsFullOnFirstVerdictAndSlackMultiples) {
+  const std::vector<std::uint64_t> every_7th = {
+      7, 14, 21, 28, 35, 42, 49, 56, 63, 70, 77, 84, 91, 98, 105, 112, 119,
+      126};
+  const std::vector<std::uint64_t> every_64th = {64, 128};
+  const struct {
+    std::size_t slack;
+    const std::vector<std::uint64_t>* full;  ///< null = every event
+  } table[] = {{0, nullptr}, {1, nullptr}, {7, &every_7th}, {64, &every_64th}};
+  for (const auto& row : table) {
+    for (const bool shed : {false, true}) {
+      for (std::uint64_t events = 1; events <= 130; ++events) {
+        UserKernelState state;
+        state.events = events;
+        EXPECT_EQ(tier_for(state, row.slack, shed), Tier::kFull)
+            << "no verdict yet, slack " << row.slack << " event " << events;
+        state.has_decision = true;
+        const bool full =
+            row.full == nullptr ||
+            std::find(row.full->begin(), row.full->end(), events) !=
+                row.full->end();
+        const Tier expected =
+            shed ? Tier::kShed : (full ? Tier::kFull : Tier::kHeld);
+        EXPECT_EQ(tier_for(state, row.slack, shed), expected)
+            << "slack " << row.slack << " shed " << shed << " event "
+            << events;
+      }
+    }
+  }
+}
+
+/// Fail-closed at kernel level: on a user with no verdict yet, kHeld and
+/// kShed run kFull — the same state and the same counter deltas.
+TEST_F(DecisionKernelTest, HeldAndShedOnAFreshStateRunTheFullTier) {
+  const DecisionKernel kernel = harness_->make_kernel();
+  std::size_t protected_users = 0;
+  for (const auto& pair : harness_->pairs()) {
+    const auto& records = pair.test.records();
+    UserKernelState full;
+    full.window.set_user(pair.test.user());
+    kernel.fold(full, records);
+    UserKernelState held = full;
+    UserKernelState shed = full;
+    const std::size_t n = records.size();
+    const auto via_full =
+        delta_of(kernel, [&] { kernel.step(full, n, Tier::kFull); });
+    const auto via_held =
+        delta_of(kernel, [&] { kernel.step(held, n, Tier::kHeld); });
+    const auto via_shed =
+        delta_of(kernel, [&] { kernel.step(shed, n, Tier::kShed); });
+    EXPECT_EQ(via_held, via_full) << pair.test.user();
+    EXPECT_EQ(via_shed, via_full) << pair.test.user();
+    expect_same_state(held, full);
+    expect_same_state(shed, full);
+    EXPECT_TRUE(full.has_decision) << pair.test.user();
+    if (full.decision == Decision::kProtect) ++protected_users;
+  }
+  // Both verdicts occur, so the full tier's risk query and search ran.
+  EXPECT_GT(protected_users, 0u);
+  EXPECT_LT(protected_users, harness_->pairs().size());
+}
+
 /// decide_recheck is exactly decide_held: two states driven through the
-/// same events in lockstep under the gateway's tier rule (full decide on
-/// the first verdict and every 64th event), one taking decide_recheck and
-/// one decide_held on every 16th event, stay field-for-field equal, and
-/// each pair of calls moves every kernel counter by the same amount.
+/// same events in lockstep under the gateway's tier rule (tier_for at slack
+/// 64), one taking decide_recheck and one decide_held on every 16th held
+/// event, stay field-for-field equal, and each pair of calls moves every
+/// kernel counter by the same amount.
 TEST_F(DecisionKernelTest, DecideRecheckIsExactlyDecideHeld) {
   const DecisionKernel kernel = harness_->make_kernel();
   std::uint64_t held_protected_calls = 0;
@@ -327,7 +393,7 @@ TEST_F(DecisionKernelTest, DecideRecheckIsExactlyDecideHeld) {
       });
       EXPECT_EQ(fold_a, fold_b) << pair.test.user();
       const std::uint64_t k = via_recheck.events;
-      if (!via_recheck.has_decision || k % 64 == 0) {
+      if (tier_for(via_recheck, 64, /*shed=*/false) == Tier::kFull) {
         const auto a = delta_of(kernel, [&] { kernel.decide(via_recheck, 1); });
         const auto b = delta_of(kernel, [&] { kernel.decide(via_held, 1); });
         EXPECT_EQ(a, b) << pair.test.user() << " event " << k;
@@ -367,9 +433,9 @@ TEST_F(DecisionKernelTest, DecideRecheckIsExactlyDecideHeld) {
   EXPECT_GT(held_protected_calls, 0u);
 }
 
-/// Shedding holds the verdict and keeps its counters, but runs no LPPM
-/// and no attack, even for a protected user holding a winner.
-TEST_F(DecisionKernelTest, DecideDegradedRunsNoLppmAndNoAttack) {
+/// The shed tier holds the verdict and keeps its counters, but runs no
+/// LPPM and no attack, even for a protected user holding a winner.
+TEST_F(DecisionKernelTest, StepShedRunsNoLppmAndNoAttack) {
   const DecisionKernel kernel = harness_->make_kernel();
   std::size_t protected_users = 0;
   for (const auto& pair : harness_->pairs()) {
@@ -379,7 +445,7 @@ TEST_F(DecisionKernelTest, DecideDegradedRunsNoLppmAndNoAttack) {
     state.window.set_user(pair.test.user());
     kernel.fold(state, std::vector<mobility::Record>(records.begin(),
                                                      records.end() - 1));
-    kernel.decide(state, records.size() - 1);
+    kernel.step(state, records.size() - 1, Tier::kFull);
     if (state.decision != Decision::kProtect || state.winner.empty()) {
       continue;
     }
@@ -389,7 +455,7 @@ TEST_F(DecisionKernelTest, DecideDegradedRunsNoLppmAndNoAttack) {
     const std::uint64_t searched_events = state.searched_events;
     kernel.fold(state, {&records.back(), 1});
     const auto delta = delta_of(kernel, [&] {
-      kernel.decide_degraded(state, 1);
+      kernel.step(state, 1, Tier::kShed);
     });
     EXPECT_EQ(counter(delta, "rechecks"), 0u) << pair.test.user();
     EXPECT_EQ(counter(delta, "lppm_applications"), 0u) << pair.test.user();

@@ -9,10 +9,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <random>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -554,6 +556,53 @@ TEST(SnapshotGolden, CheckedInGoldenFileDecodes) {
   EXPECT_TRUE(encode_snapshot(d) == stored);
 }
 
+/// (payload offset, payload length) of every section of a well-formed
+/// snapshot, read from the section headers after the 16-byte file header.
+std::vector<std::pair<std::size_t, std::size_t>> section_table(
+    const std::string& bytes) {
+  std::vector<std::pair<std::size_t, std::size_t>> sections;
+  for (std::size_t pos = 16; pos < bytes.size();) {
+    std::uint64_t len = 0;
+    for (std::size_t i = 0; i < 8; ++i) {
+      len |= static_cast<std::uint64_t>(
+                 static_cast<std::uint8_t>(bytes[pos + 4 + i]))
+             << (8 * i);
+    }
+    sections.emplace_back(pos + 12, static_cast<std::size_t>(len));
+    pos += 12 + len + 4;
+  }
+  return sections;
+}
+
+/// Rewrites each section's trailing CRC over its (mutated) payload, so a
+/// mutation gets past the integrity check and reaches the value decoder.
+void recompute_crcs(
+    std::string& bytes,
+    const std::vector<std::pair<std::size_t, std::size_t>>& sections) {
+  for (const auto& [offset, len] : sections) {
+    const std::uint32_t crc =
+        snapshot_crc32(std::string_view(bytes).substr(offset, len));
+    for (std::size_t i = 0; i < 4; ++i) {
+      bytes[offset + len + i] = static_cast<char>((crc >> (8 * i)) & 0xFF);
+    }
+  }
+}
+
+/// Decodes CRC-valid mutated bytes: either SnapshotError (counted as
+/// rejected) or a document that re-encodes to exactly those bytes (counted
+/// as accepted). Any other exception escapes and fails the test.
+void decode_or_reject(const std::string& bytes, const std::string& what,
+                      std::size_t& accepted, std::size_t& rejected) {
+  try {
+    const SnapshotData decoded = decode_snapshot(bytes);
+    ++accepted;
+    EXPECT_TRUE(encode_snapshot(decoded) == bytes)
+        << what << " decoded to a document that re-encodes differently";
+  } catch (const SnapshotError&) {
+    ++rejected;
+  }
+}
+
 TEST(SnapshotFormat, CrcFixedMutationsDecodeOrRejectCleanly) {
   // Flip bits in every byte after the 16-byte header, then recompute every
   // section CRC so the mutation reaches the value decoder. Decode must
@@ -561,18 +610,7 @@ TEST(SnapshotFormat, CrcFixedMutationsDecodeOrRejectCleanly) {
   // exactly: no value may decode to something encode writes differently.
   const std::string golden = read_file(golden_path());
   ASSERT_GT(golden.size(), 16u) << "missing fixture " << golden_path();
-  // Section table of the unmutated file: (payload offset, payload length).
-  std::vector<std::pair<std::size_t, std::size_t>> sections;
-  for (std::size_t pos = 16; pos < golden.size();) {
-    std::uint64_t len = 0;
-    for (std::size_t i = 0; i < 8; ++i) {
-      len |= static_cast<std::uint64_t>(
-                 static_cast<std::uint8_t>(golden[pos + 4 + i]))
-             << (8 * i);
-    }
-    sections.emplace_back(pos + 12, static_cast<std::size_t>(len));
-    pos += 12 + len + 4;
-  }
+  const auto sections = section_table(golden);
   ASSERT_EQ(sections.size(), 3u);
 
   std::size_t accepted = 0;
@@ -583,23 +621,65 @@ TEST(SnapshotFormat, CrcFixedMutationsDecodeOrRejectCleanly) {
       std::string bytes = golden;
       bytes[at] = static_cast<char>(static_cast<std::uint8_t>(bytes[at]) ^
                                     mask);
-      for (const auto& [offset, len] : sections) {
-        const std::uint32_t crc =
-            snapshot_crc32(std::string_view(bytes).substr(offset, len));
-        for (std::size_t i = 0; i < 4; ++i) {
-          bytes[offset + len + i] = static_cast<char>((crc >> (8 * i)) & 0xFF);
-        }
-      }
-      try {
-        const SnapshotData decoded = decode_snapshot(bytes);
-        ++accepted;
-        EXPECT_TRUE(encode_snapshot(decoded) == bytes)
-            << "byte " << at << " mask " << static_cast<int>(mask)
-            << " decoded to a document that re-encodes differently";
-      } catch (const SnapshotError&) {
-        ++rejected;
-      }
+      recompute_crcs(bytes, sections);
+      decode_or_reject(bytes,
+                       "byte " + std::to_string(at) + " mask " +
+                           std::to_string(mask),
+                       accepted, rejected);
     }
+  }
+  RecordProperty("accepted", static_cast<int>(accepted));
+  RecordProperty("rejected", static_cast<int>(rejected));
+  EXPECT_GT(accepted, 0u);
+  EXPECT_GT(rejected, 0u);
+}
+
+TEST(SnapshotFormat, EveryGoldenPrefixIsRejected) {
+  // The short-read property on the checked-in file, whose sections carry
+  // every record type: each strict prefix throws SnapshotError and
+  // nothing else (EXPECT_THROW fails on any other exception type).
+  const std::string golden = read_file(golden_path());
+  ASSERT_GT(golden.size(), 16u) << "missing fixture " << golden_path();
+  for (std::size_t len = 0; len < golden.size(); ++len) {
+    EXPECT_THROW(decode_snapshot(std::string_view(golden).substr(0, len)),
+                 SnapshotError)
+        << "prefix length " << len;
+  }
+}
+
+TEST(SnapshotFormat, CrcFixedSplicesDecodeOrRejectCleanly) {
+  // Seeded splices: overwrite a random run of one section's payload with
+  // a same-length run copied from a random offset of another (or the
+  // same) section, recompute the CRCs, decode. Multi-byte splices move
+  // whole length fields, strings and counts where single-byte flips only
+  // nudge them.
+  const std::string golden = read_file(golden_path());
+  ASSERT_GT(golden.size(), 16u) << "missing fixture " << golden_path();
+  const auto sections = section_table(golden);
+  ASSERT_EQ(sections.size(), 3u);
+
+  std::mt19937_64 rng(20261017);
+  const auto uniform = [&rng](std::size_t lo, std::size_t hi) {
+    return std::uniform_int_distribution<std::size_t>(lo, hi)(rng);
+  };
+  std::size_t accepted = 0;
+  std::size_t rejected = 0;
+  for (int splice = 0; splice < 4000; ++splice) {
+    const auto& [from, from_len] = sections[uniform(0, sections.size() - 1)];
+    const auto& [to, to_len] = sections[uniform(0, sections.size() - 1)];
+    const std::size_t len = uniform(1, std::min({from_len, to_len,
+                                                 std::size_t{32}}));
+    const std::size_t src = from + uniform(0, from_len - len);
+    const std::size_t dst = to + uniform(0, to_len - len);
+    std::string bytes = golden;
+    bytes.replace(dst, len, golden, src, len);
+    recompute_crcs(bytes, sections);
+    decode_or_reject(bytes,
+                     "splice " + std::to_string(splice) + " (" +
+                         std::to_string(len) + " bytes " +
+                         std::to_string(src) + " -> " + std::to_string(dst) +
+                         ")",
+                     accepted, rejected);
   }
   RecordProperty("accepted", static_cast<int>(accepted));
   RecordProperty("rejected", static_cast<int>(rejected));

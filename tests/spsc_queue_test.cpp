@@ -29,6 +29,12 @@ TEST(SpscQueueTest, CapacityRoundsUpToPowerOfTwo) {
   EXPECT_THROW(SpscQueue<int>(0), support::Error);
 }
 
+TEST(SpscQueueTest, CapacityWithNoPowerOfTwoAboveIsRejected) {
+  // Rounding SIZE_MAX up would wrap to zero; it must fail fast, not spin.
+  EXPECT_THROW(SpscQueue<int>(SIZE_MAX), support::PreconditionError);
+  EXPECT_THROW(SpscQueue<int>(SIZE_MAX / 2 + 2), support::PreconditionError);
+}
+
 TEST(SpscQueueTest, PopOnEmptyFailsWithoutTouchingOutput) {
   SpscQueue<int> queue(4);
   int out = 42;

@@ -225,8 +225,16 @@ int cmd_replay(int argc, const char* const* argv, std::ostream& out,
   }
 
   // Vet cheap flag constraints before dataset generation and training.
-  if (flags.get_int("shards") <= 0) {
-    throw support::UsageError("mood replay: --shards must be positive");
+  const auto shards = flags.get_int("shards");
+  if (shards <= 0 || shards > static_cast<std::int64_t>(stream::kMaxShards)) {
+    throw support::UsageError("mood replay: --shards must be in [1, " +
+                              std::to_string(stream::kMaxShards) + "]");
+  }
+  if (flags.get_int("max-pending") >
+      static_cast<std::int64_t>(stream::kMaxPendingPerShard)) {
+    throw support::UsageError(
+        "mood replay: --max-pending must not exceed " +
+        std::to_string(stream::kMaxPendingPerShard));
   }
   if (flags.get_double("window-hours") < 0.0 || flags.get_int("max-points") < 0 ||
       flags.get_int("max-users") < 0 || flags.get_int("staleness") < 0 ||
