@@ -8,14 +8,29 @@
 /// for the Fig. 6 experiment.
 ///
 /// train() compiles every trained heatmap into its flat sorted form once
-/// and indexes the population (PopulationIndex over bucketed-mass
-/// summaries); queries build the anonymous heatmap run-collapsed (no hash
-/// map) and, by default, prune candidates through the index before
-/// pricing survivors with branch-and-bound bounded divergences — see
-/// population_index.h and bounded_scan.h. The linear scans stay available
-/// as the index's oracle (QueryMode::kScan).
+/// and indexes the population by cell: for every cell any trained heatmap
+/// visits, a posting list of (entry, sqrt q) pairs in training order. A
+/// query walks the postings of its own cells once, which sums every
+/// entry's affinity BC = sum sqrt(p q) and with it the Hellinger lower
+/// bound topsoe_affinity_lower_bound(BC) <= T (profiles/summaries.h).
+/// Candidates are then priced with the exact bounded divergence in
+/// ascending (bound, index) order, until a bound passes the pruning bound
+/// (the owner's divergence for the targeted query, the best so far for
+/// the argmin) or, in the targeted query, a candidate beats the owner.
+///
+/// The answers are decision-identical to the linear scans of
+/// bounded_scan.h, which stay the oracle (QueryMode::kScan) and serve
+/// populations below kIndexMinPopulation: both are order-independent
+/// functions of the same exact divergences — the targeted query asks
+/// whether some earlier entry ties the owner or some later one beats it,
+/// the argmin takes the lexicographic minimum of (divergence, index) — and
+/// a bound only skips an entry whose computed divergence it cannot exceed.
+/// Queries are const and thread-safe: the per-query buffers are
+/// thread-local and the counters are relaxed atomics.
 
+#include <cstdint>
 #include <string>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -50,7 +65,7 @@ class ApAttack final : public Attack {
   void set_query_mode(QueryMode mode) override { mode_ = mode; }
   [[nodiscard]] QueryMode query_mode() const override { return mode_; }
   [[nodiscard]] IndexStats index_stats() const override {
-    return index_.stats();
+    return counters_.stats();
   }
 
   /// Compiles the anonymous-side heatmap exactly as the optimized queries
@@ -70,14 +85,37 @@ class ApAttack final : public Attack {
       const profiles::CompiledHeatmap& anonymous_map,
       const mobility::UserId& owner) const;
 
+  /// The posting pass: sets `bounds` to one lower bound on
+  /// topsoe_divergence(query, entry) per trained entry, in training order,
+  /// exactly as the index prunes with it (+infinity for empty entries).
+  /// Reuses `bounds`' capacity.
+  void lower_bounds(const profiles::CompiledHeatmap& query,
+                    std::vector<double>& bounds) const;
+
   [[nodiscard]] const geo::CellGrid& grid() const { return grid_; }
 
  private:
+  [[nodiscard]] std::optional<mobility::UserId> index_argmin(
+      const profiles::CompiledHeatmap& query) const;
+  [[nodiscard]] bool index_is_first_argmin(
+      const profiles::CompiledHeatmap& query, std::size_t owner_at) const;
+
   geo::CellGrid grid_;
   std::vector<std::pair<mobility::UserId, profiles::CompiledHeatmap>>
       compiled_;
-  /// Pruning index over compiled_; rebuilt by train().
-  PopulationIndex<ApIndexTraits> index_;
+  /// Posting index over compiled_ in CSR form, rebuilt by train(): the
+  /// postings of cells[c] are [begin[c], begin[c + 1]) of entry (the
+  /// entry's training index) and root (the square root of the entry's
+  /// probability in that cell), in training order.
+  struct Postings {
+    std::vector<geo::CellIndex> cells;  ///< every visited cell, ascending
+    std::vector<std::uint32_t> begin;   ///< cells.size() + 1 offsets
+    std::vector<std::uint32_t> entry;
+    std::vector<double> root;
+    std::vector<std::uint32_t> empty_entries;  ///< heatmaps without cells
+  } postings_;
+  std::unordered_map<mobility::UserId, std::size_t> owner_index_;
+  IndexCounters counters_;
   QueryMode mode_ = QueryMode::kIndex;
 };
 

@@ -28,9 +28,10 @@ enum class QueryMode {
   /// (bounded_scan.h) — prices candidates in training order, pruning with
   /// the best distance so far. The oracle for the index.
   kScan,
-  /// PopulationIndex: cluster + per-profile lower bounds eliminate most
-  /// candidates before any exact pricing; survivors go through the same
-  /// bounded scans in the same order. The production default.
+  /// The attack's pruning index (PopulationIndex for POI/PIT, per-cell
+  /// postings for AP): admissible lower bounds eliminate most candidates
+  /// before any exact pricing; survivors are priced with the same bounded
+  /// divergences. The production default.
   kIndex,
 };
 

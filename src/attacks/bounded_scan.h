@@ -17,8 +17,9 @@
 ///
 /// Both preserve the naive first-strict-min scan's tie-breaking exactly:
 /// the first user attaining the minimum finite distance wins. They are the
-/// oracle the population index (population_index.h) is validated against,
-/// and the index delegates to them below kIndexMinPopulation.
+/// oracle the pruning indexes (population_index.h, ap_attack.h) are
+/// validated against, and the indexes delegate to them below
+/// kIndexMinPopulation.
 /// The bounded distance callable must satisfy the contract documented on
 /// the profiles' *_bounded functions: bounded(profile, bound) returns the
 /// exact distance whenever it is <= bound, and some value > bound (usually

@@ -2,7 +2,11 @@
 
 /// \file population_index.h
 /// PopulationIndex: sublinear re-identification queries over compiled
-/// profiles, decision-identical to the linear bounded scans.
+/// profiles, decision-identical to the linear bounded scans. The POI and
+/// PIT attacks own one each (PoiIndexTraits / PitIndexTraits below); the
+/// AP attack prunes with its own per-cell posting index (ap_attack.h),
+/// which shares this file's counters, delegation threshold and
+/// counting wrapper.
 ///
 /// The linear scans in bounded_scan.h already prune with branch-and-bound,
 /// but only *after* pricing begins: every candidate still pays at least the
@@ -29,28 +33,20 @@
 /// bit-identical to scan_argmin / scan_is_first_argmin, which the replay
 /// verification gate and `mood bench` enforce end to end.
 ///
-/// ## Coherence under updates
-///
-/// build() snapshots summaries of the population vector it is given (and
-/// keeps a pointer to it — the vector must stay alive and in place, which
-/// holds for the attacks' training vectors). When an entry's profile is
-/// mutated in place (e.g. CompiledHeatmap::apply_update, then compile()),
-/// update(i) re-summarizes the entry and refreshes its cluster aggregate
-/// exactly, so queries stay coherent after any number of incremental
-/// updates; a full rebuild is still forced after `size()` updates as a
-/// hygiene bound (and is what a layout-reordering index would need —
-/// counted in stats so the stream cost model sees it).
+/// build() snapshots summaries of the population vector it is given and
+/// keeps a pointer to it: the vector must stay alive, in place and
+/// unmodified until the next build(), which holds for the attacks'
+/// training vectors (train() fills the vector, then builds).
 ///
 /// Populations below kIndexMinPopulation delegate to the bounded scans of
 /// bounded_scan.h (see the constant below) — same counters, no summary
 /// reads.
 ///
 /// Queries are const and thread-safe (counters are relaxed atomics);
-/// build()/update() must happen outside parallel sections, matching the
-/// attacks' train() contract.
+/// build() must happen outside parallel sections, matching the attacks'
+/// train() contract.
 
 #include <algorithm>
-#include <array>
 #include <atomic>
 #include <cstdint>
 #include <limits>
@@ -70,7 +66,7 @@ namespace mood::attacks {
 /// keeping blocks small enough that a surviving cluster costs little.
 inline constexpr std::size_t kIndexClusterSize = 64;
 
-/// Below one full cluster the index delegates queries to the plain
+/// Below one full cluster the indexes delegate queries to the plain
 /// bounded scans: with a single partial cluster there is no block
 /// structure to prune, so the per-candidate lower bounds are pure
 /// overhead on top of the early-exiting bounded exact distances.
@@ -79,10 +75,63 @@ inline constexpr std::size_t kIndexClusterSize = 64;
 /// exact evaluations are still counted, prunes are simply zero.
 inline constexpr std::size_t kIndexMinPopulation = kIndexClusterSize;
 
-/// Incrementally-maintained pruning index over one attack's compiled
-/// population. Traits supply the profile/summary/cluster types and the
-/// bound arithmetic (see ApIndexTraits / PitIndexTraits / PoiIndexTraits
-/// below). Non-copyable (atomic counters); attacks own one by value.
+/// Cumulative work counters of one index (see IndexStats). Relaxed
+/// atomics: const queries bump them from any thread without a lock.
+class IndexCounters {
+ public:
+  /// Records one served query with its prunes and exact evaluations.
+  void count_query(std::uint64_t pruned, std::uint64_t evals) const {
+    queries_.fetch_add(1, std::memory_order_relaxed);
+    if (pruned > 0) pruned_.fetch_add(pruned, std::memory_order_relaxed);
+    if (evals > 0) evals_.fetch_add(evals, std::memory_order_relaxed);
+  }
+
+  /// Records one full (re)build.
+  void count_build() { rebuilds_.fetch_add(1, std::memory_order_relaxed); }
+
+  [[nodiscard]] IndexStats stats() const {
+    IndexStats stats;
+    stats.queries = queries_.load(std::memory_order_relaxed);
+    stats.pruned_candidates = pruned_.load(std::memory_order_relaxed);
+    stats.exact_evaluations = evals_.load(std::memory_order_relaxed);
+    stats.rebuilds = rebuilds_.load(std::memory_order_relaxed);
+    return stats;
+  }
+
+ private:
+  mutable std::atomic<std::uint64_t> queries_{0};
+  mutable std::atomic<std::uint64_t> pruned_{0};
+  mutable std::atomic<std::uint64_t> evals_{0};
+  std::atomic<std::uint64_t> rebuilds_{0};
+};
+
+/// Wraps a distance callable so that every call counts one exact
+/// evaluation — how the delegated scans keep the index counters.
+template <typename Distance>
+auto counting(const Distance& distance, std::uint64_t& evals) {
+  return [&distance, &evals](const auto&... args) {
+    ++evals;
+    return distance(args...);
+  };
+}
+
+/// Position of every user id's first occurrence in a population — the
+/// owner the linear scans' first-match lookup finds.
+template <typename Profile>
+std::unordered_map<mobility::UserId, std::size_t> first_occurrences(
+    const std::vector<std::pair<mobility::UserId, Profile>>& population) {
+  std::unordered_map<mobility::UserId, std::size_t> owners;
+  owners.reserve(population.size());
+  for (std::size_t i = 0; i < population.size(); ++i) {
+    owners.emplace(population[i].first, i);
+  }
+  return owners;
+}
+
+/// Pruning index over one attack's compiled population. Traits supply the
+/// profile/summary/cluster types and the bound arithmetic (see
+/// PoiIndexTraits / PitIndexTraits below). Non-copyable (atomic
+/// counters); attacks own one by value.
 template <typename Traits>
 class PopulationIndex {
  public:
@@ -107,30 +156,15 @@ class PopulationIndex {
     for (const auto& [user, profile] : population) {
       summaries_.push_back(traits_.summarize(profile));
     }
-    owner_index_.clear();
-    owner_index_.reserve(population.size());
-    for (std::size_t i = 0; i < population.size(); ++i) {
-      owner_index_.emplace(population[i].first, i);
+    owner_index_ = first_occurrences(population);
+    clusters_.clear();
+    for (std::size_t begin = 0; begin < summaries_.size();
+         begin += kIndexClusterSize) {
+      clusters_.push_back(traits_.aggregate(
+          summaries_, begin,
+          std::min(begin + kIndexClusterSize, summaries_.size())));
     }
-    clusters_.assign(
-        (population.size() + kIndexClusterSize - 1) / kIndexClusterSize,
-        Cluster{});
-    for (std::size_t c = 0; c < clusters_.size(); ++c) refresh_cluster(c);
-    updates_since_build_ = 0;
-    rebuilds_.fetch_add(1, std::memory_order_relaxed);
-  }
-
-  /// Re-summarizes entry `i` after its profile was mutated in place and
-  /// refreshes its cluster aggregate. Forces a full rebuild once size()
-  /// updates have accumulated since the last build. No-op below the
-  /// delegation threshold — the scans never read the summaries.
-  void update(std::size_t i) {
-    if (summaries_.size() < kIndexMinPopulation) return;
-    summaries_[i] = traits_.summarize((*population_)[i].second);
-    refresh_cluster(i / kIndexClusterSize);
-    if (++updates_since_build_ >= summaries_.size()) {
-      build(*population_);
-    }
+    counters_.count_build();
   }
 
   /// True once build() has run.
@@ -151,7 +185,7 @@ class PopulationIndex {
     std::uint64_t evals = 0;
     if (population.size() < kIndexMinPopulation) {
       auto answer = scan_argmin(population, counting(bounded, evals));
-      flush_counters(0, evals);
+      counters_.count_query(0, evals);
       return answer;
     }
     const Summary summary = traits_.summarize(query);
@@ -179,7 +213,7 @@ class PopulationIndex {
         }
       }
     }
-    flush_counters(pruned, evals);
+    counters_.count_query(pruned, evals);
     if (best_user == nullptr) return std::nullopt;
     return *best_user;
   }
@@ -198,7 +232,7 @@ class PopulationIndex {
     const Population& population = *population_;
     const auto it = owner_index_.find(owner);
     if (it == owner_index_.end()) {
-      flush_counters(0, 0);
+      counters_.count_query(0, 0);
       return false;
     }
     const std::size_t owner_at = it->second;
@@ -208,13 +242,13 @@ class PopulationIndex {
       const bool owns = scan_is_first_argmin_at(population, owner_at,
                                                 counting(exact, evals),
                                                 counting(bounded, evals));
-      flush_counters(0, evals);
+      counters_.count_query(0, evals);
       return owns;
     }
     ++evals;
     const double target = exact(population[owner_at].second);
     if (target == std::numeric_limits<double>::infinity()) {
-      flush_counters(pruned, evals);
+      counters_.count_query(pruned, evals);
       return false;
     }
     const Summary summary = traits_.summarize(query);
@@ -239,59 +273,25 @@ class PopulationIndex {
         ++evals;
         const double d = bounded(population[i].second, target);
         if (i < owner_at ? d <= target : d < target) {
-          flush_counters(pruned, evals);
+          counters_.count_query(pruned, evals);
           return false;
         }
       }
     }
-    flush_counters(pruned, evals);
+    counters_.count_query(pruned, evals);
     return true;
   }
 
   /// Cumulative work counters since construction.
-  [[nodiscard]] IndexStats stats() const {
-    IndexStats stats;
-    stats.queries = queries_.load(std::memory_order_relaxed);
-    stats.pruned_candidates = pruned_.load(std::memory_order_relaxed);
-    stats.exact_evaluations = evals_.load(std::memory_order_relaxed);
-    stats.rebuilds = rebuilds_.load(std::memory_order_relaxed);
-    return stats;
-  }
+  [[nodiscard]] IndexStats stats() const { return counters_.stats(); }
 
  private:
-  void refresh_cluster(std::size_t c) {
-    const std::size_t begin = c * kIndexClusterSize;
-    const std::size_t end =
-        std::min(begin + kIndexClusterSize, summaries_.size());
-    clusters_[c] = traits_.aggregate(summaries_, begin, end);
-  }
-
-  /// Wraps a distance callable so that every call counts one exact
-  /// evaluation — how the delegated scans keep the index's counters.
-  template <typename Distance>
-  static auto counting(const Distance& distance, std::uint64_t& evals) {
-    return [&distance, &evals](const auto&... args) {
-      ++evals;
-      return distance(args...);
-    };
-  }
-
-  void flush_counters(std::uint64_t pruned, std::uint64_t evals) const {
-    queries_.fetch_add(1, std::memory_order_relaxed);
-    if (pruned > 0) pruned_.fetch_add(pruned, std::memory_order_relaxed);
-    if (evals > 0) evals_.fetch_add(evals, std::memory_order_relaxed);
-  }
-
   Traits traits_{};
   const Population* population_ = nullptr;
   std::vector<Summary> summaries_;
   std::vector<Cluster> clusters_;
   std::unordered_map<mobility::UserId, std::size_t> owner_index_;
-  std::size_t updates_since_build_ = 0;
-  mutable std::atomic<std::uint64_t> queries_{0};
-  mutable std::atomic<std::uint64_t> pruned_{0};
-  mutable std::atomic<std::uint64_t> evals_{0};
-  mutable std::atomic<std::uint64_t> rebuilds_{0};
+  IndexCounters counters_;
 };
 
 /// Aggregate ball over member balls: centred on the mean of the non-empty
@@ -330,60 +330,6 @@ struct BallClusterBound {
               member.radius_m);
     }
     return cluster;
-  }
-};
-
-/// AP-attack traits: Topsoe divergence over compiled heatmaps. The
-/// cluster keeps per-bucket mass intervals over non-empty members; the
-/// block bound is the TV lower bound against the nearest mass profile
-/// inside those intervals.
-struct ApIndexTraits {
-  using Profile = profiles::CompiledHeatmap;
-  using Summary = profiles::HeatmapSummary;
-  struct Cluster {
-    std::array<double, profiles::kSummaryBuckets> lo{};
-    std::array<double, profiles::kSummaryBuckets> hi{};
-    std::size_t nonempty = 0;
-  };
-
-  Summary summarize(const Profile& profile) const {
-    return profiles::summarize(profile);
-  }
-  double lower_bound(const Summary& query, const Summary& entry) const {
-    return profiles::topsoe_lower_bound(query, entry);
-  }
-  Cluster aggregate(const std::vector<Summary>& summaries, std::size_t begin,
-                    std::size_t end) const {
-    Cluster cluster;
-    cluster.lo.fill(std::numeric_limits<double>::infinity());
-    cluster.hi.fill(-std::numeric_limits<double>::infinity());
-    for (std::size_t i = begin; i < end; ++i) {
-      if (summaries[i].cells == 0) continue;
-      ++cluster.nonempty;
-      for (std::size_t k = 0; k < profiles::kSummaryBuckets; ++k) {
-        cluster.lo[k] = std::min(cluster.lo[k], summaries[i].mass[k]);
-        cluster.hi[k] = std::max(cluster.hi[k], summaries[i].mass[k]);
-      }
-    }
-    return cluster;
-  }
-  double cluster_lower_bound(const Summary& query,
-                             const Cluster& cluster) const {
-    // Empty members price to infinity, so only non-empty ones constrain
-    // the block bound; an all-empty block bounds to infinity.
-    if (cluster.nonempty == 0 || query.cells == 0) {
-      return std::numeric_limits<double>::infinity();
-    }
-    double l1 = 0.0;
-    for (std::size_t k = 0; k < profiles::kSummaryBuckets; ++k) {
-      const double below = cluster.lo[k] - query.mass[k];
-      const double above = query.mass[k] - cluster.hi[k];
-      l1 += std::max({below, above, 0.0});
-    }
-    const double tv =
-        std::max(0.0, 0.5 * l1 * (1.0 - profiles::kLowerBoundRelMargin) -
-                          profiles::kTvAbsMargin);
-    return tv * tv;
   }
 };
 

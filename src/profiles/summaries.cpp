@@ -4,21 +4,11 @@
 #include <cmath>
 #include <limits>
 
-#include "geo/cell_grid.h"
-
 namespace mood::profiles {
 
 namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
-
-/// Deflates a non-negative bound by the relative margin plus an absolute
-/// floor, clamping at zero — the computed result is then safely below the
-/// computed exact value whenever the undeflated bound is below the true
-/// one (see the admissibility contract in the header).
-double deflate(double bound, double abs_margin) {
-  return std::max(0.0, bound * (1.0 - kLowerBoundRelMargin) - abs_margin);
-}
 
 /// Covering ball of a set of cached points: centroid + max haversine
 /// radius. The centroid choice only affects bound tightness, never
@@ -84,32 +74,6 @@ BallCover cover_of(const std::vector<geo::TrigPoint>& points,
 }
 
 }  // namespace
-
-std::size_t summary_bucket(const geo::CellIndex& cell) {
-  return geo::CellIndexHash{}(cell) % kSummaryBuckets;
-}
-
-HeatmapSummary summarize(const CompiledHeatmap& map) {
-  HeatmapSummary summary;
-  summary.cells = map.cell_count();
-  for (const auto& cell : map.cells()) {
-    summary.mass[summary_bucket(cell.cell)] += cell.probability;
-  }
-  return summary;
-}
-
-double topsoe_lower_bound(const HeatmapSummary& a, const HeatmapSummary& b) {
-  if (a.cells == 0 || b.cells == 0) return kInf;
-  double l1 = 0.0;
-  for (std::size_t k = 0; k < kSummaryBuckets; ++k) {
-    l1 += std::abs(a.mass[k] - b.mass[k]);
-  }
-  // TV of the bucketed masses, deflated: Pinsker can be asymptotically
-  // tight for near-identical profiles, so the margin must absorb the
-  // rounding of both the bucket sums and the exact Topsoe accumulation.
-  const double tv = deflate(0.5 * l1, kTvAbsMargin);
-  return tv * tv;
-}
 
 double ball_separation_m(const ProfileBall& a, const ProfileBall& b) {
   if (a.size == 0 || b.size == 0) return 0.0;
@@ -233,7 +197,7 @@ double stats_prox_lower_bound(const MarkovSummary& a, const MarkovSummary& b,
   const auto& larger = na >= nb ? a : b;
   const std::size_t diff = na >= nb ? na - nb : nb - na;
   const double stationary =
-      deflate(2.0 * larger.weight_prefix[diff], kWeightAbsMargin);
+      deflate_bound(2.0 * larger.weight_prefix[diff], kWeightAbsMargin);
   // All stationary weights are positive, so the matched mass never
   // vanishes and the proximity mean is well defined.
   return stationary +

@@ -2,21 +2,25 @@
 
 /// \file summaries.h
 /// Cheap per-profile summaries and admissible divergence lower bounds —
-/// the pruning arithmetic behind attacks::PopulationIndex.
+/// the pruning arithmetic behind the attacks' population indexes.
 ///
 /// A summary is a constant-size digest of a compiled profile that supports
 /// a *lower bound* on the exact divergence to any other profile, computed
 /// from the two digests alone (no touching the profiles). The index skips
 /// a candidate whenever that bound already exceeds the scan's current
 /// pruning bound, and prices the survivors with the exact bounded
-/// divergences — so decisions stay bit-identical to the plain scans.
+/// divergences — so decisions stay bit-identical to the plain scans. The
+/// Topsoe bound needs no digest: it reads one number, the heatmaps'
+/// affinity, which the AP attack's posting index sums for the whole
+/// population in one pass (ap_attack.h).
 ///
 /// ## Admissibility contract
 ///
-/// Every `*_lower_bound(a, b)` in this file guarantees, for the summaries
-/// of compiled profiles A and B:
+/// Every `*_lower_bound(...)` in this file guarantees, for compiled
+/// profiles A and B, and BC(A, B) the heatmaps' affinity (below):
 ///
 ///     lower_bound(summarize(A), summarize(B)) <= exact_divergence(A, B)
+///     topsoe_affinity_lower_bound(BC(A, B)) <= topsoe_divergence(A, B)
 ///
 /// as *computed* values (not just in real arithmetic): each bound is
 /// deflated by a small relative + absolute safety margin chosen to
@@ -24,23 +28,30 @@
 /// are fuzzed by the index property tests over random and adversarially
 /// tied profiles. Empty profiles summarize to a zero-size digest and
 /// bound to +infinity — admissible because the exact divergence against
-/// an empty profile is itself +infinity.
+/// an empty profile is itself +infinity (the AP index marks its empty
+/// entries the same way).
 ///
 /// The bounds never decide anything: tie-breaking (first strict minimum)
-/// is delegated entirely to the scans over the exact divergences, so a
-/// looser-than-necessary bound costs exact evaluations, never
-/// correctness.
+/// is delegated entirely to the exact divergences, so a looser-than-
+/// necessary bound costs exact evaluations, never correctness.
 ///
 /// ## The three bounds
 ///
-///  * Topsoe (AP-attack): the heatmap's probability mass is folded into
-///    kSummaryBuckets buckets by a deterministic cell-index mix. With
-///    P, Q the bucketed masses, total variation contracts under
-///    aggregation (TV(p, q) >= TV(P, Q)) and the Topsoe divergence obeys
-///    the Pinsker chain T = 2 JSD >= TV(p, q)^2, so
-///        topsoe_lower_bound = TV(P, Q)^2  <=  T(p, q).
-///    The bound tops out at 1 < 2 ln 2, so ceiling ties (disjoint
-///    supports) are never pruned away from the exact scan.
+///  * Topsoe (AP-attack): with affinity BC = sum over shared cells of
+///    sqrt(p) * sqrt(q) (the Bhattacharyya coefficient),
+///        topsoe_affinity_lower_bound = 2 ln 2 (1 - BC)
+///                                    = ln 2 * sum_c (sqrt p - sqrt q)^2
+///                                   <= T(p, q).
+///    Per cell, T_c = (p + q)(ln 2 - H(x)) with x = p / (p + q) and H the
+///    binary entropy in nats. Topsoe's bound on it (F. Topsoe, JIPAM 2(2),
+///    2001), H(x) <= ln 2 (4x(1 - x))^(1 / ln 4), and 4x(1 - x) <= 1 give
+///    H(x) <= 2 ln 2 sqrt(x(1 - x)), which is T_c >= ln 2 (sqrt p -
+///    sqrt q)^2. A cell in only one heatmap meets it with equality, so
+///    disjoint supports bound to just below the 2 ln 2 ceiling, and the
+///    relative margin keeps that below the computed ceiling. The rounding
+///    of BC and of the exact sum is a few ulps per cell, which
+///    kTopsoeAbsMargin dominates by orders of magnitude, near-identical
+///    heatmaps included.
 ///  * POI distance: each POI set is summarized by a covering ball
 ///    (centroid + max haversine radius), a two-ball cover (the set split
 ///    around two well-separated seeds — so one downtown satellite POI
@@ -72,46 +83,43 @@
 /// argument must be the query's summary (matching the asymmetric exact
 /// distances, which the attacks always evaluate query-first).
 
+#include <algorithm>
 #include <array>
 #include <cstddef>
+#include <numbers>
 #include <vector>
 
 #include "geo/geo.h"
-#include "profiles/heatmap.h"
 #include "profiles/markov_profile.h"
 #include "profiles/poi_profile.h"
 
 namespace mood::profiles {
-
-/// Bucket count of the heatmap mass digest. 64 doubles keeps a summary in
-/// a handful of cache lines while leaving bucket collisions rare at the
-/// few-hundred-cell profiles the attacks build.
-inline constexpr std::size_t kSummaryBuckets = 64;
 
 /// Floating-point safety margins applied when deflating a computed lower
 /// bound so that it stays below the *computed* exact divergence (see the
 /// admissibility contract above). Relative margin on every bound, plus an
 /// absolute floor per unit system.
 inline constexpr double kLowerBoundRelMargin = 1e-9;
-inline constexpr double kTvAbsMargin = 1e-7;      ///< total-variation slack
+inline constexpr double kTopsoeAbsMargin = 1e-9;  ///< divergence slack (nats)
 inline constexpr double kWeightAbsMargin = 1e-9;  ///< stationary-mass slack
 inline constexpr double kBallAbsMarginM = 1e-6;   ///< metres slack
 
-/// Bucket of a cell in the heatmap mass digest (deterministic — same mix
-/// as CellIndexHash, reduced mod kSummaryBuckets).
-std::size_t summary_bucket(const geo::CellIndex& cell);
+/// Deflates a non-negative bound by the relative margin plus an absolute
+/// floor, clamping at zero — the computed result is then safely below the
+/// computed exact value whenever the undeflated bound is below the true
+/// one (see the admissibility contract above).
+inline double deflate_bound(double bound, double abs_margin) {
+  return std::max(0.0, bound * (1.0 - kLowerBoundRelMargin) - abs_margin);
+}
 
-/// Digest of a CompiledHeatmap: probability mass per bucket.
-struct HeatmapSummary {
-  std::array<double, kSummaryBuckets> mass{};
-  std::size_t cells = 0;  ///< 0 marks an empty profile (infinite distances)
-};
-
-HeatmapSummary summarize(const CompiledHeatmap& map);
-
-/// Admissible lower bound on topsoe_divergence(a, b); +infinity when
-/// either profile is empty (matching the exact divergence).
-double topsoe_lower_bound(const HeatmapSummary& a, const HeatmapSummary& b);
+/// Admissible lower bound on topsoe_divergence(a, b) of two non-empty
+/// heatmaps from their affinity, the sum over shared cells of
+/// sqrt(p) * sqrt(q) (see "The three bounds" above). Inline: the AP
+/// index applies it to every trained entry of every query.
+inline double topsoe_affinity_lower_bound(double affinity) {
+  return deflate_bound(2.0 * std::numbers::ln2 * (1.0 - affinity),
+                       kTopsoeAbsMargin);
+}
 
 /// Covering ball of a point set: centroid + maximum haversine distance
 /// from it to any member. Any cross distance between two sets is at least

@@ -53,8 +53,10 @@ std::string format_csv_line(const std::vector<std::string>& fields) {
   for (std::size_t i = 0; i < fields.size(); ++i) {
     if (i > 0) line.push_back(',');
     const std::string& f = fields[i];
+    // '\r' is quoted too: parse_csv_line strips one trailing '\r' from
+    // an unquoted line, which would drop it from a last field.
     const bool needs_quoting =
-        f.find_first_of(",\"\n") != std::string::npos ||
+        f.find_first_of(",\"\n\r") != std::string::npos ||
         (!f.empty() && (f.front() == ' ' || f.back() == ' '));
     if (needs_quoting) {
       line.push_back('"');

@@ -34,7 +34,9 @@ inline constexpr std::size_t kMaxCsvFieldBytes = 64 * 1024;
 std::vector<std::string> parse_csv_line(std::string_view line);
 
 /// Joins fields into a CSV line, quoting any field containing a comma,
-/// quote, or leading/trailing whitespace.
+/// quote, line feed or carriage return, or leading/trailing space.
+/// parse_csv_line reads back the same fields for any non-empty field list
+/// without '\n' or NUL bytes.
 std::string format_csv_line(const std::vector<std::string>& fields);
 
 /// Reads an entire CSV document from a stream. Skips blank lines.

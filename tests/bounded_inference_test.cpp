@@ -370,9 +370,9 @@ TEST(BoundedScanEquivalence, GeneratedPreset) {
 
 TEST(BoundedScanEquivalence, PrunedIndexMatchesTheOracle) {
   // Every other case trains fewer than kIndexMinPopulation users, where
-  // the index delegates to the scans. Past it, the cluster and profile
-  // bounds actually skip candidates — and must still skip none the naive
-  // argmin would pick.
+  // the indexes delegate to the scans. Past it, their lower bounds (POI
+  // and PIT cluster and profile bounds, AP posting bounds) actually skip
+  // candidates — and must still skip none the naive argmin would pick.
   auto params = simulation::preset_params("privamov", 0.05, 11);
   params.users = 80;
   core::ExperimentConfig config;

@@ -1,19 +1,24 @@
-// Property suite for attacks::PopulationIndex (the sublinear
-// re-identification index): fuzzes the summaries.h admissibility contract
-// over random and adversarially tied profiles, asserts index-vs-scan
-// decision identity on populations with duplicates, ties and empty
-// profiles, and checks coherence under in-place apply_update (including
-// the forced periodic rebuild).
+// Property suite for the sublinear re-identification indexes
+// (attacks::PopulationIndex for POI and PIT, the AP attack's per-cell
+// posting index): fuzzes the summaries.h admissibility contract over
+// random, adversarially tied, single-cell, disjoint and apply_update-edited
+// profiles, asserts index-vs-scan decision identity on populations with
+// duplicates, ties and empty profiles, and checks that concurrent AP
+// queries answer and count exactly as a serial run.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <optional>
+#include <span>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
+#include "attacks/ap_attack.h"
 #include "attacks/bounded_scan.h"
 #include "attacks/population_index.h"
 #include "geo/cell_grid.h"
@@ -67,29 +72,124 @@ geo::CellGrid city_grid() {
   return geo::CellGrid(geo::LocalProjection(kCity), 800.0);
 }
 
+/// The population ApAttack::train(background) indexes, entry for entry:
+/// compile_anonymous compiles exactly as train() does.
+std::vector<std::pair<mobility::UserId, profiles::CompiledHeatmap>>
+compiled_population(const attacks::ApAttack& attack,
+                    const std::vector<Trace>& background) {
+  std::vector<std::pair<mobility::UserId, profiles::CompiledHeatmap>>
+      population;
+  for (const auto& trace : background) {
+    population.emplace_back(trace.user(), attack.compile_anonymous(trace));
+  }
+  return population;
+}
+
+/// `trace`'s heatmap with every count nudged up or down by a relative
+/// 1e-12: a near-tie whose exact divergence lies far below rounding.
+profiles::CompiledHeatmap near_tie(const Trace& trace,
+                                   const geo::CellGrid& grid,
+                                   RngStream& rng) {
+  const auto source = profiles::Heatmap::from_trace(trace, grid);
+  profiles::Heatmap jittered;
+  for (const auto& [cell, count] : source.counts()) {
+    const double nudge = rng.uniform_index(2) == 0 ? -1e-12 : 1e-12;
+    jittered.add(cell, count * (1.0 + nudge));
+  }
+  return profiles::CompiledHeatmap(jittered);
+}
+
+/// `base` with its first `evicted` records dropped and `extra` appended
+/// after its end, as a sliding window moves.
+Trace moved_window(const Trace& base, const Trace& extra,
+                   std::size_t evicted) {
+  std::vector<Record> records(base.records().begin() + evicted,
+                              base.records().end());
+  const Timestamp shift = base.records().back().time + mobility::kHour;
+  for (const auto& r : extra.records()) {
+    records.push_back(Record{r.position, r.time + shift});
+  }
+  return Trace(base.user(), std::move(records));
+}
+
+/// The gateway's form of moved_window: `base` compiled incrementally, then
+/// edited in place by apply_update and compile().
+profiles::CompiledHeatmap moved_window_map(const Trace& base,
+                                           const Trace& extra,
+                                           std::size_t evicted,
+                                           const geo::CellGrid& grid) {
+  auto map = profiles::CompiledHeatmap::incremental(base, grid);
+  const Trace window = moved_window(base, extra, evicted);
+  const auto added =
+      std::span(window.records()).last(extra.records().size());
+  map.apply_update(added, std::span(base.records()).first(evicted), grid);
+  map.compile();
+  return map;
+}
+
+/// One dwell in a single grid cell.
+Trace single_cell_trace(const std::string& user) {
+  return Trace(user, testing::dwell(geo::destination(kCity, 1.0, 3000.0),
+                                    0, 12));
+}
+
+/// A trace in another city: its heatmap shares no cell with any
+/// hotspot_trace, so every divergence to it is the 2 ln 2 ceiling.
+Trace far_trace(const std::string& user) {
+  return Trace(user, testing::dwell(GeoPoint{48.85, 2.35}, 0, 20));
+}
+
 // ----------------------------------------- admissibility fuzz: Topsoe --
 
 class SummaryAdmissibility : public ::testing::TestWithParam<int> {};
 
 TEST_P(SummaryAdmissibility, TopsoeBoundNeverExceedsExact) {
+  // The AP index's own computed bounds against every trained entry, for
+  // queries that stress each regime of the Hellinger bound: ties (a
+  // member verbatim, and near-ties below rounding), a single cell,
+  // disjoint supports (the bound's tight case) and windows edited by
+  // apply_update.
   RngStream rng(GetParam());
   const geo::CellGrid grid = city_grid();
-  for (int it = 0; it < 40; ++it) {
-    const Trace ta = hotspot_trace(rng, "a");
-    // Adversarial ties one third of the time: an identical trace, whose
-    // divergence is exactly zero — the bound must come out <= 0.
-    const Trace tb = it % 3 == 0 ? Trace("b", std::vector<Record>(
-                                                  ta.records().begin(),
-                                                  ta.records().end()))
-                                 : hotspot_trace(rng, "b");
-    const auto a = profiles::CompiledHeatmap::from_trace(ta, grid);
-    const auto b = profiles::CompiledHeatmap::from_trace(tb, grid);
-    const double exact = profiles::topsoe_divergence(a, b);
-    const double lb =
-        profiles::topsoe_lower_bound(profiles::summarize(a),
-                                     profiles::summarize(b));
-    ASSERT_LE(lb, exact) << "iteration " << it;
+  std::vector<Trace> background;
+  for (int u = 0; u < 70; ++u) {
+    background.push_back(hotspot_trace(rng, "u" + std::to_string(u)));
   }
+  background.push_back(single_cell_trace("single"));
+  background.push_back(far_trace("far"));
+  background.push_back(Trace("empty", {}));
+  attacks::ApAttack attack(grid);
+  attack.train(background);
+  const auto population = compiled_population(attack, background);
+
+  std::vector<double> bounds;
+  double loosest_gap = 0.0;
+  for (int it = 0; it < 48; ++it) {
+    const Trace& member = background[rng.uniform_index(70)];
+    profiles::CompiledHeatmap query;
+    switch (it % 6) {
+      case 0: query = attack.compile_anonymous(member); break;
+      case 1: query = near_tie(member, grid, rng); break;
+      case 2: query = attack.compile_anonymous(single_cell_trace("q")); break;
+      case 3: query = attack.compile_anonymous(far_trace("q")); break;
+      case 4:
+        query = moved_window_map(member, hotspot_trace(rng, "x"),
+                                 rng.uniform_index(member.size()), grid);
+        break;
+      default:
+        query = attack.compile_anonymous(hotspot_trace(rng, "q"));
+    }
+    attack.lower_bounds(query, bounds);
+    ASSERT_EQ(bounds.size(), population.size());
+    for (std::size_t i = 0; i < population.size(); ++i) {
+      const double exact =
+          profiles::topsoe_divergence(query, population[i].second);
+      ASSERT_LE(bounds[i], exact) << "iteration " << it << " entry " << i;
+      if (exact < kInf) loosest_gap = std::max(loosest_gap, bounds[i]);
+    }
+  }
+  // Not vacuous: disjoint supports bound to just below the ceiling.
+  EXPECT_GT(loosest_gap, 1.38);
 }
 
 TEST_P(SummaryAdmissibility, PoiBoundNeverExceedsExact) {
@@ -184,13 +284,14 @@ TEST_P(SummaryAdmissibility, CoversContainTheirOwnPoints) {
 
 TEST_P(SummaryAdmissibility, EmptyProfilesBoundToInfinity) {
   RngStream rng(GetParam());
-  const geo::CellGrid grid = city_grid();
-  const auto full_map =
-      profiles::CompiledHeatmap::from_trace(hotspot_trace(rng, "a"), grid);
-  const auto empty_map = profiles::CompiledHeatmap();
-  EXPECT_EQ(profiles::topsoe_lower_bound(profiles::summarize(full_map),
-                                         profiles::summarize(empty_map)),
-            kInf);
+  attacks::ApAttack attack(city_grid());
+  attack.train({Trace("empty", {}), hotspot_trace(rng, "a")});
+  std::vector<double> bounds;
+  attack.lower_bounds(attack.compile_anonymous(hotspot_trace(rng, "q")),
+                      bounds);
+  ASSERT_EQ(bounds.size(), 2u);
+  EXPECT_EQ(bounds[0], kInf);
+  EXPECT_LT(bounds[1], kInf);
   const auto full_poi =
       profiles::CompiledPoiProfile::incremental(hotspot_trace(rng, "b"));
   EXPECT_EQ(profiles::poi_profile_lower_bound(
@@ -301,90 +402,116 @@ TEST_P(IndexDecisionIdentity, PitIndexMatchesScans) {
   }
 }
 
-TEST_P(IndexDecisionIdentity, ApIndexMatchesScansAndStaysCoherentUnderUpdates) {
-  RngStream rng(GetParam());
-  const geo::CellGrid grid = city_grid();
-  std::vector<std::pair<mobility::UserId, profiles::CompiledHeatmap>>
-      population;
-  for (int u = 0; u < 70; ++u) {
-    const std::string user = "u" + std::to_string(u);
-    population.emplace_back(user, profiles::CompiledHeatmap::incremental(
-                                      hotspot_trace(rng, user), grid));
+/// Asserts the AP attack answers in kIndex mode exactly as in kScan mode:
+/// the argmin of `trace`, and the targeted query over `query` for every
+/// id in `owners`. `query` is `trace`'s heatmap, compiled from the trace
+/// or edited into it by apply_update. Leaves the attack in kIndex mode.
+void expect_ap_index_matches_scan(attacks::ApAttack& attack,
+                                  const std::vector<mobility::UserId>& owners,
+                                  const Trace& trace,
+                                  const profiles::CompiledHeatmap& query) {
+  attack.set_query_mode(attacks::QueryMode::kScan);
+  const auto scan_answer = attack.reidentify(trace);
+  std::vector<bool> scan_owns;
+  for (const auto& owner : owners) {
+    scan_owns.push_back(attack.reidentifies_compiled(query, owner));
   }
-  population.emplace_back("empty", profiles::CompiledHeatmap());
-  population.emplace_back("u3", population[5].second);
-  population.emplace_back("twin", population[7].second);
+  attack.set_query_mode(attacks::QueryMode::kIndex);
+  EXPECT_EQ(attack.reidentify(trace), scan_answer);
+  for (std::size_t o = 0; o < owners.size(); ++o) {
+    EXPECT_EQ(attack.reidentifies_compiled(query, owners[o]), scan_owns[o])
+        << "owner " << owners[o];
+  }
+}
 
-  attacks::PopulationIndex<attacks::ApIndexTraits> index;
-  index.build(population);
-
-  const auto check = [&](const profiles::CompiledHeatmap& query) {
-    expect_index_matches_scan(
-        index, population, query,
-        [&](const profiles::CompiledHeatmap& p) {
-          return profiles::topsoe_divergence(query, p);
-        },
-        [&](const profiles::CompiledHeatmap& p, double bound) {
-          return profiles::topsoe_divergence_bounded(query, p, bound);
-        });
+/// A background of `users` hotspot traces plus the shapes the index must
+/// arbitrate exactly as the scans: a twin placed before its original and
+/// one after (identical heatmaps on either side of an owner), a duplicate
+/// user id (its first occurrence owns) and empty entries.
+std::vector<Trace> adversarial_background(RngStream& rng, std::size_t users) {
+  std::vector<Trace> background;
+  for (std::size_t u = 0; u < users; ++u) {
+    background.push_back(hotspot_trace(rng, "u" + std::to_string(u)));
+  }
+  const auto copy = [&](const std::string& user, std::size_t of) {
+    return Trace(user, std::vector<Record>(background[of].records()));
   };
-  for (int q = 0; q < 8; ++q) {
-    check(q % 3 == 0 ? population[static_cast<std::size_t>(q)].second
-                     : profiles::CompiledHeatmap::from_trace(
-                           hotspot_trace(rng, "q"), grid));
-  }
+  background.insert(background.begin() + 2, copy("twin-early", 40));
+  background.push_back(copy("twin-late", 7));
+  background.push_back(copy("u3", 5));
+  background.insert(background.begin() + 20, Trace("empty-early", {}));
+  background.push_back(Trace("empty-late", {}));
+  return background;
+}
 
-  // In-place mutations: fold fresh records into random entries, tell the
-  // index, and require identity to hold against the mutated population.
-  for (int round = 0; round < 10; ++round) {
-    const std::size_t i = rng.uniform_index(70);
-    population[i].second.apply_update(hotspot_trace(rng, "delta").records(),
-                                      {}, grid);
-    population[i].second.compile();
-    index.update(i);
-  }
-  for (int q = 0; q < 6; ++q) {
-    check(q % 2 == 0 ? population[static_cast<std::size_t>(2 * q)].second
-                     : profiles::CompiledHeatmap::from_trace(
-                           hotspot_trace(rng, "q2"), grid));
+TEST_P(IndexDecisionIdentity, ApIndexMatchesScansAndStaysCoherentUnderUpdates) {
+  // Queries: fresh traces, members verbatim (exact ties, also against the
+  // twins), moving windows edited in place by apply_update, and a trace
+  // disjoint from everyone (every divergence ties at the 2 ln 2 ceiling).
+  for (const std::size_t users : {std::size_t{64}, std::size_t{300}}) {
+    RngStream rng(GetParam());
+    const geo::CellGrid grid = city_grid();
+    const std::vector<Trace> background = adversarial_background(rng, users);
+    attacks::ApAttack attack(grid);
+    attack.train(background);
+    ASSERT_GE(attack.trained_users(), attacks::kIndexMinPopulation);
+    std::vector<mobility::UserId> owners{"ghost"};
+    for (const auto& trace : background) owners.push_back(trace.user());
+
+    const auto check = [&](const Trace& trace) {
+      expect_ap_index_matches_scan(attack, owners, trace,
+                                   attack.compile_anonymous(trace));
+    };
+    for (const auto& trace : background) {
+      const auto& user = trace.user();
+      if (user == "u0" || user == "u3" || user == "u5" || user == "u7" ||
+          user == "u40" || user == "twin-early" || user == "twin-late") {
+        check(trace);
+      }
+    }
+    check(far_trace("q"));
+    for (int q = 0; q < 4; ++q) check(hotspot_trace(rng, "q"));
+    for (int q = 0; q < 3; ++q) {
+      const Trace& member = background[rng.uniform_index(users)];
+      const Trace extra = hotspot_trace(rng, "x");
+      const std::size_t evicted = rng.uniform_index(member.size());
+      expect_ap_index_matches_scan(
+          attack, owners, moved_window(member, extra, evicted),
+          moved_window_map(member, extra, evicted, grid));
+    }
+    EXPECT_GT(attack.index_stats().pruned_candidates, 0u)
+        << "the index never pruned: the case tests nothing";
   }
 }
 
 TEST_P(IndexDecisionIdentity, SmallPopulationsDelegateToTheScans) {
   RngStream rng(GetParam());
   const geo::CellGrid grid = city_grid();
-  std::vector<std::pair<mobility::UserId, profiles::CompiledHeatmap>>
-      population;
+  std::vector<Trace> background;
   for (int u = 0; u < 8; ++u) {  // far below kIndexMinPopulation
-    const std::string user = "u" + std::to_string(u);
-    population.emplace_back(user, profiles::CompiledHeatmap::incremental(
-                                      hotspot_trace(rng, user), grid));
+    background.push_back(hotspot_trace(rng, "u" + std::to_string(u)));
   }
-  attacks::PopulationIndex<attacks::ApIndexTraits> index;
-  index.build(population);
-  for (int round = 0; round < 4; ++round) {
-    const std::size_t i = rng.uniform_index(population.size());
-    population[i].second.apply_update(hotspot_trace(rng, "delta").records(),
-                                      {}, grid);
-    population[i].second.compile();
-    index.update(i);
-  }
-  const auto query =
-      profiles::CompiledHeatmap::from_trace(hotspot_trace(rng, "q"), grid);
+  attacks::ApAttack attack(grid);
+  attack.train(background);
+  const auto population = compiled_population(attack, background);
+  std::vector<mobility::UserId> owners{"ghost"};
+  for (const auto& trace : background) owners.push_back(trace.user());
+  const Trace trace = hotspot_trace(rng, "q");
+  const auto query = attack.compile_anonymous(trace);
+  expect_ap_index_matches_scan(attack, owners, trace, query);
+
+  // Delegated queries keep the counters exactly: one query per call, one
+  // exact evaluation per distance the scan prices, no prunes.
   const auto exact = [&](const profiles::CompiledHeatmap& p) {
     return profiles::topsoe_divergence(query, p);
   };
   const auto bounded = [&](const profiles::CompiledHeatmap& p, double bound) {
     return profiles::topsoe_divergence_bounded(query, p, bound);
   };
-  expect_index_matches_scan(index, population, query, exact, bounded);
-
-  // Delegated queries keep the counters exactly: one query per call, one
-  // exact evaluation per distance the scan prices, no prunes.
-  const attacks::IndexStats before = index.stats();
+  const attacks::IndexStats before = attack.index_stats();
   EXPECT_EQ(before.pruned_candidates, 0u);
   std::uint64_t queries = 1;
-  (void)index.argmin(query, bounded);
+  (void)attack.reidentify(trace);
   // The branch-and-bound argmin prices every candidate (with a bound).
   std::uint64_t priced = population.size();
   const auto counted_exact = [&](const profiles::CompiledHeatmap& p) {
@@ -396,15 +523,13 @@ TEST_P(IndexDecisionIdentity, SmallPopulationsDelegateToTheScans) {
     ++priced;
     return bounded(p, bound);
   };
-  std::vector<mobility::UserId> owners{"ghost"};
-  for (const auto& [user, profile] : population) owners.push_back(user);
   for (const auto& owner : owners) {
-    (void)index.is_first_argmin(query, owner, exact, bounded);
+    (void)attack.reidentifies_compiled(query, owner);
     ++queries;
     (void)attacks::scan_is_first_argmin(population, owner, counted_exact,
                                         counted_bounded);
   }
-  const attacks::IndexStats after = index.stats();
+  const attacks::IndexStats after = attack.index_stats();
   EXPECT_EQ(after.queries - before.queries, queries);
   EXPECT_EQ(after.exact_evaluations - before.exact_evaluations, priced);
   EXPECT_EQ(after.pruned_candidates, 0u);
@@ -413,43 +538,105 @@ TEST_P(IndexDecisionIdentity, SmallPopulationsDelegateToTheScans) {
   EXPECT_GE(priced, 2 * population.size());
 }
 
-TEST_P(IndexDecisionIdentity, PeriodicRebuildFiresAndPreservesDecisions) {
+TEST_P(IndexDecisionIdentity, RetrainRebuildsThePostingsAndPreservesDecisions) {
+  // Training is the only way the AP index changes: each train() rebuilds
+  // the postings anew (counted as an index rebuild), and the
+  // answers follow the new population, not the old one.
   RngStream rng(GetParam());
   const geo::CellGrid grid = city_grid();
-  std::vector<std::pair<mobility::UserId, profiles::CompiledHeatmap>>
-      population;
+  std::vector<Trace> background;
   for (int u = 0; u < 64; ++u) {  // exactly kIndexMinPopulation
-    const std::string user = "u" + std::to_string(u);
-    population.emplace_back(user, profiles::CompiledHeatmap::incremental(
-                                      hotspot_trace(rng, user), grid));
+    background.push_back(hotspot_trace(rng, "u" + std::to_string(u)));
   }
-  attacks::PopulationIndex<attacks::ApIndexTraits> index;
-  index.build(population);
-  ASSERT_EQ(index.stats().rebuilds, 1u);
-  // size() updates force a hygiene rebuild (the stream cost model reads
-  // the same counter as index_rebuilds).
-  for (int round = 0; round < 64; ++round) {
-    const std::size_t i = rng.uniform_index(population.size());
-    population[i].second.apply_update(hotspot_trace(rng, "delta").records(),
-                                      {}, grid);
-    population[i].second.compile();
-    index.update(i);
+  attacks::ApAttack attack(grid);
+  attack.train(background);
+  ASSERT_EQ(attack.index_stats().rebuilds, 1u);
+  for (int round = 0; round < 16; ++round) {
+    const std::size_t i = rng.uniform_index(background.size());
+    background[i] = moved_window(background[i], hotspot_trace(rng, "x"), 10);
   }
-  EXPECT_GE(index.stats().rebuilds, 2u);
-  const auto query =
-      profiles::CompiledHeatmap::from_trace(hotspot_trace(rng, "q"), grid);
-  expect_index_matches_scan(
-      index, population, query,
-      [&](const profiles::CompiledHeatmap& p) {
-        return profiles::topsoe_divergence(query, p);
-      },
-      [&](const profiles::CompiledHeatmap& p, double bound) {
-        return profiles::topsoe_divergence_bounded(query, p, bound);
-      });
+  attack.train(background);
+  EXPECT_EQ(attack.index_stats().rebuilds, 2u);
+  std::vector<mobility::UserId> owners{"ghost"};
+  for (const auto& trace : background) owners.push_back(trace.user());
+  for (const std::size_t member : {std::size_t{0}, std::size_t{63}}) {
+    expect_ap_index_matches_scan(
+        attack, owners, background[member],
+        attack.compile_anonymous(background[member]));
+  }
+  const Trace query = hotspot_trace(rng, "q");
+  expect_ap_index_matches_scan(attack, owners, query,
+                               attack.compile_anonymous(query));
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, IndexDecisionIdentity,
                          ::testing::Values(3, 11, 2026));
+
+// ------------------------------------------- concurrent AP queries -------
+
+TEST(ApIndexConcurrency, ConcurrentQueriesMatchASerialRun) {
+  // Shard workers and pool threads query one trained attack at once; the
+  // posting pass's thread-local buffers must keep their answers and the
+  // shared counters exactly those of a serial run.
+  RngStream rng(31);
+  const geo::CellGrid grid = city_grid();
+  std::vector<Trace> background;
+  for (int u = 0; u < 96; ++u) {
+    background.push_back(hotspot_trace(rng, "u" + std::to_string(u)));
+  }
+  attacks::ApAttack attack(grid);
+  attack.train(background);
+  constexpr std::size_t kThreads = 4;
+  constexpr std::size_t kQueries = 24;
+  std::vector<Trace> queries;
+  std::vector<mobility::UserId> owners;
+  for (std::size_t q = 0; q < kQueries; ++q) {
+    const Trace& member = background[rng.uniform_index(background.size())];
+    queries.push_back(q % 2 == 0 ? moved_window(member, hotspot_trace(rng, "x"),
+                                                5)
+                                 : hotspot_trace(rng, "q"));
+    owners.push_back(member.user());
+  }
+  struct Answer {
+    std::optional<mobility::UserId> argmin;
+    bool owned = false;
+  };
+  const auto answer = [&](std::size_t q) {
+    return Answer{attack.reidentify(queries[q]),
+                  attack.reidentifies_target(queries[q], owners[q])};
+  };
+  const auto delta = [](const attacks::IndexStats& from,
+                        const attacks::IndexStats& to) {
+    return std::vector<std::uint64_t>{
+        to.queries - from.queries,
+        to.pruned_candidates - from.pruned_candidates,
+        to.exact_evaluations - from.exact_evaluations};
+  };
+
+  const attacks::IndexStats start = attack.index_stats();
+  std::vector<Answer> serial;
+  for (std::size_t q = 0; q < kQueries; ++q) serial.push_back(answer(q));
+  const attacks::IndexStats after_serial = attack.index_stats();
+
+  std::vector<Answer> parallel(kQueries);
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (std::size_t q = t; q < kQueries; q += kThreads) {
+        parallel[q] = answer(q);
+      }
+    });
+  }
+  for (auto& thread : threads) thread.join();
+
+  for (std::size_t q = 0; q < kQueries; ++q) {
+    EXPECT_EQ(parallel[q].argmin, serial[q].argmin) << "query " << q;
+    EXPECT_EQ(parallel[q].owned, serial[q].owned) << "query " << q;
+  }
+  EXPECT_EQ(delta(after_serial, attack.index_stats()),
+            delta(start, after_serial));
+  EXPECT_GT(after_serial.pruned_candidates, start.pruned_candidates);
+}
 
 }  // namespace
 }  // namespace mood

@@ -254,6 +254,31 @@ TEST(Csv, FormatQuotesOnlyWhenNeeded) {
             "a,b c,\"d,e\",\"f\"\"g\"");
 }
 
+TEST(Csv, QuotesCarriageReturns) {
+  // A last field ending in '\r' used to lose it: unquoted, it ended the
+  // line, and parse_csv_line strips one trailing '\r' (CRLF tolerance).
+  EXPECT_EQ(format_csv_line({"u1", "x\r"}), "u1,\"x\r\"");
+  const std::vector<std::string> fields{"u1", "x\r"};
+  EXPECT_EQ(parse_csv_line(format_csv_line(fields)), fields);
+}
+
+TEST(Csv, FormatThenParseRoundTripsRandomFields) {
+  // parse_csv_line(format_csv_line(f)) == f for any non-empty field list
+  // without '\n' or NUL, drawn here from the bytes that steer quoting.
+  const std::string alphabet = "ab ,\"\r\t;'\\x\xe9";
+  RngStream rng(4181);
+  for (int it = 0; it < 2000; ++it) {
+    std::vector<std::string> fields(1 + rng.uniform_index(6));
+    for (auto& field : fields) {
+      for (std::size_t n = rng.uniform_index(8); n > 0; --n) {
+        field.push_back(alphabet[rng.uniform_index(alphabet.size())]);
+      }
+    }
+    ASSERT_EQ(parse_csv_line(format_csv_line(fields)), fields)
+        << "iteration " << it;
+  }
+}
+
 TEST(Csv, RoundTripThroughStreams) {
   const std::vector<std::vector<std::string>> rows{
       {"user", "lat", "note"},
