@@ -37,6 +37,12 @@ double haversine_m(const TrigPoint& a, const TrigPoint& b) {
   return 2.0 * kEarthRadiusM * std::asin(std::min(1.0, std::sqrt(h)));
 }
 
+UnitVector unit_vector(const TrigPoint& p) {
+  const double lon_rad = deg_to_rad(p.lon_deg);
+  return UnitVector{p.cos_lat * std::cos(lon_rad),
+                    p.cos_lat * std::sin(lon_rad), std::sin(p.lat_rad)};
+}
+
 double euclidean_m(const EnuPoint& a, const EnuPoint& b) {
   return std::hypot(a.x - b.x, a.y - b.y);
 }

@@ -1,8 +1,9 @@
 #pragma once
 
 /// \file geo.h
-/// WGS-84 geodesy primitives: geographic points, great-circle distance,
-/// a local tangent-plane (ENU) projection, bearings and bounding boxes.
+/// WGS-84 geodesy primitives: geographic points, great-circle and chord
+/// distances, a local tangent-plane (ENU) projection, bearings and
+/// bounding boxes.
 ///
 /// Mobility records live in (latitude, longitude); all privacy mechanisms
 /// and metrics reason in metres. City-scale experiments (< 100 km extents)
@@ -10,6 +11,7 @@
 /// the haversine distance is well below GPS noise at these scales, and it
 /// is cheap enough to call per record in the hot loops.
 
+#include <cmath>
 #include <cstddef>
 #include <vector>
 
@@ -62,6 +64,34 @@ TrigPoint trig_point(const GeoPoint& p);
 /// Haversine distance from cached trigonometry. Bit-identical to
 /// haversine_m on the original GeoPoints — hot paths may mix both forms.
 double haversine_m(const TrigPoint& a, const TrigPoint& b);
+
+/// A point on the unit sphere (Earth-centred, Earth-fixed axes): the
+/// cached form behind chord_m.
+struct UnitVector {
+  double x = 0.0;
+  double y = 0.0;
+  double z = 0.0;
+};
+
+/// The unit vector of `p`. Reuses p's lat_rad and cos_lat, so it costs
+/// three trig calls (sin(lat), cos(lon), sin(lon)).
+UnitVector unit_vector(const TrigPoint& p);
+
+/// Straight-line (chord) distance through the sphere between two unit
+/// vectors, in metres: kEarthRadiusM * |a - b|, formed from the
+/// coordinate differences (2 - 2 a.b would cancel for close points). A
+/// chord never exceeds its arc, 2R sin(t/2) <= R t, so
+///     chord_m(unit_vector(a), unit_vector(b)) <= haversine_m(a, b)
+/// in real arithmetic; the computed values differ from that by a few ulps
+/// of rounding, which profiles::deflate_bound's margins dominate (HMC
+/// prices donors against this bound before any haversine). Costs one
+/// sqrt; inline, because HMC's donor scan calls it per (rank, donor).
+inline double chord_m(const UnitVector& a, const UnitVector& b) {
+  const double dx = a.x - b.x;
+  const double dy = a.y - b.y;
+  const double dz = a.z - b.z;
+  return kEarthRadiusM * std::sqrt(dx * dx + dy * dy + dz * dz);
+}
 
 /// Euclidean distance between two ENU points, in metres.
 double euclidean_m(const EnuPoint& a, const EnuPoint& b);

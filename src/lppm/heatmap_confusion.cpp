@@ -4,6 +4,7 @@
 #include <limits>
 #include <unordered_map>
 
+#include "profiles/summaries.h"
 #include "support/error.h"
 
 namespace mood::lppm {
@@ -46,22 +47,25 @@ HeatmapConfusion::HeatmapConfusion(geo::CellGrid grid,
                              std::min(max_mapped_cells_, entry.ranked.size()));
   }
   donor_centers_.reserve(donor_offsets_.back());  // exact: no slack
+  donor_units_.reserve(donor_offsets_.back());
   for (std::size_t i = 0; i < entries.size(); ++i) {
     const std::size_t readable = donor_offsets_[i + 1] - donor_offsets_[i];
     for (std::size_t rank = 0; rank < readable; ++rank) {
       donor_centers_.push_back(
           geo::trig_point(grid_.cell_center(entries[i].ranked[rank].first)));
+      donor_units_.push_back(geo::unit_vector(donor_centers_.back()));
     }
   }
 }
 
-double HeatmapConfusion::relocation_cost(
+template <typename Term>
+double HeatmapConfusion::sum_over_plan(
     const std::vector<std::pair<geo::CellIndex, double>>& user_cells,
-    double user_total, const DonorPool::Entry& donor) const {
+    double user_total, const DonorPool::Entry& donor, Term term) const {
   if (donor.ranked.empty() || user_total <= 0.0) {
     return std::numeric_limits<double>::infinity();
   }
-  double cost = 0.0;
+  double sum = 0.0;
   double covered = 0.0;
   const double target = hot_coverage_ * user_total;
   for (std::size_t rank = 0;
@@ -71,11 +75,32 @@ double HeatmapConfusion::relocation_cost(
     const auto& [cell, count] = user_cells[rank];
     const auto& donor_cell = donor.ranked[rank % donor.ranked.size()].first;
     const double mass = count / user_total;
-    cost += mass * geo::haversine_m(grid_.cell_center(cell),
-                                    grid_.cell_center(donor_cell));
+    sum += mass * term(grid_.cell_center(cell), grid_.cell_center(donor_cell));
     covered += count;
   }
-  return cost;
+  return sum;
+}
+
+double HeatmapConfusion::relocation_cost(
+    const std::vector<std::pair<geo::CellIndex, double>>& user_cells,
+    double user_total, const DonorPool::Entry& donor) const {
+  return sum_over_plan(user_cells, user_total, donor,
+                       [](const geo::GeoPoint& a, const geo::GeoPoint& b) {
+                         return geo::haversine_m(a, b);
+                       });
+}
+
+double HeatmapConfusion::relocation_lower_bound(
+    const std::vector<std::pair<geo::CellIndex, double>>& user_cells,
+    double user_total, const DonorPool::Entry& donor) const {
+  return sum_over_plan(
+      user_cells, user_total, donor,
+      [](const geo::GeoPoint& a, const geo::GeoPoint& b) {
+        return profiles::deflate_bound(
+            geo::chord_m(geo::unit_vector(geo::trig_point(a)),
+                         geo::unit_vector(geo::trig_point(b))),
+            profiles::kBallAbsMarginM);
+      });
 }
 
 HeatmapConfusion::UserPlan HeatmapConfusion::plan_for(
@@ -95,6 +120,7 @@ HeatmapConfusion::UserPlan HeatmapConfusion::plan_for(
     plan.cells.push_back(cell);
     plan.masses.push_back(count / plan.total);
     plan.centers.push_back(geo::trig_point(grid_.cell_center(cell)));
+    plan.units.push_back(geo::unit_vector(plan.centers.back()));
     covered += count;
   }
   return plan;
@@ -102,21 +128,37 @@ HeatmapConfusion::UserPlan HeatmapConfusion::plan_for(
 
 HeatmapConfusion::Choice HeatmapConfusion::cheapest_donor(
     const UserPlan& plan, const mobility::UserId& owner) const {
-  // relocation_cost's sum, term for term, cut off once it cannot win.
+  // Filter and refine. Stage 1 sums relocation_lower_bound's terms, each
+  // at most the haversine term it stands for, and drops the donor once
+  // that partial bound reaches the best cost: its exact cost can only be
+  // higher. Stage 2 is relocation_cost's sum, term for term, cut off the
+  // same way. Terms are non-negative, so partial sums only grow.
   Choice best;
   if (plan.total <= 0.0) return best;  // every donor costs infinity
+  const std::size_t ranks = plan.masses.size();
   const auto& entries = pool_->entries();
   for (std::size_t i = 0; i < entries.size(); ++i) {
     const auto& entry = entries[i];
     if (entry.user == owner) continue;  // never donate to yourself
     const std::size_t n = entry.ranked.size();
     if (n == 0) continue;  // infinite cost: never strictly below the best
+    const geo::UnitVector* units = donor_units_.data() + donor_offsets_[i];
+    double bound = 0.0;
+    for (std::size_t rank = 0, d = 0; rank < ranks; ++rank) {
+      bound += plan.masses[rank] *
+               profiles::deflate_bound(geo::chord_m(plan.units[rank], units[d]),
+                                       profiles::kBallAbsMarginM);
+      if (!(bound < best.cost)) break;
+      if (++d == n) d = 0;  // rank % n without the division
+    }
+    if (!(bound < best.cost)) continue;  // cannot win: no haversine priced
     const geo::TrigPoint* centers = donor_centers_.data() + donor_offsets_[i];
     double cost = 0.0;
-    for (std::size_t rank = 0; rank < plan.masses.size(); ++rank) {
+    for (std::size_t rank = 0, d = 0; rank < ranks; ++rank) {
       cost += plan.masses[rank] *
-              geo::haversine_m(plan.centers[rank], centers[rank % n]);
-      if (!(cost < best.cost)) break;  // partial sums only grow: it lost
+              geo::haversine_m(plan.centers[rank], centers[d]);
+      if (!(cost < best.cost)) break;
+      if (++d == n) d = 0;
     }
     if (cost < best.cost) best = Choice{&entry, cost};
   }

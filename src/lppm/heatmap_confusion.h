@@ -83,15 +83,32 @@ class HeatmapConfusion final : public Lppm {
       const std::vector<std::pair<geo::CellIndex, double>>& user_cells,
       double user_total, const DonorPool::Entry& donor) const;
 
+  /// Admissible lower bound on relocation_cost, term for term: each
+  /// haversine is replaced by the deflated chord between the two cell
+  /// centres, profiles::deflate_bound(geo::chord_m(...), kBallAbsMarginM)
+  /// (see the admissibility contract in profiles/summaries.h). No trig
+  /// per term once the unit vectors are cached. Same loop bounds and
+  /// summation order as relocation_cost, so every computed partial sum is
+  /// <= the matching partial cost; +infinity exactly where the cost is.
+  [[nodiscard]] double relocation_lower_bound(
+      const std::vector<std::pair<geo::CellIndex, double>>& user_cells,
+      double user_total, const DonorPool::Entry& donor) const;
+
   /// The donor chosen for a heatmap (exposed for tests/analysis): the
   /// first non-self pool entry, in pool order, with minimal
   /// relocation_cost. Returns nullptr if no eligible donor exists.
   ///
-  /// Branch-and-bound: every cost term is non-negative and the terms are
-  /// summed in relocation_cost's order from bit-identical haversines
-  /// (geo::TrigPoint), so a donor is dropped as soon as its partial cost
-  /// is no longer below the best so far — exactly the donor, and the
-  /// cost, that the exhaustive scan of relocation_cost would pick.
+  /// Filter and refine, then branch-and-bound. Every term of both sums
+  /// is non-negative, so partial sums only grow. Stage 1 sums a donor's
+  /// relocation_lower_bound terms (one sqrt each) and drops the donor as
+  /// soon as that partial bound is no longer below the best cost so far:
+  /// its exact cost is at least as high, and the scan keeps only strict
+  /// improvements. Stage 2, for the few donors that survive, sums the
+  /// exact terms in relocation_cost's order from bit-identical haversines
+  /// (geo::TrigPoint) and stops the same way. A donor that would lower
+  /// the best is never dropped by either stage, so the result is exactly
+  /// the donor, and the cost, that the exhaustive scan of relocation_cost
+  /// would pick.
   [[nodiscard]] const DonorPool::Entry* choose_donor(
       const profiles::Heatmap& user_map, const mobility::UserId& owner) const;
 
@@ -103,6 +120,7 @@ class HeatmapConfusion final : public Lppm {
     std::vector<geo::CellIndex> cells;
     std::vector<double> masses;           ///< count / user_total
     std::vector<geo::TrigPoint> centers;  ///< trig_point(cell_center(cell))
+    std::vector<geo::UnitVector> units;   ///< unit_vector(centers[rank])
   };
 
   struct Choice {
@@ -110,6 +128,15 @@ class HeatmapConfusion final : public Lppm {
     /// relocation_cost of `donor`; infinity while there is none.
     double cost = std::numeric_limits<double>::infinity();
   };
+
+  /// Sum over the planned ranks of mass x `term(user cell centre,
+  /// rank-aligned donor cell centre)`; +infinity for an empty donor or a
+  /// massless user. The one loop behind relocation_cost and
+  /// relocation_lower_bound, so both walk the same ranks in one order.
+  template <typename Term>
+  [[nodiscard]] double sum_over_plan(
+      const std::vector<std::pair<geo::CellIndex, double>>& user_cells,
+      double user_total, const DonorPool::Entry& donor, Term term) const;
 
   [[nodiscard]] UserPlan plan_for(const profiles::Heatmap& user_map) const;
   [[nodiscard]] Choice cheapest_donor(const UserPlan& plan,
@@ -123,8 +150,10 @@ class HeatmapConfusion final : public Lppm {
   /// Centres of the donor ranks a plan can read, flat in pool order:
   /// entry i owns donor_centers_[donor_offsets_[i] .. donor_offsets_[i+1]),
   /// its first min(max_mapped_cells, ranked.size()) cells (`rank % n`
-  /// never reaches further).
+  /// never reaches further). donor_units_ holds their unit vectors at the
+  /// same offsets, for the stage-1 chord bound.
   std::vector<geo::TrigPoint> donor_centers_;
+  std::vector<geo::UnitVector> donor_units_;
   std::vector<std::size_t> donor_offsets_;
 };
 

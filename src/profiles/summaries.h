@@ -2,7 +2,8 @@
 
 /// \file summaries.h
 /// Cheap per-profile summaries and admissible divergence lower bounds —
-/// the pruning arithmetic behind the attacks' population indexes.
+/// the pruning arithmetic behind the attacks' population indexes and
+/// HMC's donor scan.
 ///
 /// A summary is a constant-size digest of a compiled profile that supports
 /// a *lower bound* on the exact divergence to any other profile, computed
@@ -22,20 +23,27 @@
 ///     lower_bound(summarize(A), summarize(B)) <= exact_divergence(A, B)
 ///     topsoe_affinity_lower_bound(BC(A, B)) <= topsoe_divergence(A, B)
 ///
+/// and, for HMC's donor scan (lppm/heatmap_confusion.h), for any two
+/// points a and b (cell centres),
+///
+///     deflate_bound(geo::chord_m(unit_vector(a), unit_vector(b)),
+///                   kBallAbsMarginM) <= geo::haversine_m(a, b)
+///
 /// as *computed* values (not just in real arithmetic): each bound is
 /// deflated by a small relative + absolute safety margin chosen to
 /// dominate the floating-point rounding of both sides, and the margins
 /// are fuzzed by the index property tests over random and adversarially
-/// tied profiles. Empty profiles summarize to a zero-size digest and
-/// bound to +infinity — admissible because the exact divergence against
-/// an empty profile is itself +infinity (the AP index marks its empty
-/// entries the same way).
+/// tied profiles (the chord's by geo_test over every pair of cell centres
+/// on grids at several latitudes). Empty profiles summarize to a
+/// zero-size digest and bound to +infinity — admissible because the exact
+/// divergence against an empty profile is itself +infinity (the AP index
+/// marks its empty entries the same way).
 ///
 /// The bounds never decide anything: tie-breaking (first strict minimum)
 /// is delegated entirely to the exact divergences, so a looser-than-
 /// necessary bound costs exact evaluations, never correctness.
 ///
-/// ## The three bounds
+/// ## The bounds
 ///
 ///  * Topsoe (AP-attack): with affinity BC = sum over shared cells of
 ///    sqrt(p) * sqrt(q) (the Bhattacharyya coefficient),
@@ -52,6 +60,17 @@
 ///    of BC and of the exact sum is a few ulps per cell, which
 ///    kTopsoeAbsMargin dominates by orders of magnitude, near-identical
 ///    heatmaps included.
+///  * Chord (HMC donor scan): the straight-line distance through the
+///    sphere between two points, R |u_a - u_b| = 2R sin(t/2) for the
+///    central angle t, never exceeds the arc R t. Per pair the two sides
+///    agree to 1 - t^2 / 24 (about 1 - 7e-10 for adjacent 800 m cells),
+///    and their rounding is a few ulps, which the margins dominate by
+///    orders of magnitude at every separation (coincident cells give an
+///    exact 0 on both sides).
+///    HMC sums these per-rank terms, weighted by the same masses and in
+///    the same order as its exact relocation cost, and IEEE products and
+///    sums are monotone, so every partial bound stays below the matching
+///    partial cost.
 ///  * POI distance: each POI set is summarized by a covering ball
 ///    (centroid + max haversine radius), a two-ball cover (the set split
 ///    around two well-separated seeds — so one downtown satellite POI
@@ -114,7 +133,7 @@ inline double deflate_bound(double bound, double abs_margin) {
 
 /// Admissible lower bound on topsoe_divergence(a, b) of two non-empty
 /// heatmaps from their affinity, the sum over shared cells of
-/// sqrt(p) * sqrt(q) (see "The three bounds" above). Inline: the AP
+/// sqrt(p) * sqrt(q) (see "The bounds" above). Inline: the AP
 /// index applies it to every trained entry of every query.
 inline double topsoe_affinity_lower_bound(double affinity) {
   return deflate_bound(2.0 * std::numbers::ln2 * (1.0 - affinity),

@@ -410,7 +410,8 @@ void StreamEngine::loop_decide_user(UserState& state, mobility::Record record,
     record.position.lat = std::numeric_limits<double>::quiet_NaN();
   }
   run_isolated(state, /*queued=*/1, [&] {
-    MOOD_FAIL_POINT("stream.decide.user");  // kThrow fires inside hit()
+    // kThrow fires inside hit(); the returned action is not needed here.
+    static_cast<void>(MOOD_FAIL_POINT("stream.decide.user"));
     if (config_.resilience.on_bad_record == BadRecordPolicy::kQuarantine &&
         (!std::isfinite(record.position.lat) ||
          !std::isfinite(record.position.lon))) {
@@ -468,7 +469,8 @@ void StreamEngine::finish() {
     // first fault aborts finish()).
     if (state.quarantined) return;
     run_isolated(state, /*queued=*/0, [&] {
-      MOOD_FAIL_POINT("stream.decide.user");  // kThrow fires inside hit()
+      // kThrow fires inside hit(); the returned action is not needed here.
+      static_cast<void>(MOOD_FAIL_POINT("stream.decide.user"));
       kernel_.step(state.kernel, 0, decision::Tier::kFinal);
     });
   });

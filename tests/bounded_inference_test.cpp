@@ -68,7 +68,9 @@ TEST_F(CompiledHeatmapTest, PreservesProbabilitiesSorted) {
   for (std::size_t i = 0; i < compiled.cells().size(); ++i) {
     const auto& cell = compiled.cells()[i];
     EXPECT_DOUBLE_EQ(cell.probability, map.probability(cell.cell));
-    if (i > 0) EXPECT_LT(compiled.cells()[i - 1].cell, cell.cell);
+    if (i > 0) {
+      EXPECT_LT(compiled.cells()[i - 1].cell, cell.cell);
+    }
   }
 }
 

@@ -4,9 +4,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
 
 #include "geo/cell_grid.h"
 #include "geo/geo.h"
+#include "profiles/summaries.h"
 #include "support/error.h"
 
 namespace mood::geo {
@@ -195,6 +197,62 @@ TEST(CellIndexHash, DistinctCellsUsuallyDistinctHashes) {
     }
   }
   EXPECT_LT(collisions, 3);
+}
+
+// -------------------------------------------------------- Chord bound --
+
+TEST(Chord, MatchesKnownDistances) {
+  const UnitVector a = unit_vector(trig_point(GeoPoint{45.0, 5.0}));
+  EXPECT_EQ(chord_m(a, a), 0.0);
+  const UnitVector antipode = unit_vector(trig_point(GeoPoint{-45.0, -175.0}));
+  EXPECT_NEAR(chord_m(a, antipode), 2.0 * kEarthRadiusM, 1e-6);
+  // 1 degree of arc: the chord is 2R sin(0.5 deg), a hair below R * pi/180.
+  const UnitVector b = unit_vector(trig_point(GeoPoint{46.0, 5.0}));
+  EXPECT_NEAR(chord_m(a, b), 2.0 * kEarthRadiusM * std::sin(kPi / 360.0),
+              1e-6);
+}
+
+TEST(Chord, DeflatedChordNeverExceedsHaversineOnCellGrids) {
+  // Every ordered pair of cell centres of a 16 x 16 block plus far cells,
+  // on grids anchored in both hemispheres, at 64 N and next to the
+  // antimeridian (cells east of it reach past 180 E), at the paper's 800 m
+  // cells and at 10 m, where the terms are smallest.
+  const GeoPoint anchors[] = {{37.7749, -122.4194}, {46.2044, 6.1432},
+                              {39.9042, 116.4074}, {64.1466, -21.9426},
+                              {-33.8688, 151.2093}, {0.5, 179.9}};
+  std::vector<int> offsets{-300, -75, 40, 150};
+  for (int k = -8; k < 8; ++k) offsets.push_back(k);
+  for (const GeoPoint& anchor : anchors) {
+    for (const double cell_m : {800.0, 10.0}) {
+      SCOPED_TRACE(::testing::Message() << anchor.lat << "," << anchor.lon
+                                        << " @" << cell_m << " m");
+      const CellGrid grid(LocalProjection(anchor), cell_m);
+      std::vector<TrigPoint> trig;
+      std::vector<UnitVector> units;
+      for (const int ix : offsets) {
+        for (const int iy : offsets) {
+          trig.push_back(trig_point(grid.cell_center(CellIndex{ix, iy})));
+          units.push_back(unit_vector(trig.back()));
+        }
+      }
+      for (std::size_t i = 0; i < trig.size(); ++i) {
+        EXPECT_EQ(profiles::deflate_bound(chord_m(units[i], units[i]),
+                                          profiles::kBallAbsMarginM),
+                  0.0);
+        for (std::size_t j = 0; j < trig.size(); ++j) {
+          if (i == j) continue;
+          const double exact = haversine_m(trig[i], trig[j]);
+          const double chord = chord_m(units[i], units[j]);
+          ASSERT_LE(profiles::deflate_bound(chord, profiles::kBallAbsMarginM),
+                    exact)
+              << i << " -> " << j;
+          // Tight, not merely admissible: up to these grids' ~450 km the
+          // chord is within 3e-4 of the arc (1 - t^2 / 24).
+          ASSERT_GT(chord, exact * 0.999) << i << " -> " << j;
+        }
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -468,6 +468,24 @@ void expect_bit_identical(const Trace& actual, const Trace& expected) {
   }
 }
 
+/// The budget test compares the winner's exact relocation_cost `cost`,
+/// bit for bit: with the budget at that cost the plan runs, one ulp below
+/// it HMC refuses. A scan that kept a lower bound as the winner's cost
+/// would still run the plan one ulp below.
+void expect_budget_edge_at_exact_cost(
+    const geo::CellGrid& grid, const std::shared_ptr<const DonorPool>& pool,
+    const HmcParams& params, const Trace& own, double cost) {
+  for (const double budget : {cost, std::nextafter(cost, 0.0)}) {
+    const HeatmapConfusion hmc(grid, pool, params.hot_coverage,
+                               params.max_mapped_cells, budget);
+    const ReferenceHmc reference{grid, *pool, params.hot_coverage,
+                                 params.max_mapped_cells, budget};
+    const Trace out = hmc.apply(own, RngStream(1));
+    expect_bit_identical(out, reference.apply(own));
+    EXPECT_EQ(out.records() == own.records(), budget < cost) << budget;
+  }
+}
+
 /// Checks choose_donor and apply against the oracles for every `stride`-th
 /// owner of `population`, under every parameter set.
 void expect_matches_exhaustive_scan(const mobility::Dataset& population,
@@ -494,6 +512,13 @@ void expect_matches_exhaustive_scan(const mobility::Dataset& population,
       const Trace out = hmc.apply(own, RngStream(1));
       expect_bit_identical(out, reference.apply(own));
       ++(out.records() == own.records() ? refused : applied);
+      if (donor == nullptr) continue;
+      const double cost =
+          hmc.relocation_cost(map.ranked_cells(), map.total(), *donor);
+      // A zero cost has no positive budget below it.
+      if (cost > 0.0) {
+        expect_budget_edge_at_exact_cost(grid, pool, params, own, cost);
+      }
     }
   }
   // The sweep must exercise both outcomes of the budget test.
@@ -515,6 +540,66 @@ TEST(HmcDonorScan, MatchesExhaustiveScanOnCabspottingSizedPool) {
   ASSERT_EQ(params.users, 531u);
   expect_matches_exhaustive_scan(simulation::generate(params),
                                  params.city_center, 9);
+}
+
+TEST(HmcDonorScan, MatchesExhaustiveScanOnHighLatitudePool) {
+  // At 64 N a grid cell spans 2.3x more longitude than at the equator;
+  // the chord bound must stay admissible, and the choices exact, there.
+  auto params = simulation::preset_params("privamov", 0.05, 13);
+  params.days = 4;
+  params.city_center = GeoPoint{64.1466, -21.9426};
+  expect_matches_exhaustive_scan(simulation::generate(params),
+                                 params.city_center, 1);
+}
+
+/// relocation_lower_bound <= relocation_cost for every `stride`-th owner
+/// of `population` against every donor, under every parameter set, and
+/// within 0.1% of it: a bound that drifted to 0 would stay admissible but
+/// prune nothing.
+void expect_bound_below_cost(const mobility::Dataset& population,
+                             const geo::GeoPoint& origin,
+                             std::size_t stride) {
+  const geo::CellGrid grid(geo::LocalProjection(origin), 800.0);
+  const std::vector<Trace> background(population.traces().begin(),
+                                      population.traces().end());
+  const auto pool = std::make_shared<DonorPool>(background, grid);
+  std::size_t finite = 0;
+  for (const auto& params : kHmcParams) {
+    const HeatmapConfusion hmc(grid, pool, params.hot_coverage,
+                               params.max_mapped_cells, params.budget_m);
+    for (std::size_t u = 0; u < pool->entries().size(); u += stride) {
+      const auto& owner = pool->entries()[u];
+      const auto cells = owner.heatmap.ranked_cells();
+      const double total = owner.heatmap.total();
+      for (const auto& donor : pool->entries()) {
+        const double cost = hmc.relocation_cost(cells, total, donor);
+        const double bound = hmc.relocation_lower_bound(cells, total, donor);
+        ASSERT_LE(bound, cost) << owner.user << " <- " << donor.user;
+        if (std::isinf(cost)) {
+          EXPECT_EQ(bound, cost);
+          continue;
+        }
+        ASSERT_GE(bound, cost * 0.999 - 1e-5)
+            << owner.user << " <- " << donor.user;
+        ++finite;
+      }
+    }
+  }
+  EXPECT_GT(finite, 0u);
+}
+
+TEST(HmcDonorScan, LowerBoundNeverExceedsCostOnPrivamovSizedPool) {
+  auto params = simulation::preset_params("privamov", 0.05, 11);
+  params.days = 4;
+  expect_bound_below_cost(simulation::generate(params), params.city_center,
+                          1);
+}
+
+TEST(HmcDonorScan, LowerBoundNeverExceedsCostOnCabspottingSizedPool) {
+  auto params = simulation::preset_params("cabspotting", 0.05, 12);
+  params.days = 3;
+  expect_bound_below_cost(simulation::generate(params), params.city_center,
+                          9);
 }
 
 /// Hand-built pools: every record sits in a chosen cell of a grid anchored

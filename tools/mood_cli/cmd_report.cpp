@@ -39,7 +39,7 @@ std::string source_label(const std::string& path) {
 }  // namespace
 
 int cmd_report(int argc, const char* const* argv, std::ostream& out,
-               std::ostream& err) {
+               std::ostream& /*err*/) {
   support::FlagSet flags(
       "mood report <result.json>...",
       "Aggregate mood result documents into a cross-run comparison, one\n"
