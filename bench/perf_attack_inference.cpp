@@ -1,24 +1,8 @@
-// Perf bench for the attack-inference hot path: times the targeted
-// re-identification query per attack and the end-to-end evaluate_mood_full
-// pipeline through the linear branch-and-bound scans (the reference
-// oracle) and the population index (the production path), verifying
-// decision-for-decision agreement.
+// Population-scaling sweep of the attack-inference hot path:
 //
-//   ./perf_attack_inference [--datasets=cabspotting] [--scale=0.25]
-//                           [--seed=7] [--repetitions=3] [--skip-full]
-//                           [--json=perf.json]
-//
-// Defaults to cabspotting — the paper's largest population (531 users),
-// where the O(users x cells) scans dominate and pruning is the production
-// story. --json writes one "mood-bench/1" document; with multiple
-// --datasets the document covers the last one. (The committed
-// BENCH_pr3.json predates this layout's current meaning: its "reference"
-// is the since-deleted pre-optimization hash-map scan path.)
-//
-// Population-scaling sweep (the PR 6 sublinearity evidence):
-//
-//   ./perf_attack_inference --sweep [--sweep-users=1000,2500,5000,10000]
-//                           [--datasets=city-small] [--json=sweep.json]
+//   ./perf_attack_inference [--sweep-users=1000,2500,5000,10000]
+//                           [--datasets=city-small] [--scale=0.25]
+//                           [--seed=7] [--json=sweep.json]
 //
 // For each population size, replays every targeted query through the
 // linear scans and through the index, checks the decisions match, and
@@ -36,7 +20,6 @@
 #include <vector>
 
 #include "attacks/attack.h"
-#include "core/inference_bench.h"
 #include "experiment_common.h"
 #include "report/report.h"
 
@@ -224,70 +207,16 @@ int run_population_sweep(const bench::BenchContext& ctx,
 int main(int argc, char** argv) {
   using namespace mood;
   const support::Options options(argc, argv);
-  bench::BenchContext ctx = bench::parse_context(argc, argv);
-  const std::string json_path = options.get_string("json", "");
-
-  if (options.get_bool("sweep", false)) {
-    const std::string preset = options.get_string("datasets", "").empty()
-                                   ? "city-small"
-                                   : ctx.datasets.front();
-    const auto sizes = parse_sizes(
-        options.get_string("sweep-users", "1000,2500,5000,10000"));
-    if (sizes.empty()) {
-      std::fprintf(stderr, "--sweep-users must name at least one size\n");
-      return 2;
-    }
-    return run_population_sweep(ctx, preset, sizes, json_path);
-  }
-
-  if (options.get_string("datasets", "").empty()) {
-    ctx.datasets = {"cabspotting"};  // scan-bound by population size
-  }
-  const std::int64_t repetitions = options.get_int("repetitions", 3);
-  if (repetitions <= 0) {
-    std::fprintf(stderr, "--repetitions must be positive\n");
+  const bench::BenchContext ctx = bench::parse_context(argc, argv);
+  const std::string preset = options.get_string("datasets", "").empty()
+                                 ? "city-small"
+                                 : ctx.datasets.front();
+  const auto sizes =
+      parse_sizes(options.get_string("sweep-users", "1000,2500,5000,10000"));
+  if (sizes.empty()) {
+    std::fprintf(stderr, "--sweep-users must name at least one size\n");
     return 2;
   }
-  core::InferenceBenchOptions bench_options;
-  bench_options.repetitions = static_cast<std::size_t>(repetitions);
-  bench_options.run_full = !options.get_bool("skip-full", false);
-
-  bool all_ok = true;
-  for (const auto& preset : ctx.datasets) {
-    bench::print_header("attack inference: " + preset);
-    const auto dataset =
-        simulation::make_preset_dataset(preset, ctx.scale, ctx.seed);
-    const core::ExperimentHarness harness(dataset, ctx.config, ctx.seed);
-    std::printf("%zu active users, %zu test records\n",
-                harness.pairs().size(), harness.total_test_records());
-
-    const auto cases = core::run_inference_bench(harness, bench_options);
-    std::printf("%-24s %8s %12s %12s %8s %8s %s\n", "benchmark", "queries",
-                "reference_s", "optimized_s", "speedup", "prune", "agree");
-    for (const auto& benchmark : cases) {
-      std::printf("%-24s %8zu %12.3f %12.3f %7.1fx %7.1f%% %s\n",
-                  benchmark.name.c_str(), benchmark.queries,
-                  benchmark.reference_seconds, benchmark.optimized_seconds,
-                  benchmark.speedup(), 100.0 * benchmark.prune_rate(),
-                  benchmark.agreement ? "yes" : "NO");
-      if (!benchmark.agreement) {
-        std::printf("  MISMATCH: %s\n", benchmark.mismatch.c_str());
-        all_ok = false;
-      }
-    }
-
-    if (!json_path.empty()) {
-      report::RunMetadata meta;
-      meta.tool = "perf_attack_inference";
-      meta.dataset = dataset.name();
-      meta.seed = ctx.seed;
-      report::Json dataset_doc = report::dataset_summary(dataset);
-      dataset_doc["active_users"] = harness.pairs().size();
-      report::write_json_file(
-          json_path,
-          report::make_bench_report(meta, std::move(dataset_doc), cases));
-      std::printf("wrote %s\n", json_path.c_str());
-    }
-  }
-  return all_ok ? 0 : 1;
+  return run_population_sweep(ctx, preset, sizes,
+                              options.get_string("json", ""));
 }

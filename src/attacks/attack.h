@@ -21,8 +21,8 @@ namespace mood::attacks {
 
 /// Which machinery serves re-identification queries. Both modes answer
 /// every query with the *same decision* — the scans exist so the index
-/// can be validated against them (inference_bench, replay verification,
-/// CI gates), never to trade accuracy for speed.
+/// can be validated against them (the tier-1 equivalence tests, replay
+/// verification), never to trade accuracy for speed.
 enum class QueryMode {
   /// Flat compiled profiles + linear branch-and-bound scans
   /// (bounded_scan.h) — prices candidates in training order, pruning with

@@ -31,7 +31,8 @@
 /// lower_bound <= exact is guaranteed as *computed* values (summaries.h
 /// admissibility contract). First-strict-min tie-breaking is therefore
 /// bit-identical to scan_argmin / scan_is_first_argmin, which the replay
-/// verification gate and `mood bench` enforce end to end.
+/// verification gate and BoundedScanEquivalence's pruning-population
+/// tests enforce end to end.
 ///
 /// build() snapshots summaries of the population vector it is given and
 /// keeps a pointer to it: the vector must stay alive, in place and

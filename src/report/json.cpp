@@ -84,6 +84,35 @@ void append_double(std::string& out, double value) {
   }
 }
 
+/// Whether `token` is an RFC 8259 number,
+/// -? (0 | [1-9][0-9]*) (\.[0-9]+)? ([eE][+-]?[0-9]+)?
+/// (std::from_chars alone also takes "01", ".5" and "1.").
+bool is_json_number(std::string_view token) {
+  std::size_t i = 0;
+  const auto at = [&](char c) { return i < token.size() && token[i] == c; };
+  const auto digits = [&] {
+    const std::size_t from = i;
+    while (i < token.size() && token[i] >= '0' && token[i] <= '9') ++i;
+    return i > from;
+  };
+  if (at('-')) ++i;
+  if (at('0')) {
+    ++i;
+  } else if (!digits()) {
+    return false;
+  }
+  if (at('.')) {
+    ++i;
+    if (!digits()) return false;
+  }
+  if (at('e') || at('E')) {
+    ++i;
+    if (at('+') || at('-')) ++i;
+    if (!digits()) return false;
+  }
+  return i == token.size();
+}
+
 /// Strict RFC 8259 recursive-descent parser over a string_view.
 class Parser {
  public:
@@ -284,7 +313,10 @@ class Parser {
       }
     }
     const std::string_view token = text_.substr(start, pos_ - start);
-    if (token.empty() || token == "-") fail("invalid number");
+    if (!is_json_number(token)) {
+      pos_ = start;
+      fail("invalid number");
+    }
 
     const bool integral =
         token.find('.') == std::string_view::npos &&

@@ -209,57 +209,6 @@ Json make_report(const RunMetadata& meta, const core::ExperimentConfig& config,
   return document;
 }
 
-Json to_json(const core::InferenceBenchCase& result) {
-  Json object = Json::object();
-  object["name"] = result.name;
-  object["queries"] = result.queries;
-  object["reference_passes"] = result.reference_passes;
-  object["optimized_passes"] = result.optimized_passes;
-  object["reference_seconds"] = result.reference_seconds;
-  object["optimized_seconds"] = result.optimized_seconds;
-  object["speedup"] = result.speedup();
-  object["agreement"] = result.agreement;
-  object["mismatch"] = result.mismatch;
-  Json index = Json::object();
-  index["queries"] = result.index_queries;
-  index["candidates"] = result.index_candidates;
-  index["pruned_candidates"] = result.index_pruned;
-  index["exact_evaluations"] = result.index_exact_evals;
-  index["prune_rate"] = result.prune_rate();
-  index["exact_evaluations_per_query"] = result.exact_evals_per_query();
-  object["index"] = std::move(index);
-  return object;
-}
-
-Json make_bench_report(const RunMetadata& meta, Json dataset,
-                       const std::vector<core::InferenceBenchCase>& cases) {
-  Json document = Json::object();
-  document["schema"] = kBenchSchema;
-  document["meta"] = to_json(meta);
-  document["dataset"] = std::move(dataset);
-  document["agreement"] = core::all_agree(cases);
-  Json list = Json::array();
-  for (const auto& benchmark : cases) list.push_back(to_json(benchmark));
-  document["benchmarks"] = std::move(list);
-  return document;
-}
-
-std::vector<std::vector<std::string>> bench_summary_rows(
-    const std::vector<core::InferenceBenchCase>& cases) {
-  std::vector<std::vector<std::string>> rows;
-  rows.push_back({"benchmark", "queries", "reference_s", "optimized_s",
-                  "speedup", "prune", "agreement"});
-  for (const auto& benchmark : cases) {
-    rows.push_back({benchmark.name, std::to_string(benchmark.queries),
-                    fixed(benchmark.reference_seconds, 3),
-                    fixed(benchmark.optimized_seconds, 3),
-                    fixed(benchmark.speedup(), 1) + "x",
-                    fixed(100.0 * benchmark.prune_rate(), 1) + "%",
-                    benchmark.agreement ? "yes" : "NO"});
-  }
-  return rows;
-}
-
 Json to_json(const stream::UserDecision& decision) {
   Json object = Json::object();
   object["user"] = decision.user;
@@ -537,33 +486,6 @@ std::vector<std::vector<std::string>> stream_summary_rows(
       rows.push_back(
           {"backpressure_events", count(*resilience, "backpressure_events")});
     }
-  }
-  return rows;
-}
-
-std::vector<std::vector<std::string>> bench_summary_rows(
-    const Json& bench_document) {
-  std::vector<std::vector<std::string>> rows;
-  rows.push_back({"benchmark", "queries", "reference_s", "optimized_s",
-                  "speedup", "prune", "agreement"});
-  const Json* benchmarks = bench_document.find("benchmarks");
-  if (benchmarks == nullptr || !benchmarks->is_array()) return rows;
-  for (const Json& benchmark : benchmarks->items()) {
-    const Json* index = benchmark.find("index");
-    rows.push_back(
-        {benchmark.string_or("name", "?"),
-         std::to_string(benchmark.int_or("queries", 0)),
-         fixed(benchmark.number_or("reference_seconds", 0.0), 3),
-         fixed(benchmark.number_or("optimized_seconds", 0.0), 3),
-         fixed(benchmark.number_or("speedup", 0.0), 1) + "x",
-         index != nullptr
-             ? fixed(100.0 * index->number_or("prune_rate", 0.0), 1) + "%"
-             : "-",
-         [&] {
-           const Json* agree = benchmark.find("agreement");
-           return agree != nullptr && agree->is_bool() && agree->as_bool();
-         }() ? "yes"
-             : "NO"});
   }
   return rows;
 }

@@ -55,7 +55,6 @@
 #include <vector>
 
 #include "core/experiment.h"
-#include "core/inference_bench.h"
 #include "decision/mood_engine.h"
 #include "mobility/dataset.h"
 #include "report/json.h"
@@ -67,42 +66,6 @@ namespace mood::report {
 
 /// Identifier of the result-document layout produced by make_report().
 inline constexpr const char* kResultSchema = "mood-result/1";
-
-/// Identifier of the perf-benchmark layout produced by
-/// make_bench_report() (`mood bench`, bench/perf_attack_inference):
-///
-/// \verbatim
-/// {
-///   "schema": "mood-bench/1",
-///   "meta": { ... RunMetadata, as in mood-result/1 ... },
-///   "dataset": { ... dataset_summary() ... },
-///   "agreement": true,   // every case decided identically on both paths
-///   "benchmarks": [
-///     {
-///       "name": "ap-attack-reidentify",  // or "evaluate-mood-full"
-///       "queries": 531,
-///       "reference_passes": 3, "optimized_passes": 12,  // passes timed
-///       "reference_seconds": 0.31,   // per pass, linear-scan oracle (kScan)
-///       "optimized_seconds": 0.19,   // per pass, population index (kIndex)
-///       "speedup": 1.6,              // reference / optimized
-///       "agreement": true, "mismatch": "",
-///       "index": {                   // index work over the optimized passes
-///         "queries": 1593, "candidates": 846083,
-///         "pruned_candidates": 812000, "exact_evaluations": 31000,
-///         "prune_rate": 0.9597, "exact_evaluations_per_query": 19.5
-///       }
-///     }, ...
-///   ]
-/// }
-/// \endverbatim
-///
-/// Documents written before the pre-optimization hash-map scans were
-/// deleted used "reference_*" for those scans (so their speedups are
-/// against that path, not the linear-scan oracle), may lack "index"
-/// (`--index=off` runs), and may carry "scan_seconds"/"scan_passes" for
-/// the linear scans (`--index=ab` runs). `mood report` still renders
-/// them.
-inline constexpr const char* kBenchSchema = "mood-bench/1";
 
 /// Identifier of the online-gateway replay layout produced by
 /// make_stream_report() (`mood replay`):
@@ -238,19 +201,6 @@ Json dataset_summary(const mobility::Dataset& dataset);
 Json make_report(const RunMetadata& meta, const core::ExperimentConfig& config,
                  Json dataset, std::vector<Json> strategies);
 
-/// One A/B benchmark case (see kBenchSchema).
-Json to_json(const core::InferenceBenchCase& result);
-
-/// Assembles the versioned "mood-bench/1" document from its parts.
-Json make_bench_report(const RunMetadata& meta, Json dataset,
-                       const std::vector<core::InferenceBenchCase>& cases);
-
-/// One summary row per benchmark case (header first): name, queries,
-/// reference_s (scan oracle), optimized_s (index), speedup, prune,
-/// agreement.
-std::vector<std::vector<std::string>> bench_summary_rows(
-    const std::vector<core::InferenceBenchCase>& cases);
-
 /// Final gateway state of one user (see kStreamSchema's "per_user").
 Json to_json(const stream::UserDecision& decision);
 
@@ -281,13 +231,6 @@ std::vector<std::vector<std::string>> stream_summary_rows(
 /// document (`mood report` renders foreign stream files through this).
 std::vector<std::vector<std::string>> stream_summary_rows(
     const Json& stream_document);
-
-/// One summary row per benchmark case extracted from a mood-bench/1
-/// document (header first): name, queries, reference_s, optimized_s,
-/// speedup, prune ("-" for older documents without an index block),
-/// agreement.
-std::vector<std::vector<std::string>> bench_summary_rows(
-    const Json& bench_document);
 
 // ---- Domain -> CSV ---------------------------------------------------
 

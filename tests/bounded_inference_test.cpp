@@ -370,32 +370,86 @@ TEST(BoundedScanEquivalence, GeneratedPreset) {
       simulation::make_preset_dataset("privamov", 0.05, 11), 8);
 }
 
-TEST(BoundedScanEquivalence, PrunedIndexMatchesTheOracle) {
-  // Every other case trains fewer than kIndexMinPopulation users, where
-  // the indexes delegate to the scans. Past it, their lower bounds (POI
-  // and PIT cluster and profile bounds, AP posting bounds) actually skip
-  // candidates — and must still skip none the naive argmin would pick.
+/// An 80-user PrivaMov population: past kIndexMinPopulation, so the
+/// indexes' per-entry lower bounds (POI and PIT profile bounds, AP
+/// posting bounds) actually skip candidates. Every other case here
+/// trains fewer users, where the indexes delegate to the scans. The POI
+/// and PIT block bounds seldom decide here; index_test's
+/// IndexBlockBounds covers them.
+core::ExperimentHarness pruning_population() {
   auto params = simulation::preset_params("privamov", 0.05, 11);
   params.users = 80;
   core::ExperimentConfig config;
   config.min_records = 8;
-  const core::ExperimentHarness harness(simulation::generate(params), config,
-                                        7);
-  ASSERT_GE(harness.pairs().size(), attacks::kIndexMinPopulation);
-  std::vector<attacks::IndexStats> before;
+  return core::ExperimentHarness(simulation::generate(params), config, 7);
+}
+
+/// Each attack's index counters, in attacks() order.
+std::vector<attacks::IndexStats> index_stats_of(
+    const core::ExperimentHarness& harness) {
+  std::vector<attacks::IndexStats> stats;
   for (const auto& attack : harness.attacks()) {
-    before.push_back(attack->index_stats());
+    stats.push_back(attack->index_stats());
   }
-  const auto oracles = naive_oracles(harness);
-  for (const auto& pair : harness.pairs()) {
-    expect_oracle_agreement(harness, oracles, pair.test, pair.test.user());
-  }
+  return stats;
+}
+
+/// Fails unless every attack's index pruned some candidate since
+/// `before`: a pass that prunes nothing compares the scans with
+/// themselves.
+void expect_every_index_pruned(const core::ExperimentHarness& harness,
+                               const std::vector<attacks::IndexStats>& before) {
+  ASSERT_EQ(before.size(), harness.attacks().size());
   for (std::size_t a = 0; a < harness.attacks().size(); ++a) {
     const auto& attack = *harness.attacks()[a];
     EXPECT_GT(attack.index_stats().pruned_candidates,
               before[a].pruned_candidates)
         << attack.name() << " never pruned: the case tests nothing";
   }
+}
+
+TEST(BoundedScanEquivalence, PrunedIndexMatchesTheOracle) {
+  // Pruning must still skip no candidate the naive argmin would pick.
+  const auto harness = pruning_population();
+  ASSERT_GE(harness.pairs().size(), attacks::kIndexMinPopulation);
+  const auto before = index_stats_of(harness);
+  const auto oracles = naive_oracles(harness);
+  for (const auto& pair : harness.pairs()) {
+    expect_oracle_agreement(harness, oracles, pair.test, pair.test.user());
+  }
+  expect_every_index_pruned(harness, before);
+}
+
+TEST(BoundedScanEquivalence, EvaluateMoodFullIndexMatchesScan) {
+  // The whole Algorithm 1 pipeline (whole-trace searches, 24 h slicing,
+  // every targeted query they issue) must reach the same outcome, search
+  // cost included, through the index as through the scans.
+  const auto harness = pruning_population();
+  ASSERT_GE(harness.pairs().size(), attacks::kIndexMinPopulation);
+  harness.set_attack_query_mode(attacks::QueryMode::kScan);
+  const core::MoodResult scan = harness.evaluate_mood_full();
+  const auto before = index_stats_of(harness);
+  harness.set_attack_query_mode(attacks::QueryMode::kIndex);
+  const core::MoodResult index = harness.evaluate_mood_full();
+
+  ASSERT_EQ(scan.users.size(), index.users.size());
+  for (std::size_t i = 0; i < scan.users.size(); ++i) {
+    const auto& s = scan.users[i];
+    const auto& x = index.users[i];
+    ASSERT_EQ(s.user, x.user) << "user order differs at " << i;
+    EXPECT_EQ(s.level, x.level) << s.user;
+    EXPECT_EQ(s.winner, x.winner) << s.user;
+    EXPECT_EQ(s.records, x.records) << s.user;
+    EXPECT_EQ(s.lost_records, x.lost_records) << s.user;
+    EXPECT_EQ(s.subtraces, x.subtraces) << s.user;
+    EXPECT_EQ(s.protected_subtraces, x.protected_subtraces) << s.user;
+    EXPECT_EQ(s.distortion, x.distortion) << s.user;
+    EXPECT_EQ(s.lppm_applications, x.lppm_applications) << s.user;
+    EXPECT_EQ(s.attack_invocations, x.attack_invocations) << s.user;
+  }
+  EXPECT_EQ(scan.data_loss(), index.data_loss());
+  EXPECT_EQ(scan.distortion_bands(), index.distortion_bands());
+  expect_every_index_pruned(harness, before);
 }
 
 TEST(BoundedScanEquivalence, ObfuscatedTraces) {

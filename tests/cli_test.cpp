@@ -182,14 +182,16 @@ TEST(CliReplay, RetiredRecheckFlagIsUnknown) {
       << result.err;
 }
 
-TEST(CliBench, RetiredIndexFlagIsUnknown) {
-  // With two query modes there is one comparison, index vs scan oracle,
-  // so `mood bench` no longer takes --index; it is rejected before any
-  // dataset is generated.
-  for (const char* retired : {"--index=ab", "--index=on", "--index=off"}) {
-    const auto result = run_cli({"bench", retired});
-    EXPECT_EQ(result.code, kExitUsage) << retired;
-    EXPECT_NE(result.err.find("--index"), std::string::npos) << retired;
+TEST(CliBench, RetiredSubcommandIsUnknown) {
+  // `mood bench` is gone: the index-vs-scan agreement it checked is a
+  // tier-1 test (BoundedScanEquivalence.EvaluateMoodFullIndexMatchesScan)
+  // and its timings are the gateway bench's attacks.* layers. It is an
+  // unknown command, flags or not.
+  for (const auto& result :
+       {run_cli({"bench"}), run_cli({"bench", "--preset=small"})}) {
+    EXPECT_EQ(result.code, kExitUsage);
+    EXPECT_NE(result.err.find("unknown command 'bench'"), std::string::npos)
+        << result.err;
   }
 }
 
@@ -388,27 +390,10 @@ TEST(CliReport, BadFormatIsUsageError) {
   EXPECT_EQ(run_cli({"report", "x.json", "--format=xml"}).code, kExitUsage);
 }
 
-TEST(CliReport, DispatchesBenchAndStreamSchemas) {
+TEST(CliReport, DispatchesStreamAndRejectsRetiredBenchSchema) {
   const std::string dir = ::testing::TempDir();
   const std::string bench_path = dir + "mood_cli_test_bench.json";
   const std::string stream_path = dir + "mood_cli_test_stream.json";
-
-  report::Json bench = report::Json::object();
-  bench["schema"] = "mood-bench/1";
-  report::Json bench_meta = report::Json::object();
-  bench_meta["dataset"] = "smoke";
-  bench["meta"] = std::move(bench_meta);
-  report::Json cases = report::Json::array();
-  report::Json one = report::Json::object();
-  one["name"] = "ap-attack-reidentify";
-  one["queries"] = 42;
-  one["reference_seconds"] = 1.5;
-  one["optimized_seconds"] = 0.1;
-  one["speedup"] = 15.0;
-  one["agreement"] = true;
-  cases.push_back(std::move(one));
-  bench["benchmarks"] = std::move(cases);
-  report::write_json_file(bench_path, bench);
 
   report::Json stream = report::Json::object();
   stream["schema"] = "mood-stream/1";
@@ -425,27 +410,38 @@ TEST(CliReport, DispatchesBenchAndStreamSchemas) {
   report::write_json_file(stream_path, stream);
 
   // Table format renders one schema-appropriate block per file.
-  const auto table = run_cli({"report", bench_path, stream_path});
+  const auto table = run_cli({"report", stream_path});
   ASSERT_EQ(table.code, kExitOk) << table.err;
-  EXPECT_NE(table.out.find("ap-attack-reidentify"), std::string::npos);
-  EXPECT_NE(table.out.find("mood-bench/1"), std::string::npos);
   EXPECT_NE(table.out.find("events_per_second"), std::string::npos);
   EXPECT_NE(table.out.find("mood-stream/1"), std::string::npos);
   // An older document's micro-batch count still renders.
   EXPECT_NE(table.out.find("batches"), std::string::npos);
 
   // JSON merging accepts any known schema.
-  const auto merged = run_cli({"report", bench_path, stream_path,
-                               "--format=json"});
+  const auto merged = run_cli({"report", stream_path, "--format=json"});
   ASSERT_EQ(merged.code, kExitOk) << merged.err;
   const report::Json doc = report::Json::parse(merged.out);
   EXPECT_EQ(doc.string_or("schema", ""), "mood-report/1");
-  EXPECT_EQ(doc.find("runs")->size(), 2u);
+  EXPECT_EQ(doc.find("runs")->size(), 1u);
 
   // CSV output stays a uniform row shape: non-result schemas are a typed
   // usage error, not silently mangled rows.
   EXPECT_EQ(run_cli({"report", stream_path, "--format=csv"}).code,
             kExitUsage);
+
+  // The retired perf-bench layout is an unsupported schema, named in
+  // the error, in every format.
+  report::Json bench = report::Json::object();
+  bench["schema"] = "mood-bench/1";
+  bench["benchmarks"] = report::Json::array();
+  report::write_json_file(bench_path, bench);
+  for (const auto& result :
+       {run_cli({"report", bench_path}),
+        run_cli({"report", stream_path, bench_path, "--format=json"})}) {
+    EXPECT_EQ(result.code, kExitUsage);
+    EXPECT_NE(result.err.find("mood-bench/1"), std::string::npos)
+        << result.err;
+  }
 }
 
 TEST(CliReport, UnknownSchemaIsUsageError) {

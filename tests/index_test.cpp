@@ -3,8 +3,9 @@
 // posting index): fuzzes the summaries.h admissibility contract over
 // random, adversarially tied, single-cell, disjoint and apply_update-edited
 // profiles, asserts index-vs-scan decision identity on populations with
-// duplicates, ties and empty profiles, and checks that concurrent AP
-// queries answer and count exactly as a serial run.
+// duplicates, ties and empty profiles and on one whose training-order
+// blocks are compact enough for the block bounds to decide, and checks
+// that concurrent AP queries answer and count exactly as a serial run.
 
 #include <gtest/gtest.h>
 
@@ -571,6 +572,99 @@ TEST_P(IndexDecisionIdentity, RetrainRebuildsThePostingsAndPreservesDecisions) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, IndexDecisionIdentity,
                          ::testing::Values(3, 11, 2026));
+
+// --------------------------------------------- block bounds that decide --
+
+/// A trace dwelling at 1-3 hotspots within 1.5 km of `center`.
+Trace district_trace(RngStream& rng, const std::string& user,
+                     const GeoPoint& center) {
+  std::vector<Record> records;
+  Timestamp t = 0;
+  for (std::size_t h = 1 + rng.uniform_index(3); h > 0; --h) {
+    const GeoPoint p = geo::destination(
+        center, rng.uniform(0.0, 2.0 * geo::kPi), rng.uniform(0.0, 1500.0));
+    for (int visit = 0; visit < 2; ++visit) {
+      for (const auto& r : testing::dwell(p, t, 15)) records.push_back(r);
+      t += 16 * mobility::kHour;
+    }
+  }
+  return Trace(user, std::move(records));
+}
+
+/// Indexes `background` (compiled by `compile`) and checks every query
+/// against the linear scans for every owner.
+template <typename Traits, typename Compile, typename Exact, typename Bounded>
+void expect_block_bounds_keep_decisions(const Traits& traits,
+                                        const std::vector<Trace>& background,
+                                        const std::vector<Trace>& queries,
+                                        const Compile& compile,
+                                        const Exact& exact,
+                                        const Bounded& bounded) {
+  using Profile = typename Traits::Profile;
+  std::vector<std::pair<mobility::UserId, Profile>> population;
+  for (const auto& trace : background) {
+    population.emplace_back(trace.user(), compile(trace));
+  }
+  attacks::PopulationIndex<Traits> index(traits);
+  index.build(population);
+  for (const auto& trace : queries) {
+    const Profile query = compile(trace);
+    expect_index_matches_scan(
+        index, population, query,
+        [&](const Profile& p) { return exact(query, p); },
+        [&](const Profile& p, double bound) {
+          return bounded(query, p, bound);
+        });
+  }
+  EXPECT_GT(index.stats().pruned_candidates, 0u);
+}
+
+TEST(IndexBlockBounds, CompactBlocksKeepDecisions) {
+  // Generated populations train users in an order unrelated to place, so
+  // each kIndexClusterSize-block's covering ball spans the city and its
+  // cluster_lower_bound is ~0: it almost never decides a query. Here the
+  // first block lives in one district and the rest 8 km east, and the
+  // queries lie between the two, so a block's bound often falls within a
+  // factor of 2 of the running best or the owner's distance. A block
+  // bound above the true distances would skip a block holding a better
+  // candidate and change the answer.
+  RngStream rng(11);
+  const GeoPoint east = geo::destination(kCity, geo::kPi / 2.0, 8000.0);
+  std::vector<Trace> background;
+  for (std::size_t u = 0; u < attacks::kIndexClusterSize + 16; ++u) {
+    background.push_back(
+        district_trace(rng, "u" + std::to_string(u),
+                       u < attacks::kIndexClusterSize ? kCity : east));
+  }
+  std::vector<Trace> queries;
+  for (int q = 0; q < 24; ++q) {
+    queries.push_back(district_trace(
+        rng, "q",
+        geo::destination(kCity, geo::kPi / 2.0, rng.uniform(1500.0, 6500.0))));
+  }
+  expect_block_bounds_keep_decisions(
+      attacks::PoiIndexTraits{}, background, queries,
+      [](const Trace& trace) {
+        return profiles::CompiledPoiProfile::incremental(trace);
+      },
+      [](const auto& a, const auto& b) {
+        return profiles::poi_profile_distance(a, b);
+      },
+      [](const auto& a, const auto& b, double bound) {
+        return profiles::poi_profile_distance_bounded(a, b, bound);
+      });
+  expect_block_bounds_keep_decisions(
+      attacks::PitIndexTraits{1000.0}, background, queries,
+      [](const Trace& trace) {
+        return profiles::CompiledMarkovProfile::incremental(trace);
+      },
+      [](const auto& a, const auto& b) {
+        return profiles::stats_prox_distance(a, b, 1000.0);
+      },
+      [](const auto& a, const auto& b, double bound) {
+        return profiles::stats_prox_distance_bounded(a, b, 1000.0, bound);
+      });
+}
 
 // ------------------------------------------- concurrent AP queries -------
 

@@ -3,8 +3,6 @@
 
 #include <gtest/gtest.h>
 
-#include <fstream>
-#include <iterator>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -15,12 +13,15 @@
 #include "support/csv.h"
 #include "support/error.h"
 #include "support/rng.h"
+#include "fuzz_helpers.h"
 #include "test_helpers.h"
 
 namespace mood::mobility {
 namespace {
 
 using testing::dwell;
+using testing::escaped;
+using testing::mutate;
 using testing::rec;
 using testing::trace_of;
 
@@ -386,72 +387,14 @@ TEST(Io, MissingFileThrows) {
 
 // ------------------------------------------------ CSV mutation fuzzing --
 
-/// The checked-in seed corpus of the CSV parsers (tests/data/csv).
-std::vector<std::string> csv_seed_corpus() {
-  std::vector<std::string> corpus;
-  for (const char* name :
-       {"dataset.csv", "dataset_crlf_quoted.csv", "fields.csv"}) {
-    std::ifstream in(std::string(MOOD_TEST_DATA_DIR) + "/csv/" + name,
-                     std::ios::binary);
-    corpus.emplace_back(std::istreambuf_iterator<char>(in),
-                        std::istreambuf_iterator<char>());
-    EXPECT_FALSE(corpus.back().empty()) << "missing seed " << name;
-  }
-  return corpus;
-}
-
-/// One seeded mutation of a corpus entry: flips 1-8 bits, truncates at a
-/// random length, or splices a random run of another entry over a random
-/// run of this one.
-std::string mutate(const std::vector<std::string>& corpus,
-                   support::RngStream& rng) {
-  std::string input = corpus[rng.uniform_index(corpus.size())];
-  const auto run_of = [&](const std::string& s) {
-    const std::size_t at = rng.uniform_index(s.size() + 1);
-    return std::pair(at, rng.uniform_index(s.size() - at + 1));
-  };
-  switch (rng.uniform_index(3)) {
-    case 0:
-      for (std::size_t n = 1 + rng.uniform_index(8); n > 0; --n) {
-        input[rng.uniform_index(input.size())] ^=
-            static_cast<char>(1u << rng.uniform_index(8));
-      }
-      break;
-    case 1:
-      input.resize(rng.uniform_index(input.size() + 1));
-      break;
-    default: {
-      const std::string& donor = corpus[rng.uniform_index(corpus.size())];
-      const auto [from, length] = run_of(donor);
-      const auto [at, replaced] = run_of(input);
-      input.replace(at, replaced, donor, from, length);
-    }
-  }
-  return input;
-}
-
-/// Printable form of a failing input for the test log.
-std::string escaped(const std::string& input) {
-  std::string out;
-  for (const unsigned char c : input) {
-    if (c >= 0x20 && c < 0x7f && c != '\\') {
-      out.push_back(static_cast<char>(c));
-    } else {
-      static const char* kHex = "0123456789abcdef";
-      out += "\\x";
-      out.push_back(kHex[c >> 4]);
-      out.push_back(kHex[c & 15]);
-    }
-  }
-  return out;
-}
-
 TEST(CsvFuzz, MutatedInputsParseOrThrowIoError) {
   // A fixed budget of seeded mutations: every input, and every line of it,
   // must either parse or throw the typed IoError — never another
   // exception, a crash or a hang. A failing input is printed escaped, to
   // be pinned as a regression case.
-  const auto corpus = csv_seed_corpus();
+  const auto corpus = testing::seed_corpus(
+      std::string(MOOD_TEST_DATA_DIR) + "/csv",
+      {"dataset.csv", "dataset_crlf_quoted.csv", "fields.csv"});
   ASSERT_EQ(corpus.size(), 3u);
   support::RngStream rng(2026);
   std::size_t parsed_lines = 0;

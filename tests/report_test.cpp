@@ -17,6 +17,8 @@
 #include "report/table.h"
 #include "support/csv.h"
 #include "support/error.h"
+#include "support/rng.h"
+#include "fuzz_helpers.h"
 
 namespace mood::report {
 namespace {
@@ -108,6 +110,19 @@ TEST(Json, ParseErrors) {
   EXPECT_THROW(Json::parse("\"\\x\""), support::IoError);
   EXPECT_THROW(Json::parse("\"\\ud83d\""), support::IoError);  // lone surrogate
   EXPECT_THROW(Json::parse("{\"a\" 1}"), support::IoError);
+  // Numbers outside RFC 8259's grammar, though std::from_chars takes most:
+  // leading zeros, no integer part, no fraction or exponent digits.
+  for (const char* number :
+       {"01", "-01", "00", ".5", "-.5", "1.", "1.e5", "1e", "1e+", "--1"}) {
+    try {
+      (void)Json::parse(number);
+      ADD_FAILURE() << number << " was accepted";
+    } catch (const support::IoError& e) {
+      EXPECT_NE(std::string(e.what()).find("invalid number at byte 0"),
+                std::string::npos)
+          << number << ": " << e.what();
+    }
+  }
 }
 
 TEST(Json, ParseRejectsNestingPastTheDepthCap) {
@@ -147,6 +162,11 @@ TEST(Json, ParseNumbers) {
   EXPECT_EQ(Json::parse("42").as_int(), 42);
   EXPECT_EQ(Json::parse("-13").as_int(), -13);
   EXPECT_DOUBLE_EQ(Json::parse("2.5e3").as_double(), 2500.0);
+  EXPECT_EQ(Json::parse("0").as_int(), 0);
+  EXPECT_EQ(Json::parse("-0").as_int(), 0);
+  EXPECT_DOUBLE_EQ(Json::parse("0.5").as_double(), 0.5);
+  EXPECT_DOUBLE_EQ(Json::parse("1E+2").as_double(), 100.0);
+  EXPECT_DOUBLE_EQ(Json::parse("1.5e-3").as_double(), 0.0015);
   // Integer overflow degrades to double instead of failing.
   const Json big = Json::parse("123456789012345678901234567890");
   EXPECT_TRUE(big.is_number());
@@ -194,6 +214,40 @@ TEST(Json, AsIntRejectsOutOfRangeDoubles) {
                support::PreconditionError);
   EXPECT_THROW(static_cast<void>(Json(-1e300).as_int()),
                support::PreconditionError);
+}
+
+TEST(JsonFuzz, MutatedDocumentsParseOrThrowIoError) {
+  // A fixed budget of seeded mutations of a corpus covering every token
+  // kind: each input must parse or throw the typed IoError — never
+  // another exception, a crash or a hang — and every accepted document
+  // must re-parse from its own dump() to an equal value. A failing input
+  // is printed escaped, to be pinned as a regression case.
+  const auto corpus = testing::seed_corpus(
+      std::string(MOOD_TEST_DATA_DIR) + "/json",
+      {"nested.json", "strings.json", "numbers.json"});
+  ASSERT_EQ(corpus.size(), 3u);
+  for (const auto& seed : corpus) {
+    EXPECT_NO_THROW((void)Json::parse(seed)) << testing::escaped(seed);
+  }
+  support::RngStream rng(2026);
+  std::size_t accepted = 0;
+  for (int iteration = 0; iteration < 4000; ++iteration) {
+    const std::string input = testing::mutate(corpus, rng);
+    try {
+      const Json document = Json::parse(input);
+      ++accepted;
+      EXPECT_EQ(Json::parse(document.dump()), document)
+          << "\"" << testing::escaped(input) << "\" (iteration " << iteration
+          << ")";
+    } catch (const support::IoError&) {
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << "Json::parse threw " << e.what() << " on \""
+                    << testing::escaped(input) << "\" (iteration "
+                    << iteration << ")";
+    }
+  }
+  // Not vacuous: mutations also leave documents the parser accepts.
+  EXPECT_GT(accepted, 100u);
 }
 
 // -------------------------------------------------------- serializers --

@@ -18,7 +18,6 @@ Commands:
   simulate   generate a synthetic mobility dataset (CSV) from a preset
   evaluate   run protection strategies over a dataset and emit result JSON
   report     aggregate and compare result JSON files across runs
-  bench      benchmark attack inference (reference vs optimized) to JSON
   replay     replay a dataset through the online gateway, measure it
   metrics    render a metrics exposition or stream JSON as a table
 
@@ -47,7 +46,6 @@ int run(int argc, const char* const* argv, std::ostream& out,
     if (command == "simulate") return cmd_simulate(sub_argc, sub_argv, out, err);
     if (command == "evaluate") return cmd_evaluate(sub_argc, sub_argv, out, err);
     if (command == "report") return cmd_report(sub_argc, sub_argv, out, err);
-    if (command == "bench") return cmd_bench(sub_argc, sub_argv, out, err);
     if (command == "replay") return cmd_replay(sub_argc, sub_argv, out, err);
     if (command == "metrics") return cmd_metrics(sub_argc, sub_argv, out, err);
     err << "mood: unknown command '" << command << "'\n\n" << kTopLevelHelp;

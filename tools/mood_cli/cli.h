@@ -8,7 +8,6 @@
 ///   mood simulate --preset=privamov --scale=0.1 --out=city.csv
 ///   mood evaluate --input=city.csv --strategies=hybrid --out=result.json
 ///   mood report result.json other-run.json
-///   mood bench --preset=small --out=bench.json
 ///   mood replay --preset=small --shards=8 --out=stream.json
 ///
 /// Everything lives behind run() — a pure function of argv and two output
@@ -42,8 +41,6 @@ int cmd_evaluate(int argc, const char* const* argv, std::ostream& out,
                  std::ostream& err);
 int cmd_report(int argc, const char* const* argv, std::ostream& out,
                std::ostream& err);
-int cmd_bench(int argc, const char* const* argv, std::ostream& out,
-              std::ostream& err);
 int cmd_replay(int argc, const char* const* argv, std::ostream& out,
                std::ostream& err);
 int cmd_metrics(int argc, const char* const* argv, std::ostream& out,

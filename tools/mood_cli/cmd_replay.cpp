@@ -46,8 +46,8 @@ namespace mood::cli {
 
 namespace {
 
-/// "small" is the same smoke population `mood bench` uses: PrivaMov-shaped,
-/// cut down to CI size, with an 8-record active-user floor.
+/// "small" is the CI smoke population: PrivaMov-shaped, cut down to 20
+/// users, with an 8-record active-user floor.
 mobility::Dataset make_replay_dataset(const std::string& preset, double scale,
                                       std::int64_t users, std::int64_t days,
                                       std::uint64_t seed) {

@@ -3,10 +3,10 @@
 // JSON document for further tooling.
 //
 // Inputs are dispatched on their top-level "schema": mood-result/1 rows
-// feed the cross-run strategy table; mood-bench/1 and mood-stream/1
-// documents get their own schema-appropriate summary tables. Unknown
-// schemas are a typed UsageError (exit 2), not a silent misread; CSV
-// output is restricted to mood-result/1 inputs (one uniform row shape).
+// feed the cross-run strategy table; mood-stream/1 documents get their
+// own summary table. Unknown schemas, the retired mood-bench/1 among
+// them, are a typed UsageError (exit 2), not a silent misread; CSV output
+// is restricted to mood-result/1 inputs (one uniform row shape).
 
 #include <ostream>
 #include <string>
@@ -43,9 +43,9 @@ int cmd_report(int argc, const char* const* argv, std::ostream& out,
   support::FlagSet flags(
       "mood report <result.json>...",
       "Aggregate mood result documents into a cross-run comparison, one\n"
-      "row per (run, strategy). mood-bench/1 and mood-stream/1 documents\n"
-      "(from `mood bench` / `mood replay`) are summarised with their own\n"
-      "schema-appropriate tables; unknown schemas are rejected.");
+      "row per (run, strategy). mood-stream/1 documents (from `mood\n"
+      "replay`) are summarised with their own table; unknown schemas are\n"
+      "rejected.");
   flags.add_string("format", "table", "output format: table, csv or json");
   flags.parse(argc, argv);
   if (flags.get_bool("help")) {
@@ -83,8 +83,7 @@ int cmd_report(int argc, const char* const* argv, std::ostream& out,
         row.insert(row.end(), file_rows[i].begin(), file_rows[i].end());
         rows.push_back(std::move(row));
       }
-    } else if (schema == report::kBenchSchema ||
-               schema == report::kStreamSchema) {
+    } else if (schema == report::kStreamSchema) {
       if (format == "csv") {
         throw support::UsageError(
             "mood report: " + path + " has schema '" + schema +
@@ -97,14 +96,12 @@ int cmd_report(int argc, const char* const* argv, std::ostream& out,
               : "?";
       extra_tables.emplace_back(
           source_label(path) + " [" + schema + ", " + dataset + "]",
-          schema == report::kBenchSchema
-              ? report::bench_summary_rows(document)
-              : report::stream_summary_rows(document));
+          report::stream_summary_rows(document));
     } else {
       throw support::UsageError(
           "mood report: " + path + " has unsupported schema '" + schema +
-          "' (expected " + report::kResultSchema + ", " +
-          report::kBenchSchema + " or " + report::kStreamSchema + ")");
+          "' (expected " + report::kResultSchema + " or " +
+          report::kStreamSchema + ")");
     }
     report::Json entry = report::Json::object();
     entry["source"] = path;
