@@ -14,6 +14,7 @@
 #include "lppm/geo_ind.h"
 #include "lppm/heatmap_confusion.h"
 #include "lppm/trilateration.h"
+#include "profiles/heatmap.h"
 #include "simulation/generator.h"
 #include "support/rng.h"
 
@@ -106,6 +107,33 @@ void BM_HMC_Apply(benchmark::State& state) {
 BENCHMARK(BM_HMC_Apply)
     ->ArgNames({"records_per_day", "donors"})
     ->ArgsProduct({{100, 400}, {24, 531}});
+
+/// Compiling the heatmap of an LPPM output, as the AP attack does for
+/// every candidate the search prices: GeoI and TRL scatter consecutive
+/// records over cells, so runs are short and the cells few (range(0) =
+/// records per user per day).
+void BM_CompileHeatmap(benchmark::State& state, const lppm::Lppm* lppm) {
+  const auto trace = bench_trace(static_cast<std::size_t>(state.range(0)));
+  const auto output = lppm->apply(trace, support::RngStream(1));
+  const geo::CellGrid grid(geo::LocalProjection(trace.front().position),
+                           800.0);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        profiles::CompiledHeatmap::from_trace(output, grid));
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(output.size()));
+}
+const lppm::GeoIndistinguishability kGeoI(0.01);
+const lppm::Trilateration kTrl(1000.0);
+BENCHMARK_CAPTURE(BM_CompileHeatmap, GeoI, &kGeoI)
+    ->Arg(100)
+    ->Arg(400)
+    ->Arg(1600);
+BENCHMARK_CAPTURE(BM_CompileHeatmap, TRL, &kTrl)
+    ->Arg(100)
+    ->Arg(400)
+    ->Arg(1600);
 
 void BM_Composition_Apply(benchmark::State& state) {
   const auto trace = bench_trace(400);

@@ -11,7 +11,8 @@
 // evaluations per query growing sublinearly in the trained population is
 // the acceptance criterion.
 //
-// Exits non-zero if the paths ever disagree.
+// Exits 1 if the paths ever disagree, 2 if a sweep size leaves the
+// harness no active users (e.g. --sweep-users=200 --scale=0.05).
 
 #include <chrono>
 #include <cstdio>
@@ -22,6 +23,7 @@
 #include "attacks/attack.h"
 #include "experiment_common.h"
 #include "report/report.h"
+#include "support/error.h"
 
 namespace {
 
@@ -149,7 +151,17 @@ int run_population_sweep(const bench::BenchContext& ctx,
     }
     params.users = users;
     const auto dataset = simulation::generate(params);
-    const core::ExperimentHarness harness(dataset, ctx.config, ctx.seed);
+    std::optional<core::ExperimentHarness> built;
+    try {
+      built.emplace(dataset, ctx.config, ctx.seed);
+    } catch (const support::PreconditionError& error) {
+      std::fprintf(stderr,
+                   "sweep size %zu: cannot build the harness (%s); raise "
+                   "--scale or the size\n",
+                   users, error.what());
+      return 2;
+    }
+    const core::ExperimentHarness& harness = *built;
     std::printf("%zu active users, %zu test records\n",
                 harness.pairs().size(), harness.total_test_records());
     std::printf("%-18s %8s %10s %9s %9s %10s %8s %s\n", "attack", "queries",

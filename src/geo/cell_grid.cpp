@@ -27,7 +27,10 @@ GeoPoint CellGrid::cell_center(const CellIndex& c) const {
 }
 
 EnuPoint CellGrid::offset_within_cell(const GeoPoint& p) const {
-  const EnuPoint local = projection_.to_enu(p);
+  return offset_within_cell(projection_.to_enu(p));
+}
+
+EnuPoint CellGrid::offset_within_cell(const EnuPoint& local) const {
   const CellIndex c = cell_of(local);
   return EnuPoint{local.x - c.ix * cell_size_m_,
                   local.y - c.iy * cell_size_m_};

@@ -59,6 +59,10 @@ class CellGrid {
   /// south-west corner; both components lie in [0, cell_size_m).
   [[nodiscard]] EnuPoint offset_within_cell(const GeoPoint& p) const;
 
+  /// The same offset of an already projected point: a caller that needs
+  /// both cell_of(local) and the offset projects once.
+  [[nodiscard]] EnuPoint offset_within_cell(const EnuPoint& local) const;
+
   /// Geographic point at a given in-cell offset (inverse of the above).
   [[nodiscard]] GeoPoint point_in_cell(const CellIndex& c,
                                        const EnuPoint& offset) const;

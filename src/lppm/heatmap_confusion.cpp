@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <limits>
-#include <unordered_map>
+#include <utility>
 
 #include "profiles/summaries.h"
 #include "support/error.h"
@@ -104,13 +104,13 @@ double HeatmapConfusion::relocation_lower_bound(
 }
 
 HeatmapConfusion::UserPlan HeatmapConfusion::plan_for(
-    const profiles::Heatmap& user_map) const {
+    const std::vector<std::pair<geo::CellIndex, double>>& ranked,
+    double total) const {
   // The ranks relocation_cost walks: the loop bounds do not depend on the
   // donor, so the plan's masses and centres are computed once.
   UserPlan plan;
-  plan.total = user_map.total();
+  plan.total = total;
   if (plan.total <= 0.0) return plan;
-  const auto ranked = user_map.ranked_cells();
   double covered = 0.0;
   const double target = hot_coverage_ * plan.total;
   for (std::size_t rank = 0;
@@ -167,14 +167,19 @@ HeatmapConfusion::Choice HeatmapConfusion::cheapest_donor(
 
 const DonorPool::Entry* HeatmapConfusion::choose_donor(
     const profiles::Heatmap& user_map, const mobility::UserId& owner) const {
-  return cheapest_donor(plan_for(user_map), owner).donor;
+  return cheapest_donor(plan_for(user_map.ranked_cells(), user_map.total()),
+                        owner)
+      .donor;
 }
 
 mobility::Trace HeatmapConfusion::apply(const mobility::Trace& trace,
                                         support::RngStream /*rng*/) const {
   if (trace.empty()) return trace;
-  const auto user_map = profiles::Heatmap::from_trace(trace, grid_);
-  const UserPlan plan = plan_for(user_map);
+  // The user's cells hottest first, counted without a Heatmap: the same
+  // (cell, count) pairs in the same order as Heatmap::ranked_cells.
+  auto ranked = profiles::cell_counts(trace.records(), grid_);
+  profiles::rank_cells(ranked);
+  const UserPlan plan = plan_for(ranked, static_cast<double>(trace.size()));
   const Choice choice = cheapest_donor(plan, trace.user());
   if (choice.donor == nullptr) {
     return trace;  // degenerate pool: nothing to confuse with
@@ -186,27 +191,36 @@ mobility::Trace HeatmapConfusion::apply(const mobility::Trace& trace,
   if (choice.cost > distortion_budget_m_) return trace;
 
   // Execute the plan: align the user's hottest cells onto the donor's,
-  // rank by rank, up to the coverage target and the cell cap.
+  // rank by rank, up to the coverage target and the cell cap. At most
+  // max_mapped_cells entries, so a sorted vector beats a hash map.
   const auto& donor_ranked = choice.donor->ranked;
-  std::unordered_map<geo::CellIndex, geo::CellIndex, geo::CellIndexHash>
-      mapping;
+  std::vector<std::pair<geo::CellIndex, geo::CellIndex>> mapping;
+  mapping.reserve(plan.cells.size());
   for (std::size_t rank = 0; rank < plan.cells.size(); ++rank) {
-    mapping.emplace(plan.cells[rank],
-                    donor_ranked[rank % donor_ranked.size()].first);
+    mapping.emplace_back(plan.cells[rank],
+                         donor_ranked[rank % donor_ranked.size()].first);
   }
+  std::sort(mapping.begin(), mapping.end());
 
+  // One projection per record: its cell and its in-cell offset both come
+  // from the same local point.
   std::vector<mobility::Record> out;
   out.reserve(trace.size());
   for (const auto& record : trace.records()) {
-    const geo::CellIndex cell = grid_.cell_of(record.position);
-    const auto mapped = mapping.find(cell);
-    if (mapped == mapping.end()) {
+    const geo::EnuPoint local = grid_.projection().to_enu(record.position);
+    const geo::CellIndex cell = grid_.cell_of(local);
+    const auto mapped = std::lower_bound(
+        mapping.begin(), mapping.end(), cell,
+        [](const auto& entry, const geo::CellIndex& c) {
+          return entry.first < c;
+        });
+    if (mapped == mapping.end() || mapped->first != cell) {
       out.push_back(record);  // unmapped cell: residual leakage by design
       continue;
     }
-    const geo::EnuPoint offset = grid_.offset_within_cell(record.position);
-    out.push_back(mobility::Record{grid_.point_in_cell(mapped->second, offset),
-                                   record.time});
+    out.push_back(mobility::Record{
+        grid_.point_in_cell(mapped->second, grid_.offset_within_cell(local)),
+        record.time});
   }
   return mobility::Trace(trace.user(), std::move(out));
 }

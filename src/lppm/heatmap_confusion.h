@@ -96,7 +96,11 @@ class HeatmapConfusion final : public Lppm {
 
   /// The donor chosen for a heatmap (exposed for tests/analysis): the
   /// first non-self pool entry, in pool order, with minimal
-  /// relocation_cost. Returns nullptr if no eligible donor exists.
+  /// relocation_cost. Returns nullptr if no eligible donor exists. Plans
+  /// with plan_for(user_map.ranked_cells(), user_map.total()); apply()
+  /// feeds the same plan_for from profiles::cell_counts ranked by
+  /// profiles::rank_cells, the same cells in the same order, so both
+  /// choose the same donor at the same cost.
   ///
   /// Filter and refine, then branch-and-bound. Every term of both sums
   /// is non-negative, so partial sums only grow. Stage 1 sums a donor's
@@ -114,7 +118,8 @@ class HeatmapConfusion final : public Lppm {
 
  private:
   /// The donor-independent half of a plan: the user's hottest cells that
-  /// the coverage/cell budgets select, in rank order.
+  /// the coverage/cell budgets select, in rank order. Built only by
+  /// plan_for.
   struct UserPlan {
     double total = 0.0;  ///< user_total; <= 0 prices every donor at inf
     std::vector<geo::CellIndex> cells;
@@ -138,7 +143,14 @@ class HeatmapConfusion final : public Lppm {
       const std::vector<std::pair<geo::CellIndex, double>>& user_cells,
       double user_total, const DonorPool::Entry& donor, Term term) const;
 
-  [[nodiscard]] UserPlan plan_for(const profiles::Heatmap& user_map) const;
+  /// The one plan builder, for choose_donor and apply alike: walks
+  /// `ranked` (the user's (cell, count) pairs in profiles::rank_cells
+  /// order) under the coverage target and the cell cap, exactly as
+  /// relocation_cost does, and caches each planned rank's mass, centre
+  /// and unit vector. A `total` <= 0 gives an empty plan.
+  [[nodiscard]] UserPlan plan_for(
+      const std::vector<std::pair<geo::CellIndex, double>>& ranked,
+      double total) const;
   [[nodiscard]] Choice cheapest_donor(const UserPlan& plan,
                                       const mobility::UserId& owner) const;
 

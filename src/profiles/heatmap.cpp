@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 
 #include "support/error.h"
@@ -32,11 +33,114 @@ void Heatmap::add(const geo::CellIndex& cell, double count) {
 std::vector<std::pair<geo::CellIndex, double>> Heatmap::ranked_cells() const {
   std::vector<std::pair<geo::CellIndex, double>> cells(counts_.begin(),
                                                        counts_.end());
+  rank_cells(cells);
+  return cells;
+}
+
+void rank_cells(std::vector<std::pair<geo::CellIndex, double>>& cells) {
   std::sort(cells.begin(), cells.end(), [](const auto& a, const auto& b) {
     if (a.second != b.second) return a.second > b.second;
     return a.first < b.first;
   });
-  return cells;
+}
+
+namespace {
+
+/// Flat open-addressing cell -> count table with linear probing. A slot
+/// whose count is 0 is empty; `used_` lists the occupied slots, so
+/// reset() clears exactly what the last call touched.
+class CellCounter {
+ public:
+  /// Forgets the previous call's cells.
+  void reset() {
+    for (const std::uint32_t slot : used_) slots_[slot].count = 0;
+    used_.clear();
+  }
+
+  /// Adds `n` >= 1 visits to `cell`.
+  void add(const geo::CellIndex& cell, std::uint32_t n) {
+    if (2 * (used_.size() + 1) > slots_.size()) grow();
+    const std::size_t mask = slots_.size() - 1;
+    std::size_t slot = geo::CellIndexHash{}(cell) & mask;
+    while (slots_[slot].count != 0) {
+      if (slots_[slot].cell == cell) {
+        slots_[slot].count += n;
+        return;
+      }
+      slot = (slot + 1) & mask;
+    }
+    slots_[slot] = Slot{cell, n};
+    used_.push_back(static_cast<std::uint32_t>(slot));
+  }
+
+  /// The counted cells in ascending cell order.
+  [[nodiscard]] std::vector<std::pair<geo::CellIndex, double>> sorted()
+      const {
+    std::vector<std::pair<geo::CellIndex, double>> counts;
+    counts.reserve(used_.size());
+    for (const std::uint32_t slot : used_) {
+      counts.emplace_back(slots_[slot].cell,
+                          static_cast<double>(slots_[slot].count));
+    }
+    std::sort(counts.begin(), counts.end(),
+              [](const auto& a, const auto& b) { return a.first < b.first; });
+    return counts;
+  }
+
+ private:
+  static constexpr std::size_t kInitialSlots = 256;
+
+  struct Slot {
+    geo::CellIndex cell;
+    std::uint32_t count = 0;
+  };
+
+  /// Doubles the table (power-of-two sizes, load at most one half) and
+  /// re-probes every occupied slot into it.
+  void grow() {
+    std::vector<Slot> bigger(std::max(kInitialSlots, 2 * slots_.size()));
+    std::vector<std::uint32_t> moved;
+    moved.reserve(bigger.size() / 2);
+    const std::size_t mask = bigger.size() - 1;
+    for (const std::uint32_t old : used_) {
+      std::size_t slot = geo::CellIndexHash{}(slots_[old].cell) & mask;
+      while (bigger[slot].count != 0) slot = (slot + 1) & mask;
+      bigger[slot] = slots_[old];
+      moved.push_back(static_cast<std::uint32_t>(slot));
+    }
+    slots_.swap(bigger);
+    used_.swap(moved);
+  }
+
+  std::vector<Slot> slots_;
+  std::vector<std::uint32_t> used_;
+};
+
+}  // namespace
+
+std::vector<std::pair<geo::CellIndex, double>> cell_counts(
+    std::span<const mobility::Record> records, const geo::CellGrid& grid) {
+  if (records.empty()) return {};
+  support::expects(records.size() <= std::numeric_limits<std::uint32_t>::max(),
+                   "cell_counts: too many records for 32-bit counts");
+  // Per thread, so concurrent callers share nothing. Cleared on entry, not
+  // on exit: a call that throws midway leaves no stale counts behind.
+  thread_local CellCounter counter;
+  counter.reset();
+  geo::CellIndex run_cell = grid.cell_of(records.front().position);
+  std::uint32_t run = 1;
+  for (std::size_t i = 1; i < records.size(); ++i) {
+    const geo::CellIndex cell = grid.cell_of(records[i].position);
+    if (cell == run_cell) {
+      ++run;
+      continue;
+    }
+    counter.add(run_cell, run);
+    run_cell = cell;
+    run = 1;
+  }
+  counter.add(run_cell, run);
+  return counter.sorted();
 }
 
 double topsoe_divergence(const Heatmap& a, const Heatmap& b) {
@@ -102,35 +206,6 @@ bool cell_less(const std::pair<geo::CellIndex, double>& entry,
   return entry.first < cell;
 }
 
-/// Run-collapsed (cell, count) pairs of a record range, sorted by cell with
-/// duplicates merged. Counts stay exact small integers, so merging them in
-/// any grouping sums to the same doubles the hash-map path produces.
-std::vector<std::pair<geo::CellIndex, double>> collapse_cells(
-    const std::vector<mobility::Record>& records, const geo::CellGrid& grid) {
-  std::vector<std::pair<geo::CellIndex, double>> runs;
-  for (const auto& record : records) {
-    const geo::CellIndex cell = grid.cell_of(record.position);
-    if (!runs.empty() && runs.back().first == cell) {
-      runs.back().second += 1.0;
-    } else {
-      runs.emplace_back(cell, 1.0);
-    }
-  }
-  if (runs.empty()) return runs;
-  std::sort(runs.begin(), runs.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-  std::size_t out = 0;
-  for (std::size_t i = 1; i < runs.size(); ++i) {
-    if (runs[i].first == runs[out].first) {
-      runs[out].second += runs[i].second;
-    } else {
-      runs[++out] = runs[i];
-    }
-  }
-  runs.resize(out + 1);
-  return runs;
-}
-
 }  // namespace
 
 CompiledHeatmap::CompiledHeatmap(const Heatmap& source) {
@@ -146,7 +221,7 @@ CompiledHeatmap CompiledHeatmap::from_trace(const mobility::Trace& trace,
                                             const geo::CellGrid& grid) {
   CompiledHeatmap compiled;
   if (trace.empty()) return compiled;
-  compile_cells(collapse_cells(trace.records(), grid),
+  compile_cells(cell_counts(trace.records(), grid),
                 static_cast<double>(trace.size()), compiled.cells_);
   return compiled;
 }
@@ -156,7 +231,7 @@ CompiledHeatmap CompiledHeatmap::incremental(const mobility::Trace& trace,
   CompiledHeatmap compiled;
   compiled.updatable_ = true;
   if (trace.empty()) return compiled;
-  compiled.counts_ = collapse_cells(trace.records(), grid);
+  compiled.counts_ = cell_counts(trace.records(), grid);
   compiled.total_ = static_cast<double>(trace.size());
   compile_cells(compiled.counts_, compiled.total_, compiled.cells_);
   return compiled;
@@ -187,7 +262,7 @@ void CompiledHeatmap::apply_update(std::span<const mobility::Record> added,
                    "incremental() (raw counts not retained)");
   if (added.empty() && removed.empty()) return;
   // Counts are exact integers, so each in-place edit leaves exactly the
-  // counts collapse_cells would produce on the updated window.
+  // counts cell_counts would produce on the updated window.
   for (const auto& record : added) {
     const geo::CellIndex cell = grid.cell_of(record.position);
     const auto it =

@@ -47,7 +47,7 @@ class Heatmap {
   void add(const geo::CellIndex& cell, double count = 1.0);
 
   /// Cells sorted by decreasing count (ties broken by cell index for
-  /// determinism). The "hot ranking" HMC's alignment uses.
+  /// determinism). The "hot ranking" HMC's alignment uses; see rank_cells.
   [[nodiscard]] std::vector<std::pair<geo::CellIndex, double>> ranked_cells()
       const;
 
@@ -55,6 +55,24 @@ class Heatmap {
   CountMap counts_;
   double total_ = 0.0;
 };
+
+/// Cell-sorted (cell, count) pairs of a record range: one count per record,
+/// cells in ascending index order, each distinct cell once. The counts are
+/// exact small integers, so they equal Heatmap::from_trace's bit for bit.
+///
+/// Counts in a flat open-addressing table keyed by geo::CellIndexHash,
+/// one per thread and reused between calls: a call clears only the slots
+/// the previous one touched, grows the table by rehashing when it fills
+/// to half, and sorts only the distinct cells at the end. A run of
+/// consecutive records in one cell (a dwelling raw trace) costs one table
+/// probe; obfuscated outputs scatter their records, but over few cells,
+/// which is why they are counted and not sorted.
+std::vector<std::pair<geo::CellIndex, double>> cell_counts(
+    std::span<const mobility::Record> records, const geo::CellGrid& grid);
+
+/// Sorts (cell, count) pairs hottest first, ties by ascending cell: a total
+/// order over distinct cells, and the one Heatmap::ranked_cells returns.
+void rank_cells(std::vector<std::pair<geo::CellIndex, double>>& cells);
 
 /// Topsoe divergence between two heatmaps viewed as distributions:
 ///   sum_c p ln(2p/(p+q)) + q ln(2q/(p+q))
@@ -86,19 +104,18 @@ class CompiledHeatmap {
   /// Compiles an existing heatmap (used once per profile at train time).
   explicit CompiledHeatmap(const Heatmap& source);
 
-  /// Builds the compiled heatmap of a trace directly, without the
-  /// intermediate hash map: consecutive records in the same cell are
-  /// run-collapsed first (traces dwell, so this shrinks the sort by orders
-  /// of magnitude). Cell probabilities are bit-identical to compiling
-  /// Heatmap::from_trace(trace, grid).
+  /// Builds the compiled heatmap of a trace from cell_counts: no
+  /// per-record sort and no node-based hash map, whether the trace dwells
+  /// (raw) or scatters (an LPPM output). Cell probabilities are
+  /// bit-identical to compiling Heatmap::from_trace(trace, grid).
   static CompiledHeatmap from_trace(const mobility::Trace& trace,
                                     const geo::CellGrid& grid);
 
   /// Builds an *updatable* compiled heatmap: identical cells to
-  /// from_trace(trace, grid), but the raw integer cell counts are retained
-  /// so apply_update can fold newly arrived (and newly expired) records in
-  /// without recompiling from the whole trace. Start from an empty trace
-  /// for a fresh streaming window.
+  /// from_trace(trace, grid), counted by the same cell_counts, but the raw
+  /// integer cell counts are retained so apply_update can fold newly
+  /// arrived (and newly expired) records in without recompiling from the
+  /// whole trace. Start from an empty trace for a fresh streaming window.
   static CompiledHeatmap incremental(const mobility::Trace& trace,
                                      const geo::CellGrid& grid);
 

@@ -487,7 +487,9 @@ void expect_budget_edge_at_exact_cost(
 }
 
 /// Checks choose_donor and apply against the oracles for every `stride`-th
-/// owner of `population`, under every parameter set.
+/// owner of `population`, under every parameter set. apply also runs on
+/// each owner's GeoI and TRL outputs: records scattered over cells, as HMC
+/// sees them as a composition's second or third stage.
 void expect_matches_exhaustive_scan(const mobility::Dataset& population,
                                     const geo::GeoPoint& origin,
                                     std::size_t stride) {
@@ -495,8 +497,16 @@ void expect_matches_exhaustive_scan(const mobility::Dataset& population,
   const std::vector<Trace> background(population.traces().begin(),
                                       population.traces().end());
   const auto pool = std::make_shared<DonorPool>(background, grid);
+  const GeoIndistinguishability geoi(0.01);
+  const Trilateration trl(1000.0);
+  std::vector<Trace> scattered;
+  for (std::size_t u = 0; u < background.size(); u += stride) {
+    scattered.push_back(geoi.apply(background[u], RngStream(2 * u + 1)));
+    scattered.push_back(trl.apply(background[u], RngStream(2 * u + 2)));
+  }
   std::size_t refused = 0;
   std::size_t applied = 0;
+  std::size_t applied_scattered = 0;
   for (const auto& params : kHmcParams) {
     const HeatmapConfusion hmc(grid, pool, params.hot_coverage,
                                params.max_mapped_cells, params.budget_m);
@@ -520,10 +530,18 @@ void expect_matches_exhaustive_scan(const mobility::Dataset& population,
         expect_budget_edge_at_exact_cost(grid, pool, params, own, cost);
       }
     }
+    for (const Trace& input : scattered) {
+      SCOPED_TRACE(input.user() + " scattered");
+      const Trace out = hmc.apply(input, RngStream(1));
+      expect_bit_identical(out, reference.apply(input));
+      if (out.records() != input.records()) ++applied_scattered;
+    }
   }
-  // The sweep must exercise both outcomes of the budget test.
+  // The sweep must exercise both outcomes of the budget test, and HMC
+  // must rewrite some scattered inputs, not only pass them through.
   EXPECT_GT(refused, 0u);
   EXPECT_GT(applied, 0u);
+  EXPECT_GT(applied_scattered, 0u);
 }
 
 TEST(HmcDonorScan, MatchesExhaustiveScanOnPrivamovSizedPool) {

@@ -6,14 +6,25 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <memory>
 #include <random>
+#include <thread>
+#include <utility>
 #include <vector>
 
+#include "core/experiment.h"
 #include "geo/cell_grid.h"
+#include "lppm/composition.h"
+#include "lppm/geo_ind.h"
+#include "lppm/heatmap_confusion.h"
+#include "lppm/trilateration.h"
 #include "profiles/heatmap.h"
 #include "profiles/markov_profile.h"
 #include "profiles/poi_profile.h"
+#include "simulation/generator.h"
+#include "simulation/presets.h"
 #include "support/error.h"
+#include "support/rng.h"
 #include "test_helpers.h"
 
 namespace mood::profiles {
@@ -414,6 +425,163 @@ TEST_F(HeatmapTest, StaleCellsCannotBeRead) {
   // An empty update leaves fresh cells readable.
   map.apply_update({}, {}, grid_);
   EXPECT_NO_THROW(static_cast<void>(map.cells()));
+}
+
+// ---------------------------------------------------------- cell_counts --
+
+using CountPairs = std::vector<std::pair<geo::CellIndex, double>>;
+
+/// The oracle: the legacy hash-map heatmap's counts, sorted by cell.
+CountPairs legacy_counts(const Trace& trace, const geo::CellGrid& grid) {
+  const auto map = Heatmap::from_trace(trace, grid);
+  CountPairs counts(map.counts().begin(), map.counts().end());
+  std::sort(counts.begin(), counts.end());  // distinct cells: by cell
+  return counts;
+}
+
+/// cell_counts and both compiled builds that count through it against
+/// the legacy heatmap, bit for bit; rank_cells against ranked_cells.
+void expect_counts_match_legacy(const Trace& trace,
+                                const geo::CellGrid& grid) {
+  const CountPairs expected = legacy_counts(trace, grid);
+  CountPairs counted = cell_counts(trace.records(), grid);
+  ASSERT_EQ(counted, expected);
+  const CompiledHeatmap legacy(Heatmap::from_trace(trace, grid));
+  expect_bit_identical(CompiledHeatmap::from_trace(trace, grid), legacy);
+  const auto incremental = CompiledHeatmap::incremental(trace, grid);
+  expect_bit_identical(incremental, legacy);
+  EXPECT_EQ(incremental.raw_counts(), expected);
+  EXPECT_EQ(incremental.raw_total(), static_cast<double>(trace.size()));
+  rank_cells(counted);
+  EXPECT_EQ(counted, Heatmap::from_trace(trace, grid).ranked_cells());
+}
+
+/// The test halves of a PrivaMov-sized population, on the grid the
+/// harness anchors at the dataset's centre, raw and as the LPPM outputs
+/// the search prices: GeoI and TRL scatter records over cells, HMC
+/// relocates whole cells, and GeoI, TRL, HMC in sequence does all three.
+TEST(CellCounts, MatchHeatmapOnPrivamovWindowsAndTheirLppmOutputs) {
+  auto params = simulation::preset_params("privamov", 0.05, 11);
+  params.days = 4;
+  const auto dataset = simulation::generate(params);
+  const core::ExperimentConfig config;
+  const auto pairs =
+      dataset.chronological_split(config.train_fraction, config.min_records);
+  ASSERT_GT(pairs.size(), 10u);
+  geo::BoundingBox box;
+  std::vector<Trace> background;
+  for (const auto& pair : pairs) background.push_back(pair.train);
+  for (const auto& trace : dataset.traces()) {
+    for (const auto& record : trace.records()) box.extend(record.position);
+  }
+  const geo::CellGrid grid(geo::LocalProjection(box.center()),
+                           config.attack_params.heatmap_cell_m);
+  const lppm::GeoIndistinguishability geoi(config.geoi_epsilon);
+  const lppm::Trilateration trl(config.trl_radius_m);
+  const lppm::HeatmapConfusion hmc(
+      grid, std::make_shared<lppm::DonorPool>(background, grid),
+      config.hmc_hot_coverage, config.hmc_max_cells, config.hmc_budget_m);
+  const lppm::Composition three_stages({&geoi, &trl, &hmc});
+  const std::vector<const lppm::Lppm*> lppms = {&geoi, &trl, &hmc,
+                                                &three_stages};
+  std::uint64_t stream = 0;
+  for (const auto& pair : pairs) {
+    SCOPED_TRACE(pair.test.user());
+    expect_counts_match_legacy(pair.test, grid);
+    for (const lppm::Lppm* lppm : lppms) {
+      SCOPED_TRACE(lppm->name());
+      expect_counts_match_legacy(
+          lppm->apply(pair.test, support::RngStream(++stream)), grid);
+    }
+  }
+}
+
+/// A record in cell `cell` of `grid`, `t` seconds in.
+mobility::Record in_cell(const geo::CellGrid& grid, geo::CellIndex cell,
+                         mobility::Timestamp t) {
+  return mobility::Record{grid.point_in_cell(cell, geo::EnuPoint{400.0, 400.0}),
+                          t};
+}
+
+TEST_F(HeatmapTest, CellCountsGrowTheTableWithoutLosingACell) {
+  // 4,970 distinct cells, far more than the table's initial 256 slots, so
+  // it rehashes several times. Cell k is visited k % 3 + 1 times over
+  // three interleaved sweeps, so no run shortcut hides a count; the cells
+  // straddle the origin, so ix and iy take both signs.
+  std::vector<mobility::Record> records;
+  mobility::Timestamp t = 0;
+  for (int sweep = 0; sweep < 3; ++sweep) {
+    for (int k = 0; k < 4970; ++k) {
+      if (k % 3 < sweep) continue;
+      records.push_back(
+          in_cell(grid_, geo::CellIndex{k % 71 - 35, k / 71 - 35}, t++));
+    }
+  }
+  const Trace trace("u", std::move(records));
+  const CountPairs expected = legacy_counts(trace, grid_);
+  ASSERT_EQ(expected.size(), 4970u);
+  // A fresh thread starts from the initial table; this one may have grown
+  // it already.
+  CountPairs counted;
+  std::thread([&] { counted = cell_counts(trace.records(), grid_); }).join();
+  EXPECT_EQ(counted, expected);
+  expect_counts_match_legacy(trace, grid_);
+  // The grown table is reused: the next call sees none of these cells.
+  const Trace single("u", {in_cell(grid_, geo::CellIndex{3, 3}, 0)});
+  EXPECT_EQ(cell_counts(single.records(), grid_),
+            (CountPairs{{geo::CellIndex{3, 3}, 1.0}}));
+}
+
+TEST_F(HeatmapTest, CellCountsKeepNegativeCellsInOrder) {
+  const std::vector<geo::CellIndex> cells = {
+      {-3, -2}, {2, -5}, {-1, 4}, {0, 0}, {-3, 7}, {5, 5}, {-3, -2}};
+  std::vector<mobility::Record> records;
+  mobility::Timestamp t = 0;
+  for (const auto& cell : cells) records.push_back(in_cell(grid_, cell, t++));
+  const Trace trace("u", std::move(records));
+  EXPECT_EQ(cell_counts(trace.records(), grid_),
+            (CountPairs{{{-3, -2}, 2.0},
+                        {{-3, 7}, 1.0},
+                        {{-1, 4}, 1.0},
+                        {{0, 0}, 1.0},
+                        {{2, -5}, 1.0},
+                        {{5, 5}, 1.0}}));
+  expect_counts_match_legacy(trace, grid_);
+}
+
+TEST_F(HeatmapTest, CellCountsCountRunsThatLeaveAndComeBack) {
+  // A A A B B A A C A: the shortcut folds each run into one increment,
+  // and A's three runs must add up, the last one included.
+  const geo::CellIndex a{0, 0};
+  const geo::CellIndex b{1, 0};
+  const geo::CellIndex c{0, -1};
+  std::vector<mobility::Record> records;
+  mobility::Timestamp t = 0;
+  for (const auto& cell : {a, a, a, b, b, a, a, c, a}) {
+    records.push_back(in_cell(grid_, cell, t++));
+  }
+  const Trace trace("u", std::move(records));
+  EXPECT_EQ(cell_counts(trace.records(), grid_),
+            (CountPairs{{c, 1.0}, {a, 6.0}, {b, 2.0}}));
+  expect_counts_match_legacy(trace, grid_);
+  expect_counts_match_legacy(three_place_trace(), grid_);  // dwells
+}
+
+TEST_F(HeatmapTest, CellCountsOfEmptyAndSingleRecordTraces) {
+  const Trace empty("u", {});
+  EXPECT_TRUE(cell_counts(empty.records(), grid_).empty());
+  EXPECT_TRUE(CompiledHeatmap::from_trace(empty, grid_).empty());
+  const auto window = CompiledHeatmap::incremental(empty, grid_);
+  EXPECT_TRUE(window.empty());
+  EXPECT_TRUE(window.updatable());
+  EXPECT_EQ(window.raw_total(), 0.0);
+
+  const Trace single("u", {in_cell(grid_, geo::CellIndex{-4, 9}, 0)});
+  EXPECT_EQ(cell_counts(single.records(), grid_),
+            (CountPairs{{geo::CellIndex{-4, 9}, 1.0}}));
+  expect_counts_match_legacy(single, grid_);
+  EXPECT_EQ(CompiledHeatmap::from_trace(single, grid_).cells()[0].probability,
+            1.0);
 }
 
 }  // namespace
