@@ -5,7 +5,6 @@
 #include <cstdint>
 #include <limits>
 
-#include "attacks/bounded_scan.h"
 #include "profiles/summaries.h"
 #include "support/error.h"
 
@@ -194,10 +193,7 @@ std::optional<mobility::UserId> ApAttack::reidentify(
   if (compiled_.size() >= kIndexMinPopulation) {
     return index_argmin(anonymous_map);
   }
-  std::uint64_t evals = 0;
-  auto answer = scan_argmin(compiled_, counting(bounded, evals));
-  counters_.count_query(0, evals);
-  return answer;
+  return counted_scan_argmin(compiled_, bounded, counters_);
 }
 
 bool ApAttack::reidentifies_target(const mobility::Trace& anonymous_trace,
@@ -219,20 +215,16 @@ bool ApAttack::reidentifies_compiled(
   if (mode_ == QueryMode::kScan) {
     return scan_is_first_argmin(compiled_, owner, exact, bounded);
   }
+  if (compiled_.size() < kIndexMinPopulation) {
+    return counted_scan_is_first_argmin(compiled_, owner_index_, owner, exact,
+                                        bounded, counters_);
+  }
   const auto it = owner_index_.find(owner);
   if (it == owner_index_.end()) {
     counters_.count_query(0, 0);
     return false;
   }
-  if (compiled_.size() >= kIndexMinPopulation) {
-    return index_is_first_argmin(anonymous_map, it->second);
-  }
-  std::uint64_t evals = 0;
-  const bool owns =
-      scan_is_first_argmin_at(compiled_, it->second, counting(exact, evals),
-                              counting(bounded, evals));
-  counters_.count_query(0, evals);
-  return owns;
+  return index_is_first_argmin(anonymous_map, it->second);
 }
 
 }  // namespace mood::attacks

@@ -35,11 +35,19 @@
 #include <vector>
 
 #include "attacks/attack.h"
-#include "attacks/population_index.h"
+#include "attacks/bounded_scan.h"
 #include "geo/cell_grid.h"
 #include "profiles/heatmap.h"
 
 namespace mood::attacks {
+
+/// Below this many trained users the AP attack answers by the plain
+/// bounded scans: the posting pass and the candidate sort cost more than
+/// the early-exiting exact divergences they would skip. Delegation
+/// preserves decisions trivially (the scan *is* the definition) and the
+/// counters keep their meaning: queries and exact evaluations are still
+/// counted, prunes are zero.
+inline constexpr std::size_t kIndexMinPopulation = 64;
 
 class ApAttack final : public Attack {
  public:

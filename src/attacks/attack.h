@@ -19,26 +19,28 @@
 
 namespace mood::attacks {
 
-/// Which machinery serves re-identification queries. Both modes answer
-/// every query with the *same decision* — the scans exist so the index
-/// can be validated against them (the tier-1 equivalence tests, replay
-/// verification), never to trade accuracy for speed.
+/// Which machinery serves the AP attack's re-identification queries. Both
+/// modes answer every query with the *same decision* — the scan exists so
+/// the index can be validated against it (the tier-1 equivalence tests,
+/// replay verification), never to trade accuracy for speed. POI and PIT
+/// always answer by the scan.
 enum class QueryMode {
   /// Flat compiled profiles + linear branch-and-bound scans
   /// (bounded_scan.h) — prices candidates in training order, pruning with
   /// the best distance so far. The oracle for the index.
   kScan,
-  /// The attack's pruning index (PopulationIndex for POI/PIT, per-cell
-  /// postings for AP): admissible lower bounds eliminate most candidates
-  /// before any exact pricing; survivors are priced with the same bounded
-  /// divergences. The production default.
+  /// AP's per-cell posting index (ap_attack.h): admissible lower bounds
+  /// eliminate most candidates before any exact pricing; survivors are
+  /// priced with the same bounded divergences. The production default.
   kIndex,
 };
 
-/// Cumulative population-index work counters (since training). All zero
-/// for attacks without an index or while it has never served a query.
+/// Cumulative query work counters (since construction). POI and PIT count
+/// their scans, which prune nothing and build no index; AP counts its
+/// posting index, or its scans below kIndexMinPopulation. All zero for
+/// attacks that count nothing (e.g. test mocks).
 struct IndexStats {
-  std::uint64_t queries = 0;            ///< index-served argmin/targeted queries
+  std::uint64_t queries = 0;            ///< argmin/targeted queries served
   std::uint64_t pruned_candidates = 0;  ///< eliminated by lower bounds alone
   std::uint64_t exact_evaluations = 0;  ///< priced with an exact divergence
   std::uint64_t rebuilds = 0;           ///< full index (re)builds
@@ -81,8 +83,8 @@ class Attack {
   [[nodiscard]] virtual std::size_t trained_users() const = 0;
 
   /// Selects the query machinery (see QueryMode). Default no-op for
-  /// attacks without alternative paths (e.g. test mocks). Not thread-safe
-  /// — flip only outside parallel sections.
+  /// attacks with one path (POI, PIT, test mocks). Not thread-safe — flip
+  /// only outside parallel sections.
   virtual void set_query_mode(QueryMode /*mode*/) {}
 
   /// The active query machinery.
@@ -90,7 +92,7 @@ class Attack {
     return QueryMode::kScan;
   }
 
-  /// Population-index work counters (zero for attacks without an index).
+  /// Query work counters (zero for attacks that count nothing).
   [[nodiscard]] virtual IndexStats index_stats() const { return {}; }
 };
 

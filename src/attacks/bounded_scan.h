@@ -16,23 +16,83 @@
 ///    the rest of the population with that price as the bound.
 ///
 /// Both preserve the naive first-strict-min scan's tie-breaking exactly:
-/// the first user attaining the minimum finite distance wins. They are the
-/// oracle the pruning indexes (population_index.h, ap_attack.h) are
-/// validated against, and the indexes delegate to them below
-/// kIndexMinPopulation.
+/// the first user attaining the minimum finite distance wins. They are how
+/// the POI and PIT attacks answer every query, the oracle the AP attack's
+/// posting index (ap_attack.h) is validated against, and the path AP
+/// delegates to below kIndexMinPopulation. What the three attacks share
+/// around them lives here too: the work counters (IndexCounters,
+/// counting) and the owner lookup (first_occurrences).
+///
 /// The bounded distance callable must satisfy the contract documented on
 /// the profiles' *_bounded functions: bounded(profile, bound) returns the
 /// exact distance whenever it is <= bound, and some value > bound (usually
 /// infinity) otherwise.
 
+#include <atomic>
+#include <cstdint>
 #include <limits>
 #include <optional>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
+#include "attacks/attack.h"
 #include "mobility/trace.h"
 
 namespace mood::attacks {
+
+/// Cumulative query counters of one attack (see IndexStats). Relaxed
+/// atomics: const queries bump them from any thread without a lock.
+class IndexCounters {
+ public:
+  /// Records one served query with its prunes and exact evaluations.
+  void count_query(std::uint64_t pruned, std::uint64_t evals) const {
+    queries_.fetch_add(1, std::memory_order_relaxed);
+    if (pruned > 0) pruned_.fetch_add(pruned, std::memory_order_relaxed);
+    if (evals > 0) evals_.fetch_add(evals, std::memory_order_relaxed);
+  }
+
+  /// Records one full (re)build of a pruning index.
+  void count_build() { rebuilds_.fetch_add(1, std::memory_order_relaxed); }
+
+  [[nodiscard]] IndexStats stats() const {
+    IndexStats stats;
+    stats.queries = queries_.load(std::memory_order_relaxed);
+    stats.pruned_candidates = pruned_.load(std::memory_order_relaxed);
+    stats.exact_evaluations = evals_.load(std::memory_order_relaxed);
+    stats.rebuilds = rebuilds_.load(std::memory_order_relaxed);
+    return stats;
+  }
+
+ private:
+  mutable std::atomic<std::uint64_t> queries_{0};
+  mutable std::atomic<std::uint64_t> pruned_{0};
+  mutable std::atomic<std::uint64_t> evals_{0};
+  std::atomic<std::uint64_t> rebuilds_{0};
+};
+
+/// Wraps a distance callable so that every call counts one exact
+/// evaluation — how the scans keep the attacks' counters.
+template <typename Distance>
+auto counting(const Distance& distance, std::uint64_t& evals) {
+  return [&distance, &evals](const auto&... args) {
+    ++evals;
+    return distance(args...);
+  };
+}
+
+/// Position of every user id's first occurrence in a population — the
+/// owner the linear scans' first-match lookup finds.
+template <typename Profile>
+std::unordered_map<mobility::UserId, std::size_t> first_occurrences(
+    const std::vector<std::pair<mobility::UserId, Profile>>& population) {
+  std::unordered_map<mobility::UserId, std::size_t> owners;
+  owners.reserve(population.size());
+  for (std::size_t i = 0; i < population.size(); ++i) {
+    owners.emplace(population[i].first, i);
+  }
+  return owners;
+}
 
 /// Argmin over trained profiles with branch-and-bound pruning. `bounded`
 /// is called as bounded(profile, current_best). Returns the first user
@@ -92,6 +152,38 @@ bool scan_is_first_argmin(
   }
   // Unknown owner: the scan can only ever answer trained users.
   return false;
+}
+
+/// scan_argmin recording the query and every distance it prices in
+/// `counters`: how POI and PIT answer, and AP below kIndexMinPopulation.
+template <typename Profile, typename BoundedDistance>
+std::optional<mobility::UserId> counted_scan_argmin(
+    const std::vector<std::pair<mobility::UserId, Profile>>& profiles,
+    const BoundedDistance& bounded, const IndexCounters& counters) {
+  std::uint64_t evals = 0;
+  auto answer = scan_argmin(profiles, counting(bounded, evals));
+  counters.count_query(0, evals);
+  return answer;
+}
+
+/// scan_is_first_argmin with the owner looked up in `owners`, the
+/// first_occurrences of `profiles`, recording the query and every distance
+/// it prices in `counters`. An unknown owner counts a query that priced
+/// nothing.
+template <typename Profile, typename ExactDistance, typename BoundedDistance>
+bool counted_scan_is_first_argmin(
+    const std::vector<std::pair<mobility::UserId, Profile>>& profiles,
+    const std::unordered_map<mobility::UserId, std::size_t>& owners,
+    const mobility::UserId& owner, const ExactDistance& exact,
+    const BoundedDistance& bounded, const IndexCounters& counters) {
+  const auto it = owners.find(owner);
+  std::uint64_t evals = 0;
+  const bool owns =
+      it != owners.end() &&
+      scan_is_first_argmin_at(profiles, it->second, counting(exact, evals),
+                              counting(bounded, evals));
+  counters.count_query(0, evals);
+  return owns;
 }
 
 }  // namespace mood::attacks

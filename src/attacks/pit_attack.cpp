@@ -1,7 +1,5 @@
 #include "attacks/pit_attack.h"
 
-#include "attacks/bounded_scan.h"
-
 namespace mood::attacks {
 
 void PitAttack::train(const std::vector<mobility::Trace>& background) {
@@ -13,7 +11,7 @@ void PitAttack::train(const std::vector<mobility::Trace>& background) {
                                profiles::MarkovProfile::from_trace(trace,
                                                                    params_)));
   }
-  index_.build(compiled_);
+  owner_index_ = first_occurrences(compiled_);
 }
 
 std::optional<mobility::UserId> PitAttack::reidentify(
@@ -25,10 +23,7 @@ std::optional<mobility::UserId> PitAttack::reidentify(
     return profiles::stats_prox_distance_bounded(anonymous_profile, profile,
                                                  proximity_scale_m_, bound);
   };
-  if (mode_ == QueryMode::kIndex && index_.built()) {
-    return index_.argmin(anonymous_profile, bounded);
-  }
-  return scan_argmin(compiled_, bounded);
+  return counted_scan_argmin(compiled_, bounded, counters_);
 }
 
 bool PitAttack::reidentifies_target(const mobility::Trace& anonymous_trace,
@@ -49,10 +44,8 @@ bool PitAttack::reidentifies_compiled(
     return profiles::stats_prox_distance_bounded(anonymous_profile, profile,
                                                  proximity_scale_m_, bound);
   };
-  if (mode_ == QueryMode::kIndex && index_.built()) {
-    return index_.is_first_argmin(anonymous_profile, owner, exact, bounded);
-  }
-  return scan_is_first_argmin(compiled_, owner, exact, bounded);
+  return counted_scan_is_first_argmin(compiled_, owner_index_, owner, exact,
+                                      bounded, counters_);
 }
 
 }  // namespace mood::attacks

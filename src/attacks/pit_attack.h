@@ -9,18 +9,17 @@
 /// profiles::stats_prox_distance).
 ///
 /// train() compiles every trained chain (precomputed state trigonometry)
-/// once and indexes the population (PopulationIndex over covering-ball +
-/// weight-prefix summaries); queries prune candidates through the index
-/// by default before pricing survivors with branch-and-bound bounded
-/// distances — see population_index.h and bounded_scan.h. The linear
-/// scans stay available as the index's oracle (QueryMode::kScan).
+/// once; queries answer with the branch-and-bound scans of bounded_scan.h
+/// over the compiled population, pricing candidates with bounded
+/// distances.
 
 #include <string>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "attacks/attack.h"
-#include "attacks/population_index.h"
+#include "attacks/bounded_scan.h"
 #include "clustering/poi_extraction.h"
 #include "profiles/markov_profile.h"
 
@@ -49,10 +48,8 @@ class PitAttack final : public Attack {
     return compiled_.size();
   }
 
-  void set_query_mode(QueryMode mode) override { mode_ = mode; }
-  [[nodiscard]] QueryMode query_mode() const override { return mode_; }
   [[nodiscard]] IndexStats index_stats() const override {
-    return index_.stats();
+    return counters_.stats();
   }
 
   /// Compiles the anonymous-side MMC exactly as the optimized queries do
@@ -67,8 +64,7 @@ class PitAttack final : public Attack {
 
   /// Targeted query over a pre-compiled anonymous MMC. Decision-identical
   /// to reidentifies_target(trace, owner) whenever `anonymous_profile`
-  /// equals compile_anonymous(trace). Index by default, linear scan in
-  /// kScan mode.
+  /// equals compile_anonymous(trace).
   [[nodiscard]] bool reidentifies_compiled(
       const profiles::CompiledMarkovProfile& anonymous_profile,
       const mobility::UserId& owner) const;
@@ -82,10 +78,8 @@ class PitAttack final : public Attack {
   double proximity_scale_m_;
   std::vector<std::pair<mobility::UserId, profiles::CompiledMarkovProfile>>
       compiled_;
-  /// Pruning index over compiled_; rebuilt by train(). Depends on
-  /// proximity_scale_m_, so it must be declared after it.
-  PopulationIndex<PitIndexTraits> index_{PitIndexTraits{proximity_scale_m_}};
-  QueryMode mode_ = QueryMode::kIndex;
+  std::unordered_map<mobility::UserId, std::size_t> owner_index_;
+  IndexCounters counters_;
 };
 
 }  // namespace mood::attacks

@@ -1,7 +1,5 @@
 #include "attacks/poi_attack.h"
 
-#include "attacks/bounded_scan.h"
-
 namespace mood::attacks {
 
 void PoiAttack::train(const std::vector<mobility::Trace>& background) {
@@ -16,7 +14,7 @@ void PoiAttack::train(const std::vector<mobility::Trace>& background) {
                                profiles::PoiProfile::from_trace(trace,
                                                                 params_)));
   }
-  index_.build(compiled_);
+  owner_index_ = first_occurrences(compiled_);
 }
 
 std::optional<mobility::UserId> PoiAttack::reidentify(
@@ -28,10 +26,7 @@ std::optional<mobility::UserId> PoiAttack::reidentify(
     return profiles::poi_profile_distance_bounded(anonymous_profile, profile,
                                                   bound);
   };
-  if (mode_ == QueryMode::kIndex && index_.built()) {
-    return index_.argmin(anonymous_profile, bounded);
-  }
-  return scan_argmin(compiled_, bounded);
+  return counted_scan_argmin(compiled_, bounded, counters_);
 }
 
 bool PoiAttack::reidentifies_target(const mobility::Trace& anonymous_trace,
@@ -51,10 +46,8 @@ bool PoiAttack::reidentifies_compiled(
     return profiles::poi_profile_distance_bounded(anonymous_profile, profile,
                                                   bound);
   };
-  if (mode_ == QueryMode::kIndex && index_.built()) {
-    return index_.is_first_argmin(anonymous_profile, owner, exact, bounded);
-  }
-  return scan_is_first_argmin(compiled_, owner, exact, bounded);
+  return counted_scan_is_first_argmin(compiled_, owner_index_, owner, exact,
+                                      bounded, counters_);
 }
 
 }  // namespace mood::attacks

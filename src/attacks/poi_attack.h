@@ -5,19 +5,17 @@
 /// an anonymous trace is attributed to the known user whose POIs are
 /// geographically closest (mean nearest-POI distance).
 ///
-/// train() compiles every trained POI set (precomputed trigonometry) once
-/// and indexes the population (PopulationIndex over covering-ball
-/// summaries); queries prune candidates through the index by default
-/// before pricing survivors with branch-and-bound bounded distances — see
-/// population_index.h and bounded_scan.h. The linear scans stay available
-/// as the index's oracle (QueryMode::kScan).
+/// train() compiles every trained POI set (precomputed trigonometry) once;
+/// queries answer with the branch-and-bound scans of bounded_scan.h over
+/// the compiled population, pricing candidates with bounded distances.
 
 #include <string>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "attacks/attack.h"
-#include "attacks/population_index.h"
+#include "attacks/bounded_scan.h"
 #include "clustering/poi_extraction.h"
 #include "profiles/poi_profile.h"
 
@@ -44,10 +42,8 @@ class PoiAttack final : public Attack {
     return compiled_.size();
   }
 
-  void set_query_mode(QueryMode mode) override { mode_ = mode; }
-  [[nodiscard]] QueryMode query_mode() const override { return mode_; }
   [[nodiscard]] IndexStats index_stats() const override {
-    return index_.stats();
+    return counters_.stats();
   }
 
   /// Compiles the anonymous-side POI set exactly as the optimized queries
@@ -62,8 +58,7 @@ class PoiAttack final : public Attack {
 
   /// Targeted query over a pre-compiled anonymous POI set. Decision-
   /// identical to reidentifies_target(trace, owner) whenever
-  /// `anonymous_profile` equals compile_anonymous(trace). Index by
-  /// default, linear scan in kScan mode.
+  /// `anonymous_profile` equals compile_anonymous(trace).
   [[nodiscard]] bool reidentifies_compiled(
       const profiles::CompiledPoiProfile& anonymous_profile,
       const mobility::UserId& owner) const;
@@ -76,9 +71,8 @@ class PoiAttack final : public Attack {
   clustering::PoiParams params_;
   std::vector<std::pair<mobility::UserId, profiles::CompiledPoiProfile>>
       compiled_;
-  /// Pruning index over compiled_; rebuilt by train().
-  PopulationIndex<PoiIndexTraits> index_;
-  QueryMode mode_ = QueryMode::kIndex;
+  std::unordered_map<mobility::UserId, std::size_t> owner_index_;
+  IndexCounters counters_;
 };
 
 }  // namespace mood::attacks

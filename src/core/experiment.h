@@ -205,16 +205,17 @@ class ExperimentHarness {
       const std::vector<std::size_t>& attack_subset = {},
       decision::KernelConfig kernel_config = {}) const;
 
-  /// Selects the attacks' query machinery (linear branch-and-bound scans
-  /// or the population index — see attacks::QueryMode): the switch the
-  /// perf bench flips between timed runs. const because it does not
+  /// Selects the AP attack's query machinery (linear branch-and-bound
+  /// scans or its posting index — see attacks::QueryMode; POI and PIT
+  /// always scan): the switch the equivalence tests, `mood replay
+  /// --verify` and the index sweep flip. const because it does not
   /// change the harness's observable results, only which (decision-
   /// equivalent) implementation answers queries. Not thread-safe — call
   /// outside parallel sections.
   void set_attack_query_mode(attacks::QueryMode mode) const;
 
-  /// Population-index work counters summed over every attack of the
-  /// suite (unchanged while queries run in scan mode).
+  /// Query work counters summed over every attack of the suite (AP's are
+  /// unchanged while it runs in scan mode).
   [[nodiscard]] attacks::IndexStats attack_index_stats() const;
 
   /// Index of the AP attack inside attacks() (the single-attack

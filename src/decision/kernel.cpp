@@ -27,9 +27,11 @@ DecisionKernel::DecisionKernel(MoodEngine engine, KernelConfig config)
     }
     if (poi_ == nullptr) poi_ = dynamic_cast<const attacks::PoiAttack*>(attack);
   }
-  // One stay tracker serves both stay-clustering attacks whenever their
-  // parameters agree (they always do in the standard suite); a PIT attack
-  // with divergent parameters falls back to from-scratch compiles.
+  // One stay tracker serves both stay-clustering attacks, so their
+  // parameters must agree (make_attack builds both from the same params).
+  support::expects(
+      poi_ == nullptr || pit_ == nullptr || pit_->params() == poi_->params(),
+      "DecisionKernel: POI and PIT attacks must share stay-clustering params");
   if (poi_ != nullptr) {
     stay_params_ = poi_->params();
     has_stay_params_ = true;
@@ -37,8 +39,6 @@ DecisionKernel::DecisionKernel(MoodEngine engine, KernelConfig config)
     stay_params_ = pit_->params();
     has_stay_params_ = true;
   }
-  pit_shares_stays_ =
-      pit_ != nullptr && has_stay_params_ && pit_->params() == stay_params_;
 }
 
 std::size_t DecisionKernel::fold(
@@ -123,9 +123,7 @@ void DecisionKernel::refresh_profiles(UserKernelState& state,
         state.stays.tracker().rebuilds() - rebuilds_before, kRelaxed);
     const auto states = state.stays.states();
     if (pit_ != nullptr) {
-      state.markov = pit_shares_stays_
-                         ? profiles::CompiledMarkovProfile::from_states(states)
-                         : pit_->compile_anonymous(state.window);
+      state.markov = profiles::CompiledMarkovProfile::from_states(states);
     }
     if (poi_ != nullptr) {
       state.poi = profiles::CompiledPoiProfile::from_states(states);

@@ -196,6 +196,9 @@ class DecisionKernel {
  public:
   /// Takes ownership of a configured MoodEngine (typically
   /// harness.make_engine()); the engine's attacks must outlive the kernel.
+  /// Throws PreconditionError when the suite holds both a POI and a PIT
+  /// attack with different stay-clustering params: one stay tracker
+  /// serves both.
   explicit DecisionKernel(MoodEngine engine, KernelConfig config = {});
 
   DecisionKernel(const DecisionKernel&) = delete;
@@ -273,11 +276,10 @@ class DecisionKernel {
   const attacks::PitAttack* pit_ = nullptr;
   const attacks::PoiAttack* poi_ = nullptr;
   /// Stay-clustering parameters of the shared tracker (the POI attack's,
-  /// falling back to the PIT attack's) and whether the PIT attack can use
-  /// it (its params match; always true for the standard suite).
+  /// falling back to the PIT attack's; the constructor requires both to
+  /// agree).
   clustering::PoiParams stay_params_;
   bool has_stay_params_ = false;
-  bool pit_shares_stays_ = false;
 
   mutable std::atomic<std::uint64_t> decisions_{0};
   mutable std::atomic<std::uint64_t> exposed_events_{0};

@@ -117,7 +117,9 @@ inline constexpr const char* kResultSchema = "mood-result/1";
 ///               "evicted_points": ..., "evicted_users": ...,
 ///               "lppm_applications": ..., "attack_invocations": ...,
 ///               "index_prunes": ..., "exact_evals": ...,
-///               "index_rebuilds": ...},
+///               "index_rebuilds": ...},  // prunes and rebuilds are the
+///                          // AP posting index's; exact_evals sums every
+///                          // attack's priced distances
 ///     "checkpoint": {"written": 3, "bytes": 183200, "failures": 0,
 ///                     "resume_events": 0,    // this process's checkpoint
 ///                     "quarantined_snapshots": 0},  // corrupt snapshot

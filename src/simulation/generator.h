@@ -75,8 +75,8 @@ struct GeneratorParams {
   // scatter private_poi_spread_m around that anchor instead of the city
   // centre (relocators redraw a fresh district). Commuter-style locality:
   // large populations decompose into geographic clusters the way real
-  // cities do — the structure a population index exploits. 0 keeps the
-  // legacy single-blob scatter (bit-identical datasets for old presets).
+  // cities do. 0 keeps the legacy single-blob scatter (bit-identical
+  // datasets for old presets).
   std::size_t districts = 0;
   double district_spread_m = 10000.0;
 

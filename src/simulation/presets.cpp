@@ -76,8 +76,6 @@ GeneratorParams preset_params(const std::string& name, double scale,
     // Synthetic metropolis for population-index scaling studies: ~10k
     // routine users spread over 32 commuter districts, at a deliberately
     // thin per-user record rate so the full population trains in minutes.
-    // District locality is what gives cluster pruning its bite — most of
-    // the population lives far (in profile space) from any one query.
     p.dataset_name = "CitySmall";
     p.city_center = geo::GeoPoint{45.7640, 4.8357};  // Lyon-shaped sprawl
     p.users = 10000;

@@ -1,7 +1,7 @@
 // Equivalence and property tests for the inference hot path: compiled flat
 // profiles and bounded divergences must reproduce the legacy profile
-// distances, and both query modes — the branch-and-bound scans and the
-// population index — must answer every re-identification exactly as a
+// distances, and every query path — the branch-and-bound scans and the
+// AP posting index — must answer every re-identification exactly as a
 // naive argmin over the legacy profiles, including ties, empty profiles
 // and the disjoint-support Topsoe ceiling. The parallel evaluators must
 // be schedule-independent.
@@ -15,7 +15,9 @@
 #include <utility>
 #include <vector>
 
-#include "attacks/population_index.h"
+#include "attacks/ap_attack.h"
+#include "attacks/pit_attack.h"
+#include "attacks/poi_attack.h"
 #include "attacks/suite.h"
 #include "core/experiment.h"
 #include "geo/cell_grid.h"
@@ -370,12 +372,9 @@ TEST(BoundedScanEquivalence, GeneratedPreset) {
       simulation::make_preset_dataset("privamov", 0.05, 11), 8);
 }
 
-/// An 80-user PrivaMov population: past kIndexMinPopulation, so the
-/// indexes' per-entry lower bounds (POI and PIT profile bounds, AP
-/// posting bounds) actually skip candidates. Every other case here
-/// trains fewer users, where the indexes delegate to the scans. The POI
-/// and PIT block bounds seldom decide here; index_test's
-/// IndexBlockBounds covers them.
+/// An 80-user PrivaMov population: past kIndexMinPopulation, so the AP
+/// posting bounds actually skip candidates. Every other case here trains
+/// fewer users, where AP delegates to the scans.
 core::ExperimentHarness pruning_population() {
   auto params = simulation::preset_params("privamov", 0.05, 11);
   params.users = 80;
@@ -384,51 +383,40 @@ core::ExperimentHarness pruning_population() {
   return core::ExperimentHarness(simulation::generate(params), config, 7);
 }
 
-/// Each attack's index counters, in attacks() order.
-std::vector<attacks::IndexStats> index_stats_of(
-    const core::ExperimentHarness& harness) {
-  std::vector<attacks::IndexStats> stats;
-  for (const auto& attack : harness.attacks()) {
-    stats.push_back(attack->index_stats());
-  }
-  return stats;
+const attacks::Attack& ap_attack(const core::ExperimentHarness& harness) {
+  return *harness.attacks()[harness.ap_attack_index()];
 }
 
-/// Fails unless every attack's index pruned some candidate since
-/// `before`: a pass that prunes nothing compares the scans with
-/// themselves.
-void expect_every_index_pruned(const core::ExperimentHarness& harness,
-                               const std::vector<attacks::IndexStats>& before) {
-  ASSERT_EQ(before.size(), harness.attacks().size());
-  for (std::size_t a = 0; a < harness.attacks().size(); ++a) {
-    const auto& attack = *harness.attacks()[a];
-    EXPECT_GT(attack.index_stats().pruned_candidates,
-              before[a].pruned_candidates)
-        << attack.name() << " never pruned: the case tests nothing";
-  }
+/// Fails unless the AP index pruned some candidate since `before`: a pass
+/// that prunes nothing compares the scan with itself.
+void expect_ap_index_pruned(const core::ExperimentHarness& harness,
+                            const attacks::IndexStats& before) {
+  EXPECT_GT(ap_attack(harness).index_stats().pruned_candidates,
+            before.pruned_candidates)
+      << "the AP index never pruned: the case tests nothing";
 }
 
 TEST(BoundedScanEquivalence, PrunedIndexMatchesTheOracle) {
   // Pruning must still skip no candidate the naive argmin would pick.
   const auto harness = pruning_population();
   ASSERT_GE(harness.pairs().size(), attacks::kIndexMinPopulation);
-  const auto before = index_stats_of(harness);
+  const auto before = ap_attack(harness).index_stats();
   const auto oracles = naive_oracles(harness);
   for (const auto& pair : harness.pairs()) {
     expect_oracle_agreement(harness, oracles, pair.test, pair.test.user());
   }
-  expect_every_index_pruned(harness, before);
+  expect_ap_index_pruned(harness, before);
 }
 
 TEST(BoundedScanEquivalence, EvaluateMoodFullIndexMatchesScan) {
   // The whole Algorithm 1 pipeline (whole-trace searches, 24 h slicing,
   // every targeted query they issue) must reach the same outcome, search
-  // cost included, through the index as through the scans.
+  // cost included, through the AP index as through the scans.
   const auto harness = pruning_population();
   ASSERT_GE(harness.pairs().size(), attacks::kIndexMinPopulation);
   harness.set_attack_query_mode(attacks::QueryMode::kScan);
   const core::MoodResult scan = harness.evaluate_mood_full();
-  const auto before = index_stats_of(harness);
+  const auto before = ap_attack(harness).index_stats();
   harness.set_attack_query_mode(attacks::QueryMode::kIndex);
   const core::MoodResult index = harness.evaluate_mood_full();
 
@@ -449,7 +437,53 @@ TEST(BoundedScanEquivalence, EvaluateMoodFullIndexMatchesScan) {
   }
   EXPECT_EQ(scan.data_loss(), index.data_loss());
   EXPECT_EQ(scan.distortion_bands(), index.distortion_bands());
-  expect_every_index_pruned(harness, before);
+  expect_ap_index_pruned(harness, before);
+}
+
+/// Asks the harness's attack of type `A` about every owner's test trace:
+/// its targeted query must agree with its argmin, and every call with a
+/// non-empty anonymous profile must count one scan query that prunes
+/// nothing.
+template <typename A>
+void expect_scan_answers_every_owner(const core::ExperimentHarness& harness) {
+  const A* attack = nullptr;
+  for (const auto& candidate : harness.attacks()) {
+    if (const auto* typed = dynamic_cast<const A*>(candidate.get())) {
+      attack = typed;
+    }
+  }
+  ASSERT_NE(attack, nullptr);
+  const attacks::IndexStats before = attack->index_stats();
+  std::uint64_t calls = 0;
+  std::size_t owned = 0;
+  for (const auto& pair : harness.pairs()) {
+    // An empty anonymous profile answers no one without a query.
+    if (attack->compile_anonymous(pair.test).empty()) continue;
+    const mobility::UserId& owner = pair.test.user();
+    const bool owns = attack->reidentify(pair.test) == owner;
+    EXPECT_EQ(attack->reidentifies_target(pair.test, owner), owns)
+        << attack->name() << " on " << owner;
+    calls += 2;
+    owned += owns ? 1 : 0;
+  }
+  const attacks::IndexStats after = attack->index_stats();
+  EXPECT_EQ(after.queries - before.queries, calls) << attack->name();
+  EXPECT_GT(after.exact_evaluations, before.exact_evaluations)
+      << attack->name();
+  EXPECT_EQ(after.pruned_candidates, 0u) << attack->name();
+  EXPECT_EQ(after.rebuilds, 0u) << attack->name();
+  // Not vacuous: both verdicts occur.
+  EXPECT_GT(owned, 0u) << attack->name();
+  EXPECT_LT(owned, calls / 2) << attack->name();
+}
+
+TEST(BoundedScanEquivalence, PoiAndPitScansAnswerEveryOwner) {
+  // POI and PIT answer by the bounded scans at every population size,
+  // past kIndexMinPopulation included.
+  const auto harness = pruning_population();
+  ASSERT_GE(harness.pairs().size(), attacks::kIndexMinPopulation);
+  expect_scan_answers_every_owner<attacks::PoiAttack>(harness);
+  expect_scan_answers_every_owner<attacks::PitAttack>(harness);
 }
 
 TEST(BoundedScanEquivalence, ObfuscatedTraces) {

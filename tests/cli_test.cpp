@@ -15,9 +15,11 @@
 #include "mood_cli/cli.h"
 #include "report/json.h"
 #include "report/report.h"
+#include "fuzz_helpers.h"
 #include "stream/engine.h"
 #include "support/error.h"
 #include "support/options.h"
+#include "support/rng.h"
 
 namespace mood::cli {
 namespace {
@@ -375,6 +377,85 @@ TEST(CliMetrics, RejectsMissingAndUnsupportedInputs) {
   const auto wrong = run_cli({"metrics", path});
   EXPECT_EQ(wrong.code, kExitUsage);
   EXPECT_NE(wrong.err.find("mood-stream/1"), std::string::npos);
+}
+
+/// Writes `text` to a scratch exposition file and runs `mood metrics
+/// --per-shard` on it.
+CliResult run_metrics_on(const std::string& text) {
+  const std::string path =
+      std::string(::testing::TempDir()) + "mood_cli_metrics_input.prom";
+  std::ofstream(path, std::ios::binary | std::ios::trunc) << text;
+  return run_cli({"metrics", "--per-shard", path});
+}
+
+TEST(CliMetrics, RejectsNonFiniteHistogramInputs) {
+  // A NaN bucket bound once reached std::sort (undefined behaviour: NaN
+  // breaks strict weak ordering), and a NaN or huge count reached
+  // llround (an unspecified value). Each is now a usage error naming the
+  // line.
+  const std::string head =
+      "# TYPE h histogram\n"
+      "h_bucket{le=\"0.5\"} 1\n";
+  const std::string tail =
+      "h_bucket{le=\"+Inf\"} 2\n"
+      "h_sum 1\n"
+      "h_count 2\n";
+  for (const std::string& bad :
+       {std::string("h_bucket{le=\"nan\"} 1\n"),
+        std::string("h_bucket{le=\"inf\"} 1\n"),
+        std::string("h_bucket{le=\"-Inf\"} 1\n"),
+        std::string("h_bucket{le=\"1x\"} 1\n"),
+        std::string("h_bucket{le=\"1\"} nan\n"),
+        std::string("h_bucket{le=\"1\"} 1e300\n"),
+        std::string("h_bucket{le=\"1\"} -1\n"),
+        std::string("h_count{shard=\"0\"} inf\n")}) {
+    const auto result = run_metrics_on(head + bad + tail);
+    EXPECT_EQ(result.code, kExitUsage) << bad;
+    EXPECT_NE(result.err.find(":3:"), std::string::npos)
+        << bad << result.err;
+  }
+  const auto good = run_metrics_on(head + tail);
+  EXPECT_EQ(good.code, kExitOk) << good.err;
+  EXPECT_NE(good.out.find("h_p50"), std::string::npos);
+}
+
+TEST(MetricsFuzz, MutatedExpositionsRenderOrExitUsage) {
+  // A fixed budget of seeded mutations of expositions rendered by
+  // render_exposition (merged and per-shard histograms, escaped labels):
+  // `mood metrics` must render each input or reject it as a usage error
+  // (exit 2) — never a runtime failure, a crash or undefined behaviour
+  // (the sanitize preset runs this too). Mutants that start with '{' take
+  // the JSON path, which JsonFuzz covers. A failing input is printed
+  // escaped, to be pinned as a regression case.
+  const auto corpus = testing::seed_corpus(
+      std::string(MOOD_TEST_DATA_DIR) + "/exposition",
+      {"single.prom", "sharded.prom", "labels.prom"});
+  ASSERT_EQ(corpus.size(), 3u);
+  for (const auto& seed : corpus) {
+    const auto result = run_metrics_on(seed);
+    EXPECT_EQ(result.code, kExitOk) << result.err << testing::escaped(seed);
+  }
+  support::RngStream rng(2026);
+  std::size_t rendered = 0;
+  std::size_t rejected = 0;
+  for (int iteration = 0; iteration < 2000; ++iteration) {
+    const std::string input = testing::mutate(corpus, rng);
+    const std::size_t head = input.find_first_not_of(" \t\r\n");
+    if (head != std::string::npos && input[head] == '{') continue;
+    const auto result = run_metrics_on(input);
+    if (result.code == kExitOk) {
+      ++rendered;
+    } else if (result.code == kExitUsage) {
+      ++rejected;
+    } else {
+      ADD_FAILURE() << "exit " << result.code << " (" << result.err
+                    << ") on \"" << testing::escaped(input)
+                    << "\" (iteration " << iteration << ")";
+    }
+  }
+  // Not vacuous: mutations both render and get rejected.
+  EXPECT_GT(rendered, 100u);
+  EXPECT_GT(rejected, 100u);
 }
 
 TEST(CliReport, NoInputsIsUsageError) {

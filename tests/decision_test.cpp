@@ -15,9 +15,13 @@
 #include <vector>
 
 #include "attacks/attack.h"
+#include "attacks/pit_attack.h"
+#include "attacks/poi_attack.h"
 #include "core/experiment.h"
 #include "decision/kernel.h"
+#include "metrics/distortion.h"
 #include "simulation/generator.h"
+#include "support/error.h"
 #include "support/logging.h"
 
 namespace mood::decision {
@@ -184,6 +188,28 @@ TEST_F(DecisionKernelTest, EmptyTraceIsExposedWithoutCounting) {
   EXPECT_EQ(verdict.decision, Decision::kExpose);
   EXPECT_TRUE(verdict.winner.empty());
   EXPECT_EQ(kernel.stats().decisions, 0u);
+}
+
+TEST_F(DecisionKernelTest, DivergentPoiAndPitParamsAreRejected) {
+  // One stay tracker serves POI and PIT, so a suite whose PIT clusters
+  // stays differently from its POI attack cannot be served.
+  std::vector<mobility::Trace> background;
+  for (const auto& pair : harness_->pairs()) background.push_back(pair.train);
+  attacks::PoiAttack poi;
+  clustering::PoiParams wider;
+  wider.max_diameter_m = 2.0 * poi.params().max_diameter_m;
+  attacks::PitAttack pit(wider);
+  poi.train(background);
+  pit.train(background);
+  const metrics::SpatialTemporalDistortion metric;
+  const auto engine = [&](const attacks::PitAttack& pit_attack) {
+    return MoodEngine(harness_->registry().singles(), {}, {&poi, &pit_attack},
+                      &metric, MoodConfig{});
+  };
+  EXPECT_THROW(DecisionKernel{engine(pit)}, support::PreconditionError);
+  attacks::PitAttack same(poi.params());
+  same.train(background);
+  EXPECT_NO_THROW(DecisionKernel{engine(same)});
 }
 
 TEST_F(DecisionKernelTest, StatsAccumulateAcrossDecisions) {

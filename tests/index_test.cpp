@@ -1,11 +1,9 @@
-// Property suite for the sublinear re-identification indexes
-// (attacks::PopulationIndex for POI and PIT, the AP attack's per-cell
-// posting index): fuzzes the summaries.h admissibility contract over
+// Property suite for the AP attack's per-cell posting index, the one
+// pruning index: fuzzes the summaries.h Topsoe admissibility contract over
 // random, adversarially tied, single-cell, disjoint and apply_update-edited
-// profiles, asserts index-vs-scan decision identity on populations with
-// duplicates, ties and empty profiles and on one whose training-order
-// blocks are compact enough for the block bounds to decide, and checks
-// that concurrent AP queries answer and count exactly as a serial run.
+// heatmaps, asserts index-vs-scan decision identity on populations with
+// duplicates, ties and empty profiles, and checks that concurrent AP
+// queries answer and count exactly as a serial run.
 
 #include <gtest/gtest.h>
 
@@ -21,12 +19,8 @@
 
 #include "attacks/ap_attack.h"
 #include "attacks/bounded_scan.h"
-#include "attacks/population_index.h"
 #include "geo/cell_grid.h"
 #include "profiles/heatmap.h"
-#include "profiles/markov_profile.h"
-#include "profiles/poi_profile.h"
-#include "profiles/summaries.h"
 #include "support/rng.h"
 #include "test_helpers.h"
 
@@ -43,10 +37,9 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 const GeoPoint kCity{45.76, 4.83};
 
 /// A trace that dwells: a handful of anchor hotspots around the city,
-/// visited in random order with >1h stays, so POI extraction and the
-/// Markov chain produce multi-state profiles. A shared downtown anchor is
-/// mixed in half the time — the adversarial shape the two-ball covers
-/// exist for.
+/// visited in random order with >1h stays, so its heatmap spans several
+/// cells. A shared downtown anchor is mixed in half the time, so many
+/// heatmaps overlap there.
 Trace hotspot_trace(RngStream& rng, const std::string& user) {
   std::vector<GeoPoint> anchors;
   const std::size_t hotspots = 1 + rng.uniform_index(4);
@@ -193,92 +186,32 @@ TEST_P(SummaryAdmissibility, TopsoeBoundNeverExceedsExact) {
   EXPECT_GT(loosest_gap, 1.38);
 }
 
-TEST_P(SummaryAdmissibility, PoiBoundNeverExceedsExact) {
-  RngStream rng(GetParam());
-  for (int it = 0; it < 40; ++it) {
-    const Trace ta = hotspot_trace(rng, "a");
-    const Trace tb = it % 3 == 0 ? Trace("b", std::vector<Record>(
-                                                  ta.records().begin(),
-                                                  ta.records().end()))
-                                 : hotspot_trace(rng, "b");
-    const auto a = profiles::CompiledPoiProfile::incremental(ta);
-    const auto b = profiles::CompiledPoiProfile::incremental(tb);
-    const auto sa = profiles::summarize(a);
-    const auto sb = profiles::summarize(b);
-    // The bound is asymmetric (first argument = query); check both
-    // orientations against their own exact distance.
-    ASSERT_LE(profiles::poi_profile_lower_bound(sa, sb),
-              profiles::poi_profile_distance(a, b))
-        << "iteration " << it;
-    ASSERT_LE(profiles::poi_profile_lower_bound(sb, sa),
-              profiles::poi_profile_distance(b, a))
-        << "iteration " << it;
-  }
-}
-
-TEST_P(SummaryAdmissibility, StatsProxBoundNeverExceedsExact) {
-  RngStream rng(GetParam());
-  for (int it = 0; it < 40; ++it) {
-    const Trace ta = hotspot_trace(rng, "a");
-    const Trace tb = it % 3 == 0 ? Trace("b", std::vector<Record>(
-                                                  ta.records().begin(),
-                                                  ta.records().end()))
-                                 : hotspot_trace(rng, "b");
-    const auto a = profiles::CompiledMarkovProfile::incremental(ta);
-    const auto b = profiles::CompiledMarkovProfile::incremental(tb);
-    const auto sa = profiles::summarize(a);
-    const auto sb = profiles::summarize(b);
-    ASSERT_LE(profiles::stats_prox_lower_bound(sa, sb, 1000.0),
-              profiles::stats_prox_distance(a, b, 1000.0))
-        << "iteration " << it;
-    ASSERT_LE(profiles::stats_prox_lower_bound(sb, sa, 1000.0),
-              profiles::stats_prox_distance(b, a, 1000.0))
-        << "iteration " << it;
-  }
-}
-
 TEST_P(SummaryAdmissibility, BoundStaysBelowExactAfterApplyUpdate) {
+  // The gateway prices windows edited in place by apply_update, never
+  // compiled afresh: the posting bounds must hold for those too, on every
+  // entry, as the windows slide further and further from the trained
+  // traces.
   RngStream rng(GetParam());
-  for (int it = 0; it < 15; ++it) {
-    std::vector<Record> base = hotspot_trace(rng, "a").records();
-    const std::vector<Record> extra =
-        hotspot_trace(rng, "a").records();  // fresh hotspots to fold in
-    auto poi = profiles::CompiledPoiProfile::incremental(
-        Trace("a", std::vector<Record>(base)));
-    auto markov = profiles::CompiledMarkovProfile::incremental(
-        Trace("a", std::vector<Record>(base)));
-    const Timestamp shift = base.back().time + mobility::kHour;
-    for (const auto& r : extra) {
-      base.push_back(Record{r.position, r.time + shift});
-    }
-    const Trace window("a", std::vector<Record>(base));
-    poi.apply_update(window, extra.size(), 0);
-    markov.apply_update(window, extra.size(), 0);
-
-    const Trace tb = hotspot_trace(rng, "b");
-    const auto poi_b = profiles::CompiledPoiProfile::incremental(tb);
-    const auto markov_b = profiles::CompiledMarkovProfile::incremental(tb);
-    ASSERT_LE(profiles::poi_profile_lower_bound(profiles::summarize(poi_b),
-                                                profiles::summarize(poi)),
-              profiles::poi_profile_distance(poi_b, poi))
-        << "iteration " << it;
-    ASSERT_LE(
-        profiles::stats_prox_lower_bound(profiles::summarize(markov_b),
-                                         profiles::summarize(markov), 1000.0),
-        profiles::stats_prox_distance(markov_b, markov, 1000.0))
-        << "iteration " << it;
+  const geo::CellGrid grid = city_grid();
+  std::vector<Trace> background;
+  for (int u = 0; u < 70; ++u) {
+    background.push_back(hotspot_trace(rng, "u" + std::to_string(u)));
   }
-}
-
-TEST_P(SummaryAdmissibility, CoversContainTheirOwnPoints) {
-  RngStream rng(GetParam());
-  for (int it = 0; it < 20; ++it) {
-    const auto profile =
-        profiles::CompiledPoiProfile::incremental(hotspot_trace(rng, "a"));
-    const auto summary = profiles::summarize(profile);
-    for (const auto& p : summary.centers) {
-      EXPECT_EQ(profiles::point_ball_separation_m(p, summary.ball), 0.0);
-      EXPECT_EQ(profiles::point_cover_separation_m(p, summary.cover), 0.0);
+  attacks::ApAttack attack(grid);
+  attack.train(background);
+  const auto population = compiled_population(attack, background);
+  std::vector<double> bounds;
+  for (int it = 0; it < 15; ++it) {
+    const Trace& member = background[rng.uniform_index(background.size())];
+    const auto query =
+        moved_window_map(member, hotspot_trace(rng, "x"),
+                         rng.uniform_index(member.size()), grid);
+    attack.lower_bounds(query, bounds);
+    ASSERT_EQ(bounds.size(), population.size());
+    for (std::size_t i = 0; i < population.size(); ++i) {
+      ASSERT_LE(bounds[i],
+                profiles::topsoe_divergence(query, population[i].second))
+          << "iteration " << it << " entry " << i;
     }
   }
 }
@@ -293,19 +226,6 @@ TEST_P(SummaryAdmissibility, EmptyProfilesBoundToInfinity) {
   ASSERT_EQ(bounds.size(), 2u);
   EXPECT_EQ(bounds[0], kInf);
   EXPECT_LT(bounds[1], kInf);
-  const auto full_poi =
-      profiles::CompiledPoiProfile::incremental(hotspot_trace(rng, "b"));
-  EXPECT_EQ(profiles::poi_profile_lower_bound(
-                profiles::summarize(full_poi),
-                profiles::summarize(profiles::CompiledPoiProfile())),
-            kInf);
-  const auto full_markov =
-      profiles::CompiledMarkovProfile::incremental(hotspot_trace(rng, "c"));
-  EXPECT_EQ(profiles::stats_prox_lower_bound(
-                profiles::summarize(full_markov),
-                profiles::summarize(profiles::CompiledMarkovProfile()),
-                1000.0),
-            kInf);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SummaryAdmissibility,
@@ -313,95 +233,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, SummaryAdmissibility,
 
 // --------------------------------------- index-vs-scan decision identity --
 
-/// Asserts argmin and is_first_argmin agree with the linear scans for one
-/// query, for every trained owner plus an unknown one.
-template <typename Traits, typename Profile, typename Exact, typename Bounded>
-void expect_index_matches_scan(
-    const attacks::PopulationIndex<Traits>& index,
-    const std::vector<std::pair<mobility::UserId, Profile>>& population,
-    const Profile& query, const Exact& exact,
-    const Bounded& bounded) {
-  EXPECT_EQ(index.argmin(query, bounded),
-            attacks::scan_argmin(population, bounded));
-  std::vector<mobility::UserId> owners{"ghost"};
-  for (const auto& [user, profile] : population) owners.push_back(user);
-  for (const auto& owner : owners) {
-    EXPECT_EQ(index.is_first_argmin(query, owner, exact, bounded),
-              attacks::scan_is_first_argmin(population, owner, exact, bounded))
-        << "owner " << owner;
-  }
-}
-
 class IndexDecisionIdentity : public ::testing::TestWithParam<int> {};
-
-TEST_P(IndexDecisionIdentity, PoiIndexMatchesScans) {
-  RngStream rng(GetParam());
-  std::vector<std::pair<mobility::UserId, profiles::CompiledPoiProfile>>
-      population;
-  for (int u = 0; u < 70; ++u) {
-    const std::string user = "u" + std::to_string(u);
-    population.emplace_back(
-        user, profiles::CompiledPoiProfile::incremental(
-                  hotspot_trace(rng, user)));
-  }
-  population.emplace_back("empty", profiles::CompiledPoiProfile());
-  // Duplicate id (first occurrence must own) and duplicate profile under a
-  // second id (a forced exact tie the first-strict-min rule arbitrates).
-  population.emplace_back("u3", population[5].second);
-  population.emplace_back("twin", population[7].second);
-
-  attacks::PopulationIndex<attacks::PoiIndexTraits> index;
-  index.build(population);
-  for (int q = 0; q < 12; ++q) {
-    // Every third query is a member profile verbatim: a guaranteed tie.
-    const auto query = q % 3 == 0
-                           ? population[static_cast<std::size_t>(q)].second
-                           : profiles::CompiledPoiProfile::incremental(
-                                 hotspot_trace(rng, "q"));
-    expect_index_matches_scan(
-        index, population, query,
-        [&](const profiles::CompiledPoiProfile& p) {
-          return profiles::poi_profile_distance(query, p);
-        },
-        [&](const profiles::CompiledPoiProfile& p, double bound) {
-          return profiles::poi_profile_distance_bounded(query, p, bound);
-        });
-  }
-}
-
-TEST_P(IndexDecisionIdentity, PitIndexMatchesScans) {
-  RngStream rng(GetParam());
-  std::vector<std::pair<mobility::UserId, profiles::CompiledMarkovProfile>>
-      population;
-  for (int u = 0; u < 70; ++u) {
-    const std::string user = "u" + std::to_string(u);
-    population.emplace_back(
-        user, profiles::CompiledMarkovProfile::incremental(
-                  hotspot_trace(rng, user)));
-  }
-  population.emplace_back("empty", profiles::CompiledMarkovProfile());
-  population.emplace_back("u3", population[5].second);
-  population.emplace_back("twin", population[7].second);
-
-  attacks::PopulationIndex<attacks::PitIndexTraits> index(
-      attacks::PitIndexTraits{1000.0});
-  index.build(population);
-  for (int q = 0; q < 12; ++q) {
-    const auto query = q % 3 == 0
-                           ? population[static_cast<std::size_t>(q)].second
-                           : profiles::CompiledMarkovProfile::incremental(
-                                 hotspot_trace(rng, "q"));
-    expect_index_matches_scan(
-        index, population, query,
-        [&](const profiles::CompiledMarkovProfile& p) {
-          return profiles::stats_prox_distance(query, p, 1000.0);
-        },
-        [&](const profiles::CompiledMarkovProfile& p, double bound) {
-          return profiles::stats_prox_distance_bounded(query, p, 1000.0,
-                                                       bound);
-        });
-  }
-}
 
 /// Asserts the AP attack answers in kIndex mode exactly as in kScan mode:
 /// the argmin of `trace`, and the targeted query over `query` for every
@@ -572,99 +404,6 @@ TEST_P(IndexDecisionIdentity, RetrainRebuildsThePostingsAndPreservesDecisions) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, IndexDecisionIdentity,
                          ::testing::Values(3, 11, 2026));
-
-// --------------------------------------------- block bounds that decide --
-
-/// A trace dwelling at 1-3 hotspots within 1.5 km of `center`.
-Trace district_trace(RngStream& rng, const std::string& user,
-                     const GeoPoint& center) {
-  std::vector<Record> records;
-  Timestamp t = 0;
-  for (std::size_t h = 1 + rng.uniform_index(3); h > 0; --h) {
-    const GeoPoint p = geo::destination(
-        center, rng.uniform(0.0, 2.0 * geo::kPi), rng.uniform(0.0, 1500.0));
-    for (int visit = 0; visit < 2; ++visit) {
-      for (const auto& r : testing::dwell(p, t, 15)) records.push_back(r);
-      t += 16 * mobility::kHour;
-    }
-  }
-  return Trace(user, std::move(records));
-}
-
-/// Indexes `background` (compiled by `compile`) and checks every query
-/// against the linear scans for every owner.
-template <typename Traits, typename Compile, typename Exact, typename Bounded>
-void expect_block_bounds_keep_decisions(const Traits& traits,
-                                        const std::vector<Trace>& background,
-                                        const std::vector<Trace>& queries,
-                                        const Compile& compile,
-                                        const Exact& exact,
-                                        const Bounded& bounded) {
-  using Profile = typename Traits::Profile;
-  std::vector<std::pair<mobility::UserId, Profile>> population;
-  for (const auto& trace : background) {
-    population.emplace_back(trace.user(), compile(trace));
-  }
-  attacks::PopulationIndex<Traits> index(traits);
-  index.build(population);
-  for (const auto& trace : queries) {
-    const Profile query = compile(trace);
-    expect_index_matches_scan(
-        index, population, query,
-        [&](const Profile& p) { return exact(query, p); },
-        [&](const Profile& p, double bound) {
-          return bounded(query, p, bound);
-        });
-  }
-  EXPECT_GT(index.stats().pruned_candidates, 0u);
-}
-
-TEST(IndexBlockBounds, CompactBlocksKeepDecisions) {
-  // Generated populations train users in an order unrelated to place, so
-  // each kIndexClusterSize-block's covering ball spans the city and its
-  // cluster_lower_bound is ~0: it almost never decides a query. Here the
-  // first block lives in one district and the rest 8 km east, and the
-  // queries lie between the two, so a block's bound often falls within a
-  // factor of 2 of the running best or the owner's distance. A block
-  // bound above the true distances would skip a block holding a better
-  // candidate and change the answer.
-  RngStream rng(11);
-  const GeoPoint east = geo::destination(kCity, geo::kPi / 2.0, 8000.0);
-  std::vector<Trace> background;
-  for (std::size_t u = 0; u < attacks::kIndexClusterSize + 16; ++u) {
-    background.push_back(
-        district_trace(rng, "u" + std::to_string(u),
-                       u < attacks::kIndexClusterSize ? kCity : east));
-  }
-  std::vector<Trace> queries;
-  for (int q = 0; q < 24; ++q) {
-    queries.push_back(district_trace(
-        rng, "q",
-        geo::destination(kCity, geo::kPi / 2.0, rng.uniform(1500.0, 6500.0))));
-  }
-  expect_block_bounds_keep_decisions(
-      attacks::PoiIndexTraits{}, background, queries,
-      [](const Trace& trace) {
-        return profiles::CompiledPoiProfile::incremental(trace);
-      },
-      [](const auto& a, const auto& b) {
-        return profiles::poi_profile_distance(a, b);
-      },
-      [](const auto& a, const auto& b, double bound) {
-        return profiles::poi_profile_distance_bounded(a, b, bound);
-      });
-  expect_block_bounds_keep_decisions(
-      attacks::PitIndexTraits{1000.0}, background, queries,
-      [](const Trace& trace) {
-        return profiles::CompiledMarkovProfile::incremental(trace);
-      },
-      [](const auto& a, const auto& b) {
-        return profiles::stats_prox_distance(a, b, 1000.0);
-      },
-      [](const auto& a, const auto& b, double bound) {
-        return profiles::stats_prox_distance_bounded(a, b, 1000.0, bound);
-      });
-}
 
 // ------------------------------------------- concurrent AP queries -------
 

@@ -40,7 +40,15 @@ struct Sample {
   std::map<std::string, std::string> labels;
   std::string value_text;  // original token, reprinted verbatim
   double value = 0.0;
+  std::size_t line = 0;  // 1-based line number in the input
 };
+
+/// Rejects the input at `path`:`line` as a usage error (exit 2).
+[[noreturn]] void reject(const std::string& path, std::size_t line,
+                         const std::string& message) {
+  throw support::UsageError("mood metrics: " + path + ":" +
+                            std::to_string(line) + ": " + message);
+}
 
 /// Parsed exposition: TYPE declarations in file order plus every sample.
 struct Exposition {
@@ -95,33 +103,26 @@ Exposition parse_exposition(const std::string& text, const std::string& path) {
       continue;
     }
     Sample sample;
+    sample.line = line_number;
     std::size_t pos = line.find_first_of("{ ");
     if (pos == std::string::npos) {
-      throw support::UsageError("mood metrics: " + path + ":" +
-                                std::to_string(line_number) +
-                                ": malformed sample line '" + line + "'");
+      reject(path, line_number, "malformed sample line '" + line + "'");
     }
     sample.name = line.substr(0, pos);
     if (line[pos] == '{' && !parse_labels(line, pos, sample.labels)) {
-      throw support::UsageError("mood metrics: " + path + ":" +
-                                std::to_string(line_number) +
-                                ": malformed label set in '" + line + "'");
+      reject(path, line_number, "malformed label set in '" + line + "'");
     }
     while (pos < line.size() && line[pos] == ' ') ++pos;
     sample.value_text = line.substr(pos);
     if (sample.value_text.empty()) {
-      throw support::UsageError("mood metrics: " + path + ":" +
-                                std::to_string(line_number) +
-                                ": sample line '" + line + "' has no value");
+      reject(path, line_number, "sample line '" + line + "' has no value");
     }
     errno = 0;
     char* end = nullptr;
     sample.value = std::strtod(sample.value_text.c_str(), &end);
     if (end == sample.value_text.c_str() || *end != '\0') {
-      throw support::UsageError("mood metrics: " + path + ":" +
-                                std::to_string(line_number) +
-                                ": non-numeric value '" + sample.value_text +
-                                "'");
+      reject(path, line_number,
+             "non-numeric value '" + sample.value_text + "'");
     }
     exposition.samples.push_back(std::move(sample));
   }
@@ -134,6 +135,36 @@ struct HistogramSeries {
   double sum = 0.0;
   std::uint64_t count = 0;
 };
+
+/// A histogram bucket's upper bound: its `le` label, +Inf when absent.
+/// Anything but a finite number or "+Inf" is rejected — a NaN bound would
+/// break the strict weak ordering the bucket sort needs.
+double bucket_bound(const Sample& sample, const std::string& path) {
+  const auto le = sample.labels.find("le");
+  if (le == sample.labels.end() || le->second == "+Inf") {
+    return std::numeric_limits<double>::infinity();
+  }
+  char* end = nullptr;
+  const double bound = std::strtod(le->second.c_str(), &end);
+  if (end == le->second.c_str() || *end != '\0' || !std::isfinite(bound)) {
+    reject(path, sample.line,
+           "bucket bound le=\"" + le->second +
+               "\" is neither a finite number nor +Inf");
+  }
+  return bound;
+}
+
+/// A histogram bucket or count sample's value as a count. NaN, infinite,
+/// negative and out-of-range values (llround cannot represent 2^63 and
+/// up) are rejected.
+std::uint64_t histogram_count(const Sample& sample, const std::string& path) {
+  if (!(sample.value >= 0.0 && sample.value < 0x1p63)) {
+    reject(path, sample.line,
+           "histogram count '" + sample.value_text +
+               "' is not a finite non-negative count");
+  }
+  return std::uint64_t(std::llround(sample.value));
+}
 
 std::string fixed(double value, int precision) {
   std::ostringstream out;
@@ -182,7 +213,7 @@ std::string render_labels(const std::map<std::string, std::string>& labels) {
 }
 
 std::vector<std::vector<std::string>> exposition_rows(
-    const Exposition& exposition, bool per_shard) {
+    const Exposition& exposition, const std::string& path, bool per_shard) {
   std::vector<std::vector<std::string>> rows;
   rows.push_back({"metric", "value"});
 
@@ -213,17 +244,12 @@ std::vector<std::vector<std::string>> exposition_rows(
           shard_it == sample.labels.end() ? "" : shard_it->second;
       HistogramSeries& series = histograms[base][shard];
       if (part == kBucket) {
-        const auto le_it = sample.labels.find("le");
-        const double le = le_it == sample.labels.end() ||
-                                  le_it->second == "+Inf"
-                              ? std::numeric_limits<double>::infinity()
-                              : std::strtod(le_it->second.c_str(), nullptr);
-        series.buckets.emplace_back(le,
-                                    std::uint64_t(std::llround(sample.value)));
+        series.buckets.emplace_back(bucket_bound(sample, path),
+                                    histogram_count(sample, path));
       } else if (part == kSum) {
         series.sum = sample.value;
       } else {
-        series.count = std::uint64_t(std::llround(sample.value));
+        series.count = histogram_count(sample, path);
       }
       continue;
     }
@@ -305,7 +331,7 @@ int cmd_metrics(int argc, const char* const* argv, std::ostream& out,
       print_table(out, report::stream_summary_rows(document));
     } else {
       out << path << " [exposition]\n";
-      print_table(out, exposition_rows(parse_exposition(text, path),
+      print_table(out, exposition_rows(parse_exposition(text, path), path,
                                        flags.get_bool("per-shard")));
     }
   }

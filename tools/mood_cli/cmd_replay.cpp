@@ -500,10 +500,10 @@ int cmd_replay(int argc, const char* const* argv, std::ostream& out,
              "inputs than the batch pass)\n";
     } else {
       const auto verify_started = elapsed();
-      // The stream queried the population index (the attacks' default);
-      // run the batch pass on the linear-scan oracle, so the replay is
-      // verified against independent machinery (decisions must be
-      // bit-identical across modes).
+      // The stream queried the AP posting index (its default); run the
+      // batch pass on the linear-scan oracle, so the replay is verified
+      // against independent machinery (decisions must be bit-identical
+      // across modes).
       harness.set_attack_query_mode(attacks::QueryMode::kScan);
       batch_match = verify_against_batch(harness, result.decisions, err);
       meta.timings.emplace_back("verify", elapsed() - verify_started);
