@@ -196,14 +196,9 @@ std::optional<mobility::UserId> ApAttack::reidentify(
   return counted_scan_argmin(compiled_, bounded, counters_);
 }
 
-bool ApAttack::reidentifies_target(const mobility::Trace& anonymous_trace,
+bool ApAttack::reidentifies_target(const Candidate& candidate,
                                    const mobility::UserId& owner) const {
-  return reidentifies_compiled(compile_anonymous(anonymous_trace), owner);
-}
-
-bool ApAttack::reidentifies_compiled(
-    const profiles::CompiledHeatmap& anonymous_map,
-    const mobility::UserId& owner) const {
+  const profiles::CompiledHeatmap& anonymous_map = candidate.heatmap(grid_);
   if (anonymous_map.empty()) return false;
   const auto exact = [&](const profiles::CompiledHeatmap& map) {
     return profiles::topsoe_divergence(anonymous_map, map);

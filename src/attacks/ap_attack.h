@@ -49,6 +49,21 @@ namespace mood::attacks {
 /// counted, prunes are zero.
 inline constexpr std::size_t kIndexMinPopulation = 64;
 
+/// Which machinery serves the AP attack's re-identification queries. Both
+/// modes answer every query with the *same decision* — the scan exists so
+/// the index can be validated against it (the tier-1 equivalence tests,
+/// replay verification), never to trade accuracy for speed.
+enum class QueryMode {
+  /// Flat compiled profiles + linear branch-and-bound scans
+  /// (bounded_scan.h) — prices candidates in training order, pruning with
+  /// the best distance so far. The oracle for the index.
+  kScan,
+  /// The per-cell posting index: admissible lower bounds eliminate most
+  /// candidates before any exact pricing; survivors are priced with the
+  /// same bounded divergences. The production default.
+  kIndex,
+};
+
 class ApAttack final : public Attack {
  public:
   /// The grid must be shared (same projection + cell size) with any LPPM
@@ -62,36 +77,22 @@ class ApAttack final : public Attack {
   [[nodiscard]] std::optional<mobility::UserId> reidentify(
       const mobility::Trace& anonymous_trace) const override;
 
+  /// Reads the candidate's heatmap on this attack's grid. Index by
+  /// default, linear scan in kScan mode.
   [[nodiscard]] bool reidentifies_target(
-      const mobility::Trace& anonymous_trace,
+      const Candidate& candidate,
       const mobility::UserId& owner) const override;
 
   [[nodiscard]] std::size_t trained_users() const override {
     return compiled_.size();
   }
 
-  void set_query_mode(QueryMode mode) override { mode_ = mode; }
-  [[nodiscard]] QueryMode query_mode() const override { return mode_; }
+  /// Selects the query machinery (see QueryMode). Not thread-safe — flip
+  /// only outside parallel sections.
+  void set_query_mode(QueryMode mode) { mode_ = mode; }
   [[nodiscard]] IndexStats index_stats() const override {
     return counters_.stats();
   }
-
-  /// Compiles the anonymous-side heatmap exactly as the optimized queries
-  /// do internally. Exposed so the streaming gateway can maintain it
-  /// incrementally (CompiledHeatmap::apply_update) instead of recompiling
-  /// per decision.
-  [[nodiscard]] profiles::CompiledHeatmap compile_anonymous(
-      const mobility::Trace& trace) const {
-    return profiles::CompiledHeatmap::from_trace(trace, grid_);
-  }
-
-  /// Targeted query over a pre-compiled anonymous heatmap. Decision-
-  /// identical to reidentifies_target(trace, owner) whenever
-  /// `anonymous_map` carries the same cells as compile_anonymous(trace).
-  /// Index by default, linear scan in kScan mode.
-  [[nodiscard]] bool reidentifies_compiled(
-      const profiles::CompiledHeatmap& anonymous_map,
-      const mobility::UserId& owner) const;
 
   /// The posting pass: sets `bounds` to one lower bound on
   /// topsoe_divergence(query, entry) per trained entry, in training order,

@@ -12,28 +12,14 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
+#include "attacks/candidate.h"
 #include "mobility/trace.h"
 
 namespace mood::attacks {
-
-/// Which machinery serves the AP attack's re-identification queries. Both
-/// modes answer every query with the *same decision* — the scan exists so
-/// the index can be validated against it (the tier-1 equivalence tests,
-/// replay verification), never to trade accuracy for speed. POI and PIT
-/// always answer by the scan.
-enum class QueryMode {
-  /// Flat compiled profiles + linear branch-and-bound scans
-  /// (bounded_scan.h) — prices candidates in training order, pruning with
-  /// the best distance so far. The oracle for the index.
-  kScan,
-  /// AP's per-cell posting index (ap_attack.h): admissible lower bounds
-  /// eliminate most candidates before any exact pricing; survivors are
-  /// priced with the same bounded divergences. The production default.
-  kIndex,
-};
 
 /// Cumulative query work counters (since construction). POI and PIT count
 /// their scans, which prune nothing and build no index; AP counts its
@@ -65,44 +51,41 @@ class Attack {
   [[nodiscard]] virtual std::optional<mobility::UserId> reidentify(
       const mobility::Trace& anonymous_trace) const = 0;
 
-  /// Targeted query: would reidentify() answer exactly `owner`? Must be
-  /// decision-equivalent to `reidentify(trace) == owner` — this default is
-  /// literally that — but concrete attacks override it with a
-  /// branch-and-bound scan that prices the owner first and prunes the rest
-  /// of the population against that distance, which is what makes
-  /// Algorithm 1's attack-in-the-loop search fast (the engine only ever
-  /// needs this predicate, never the full argmin).
+  /// Targeted query: would reidentify(candidate.trace()) answer exactly
+  /// `owner`? Must be decision-equivalent to that — this default is
+  /// literally it — but concrete attacks override it to read their
+  /// compiled form from the candidate and run a branch-and-bound scan that
+  /// prices the owner first and prunes the rest of the population against
+  /// that distance, which is what makes Algorithm 1's attack-in-the-loop
+  /// search fast (the engine only ever needs this predicate, never the
+  /// full argmin). A trace converts to a Candidate implicitly.
   [[nodiscard]] virtual bool reidentifies_target(
-      const mobility::Trace& anonymous_trace,
-      const mobility::UserId& owner) const {
-    const auto answer = reidentify(anonymous_trace);
+      const Candidate& candidate, const mobility::UserId& owner) const {
+    const auto answer = reidentify(candidate.trace());
     return answer.has_value() && *answer == owner;
   }
 
   /// Number of trained profiles.
   [[nodiscard]] virtual std::size_t trained_users() const = 0;
 
-  /// Selects the query machinery (see QueryMode). Default no-op for
-  /// attacks with one path (POI, PIT, test mocks). Not thread-safe — flip
-  /// only outside parallel sections.
-  virtual void set_query_mode(QueryMode /*mode*/) {}
-
-  /// The active query machinery.
-  [[nodiscard]] virtual QueryMode query_mode() const {
-    return QueryMode::kScan;
-  }
-
   /// Query work counters (zero for attacks that count nothing).
   [[nodiscard]] virtual IndexStats index_stats() const { return {}; }
 };
 
-/// True iff the attack's answer equals the true owner — the success
-/// predicate A_k(T') = U used throughout Algorithm 1. Routed through the
-/// targeted reidentifies_target query so trained attacks can prune their
-/// population scan instead of pricing every user.
-inline bool reidentifies(const Attack& attack, const mobility::Trace& trace,
-                         const mobility::UserId& owner) {
-  return attack.reidentifies_target(trace, owner);
+/// The one risk predicate, A_k(T') = U for some k (Algorithm 1 lines
+/// 8-10): does any attack, asked in order, re-identify `owner` from the
+/// candidate? Stops at the first that does, and adds the number of
+/// attacks it asked to `*asked` (when given). Every attack reads the same
+/// candidate, so each compiled form is built once per call at most.
+inline bool any_reidentifies(std::span<const Attack* const> attacks,
+                             const Candidate& candidate,
+                             const mobility::UserId& owner,
+                             std::size_t* asked = nullptr) {
+  for (const Attack* attack : attacks) {
+    if (asked != nullptr) ++*asked;
+    if (attack->reidentifies_target(candidate, owner)) return true;
+  }
+  return false;
 }
 
 using AttackPtr = std::unique_ptr<Attack>;

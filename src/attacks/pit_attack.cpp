@@ -6,17 +6,15 @@ void PitAttack::train(const std::vector<mobility::Trace>& background) {
   compiled_.clear();
   compiled_.reserve(background.size());
   for (const auto& trace : background) {
-    compiled_.emplace_back(trace.user(),
-                           profiles::CompiledMarkovProfile(
-                               profiles::MarkovProfile::from_trace(trace,
-                                                                   params_)));
+    compiled_.emplace_back(trace.user(), Candidate(trace).markov(params_));
   }
   owner_index_ = first_occurrences(compiled_);
 }
 
 std::optional<mobility::UserId> PitAttack::reidentify(
     const mobility::Trace& anonymous_trace) const {
-  const auto anonymous_profile = compile_anonymous(anonymous_trace);
+  const Candidate candidate(anonymous_trace);
+  const auto& anonymous_profile = candidate.markov(params_);
   if (anonymous_profile.empty()) return std::nullopt;
   const auto bounded = [&](const profiles::CompiledMarkovProfile& profile,
                            double bound) {
@@ -26,14 +24,10 @@ std::optional<mobility::UserId> PitAttack::reidentify(
   return counted_scan_argmin(compiled_, bounded, counters_);
 }
 
-bool PitAttack::reidentifies_target(const mobility::Trace& anonymous_trace,
+bool PitAttack::reidentifies_target(const Candidate& candidate,
                                     const mobility::UserId& owner) const {
-  return reidentifies_compiled(compile_anonymous(anonymous_trace), owner);
-}
-
-bool PitAttack::reidentifies_compiled(
-    const profiles::CompiledMarkovProfile& anonymous_profile,
-    const mobility::UserId& owner) const {
+  const profiles::CompiledMarkovProfile& anonymous_profile =
+      candidate.markov(params_);
   if (anonymous_profile.empty()) return false;
   const auto exact = [&](const profiles::CompiledMarkovProfile& profile) {
     return profiles::stats_prox_distance(anonymous_profile, profile,

@@ -40,8 +40,9 @@ class PitAttack final : public Attack {
   [[nodiscard]] std::optional<mobility::UserId> reidentify(
       const mobility::Trace& anonymous_trace) const override;
 
+  /// Reads the candidate's Markov states, clustered with params().
   [[nodiscard]] bool reidentifies_target(
-      const mobility::Trace& anonymous_trace,
+      const Candidate& candidate,
       const mobility::UserId& owner) const override;
 
   [[nodiscard]] std::size_t trained_users() const override {
@@ -52,25 +53,8 @@ class PitAttack final : public Attack {
     return counters_.stats();
   }
 
-  /// Compiles the anonymous-side MMC exactly as the optimized queries do
-  /// internally. Exposed so the streaming gateway can cache it and rebuild
-  /// under a staleness bound (MMC extraction is not incrementally
-  /// maintainable the way heatmap counts are).
-  [[nodiscard]] profiles::CompiledMarkovProfile compile_anonymous(
-      const mobility::Trace& trace) const {
-    return profiles::CompiledMarkovProfile(
-        profiles::MarkovProfile::from_trace(trace, params_));
-  }
-
-  /// Targeted query over a pre-compiled anonymous MMC. Decision-identical
-  /// to reidentifies_target(trace, owner) whenever `anonymous_profile`
-  /// equals compile_anonymous(trace).
-  [[nodiscard]] bool reidentifies_compiled(
-      const profiles::CompiledMarkovProfile& anonymous_profile,
-      const mobility::UserId& owner) const;
-
-  /// Stay-clustering parameters of this attack's profiles — the decision
-  /// kernel shares one stay tracker across attacks whose params agree.
+  /// Stay-clustering parameters of this attack's profiles — one stay
+  /// extraction serves every attack of a suite, so their params agree.
   [[nodiscard]] const clustering::PoiParams& params() const { return params_; }
 
  private:

@@ -32,8 +32,4 @@ void train_all(const std::vector<AttackPtr>& suite,
   for (const auto& attack : suite) attack->train(background);
 }
 
-void set_query_mode(const std::vector<AttackPtr>& suite, QueryMode mode) {
-  for (const auto& attack : suite) attack->set_query_mode(mode);
-}
-
 }  // namespace mood::attacks

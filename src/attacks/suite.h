@@ -39,8 +39,4 @@ AttackPtr make_attack(const std::string& name, const geo::GeoPoint& reference,
 void train_all(const std::vector<AttackPtr>& suite,
                const std::vector<mobility::Trace>& background);
 
-/// Selects the query machinery for every attack of a suite (see
-/// attacks::QueryMode). Not thread-safe — call outside parallel sections.
-void set_query_mode(const std::vector<AttackPtr>& suite, QueryMode mode);
-
 }  // namespace mood::attacks

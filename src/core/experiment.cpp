@@ -182,19 +182,8 @@ std::vector<const attacks::Attack*> ExperimentHarness::attack_views(
 }
 
 void ExperimentHarness::set_attack_query_mode(attacks::QueryMode mode) const {
-  attacks::set_query_mode(attacks_, mode);
-}
-
-attacks::IndexStats ExperimentHarness::attack_index_stats() const {
-  attacks::IndexStats total;
-  for (const auto& attack : attacks_) {
-    const attacks::IndexStats stats = attack->index_stats();
-    total.queries += stats.queries;
-    total.pruned_candidates += stats.pruned_candidates;
-    total.exact_evaluations += stats.exact_evaluations;
-    total.rebuilds += stats.rebuilds;
-  }
-  return total;
+  dynamic_cast<attacks::ApAttack&>(*attacks_[ap_attack_index()])
+      .set_query_mode(mode);
 }
 
 std::size_t ExperimentHarness::ap_attack_index() const {
@@ -208,10 +197,9 @@ StrategyResult ExperimentHarness::evaluate_no_lppm(
     const std::vector<std::size_t>& attack_subset) const {
   const WallTimer timer;
   // The risk half of the shared decision kernel: compile the window
-  // profiles once per user and run every attack's targeted branch-and-
-  // bound query against them — decision-identical to walking
-  // attacks::reidentifies over the raw trace, and the same code path the
-  // online gateway's expose/protect verdicts run through.
+  // profiles once per user and ask the one risk predicate over them — the
+  // same code path the online gateway's expose/protect verdicts run
+  // through.
   const decision::DecisionKernel kernel = make_kernel(attack_subset);
   StrategyResult result;
   result.strategy = "no-LPPM";
@@ -259,13 +247,8 @@ StrategyResult ExperimentHarness::evaluate_single(
                    .fork(pair.test.user())
                    .fork(mechanism->name());
     const mobility::Trace output = mechanism->apply(pair.test, std::move(rng));
-    bool caught = false;
-    for (const auto* attack : views) {
-      if (attacks::reidentifies(*attack, output, pair.test.user())) {
-        caught = true;
-        break;
-      }
-    }
+    const bool caught =
+        attacks::any_reidentifies(views, output, pair.test.user());
     const double distortion =
         caught ? 0.0 : metric_.distortion(pair.test, output);
     result.users[i] = UserOutcome{pair.test.user(), !caught, distortion,

@@ -207,16 +207,12 @@ class ExperimentHarness {
 
   /// Selects the AP attack's query machinery (linear branch-and-bound
   /// scans or its posting index — see attacks::QueryMode; POI and PIT
-  /// always scan): the switch the equivalence tests, `mood replay
-  /// --verify` and the index sweep flip. const because it does not
-  /// change the harness's observable results, only which (decision-
-  /// equivalent) implementation answers queries. Not thread-safe — call
-  /// outside parallel sections.
+  /// always scan), reached through ap_attack_index(): the switch the
+  /// equivalence tests, `mood replay --verify` and the index sweep flip.
+  /// const because it does not change the harness's observable results,
+  /// only which (decision-equivalent) implementation answers queries. Not
+  /// thread-safe — call outside parallel sections.
   void set_attack_query_mode(attacks::QueryMode mode) const;
-
-  /// Query work counters summed over every attack of the suite (AP's are
-  /// unchanged while it runs in scan mode).
-  [[nodiscard]] attacks::IndexStats attack_index_stats() const;
 
   /// Index of the AP attack inside attacks() (the single-attack
   /// experiments of Fig. 6 use it alone).

@@ -24,14 +24,7 @@ std::optional<HybridLppm::Result> HybridLppm::protect(
   for (const auto* single : singles_) {
     auto rng = support::RngStream(seed_).fork(trace.user()).fork(single->name());
     mobility::Trace output = single->apply(trace, std::move(rng));
-    bool caught = false;
-    for (const auto* attack : attacks_) {
-      if (attacks::reidentifies(*attack, output, trace.user())) {
-        caught = true;
-        break;
-      }
-    }
-    if (caught) continue;
+    if (attacks::any_reidentifies(attacks_, output, trace.user())) continue;
     const double distortion = metric_->distortion(trace, output);
     if (!best || distortion < best->distortion) {
       best = Result{single->name(), std::move(output), distortion};

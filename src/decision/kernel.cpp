@@ -2,10 +2,7 @@
 
 #include <utility>
 
-#include "attacks/ap_attack.h"
-#include "attacks/pit_attack.h"
-#include "attacks/poi_attack.h"
-#include "support/error.h"
+#include "attacks/attack.h"
 
 namespace mood::decision {
 
@@ -15,31 +12,7 @@ constexpr auto kRelaxed = std::memory_order_relaxed;
 }  // namespace
 
 DecisionKernel::DecisionKernel(MoodEngine engine, KernelConfig config)
-    : engine_(std::move(engine)), config_(config) {
-  for (const auto* attack : engine_.attacks()) {
-    if (ap_ == nullptr) {
-      ap_ = dynamic_cast<const attacks::ApAttack*>(attack);
-      if (ap_ != nullptr) continue;
-    }
-    if (pit_ == nullptr) {
-      pit_ = dynamic_cast<const attacks::PitAttack*>(attack);
-      if (pit_ != nullptr) continue;
-    }
-    if (poi_ == nullptr) poi_ = dynamic_cast<const attacks::PoiAttack*>(attack);
-  }
-  // One stay tracker serves both stay-clustering attacks, so their
-  // parameters must agree (make_attack builds both from the same params).
-  support::expects(
-      poi_ == nullptr || pit_ == nullptr || pit_->params() == poi_->params(),
-      "DecisionKernel: POI and PIT attacks must share stay-clustering params");
-  if (poi_ != nullptr) {
-    stay_params_ = poi_->params();
-    has_stay_params_ = true;
-  } else if (pit_ != nullptr) {
-    stay_params_ = pit_->params();
-    has_stay_params_ = true;
-  }
-}
+    : engine_(std::move(engine)), config_(config) {}
 
 std::size_t DecisionKernel::fold(
     UserKernelState& state, std::span<const mobility::Record> pending) const {
@@ -68,18 +41,18 @@ std::size_t DecisionKernel::fold(
     expired = records.size() - config_.max_points;
   }
 
-  if (ap_ != nullptr) {
+  if (const geo::CellGrid* grid = engine_.heatmap_grid()) {
     // Counts only: the cells are compiled when a verdict reads them
     // (refresh_profiles). The evicted records are read straight from the
     // window front, before drop_front.
     const auto evicted = std::span(records).first(expired);
     if (!state.heatmap_built) {
       state.heatmap =
-          profiles::CompiledHeatmap::incremental(state.window, ap_->grid());
-      state.heatmap.apply_update({}, evicted, ap_->grid());
+          profiles::CompiledHeatmap::incremental(state.window, *grid);
+      state.heatmap.apply_update({}, evicted, *grid);
       state.heatmap_built = true;
     } else {
-      state.heatmap.apply_update(pending, evicted, ap_->grid());
+      state.heatmap.apply_update(pending, evicted, *grid);
     }
     heatmap_updates_.fetch_add(1, kRelaxed);
   }
@@ -101,7 +74,7 @@ void DecisionKernel::refresh_profiles(UserKernelState& state,
   // The AP heatmap is always exact: its counts are current after every
   // fold, and compiling them is cheap next to the query that follows.
   state.heatmap.compile();
-  if (pit_ == nullptr && poi_ == nullptr) return;
+  if (engine_.stay_params() == nullptr) return;
   const bool stale = !state.profiles_built || state.stale_points > 0;
   if (!stale) return;
   if (!force && config_.staleness_points > 0 && state.profiles_built &&
@@ -109,26 +82,19 @@ void DecisionKernel::refresh_profiles(UserKernelState& state,
     return;  // within the staleness bound — keep serving the cached forms
   }
 
-  if (has_stay_params_) {
-    if (!state.stays_init) {
-      state.stays =
-          clustering::TrackedVisitStates(stay_params_, state.stay_origin);
-      state.stays_init = true;
-    }
-    const std::uint64_t rebuilds_before = state.stays.tracker().rebuilds();
-    state.stays.update(state.window, state.stale_appended,
-                       state.stale_evicted);
-    stay_updates_.fetch_add(1, kRelaxed);
-    stay_rebuilds_.fetch_add(
-        state.stays.tracker().rebuilds() - rebuilds_before, kRelaxed);
-    const auto states = state.stays.states();
-    if (pit_ != nullptr) {
-      state.markov = profiles::CompiledMarkovProfile::from_states(states);
-    }
-    if (poi_ != nullptr) {
-      state.poi = profiles::CompiledPoiProfile::from_states(states);
-    }
+  if (!state.stays_init) {
+    state.stays = clustering::TrackedVisitStates(*engine_.stay_params(),
+                                                 state.stay_origin);
+    state.stays_init = true;
   }
+  const std::uint64_t rebuilds_before = state.stays.tracker().rebuilds();
+  state.stays.update(state.window, state.stale_appended, state.stale_evicted);
+  stay_updates_.fetch_add(1, kRelaxed);
+  stay_rebuilds_.fetch_add(state.stays.tracker().rebuilds() - rebuilds_before,
+                           kRelaxed);
+  const auto states = state.stays.states();
+  state.markov = profiles::CompiledMarkovProfile::from_states(states);
+  state.poi = profiles::CompiledPoiProfile::from_states(states);
   state.profiles_built = true;
   state.stale_points = 0;
   state.stale_appended = 0;
@@ -137,25 +103,21 @@ void DecisionKernel::refresh_profiles(UserKernelState& state,
 }
 
 bool DecisionKernel::at_risk(const UserKernelState& state) const {
-  // Same predicate as the batch no-LPPM evaluator: does any trained attack
-  // re-identify the raw window? Walked in suite order; the OR is
-  // order-independent, the early exit only saves work.
-  const mobility::UserId& owner = state.window.user();
-  for (const auto* attack : engine_.attacks()) {
-    attack_invocations_.fetch_add(1, kRelaxed);
-    bool caught = false;
-    if (attack == ap_) {
-      caught = ap_->reidentifies_compiled(state.heatmap, owner);
-    } else if (attack == pit_) {
-      caught = pit_->reidentifies_compiled(state.markov, owner);
-    } else if (attack == poi_) {
-      caught = poi_->reidentifies_compiled(state.poi, owner);
-    } else {
-      caught = attack->reidentifies_target(state.window, owner);
-    }
-    if (caught) return true;
+  // Same predicate as every other risk question: does any trained attack
+  // re-identify the raw window? The candidate reads the profiles this
+  // kernel maintains, so the window compiles nothing again.
+  attacks::Candidate candidate(state.window);
+  if (const geo::CellGrid* grid = engine_.heatmap_grid()) {
+    candidate.use_heatmap(state.heatmap, *grid);
   }
-  return false;
+  if (const clustering::PoiParams* params = engine_.stay_params()) {
+    candidate.use_stays(state.markov, state.poi, *params);
+  }
+  std::size_t asked = 0;
+  const bool risk = attacks::any_reidentifies(engine_.attacks(), candidate,
+                                              state.window.user(), &asked);
+  attack_invocations_.fetch_add(asked, kRelaxed);
+  return risk;
 }
 
 void DecisionKernel::select_mechanism(UserKernelState& state,

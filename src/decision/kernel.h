@@ -23,8 +23,8 @@
 ///     Identical final windows therefore produce bit-identical decisions
 ///     by construction, not by test.
 ///
-/// Per user the kernel owns the compiled profiles of all three standard
-/// attacks, maintained incrementally:
+/// Per user the kernel owns the compiled forms the engine's attacks read,
+/// maintained incrementally:
 ///
 ///   * the AP heatmap exactly: fold() edits its integer cell counts in
 ///     place per appended or evicted record (CompiledHeatmap::apply_update)
@@ -32,18 +32,19 @@
 ///     every read (full and final tiers, at_risk_trace), ahead of the PIT/POI
 ///     staleness bound — bit-identical to a from-scratch compile;
 ///   * the PIT and POI profiles through ONE shared StayTracker (both
-///     attacks cluster the same stay points when their PoiParams agree, as
-///     the standard suite's do) plus a VisitAccumulator, compiled into
+///     attacks cluster the same stay points: MoodEngine requires their
+///     PoiParams to agree) plus a VisitAccumulator, compiled into
 ///     their flat forms with from_states — incremental stay-point
 ///     maintenance with a bounded rebuild fallback when an eviction splits
 ///     a stay. A staleness bound (KernelConfig::staleness_points) defers
 ///     even the incremental folds; the final tier always forces freshness.
 ///
-/// Risk queries run the PR 3 targeted branch-and-bound predicates over the
-/// compiled window profiles; mechanism selection applies the
-/// keep/recheck/search policy: keep the held LPPM while a cheap
-/// MoodEngine::recheck shows it still protects, full search() only on
-/// expose->protect transitions or when the mechanism breaks.
+/// The risk query is attacks::any_reidentifies over a Candidate of the
+/// window holding these forms, so the window compiles nothing again.
+/// Mechanism selection applies the keep/recheck/search policy: keep the
+/// held LPPM while a cheap MoodEngine::recheck shows it still protects,
+/// full search() only on expose->protect transitions or when the
+/// mechanism breaks.
 ///
 /// Thread-safety: the kernel itself is immutable after construction;
 /// fold/step mutate only the caller-owned UserKernelState plus
@@ -63,12 +64,6 @@
 #include "profiles/heatmap.h"
 #include "profiles/markov_profile.h"
 #include "profiles/poi_profile.h"
-
-namespace mood::attacks {
-class ApAttack;
-class PitAttack;
-class PoiAttack;
-}  // namespace mood::attacks
 
 namespace mood::decision {
 
@@ -124,9 +119,10 @@ struct KernelStats {
   std::uint64_t evicted_points = 0;    ///< records expired out of windows
   std::uint64_t lppm_applications = 0; ///< search/recheck cost counters
   std::uint64_t attack_invocations = 0;
-  /// Population-index counters, pulled from the attacks at snapshot time
-  /// (the index lives inside each trained attack; the kernel reads, never
-  /// writes). All zero when queries run in scan mode.
+  /// Attack query work, summed over the attacks' IndexStats at snapshot
+  /// time: exact_evals counts the candidates the POI and PIT scans and
+  /// AP's queries price exactly (AP counts nothing in kScan mode); prunes
+  /// and rebuilds come from AP's posting index only.
   std::uint64_t index_prunes = 0;    ///< candidates skipped via lower bounds
   std::uint64_t exact_evals = 0;     ///< candidates priced exactly
   std::uint64_t index_rebuilds = 0;  ///< full index (re)builds
@@ -196,9 +192,6 @@ class DecisionKernel {
  public:
   /// Takes ownership of a configured MoodEngine (typically
   /// harness.make_engine()); the engine's attacks must outlive the kernel.
-  /// Throws PreconditionError when the suite holds both a POI and a PIT
-  /// attack with different stay-clustering params: one stay tracker
-  /// serves both.
   explicit DecisionKernel(MoodEngine engine, KernelConfig config = {});
 
   DecisionKernel(const DecisionKernel&) = delete;
@@ -270,16 +263,6 @@ class DecisionKernel {
 
   MoodEngine engine_;
   KernelConfig config_;
-
-  // Typed fast-path views into engine_.attacks() (null when absent).
-  const attacks::ApAttack* ap_ = nullptr;
-  const attacks::PitAttack* pit_ = nullptr;
-  const attacks::PoiAttack* poi_ = nullptr;
-  /// Stay-clustering parameters of the shared tracker (the POI attack's,
-  /// falling back to the PIT attack's; the constructor requires both to
-  /// agree).
-  clustering::PoiParams stay_params_;
-  bool has_stay_params_ = false;
 
   mutable std::atomic<std::uint64_t> decisions_{0};
   mutable std::atomic<std::uint64_t> exposed_events_{0};

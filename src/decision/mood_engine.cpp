@@ -2,6 +2,9 @@
 
 #include <limits>
 
+#include "attacks/ap_attack.h"
+#include "attacks/pit_attack.h"
+#include "attacks/poi_attack.h"
 #include "support/error.h"
 
 namespace mood::decision {
@@ -49,6 +52,18 @@ MoodEngine::MoodEngine(std::vector<const lppm::Lppm*> singles,
     support::expects(attack->trained_users() > 0,
                      "MoodEngine: attack '" + attack->name() +
                          "' is untrained");
+    if (const auto* ap = dynamic_cast<const attacks::ApAttack*>(attack)) {
+      heatmap_grid_ = &ap->grid();
+    }
+    const auto* poi = dynamic_cast<const attacks::PoiAttack*>(attack);
+    const auto* pit = dynamic_cast<const attacks::PitAttack*>(attack);
+    if (poi != nullptr || pit != nullptr) {
+      const auto& stays = poi != nullptr ? poi->params() : pit->params();
+      support::expects(!stay_params_ || *stay_params_ == stays,
+                       "MoodEngine: POI and PIT attacks must share "
+                       "stay-clustering params");
+      stay_params_ = stays;
+    }
   }
 }
 
@@ -69,14 +84,11 @@ std::optional<std::pair<mobility::Trace, double>> MoodEngine::try_mechanism(
   mobility::Trace output = mechanism.apply(trace, rng_for(trace, mechanism.name()));
   if (cost != nullptr) ++cost->lppm_applications;
   // Algorithm 1 lines 8-10: walk the attacks until one re-identifies.
-  // reidentifies() routes through the targeted reidentifies_target query,
-  // so each attack prices the owner once and prunes the rest of its
-  // population scan against that distance (branch-and-bound).
-  for (const auto* attack : attacks_) {
-    if (cost != nullptr) ++cost->attack_invocations;
-    if (attacks::reidentifies(*attack, output, trace.user())) {
-      return std::nullopt;  // this mechanism failed
-    }
+  // They all read one candidate, so POI and PIT share one stay extraction.
+  if (attacks::any_reidentifies(
+          attacks_, output, trace.user(),
+          cost != nullptr ? &cost->attack_invocations : nullptr)) {
+    return std::nullopt;  // this mechanism failed
   }
   const double distortion = metric_->distortion(trace, output);
   return std::make_pair(std::move(output), distortion);

@@ -24,6 +24,8 @@
 #include <vector>
 
 #include "attacks/attack.h"
+#include "clustering/poi_extraction.h"
+#include "geo/cell_grid.h"
 #include "lppm/composition.h"
 #include "lppm/lppm.h"
 #include "metrics/distortion.h"
@@ -94,7 +96,9 @@ class MoodEngine {
  public:
   /// All pointers are non-owning and must outlive the engine. `attacks`
   /// must already be trained. `compositions` is C \ L (the engine runs the
-  /// single pass from `singles` itself).
+  /// single pass from `singles` itself). One candidate serves every attack
+  /// (attacks::Candidate), so throws PreconditionError when POI and PIT
+  /// attacks cluster stays with different params.
   MoodEngine(std::vector<const lppm::Lppm*> singles,
              std::vector<lppm::Composition> compositions,
              std::vector<const attacks::Attack*> attacks,
@@ -136,10 +140,21 @@ class MoodEngine {
       ProtectionResult* cost = nullptr) const;
 
   /// The trained attack set this engine searches against (non-owning; in
-  /// construction order). The streaming gateway derives its typed
-  /// fast-path views from this.
+  /// construction order) — the list attacks::any_reidentifies walks for
+  /// every LPPM output here and for every window in the decision kernel.
   [[nodiscard]] const std::vector<const attacks::Attack*>& attacks() const {
     return attacks_;
+  }
+
+  /// The compiled forms the attacks read from a candidate, for callers
+  /// that maintain them (the decision kernel): the AP heatmap grid and the
+  /// stay-clustering params POI and PIT share. Null when no attack reads
+  /// that form.
+  [[nodiscard]] const geo::CellGrid* heatmap_grid() const {
+    return heatmap_grid_;
+  }
+  [[nodiscard]] const clustering::PoiParams* stay_params() const {
+    return stay_params_ ? &*stay_params_ : nullptr;
   }
 
   [[nodiscard]] const MoodConfig& config() const { return config_; }
@@ -164,6 +179,8 @@ class MoodEngine {
   std::vector<const lppm::Lppm*> singles_;
   std::vector<lppm::Composition> compositions_;
   std::vector<const attacks::Attack*> attacks_;
+  const geo::CellGrid* heatmap_grid_ = nullptr;
+  std::optional<clustering::PoiParams> stay_params_;
   const metrics::UtilityMetric* metric_;
   MoodConfig config_;
 };

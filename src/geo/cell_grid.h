@@ -72,6 +72,8 @@ class CellGrid {
     return projection_;
   }
 
+  friend bool operator==(const CellGrid&, const CellGrid&) = default;
+
  private:
   LocalProjection projection_;
   double cell_size_m_;

@@ -121,6 +121,9 @@ class LocalProjection {
   /// The projection centre.
   [[nodiscard]] const GeoPoint& reference() const { return reference_; }
 
+  friend bool operator==(const LocalProjection&,
+                         const LocalProjection&) = default;
+
  private:
   GeoPoint reference_;
   double cos_ref_lat_;

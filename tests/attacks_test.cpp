@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "attacks/ap_attack.h"
+#include "attacks/candidate.h"
 #include "attacks/pit_attack.h"
 #include "attacks/poi_attack.h"
 #include "attacks/suite.h"
@@ -119,8 +120,8 @@ TEST_F(AttackFixture, RetrainReplacesProfiles) {
 TEST_F(AttackFixture, ReidentifiesHelperChecksOwner) {
   PoiAttack attack;
   attack.train(background_);
-  EXPECT_TRUE(reidentifies(attack, tests_[2], tests_[2].user()));
-  EXPECT_FALSE(reidentifies(attack, tests_[2], "someone_else"));
+  EXPECT_TRUE(attack.reidentifies_target(tests_[2], tests_[2].user()));
+  EXPECT_FALSE(attack.reidentifies_target(tests_[2], "someone_else"));
 }
 
 // ---------------------------------------------------------------- Suite --
@@ -145,9 +146,29 @@ TEST_F(AttackFixture, SuiteAgreesOnRawTraces) {
   const auto suite = make_standard_suite(reference_);
   train_all(suite, background_);
   for (const auto& attack : suite) {
-    EXPECT_TRUE(reidentifies(*attack, tests_[1], tests_[1].user()))
+    EXPECT_TRUE(attack->reidentifies_target(tests_[1], tests_[1].user()))
         << attack->name();
   }
+}
+
+// ------------------------------------------------------------ Candidate --
+
+TEST_F(AttackFixture, CandidateCompilesEachFormOnceForOneGridAndClustering) {
+  const Candidate candidate(tests_[1]);
+  const geo::CellGrid grid(geo::LocalProjection(reference_), 800.0);
+  const clustering::PoiParams params;
+  // Repeated asks return the same compiled form, not a recompile.
+  EXPECT_EQ(&candidate.heatmap(grid), &candidate.heatmap(grid));
+  EXPECT_EQ(&candidate.poi(params), &candidate.poi(params));
+  EXPECT_EQ(&candidate.markov(params), &candidate.markov(params));
+  EXPECT_FALSE(candidate.poi(params).empty());
+  // One form per candidate: another grid or clustering cannot share it.
+  const geo::CellGrid coarser(geo::LocalProjection(reference_), 1600.0);
+  EXPECT_THROW((void)candidate.heatmap(coarser), support::PreconditionError);
+  clustering::PoiParams wider = params;
+  wider.max_diameter_m *= 2.0;
+  EXPECT_THROW((void)candidate.markov(wider), support::PreconditionError);
+  EXPECT_THROW((void)candidate.poi(wider), support::PreconditionError);
 }
 
 TEST(AttackFactory, MakesByNameAndRejectsUnknown) {

@@ -12,10 +12,12 @@
 #include <functional>
 #include <limits>
 #include <optional>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include "attacks/ap_attack.h"
+#include "attacks/attack.h"
 #include "attacks/pit_attack.h"
 #include "attacks/poi_attack.h"
 #include "attacks/suite.h"
@@ -458,7 +460,7 @@ void expect_scan_answers_every_owner(const core::ExperimentHarness& harness) {
   std::size_t owned = 0;
   for (const auto& pair : harness.pairs()) {
     // An empty anonymous profile answers no one without a query.
-    if (attack->compile_anonymous(pair.test).empty()) continue;
+    if (attacks::Candidate(pair.test).poi(attack->params()).empty()) continue;
     const mobility::UserId& owner = pair.test.user();
     const bool owns = attack->reidentify(pair.test) == owner;
     EXPECT_EQ(attack->reidentifies_target(pair.test, owner), owns)
@@ -562,6 +564,114 @@ TEST(BoundedScanEquivalence, EmptyAnonymousProfileNeverReidentifies) {
   }
   expect_oracle_agreement(harness, oracles, empty, "user0");
   expect_oracle_agreement(harness, oracles, sparse, "user0");
+}
+
+// --------------------------------------------- one compiled candidate ----
+
+void expect_same_markov(const profiles::CompiledMarkovProfile& actual,
+                        const profiles::CompiledMarkovProfile& expected,
+                        const std::string& label) {
+  ASSERT_EQ(actual.size(), expected.size()) << label;
+  for (std::size_t s = 0; s < expected.size(); ++s) {
+    const auto& a = actual.states()[s];
+    const auto& e = expected.states()[s];
+    ASSERT_EQ(a.weight, e.weight) << label;
+    ASSERT_EQ(a.center.lat_rad, e.center.lat_rad) << label;
+    ASSERT_EQ(a.center.lon_deg, e.center.lon_deg) << label;
+    ASSERT_EQ(a.center.cos_lat, e.center.cos_lat) << label;
+  }
+}
+
+void expect_same_poi(const profiles::CompiledPoiProfile& actual,
+                     const profiles::CompiledPoiProfile& expected,
+                     const std::string& label) {
+  ASSERT_EQ(actual.size(), expected.size()) << label;
+  for (std::size_t c = 0; c < expected.size(); ++c) {
+    ASSERT_EQ(actual.centers()[c].lat_rad, expected.centers()[c].lat_rad)
+        << label;
+    ASSERT_EQ(actual.centers()[c].lon_deg, expected.centers()[c].lon_deg)
+        << label;
+    ASSERT_EQ(actual.centers()[c].cos_lat, expected.centers()[c].cos_lat)
+        << label;
+  }
+}
+
+TEST(OneCompiledCandidate, EverySearchedOutputMatchesTheLegacyOracle) {
+  // Every output search() applies on the PrivaMov windows, singles and
+  // compositions: one Candidate per output must answer each attack as the
+  // naive legacy oracle does, its shared stay extraction must compile
+  // exactly the legacy POI and Markov forms, and the predicate must ask
+  // exactly the attacks an early-exit walk asks.
+  const auto harness = pruning_population();
+  const auto oracles = naive_oracles(harness);
+  const decision::MoodEngine engine = harness.make_engine();
+  const clustering::PoiParams& stays = harness.config().attack_params.poi;
+  const auto compositions = harness.registry().multi_compositions();
+  std::vector<const lppm::Lppm*> mechanisms = harness.registry().singles();
+  for (const auto& composition : compositions) {
+    mechanisms.push_back(&composition);
+  }
+  std::size_t outputs = 0;
+  std::size_t stayless = 0;  // outputs through GeoI without a stay
+  std::size_t protecting = 0;
+  for (const auto& pair : harness.pairs()) {
+    const Trace& trace = pair.test;
+    const mobility::UserId& owner = trace.user();
+    for (const lppm::Lppm* mechanism : mechanisms) {
+      // MoodEngine's noise stream for (owner, mechanism, start time).
+      const Trace output = mechanism->apply(
+          trace, support::RngStream(engine.config().seed)
+                     .fork(owner)
+                     .fork(mechanism->name(),
+                           static_cast<std::uint64_t>(trace.front().time)));
+      const std::string label = mechanism->name() + " on " + owner;
+      if (const auto kept = engine.recheck(mechanism->name(), trace)) {
+        // Pins the stream above to the one search() draws from.
+        ASSERT_EQ(kept->output, output) << label;
+        ++protecting;
+      }
+      const attacks::Candidate candidate(output);
+      expect_same_markov(
+          candidate.markov(stays),
+          profiles::CompiledMarkovProfile(
+              profiles::MarkovProfile::from_trace(output, stays)),
+          label);
+      expect_same_poi(candidate.poi(stays),
+                      profiles::CompiledPoiProfile(
+                          profiles::PoiProfile::from_trace(output, stays)),
+                      label);
+      if (candidate.poi(stays).empty() &&
+          mechanism->name().find("GeoI") != std::string::npos) {
+        ++stayless;
+      }
+
+      std::size_t walked = 0;
+      bool caught = false;
+      for (std::size_t a = 0; a < oracles.size(); ++a) {
+        const bool truth = oracles[a](output) == owner;
+        EXPECT_EQ(harness.attacks()[a]->reidentifies_target(candidate, owner),
+                  truth)
+            << harness.attacks()[a]->name() << ", " << label;
+        if (!caught) {
+          ++walked;
+          caught = truth;
+        }
+      }
+      std::size_t asked = 0;
+      EXPECT_EQ(attacks::any_reidentifies(engine.attacks(), candidate, owner,
+                                          &asked),
+                caught)
+          << label;
+      EXPECT_EQ(asked, walked) << label;
+      ++outputs;
+    }
+  }
+  // Not vacuous: outputs that defeat every attack, and outputs through
+  // GeoI from which no stay survives (here those of its compositions with
+  // TRL).
+  EXPECT_EQ(outputs, harness.pairs().size() * mechanisms.size());
+  EXPECT_GT(protecting, 0u);
+  EXPECT_GT(stayless, 0u);
 }
 
 // ------------------------------------------------ determinism ----------

@@ -11,6 +11,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -23,6 +24,7 @@
 #include "simulation/generator.h"
 #include "support/error.h"
 #include "support/logging.h"
+#include "support/thread_pool.h"
 
 namespace mood::decision {
 namespace {
@@ -134,7 +136,7 @@ TEST_F(DecisionKernelTest, AtRiskTraceMatchesRawAttackWalk) {
   for (const auto& pair : harness_->pairs()) {
     bool caught = false;
     for (const auto& attack : harness_->attacks()) {
-      if (attacks::reidentifies(*attack, pair.test, pair.test.user())) {
+      if (attack->reidentifies_target(pair.test, pair.test.user())) {
         caught = true;
         break;
       }
@@ -191,8 +193,9 @@ TEST_F(DecisionKernelTest, EmptyTraceIsExposedWithoutCounting) {
 }
 
 TEST_F(DecisionKernelTest, DivergentPoiAndPitParamsAreRejected) {
-  // One stay tracker serves POI and PIT, so a suite whose PIT clusters
-  // stays differently from its POI attack cannot be served.
+  // One stay extraction serves POI and PIT, in the search's candidates as
+  // in the kernel's tracker, so MoodEngine rejects a suite whose PIT
+  // clusters stays differently from its POI attack.
   std::vector<mobility::Trace> background;
   for (const auto& pair : harness_->pairs()) background.push_back(pair.train);
   attacks::PoiAttack poi;
@@ -206,7 +209,7 @@ TEST_F(DecisionKernelTest, DivergentPoiAndPitParamsAreRejected) {
     return MoodEngine(harness_->registry().singles(), {}, {&poi, &pit_attack},
                       &metric, MoodConfig{});
   };
-  EXPECT_THROW(DecisionKernel{engine(pit)}, support::PreconditionError);
+  EXPECT_THROW((void)engine(pit), support::PreconditionError);
   attacks::PitAttack same(poi.params());
   same.train(background);
   EXPECT_NO_THROW(DecisionKernel{engine(same)});
@@ -498,6 +501,50 @@ TEST_F(DecisionKernelTest, StepShedRunsNoLppmAndNoAttack) {
     EXPECT_EQ(state.degraded, 1u) << pair.test.user();
   }
   EXPECT_GT(protected_users, 0u);
+}
+
+/// The batch evaluators fan MoodEngine::search out over the shared pool
+/// against one trained suite, so pool threads reach the POI and PIT scan
+/// counters, AP's posting buffers and the thread-local cell-count table
+/// (profiles::cell_counts) at once. Every search must answer as a serial
+/// one, and the attacks' counters must add up to the serial run's. The
+/// tsan preset runs this suite.
+class SearchConcurrency : public DecisionKernelTest {};
+
+TEST_F(SearchConcurrency, ParallelSearchesMatchASerialRun) {
+  const MoodEngine engine = harness_->make_engine();
+  const auto& pairs = harness_->pairs();
+  const auto work = [&] {
+    std::vector<std::uint64_t> exact;
+    for (const auto* attack : engine.attacks()) {
+      exact.push_back(attack->index_stats().exact_evaluations);
+    }
+    return exact;
+  };
+  const auto run = [&](std::size_t i) {
+    ProtectionResult cost;
+    const auto candidate = engine.search(pairs[i].test, &cost);
+    return std::make_tuple(candidate ? candidate->lppm : std::string{},
+                           candidate ? candidate->distortion : 0.0,
+                           cost.lppm_applications, cost.attack_invocations);
+  };
+  const std::vector<std::uint64_t> start = work();
+  std::vector<decltype(run(0))> serial;
+  for (std::size_t i = 0; i < pairs.size(); ++i) serial.push_back(run(i));
+  const std::vector<std::uint64_t> after_serial = work();
+
+  std::vector<decltype(run(0))> parallel(pairs.size());
+  support::parallel_for(pairs.size(),
+                        [&](std::size_t i) { parallel[i] = run(i); });
+  const std::vector<std::uint64_t> after_parallel = work();
+  for (std::size_t i = 0; i < pairs.size(); ++i) {
+    EXPECT_EQ(parallel[i], serial[i]) << pairs[i].test.user();
+  }
+  for (std::size_t a = 0; a < start.size(); ++a) {
+    EXPECT_EQ(after_parallel[a] - after_serial[a], after_serial[a] - start[a])
+        << engine.attacks()[a]->name();
+    EXPECT_GT(after_serial[a], start[a]) << engine.attacks()[a]->name();
+  }
 }
 
 }  // namespace

@@ -66,15 +66,32 @@ geo::CellGrid city_grid() {
   return geo::CellGrid(geo::LocalProjection(kCity), 800.0);
 }
 
-/// The population ApAttack::train(background) indexes, entry for entry:
-/// compile_anonymous compiles exactly as train() does.
+/// `trace`'s heatmap on the attack's grid, compiled exactly as a
+/// Candidate and train() compile it.
+profiles::CompiledHeatmap compile(const attacks::ApAttack& attack,
+                                  const Trace& trace) {
+  return profiles::CompiledHeatmap::from_trace(trace, attack.grid());
+}
+
+/// The targeted query over `query`, a heatmap of `trace` compiled from it
+/// or edited into it by apply_update, handed to the candidate as the
+/// decision kernel hands its own.
+bool owns(const attacks::ApAttack& attack, const Trace& trace,
+          const profiles::CompiledHeatmap& query,
+          const mobility::UserId& owner) {
+  attacks::Candidate candidate(trace);
+  candidate.use_heatmap(query, attack.grid());
+  return attack.reidentifies_target(candidate, owner);
+}
+
+/// The population ApAttack::train(background) indexes, entry for entry.
 std::vector<std::pair<mobility::UserId, profiles::CompiledHeatmap>>
 compiled_population(const attacks::ApAttack& attack,
                     const std::vector<Trace>& background) {
   std::vector<std::pair<mobility::UserId, profiles::CompiledHeatmap>>
       population;
   for (const auto& trace : background) {
-    population.emplace_back(trace.user(), attack.compile_anonymous(trace));
+    population.emplace_back(trace.user(), compile(attack, trace));
   }
   return population;
 }
@@ -162,16 +179,16 @@ TEST_P(SummaryAdmissibility, TopsoeBoundNeverExceedsExact) {
     const Trace& member = background[rng.uniform_index(70)];
     profiles::CompiledHeatmap query;
     switch (it % 6) {
-      case 0: query = attack.compile_anonymous(member); break;
+      case 0: query = compile(attack, member); break;
       case 1: query = near_tie(member, grid, rng); break;
-      case 2: query = attack.compile_anonymous(single_cell_trace("q")); break;
-      case 3: query = attack.compile_anonymous(far_trace("q")); break;
+      case 2: query = compile(attack, single_cell_trace("q")); break;
+      case 3: query = compile(attack, far_trace("q")); break;
       case 4:
         query = moved_window_map(member, hotspot_trace(rng, "x"),
                                  rng.uniform_index(member.size()), grid);
         break;
       default:
-        query = attack.compile_anonymous(hotspot_trace(rng, "q"));
+        query = compile(attack, hotspot_trace(rng, "q"));
     }
     attack.lower_bounds(query, bounds);
     ASSERT_EQ(bounds.size(), population.size());
@@ -221,7 +238,7 @@ TEST_P(SummaryAdmissibility, EmptyProfilesBoundToInfinity) {
   attacks::ApAttack attack(city_grid());
   attack.train({Trace("empty", {}), hotspot_trace(rng, "a")});
   std::vector<double> bounds;
-  attack.lower_bounds(attack.compile_anonymous(hotspot_trace(rng, "q")),
+  attack.lower_bounds(compile(attack, hotspot_trace(rng, "q")),
                       bounds);
   ASSERT_EQ(bounds.size(), 2u);
   EXPECT_EQ(bounds[0], kInf);
@@ -247,12 +264,12 @@ void expect_ap_index_matches_scan(attacks::ApAttack& attack,
   const auto scan_answer = attack.reidentify(trace);
   std::vector<bool> scan_owns;
   for (const auto& owner : owners) {
-    scan_owns.push_back(attack.reidentifies_compiled(query, owner));
+    scan_owns.push_back(owns(attack, trace, query, owner));
   }
   attack.set_query_mode(attacks::QueryMode::kIndex);
   EXPECT_EQ(attack.reidentify(trace), scan_answer);
   for (std::size_t o = 0; o < owners.size(); ++o) {
-    EXPECT_EQ(attack.reidentifies_compiled(query, owners[o]), scan_owns[o])
+    EXPECT_EQ(owns(attack, trace, query, owners[o]), scan_owns[o])
         << "owner " << owners[o];
   }
 }
@@ -293,7 +310,7 @@ TEST_P(IndexDecisionIdentity, ApIndexMatchesScansAndStaysCoherentUnderUpdates) {
 
     const auto check = [&](const Trace& trace) {
       expect_ap_index_matches_scan(attack, owners, trace,
-                                   attack.compile_anonymous(trace));
+                                   compile(attack, trace));
     };
     for (const auto& trace : background) {
       const auto& user = trace.user();
@@ -330,7 +347,7 @@ TEST_P(IndexDecisionIdentity, SmallPopulationsDelegateToTheScans) {
   std::vector<mobility::UserId> owners{"ghost"};
   for (const auto& trace : background) owners.push_back(trace.user());
   const Trace trace = hotspot_trace(rng, "q");
-  const auto query = attack.compile_anonymous(trace);
+  const auto query = compile(attack, trace);
   expect_ap_index_matches_scan(attack, owners, trace, query);
 
   // Delegated queries keep the counters exactly: one query per call, one
@@ -357,7 +374,7 @@ TEST_P(IndexDecisionIdentity, SmallPopulationsDelegateToTheScans) {
     return bounded(p, bound);
   };
   for (const auto& owner : owners) {
-    (void)attack.reidentifies_compiled(query, owner);
+    (void)owns(attack, trace, query, owner);
     ++queries;
     (void)attacks::scan_is_first_argmin(population, owner, counted_exact,
                                         counted_bounded);
@@ -395,11 +412,11 @@ TEST_P(IndexDecisionIdentity, RetrainRebuildsThePostingsAndPreservesDecisions) {
   for (const std::size_t member : {std::size_t{0}, std::size_t{63}}) {
     expect_ap_index_matches_scan(
         attack, owners, background[member],
-        attack.compile_anonymous(background[member]));
+        compile(attack, background[member]));
   }
   const Trace query = hotspot_trace(rng, "q");
   expect_ap_index_matches_scan(attack, owners, query,
-                               attack.compile_anonymous(query));
+                               compile(attack, query));
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, IndexDecisionIdentity,

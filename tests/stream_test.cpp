@@ -48,6 +48,19 @@
 namespace mood::stream {
 namespace {
 
+/// The PIT and POI forms of `trace` through the legacy uncompiled
+/// profiles — the oracle for every compiled and incremental path.
+profiles::CompiledMarkovProfile legacy_markov(
+    const mobility::Trace& trace, const clustering::PoiParams& params) {
+  return profiles::CompiledMarkovProfile(
+      profiles::MarkovProfile::from_trace(trace, params));
+}
+profiles::CompiledPoiProfile legacy_poi(const mobility::Trace& trace,
+                                        const clustering::PoiParams& params) {
+  return profiles::CompiledPoiProfile(
+      profiles::PoiProfile::from_trace(trace, params));
+}
+
 /// Compact population in the integration-test mold: routine users with
 /// mostly-private POIs, so both expose and protect verdicts appear.
 simulation::GeneratorParams population_params() {
@@ -315,15 +328,20 @@ TEST_F(StreamTest, IncrementalProfilesAreDecisionIdenticalPointByPoint) {
       ASSERT_EQ(heatmap.cells()[c].self_term, fresh.cells()[c].self_term);
       ASSERT_EQ(heatmap.cells()[c].solo_term, fresh.cells()[c].solo_term);
     }
-    ASSERT_EQ(ap->reidentifies_compiled(heatmap, owner),
+    attacks::Candidate folded(window);
+    folded.use_heatmap(heatmap, ap->grid());
+    ASSERT_EQ(ap->reidentifies_target(folded, owner),
               ap->reidentifies_target(window, owner));
 
-    // PIT / POI: the compiled-anonymous path equals the trace-based path.
-    ASSERT_EQ(pit->reidentifies_compiled(pit->compile_anonymous(window),
-                                         owner),
+    // PIT / POI: the legacy profiles, handed in, answer as the candidate's
+    // own shared stay extraction does.
+    const auto markov = legacy_markov(window, pit->params());
+    const auto pois = legacy_poi(window, poi->params());
+    attacks::Candidate legacy(window);
+    legacy.use_stays(markov, pois, pit->params());
+    ASSERT_EQ(pit->reidentifies_target(legacy, owner),
               pit->reidentifies_target(window, owner));
-    ASSERT_EQ(poi->reidentifies_compiled(poi->compile_anonymous(window),
-                                         owner),
+    ASSERT_EQ(poi->reidentifies_target(legacy, owner),
               poi->reidentifies_target(window, owner));
   }
 }
@@ -399,9 +417,9 @@ TEST_F(StreamTest, FromStatesMatchesLegacyCompiledProfiles) {
     const auto seq = clustering::build_visit_sequence(
         clustering::extract_pois(pair.test, params), params.max_diameter_m);
     expect_same_markov(profiles::CompiledMarkovProfile::from_states(seq.states),
-                       pit->compile_anonymous(pair.test));
+                       legacy_markov(pair.test, params));
     expect_same_poi(profiles::CompiledPoiProfile::from_states(seq.states),
-                    poi->compile_anonymous(pair.test));
+                    legacy_poi(pair.test, params));
   }
 }
 
@@ -429,13 +447,15 @@ TEST_F(StreamTest, IncrementalMarkovAndPoiMatchFromScratchPointByPoint) {
     window.append(record);
     markov.apply_update(window, 1, 0);
     poi_profile.apply_update(window, 1, 0);
-    expect_same_markov(markov, pit->compile_anonymous(window));
-    expect_same_poi(poi_profile, poi->compile_anonymous(window));
+    expect_same_markov(markov, legacy_markov(window, params));
+    expect_same_poi(poi_profile, legacy_poi(window, params));
   }
   // The targeted queries therefore agree with the trace-based entry points.
-  EXPECT_EQ(pit->reidentifies_compiled(markov, pair.test.user()),
+  attacks::Candidate folded(pair.test);
+  folded.use_stays(markov, poi_profile, params);
+  EXPECT_EQ(pit->reidentifies_target(folded, pair.test.user()),
             pit->reidentifies_target(pair.test, pair.test.user()));
-  EXPECT_EQ(poi->reidentifies_compiled(poi_profile, pair.test.user()),
+  EXPECT_EQ(poi->reidentifies_target(folded, pair.test.user()),
             poi->reidentifies_target(pair.test, pair.test.user()));
 }
 
@@ -492,7 +512,7 @@ TEST_F(StreamTest, ApplyUpdateOnNonUpdatableProfilesThrows) {
       harness_->attacks()[1].get());
   ASSERT_NE(pit, nullptr);
   const auto& pair = harness_->pairs().front();
-  auto markov = pit->compile_anonymous(pair.test);
+  auto markov = legacy_markov(pair.test, pit->params());
   EXPECT_FALSE(markov.updatable());
   EXPECT_THROW(markov.apply_update(pair.test, 0, 0),
                support::PreconditionError);
