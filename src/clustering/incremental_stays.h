@@ -48,13 +48,12 @@ namespace mood::clustering {
 
 // ---- Checkpoint snapshots --------------------------------------------
 // Plain-value mirrors of the trackers' full internal state, used by the
-// gateway's mood-snapshot/1 checkpoint format (src/stream/snapshot.h).
-// The cached profile state must be serialized *directly* — it reflects
-// the window at the last refresh, which under a staleness bound includes
-// records already evicted from the current window, so it cannot be
-// rebuilt from the window alone. from_snapshot(snapshot()) is an exact
-// round trip: every subsequent update() is bit-identical to one on the
-// original object.
+// gateway's checkpoint format (src/stream/snapshot.h). The tracker must
+// be serialized *directly*: it reflects the window at the last refresh,
+// which under a staleness bound includes records already evicted from the
+// current window, so it cannot be rebuilt from the window alone.
+// from_snapshot(snapshot()) is an exact round trip: every subsequent
+// update() is bit-identical to one on the original object.
 
 /// StayTracker::snapshot() payload.
 struct StayTrackerSnapshot {
@@ -246,14 +245,13 @@ class VisitAccumulator {
 /// StayTracker + VisitAccumulator + their generation sync in one unit:
 /// the merged visit states of a sliding window, maintained incrementally.
 /// This is the single implementation of the subtle "replay all finals on
-/// generation change, append new finals otherwise" logic — the decision
-/// kernel and the updatable compiled profiles all delegate here.
+/// generation change, append new finals otherwise" logic; the decision
+/// kernel compiles its PIT and POI profiles from states().
 class TrackedVisitStates {
  public:
   TrackedVisitStates() = default;
-  explicit TrackedVisitStates(PoiParams params)
-      : stays_(params), visits_(params.max_diameter_m) {}
-  /// Origin-pinned form (see the StayTracker origin constructor).
+  /// The projection is pinned at `origin` (see the StayTracker origin
+  /// constructor).
   TrackedVisitStates(PoiParams params, const geo::GeoPoint& origin)
       : stays_(params, origin), visits_(params.max_diameter_m) {}
 

@@ -82,10 +82,9 @@ void DecisionKernel::refresh_profiles(UserKernelState& state,
     return;  // within the staleness bound — keep serving the cached forms
   }
 
-  if (!state.stays_init) {
+  if (!state.profiles_built) {
     state.stays = clustering::TrackedVisitStates(*engine_.stay_params(),
                                                  state.stay_origin);
-    state.stays_init = true;
   }
   const std::uint64_t rebuilds_before = state.stays.tracker().rebuilds();
   state.stays.update(state.window, state.stale_appended, state.stale_evicted);
@@ -100,6 +99,18 @@ void DecisionKernel::refresh_profiles(UserKernelState& state,
   state.stale_appended = 0;
   state.stale_evicted = 0;
   profile_refreshes_.fetch_add(1, kRelaxed);
+}
+
+void DecisionKernel::restore_derived(UserKernelState& state) const {
+  if (const geo::CellGrid* grid = engine_.heatmap_grid();
+      grid != nullptr && state.heatmap_built) {
+    state.heatmap = profiles::CompiledHeatmap::incremental(state.window, *grid);
+  }
+  if (state.profiles_built) {
+    const auto states = state.stays.states();
+    state.markov = profiles::CompiledMarkovProfile::from_states(states);
+    state.poi = profiles::CompiledPoiProfile::from_states(states);
+  }
 }
 
 bool DecisionKernel::at_risk(const UserKernelState& state) const {

@@ -39,6 +39,11 @@
 ///     a stay. A staleness bound (KernelConfig::staleness_points) defers
 ///     even the incremental folds; the final tier always forces freshness.
 ///
+/// Both kinds of form are functions of other state: the heatmap of the
+/// window, the PIT/POI profiles of the stay tracker (which moves only on
+/// refresh, so even stale profiles are its function). A checkpoint
+/// therefore stores neither, and restore_derived() recompiles them.
+///
 /// The risk query is attacks::any_reidentifies over a Candidate of the
 /// window holding these forms, so the window compiles nothing again.
 /// Mechanism selection applies the keep/recheck/search policy: keep the
@@ -137,21 +142,23 @@ struct UserKernelState {
   mobility::Trace window;
 
   // ---- Incremental compiled profiles ---------------------------------
-  /// AP side: exact integer counts, folded per event; the cells are
-  /// compiled at the next refresh.
+  // heatmap, markov and poi are derived (see restore_derived()).
+  /// AP side: exact integer counts of the window, folded per event; the
+  /// cells are compiled at the next refresh.
   profiles::CompiledHeatmap heatmap;
   bool heatmap_built = false;
   /// PIT/POI side: one shared stay tracker + merged visit states. The
   /// projection origin is pinned at the first record ever folded —
   /// captured in fold(), *before* any eviction, so the tracker state is a
   /// pure function of the record sequence however folds are chunked.
+  /// It moves only in refresh_profiles(), which recompiles markov and
+  /// poi from its states() at once.
   clustering::TrackedVisitStates stays;
-  bool stays_init = false;
   geo::GeoPoint stay_origin;
   bool stay_origin_set = false;
   profiles::CompiledMarkovProfile markov;
   profiles::CompiledPoiProfile poi;
-  bool profiles_built = false;
+  bool profiles_built = false;  ///< stays, markov and poi are initialised
   /// Window deltas not yet folded into the PIT/POI profiles (deferred
   /// under the staleness bound; stale_points = appended + evicted drives
   /// the policy).
@@ -248,6 +255,12 @@ class DecisionKernel {
   /// the window profiles once and runs every attack's targeted
   /// branch-and-bound query against them.
   [[nodiscard]] bool at_risk_trace(const mobility::Trace& trace) const;
+
+  // ---- Checkpoint restore ----------------------------------------------
+  /// Rebuilds the derived fields (heatmap, markov, poi) of a state
+  /// restored from a checkpoint, which stores only the rest. Bit-identical
+  /// to the captured state's forms, the heatmap compiled. Counts nothing.
+  void restore_derived(UserKernelState& state) const;
 
   [[nodiscard]] const MoodEngine& engine() const { return engine_; }
   [[nodiscard]] const KernelConfig& config() const { return config_; }

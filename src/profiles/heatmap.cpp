@@ -237,23 +237,6 @@ CompiledHeatmap CompiledHeatmap::incremental(const mobility::Trace& trace,
   return compiled;
 }
 
-CompiledHeatmap CompiledHeatmap::from_counts(
-    std::vector<std::pair<geo::CellIndex, double>> counts, double total) {
-  support::expects(total >= 0.0 && (total > 0.0 || counts.empty()),
-                   "CompiledHeatmap::from_counts: total does not match "
-                   "the counts");
-  CompiledHeatmap compiled;
-  compiled.updatable_ = true;
-  compiled.counts_ = std::move(counts);
-  compiled.total_ = total;
-  // counts_ arrive sorted (raw_counts() order), so the cells are
-  // bit-identical to the captured heatmap's.
-  if (compiled.total_ > 0.0) {
-    compile_cells(compiled.counts_, compiled.total_, compiled.cells_);
-  }
-  return compiled;
-}
-
 void CompiledHeatmap::apply_update(std::span<const mobility::Record> added,
                                    std::span<const mobility::Record> removed,
                                    const geo::CellGrid& grid) {

@@ -130,8 +130,8 @@ class CompiledHeatmap {
   /// stale heatmap's cells is a precondition failure. Counts are exact
   /// small integers, so the compiled heatmap is bit-identical to
   /// from_trace on the updated window whatever the interleaving of
-  /// updates. Preconditions: built by incremental() or from_counts();
-  /// every removed record was previously added.
+  /// updates. Preconditions: built by incremental(); every removed record
+  /// was previously added.
   void apply_update(std::span<const mobility::Record> added,
                     std::span<const mobility::Record> removed,
                     const geo::CellGrid& grid);
@@ -147,22 +147,13 @@ class CompiledHeatmap {
 
   /// Raw (cell, count) pairs in ascending cell order — exact small
   /// integers; non-empty only for updatable() heatmaps. Together with
-  /// raw_total() this is the full mutable state, stale or not:
-  /// from_counts(raw_counts(), raw_total()) reproduces this heatmap's
-  /// compiled cells bit-identically, which is how the gateway's checkpoint
-  /// format round-trips it.
+  /// raw_total() this is the full mutable state, stale or not, and it
+  /// equals incremental(window, grid)'s for the window it counts.
   [[nodiscard]] const std::vector<std::pair<geo::CellIndex, double>>&
   raw_counts() const {
     return counts_;
   }
   [[nodiscard]] double raw_total() const { return total_; }
-
-  /// Rebuilds an updatable compiled heatmap from raw counts (checkpoint
-  /// restore). `counts` must be sorted ascending by cell with positive
-  /// integer counts summing to `total` — i.e. exactly raw_counts() /
-  /// raw_total() of a previously captured heatmap.
-  static CompiledHeatmap from_counts(
-      std::vector<std::pair<geo::CellIndex, double>> counts, double total);
 
   /// Cells in ascending index order. Precondition: no apply_update since
   /// the last compile().

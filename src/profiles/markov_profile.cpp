@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <memory>
 #include <numeric>
 
 #include "geo/geo.h"
@@ -146,52 +145,6 @@ CompiledMarkovProfile CompiledMarkovProfile::from_states(
             static_cast<double>(total_records)});
   }
   return profile;
-}
-
-CompiledMarkovProfile::CompiledMarkovProfile(
-    const CompiledMarkovProfile& other)
-    : states_(other.states_),
-      stays_(other.stays_ ? std::make_unique<clustering::TrackedVisitStates>(
-                                *other.stays_)
-                          : nullptr) {}
-
-CompiledMarkovProfile& CompiledMarkovProfile::operator=(
-    const CompiledMarkovProfile& other) {
-  if (this != &other) *this = CompiledMarkovProfile(other);
-  return *this;
-}
-
-CompiledMarkovProfile CompiledMarkovProfile::from_compiled(
-    std::vector<CompiledMarkovState> states) {
-  CompiledMarkovProfile profile;
-  profile.states_ = std::move(states);
-  return profile;
-}
-
-CompiledMarkovProfile CompiledMarkovProfile::incremental(
-    const mobility::Trace& trace, const clustering::PoiParams& params) {
-  CompiledMarkovProfile profile;
-  profile.stays_ = std::make_unique<clustering::TrackedVisitStates>(params);
-  profile.stays_->update(trace, trace.size(), 0);
-  profile.states_ = from_states(profile.stays_->states()).states_;
-  return profile;
-}
-
-void CompiledMarkovProfile::apply_update(const mobility::Trace& window,
-                                         std::size_t appended,
-                                         std::size_t evicted) {
-  support::expects(updatable(),
-                   "CompiledMarkovProfile::apply_update: profile was not "
-                   "built by incremental() (stay tracker not retained)");
-  stays_->update(window, appended, evicted);
-  states_ = from_states(stays_->states()).states_;
-}
-
-const clustering::StayTracker& CompiledMarkovProfile::tracker() const {
-  support::expects(updatable(),
-                   "CompiledMarkovProfile::tracker: profile was not built "
-                   "by incremental()");
-  return stays_->tracker();
 }
 
 double stats_prox_distance(const CompiledMarkovProfile& a,

@@ -9,10 +9,8 @@
 /// matched states.
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
-#include "clustering/incremental_stays.h"
 #include "clustering/poi_extraction.h"
 #include "mobility/trace.h"
 
@@ -76,31 +74,12 @@ struct CompiledMarkovState {
 /// Immutable flat form of a MarkovProfile for the inference hot path. Only
 /// what stats_prox_distance reads is kept: ranked states with precomputed
 /// trigonometry (the transition matrix plays no role in the distance).
-///
-/// Like CompiledHeatmap, the profile also has an *updatable* form for
-/// sliding windows: incremental() retains the stay tracker and the merged
-/// visit states (the stationary record counts the ranking and weights are
-/// derived from), and apply_update() folds window deltas instead of
-/// re-extracting the whole window. The folded form is bit-identical to
-/// compiling MarkovProfile::from_trace on the updated window as long as
-/// the window still starts at the first record the profile ever saw; once
-/// the front has been evicted it is bit-identical to the same pipeline run
-/// with the projection pinned at that first-ever record (extract_pois'
-/// origin overload) — the incremental-vs-full property tests assert both.
+/// Sliding windows keep their stays in a clustering::TrackedVisitStates
+/// and recompile through from_states.
 class CompiledMarkovProfile {
  public:
   CompiledMarkovProfile() = default;
   explicit CompiledMarkovProfile(const MarkovProfile& source);
-
-  // The incremental state lives behind a pointer so the common immutable
-  // form stays a flat 'states + flag' value — the attacks' trained
-  // profile arrays (the branch-and-bound scan's working set) carry eight
-  // bytes of null pointer, not an embedded tracker. Copies deep-copy it.
-  CompiledMarkovProfile(const CompiledMarkovProfile& other);
-  CompiledMarkovProfile& operator=(const CompiledMarkovProfile& other);
-  CompiledMarkovProfile(CompiledMarkovProfile&&) = default;
-  CompiledMarkovProfile& operator=(CompiledMarkovProfile&&) = default;
-  ~CompiledMarkovProfile() = default;
 
   /// Compiles merged visit states (clustering::VisitAccumulator output)
   /// directly: rank by decreasing record count, derive stationary weights.
@@ -108,32 +87,6 @@ class CompiledMarkovProfile {
   /// same states).
   static CompiledMarkovProfile from_states(
       const std::vector<clustering::Poi>& states);
-
-  /// Builds an updatable profile of `trace` (retained stay tracker +
-  /// visit-state counts; apply_update allowed).
-  static CompiledMarkovProfile incremental(
-      const mobility::Trace& trace, const clustering::PoiParams& params = {});
-
-  /// Re-wraps already-compiled states verbatim (checkpoint restore of the
-  /// flat, non-updatable form the decision kernel holds). The kernel's
-  /// stay tracker is serialized separately; the flat profile is what the
-  /// risk queries read between refreshes.
-  static CompiledMarkovProfile from_compiled(
-      std::vector<CompiledMarkovState> states);
-
-  /// Folds window deltas: `appended` records joined `window`'s back and
-  /// `evicted` left its front since the last update. O(changed records)
-  /// amortised, with a bounded rebuild fallback when an eviction splits a
-  /// stay. Precondition: built by incremental().
-  void apply_update(const mobility::Trace& window, std::size_t appended,
-                    std::size_t evicted);
-
-  /// True when built by incremental() (tracker retained).
-  [[nodiscard]] bool updatable() const { return stays_ != nullptr; }
-
-  /// The retained stay tracker — its update/rebuild counters feed the
-  /// streaming cost report. Precondition: updatable().
-  [[nodiscard]] const clustering::StayTracker& tracker() const;
 
   [[nodiscard]] const std::vector<CompiledMarkovState>& states() const {
     return states_;
@@ -143,8 +96,6 @@ class CompiledMarkovProfile {
 
  private:
   std::vector<CompiledMarkovState> states_;
-  /// Incremental state; non-null exactly for updatable() profiles.
-  std::unique_ptr<clustering::TrackedVisitStates> stays_;
 };
 
 /// stats-prox over compiled chains. Bit-identical to the legacy overload:

@@ -1,10 +1,9 @@
 #include "profiles/poi_profile.h"
 
+#include <algorithm>
 #include <limits>
-#include <memory>
 
 #include "geo/geo.h"
-#include "support/error.h"
 
 namespace mood::profiles {
 
@@ -46,51 +45,6 @@ CompiledPoiProfile CompiledPoiProfile::from_states(
     profile.centers_.push_back(geo::trig_point(poi.center));
   }
   return profile;
-}
-
-CompiledPoiProfile::CompiledPoiProfile(const CompiledPoiProfile& other)
-    : centers_(other.centers_),
-      stays_(other.stays_ ? std::make_unique<clustering::TrackedVisitStates>(
-                                *other.stays_)
-                          : nullptr) {}
-
-CompiledPoiProfile& CompiledPoiProfile::operator=(
-    const CompiledPoiProfile& other) {
-  if (this != &other) *this = CompiledPoiProfile(other);
-  return *this;
-}
-
-CompiledPoiProfile CompiledPoiProfile::from_compiled(
-    std::vector<geo::TrigPoint> centers) {
-  CompiledPoiProfile profile;
-  profile.centers_ = std::move(centers);
-  return profile;
-}
-
-CompiledPoiProfile CompiledPoiProfile::incremental(
-    const mobility::Trace& trace, const clustering::PoiParams& params) {
-  CompiledPoiProfile profile;
-  profile.stays_ = std::make_unique<clustering::TrackedVisitStates>(params);
-  profile.stays_->update(trace, trace.size(), 0);
-  profile.centers_ = from_states(profile.stays_->states()).centers_;
-  return profile;
-}
-
-void CompiledPoiProfile::apply_update(const mobility::Trace& window,
-                                      std::size_t appended,
-                                      std::size_t evicted) {
-  support::expects(updatable(),
-                   "CompiledPoiProfile::apply_update: profile was not built "
-                   "by incremental() (stay tracker not retained)");
-  stays_->update(window, appended, evicted);
-  centers_ = from_states(stays_->states()).centers_;
-}
-
-const clustering::StayTracker& CompiledPoiProfile::tracker() const {
-  support::expects(updatable(),
-                   "CompiledPoiProfile::tracker: profile was not built by "
-                   "incremental()");
-  return stays_->tracker();
 }
 
 double poi_profile_distance(const CompiledPoiProfile& a,

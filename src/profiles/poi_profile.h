@@ -6,10 +6,8 @@
 /// trace to a known user by geographic proximity of their POIs.
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
-#include "clustering/incremental_stays.h"
 #include "clustering/poi_extraction.h"
 #include "mobility/trace.h"
 
@@ -43,54 +41,17 @@ double poi_profile_distance(const PoiProfile& a, const PoiProfile& b);
 
 /// Immutable flat form of a PoiProfile for the inference hot path: just the
 /// POI centres with precomputed trigonometry — all the distance reads.
-///
-/// Like CompiledHeatmap and CompiledMarkovProfile, the profile also has an
-/// *updatable* form: incremental() retains the stay tracker and the merged
-/// visit states, and apply_update() folds window deltas (incremental
-/// stay-point maintenance with a bounded rebuild fallback when an eviction
-/// splits a stay) instead of re-clustering the whole window. Bit-identical
-/// to compiling PoiProfile::from_trace on the updated window while the
-/// window still starts at the first record the profile ever saw; after
-/// front evictions, to the same pipeline with the projection pinned at
-/// that first-ever record.
+/// Sliding windows keep their stays in a clustering::TrackedVisitStates
+/// and recompile through from_states.
 class CompiledPoiProfile {
  public:
   CompiledPoiProfile() = default;
   explicit CompiledPoiProfile(const PoiProfile& source);
 
-  // Incremental state behind a pointer — see CompiledMarkovProfile: the
-  // trained hot-scan arrays stay flat; copies deep-copy the tracker.
-  CompiledPoiProfile(const CompiledPoiProfile& other);
-  CompiledPoiProfile& operator=(const CompiledPoiProfile& other);
-  CompiledPoiProfile(CompiledPoiProfile&&) = default;
-  CompiledPoiProfile& operator=(CompiledPoiProfile&&) = default;
-  ~CompiledPoiProfile() = default;
-
   /// Compiles merged visit states (clustering::VisitAccumulator output)
   /// directly — bit-identical to CompiledPoiProfile(PoiProfile(states)).
   static CompiledPoiProfile from_states(
       const std::vector<clustering::Poi>& states);
-
-  /// Builds an updatable profile of `trace` (retained stay tracker;
-  /// apply_update allowed).
-  static CompiledPoiProfile incremental(
-      const mobility::Trace& trace, const clustering::PoiParams& params = {});
-
-  /// Re-wraps already-compiled centres verbatim (checkpoint restore of
-  /// the flat, non-updatable form the decision kernel holds).
-  static CompiledPoiProfile from_compiled(std::vector<geo::TrigPoint> centers);
-
-  /// Folds window deltas: `appended` records joined `window`'s back and
-  /// `evicted` left its front since the last update. Precondition: built
-  /// by incremental().
-  void apply_update(const mobility::Trace& window, std::size_t appended,
-                    std::size_t evicted);
-
-  /// True when built by incremental() (tracker retained).
-  [[nodiscard]] bool updatable() const { return stays_ != nullptr; }
-
-  /// The retained stay tracker. Precondition: updatable().
-  [[nodiscard]] const clustering::StayTracker& tracker() const;
 
   [[nodiscard]] const std::vector<geo::TrigPoint>& centers() const {
     return centers_;
@@ -100,8 +61,6 @@ class CompiledPoiProfile {
 
  private:
   std::vector<geo::TrigPoint> centers_;
-  /// Incremental state; non-null exactly for updatable() profiles.
-  std::unique_ptr<clustering::TrackedVisitStates> stays_;
 };
 
 /// POI-set distance over compiled profiles. Bit-identical to the legacy

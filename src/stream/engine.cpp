@@ -579,17 +579,10 @@ SnapshotData StreamEngine::capture_snapshot() const {
     u.user = state.user;
     u.window = k.window.records();
     u.heatmap_built = k.heatmap_built;
-    if (k.heatmap_built) {
-      u.heatmap_total = k.heatmap.raw_total();
-      u.heatmap_counts = k.heatmap.raw_counts();
-    }
-    u.stays_init = k.stays_init;
     u.stay_origin_set = k.stay_origin_set;
     u.stay_origin = k.stay_origin;
-    if (k.stays_init) u.stays = k.stays.snapshot();
     u.profiles_built = k.profiles_built;
-    u.markov_states = k.markov.states();
-    u.poi_centers = k.poi.centers();
+    if (k.profiles_built) u.stays = k.stays.snapshot();
     u.stale_appended = k.stale_appended;
     u.stale_evicted = k.stale_evicted;
     u.stale_points = k.stale_points;
@@ -665,19 +658,12 @@ void StreamEngine::restore_snapshot(const SnapshotData& data) {
     // (stable, and only invoked when actually unsorted).
     k.window = mobility::Trace(u.user, u.window);
     k.heatmap_built = u.heatmap_built;
-    if (u.heatmap_built) {
-      k.heatmap = profiles::CompiledHeatmap::from_counts(u.heatmap_counts,
-                                                         u.heatmap_total);
-    }
-    k.stays_init = u.stays_init;
     k.stay_origin = u.stay_origin;
     k.stay_origin_set = u.stay_origin_set;
-    if (u.stays_init) {
+    k.profiles_built = u.profiles_built;
+    if (u.profiles_built) {
       k.stays = clustering::TrackedVisitStates::from_snapshot(u.stays);
     }
-    k.profiles_built = u.profiles_built;
-    k.markov = profiles::CompiledMarkovProfile::from_compiled(u.markov_states);
-    k.poi = profiles::CompiledPoiProfile::from_compiled(u.poi_centers);
     k.stale_appended = static_cast<std::size_t>(u.stale_appended);
     k.stale_evicted = static_cast<std::size_t>(u.stale_evicted);
     k.stale_points = static_cast<std::size_t>(u.stale_points);
@@ -690,6 +676,7 @@ void StreamEngine::restore_snapshot(const SnapshotData& data) {
     k.searches = u.searches;
     k.rechecks = u.rechecks;
     k.degraded = u.degraded;
+    kernel_.restore_derived(k);
     state.quarantined = u.quarantined;
     state.quarantine_reason = u.quarantine_reason;
     state.dead_letters = u.dead_letters;

@@ -14,6 +14,7 @@
 #include <optional>
 #include <system_error>
 #include <type_traits>
+#include <utility>
 
 #include "support/failpoint.h"
 #include "support/logging.h"
@@ -201,13 +202,6 @@ void walk_record(Codec& c, Field<Codec, mobility::Record>& r) {
 }
 
 template <typename Codec>
-void walk_trig_point(Codec& c, Field<Codec, geo::TrigPoint>& p) {
-  c.io(p.lat_rad);
-  c.io(p.lon_deg);
-  c.io(p.cos_lat);
-}
-
-template <typename Codec>
 void walk_poi(Codec& c, Field<Codec, clustering::Poi>& p) {
   c.io(p.center.lat);
   c.io(p.center.lon);
@@ -261,25 +255,12 @@ void walk_user(Codec& c, Field<Codec, UserSnapshot>& u) {
   c.seq(u.window, 24, [&](auto& record) { walk_record(c, record); });
 
   c.io(u.heatmap_built);
-  c.io(u.heatmap_total);
-  c.seq(u.heatmap_counts, 16, [&](auto& cell) {
-    c.io(cell.first.ix);
-    c.io(cell.first.iy);
-    c.io(cell.second);
-  });
 
-  c.io(u.stays_init);
   c.io(u.stay_origin_set);
   c.io(u.stay_origin.lat);
   c.io(u.stay_origin.lon);
-  if (u.stays_init) walk_visit_states(c, u.stays);
-
   c.io(u.profiles_built);
-  c.seq(u.markov_states, 32, [&](auto& state) {
-    walk_trig_point(c, state.center);
-    c.io(state.weight);
-  });
-  c.seq(u.poi_centers, 24, [&](auto& center) { walk_trig_point(c, center); });
+  if (u.profiles_built) walk_visit_states(c, u.stays);
   c.io(u.stale_appended);
   c.io(u.stale_evicted);
   c.io(u.stale_points);

@@ -1,26 +1,29 @@
 #pragma once
 
 /// \file snapshot.h
-/// mood-snapshot/3 — the gateway's versioned checkpoint format, and the
+/// mood-snapshot/4 — the gateway's versioned checkpoint format, and the
 /// crash-consistent file protocol around it.
 ///
 /// A deployed gateway (the paper's pitch) must survive restarts without
 /// silently changing its published decisions, so restore *correctness* is
 /// the bar: a run killed at any checkpoint cut and restored must produce
 /// the byte-identical mood-stream/1 decision set as an uninterrupted run.
-/// The snapshot therefore serializes the complete per-user kernel state —
-/// not just the windows: under a staleness bound
-/// the cached PIT/POI profiles reflect the window *at the last refresh*,
-/// including records since evicted, so they cannot be rebuilt from the
-/// current window and are captured directly (tracker internals via
-/// clustering::*Snapshot, compiled flat forms verbatim).
+/// The snapshot therefore serializes the per-user kernel state — not just
+/// the windows: under a staleness bound the stay tracker reflects the
+/// window *at the last refresh*, including records since evicted, so it
+/// cannot be rebuilt from the current window and is captured directly
+/// (via clustering::TrackedVisitStatesSnapshot). The compiled forms are
+/// not stored: the AP heatmap is a function of the window and the PIT/POI
+/// profiles of the tracker, and restore recompiles them through
+/// decision::DecisionKernel::restore_derived.
 ///
 /// ## File layout (little-endian throughout)
 ///
 ///   offset 0   magic   "MOODSNAP"            (8 bytes)
-///          8   u32     version (= 3; version 1 carried the retired
+///          8   u32     version (= 4; version 1 carried the retired
 ///                      micro-batch engine's fields, version 2 the
-///                      retired recheck cadence; both are refused)
+///                      retired recheck cadence, version 3 the compiled
+///                      heatmap counts and PIT/POI forms; all are refused)
 ///         12   u32     section count (= 3)
 ///         16   sections, each:
 ///                u32   section id            (1 CONFIG, 2 STATS, 3 USERS)
@@ -45,11 +48,11 @@
 ///           the per-shard LRU clocks, and the per-shard shed latches
 ///           (hysteresis state).
 ///   USERS   user count, then one UserSnapshot per resident user, sorted
-///           by user id: window records, heatmap raw counts,
-///           stay-tracker snapshot, compiled PIT/POI states,
-///           staleness deltas, verdict, per-user counters, LRU stamp,
-///           quarantine state (flag, reason, dead letters) and the
-///           admission timestamp watermark.
+///           by user id: window records, the heatmap-built flag, the
+///           stay origin, the profiles-built flag with the stay-tracker
+///           snapshot when set, staleness deltas, verdict, per-user
+///           counters, LRU stamp, quarantine state (flag, reason, dead
+///           letters) and the admission timestamp watermark.
 ///
 /// ## Crash-consistency protocol
 ///
@@ -77,15 +80,12 @@
 #include <cstdint>
 #include <string>
 #include <string_view>
-#include <utility>
 #include <vector>
 
 #include "clustering/incremental_stays.h"
-#include "geo/cell_grid.h"
 #include "geo/geo.h"
 #include "mobility/record.h"
 #include "mobility/trace.h"
-#include "profiles/markov_profile.h"
 #include "stream/engine.h"
 #include "support/error.h"
 
@@ -103,27 +103,21 @@ class SnapshotError : public support::UsageError {
 
 inline constexpr char kSnapshotMagic[8] = {'M', 'O', 'O', 'D',
                                            'S', 'N', 'A', 'P'};
-inline constexpr std::uint32_t kSnapshotVersion = 3;
+inline constexpr std::uint32_t kSnapshotVersion = 4;
 inline constexpr const char* kSnapshotSuffix = ".moodsnap";
 
-/// Complete captured state of one resident user — a plain-value mirror of
-/// UserState + decision::UserKernelState.
+/// Captured state of one resident user — a plain-value mirror of
+/// UserState + decision::UserKernelState without its derived fields.
 struct UserSnapshot {
   mobility::UserId user;
   std::vector<mobility::Record> window;   ///< sliding window, in order
 
   bool heatmap_built = false;
-  double heatmap_total = 0.0;
-  std::vector<std::pair<geo::CellIndex, double>> heatmap_counts;
 
-  bool stays_init = false;
   bool stay_origin_set = false;
   geo::GeoPoint stay_origin;
-  clustering::TrackedVisitStatesSnapshot stays;  ///< valid when stays_init
-
   bool profiles_built = false;
-  std::vector<profiles::CompiledMarkovState> markov_states;
-  std::vector<geo::TrigPoint> poi_centers;
+  clustering::TrackedVisitStatesSnapshot stays;  ///< valid when profiles_built
   std::uint64_t stale_appended = 0;
   std::uint64_t stale_evicted = 0;
   std::uint64_t stale_points = 0;
@@ -148,7 +142,7 @@ struct UserSnapshot {
   mobility::Timestamp last_time = 0;    ///< newest admitted timestamp
 };
 
-/// One decoded (or to-be-encoded) mood-snapshot/3 document.
+/// One decoded (or to-be-encoded) mood-snapshot/4 document.
 struct SnapshotData {
   SnapshotContext context;  ///< three of its four fields are encoded
   StreamConfig config;  ///< window-knob subset is fingerprinted

@@ -287,10 +287,9 @@ void expect_same_state(const UserKernelState& a, const UserKernelState& b) {
   EXPECT_EQ(a.heatmap_built, b.heatmap_built);
   EXPECT_EQ(a.heatmap.raw_total(), b.heatmap.raw_total());
   EXPECT_EQ(a.heatmap.raw_counts(), b.heatmap.raw_counts());
-  EXPECT_EQ(a.stays_init, b.stays_init);
   EXPECT_EQ(a.stay_origin, b.stay_origin);
   EXPECT_EQ(a.stay_origin_set, b.stay_origin_set);
-  if (a.stays_init && b.stays_init) {
+  if (a.profiles_built && b.profiles_built) {
     const auto sa = a.stays.snapshot();
     const auto sb = b.stays.snapshot();
     EXPECT_EQ(sa.stays.finals.size(), sb.stays.finals.size());
@@ -312,12 +311,15 @@ void expect_same_state(const UserKernelState& a, const UserKernelState& b) {
               b.markov.states()[i].center.lat_rad);
     EXPECT_EQ(a.markov.states()[i].center.lon_deg,
               b.markov.states()[i].center.lon_deg);
+    EXPECT_EQ(a.markov.states()[i].center.cos_lat,
+              b.markov.states()[i].center.cos_lat);
     EXPECT_EQ(a.markov.states()[i].weight, b.markov.states()[i].weight);
   }
   ASSERT_EQ(a.poi.centers().size(), b.poi.centers().size());
   for (std::size_t i = 0; i < a.poi.centers().size(); ++i) {
     EXPECT_EQ(a.poi.centers()[i].lat_rad, b.poi.centers()[i].lat_rad);
     EXPECT_EQ(a.poi.centers()[i].lon_deg, b.poi.centers()[i].lon_deg);
+    EXPECT_EQ(a.poi.centers()[i].cos_lat, b.poi.centers()[i].cos_lat);
   }
   EXPECT_EQ(a.profiles_built, b.profiles_built);
   EXPECT_EQ(a.stale_appended, b.stale_appended);
@@ -460,6 +462,58 @@ TEST_F(DecisionKernelTest, DecideRecheckIsExactlyDecideHeld) {
   // The comparison is not vacuous: protected users holding a winner hit
   // the old recheck cadence.
   EXPECT_GT(held_protected_calls, 0u);
+}
+
+/// restore_derived rebuilds the forms a checkpoint drops (AP heatmap,
+/// Markov and POI profiles) bit for bit from the state it keeps, counting
+/// nothing. Checked at every cut of a windowed, staleness-bounded drive
+/// where records were appended and evicted since the last PIT/POI refresh,
+/// so the window no longer holds what the profiles were compiled from;
+/// slack 16 under a 50-point bound also makes some full verdicts keep
+/// stale profiles.
+TEST_F(DecisionKernelTest, RestoreDerivedRebuildsDroppedFormsBitForBit) {
+  KernelConfig config;
+  config.max_points = 120;
+  config.staleness_points = 50;
+  const DecisionKernel kernel = harness_->make_kernel({}, config);
+  std::size_t cuts = 0;
+  std::size_t stale_full_verdicts = 0;
+  for (const auto& pair : harness_->pairs()) {
+    UserKernelState state;
+    state.window.set_user(pair.test.user());
+    for (const mobility::Record& record : pair.test.records()) {
+      const Tier tier = tier_for(state, 16, /*shed=*/false);
+      kernel.step(state, kernel.fold(state, {&record, 1}), tier);
+      if (!state.profiles_built || state.stale_appended == 0 ||
+          state.stale_evicted == 0) {
+        continue;
+      }
+      if (tier == Tier::kFull) ++stale_full_verdicts;
+      ++cuts;
+      UserKernelState restored = state;
+      restored.heatmap = {};
+      restored.markov = {};
+      restored.poi = {};
+      const auto delta =
+          delta_of(kernel, [&] { kernel.restore_derived(restored); });
+      for (const auto& [name, value] : delta) EXPECT_EQ(value, 0u) << name;
+      expect_same_state(restored, state);
+
+      profiles::CompiledHeatmap captured = state.heatmap;
+      captured.compile();
+      const auto& want = captured.cells();
+      const auto& got = restored.heatmap.cells();
+      ASSERT_EQ(got.size(), want.size());
+      for (std::size_t i = 0; i < got.size(); ++i) {
+        EXPECT_EQ(got[i].cell, want[i].cell);
+        EXPECT_EQ(got[i].probability, want[i].probability);
+        EXPECT_EQ(got[i].self_term, want[i].self_term);
+        EXPECT_EQ(got[i].solo_term, want[i].solo_term);
+      }
+    }
+  }
+  EXPECT_GT(cuts, 0u);
+  EXPECT_GT(stale_full_verdicts, 0u);
 }
 
 /// The shed tier holds the verdict and keeps its counters, but runs no

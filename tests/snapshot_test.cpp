@@ -1,4 +1,4 @@
-// Tests for checkpoint/restore (src/stream/snapshot): the mood-snapshot/3
+// Tests for checkpoint/restore (src/stream/snapshot): the mood-snapshot/4
 // byte format (round trip, golden files, rejection of malformed input),
 // the crash-consistent file protocol under injected faults at every named
 // fail point — including SIGKILL-equivalent deaths — and the headline
@@ -221,9 +221,6 @@ TEST(SnapshotFormat, EncodeDecodeRoundTripsEveryField) {
   rich.user = "ada";
   rich.window = {{{45.5, 4.25}, 100}, {{45.75, 4.25}, 200}};
   rich.heatmap_built = true;
-  rich.heatmap_total = 3.5;
-  rich.heatmap_counts = {{{1, -2}, 2.0}, {{0, 3}, 1.5}};
-  rich.stays_init = true;
   rich.stay_origin_set = true;
   rich.stay_origin = {45.5, 4.25};
   rich.stays.stays.params.max_diameter_m = 200.0;
@@ -250,8 +247,6 @@ TEST(SnapshotFormat, EncodeDecodeRoundTripsEveryField) {
   rich.stays.visits.folded = 1;
   rich.stays.synced_generation = 5;
   rich.profiles_built = true;
-  rich.markov_states = {{{0.79, 4.25, 0.70}, 0.5}, {{0.80, 4.5, 0.69}, 0.5}};
-  rich.poi_centers = {{0.79, 4.25, 0.70}};
   rich.stale_appended = 3;
   rich.stale_evicted = 1;
   rich.stale_points = 12;
@@ -306,12 +301,7 @@ TEST(SnapshotFormat, EncodeDecodeRoundTripsEveryField) {
   EXPECT_EQ(a.window[0].position.lat, 45.5);
   EXPECT_EQ(a.window[1].time, 200);
   EXPECT_TRUE(a.heatmap_built);
-  EXPECT_EQ(a.heatmap_total, 3.5);
-  ASSERT_EQ(a.heatmap_counts.size(), 2u);
-  EXPECT_EQ(a.heatmap_counts[0].first.ix, 1);
-  EXPECT_EQ(a.heatmap_counts[0].first.iy, -2);
-  EXPECT_EQ(a.heatmap_counts[1].second, 1.5);
-  ASSERT_TRUE(a.stays_init);
+  ASSERT_TRUE(a.profiles_built);
   EXPECT_EQ(a.stays.stays.params.min_dwell, 900);
   ASSERT_EQ(a.stays.stays.finals.size(), 1u);
   EXPECT_EQ(a.stays.stays.finals[0].poi.record_count, 4u);
@@ -323,11 +313,6 @@ TEST(SnapshotFormat, EncodeDecodeRoundTripsEveryField) {
   ASSERT_EQ(a.stays.visits.states.size(), 1u);
   EXPECT_EQ(a.stays.visits.merge_distance_m, 100.0);
   EXPECT_EQ(a.stays.synced_generation, 5u);
-  ASSERT_EQ(a.markov_states.size(), 2u);
-  EXPECT_EQ(a.markov_states[0].weight, 0.5);
-  EXPECT_EQ(a.markov_states[1].center.lon_deg, 4.5);
-  ASSERT_EQ(a.poi_centers.size(), 1u);
-  EXPECT_EQ(a.poi_centers[0].cos_lat, 0.70);
   EXPECT_EQ(a.stale_points, 12u);
   EXPECT_TRUE(a.has_decision);
   EXPECT_EQ(a.decision, 1);
@@ -345,7 +330,7 @@ TEST(SnapshotFormat, EncodeDecodeRoundTripsEveryField) {
   const UserSnapshot& b = back.users[1];
   EXPECT_EQ(b.user, "bob");
   EXPECT_FALSE(b.heatmap_built);
-  EXPECT_FALSE(b.stays_init);
+  EXPECT_FALSE(b.profiles_built);
   EXPECT_FALSE(b.has_decision);
   EXPECT_EQ(b.searched_events, static_cast<std::uint64_t>(-1));
   EXPECT_FALSE(b.quarantined);
@@ -460,11 +445,6 @@ SnapshotData golden_data() {
   ada.user = "ada";
   ada.window = {{{45.5, 4.25}, 1000}, {{45.75, 4.5}, 2000}};
   ada.heatmap_built = true;
-  ada.heatmap_total = 2.0;
-  ada.heatmap_counts = {{{1, -2}, 1.5}, {{0, 3}, 0.5}};
-  ada.profiles_built = true;
-  ada.markov_states = {{{0.5, 4.25, 0.75}, 1.0}};
-  ada.poi_centers = {{0.5, 4.25, 0.75}};
   ada.has_decision = true;
   ada.decision = 1;
   ada.winner = "GeoI";
@@ -480,8 +460,8 @@ SnapshotData golden_data() {
   UserSnapshot bob;
   bob.user = "bob";
   bob.window = {{{46.0, 5.0}, 1500}};
-  bob.stays_init = true;
   bob.stay_origin_set = true;
+  bob.profiles_built = true;
   bob.stay_origin = {46.0, 5.0};
   bob.stays.stays.params.max_diameter_m = 200.0;
   bob.stays.stays.params.min_dwell = 900;
@@ -530,7 +510,7 @@ TEST(SnapshotGolden, WriterMatchesCheckedInGoldenFile) {
   // must come with a version bump (or a deliberate fixture regeneration).
   ASSERT_EQ(stored.size(), bytes.size());
   EXPECT_TRUE(stored == bytes) << "writer output diverged from the "
-                                  "documented mood-snapshot/3 layout";
+                                  "documented mood-snapshot/4 layout";
 }
 
 TEST(SnapshotGolden, CheckedInGoldenFileDecodes) {
@@ -544,7 +524,7 @@ TEST(SnapshotGolden, CheckedInGoldenFileDecodes) {
   ASSERT_EQ(d.users.size(), 2u);
   EXPECT_EQ(d.users[0].user, "ada");
   EXPECT_EQ(d.users[0].winner, "GeoI");
-  EXPECT_TRUE(d.users[1].stays_init);
+  EXPECT_TRUE(d.users[1].profiles_built);
   EXPECT_EQ(d.users[1].stays.stays.params.min_dwell, 900);
   EXPECT_EQ(d.config.resilience.on_bad_record, BadRecordPolicy::kQuarantine);
   EXPECT_EQ(d.config.resilience.shed_high_watermark, 16u);
@@ -714,6 +694,12 @@ TEST(SnapshotGolden, VersionOneFileIsRefusedByVersion) {
 /// held-mechanism recheck cadence, whose field its CONFIG section carries).
 TEST(SnapshotGolden, VersionTwoFileIsRefusedByVersion) {
   expect_refused_by_version("golden-v2.moodsnap", 2);
+}
+
+/// The last version-3 file ever written (the golden fixture as of the
+/// compiled heatmap counts and PIT/POI forms in USERS).
+TEST(SnapshotGolden, VersionThreeFileIsRefusedByVersion) {
+  expect_refused_by_version("golden-v3.moodsnap", 3);
 }
 
 // ----------------------------------------------- restore bit-identity --

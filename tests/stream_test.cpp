@@ -423,10 +423,11 @@ TEST_F(StreamTest, FromStatesMatchesLegacyCompiledProfiles) {
   }
 }
 
-/// The PR 5 tentpole property: the incrementally maintained PIT and POI
-/// compiled profiles are bit-identical to a from-scratch compile after
-/// every single appended point (no eviction, so the pinned origin equals
-/// the window front and the oracle is the attacks' own compile path).
+/// The incrementally maintained PIT and POI profiles — one
+/// TrackedVisitStates compiled through from_states, as the decision kernel
+/// keeps them — are bit-identical to a from-scratch compile after every
+/// single appended point (no eviction, so the pinned origin equals the
+/// window front and the oracle is the attacks' own compile path).
 TEST_F(StreamTest, IncrementalMarkovAndPoiMatchFromScratchPointByPoint) {
   const auto* pit = dynamic_cast<const attacks::PitAttack*>(
       harness_->attacks()[1].get());
@@ -439,14 +440,16 @@ TEST_F(StreamTest, IncrementalMarkovAndPoiMatchFromScratchPointByPoint) {
 
   mobility::Trace window;
   window.set_user(pair.test.user());
-  auto markov = profiles::CompiledMarkovProfile::incremental(window, params);
-  auto poi_profile = profiles::CompiledPoiProfile::incremental(window, params);
-  ASSERT_TRUE(markov.updatable());
-  ASSERT_TRUE(poi_profile.updatable());
+  clustering::TrackedVisitStates stays(params,
+                                       pair.test.records().front().position);
+  profiles::CompiledMarkovProfile markov;
+  profiles::CompiledPoiProfile poi_profile;
   for (const auto& record : pair.test.records()) {
     window.append(record);
-    markov.apply_update(window, 1, 0);
-    poi_profile.apply_update(window, 1, 0);
+    stays.update(window, 1, 0);
+    const auto states = stays.states();
+    markov = profiles::CompiledMarkovProfile::from_states(states);
+    poi_profile = profiles::CompiledPoiProfile::from_states(states);
     expect_same_markov(markov, legacy_markov(window, params));
     expect_same_poi(poi_profile, legacy_poi(window, params));
   }
@@ -476,8 +479,7 @@ TEST_F(StreamTest, IncrementalMarkovAndPoiSurviveSlidingWindowEviction) {
 
   mobility::Trace window;
   window.set_user(pair.test.user());
-  auto markov = profiles::CompiledMarkovProfile::incremental(window, params);
-  auto poi_profile = profiles::CompiledPoiProfile::incremental(window, params);
+  clustering::TrackedVisitStates stays(params, origin);
   const auto oracle_states = [&] {
     return clustering::build_visit_sequence(
                clustering::extract_pois(window, params, origin),
@@ -491,34 +493,20 @@ TEST_F(StreamTest, IncrementalMarkovAndPoiSurviveSlidingWindowEviction) {
       evicted = window.size() - cap;
       window.drop_front(evicted);
     }
-    markov.apply_update(window, 1, evicted);
-    poi_profile.apply_update(window, 1, evicted);
+    stays.update(window, 1, evicted);
     if (i % 16 == 0 || i + 1 == records.size()) {
+      const auto tracked = stays.states();
       const auto states = oracle_states();
-      expect_same_markov(markov,
+      expect_same_markov(profiles::CompiledMarkovProfile::from_states(tracked),
                          profiles::CompiledMarkovProfile::from_states(states));
-      expect_same_poi(poi_profile,
+      expect_same_poi(profiles::CompiledPoiProfile::from_states(tracked),
                       profiles::CompiledPoiProfile::from_states(states));
     }
   }
   // The window slid, so the tracker really exercised the eviction paths.
-  EXPECT_GT(markov.tracker().updates(), 0u);
-  EXPECT_EQ(markov.tracker().origin().lat, origin.lat);
-  EXPECT_EQ(markov.tracker().origin().lon, origin.lon);
-}
-
-TEST_F(StreamTest, ApplyUpdateOnNonUpdatableProfilesThrows) {
-  const auto* pit = dynamic_cast<const attacks::PitAttack*>(
-      harness_->attacks()[1].get());
-  ASSERT_NE(pit, nullptr);
-  const auto& pair = harness_->pairs().front();
-  auto markov = legacy_markov(pair.test, pit->params());
-  EXPECT_FALSE(markov.updatable());
-  EXPECT_THROW(markov.apply_update(pair.test, 0, 0),
-               support::PreconditionError);
-  profiles::CompiledPoiProfile poi_profile;
-  EXPECT_THROW(poi_profile.apply_update(pair.test, 0, 0),
-               support::PreconditionError);
+  EXPECT_GT(stays.tracker().updates(), 0u);
+  EXPECT_EQ(stays.tracker().origin().lat, origin.lat);
+  EXPECT_EQ(stays.tracker().origin().lon, origin.lon);
 }
 
 // ----------------------------------------- gateway vs batch harness ----
