@@ -6,14 +6,15 @@
 /// the trace and builds each compiled form at most once, on first use: the
 /// AP heatmap, and the stay states of ONE extract_pois, which compile into
 /// both the POI set and the Markov states, so POI and PIT share one stay
-/// extraction. The decision kernel hands in the forms it maintains instead
-/// (use_heatmap, use_stays). A trace converts implicitly, so trace-form
-/// queries compile as before.
+/// extraction. A trace converts implicitly, projecting its stays from its
+/// own first record; the decision kernel passes the origin it pinned at a
+/// user's first-ever record instead, so a sliding window's stays do not
+/// move when its front does.
 ///
 /// One heatmap grid and one stay clustering per candidate: asking with
 /// another throws PreconditionError. Per query and single-threaded; the
-/// trace and handed-in forms must outlive it, and the forms it returns
-/// live as long as it does.
+/// trace must outlive it, and the forms it returns live as long as it
+/// does.
 
 #include <optional>
 #include <vector>
@@ -31,44 +32,33 @@ namespace mood::attacks {
 class Candidate {
  public:
   Candidate(const mobility::Trace& trace)  // NOLINT: implicit by design
-      : trace_(&trace) {}
+      : Candidate(trace,
+                  trace.empty() ? geo::GeoPoint{} : trace.front().position) {}
+  /// Stays projected from `stay_origin` (extract_pois' origin overload).
+  Candidate(const mobility::Trace& trace, const geo::GeoPoint& stay_origin)
+      : trace_(&trace), stay_origin_(stay_origin) {}
   Candidate(const Candidate&) = delete;
   Candidate& operator=(const Candidate&) = delete;
-
-  /// Hands in forms already compiled for trace(): its AP heatmap on
-  /// `grid`, or its Markov and POI forms clustered with `params`.
-  void use_heatmap(const profiles::CompiledHeatmap& heatmap,
-                   const geo::CellGrid& grid) {
-    bind(grid_, grid);
-    heatmap_ = &heatmap;
-  }
-  void use_stays(const profiles::CompiledMarkovProfile& markov,
-                 const profiles::CompiledPoiProfile& poi,
-                 const clustering::PoiParams& params) {
-    bind(stay_params_, params);
-    markov_ = &markov;
-    poi_ = &poi;
-  }
 
   [[nodiscard]] const mobility::Trace& trace() const { return *trace_; }
   [[nodiscard]] const profiles::CompiledHeatmap& heatmap(
       const geo::CellGrid& grid) const {
     bind(grid_, grid);
-    return built(heatmap_, own_heatmap_, [&] {
+    return built(heatmap_, [&] {
       return profiles::CompiledHeatmap::from_trace(*trace_, grid);
     });
   }
   [[nodiscard]] const profiles::CompiledMarkovProfile& markov(
       const clustering::PoiParams& params) const {
     bind(stay_params_, params);
-    return built(markov_, own_markov_, [&] {
+    return built(markov_, [&] {
       return profiles::CompiledMarkovProfile::from_states(states(params));
     });
   }
   [[nodiscard]] const profiles::CompiledPoiProfile& poi(
       const clustering::PoiParams& params) const {
     bind(stay_params_, params);
-    return built(poi_, own_poi_, [&] {
+    return built(poi_, [&] {
       return profiles::CompiledPoiProfile::from_states(states(params));
     });
   }
@@ -81,17 +71,17 @@ class Candidate {
                      "attacks::Candidate: one heatmap grid and one stay "
                      "clustering per candidate");
   }
-  /// `*form`, building it into `own` on first use.
+  /// `form`, building it on first use.
   template <typename T, typename Build>
-  static const T& built(const T*& form, std::optional<T>& own, Build build) {
-    if (form == nullptr) form = &own.emplace(build());
+  static const T& built(std::optional<T>& form, Build build) {
+    if (!form) form.emplace(build());
     return *form;
   }
   [[nodiscard]] const std::vector<clustering::Poi>& states(
       const clustering::PoiParams& params) const {
     if (!states_) {
       states_ = clustering::build_visit_sequence(
-                    clustering::extract_pois(*trace_, params),
+                    clustering::extract_pois(*trace_, params, stay_origin_),
                     params.max_diameter_m)
                     .states;
     }
@@ -99,16 +89,12 @@ class Candidate {
   }
 
   const mobility::Trace* trace_;
+  geo::GeoPoint stay_origin_;
   mutable std::optional<geo::CellGrid> grid_;
   mutable std::optional<clustering::PoiParams> stay_params_;
-  // Each form is read through its pointer: a handed-in form, or the
-  // candidate's own in the matching optional.
-  mutable const profiles::CompiledHeatmap* heatmap_ = nullptr;
-  mutable const profiles::CompiledMarkovProfile* markov_ = nullptr;
-  mutable const profiles::CompiledPoiProfile* poi_ = nullptr;
-  mutable std::optional<profiles::CompiledHeatmap> own_heatmap_;
-  mutable std::optional<profiles::CompiledMarkovProfile> own_markov_;
-  mutable std::optional<profiles::CompiledPoiProfile> own_poi_;
+  mutable std::optional<profiles::CompiledHeatmap> heatmap_;
+  mutable std::optional<profiles::CompiledMarkovProfile> markov_;
+  mutable std::optional<profiles::CompiledPoiProfile> poi_;
   mutable std::optional<std::vector<clustering::Poi>> states_;
 };
 

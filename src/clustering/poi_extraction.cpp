@@ -11,27 +11,45 @@ using geo::GeoPoint;
 using mobility::Record;
 using mobility::Trace;
 
-RadiusScreen::RadiusScreen(double radius_m)
-    : radius_(radius_m),
-      // The membership test is the hot loop of attack inference (every
-      // profile build runs it once per record). euclidean_m's hypot call
-      // dominates it, but the loop only needs the *comparison* — so screen
-      // with the squared distance first and keep hypot for the razor-thin
-      // band around the radius where the two roundings could disagree. d2
-      // carries at most a few ulp of relative error, so outside +-1e-12 the
-      // squared comparison provably decides the same way as hypot's, and
-      // the decision — hence every extracted POI — stays bit-identical.
-      r2_inside_(radius_m * radius_m * (1.0 - 1e-12)),
-      r2_outside_(radius_m * radius_m * (1.0 + 1e-12)) {}
+namespace {
 
-bool RadiusScreen::operator()(const EnuPoint& a, const EnuPoint& b) const {
-  const double dx = a.x - b.x;
-  const double dy = a.y - b.y;
-  const double d2 = dx * dx + dy * dy;
-  if (d2 <= r2_inside_) return true;
-  if (d2 >= r2_outside_) return false;
-  return geo::euclidean_m(a, b) <= radius_;
-}
+/// The stay-membership predicate: is `b` within `radius` metres of the
+/// anchor `a`? Screens with the squared planar distance and keeps the
+/// exact euclidean_m comparison only for the razor-thin band around the
+/// radius where the two roundings could disagree, so the decision — hence
+/// every extracted POI — is bit-identical to the plain hypot comparison.
+class RadiusScreen {
+ public:
+  explicit RadiusScreen(double radius_m)
+      : radius_(radius_m),
+        // The membership test is the hot loop of attack inference (every
+        // profile build runs it once per record). euclidean_m's hypot call
+        // dominates it, but the loop only needs the *comparison* — so
+        // screen with the squared distance first and keep hypot for the
+        // razor-thin band around the radius where the two roundings could
+        // disagree. d2 carries at most a few ulp of relative error, so
+        // outside +-1e-12 the squared comparison provably decides the same
+        // way as hypot's, and the decision — hence every extracted POI —
+        // stays bit-identical.
+        r2_inside_(radius_m * radius_m * (1.0 - 1e-12)),
+        r2_outside_(radius_m * radius_m * (1.0 + 1e-12)) {}
+
+  [[nodiscard]] bool operator()(const EnuPoint& a, const EnuPoint& b) const {
+    const double dx = a.x - b.x;
+    const double dy = a.y - b.y;
+    const double d2 = dx * dx + dy * dy;
+    if (d2 <= r2_inside_) return true;
+    if (d2 >= r2_outside_) return false;
+    return geo::euclidean_m(a, b) <= radius_;
+  }
+
+ private:
+  double radius_;
+  double r2_inside_;
+  double r2_outside_;
+};
+
+}  // namespace
 
 std::vector<Poi> extract_pois(const Trace& trace, const PoiParams& params) {
   // Work in a local projection centred on the trace so member distances are

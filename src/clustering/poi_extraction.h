@@ -38,25 +38,6 @@ struct PoiParams {
   friend bool operator==(const PoiParams&, const PoiParams&) = default;
 };
 
-/// The stay-membership predicate shared by every extraction path (one-shot
-/// and incremental): is `b` within `radius` metres of the anchor `a`?
-/// Screens with the squared planar distance and keeps the exact
-/// euclidean_m comparison only for the razor-thin band around the radius
-/// where the two roundings could disagree, so the decision — hence every
-/// extracted POI — is bit-identical to the plain hypot comparison.
-/// (See the derivation at the construction site in poi_extraction.cpp.)
-class RadiusScreen {
- public:
-  explicit RadiusScreen(double radius_m);
-  [[nodiscard]] bool operator()(const geo::EnuPoint& a,
-                                const geo::EnuPoint& b) const;
-
- private:
-  double radius_;
-  double r2_inside_;
-  double r2_outside_;
-};
-
 /// Extracts POIs from a trace in chronological order.
 ///
 /// Sequential stay-point detection: starting at record i, the stay extends
@@ -71,9 +52,10 @@ std::vector<Poi> extract_pois(const mobility::Trace& trace,
 /// Same extraction with the local projection pinned at an explicit origin
 /// instead of the trace's first record. The default overload is exactly
 /// extract_pois(trace, params, trace.front().position); the explicit form
-/// exists for incremental sliding-window maintenance, where the window's
-/// front moves but the projection must stay fixed so that previously
-/// finalised stay centroids remain bit-identical (see StayTracker).
+/// serves the decision kernel's sliding windows, whose front moves while
+/// the projection stays pinned at the user's first-ever record
+/// (decision::UserKernelState::stay_origin), so the centroids of stays
+/// still in the window do not shift by a rounding.
 std::vector<Poi> extract_pois(const mobility::Trace& trace,
                               const PoiParams& params,
                               const geo::GeoPoint& origin);

@@ -23,29 +23,15 @@
 ///     Identical final windows therefore produce bit-identical decisions
 ///     by construction, not by test.
 ///
-/// Per user the kernel owns the compiled forms the engine's attacks read,
-/// maintained incrementally:
+/// Per user the kernel keeps only the window, the stay-projection origin
+/// pinned at the user's first-ever record, and the verdict. It caches no
+/// compiled profile: the risk query is attacks::any_reidentifies over an
+/// attacks::Candidate of the window, which compiles the AP heatmap and the
+/// one stay extraction POI and PIT share on first use, as it does for
+/// every LPPM output the search prices. Every full verdict therefore
+/// reads exact profiles of the current window, and a checkpoint holds
+/// state only.
 ///
-///   * the AP heatmap exactly: fold() edits its integer cell counts in
-///     place per appended or evicted record (CompiledHeatmap::apply_update)
-///     and leaves the cells stale; refresh_profiles() compiles them before
-///     every read (full and final tiers, at_risk_trace), ahead of the PIT/POI
-///     staleness bound — bit-identical to a from-scratch compile;
-///   * the PIT and POI profiles through ONE shared StayTracker (both
-///     attacks cluster the same stay points: MoodEngine requires their
-///     PoiParams to agree) plus a VisitAccumulator, compiled into
-///     their flat forms with from_states — incremental stay-point
-///     maintenance with a bounded rebuild fallback when an eviction splits
-///     a stay. A staleness bound (KernelConfig::staleness_points) defers
-///     even the incremental folds; the final tier always forces freshness.
-///
-/// Both kinds of form are functions of other state: the heatmap of the
-/// window, the PIT/POI profiles of the stay tracker (which moves only on
-/// refresh, so even stale profiles are its function). A checkpoint
-/// therefore stores neither, and restore_derived() recompiles them.
-///
-/// The risk query is attacks::any_reidentifies over a Candidate of the
-/// window holding these forms, so the window compiles nothing again.
 /// Mechanism selection applies the keep/recheck/search policy: keep the
 /// held LPPM while a cheap MoodEngine::recheck shows it still protects,
 /// full search() only on expose->protect transitions or when the
@@ -62,13 +48,10 @@
 #include <span>
 #include <string>
 
-#include "clustering/incremental_stays.h"
 #include "decision/mood_engine.h"
+#include "geo/geo.h"
 #include "mobility/record.h"
 #include "mobility/trace.h"
-#include "profiles/heatmap.h"
-#include "profiles/markov_profile.h"
-#include "profiles/poi_profile.h"
 
 namespace mood::decision {
 
@@ -92,19 +75,21 @@ struct Verdict {
 
 /// The decision tiers step() runs; tier_for() picks the gateway's.
 enum class Tier {
-  kFull,   ///< refresh profiles, risk queries, keep/recheck/search policy
+  kFull,   ///< risk queries, then the keep/recheck/search policy
   kHeld,   ///< carry the last verdict forward: event accounting only
   kShed,   ///< kHeld under overload, also counted as degraded
-  kFinal,  ///< canonical: force-refresh, risk, re-search a stale winner
+  kFinal,  ///< canonical: risk, then re-search a stale winner
 };
 
-/// Kernel tuning knobs (the window/staleness subset of the gateway's
-/// StreamConfig; the batch evaluators run with the defaults — no window,
-/// always fresh).
+/// Kernel tuning knobs (the window subset of the gateway's StreamConfig;
+/// the batch evaluators run with the defaults — no window).
 struct KernelConfig {
   mobility::Timestamp window_seconds = 0;  ///< sliding span; 0 = keep all
   std::size_t max_points = 0;              ///< per-user point cap; 0 = off
-  std::size_t staleness_points = 0;  ///< PIT/POI refresh bound; 0 = every fold
+  /// Must be 0 (the constructor refuses any other value): no profile is
+  /// cached, so none can be kept stale. Pinned because
+  /// bench/gateway/gateway_bench.cpp names it; ROADMAP item 1(c) deletes it.
+  std::size_t staleness_points = 0;
 };
 
 /// Aggregate kernel counters (monotonic; snapshot via stats()).
@@ -117,10 +102,11 @@ struct KernelStats {
   /// step on the slack cadence (the held tiers run none).
   std::uint64_t rechecks = 0;
   std::uint64_t shed_decisions = 0;    ///< degraded held-verdict decisions
-  std::uint64_t profile_refreshes = 0; ///< PIT/POI compiled-form refreshes
-  std::uint64_t stay_updates = 0;      ///< incremental stay-tracker syncs
-  std::uint64_t stay_rebuilds = 0;     ///< full re-extractions among them
-  std::uint64_t heatmap_updates = 0;   ///< incremental AP folds
+  /// Always 0: no profile is cached, so none is refreshed or rebuilt.
+  /// Pinned because bench/gateway/gateway_bench.cpp reads them; ROADMAP
+  /// item 1(c) deletes them.
+  std::uint64_t profile_refreshes = 0;
+  std::uint64_t stay_rebuilds = 0;
   std::uint64_t evicted_points = 0;    ///< records expired out of windows
   std::uint64_t lppm_applications = 0; ///< search/recheck cost counters
   std::uint64_t attack_invocations = 0;
@@ -141,30 +127,11 @@ struct UserKernelState {
   /// engine keys noise streams and targeted queries on window.user()).
   mobility::Trace window;
 
-  // ---- Incremental compiled profiles ---------------------------------
-  // heatmap, markov and poi are derived (see restore_derived()).
-  /// AP side: exact integer counts of the window, folded per event; the
-  /// cells are compiled at the next refresh.
-  profiles::CompiledHeatmap heatmap;
-  bool heatmap_built = false;
-  /// PIT/POI side: one shared stay tracker + merged visit states. The
-  /// projection origin is pinned at the first record ever folded —
-  /// captured in fold(), *before* any eviction, so the tracker state is a
-  /// pure function of the record sequence however folds are chunked.
-  /// It moves only in refresh_profiles(), which recompiles markov and
-  /// poi from its states() at once.
-  clustering::TrackedVisitStates stays;
+  /// Stay-clustering projection origin, pinned at the first record ever
+  /// folded (fold() sets it while events == 0, before any eviction), so
+  /// the PIT/POI stays of a sliding window do not move with its front and
+  /// do not depend on how folds were chunked.
   geo::GeoPoint stay_origin;
-  bool stay_origin_set = false;
-  profiles::CompiledMarkovProfile markov;
-  profiles::CompiledPoiProfile poi;
-  bool profiles_built = false;  ///< stays, markov and poi are initialised
-  /// Window deltas not yet folded into the PIT/POI profiles (deferred
-  /// under the staleness bound; stale_points = appended + evicted drives
-  /// the policy).
-  std::size_t stale_appended = 0;
-  std::size_t stale_evicted = 0;
-  std::size_t stale_points = 0;
 
   // ---- Last decision --------------------------------------------------
   bool has_decision = false;
@@ -199,28 +166,26 @@ class DecisionKernel {
  public:
   /// Takes ownership of a configured MoodEngine (typically
   /// harness.make_engine()); the engine's attacks must outlive the kernel.
+  /// Throws PreconditionError when config.staleness_points is not 0.
   explicit DecisionKernel(MoodEngine engine, KernelConfig config = {});
 
   DecisionKernel(const DecisionKernel&) = delete;
   DecisionKernel& operator=(const DecisionKernel&) = delete;
 
   // ---- Streaming entry points ----------------------------------------
-  /// Per-event bookkeeping only: appends the records to the window,
-  /// evicts expired/over-cap points from the front, and edits the AP
-  /// heatmap's counts for both (the evicted records are read from the
-  /// window front before drop_front, never copied). Everything derived —
-  /// the AP cells, the PIT/POI profiles — is left stale for the next
-  /// refresh. The records are only read (a span, so the stream folds one
-  /// event and the batch entry points a whole test trace without copying).
-  /// Returns the number of records folded.
+  /// Per-event bookkeeping only: appends the records to the window and
+  /// evicts expired/over-cap points from its front. The records are only
+  /// read (a span, so the stream folds one event and the batch entry
+  /// points a whole test trace without copying). Returns the number of
+  /// records folded.
   std::size_t fold(UserKernelState& state,
                    std::span<const mobility::Record> pending) const;
 
   /// Issues one verdict at `tier` — the one function that runs a tier.
   /// `folded` counts the events the verdict carries (fold()'s return
   /// value); 0 makes every tier but kFinal a no-op, and kFinal a no-op on
-  /// an empty window. kFull and kFinal refresh the profiles (kFinal
-  /// forcibly) and run every trained attack's targeted risk query; kFinal
+  /// an empty window. kFull and kFinal run every trained attack's targeted
+  /// risk query on the window; kFinal
   /// then re-searches an at-risk user unless the last full search saw
   /// exactly this window, so its verdict is decide_trace()'s on it. kHeld
   /// and kShed run no query, no LPPM and no attack. Fail-closed: kHeld or
@@ -251,24 +216,16 @@ class DecisionKernel {
   [[nodiscard]] Verdict decide_trace(const mobility::Trace& trace) const;
 
   /// The risk half only: would any trained attack re-identify the trace's
-  /// owner from it? (The no-LPPM evaluator's per-user question.) Compiles
-  /// the window profiles once and runs every attack's targeted
-  /// branch-and-bound query against them.
+  /// owner from it? (The no-LPPM evaluator's per-user question.) Runs
+  /// every attack's targeted branch-and-bound query on the folded window.
   [[nodiscard]] bool at_risk_trace(const mobility::Trace& trace) const;
-
-  // ---- Checkpoint restore ----------------------------------------------
-  /// Rebuilds the derived fields (heatmap, markov, poi) of a state
-  /// restored from a checkpoint, which stores only the rest. Bit-identical
-  /// to the captured state's forms, the heatmap compiled. Counts nothing.
-  void restore_derived(UserKernelState& state) const;
 
   [[nodiscard]] const MoodEngine& engine() const { return engine_; }
   [[nodiscard]] const KernelConfig& config() const { return config_; }
   [[nodiscard]] KernelStats stats() const;
 
  private:
-  void refresh_profiles(UserKernelState& state, bool force) const;
-  /// Targeted risk query over a state with fresh profiles.
+  /// Targeted risk query over the state's window.
   [[nodiscard]] bool at_risk(const UserKernelState& state) const;
   void select_mechanism(UserKernelState& state, bool force_search) const;
   void apply_verdict(UserKernelState& state, bool risk, std::size_t folded,
@@ -283,10 +240,6 @@ class DecisionKernel {
   mutable std::atomic<std::uint64_t> searches_{0};
   mutable std::atomic<std::uint64_t> rechecks_{0};
   mutable std::atomic<std::uint64_t> shed_decisions_{0};
-  mutable std::atomic<std::uint64_t> profile_refreshes_{0};
-  mutable std::atomic<std::uint64_t> stay_updates_{0};
-  mutable std::atomic<std::uint64_t> stay_rebuilds_{0};
-  mutable std::atomic<std::uint64_t> heatmap_updates_{0};
   mutable std::atomic<std::uint64_t> evicted_points_{0};
   mutable std::atomic<std::uint64_t> lppm_applications_{0};
   mutable std::atomic<std::uint64_t> attack_invocations_{0};

@@ -2,7 +2,6 @@
 
 #include <limits>
 
-#include "attacks/ap_attack.h"
 #include "attacks/pit_attack.h"
 #include "attacks/poi_attack.h"
 #include "support/error.h"
@@ -47,22 +46,20 @@ MoodEngine::MoodEngine(std::vector<const lppm::Lppm*> singles,
   for (const auto* single : singles_) {
     support::expects(single != nullptr, "MoodEngine: null LPPM");
   }
+  std::optional<clustering::PoiParams> stay_params;
   for (const auto* attack : attacks_) {
     support::expects(attack != nullptr, "MoodEngine: null attack");
     support::expects(attack->trained_users() > 0,
                      "MoodEngine: attack '" + attack->name() +
                          "' is untrained");
-    if (const auto* ap = dynamic_cast<const attacks::ApAttack*>(attack)) {
-      heatmap_grid_ = &ap->grid();
-    }
     const auto* poi = dynamic_cast<const attacks::PoiAttack*>(attack);
     const auto* pit = dynamic_cast<const attacks::PitAttack*>(attack);
     if (poi != nullptr || pit != nullptr) {
       const auto& stays = poi != nullptr ? poi->params() : pit->params();
-      support::expects(!stay_params_ || *stay_params_ == stays,
+      support::expects(!stay_params || *stay_params == stays,
                        "MoodEngine: POI and PIT attacks must share "
                        "stay-clustering params");
-      stay_params_ = stays;
+      stay_params = stays;
     }
   }
 }

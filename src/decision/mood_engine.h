@@ -24,8 +24,6 @@
 #include <vector>
 
 #include "attacks/attack.h"
-#include "clustering/poi_extraction.h"
-#include "geo/cell_grid.h"
 #include "lppm/composition.h"
 #include "lppm/lppm.h"
 #include "metrics/distortion.h"
@@ -146,17 +144,6 @@ class MoodEngine {
     return attacks_;
   }
 
-  /// The compiled forms the attacks read from a candidate, for callers
-  /// that maintain them (the decision kernel): the AP heatmap grid and the
-  /// stay-clustering params POI and PIT share. Null when no attack reads
-  /// that form.
-  [[nodiscard]] const geo::CellGrid* heatmap_grid() const {
-    return heatmap_grid_;
-  }
-  [[nodiscard]] const clustering::PoiParams* stay_params() const {
-    return stay_params_ ? &*stay_params_ : nullptr;
-  }
-
   [[nodiscard]] const MoodConfig& config() const { return config_; }
   [[nodiscard]] std::size_t candidate_count() const {
     return singles_.size() + compositions_.size();
@@ -179,8 +166,6 @@ class MoodEngine {
   std::vector<const lppm::Lppm*> singles_;
   std::vector<lppm::Composition> compositions_;
   std::vector<const attacks::Attack*> attacks_;
-  const geo::CellGrid* heatmap_grid_ = nullptr;
-  std::optional<clustering::PoiParams> stay_params_;
   const metrics::UtilityMetric* metric_;
   MoodConfig config_;
 };

@@ -201,11 +201,6 @@ void compile_cells(const std::vector<std::pair<geo::CellIndex, double>>& counts,
   }
 }
 
-bool cell_less(const std::pair<geo::CellIndex, double>& entry,
-               const geo::CellIndex& cell) {
-  return entry.first < cell;
-}
-
 }  // namespace
 
 CompiledHeatmap::CompiledHeatmap(const Heatmap& source) {
@@ -224,60 +219,6 @@ CompiledHeatmap CompiledHeatmap::from_trace(const mobility::Trace& trace,
   compile_cells(cell_counts(trace.records(), grid),
                 static_cast<double>(trace.size()), compiled.cells_);
   return compiled;
-}
-
-CompiledHeatmap CompiledHeatmap::incremental(const mobility::Trace& trace,
-                                             const geo::CellGrid& grid) {
-  CompiledHeatmap compiled;
-  compiled.updatable_ = true;
-  if (trace.empty()) return compiled;
-  compiled.counts_ = cell_counts(trace.records(), grid);
-  compiled.total_ = static_cast<double>(trace.size());
-  compile_cells(compiled.counts_, compiled.total_, compiled.cells_);
-  return compiled;
-}
-
-void CompiledHeatmap::apply_update(std::span<const mobility::Record> added,
-                                   std::span<const mobility::Record> removed,
-                                   const geo::CellGrid& grid) {
-  support::expects(updatable_,
-                   "CompiledHeatmap::apply_update: heatmap was not built by "
-                   "incremental() (raw counts not retained)");
-  if (added.empty() && removed.empty()) return;
-  // Counts are exact integers, so each in-place edit leaves exactly the
-  // counts cell_counts would produce on the updated window.
-  for (const auto& record : added) {
-    const geo::CellIndex cell = grid.cell_of(record.position);
-    const auto it =
-        std::lower_bound(counts_.begin(), counts_.end(), cell, cell_less);
-    if (it != counts_.end() && it->first == cell) {
-      it->second += 1.0;
-    } else {
-      counts_.emplace(it, cell, 1.0);
-    }
-  }
-  for (const auto& record : removed) {
-    const geo::CellIndex cell = grid.cell_of(record.position);
-    const auto it =
-        std::lower_bound(counts_.begin(), counts_.end(), cell, cell_less);
-    support::expects(it != counts_.end() && it->first == cell,
-                     "CompiledHeatmap::apply_update: removal without a "
-                     "matching count");
-    it->second -= 1.0;
-    if (it->second == 0.0) counts_.erase(it);
-  }
-  total_ += static_cast<double>(added.size()) -
-            static_cast<double>(removed.size());
-  support::ensures(total_ >= 0.0 && (total_ > 0.0 || counts_.empty()),
-                   "CompiledHeatmap::apply_update: count bookkeeping drifted");
-  stale_ = true;
-}
-
-void CompiledHeatmap::compile() {
-  if (!stale_) return;
-  cells_.clear();
-  if (total_ > 0.0) compile_cells(counts_, total_, cells_);
-  stale_ = false;
 }
 
 double topsoe_divergence(const CompiledHeatmap& a, const CompiledHeatmap& b) {

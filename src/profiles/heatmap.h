@@ -15,7 +15,6 @@
 #include "geo/cell_grid.h"
 #include "mobility/record.h"
 #include "mobility/trace.h"
-#include "support/error.h"
 
 namespace mood::profiles {
 
@@ -93,10 +92,9 @@ struct CompiledHeatmapCell {
 /// Flat form of a Heatmap for the inference hot path: cells sorted by
 /// index with pre-normalised probabilities, so the Topsoe divergence
 /// becomes a cache-friendly two-pointer merge instead of hash lookups, and
-/// partial sums can drive branch-and-bound early exits. Training profiles
-/// are immutable; a streaming window's updatable form keeps raw counts,
-/// edited per record by apply_update and turned into cells by compile()
-/// only when a query reads them.
+/// partial sums can drive branch-and-bound early exits. Immutable: a
+/// streaming window is compiled afresh from its records (from_trace)
+/// whenever a verdict reads it.
 class CompiledHeatmap {
  public:
   CompiledHeatmap() = default;
@@ -111,56 +109,8 @@ class CompiledHeatmap {
   static CompiledHeatmap from_trace(const mobility::Trace& trace,
                                     const geo::CellGrid& grid);
 
-  /// Builds an *updatable* compiled heatmap: identical cells to
-  /// from_trace(trace, grid), counted by the same cell_counts, but the raw
-  /// integer cell counts are retained so apply_update can fold newly
-  /// arrived (and newly expired) records in without recompiling from the
-  /// whole trace. Start from an empty trace for a fresh streaming window.
-  static CompiledHeatmap incremental(const mobility::Trace& trace,
-                                     const geo::CellGrid& grid);
-
-  /// Incremental count maintenance for sliding windows: adds one count per
-  /// record of `added`, then removes one per record of `removed`, editing
-  /// the sorted raw counts in place (a binary search and an increment, or
-  /// an insert for a new cell; a decrement, or an erase when a cell drops
-  /// to zero). O(log cells) per record plus the insert/erase shift —
-  /// independent of the window length, with no sort, no merge and no
-  /// allocation once the counts' capacity is reached. It does NOT
-  /// renormalise: the cells become stale until compile(), and reading a
-  /// stale heatmap's cells is a precondition failure. Counts are exact
-  /// small integers, so the compiled heatmap is bit-identical to
-  /// from_trace on the updated window whatever the interleaving of
-  /// updates. Preconditions: built by incremental(); every removed record
-  /// was previously added.
-  void apply_update(std::span<const mobility::Record> added,
-                    std::span<const mobility::Record> removed,
-                    const geo::CellGrid& grid);
-
-  /// Recomputes the cells (p, p ln 2p, p ln 2) from the raw counts if an
-  /// apply_update left them stale: one pass over the counts, no copy and
-  /// no re-sort. A no-op on a fresh heatmap.
-  void compile();
-
-  /// True when built by incremental() (raw counts retained, apply_update
-  /// allowed).
-  [[nodiscard]] bool updatable() const { return updatable_; }
-
-  /// Raw (cell, count) pairs in ascending cell order — exact small
-  /// integers; non-empty only for updatable() heatmaps. Together with
-  /// raw_total() this is the full mutable state, stale or not, and it
-  /// equals incremental(window, grid)'s for the window it counts.
-  [[nodiscard]] const std::vector<std::pair<geo::CellIndex, double>>&
-  raw_counts() const {
-    return counts_;
-  }
-  [[nodiscard]] double raw_total() const { return total_; }
-
-  /// Cells in ascending index order. Precondition: no apply_update since
-  /// the last compile().
+  /// Cells in ascending index order.
   [[nodiscard]] const std::vector<CompiledHeatmapCell>& cells() const {
-    support::expects(!stale_,
-                     "CompiledHeatmap::cells: counts changed since the last "
-                     "compile()");
     return cells_;
   }
   [[nodiscard]] bool empty() const { return cells().empty(); }
@@ -168,12 +118,6 @@ class CompiledHeatmap {
 
  private:
   std::vector<CompiledHeatmapCell> cells_;
-  /// Raw (cell, count) pairs in ascending cell order; populated only for
-  /// updatable() heatmaps. Counts are exact small integers.
-  std::vector<std::pair<geo::CellIndex, double>> counts_;
-  double total_ = 0.0;
-  bool updatable_ = false;
-  bool stale_ = false;  ///< counts_ changed since cells_ was compiled
 };
 
 /// Topsoe divergence over compiled heatmaps. Symmetric; same decision

@@ -74,15 +74,14 @@ struct CompiledMarkovState {
 /// Immutable flat form of a MarkovProfile for the inference hot path. Only
 /// what stats_prox_distance reads is kept: ranked states with precomputed
 /// trigonometry (the transition matrix plays no role in the distance).
-/// Sliding windows keep their stays in a clustering::TrackedVisitStates
-/// and recompile through from_states.
+/// Anonymous traces compile through from_states (attacks::Candidate).
 class CompiledMarkovProfile {
  public:
   CompiledMarkovProfile() = default;
   explicit CompiledMarkovProfile(const MarkovProfile& source);
 
-  /// Compiles merged visit states (clustering::VisitAccumulator output)
-  /// directly: rank by decreasing record count, derive stationary weights.
+  /// Compiles merged visit states (clustering::build_visit_sequence's
+  /// states) directly: rank by decreasing record count, derive stationary weights.
   /// Bit-identical to CompiledMarkovProfile(MarkovProfile built from the
   /// same states).
   static CompiledMarkovProfile from_states(

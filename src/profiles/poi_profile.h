@@ -41,15 +41,14 @@ double poi_profile_distance(const PoiProfile& a, const PoiProfile& b);
 
 /// Immutable flat form of a PoiProfile for the inference hot path: just the
 /// POI centres with precomputed trigonometry — all the distance reads.
-/// Sliding windows keep their stays in a clustering::TrackedVisitStates
-/// and recompile through from_states.
+/// Anonymous traces compile through from_states (attacks::Candidate).
 class CompiledPoiProfile {
  public:
   CompiledPoiProfile() = default;
   explicit CompiledPoiProfile(const PoiProfile& source);
 
-  /// Compiles merged visit states (clustering::VisitAccumulator output)
-  /// directly — bit-identical to CompiledPoiProfile(PoiProfile(states)).
+  /// Compiles merged visit states (clustering::build_visit_sequence's
+  /// states) directly — bit-identical to CompiledPoiProfile(PoiProfile(states)).
   static CompiledPoiProfile from_states(
       const std::vector<clustering::Poi>& states);
 

@@ -270,7 +270,6 @@ Json make_stream_report(const RunMetadata& meta, Json dataset,
       static_cast<std::int64_t>(config.window_seconds);
   stream_doc["max_points"] = config.max_points;
   stream_doc["max_users_per_shard"] = config.max_users_per_shard;
-  stream_doc["staleness_points"] = config.staleness_points;
   stream_doc["target_rate"] = options.target_rate;
   document["stream"] = std::move(stream_doc);
 
@@ -308,10 +307,6 @@ Json make_stream_report(const RunMetadata& meta, Json dataset,
   Json cost = Json::object();
   cost["searches"] = result.stats.searches;
   cost["rechecks"] = result.stats.rechecks;
-  cost["profile_refreshes"] = result.stats.profile_refreshes;
-  cost["stay_updates"] = result.stats.stay_updates;
-  cost["stay_rebuilds"] = result.stats.stay_rebuilds;
-  cost["heatmap_updates"] = result.stats.heatmap_updates;
   cost["evicted_points"] = result.stats.evicted_points;
   cost["evicted_users"] = result.stats.evicted_users;
   cost["lppm_applications"] = result.stats.lppm_applications;
@@ -377,10 +372,6 @@ std::vector<std::vector<std::string>> stream_summary_rows(
                   std::to_string(result.decisions.size() - exposed_users)});
   rows.push_back({"searches", std::to_string(result.stats.searches)});
   rows.push_back({"rechecks", std::to_string(result.stats.rechecks)});
-  rows.push_back({"profile_refreshes",
-                  std::to_string(result.stats.profile_refreshes)});
-  rows.push_back(
-      {"stay_rebuilds", std::to_string(result.stats.stay_rebuilds)});
   if (result.stats.checkpoints > 0 || result.stats.checkpoint_failures > 0) {
     rows.push_back({"checkpoints", std::to_string(result.stats.checkpoints)});
     rows.push_back({"checkpoint_failures",
@@ -457,8 +448,6 @@ std::vector<std::vector<std::string>> stream_summary_rows(
   if (const Json* cost = replay->find("cost")) {
     rows.push_back({"searches", count(*cost, "searches")});
     rows.push_back({"rechecks", count(*cost, "rechecks")});
-    rows.push_back({"profile_refreshes", count(*cost, "profile_refreshes")});
-    rows.push_back({"stay_rebuilds", count(*cost, "stay_rebuilds")});
   }
   if (const Json* checkpoint = replay->find("checkpoint")) {
     if (checkpoint->int_or("written", 0) > 0 ||

@@ -78,13 +78,14 @@ inline constexpr const char* kResultSchema = "mood-result/1";
 ///   "stream": {          // gateway + replay configuration (documents
 ///                        // written by older builds also carry the
 ///                        // engine mode, micro-batch size, recheck
-///                        // cadence, time-compression pacing factor
-///                        // and stage-timer switch here, and
-///                        // "replay.batches")
+///                        // cadence, time-compression pacing factor,
+///                        // stage-timer switch and staleness bound
+///                        // here, "replay.batches", and the
+///                        // profile-refresh, stay-tracker and
+///                        // heatmap-update counts in "replay.cost")
 ///     "loop_slack": 64,
 ///     "shards": 8, "window_seconds": 0, "max_points": 0,
-///     "max_users_per_shard": 0, "staleness_points": 0,
-///     "target_rate": 0.0
+///     "max_users_per_shard": 0, "target_rate": 0.0
 ///   },
 ///   "replay": {          // measured outcome
 ///     "events": 24576, "users": 20,
@@ -112,8 +113,6 @@ inline constexpr const char* kResultSchema = "mood-result/1";
 ///     "decisions": {"exposed_events": ..., "protected_events": ...,
 ///                    "exposed_users": ..., "protected_users": ...},
 ///     "cost": {"searches": ..., "rechecks": ...,
-///               "profile_refreshes": ..., "stay_updates": ...,
-///               "stay_rebuilds": ..., "heatmap_updates": ...,
 ///               "evicted_points": ..., "evicted_users": ...,
 ///               "lppm_applications": ..., "attack_invocations": ...,
 ///               "index_prunes": ..., "exact_evals": ...,
@@ -124,7 +123,7 @@ inline constexpr const char* kResultSchema = "mood-result/1";
 ///                     "resume_events": 0,    // this process's checkpoint
 ///                     "quarantined_snapshots": 0},  // corrupt snapshot
 ///                          // files renamed aside during restore
-///                          // activity (mood-snapshot/4 files written /
+///                          // activity (mood-snapshot/5 files written /
 ///                          // the restore position) — deliberately
 ///                          // outside "cost": a restored run's per_user +
 ///                          // cost + decisions are bit-identical to the

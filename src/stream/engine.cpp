@@ -416,7 +416,7 @@ void StreamEngine::loop_decide_user(UserState& state, mobility::Record record,
         (!std::isfinite(record.position.lat) ||
          !std::isfinite(record.position.lon))) {
       // NaNs poison every distance they touch: keep them out of the
-      // compiled profiles.
+      // window.
       throw BadRecordError("poisoned pending record (non-finite "
                            "coordinate) for user '" +
                            state.user + "'");
@@ -512,10 +512,6 @@ StreamStats StreamEngine::raw_stats() const {
   s.protected_events = kernel.protected_events;
   s.searches = kernel.searches;
   s.rechecks = kernel.rechecks;
-  s.profile_refreshes = kernel.profile_refreshes;
-  s.stay_updates = kernel.stay_updates;
-  s.stay_rebuilds = kernel.stay_rebuilds;
-  s.heatmap_updates = kernel.heatmap_updates;
   s.evicted_points = kernel.evicted_points;
   s.evicted_users = store_.eviction_count();
   s.lppm_applications = kernel.lppm_applications;
@@ -578,14 +574,7 @@ SnapshotData StreamEngine::capture_snapshot() const {
     UserSnapshot u;
     u.user = state.user;
     u.window = k.window.records();
-    u.heatmap_built = k.heatmap_built;
-    u.stay_origin_set = k.stay_origin_set;
     u.stay_origin = k.stay_origin;
-    u.profiles_built = k.profiles_built;
-    if (k.profiles_built) u.stays = k.stays.snapshot();
-    u.stale_appended = k.stale_appended;
-    u.stale_evicted = k.stale_evicted;
-    u.stale_points = k.stale_points;
     u.has_decision = k.has_decision;
     u.decision = static_cast<std::uint8_t>(k.decision);
     u.winner = k.winner;
@@ -622,11 +611,10 @@ void StreamEngine::restore_snapshot(const SnapshotData& data) {
   if (data.config.shards != config_.shards ||
       data.config.window_seconds != config_.window_seconds ||
       data.config.max_points != config_.max_points ||
-      data.config.max_users_per_shard != config_.max_users_per_shard ||
-      data.config.staleness_points != config_.staleness_points) {
+      data.config.max_users_per_shard != config_.max_users_per_shard) {
     throw SnapshotError(
         "snapshot gateway config does not match this gateway (shards/"
-        "window/max-points/max-users/staleness must all agree)");
+        "window/max-points/max-users must all agree)");
   }
   const ResilienceConfig& snap = data.config.resilience;
   const ResilienceConfig& mine = config_.resilience;
@@ -657,16 +645,7 @@ void StreamEngine::restore_snapshot(const SnapshotData& data) {
     // timestamps, whose relative order a re-sort could not disturb anyway
     // (stable, and only invoked when actually unsorted).
     k.window = mobility::Trace(u.user, u.window);
-    k.heatmap_built = u.heatmap_built;
     k.stay_origin = u.stay_origin;
-    k.stay_origin_set = u.stay_origin_set;
-    k.profiles_built = u.profiles_built;
-    if (u.profiles_built) {
-      k.stays = clustering::TrackedVisitStates::from_snapshot(u.stays);
-    }
-    k.stale_appended = static_cast<std::size_t>(u.stale_appended);
-    k.stale_evicted = static_cast<std::size_t>(u.stale_evicted);
-    k.stale_points = static_cast<std::size_t>(u.stale_points);
     k.has_decision = u.has_decision;
     k.decision = static_cast<decision::Decision>(u.decision);
     k.winner = u.winner;
@@ -676,7 +655,6 @@ void StreamEngine::restore_snapshot(const SnapshotData& data) {
     k.searches = u.searches;
     k.rechecks = u.rechecks;
     k.degraded = u.degraded;
-    kernel_.restore_derived(k);
     state.quarantined = u.quarantined;
     state.quarantine_reason = u.quarantine_reason;
     state.dead_letters = u.dead_letters;

@@ -5,10 +5,10 @@
 ///
 /// The batch harness answers "is this user protected?" once per dataset;
 /// the gateway answers it continuously. Since PR 5 the per-user decision
-/// procedure itself — window folding, incremental compiled profiles for
-/// all three attacks, targeted branch-and-bound risk queries, the
-/// keep/recheck/search mechanism-selection policy — lives in
-/// decision::DecisionKernel, shared verbatim with the batch evaluators
+/// procedure itself — window folding, targeted branch-and-bound risk
+/// queries of all three attacks on the window, the keep/recheck/search
+/// mechanism-selection policy — lives in decision::DecisionKernel, shared
+/// verbatim with the batch evaluators
 /// (ExperimentHarness::evaluate_gateway), which are the oracle. What
 /// remains here is the online plumbing around it, one execution engine:
 ///
@@ -28,10 +28,9 @@
 /// Determinism invariants (CI-enforced):
 ///   * A user's decision sequence is a pure function of that user's event
 ///     sequence — never of the shard count, --jobs, wall-clock timing, or
-///     where a checkpoint cut fell. The kernel's incremental profile state
-///     is likewise a pure function of the window content.
-///   * finish() canonicalises winners whatever staleness, held-verdict or
-///     shed short-cuts were taken mid-stream.
+///     where a checkpoint cut fell.
+///   * finish() canonicalises winners whatever held-verdict or shed
+///     short-cuts were taken mid-stream.
 ///
 /// PR 8 adds the resilience layer (see resilience.h): a validating
 /// admission path with per-user quarantine, fault isolation around each
@@ -67,14 +66,16 @@ enum class EngineMode : std::uint8_t {
 inline constexpr std::size_t kMaxShards = 256;
 inline constexpr std::size_t kMaxPendingPerShard = std::size_t{1} << 20;
 
-/// Gateway tuning knobs. The window/staleness subset configures the
-/// embedded DecisionKernel; the rest is scheduling.
+/// Gateway tuning knobs. The window subset configures the embedded
+/// DecisionKernel; the rest is scheduling.
 struct StreamConfig {
   std::size_t shards = 8;  ///< user-state shards, in [1, kMaxShards]
   mobility::Timestamp window_seconds = 0;  ///< sliding window span; 0 = keep all
   std::size_t max_points = 0;           ///< per-user point cap; 0 = unbounded
   std::size_t max_users_per_shard = 0;  ///< LRU capacity; 0 = unbounded
-  std::size_t staleness_points = 0;     ///< PIT/POI refresh bound; 0 = every fold
+  /// Must be 0 (the kernel refuses any other value). Pinned because
+  /// bench/gateway/gateway_bench.cpp reads it; ROADMAP item 1(c) deletes it.
+  std::size_t staleness_points = 0;
   /// Read by nothing; kept because bench/gateway/gateway_bench.cpp assigns it.
   EngineMode engine = EngineMode::kLoop;
   /// Full risk+search decision every `loop_slack`-th folded event of a
@@ -108,10 +109,6 @@ struct StreamStats {
   /// Cheap current-winner re-checks; only the slack-cadence ones that
   /// precede a search decision (the held tier runs none).
   std::uint64_t rechecks = 0;
-  std::uint64_t profile_refreshes = 0; ///< PIT/POI compiled-form refreshes
-  std::uint64_t stay_updates = 0;      ///< incremental stay-tracker syncs
-  std::uint64_t stay_rebuilds = 0;     ///< full re-extractions among them
-  std::uint64_t heatmap_updates = 0;   ///< incremental AP folds
   std::uint64_t evicted_points = 0;    ///< records expired out of windows
   std::uint64_t evicted_users = 0;     ///< LRU evictions (store)
   std::uint64_t lppm_applications = 0; ///< search/recheck cost counters
@@ -155,7 +152,7 @@ struct StreamStatField {
 };
 
 /// Every StreamStats counter in declaration order, which is also the order
-/// of the mood-snapshot/4 STATS section. Drives stats() continuation, the
+/// of the mood-snapshot/5 STATS section. Drives stats() continuation, the
 /// mood_gateway_* mirror gauges and the snapshot codec.
 inline constexpr StreamStatField kStreamStatFields[] = {
     {&StreamStats::events, "mood_gateway_events", true},
@@ -164,10 +161,6 @@ inline constexpr StreamStatField kStreamStatFields[] = {
     {&StreamStats::protected_events, "mood_gateway_protected_events", true},
     {&StreamStats::searches, "mood_gateway_searches", true},
     {&StreamStats::rechecks, "mood_gateway_rechecks", true},
-    {&StreamStats::profile_refreshes, "mood_gateway_profile_refreshes", true},
-    {&StreamStats::stay_updates, "mood_gateway_stay_updates", true},
-    {&StreamStats::stay_rebuilds, "mood_gateway_stay_rebuilds", true},
-    {&StreamStats::heatmap_updates, "mood_gateway_heatmap_updates", true},
     {&StreamStats::evicted_points, "mood_gateway_evicted_points", true},
     {&StreamStats::evicted_users, "mood_gateway_evicted_users", true},
     {&StreamStats::lppm_applications, "mood_gateway_lppm_applications", true},
@@ -331,12 +324,12 @@ class StreamEngine {
 
   // ---- Checkpoint / restore ------------------------------------------
   /// Enables periodic crash-consistent snapshots (see snapshot.h for the
-  /// mood-snapshot/4 format and the write protocol). `context` is the
+  /// mood-snapshot/5 format and the write protocol). `context` is the
   /// identity fingerprint embedded in every snapshot.
   void configure_checkpoints(CheckpointPolicy policy, SnapshotContext context);
 
   /// Serializes the complete gateway state — every resident user's
-  /// window, incremental profiles, verdict and counters, plus shard/LRU
+  /// window, stay origin, verdict and counters, plus shard/LRU
   /// metadata and the cumulative stats — as of now. Call after quiesce()
   /// (pump_cadences() does, on the checkpoint cadence).
   [[nodiscard]] SnapshotData capture_snapshot() const;
@@ -433,9 +426,8 @@ class StreamEngine {
   /// shard's shed latch is engaged.
   /// Under the quarantine policy a non-finite `record` (in-memory poison that
   /// slipped past admission — in practice the `stream.drain.corrupt` fail
-  /// point) throws BadRecordError before it can reach the compiled
-  /// profiles, so the user is quarantined instead. Runs under the shard
-  /// lock on the worker.
+  /// point) throws BadRecordError before it can reach the window, so the
+  /// user is quarantined instead. Runs under the shard lock on the worker.
   void loop_decide_user(UserState& state, mobility::Record record,
                         std::size_t shard, bool shed);
 

@@ -202,68 +202,11 @@ void walk_record(Codec& c, Field<Codec, mobility::Record>& r) {
 }
 
 template <typename Codec>
-void walk_poi(Codec& c, Field<Codec, clustering::Poi>& p) {
-  c.io(p.center.lat);
-  c.io(p.center.lon);
-  c.io(p.record_count);
-  c.io(p.dwell);
-  c.io(p.start);
-  c.io(p.end);
-}
-
-template <typename Codec>
-void walk_stay_tracker(Codec& c,
-                       Field<Codec, clustering::StayTrackerSnapshot>& s) {
-  c.io(s.params.max_diameter_m);
-  c.io(s.params.min_dwell);
-  c.io(s.params.min_points);
-  c.io(s.has_origin);
-  c.io(s.origin.lat);
-  c.io(s.origin.lon);
-  c.seq(s.finals, 64, [&](auto& stay) {
-    walk_poi(c, stay.poi);
-    c.io(stay.start);
-    c.io(stay.end);
-  });
-  c.io(s.run_valid);
-  c.io(s.run_anchor);
-  c.io(s.run_j);
-  c.io(s.run_sx);
-  c.io(s.run_sy);
-  c.io(s.run_t_start);
-  c.io(s.run_t_end);
-  c.io(s.base);
-  c.io(s.size);
-  c.io(s.generation);
-  c.io(s.updates);
-  c.io(s.rebuilds);
-}
-
-template <typename Codec>
-void walk_visit_states(
-    Codec& c, Field<Codec, clustering::TrackedVisitStatesSnapshot>& s) {
-  walk_stay_tracker(c, s.stays);
-  c.io(s.visits.merge_distance_m);
-  c.seq(s.visits.states, 48, [&](auto& poi) { walk_poi(c, poi); });
-  c.io(s.visits.folded);
-  c.io(s.synced_generation);
-}
-
-template <typename Codec>
 void walk_user(Codec& c, Field<Codec, UserSnapshot>& u) {
   c.io(u.user);
   c.seq(u.window, 24, [&](auto& record) { walk_record(c, record); });
-
-  c.io(u.heatmap_built);
-
-  c.io(u.stay_origin_set);
   c.io(u.stay_origin.lat);
   c.io(u.stay_origin.lon);
-  c.io(u.profiles_built);
-  if (u.profiles_built) walk_visit_states(c, u.stays);
-  c.io(u.stale_appended);
-  c.io(u.stale_evicted);
-  c.io(u.stale_points);
 
   c.io(u.has_decision);
   c.io_enum(u.decision, std::uint8_t{1}, "decision byte out of range");
@@ -295,7 +238,6 @@ void walk_config(Codec& c, Field<Codec, SnapshotData>& data) {
   c.io(data.config.window_seconds);
   c.io(data.config.max_points);
   c.io(data.config.max_users_per_shard);
-  c.io(data.config.staleness_points);
   auto& res = data.config.resilience;
   c.io_enum(res.on_bad_record, BadRecordPolicy::kQuarantine,
             "bad-record policy byte out of range");

@@ -1,29 +1,28 @@
 #pragma once
 
 /// \file snapshot.h
-/// mood-snapshot/4 — the gateway's versioned checkpoint format, and the
+/// mood-snapshot/5 — the gateway's versioned checkpoint format, and the
 /// crash-consistent file protocol around it.
 ///
 /// A deployed gateway (the paper's pitch) must survive restarts without
 /// silently changing its published decisions, so restore *correctness* is
 /// the bar: a run killed at any checkpoint cut and restored must produce
 /// the byte-identical mood-stream/1 decision set as an uninterrupted run.
-/// The snapshot therefore serializes the per-user kernel state — not just
-/// the windows: under a staleness bound the stay tracker reflects the
-/// window *at the last refresh*, including records since evicted, so it
-/// cannot be rebuilt from the current window and is captured directly
-/// (via clustering::TrackedVisitStatesSnapshot). The compiled forms are
-/// not stored: the AP heatmap is a function of the window and the PIT/POI
-/// profiles of the tracker, and restore recompiles them through
-/// decision::DecisionKernel::restore_derived.
+/// The snapshot therefore serializes the per-user kernel state, which is
+/// state only: the window, the stay-projection origin pinned at the
+/// user's first-ever record (the window front may since have moved), the
+/// verdict and the counters. The kernel caches no compiled profile, so
+/// restore compiles nothing; the next verdict compiles the window.
 ///
 /// ## File layout (little-endian throughout)
 ///
 ///   offset 0   magic   "MOODSNAP"            (8 bytes)
-///          8   u32     version (= 4; version 1 carried the retired
+///          8   u32     version (= 5; version 1 carried the retired
 ///                      micro-batch engine's fields, version 2 the
 ///                      retired recheck cadence, version 3 the compiled
-///                      heatmap counts and PIT/POI forms; all are refused)
+///                      heatmap counts and PIT/POI forms, version 4 the
+///                      stay tracker and the staleness bound; all are
+///                      refused)
 ///         12   u32     section count (= 3)
 ///         16   sections, each:
 ///                u32   section id            (1 CONFIG, 2 STATS, 3 USERS)
@@ -39,8 +38,8 @@
 ///
 ///   CONFIG  identity fingerprint: SnapshotContext (seed, dataset name,
 ///           total_events) + the StreamConfig window knobs (shards,
-///           window_seconds, max_points, max_users_per_shard,
-///           staleness_points) + the resilience knobs (on_bad_record as
+///           window_seconds, max_points, max_users_per_shard) + the
+///           resilience knobs (on_bad_record as
 ///           u8, max_pending_per_shard, shed watermarks) + the decision
 ///           slack cadence (loop_slack). Restore refuses a mismatch.
 ///   STATS   stream_position, the full cumulative StreamStats in
@@ -48,11 +47,9 @@
 ///           the per-shard LRU clocks, and the per-shard shed latches
 ///           (hysteresis state).
 ///   USERS   user count, then one UserSnapshot per resident user, sorted
-///           by user id: window records, the heatmap-built flag, the
-///           stay origin, the profiles-built flag with the stay-tracker
-///           snapshot when set, staleness deltas, verdict, per-user
-///           counters, LRU stamp, quarantine state (flag, reason, dead
-///           letters) and the admission timestamp watermark.
+///           by user id: window records, the stay origin, verdict,
+///           per-user counters, LRU stamp, quarantine state (flag, reason,
+///           dead letters) and the admission timestamp watermark.
 ///
 /// ## Crash-consistency protocol
 ///
@@ -82,7 +79,6 @@
 #include <string_view>
 #include <vector>
 
-#include "clustering/incremental_stays.h"
 #include "geo/geo.h"
 #include "mobility/record.h"
 #include "mobility/trace.h"
@@ -103,24 +99,15 @@ class SnapshotError : public support::UsageError {
 
 inline constexpr char kSnapshotMagic[8] = {'M', 'O', 'O', 'D',
                                            'S', 'N', 'A', 'P'};
-inline constexpr std::uint32_t kSnapshotVersion = 4;
+inline constexpr std::uint32_t kSnapshotVersion = 5;
 inline constexpr const char* kSnapshotSuffix = ".moodsnap";
 
 /// Captured state of one resident user — a plain-value mirror of
-/// UserState + decision::UserKernelState without its derived fields.
+/// UserState + decision::UserKernelState.
 struct UserSnapshot {
   mobility::UserId user;
   std::vector<mobility::Record> window;   ///< sliding window, in order
-
-  bool heatmap_built = false;
-
-  bool stay_origin_set = false;
-  geo::GeoPoint stay_origin;
-  bool profiles_built = false;
-  clustering::TrackedVisitStatesSnapshot stays;  ///< valid when profiles_built
-  std::uint64_t stale_appended = 0;
-  std::uint64_t stale_evicted = 0;
-  std::uint64_t stale_points = 0;
+  geo::GeoPoint stay_origin;              ///< pinned at the first record
 
   bool has_decision = false;
   std::uint8_t decision = 0;  ///< decision::Decision as its enum value
@@ -142,7 +129,7 @@ struct UserSnapshot {
   mobility::Timestamp last_time = 0;    ///< newest admitted timestamp
 };
 
-/// One decoded (or to-be-encoded) mood-snapshot/4 document.
+/// One decoded (or to-be-encoded) mood-snapshot/5 document.
 struct SnapshotData {
   SnapshotContext context;  ///< three of its four fields are encoded
   StreamConfig config;  ///< window-knob subset is fingerprinted

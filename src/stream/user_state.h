@@ -36,14 +36,13 @@ namespace mood::stream {
 
 /// Everything the gateway remembers about one user: admission and LRU
 /// bookkeeping (owned here) plus the decision kernel's per-user state —
-/// window, incremental compiled profiles, last verdict — which only
+/// window, stay origin, last verdict — which only
 /// DecisionKernel calls mutate. Touched only under the shard lock.
 struct UserState {
   mobility::UserId user;
 
-  /// Kernel-owned state: sliding window, compiled profiles (AP heatmap
-  /// exactly incremental; PIT/POI through the shared stay tracker),
-  /// decision + per-user counters. kernel.window carries the user id.
+  /// Kernel-owned state: sliding window, pinned stay origin, decision +
+  /// per-user counters. kernel.window carries the user id.
   decision::UserKernelState kernel;
 
   /// LRU clock value of the last admission (store-maintained).

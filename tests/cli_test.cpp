@@ -184,6 +184,16 @@ TEST(CliReplay, RetiredRecheckFlagIsUnknown) {
       << result.err;
 }
 
+TEST(CliReplay, RetiredStalenessFlagIsUnknown) {
+  // The kernel caches no profile, so there is no staleness bound to set;
+  // its flag is rejected as an unknown flag before any dataset is
+  // generated.
+  const auto result = run_cli({"replay", "--staleness=150"});
+  EXPECT_EQ(result.code, kExitUsage);
+  EXPECT_NE(result.err.find("unknown flag --staleness"), std::string::npos)
+      << result.err;
+}
+
 TEST(CliBench, RetiredSubcommandIsUnknown) {
   // `mood bench` is gone: the index-vs-scan agreement it checked is a
   // tier-1 test (BoundedScanEquivalence.EvaluateMoodFullIndexMatchesScan)
@@ -601,10 +611,11 @@ TEST(CliReplay, ReplaysAndVerifiesAgainstBatch) {
   EXPECT_EQ(document.string_or("schema", ""), "mood-stream/1");
   // One execution engine: the configuration block is the shard layout,
   // windows, slack cadence and target rate — no engine, micro-batch,
-  // recheck-cadence, compression or stage-timer keys — and no batch count
-  // is written.
+  // recheck-cadence, compression, stage-timer or staleness keys — and no
+  // batch count is written.
   EXPECT_EQ(document.find("stream")->find("engine"), nullptr);
-  EXPECT_EQ(document.find("stream")->size(), 7u);
+  EXPECT_EQ(document.find("stream")->find("staleness_points"), nullptr);
+  EXPECT_EQ(document.find("stream")->size(), 6u);
   EXPECT_EQ(document.find("replay")->find("batches"), nullptr);
 
   const report::Json* replay_doc = document.find("replay");

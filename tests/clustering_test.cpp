@@ -3,7 +3,6 @@
 
 #include <gtest/gtest.h>
 
-#include "clustering/incremental_stays.h"
 #include "clustering/poi_extraction.h"
 #include "geo/geo.h"
 #include "support/error.h"
@@ -169,124 +168,6 @@ TEST(PoiExtraction, ExplicitOriginDefaultsToTraceFront) {
     EXPECT_EQ(implicit[i].center.lon, explicit_origin[i].center.lon);
     EXPECT_EQ(implicit[i].record_count, explicit_origin[i].record_count);
   }
-}
-
-// --------------------------------------------------------- StayTracker --
-
-/// The tracker's maintained POI list must equal the origin-pinned
-/// one-shot extraction after every update, whatever the chunking.
-void expect_tracker_matches(const StayTracker& tracker, const Trace& window) {
-  const auto expected =
-      extract_pois(window, tracker.params(), tracker.origin());
-  const auto actual = tracker.pois();
-  ASSERT_EQ(actual.size(), expected.size());
-  for (std::size_t i = 0; i < expected.size(); ++i) {
-    EXPECT_EQ(actual[i].center.lat, expected[i].center.lat);
-    EXPECT_EQ(actual[i].center.lon, expected[i].center.lon);
-    EXPECT_EQ(actual[i].record_count, expected[i].record_count);
-    EXPECT_EQ(actual[i].start, expected[i].start);
-    EXPECT_EQ(actual[i].end, expected[i].end);
-  }
-}
-
-TEST(StayTracker, AppendOnlyMatchesOneShotExtraction) {
-  std::vector<mobility::Record> records = dwell(kHome, 0, 20);
-  auto work = dwell(kWork, 3 * kHour, 20);
-  records.insert(records.end(), work.begin(), work.end());
-  auto back_home = dwell(kHome, 7 * kHour, 15);
-  records.insert(records.end(), back_home.begin(), back_home.end());
-
-  Trace window("u", {});
-  StayTracker tracker{PoiParams{}};
-  for (const auto& record : records) {
-    window.append(record);
-    tracker.update(window, 1, 0);
-    expect_tracker_matches(tracker, window);
-  }
-  EXPECT_EQ(tracker.rebuilds(), 0u);  // appends never rebuild
-  EXPECT_GT(tracker.final_count(), 0u);
-}
-
-TEST(StayTracker, CleanFrontEvictionDropsWholeStays) {
-  // Two separated stays; evicting exactly the first one is a clean prefix
-  // drop (the boundary is an anchor), not a rebuild.
-  std::vector<mobility::Record> records = dwell(kHome, 0, 20);
-  auto work = dwell(kWork, 3 * kHour, 20);
-  records.insert(records.end(), work.begin(), work.end());
-  Trace window("u", std::move(records));
-  StayTracker tracker{PoiParams{}};
-  tracker.update(window, window.size(), 0);
-  ASSERT_EQ(tracker.final_count(), 1u);  // home closed, work still open
-  const auto rebuilds_before = tracker.rebuilds();
-
-  window.drop_front(20);
-  tracker.update(window, 0, 20);
-  EXPECT_EQ(tracker.rebuilds(), rebuilds_before);
-  expect_tracker_matches(tracker, window);
-}
-
-TEST(StayTracker, StaySplittingEvictionFallsBackToRebuild) {
-  std::vector<mobility::Record> records = dwell(kHome, 0, 20);
-  auto work = dwell(kWork, 3 * kHour, 20);
-  records.insert(records.end(), work.begin(), work.end());
-  auto leisure =
-      dwell(geo::destination(kWork, 1.0, 5000.0), 6 * kHour, 20);
-  records.insert(records.end(), leisure.begin(), leisure.end());
-  Trace window("u", std::move(records));
-  StayTracker tracker{PoiParams{}};
-  tracker.update(window, window.size(), 0);
-  ASSERT_GE(tracker.final_count(), 2u);
-
-  // Cut into the middle of the first (home) stay: the remainder of that
-  // stay re-groups, so the tracker must re-extract — and still match the
-  // origin-pinned one-shot oracle exactly.
-  window.drop_front(7);
-  tracker.update(window, 0, 7);
-  EXPECT_EQ(tracker.rebuilds(), 1u);
-  expect_tracker_matches(tracker, window);
-}
-
-TEST(StayTracker, ChunkedAndBulkUpdatesConverge) {
-  std::vector<mobility::Record> records = dwell(kHome, 0, 30);
-  auto work = dwell(kWork, 4 * kHour, 30);
-  records.insert(records.end(), work.begin(), work.end());
-
-  // Bulk: one update over the full trace.
-  Trace bulk_window("u", records);
-  StayTracker bulk{PoiParams{}};
-  bulk.update(bulk_window, bulk_window.size(), 0);
-
-  // Chunked: jagged increments.
-  Trace window("u", {});
-  StayTracker chunked{PoiParams{}};
-  std::size_t i = 0;
-  for (const std::size_t step : {1u, 7u, 3u, 19u, 11u, 30u, 60u}) {
-    const std::size_t n = std::min(step, records.size() - i);
-    for (std::size_t k = 0; k < n; ++k) window.append(records[i + k]);
-    chunked.update(window, n, 0);
-    i += n;
-    if (i == records.size()) break;
-  }
-  ASSERT_EQ(i, records.size());
-  expect_tracker_matches(chunked, window);
-  const auto a = bulk.pois();
-  const auto b = chunked.pois();
-  ASSERT_EQ(a.size(), b.size());
-  for (std::size_t p = 0; p < a.size(); ++p) {
-    EXPECT_EQ(a[p].center.lat, b[p].center.lat);
-    EXPECT_EQ(a[p].center.lon, b[p].center.lon);
-  }
-}
-
-TEST(StayTracker, EmptyWindowAndDeltaValidation) {
-  Trace window("u", {});
-  StayTracker tracker{PoiParams{}};
-  tracker.update(window, 0, 0);
-  EXPECT_TRUE(tracker.pois().empty());
-  EXPECT_FALSE(tracker.has_origin());
-  // Deltas must reconcile with the window size.
-  window.append(rec(kHome.lat, kHome.lon, 0));
-  EXPECT_THROW(tracker.update(window, 2, 0), support::PreconditionError);
 }
 
 }  // namespace

@@ -2,14 +2,15 @@
 // procedure shared by the batch harness and the online gateway. The
 // headline structural property: one-shot decide_trace() and any chunked
 // fold()/step() drive over the same records produce identical
-// final verdicts, because the incremental profile state is a pure function
-// of the window content (chunk-independent), and finalize canonicalises
-// whatever staleness/recheck short-cuts were taken mid-stream.
+// final verdicts, because the per-user state is a pure function of the
+// records folded (chunk-independent), and finalize canonicalises whatever
+// held-verdict short-cuts were taken mid-stream.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <tuple>
 #include <utility>
@@ -161,15 +162,13 @@ TEST_F(DecisionKernelTest, DecideTraceIsChunkIndependent) {
   }
 }
 
-/// Same property on a windowed, staleness-bounded kernel: chunked folds
-/// take different eviction/rebuild/staleness paths than the one-shot
-/// fold, but the final window — hence the canonical verdict — is the
-/// same. This drives the stay tracker's clean-prefix drops and bounded
-/// rebuild fallback inside the kernel.
+/// Same property on a windowed kernel: chunked folds evict at different
+/// points than the one-shot fold, but the final window and the stay origin
+/// pinned at the first record — hence the canonical verdict — are the
+/// same.
 TEST_F(DecisionKernelTest, WindowedKernelIsChunkIndependent) {
   KernelConfig config;
   config.max_points = 120;
-  config.staleness_points = 50;
   const DecisionKernel kernel = harness_->make_kernel({}, config);
   for (const auto& pair : harness_->pairs()) {
     const Verdict reference = kernel.decide_trace(pair.test);
@@ -179,7 +178,60 @@ TEST_F(DecisionKernelTest, WindowedKernelIsChunkIndependent) {
   }
   const KernelStats stats = kernel.stats();
   EXPECT_GT(stats.evicted_points, 0u);
-  EXPECT_GT(stats.stay_updates, 0u);
+}
+
+/// Every full verdict reads exact profiles of the current window: driven
+/// one record at a time under the gateway's tier rule (slack 16), each
+/// full step's verdict is at_risk_trace on a copy of the window. Unwindowed,
+/// so the pinned stay origin is the window's own first record.
+TEST_F(DecisionKernelTest, FullVerdictsMatchAtRiskTraceOnTheWindow) {
+  const DecisionKernel kernel = harness_->make_kernel();
+  std::size_t full_steps = 0;
+  for (const auto& pair : harness_->pairs()) {
+    UserKernelState state;
+    state.window.set_user(pair.test.user());
+    for (const mobility::Record& record : pair.test.records()) {
+      const Tier tier = tier_for(state, 16, /*shed=*/false);
+      kernel.step(state, kernel.fold(state, {&record, 1}), tier);
+      if (tier != Tier::kFull) continue;
+      ++full_steps;
+      const bool risk = kernel.at_risk_trace(state.window);
+      ASSERT_EQ(state.decision == Decision::kProtect, risk)
+          << pair.test.user() << " event " << state.events;
+    }
+  }
+  EXPECT_GT(full_steps, harness_->pairs().size());
+}
+
+/// The stay origin is pinned at the first record ever folded and stays
+/// there while a capped window slides past it, however the folds are
+/// chunked.
+TEST_F(DecisionKernelTest, StayOriginStaysAtTheFirstRecordEverFolded) {
+  KernelConfig config;
+  config.max_points = 50;
+  const DecisionKernel kernel = harness_->make_kernel({}, config);
+  const auto& records = harness_->pairs().front().test.records();
+  ASSERT_GT(records.size(), 2 * config.max_points);
+  for (const std::size_t chunk : {1u, 33u}) {
+    UserKernelState state;
+    for (std::size_t next = 0; next < records.size(); next += chunk) {
+      const std::size_t end = std::min(next + chunk, records.size());
+      kernel.fold(state, std::span(records).subspan(next, end - next));
+      EXPECT_EQ(state.stay_origin, records.front().position);
+    }
+    EXPECT_EQ(state.window.size(), config.max_points);
+    EXPECT_EQ(state.window.front().time,
+              records[records.size() - config.max_points].time);
+  }
+}
+
+/// The kernel caches no profile, so it has no staleness bound to honour:
+/// a non-zero one is refused, not silently ignored.
+TEST_F(DecisionKernelTest, NonZeroStalenessIsRefused) {
+  KernelConfig config;
+  config.staleness_points = 50;
+  EXPECT_THROW((void)harness_->make_kernel({}, config),
+               support::PreconditionError);
 }
 
 TEST_F(DecisionKernelTest, EmptyTraceIsExposedWithoutCounting) {
@@ -194,7 +246,7 @@ TEST_F(DecisionKernelTest, EmptyTraceIsExposedWithoutCounting) {
 
 TEST_F(DecisionKernelTest, DivergentPoiAndPitParamsAreRejected) {
   // One stay extraction serves POI and PIT, in the search's candidates as
-  // in the kernel's tracker, so MoodEngine rejects a suite whose PIT
+  // in the kernel's windows, so MoodEngine rejects a suite whose PIT
   // clusters stays differently from its POI attack.
   std::vector<mobility::Trace> background;
   for (const auto& pair : harness_->pairs()) background.push_back(pair.train);
@@ -228,9 +280,10 @@ TEST_F(DecisionKernelTest, StatsAccumulateAcrossDecisions) {
               for (const auto& pair : harness_->pairs()) n += pair.test.size();
               return n;
             }());
-  EXPECT_GT(stats.heatmap_updates, 0u);
-  EXPECT_GT(stats.profile_refreshes, 0u);
   EXPECT_GT(stats.attack_invocations, 0u);
+  // Nothing is cached, so nothing is refreshed or rebuilt.
+  EXPECT_EQ(stats.profile_refreshes, 0u);
+  EXPECT_EQ(stats.stay_rebuilds, 0u);
 }
 
 // ------------------------------------------------ held-verdict tiers --
@@ -245,9 +298,7 @@ std::vector<std::pair<const char*, std::uint64_t>> counters(
           {"rechecks", s.rechecks},
           {"shed_decisions", s.shed_decisions},
           {"profile_refreshes", s.profile_refreshes},
-          {"stay_updates", s.stay_updates},
           {"stay_rebuilds", s.stay_rebuilds},
-          {"heatmap_updates", s.heatmap_updates},
           {"evicted_points", s.evicted_points},
           {"lppm_applications", s.lppm_applications},
           {"attack_invocations", s.attack_invocations},
@@ -279,52 +330,11 @@ std::uint64_t counter(
   return 0;
 }
 
-/// Field-by-field equality of two kernel states: the window, both
-/// compiled profile sides, the stay tracker, the verdict and the per-user
-/// counters.
+/// Field-by-field equality of two kernel states: the window, the stay
+/// origin, the verdict and the per-user counters.
 void expect_same_state(const UserKernelState& a, const UserKernelState& b) {
   EXPECT_TRUE(a.window == b.window);
-  EXPECT_EQ(a.heatmap_built, b.heatmap_built);
-  EXPECT_EQ(a.heatmap.raw_total(), b.heatmap.raw_total());
-  EXPECT_EQ(a.heatmap.raw_counts(), b.heatmap.raw_counts());
   EXPECT_EQ(a.stay_origin, b.stay_origin);
-  EXPECT_EQ(a.stay_origin_set, b.stay_origin_set);
-  if (a.profiles_built && b.profiles_built) {
-    const auto sa = a.stays.snapshot();
-    const auto sb = b.stays.snapshot();
-    EXPECT_EQ(sa.stays.finals.size(), sb.stays.finals.size());
-    EXPECT_EQ(sa.stays.run_valid, sb.stays.run_valid);
-    EXPECT_EQ(sa.stays.run_anchor, sb.stays.run_anchor);
-    EXPECT_EQ(sa.stays.run_j, sb.stays.run_j);
-    EXPECT_EQ(sa.stays.base, sb.stays.base);
-    EXPECT_EQ(sa.stays.size, sb.stays.size);
-    EXPECT_EQ(sa.stays.generation, sb.stays.generation);
-    EXPECT_EQ(sa.stays.updates, sb.stays.updates);
-    EXPECT_EQ(sa.stays.rebuilds, sb.stays.rebuilds);
-    EXPECT_EQ(sa.visits.states.size(), sb.visits.states.size());
-    EXPECT_EQ(sa.visits.folded, sb.visits.folded);
-    EXPECT_EQ(sa.synced_generation, sb.synced_generation);
-  }
-  ASSERT_EQ(a.markov.states().size(), b.markov.states().size());
-  for (std::size_t i = 0; i < a.markov.states().size(); ++i) {
-    EXPECT_EQ(a.markov.states()[i].center.lat_rad,
-              b.markov.states()[i].center.lat_rad);
-    EXPECT_EQ(a.markov.states()[i].center.lon_deg,
-              b.markov.states()[i].center.lon_deg);
-    EXPECT_EQ(a.markov.states()[i].center.cos_lat,
-              b.markov.states()[i].center.cos_lat);
-    EXPECT_EQ(a.markov.states()[i].weight, b.markov.states()[i].weight);
-  }
-  ASSERT_EQ(a.poi.centers().size(), b.poi.centers().size());
-  for (std::size_t i = 0; i < a.poi.centers().size(); ++i) {
-    EXPECT_EQ(a.poi.centers()[i].lat_rad, b.poi.centers()[i].lat_rad);
-    EXPECT_EQ(a.poi.centers()[i].lon_deg, b.poi.centers()[i].lon_deg);
-    EXPECT_EQ(a.poi.centers()[i].cos_lat, b.poi.centers()[i].cos_lat);
-  }
-  EXPECT_EQ(a.profiles_built, b.profiles_built);
-  EXPECT_EQ(a.stale_appended, b.stale_appended);
-  EXPECT_EQ(a.stale_evicted, b.stale_evicted);
-  EXPECT_EQ(a.stale_points, b.stale_points);
   EXPECT_EQ(a.has_decision, b.has_decision);
   EXPECT_EQ(a.decision, b.decision);
   EXPECT_EQ(a.winner, b.winner);
@@ -462,58 +472,6 @@ TEST_F(DecisionKernelTest, DecideRecheckIsExactlyDecideHeld) {
   // The comparison is not vacuous: protected users holding a winner hit
   // the old recheck cadence.
   EXPECT_GT(held_protected_calls, 0u);
-}
-
-/// restore_derived rebuilds the forms a checkpoint drops (AP heatmap,
-/// Markov and POI profiles) bit for bit from the state it keeps, counting
-/// nothing. Checked at every cut of a windowed, staleness-bounded drive
-/// where records were appended and evicted since the last PIT/POI refresh,
-/// so the window no longer holds what the profiles were compiled from;
-/// slack 16 under a 50-point bound also makes some full verdicts keep
-/// stale profiles.
-TEST_F(DecisionKernelTest, RestoreDerivedRebuildsDroppedFormsBitForBit) {
-  KernelConfig config;
-  config.max_points = 120;
-  config.staleness_points = 50;
-  const DecisionKernel kernel = harness_->make_kernel({}, config);
-  std::size_t cuts = 0;
-  std::size_t stale_full_verdicts = 0;
-  for (const auto& pair : harness_->pairs()) {
-    UserKernelState state;
-    state.window.set_user(pair.test.user());
-    for (const mobility::Record& record : pair.test.records()) {
-      const Tier tier = tier_for(state, 16, /*shed=*/false);
-      kernel.step(state, kernel.fold(state, {&record, 1}), tier);
-      if (!state.profiles_built || state.stale_appended == 0 ||
-          state.stale_evicted == 0) {
-        continue;
-      }
-      if (tier == Tier::kFull) ++stale_full_verdicts;
-      ++cuts;
-      UserKernelState restored = state;
-      restored.heatmap = {};
-      restored.markov = {};
-      restored.poi = {};
-      const auto delta =
-          delta_of(kernel, [&] { kernel.restore_derived(restored); });
-      for (const auto& [name, value] : delta) EXPECT_EQ(value, 0u) << name;
-      expect_same_state(restored, state);
-
-      profiles::CompiledHeatmap captured = state.heatmap;
-      captured.compile();
-      const auto& want = captured.cells();
-      const auto& got = restored.heatmap.cells();
-      ASSERT_EQ(got.size(), want.size());
-      for (std::size_t i = 0; i < got.size(); ++i) {
-        EXPECT_EQ(got[i].cell, want[i].cell);
-        EXPECT_EQ(got[i].probability, want[i].probability);
-        EXPECT_EQ(got[i].self_term, want[i].self_term);
-        EXPECT_EQ(got[i].solo_term, want[i].solo_term);
-      }
-    }
-  }
-  EXPECT_GT(cuts, 0u);
-  EXPECT_GT(stale_full_verdicts, 0u);
 }
 
 /// The shed tier holds the verdict and keeps its counters, but runs no

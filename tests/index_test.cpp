@@ -1,6 +1,6 @@
 // Property suite for the AP attack's per-cell posting index, the one
 // pruning index: fuzzes the summaries.h Topsoe admissibility contract over
-// random, adversarially tied, single-cell, disjoint and apply_update-edited
+// random, adversarially tied, single-cell, disjoint and sliding-window
 // heatmaps, asserts index-vs-scan decision identity on populations with
 // duplicates, ties and empty profiles, and checks that concurrent AP
 // queries answer and count exactly as a serial run.
@@ -11,7 +11,6 @@
 #include <cstdint>
 #include <limits>
 #include <optional>
-#include <span>
 #include <string>
 #include <thread>
 #include <utility>
@@ -73,17 +72,6 @@ profiles::CompiledHeatmap compile(const attacks::ApAttack& attack,
   return profiles::CompiledHeatmap::from_trace(trace, attack.grid());
 }
 
-/// The targeted query over `query`, a heatmap of `trace` compiled from it
-/// or edited into it by apply_update, handed to the candidate as the
-/// decision kernel hands its own.
-bool owns(const attacks::ApAttack& attack, const Trace& trace,
-          const profiles::CompiledHeatmap& query,
-          const mobility::UserId& owner) {
-  attacks::Candidate candidate(trace);
-  candidate.use_heatmap(query, attack.grid());
-  return attack.reidentifies_target(candidate, owner);
-}
-
 /// The population ApAttack::train(background) indexes, entry for entry.
 std::vector<std::pair<mobility::UserId, profiles::CompiledHeatmap>>
 compiled_population(const attacks::ApAttack& attack,
@@ -123,19 +111,14 @@ Trace moved_window(const Trace& base, const Trace& extra,
   return Trace(base.user(), std::move(records));
 }
 
-/// The gateway's form of moved_window: `base` compiled incrementally, then
-/// edited in place by apply_update and compile().
+/// The heatmap the gateway prices for moved_window: compiled afresh from
+/// the window's records.
 profiles::CompiledHeatmap moved_window_map(const Trace& base,
                                            const Trace& extra,
                                            std::size_t evicted,
                                            const geo::CellGrid& grid) {
-  auto map = profiles::CompiledHeatmap::incremental(base, grid);
-  const Trace window = moved_window(base, extra, evicted);
-  const auto added =
-      std::span(window.records()).last(extra.records().size());
-  map.apply_update(added, std::span(base.records()).first(evicted), grid);
-  map.compile();
-  return map;
+  return profiles::CompiledHeatmap::from_trace(
+      moved_window(base, extra, evicted), grid);
 }
 
 /// One dwell in a single grid cell.
@@ -158,8 +141,7 @@ TEST_P(SummaryAdmissibility, TopsoeBoundNeverExceedsExact) {
   // The AP index's own computed bounds against every trained entry, for
   // queries that stress each regime of the Hellinger bound: ties (a
   // member verbatim, and near-ties below rounding), a single cell,
-  // disjoint supports (the bound's tight case) and windows edited by
-  // apply_update.
+  // disjoint supports (the bound's tight case) and sliding windows.
   RngStream rng(GetParam());
   const geo::CellGrid grid = city_grid();
   std::vector<Trace> background;
@@ -203,11 +185,10 @@ TEST_P(SummaryAdmissibility, TopsoeBoundNeverExceedsExact) {
   EXPECT_GT(loosest_gap, 1.38);
 }
 
-TEST_P(SummaryAdmissibility, BoundStaysBelowExactAfterApplyUpdate) {
-  // The gateway prices windows edited in place by apply_update, never
-  // compiled afresh: the posting bounds must hold for those too, on every
-  // entry, as the windows slide further and further from the trained
-  // traces.
+TEST_P(SummaryAdmissibility, BoundStaysBelowExactOnMovedWindows) {
+  // The gateway prices sliding windows: the posting bounds must hold for
+  // those too, on every entry, as the windows slide further and further
+  // from the trained traces.
   RngStream rng(GetParam());
   const geo::CellGrid grid = city_grid();
   std::vector<Trace> background;
@@ -253,23 +234,21 @@ INSTANTIATE_TEST_SUITE_P(Seeds, SummaryAdmissibility,
 class IndexDecisionIdentity : public ::testing::TestWithParam<int> {};
 
 /// Asserts the AP attack answers in kIndex mode exactly as in kScan mode:
-/// the argmin of `trace`, and the targeted query over `query` for every
-/// id in `owners`. `query` is `trace`'s heatmap, compiled from the trace
-/// or edited into it by apply_update. Leaves the attack in kIndex mode.
+/// the argmin of `trace`, and the targeted query over it for every id in
+/// `owners`. Leaves the attack in kIndex mode.
 void expect_ap_index_matches_scan(attacks::ApAttack& attack,
                                   const std::vector<mobility::UserId>& owners,
-                                  const Trace& trace,
-                                  const profiles::CompiledHeatmap& query) {
+                                  const Trace& trace) {
   attack.set_query_mode(attacks::QueryMode::kScan);
   const auto scan_answer = attack.reidentify(trace);
   std::vector<bool> scan_owns;
   for (const auto& owner : owners) {
-    scan_owns.push_back(owns(attack, trace, query, owner));
+    scan_owns.push_back(attack.reidentifies_target(trace, owner));
   }
   attack.set_query_mode(attacks::QueryMode::kIndex);
   EXPECT_EQ(attack.reidentify(trace), scan_answer);
   for (std::size_t o = 0; o < owners.size(); ++o) {
-    EXPECT_EQ(owns(attack, trace, query, owners[o]), scan_owns[o])
+    EXPECT_EQ(attack.reidentifies_target(trace, owners[o]), scan_owns[o])
         << "owner " << owners[o];
   }
 }
@@ -296,7 +275,7 @@ std::vector<Trace> adversarial_background(RngStream& rng, std::size_t users) {
 
 TEST_P(IndexDecisionIdentity, ApIndexMatchesScansAndStaysCoherentUnderUpdates) {
   // Queries: fresh traces, members verbatim (exact ties, also against the
-  // twins), moving windows edited in place by apply_update, and a trace
+  // twins), sliding windows, and a trace
   // disjoint from everyone (every divergence ties at the 2 ln 2 ceiling).
   for (const std::size_t users : {std::size_t{64}, std::size_t{300}}) {
     RngStream rng(GetParam());
@@ -309,8 +288,7 @@ TEST_P(IndexDecisionIdentity, ApIndexMatchesScansAndStaysCoherentUnderUpdates) {
     for (const auto& trace : background) owners.push_back(trace.user());
 
     const auto check = [&](const Trace& trace) {
-      expect_ap_index_matches_scan(attack, owners, trace,
-                                   compile(attack, trace));
+      expect_ap_index_matches_scan(attack, owners, trace);
     };
     for (const auto& trace : background) {
       const auto& user = trace.user();
@@ -325,9 +303,7 @@ TEST_P(IndexDecisionIdentity, ApIndexMatchesScansAndStaysCoherentUnderUpdates) {
       const Trace& member = background[rng.uniform_index(users)];
       const Trace extra = hotspot_trace(rng, "x");
       const std::size_t evicted = rng.uniform_index(member.size());
-      expect_ap_index_matches_scan(
-          attack, owners, moved_window(member, extra, evicted),
-          moved_window_map(member, extra, evicted, grid));
+      check(moved_window(member, extra, evicted));
     }
     EXPECT_GT(attack.index_stats().pruned_candidates, 0u)
         << "the index never pruned: the case tests nothing";
@@ -348,7 +324,7 @@ TEST_P(IndexDecisionIdentity, SmallPopulationsDelegateToTheScans) {
   for (const auto& trace : background) owners.push_back(trace.user());
   const Trace trace = hotspot_trace(rng, "q");
   const auto query = compile(attack, trace);
-  expect_ap_index_matches_scan(attack, owners, trace, query);
+  expect_ap_index_matches_scan(attack, owners, trace);
 
   // Delegated queries keep the counters exactly: one query per call, one
   // exact evaluation per distance the scan prices, no prunes.
@@ -374,7 +350,7 @@ TEST_P(IndexDecisionIdentity, SmallPopulationsDelegateToTheScans) {
     return bounded(p, bound);
   };
   for (const auto& owner : owners) {
-    (void)owns(attack, trace, query, owner);
+    (void)attack.reidentifies_target(trace, owner);
     ++queries;
     (void)attacks::scan_is_first_argmin(population, owner, counted_exact,
                                         counted_bounded);
@@ -410,13 +386,9 @@ TEST_P(IndexDecisionIdentity, RetrainRebuildsThePostingsAndPreservesDecisions) {
   std::vector<mobility::UserId> owners{"ghost"};
   for (const auto& trace : background) owners.push_back(trace.user());
   for (const std::size_t member : {std::size_t{0}, std::size_t{63}}) {
-    expect_ap_index_matches_scan(
-        attack, owners, background[member],
-        compile(attack, background[member]));
+    expect_ap_index_matches_scan(attack, owners, background[member]);
   }
-  const Trace query = hotspot_trace(rng, "q");
-  expect_ap_index_matches_scan(attack, owners, query,
-                               compile(attack, query));
+  expect_ap_index_matches_scan(attack, owners, hotspot_trace(rng, "q"));
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, IndexDecisionIdentity,

@@ -7,7 +7,6 @@
 #include <cmath>
 #include <cstdint>
 #include <memory>
-#include <random>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -267,7 +266,7 @@ TEST_F(HeatmapTest, TopsoeInfiniteForEmptyMap) {
   EXPECT_TRUE(std::isinf(topsoe_divergence(empty, a)));
 }
 
-// ------------------------------------------- CompiledHeatmap updates --
+// ------------------------------------------------ CompiledHeatmap --
 
 void expect_bit_identical(const CompiledHeatmap& a, const CompiledHeatmap& b) {
   ASSERT_EQ(a.cell_count(), b.cell_count());
@@ -277,151 +276,6 @@ void expect_bit_identical(const CompiledHeatmap& a, const CompiledHeatmap& b) {
     EXPECT_EQ(a.cells()[c].self_term, b.cells()[c].self_term);
     EXPECT_EQ(a.cells()[c].solo_term, b.cells()[c].solo_term);
   }
-}
-
-TEST_F(HeatmapTest, IncrementalCompileEqualsFromTrace) {
-  const auto trace = three_place_trace();
-  expect_bit_identical(CompiledHeatmap::incremental(trace, grid_),
-                       CompiledHeatmap::from_trace(trace, grid_));
-  EXPECT_TRUE(CompiledHeatmap::incremental(trace, grid_).updatable());
-  EXPECT_FALSE(CompiledHeatmap::from_trace(trace, grid_).updatable());
-}
-
-TEST_F(HeatmapTest, ApplyUpdateFoldsArrivalsExactly) {
-  const auto trace = three_place_trace();
-  const auto& records = trace.records();
-  auto map = CompiledHeatmap::incremental(Trace("u", {}), grid_);
-  EXPECT_TRUE(map.empty());
-  // Fold in two uneven chunks; compare against one-shot compiles of the
-  // prefixes.
-  const std::size_t cut = 37;
-  map.apply_update({records.begin(), records.begin() + cut}, {}, grid_);
-  map.compile();
-  expect_bit_identical(
-      map, CompiledHeatmap::from_trace(
-               Trace("u", {records.begin(), records.begin() + cut}), grid_));
-  map.apply_update({records.begin() + cut, records.end()}, {}, grid_);
-  map.compile();
-  expect_bit_identical(map, CompiledHeatmap::from_trace(trace, grid_));
-}
-
-TEST_F(HeatmapTest, ApplyUpdateRemovesExpirationsExactly) {
-  const auto trace = three_place_trace();
-  const auto& records = trace.records();
-  auto map = CompiledHeatmap::incremental(trace, grid_);
-  // Expire the first 40 records (the whole home dwell plus part of work).
-  const std::vector<mobility::Record> gone(records.begin(),
-                                           records.begin() + 40);
-  map.apply_update({}, gone, grid_);
-  map.compile();
-  expect_bit_identical(
-      map, CompiledHeatmap::from_trace(
-               Trace("u", {records.begin() + 40, records.end()}), grid_));
-  // Removing everything empties the heatmap cleanly.
-  map.apply_update({}, {records.begin() + 40, records.end()}, grid_);
-  map.compile();
-  EXPECT_TRUE(map.empty());
-}
-
-TEST_F(HeatmapTest, ApplyUpdateGuardsItsPreconditions) {
-  const auto trace = three_place_trace();
-  auto frozen = CompiledHeatmap::from_trace(trace, grid_);
-  EXPECT_THROW(frozen.apply_update({&trace.records().front(), 1}, {}, grid_),
-               support::PreconditionError);
-  auto map = CompiledHeatmap::incremental(Trace("u", {}), grid_);
-  // Removing a record that was never added must fail loudly, not corrupt
-  // the counts.
-  EXPECT_THROW(map.apply_update({}, {&trace.records().front(), 1}, grid_),
-               support::PreconditionError);
-}
-
-/// The count edits of apply_update, compiled, match a from-scratch
-/// incremental() build of the same window: raw counts and cells, bit for
-/// bit. Updates interleave appends and front evictions at random (several
-/// updates may land between two compiles, as between two gateway
-/// decides), after a scripted prefix in which one cell drops to zero and
-/// comes back.
-TEST_F(HeatmapTest, CountEditsCompileToIncrementalOnAnyInterleaving) {
-  const std::vector<GeoPoint> places = {
-      kHome, kWork, kGym, GeoPoint{45.7700, 4.8500}, GeoPoint{45.7400, 4.8000},
-      GeoPoint{45.8000, 4.9000}};
-  const GeoPoint rare{45.7000, 4.7000};
-  const auto expect_matches_window = [&](CompiledHeatmap& map,
-                                         const Trace& window) {
-    map.compile();
-    const auto fresh = CompiledHeatmap::incremental(window, grid_);
-    ASSERT_EQ(map.raw_counts(), fresh.raw_counts());
-    ASSERT_EQ(map.raw_total(), fresh.raw_total());
-    expect_bit_identical(map, fresh);
-  };
-
-  for (const std::uint32_t seed : {1u, 7u, 42u, 2024u}) {
-    std::mt19937 rng(seed);
-    Trace window("u", {});
-    auto map = CompiledHeatmap::incremental(window, grid_);
-    mobility::Timestamp t = 0;
-    const auto append = [&](const GeoPoint& where) {
-      t += static_cast<mobility::Timestamp>(rng() % 600);
-      window.append(mobility::Record{where, t});
-      return window.records().back();
-    };
-
-    // Scripted: the rare cell appears, is evicted to zero, and returns.
-    const std::vector<mobility::Record> first = {append(rare), append(kHome),
-                                                 append(kHome)};
-    map.apply_update(first, {}, grid_);
-    expect_matches_window(map, window);
-    const auto rare_cell = grid_.cell_of(rare);
-    const auto has_rare = [&] {
-      return std::any_of(map.raw_counts().begin(), map.raw_counts().end(),
-                         [&](const auto& entry) {
-                           return entry.first == rare_cell;
-                         });
-    };
-    ASSERT_TRUE(has_rare());
-    map.apply_update({}, {window.records().data(), 1}, grid_);
-    window.drop_front(1);
-    expect_matches_window(map, window);
-    ASSERT_FALSE(has_rare());
-    const mobility::Record back = append(rare);
-    map.apply_update({&back, 1}, {}, grid_);
-    expect_matches_window(map, window);
-    ASSERT_TRUE(has_rare());
-
-    // Random: each step appends up to four records (drawn so that rarely
-    // seen cells keep dropping out and returning) and evicts up to as many
-    // from the front, in one update; compile every few steps.
-    for (int step = 0; step < 400; ++step) {
-      std::vector<mobility::Record> added;
-      for (std::uint32_t n = rng() % 5; n > 0; --n) {
-        added.push_back(
-            append(rng() % 16 == 0 ? rare : places[rng() % places.size()]));
-      }
-      const std::size_t evict =
-          std::min<std::size_t>(rng() % 5, window.size());
-      map.apply_update(added, {window.records().data(), evict}, grid_);
-      window.drop_front(evict);
-      if (step % 3 == 0) expect_matches_window(map, window);
-    }
-    expect_matches_window(map, window);
-  }
-}
-
-TEST_F(HeatmapTest, StaleCellsCannotBeRead) {
-  const auto trace = three_place_trace();
-  auto map = CompiledHeatmap::incremental(Trace("u", {}), grid_);
-  map.apply_update(trace.records(), {}, grid_);
-  EXPECT_THROW(static_cast<void>(map.cells()), support::PreconditionError);
-  EXPECT_THROW(static_cast<void>(map.empty()), support::PreconditionError);
-  EXPECT_THROW(static_cast<void>(topsoe_divergence(map, map)),
-               support::PreconditionError);
-  // The raw counts stay readable while the cells are stale.
-  EXPECT_EQ(map.raw_total(), static_cast<double>(trace.size()));
-  map.compile();
-  expect_bit_identical(map, CompiledHeatmap::from_trace(trace, grid_));
-  // An empty update leaves fresh cells readable.
-  map.apply_update({}, {}, grid_);
-  EXPECT_NO_THROW(static_cast<void>(map.cells()));
 }
 
 // ---------------------------------------------------------- cell_counts --
@@ -436,7 +290,7 @@ CountPairs legacy_counts(const Trace& trace, const geo::CellGrid& grid) {
   return counts;
 }
 
-/// cell_counts and both compiled builds that count through it against
+/// cell_counts and the compiled build that counts through it against
 /// the legacy heatmap, bit for bit; rank_cells against ranked_cells.
 void expect_counts_match_legacy(const Trace& trace,
                                 const geo::CellGrid& grid) {
@@ -445,10 +299,6 @@ void expect_counts_match_legacy(const Trace& trace,
   ASSERT_EQ(counted, expected);
   const CompiledHeatmap legacy(Heatmap::from_trace(trace, grid));
   expect_bit_identical(CompiledHeatmap::from_trace(trace, grid), legacy);
-  const auto incremental = CompiledHeatmap::incremental(trace, grid);
-  expect_bit_identical(incremental, legacy);
-  EXPECT_EQ(incremental.raw_counts(), expected);
-  EXPECT_EQ(incremental.raw_total(), static_cast<double>(trace.size()));
   rank_cells(counted);
   EXPECT_EQ(counted, Heatmap::from_trace(trace, grid).ranked_cells());
 }
@@ -568,10 +418,6 @@ TEST_F(HeatmapTest, CellCountsOfEmptyAndSingleRecordTraces) {
   const Trace empty("u", {});
   EXPECT_TRUE(cell_counts(empty.records(), grid_).empty());
   EXPECT_TRUE(CompiledHeatmap::from_trace(empty, grid_).empty());
-  const auto window = CompiledHeatmap::incremental(empty, grid_);
-  EXPECT_TRUE(window.empty());
-  EXPECT_TRUE(window.updatable());
-  EXPECT_EQ(window.raw_total(), 0.0);
 
   const Trace single("u", {in_cell(grid_, geo::CellIndex{-4, 9}, 0)});
   EXPECT_EQ(cell_counts(single.records(), grid_),

@@ -1,11 +1,11 @@
-// Tests for checkpoint/restore (src/stream/snapshot): the mood-snapshot/4
+// Tests for checkpoint/restore (src/stream/snapshot): the mood-snapshot/5
 // byte format (round trip, golden files, rejection of malformed input),
 // the crash-consistent file protocol under injected faults at every named
 // fail point — including SIGKILL-equivalent deaths — and the headline
 // restore property: a replay captured at any quiesced cut and resumed in a
 // fresh engine produces the bit-identical decision set and cost counters
-// of an uninterrupted run, across shard counts, staleness bounds, window
-// caps and LRU evictions.
+// of an uninterrupted run, across shard counts, window caps and LRU
+// evictions.
 
 #include <gtest/gtest.h>
 
@@ -147,10 +147,6 @@ void expect_identical_outcome(const ReplayResult& actual,
   EXPECT_EQ(a.protected_events, e.protected_events);
   EXPECT_EQ(a.searches, e.searches);
   EXPECT_EQ(a.rechecks, e.rechecks);
-  EXPECT_EQ(a.profile_refreshes, e.profile_refreshes);
-  EXPECT_EQ(a.stay_updates, e.stay_updates);
-  EXPECT_EQ(a.stay_rebuilds, e.stay_rebuilds);
-  EXPECT_EQ(a.heatmap_updates, e.heatmap_updates);
   EXPECT_EQ(a.evicted_points, e.evicted_points);
   EXPECT_EQ(a.evicted_users, e.evicted_users);
   EXPECT_EQ(a.lppm_applications, e.lppm_applications);
@@ -200,7 +196,6 @@ TEST(SnapshotFormat, EncodeDecodeRoundTripsEveryField) {
   d.config.window_seconds = 86400;
   d.config.max_points = 64;
   d.config.max_users_per_shard = 5;
-  d.config.staleness_points = 10;
   d.config.loop_slack = 5;
   d.stream_position = 512;
   d.stats.events = 512;
@@ -220,36 +215,7 @@ TEST(SnapshotFormat, EncodeDecodeRoundTripsEveryField) {
   UserSnapshot rich;
   rich.user = "ada";
   rich.window = {{{45.5, 4.25}, 100}, {{45.75, 4.25}, 200}};
-  rich.heatmap_built = true;
-  rich.stay_origin_set = true;
   rich.stay_origin = {45.5, 4.25};
-  rich.stays.stays.params.max_diameter_m = 200.0;
-  rich.stays.stays.params.min_dwell = 900;
-  rich.stays.stays.params.min_points = 3;
-  rich.stays.stays.has_origin = true;
-  rich.stays.stays.origin = {45.5, 4.25};
-  rich.stays.stays.finals.push_back(
-      {{{45.5, 4.25}, 4, 1200, 100, 1300}, 0, 3});
-  rich.stays.stays.run_valid = true;
-  rich.stays.stays.run_anchor = 4;
-  rich.stays.stays.run_j = 6;
-  rich.stays.stays.run_sx = 1.25;
-  rich.stays.stays.run_sy = -0.5;
-  rich.stays.stays.run_t_start = 1400;
-  rich.stays.stays.run_t_end = 1500;
-  rich.stays.stays.base = 1;
-  rich.stays.stays.size = 7;
-  rich.stays.stays.generation = 5;
-  rich.stays.stays.updates = 9;
-  rich.stays.stays.rebuilds = 2;
-  rich.stays.visits.merge_distance_m = 100.0;
-  rich.stays.visits.states.push_back({{45.5, 4.25}, 4, 1200, 100, 1300});
-  rich.stays.visits.folded = 1;
-  rich.stays.synced_generation = 5;
-  rich.profiles_built = true;
-  rich.stale_appended = 3;
-  rich.stale_evicted = 1;
-  rich.stale_points = 12;
   rich.has_decision = true;
   rich.decision = 1;
   rich.winner = "GeoI";
@@ -279,7 +245,6 @@ TEST(SnapshotFormat, EncodeDecodeRoundTripsEveryField) {
   EXPECT_EQ(back.config.window_seconds, 86400);
   EXPECT_EQ(back.config.max_points, 64u);
   EXPECT_EQ(back.config.max_users_per_shard, 5u);
-  EXPECT_EQ(back.config.staleness_points, 10u);
   EXPECT_EQ(back.config.loop_slack, 5u);
   EXPECT_EQ(back.stream_position, 512u);
   EXPECT_EQ(back.stats.decisions, 17u);
@@ -300,20 +265,8 @@ TEST(SnapshotFormat, EncodeDecodeRoundTripsEveryField) {
   ASSERT_EQ(a.window.size(), 2u);
   EXPECT_EQ(a.window[0].position.lat, 45.5);
   EXPECT_EQ(a.window[1].time, 200);
-  EXPECT_TRUE(a.heatmap_built);
-  ASSERT_TRUE(a.profiles_built);
-  EXPECT_EQ(a.stays.stays.params.min_dwell, 900);
-  ASSERT_EQ(a.stays.stays.finals.size(), 1u);
-  EXPECT_EQ(a.stays.stays.finals[0].poi.record_count, 4u);
-  EXPECT_EQ(a.stays.stays.finals[0].end, 3u);
-  EXPECT_TRUE(a.stays.stays.run_valid);
-  EXPECT_EQ(a.stays.stays.run_sx, 1.25);
-  EXPECT_EQ(a.stays.stays.run_sy, -0.5);
-  EXPECT_EQ(a.stays.stays.rebuilds, 2u);
-  ASSERT_EQ(a.stays.visits.states.size(), 1u);
-  EXPECT_EQ(a.stays.visits.merge_distance_m, 100.0);
-  EXPECT_EQ(a.stays.synced_generation, 5u);
-  EXPECT_EQ(a.stale_points, 12u);
+  EXPECT_EQ(a.stay_origin.lat, 45.5);
+  EXPECT_EQ(a.stay_origin.lon, 4.25);
   EXPECT_TRUE(a.has_decision);
   EXPECT_EQ(a.decision, 1);
   EXPECT_EQ(a.winner, "GeoI");
@@ -329,8 +282,7 @@ TEST(SnapshotFormat, EncodeDecodeRoundTripsEveryField) {
 
   const UserSnapshot& b = back.users[1];
   EXPECT_EQ(b.user, "bob");
-  EXPECT_FALSE(b.heatmap_built);
-  EXPECT_FALSE(b.profiles_built);
+  EXPECT_EQ(b.stay_origin.lat, 0.0);
   EXPECT_FALSE(b.has_decision);
   EXPECT_EQ(b.searched_events, static_cast<std::uint64_t>(-1));
   EXPECT_FALSE(b.quarantined);
@@ -421,7 +373,6 @@ SnapshotData golden_data() {
   d.config.window_seconds = 3600;
   d.config.max_points = 4;
   d.config.max_users_per_shard = 3;
-  d.config.staleness_points = 5;
   d.stream_position = 4;
   d.stats.events = 4;
   d.stats.decisions = 3;
@@ -444,7 +395,7 @@ SnapshotData golden_data() {
   UserSnapshot ada;
   ada.user = "ada";
   ada.window = {{{45.5, 4.25}, 1000}, {{45.75, 4.5}, 2000}};
-  ada.heatmap_built = true;
+  ada.stay_origin = {45.5, 4.25};
   ada.has_decision = true;
   ada.decision = 1;
   ada.winner = "GeoI";
@@ -460,16 +411,7 @@ SnapshotData golden_data() {
   UserSnapshot bob;
   bob.user = "bob";
   bob.window = {{{46.0, 5.0}, 1500}};
-  bob.stay_origin_set = true;
-  bob.profiles_built = true;
   bob.stay_origin = {46.0, 5.0};
-  bob.stays.stays.params.max_diameter_m = 200.0;
-  bob.stays.stays.params.min_dwell = 900;
-  bob.stays.stays.params.min_points = 3;
-  bob.stays.stays.has_origin = true;
-  bob.stays.stays.origin = {46.0, 5.0};
-  bob.stays.stays.size = 1;
-  bob.stays.visits.merge_distance_m = 100.0;
   bob.events = 1;
   bob.last_touch = 1;
   bob.quarantined = true;
@@ -510,7 +452,7 @@ TEST(SnapshotGolden, WriterMatchesCheckedInGoldenFile) {
   // must come with a version bump (or a deliberate fixture regeneration).
   ASSERT_EQ(stored.size(), bytes.size());
   EXPECT_TRUE(stored == bytes) << "writer output diverged from the "
-                                  "documented mood-snapshot/4 layout";
+                                  "documented mood-snapshot/5 layout";
 }
 
 TEST(SnapshotGolden, CheckedInGoldenFileDecodes) {
@@ -524,8 +466,8 @@ TEST(SnapshotGolden, CheckedInGoldenFileDecodes) {
   ASSERT_EQ(d.users.size(), 2u);
   EXPECT_EQ(d.users[0].user, "ada");
   EXPECT_EQ(d.users[0].winner, "GeoI");
-  EXPECT_TRUE(d.users[1].profiles_built);
-  EXPECT_EQ(d.users[1].stays.stays.params.min_dwell, 900);
+  EXPECT_EQ(d.users[1].stay_origin.lat, 46.0);
+  EXPECT_EQ(d.users[1].stay_origin.lon, 5.0);
   EXPECT_EQ(d.config.resilience.on_bad_record, BadRecordPolicy::kQuarantine);
   EXPECT_EQ(d.config.resilience.shed_high_watermark, 16u);
   EXPECT_EQ(d.shard_shedding, (std::vector<std::uint8_t>{1, 0}));
@@ -702,6 +644,12 @@ TEST(SnapshotGolden, VersionThreeFileIsRefusedByVersion) {
   expect_refused_by_version("golden-v3.moodsnap", 3);
 }
 
+/// The last version-4 file ever written (the golden fixture as of the
+/// stay tracker, staleness deltas and CONFIG's staleness bound).
+TEST(SnapshotGolden, VersionFourFileIsRefusedByVersion) {
+  expect_refused_by_version("golden-v4.moodsnap", 4);
+}
+
 // ----------------------------------------------- restore bit-identity --
 
 TEST_F(SnapshotTest, RestoreAtEveryCheckpointBoundaryIsBitIdentical) {
@@ -731,13 +679,12 @@ TEST_F(SnapshotTest, RestoreAtEveryCheckpointBoundaryIsBitIdentical) {
 
 TEST_F(SnapshotTest, RestoreIsBitIdenticalAcrossGatewayConfigs) {
   // The same round trip under every interesting knob: single shard, many
-  // shards + staleness, bounded windows, and an LRU cap small enough to
-  // evict users between checkpoints.
+  // shards, bounded windows, and an LRU cap small enough to evict users
+  // between checkpoints.
   StreamConfig shards1;
   shards1.shards = 1;
-  StreamConfig stale;
-  stale.shards = 7;
-  stale.staleness_points = 150;
+  StreamConfig many;
+  many.shards = 7;
   StreamConfig capped;
   capped.shards = 2;
   capped.max_points = 50;
@@ -749,7 +696,7 @@ TEST_F(SnapshotTest, RestoreIsBitIdenticalAcrossGatewayConfigs) {
   lru.max_users_per_shard = 2;
 
   for (const StreamConfig& config :
-       {shards1, stale, capped, windowed, lru}) {
+       {shards1, many, capped, windowed, lru}) {
     const ReplayResult reference = replay_with(config);
     for (const std::size_t cut :
          {events_->size() / 3, 2 * events_->size() / 3}) {
@@ -823,7 +770,7 @@ TEST_F(SnapshotTest, RestoreAtAnArbitraryQuiescedPositionIsBitIdentical) {
 
 TEST_F(SnapshotTest, RestoreBetweenCadencesWhileEvictingIsBitIdentical) {
   // A cut between two slack-cadence decides: users whose latest events
-  // took the held tier carry AP counts that no compile has read yet, and
+  // took the held tier carry windows that no verdict has read yet, and
   // a 36 h sliding window keeps evicting after the restore. The
   // resumed run must publish the uninterrupted run's verdicts, winners and
   // window slices.
@@ -859,7 +806,7 @@ TEST_F(SnapshotTest, RestoreRefusesMismatchedGatewayConfig) {
   const SnapshotData snap = capture_at(config, 256);
 
   StreamConfig other = config;
-  other.staleness_points = 99;
+  other.max_points = 99;
   StreamEngine engine(harness_->make_engine(), other);
   EXPECT_THROW(engine.restore_snapshot(snap), SnapshotError);
 
@@ -922,7 +869,6 @@ TEST_F(SnapshotTest, RestoreFromDiskContinuesBitIdentically) {
   const std::string dir = scratch_dir("disk");
   StreamConfig config;
   config.shards = 3;
-  config.staleness_points = 100;
   const ReplayResult reference = replay_with(config);
 
   StreamEngine writer(harness_->make_engine(), config);

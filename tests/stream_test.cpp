@@ -1,7 +1,6 @@
 // Tests for the online MooD gateway (src/stream): sharded user-state
-// store semantics, incremental-vs-full profile equivalence (the AP
-// heatmap exactly, PIT/POI under the staleness-rebuild policy), and the
-// StreamEngine/Replay pipeline's headline invariant — final streamed
+// store semantics, the shared stay compile path against the legacy
+// profiles, and the StreamEngine/Replay pipeline's headline invariant — final streamed
 // decisions are bit-identical to the batch evaluators, independent of
 // shard count, worker timing, quiesce cuts and decision cadences.
 
@@ -20,14 +19,10 @@
 #include <utility>
 #include <vector>
 
-#include "attacks/ap_attack.h"
 #include "attacks/pit_attack.h"
 #include "attacks/poi_attack.h"
-#include "clustering/incremental_stays.h"
 #include "clustering/poi_extraction.h"
 #include "core/experiment.h"
-#include "geo/geo.h"
-#include "profiles/heatmap.h"
 #include "profiles/markov_profile.h"
 #include "profiles/poi_profile.h"
 #include "simulation/generator.h"
@@ -49,7 +44,7 @@ namespace mood::stream {
 namespace {
 
 /// The PIT and POI forms of `trace` through the legacy uncompiled
-/// profiles — the oracle for every compiled and incremental path.
+/// profiles — the oracle for the compiled path.
 profiles::CompiledMarkovProfile legacy_markov(
     const mobility::Trace& trace, const clustering::PoiParams& params) {
   return profiles::CompiledMarkovProfile(
@@ -282,102 +277,7 @@ TEST(UserStateStore, ForEachInsideAPoolTaskRunsSeriallyOnThatWorker) {
   for (const std::thread::id& id : seen) EXPECT_EQ(id, worker);
 }
 
-// ------------------------------- incremental profile equivalence --------
-
-/// The satellite property test: stream a real test trace point by point;
-/// after every point the incrementally maintained profiles must be
-/// decision-identical to a one-shot compile for all three attacks (and
-/// the AP heatmap bit-identical cell for cell).
-TEST_F(StreamTest, IncrementalProfilesAreDecisionIdenticalPointByPoint) {
-  const attacks::ApAttack* ap = nullptr;
-  const attacks::PitAttack* pit = nullptr;
-  const attacks::PoiAttack* poi = nullptr;
-  for (const auto& attack : harness_->attacks()) {
-    if (ap == nullptr) ap = dynamic_cast<const attacks::ApAttack*>(attack.get());
-    if (pit == nullptr) {
-      pit = dynamic_cast<const attacks::PitAttack*>(attack.get());
-    }
-    if (poi == nullptr) {
-      poi = dynamic_cast<const attacks::PoiAttack*>(attack.get());
-    }
-  }
-  ASSERT_NE(ap, nullptr);
-  ASSERT_NE(pit, nullptr);
-  ASSERT_NE(poi, nullptr);
-
-  const auto& pair = harness_->pairs().front();
-  const mobility::UserId owner = pair.test.user();
-
-  mobility::Trace window;
-  window.set_user(owner);
-  auto heatmap =
-      profiles::CompiledHeatmap::incremental(window, ap->grid());
-  for (const auto& record : pair.test.records()) {
-    window.append(record);
-    heatmap.apply_update({&record, 1}, {}, ap->grid());
-    heatmap.compile();
-
-    // AP: the folded heatmap is bit-identical to a from-scratch compile.
-    const auto fresh =
-        profiles::CompiledHeatmap::from_trace(window, ap->grid());
-    ASSERT_EQ(heatmap.cell_count(), fresh.cell_count());
-    for (std::size_t c = 0; c < fresh.cell_count(); ++c) {
-      ASSERT_EQ(heatmap.cells()[c].cell, fresh.cells()[c].cell);
-      ASSERT_EQ(heatmap.cells()[c].probability,
-                fresh.cells()[c].probability);
-      ASSERT_EQ(heatmap.cells()[c].self_term, fresh.cells()[c].self_term);
-      ASSERT_EQ(heatmap.cells()[c].solo_term, fresh.cells()[c].solo_term);
-    }
-    attacks::Candidate folded(window);
-    folded.use_heatmap(heatmap, ap->grid());
-    ASSERT_EQ(ap->reidentifies_target(folded, owner),
-              ap->reidentifies_target(window, owner));
-
-    // PIT / POI: the legacy profiles, handed in, answer as the candidate's
-    // own shared stay extraction does.
-    const auto markov = legacy_markov(window, pit->params());
-    const auto pois = legacy_poi(window, poi->params());
-    attacks::Candidate legacy(window);
-    legacy.use_stays(markov, pois, pit->params());
-    ASSERT_EQ(pit->reidentifies_target(legacy, owner),
-              pit->reidentifies_target(window, owner));
-    ASSERT_EQ(poi->reidentifies_target(legacy, owner),
-              poi->reidentifies_target(window, owner));
-  }
-}
-
-TEST_F(StreamTest, IncrementalHeatmapSurvivesSlidingWindowEviction) {
-  const auto* ap = dynamic_cast<const attacks::ApAttack*>(
-      harness_->attacks()[harness_->ap_attack_index()].get());
-  ASSERT_NE(ap, nullptr);
-  const auto& pair = harness_->pairs().front();
-  const auto& records = pair.test.records();
-  const std::size_t cap = 40;
-
-  mobility::Trace window;
-  window.set_user(pair.test.user());
-  auto heatmap =
-      profiles::CompiledHeatmap::incremental(window, ap->grid());
-  for (std::size_t i = 0; i < records.size(); ++i) {
-    window.append(records[i]);
-    std::vector<mobility::Record> evicted;
-    if (window.size() > cap) {
-      evicted.assign(window.records().begin(),
-                     window.records().begin() +
-                         static_cast<std::ptrdiff_t>(window.size() - cap));
-      window.drop_front(window.size() - cap);
-    }
-    heatmap.apply_update({&records[i], 1}, evicted, ap->grid());
-  }
-  heatmap.compile();
-  const auto fresh =
-      profiles::CompiledHeatmap::from_trace(window, ap->grid());
-  ASSERT_EQ(heatmap.cell_count(), fresh.cell_count());
-  for (std::size_t c = 0; c < fresh.cell_count(); ++c) {
-    EXPECT_EQ(heatmap.cells()[c].cell, fresh.cells()[c].cell);
-    EXPECT_EQ(heatmap.cells()[c].probability, fresh.cells()[c].probability);
-  }
-}
+// ------------------------------------------- compiled stay profiles --
 
 void expect_same_markov(const profiles::CompiledMarkovProfile& actual,
                         const profiles::CompiledMarkovProfile& expected) {
@@ -403,7 +303,7 @@ void expect_same_poi(const profiles::CompiledPoiProfile& actual,
   }
 }
 
-/// from_states (the decision kernel's shared-tracker compile path) must
+/// from_states (the shared stay compile path every candidate takes) must
 /// be bit-identical to routing through the full legacy profile pipeline.
 TEST_F(StreamTest, FromStatesMatchesLegacyCompiledProfiles) {
   const auto* pit = dynamic_cast<const attacks::PitAttack*>(
@@ -421,92 +321,6 @@ TEST_F(StreamTest, FromStatesMatchesLegacyCompiledProfiles) {
     expect_same_poi(profiles::CompiledPoiProfile::from_states(seq.states),
                     legacy_poi(pair.test, params));
   }
-}
-
-/// The incrementally maintained PIT and POI profiles — one
-/// TrackedVisitStates compiled through from_states, as the decision kernel
-/// keeps them — are bit-identical to a from-scratch compile after every
-/// single appended point (no eviction, so the pinned origin equals the
-/// window front and the oracle is the attacks' own compile path).
-TEST_F(StreamTest, IncrementalMarkovAndPoiMatchFromScratchPointByPoint) {
-  const auto* pit = dynamic_cast<const attacks::PitAttack*>(
-      harness_->attacks()[1].get());
-  const auto* poi = dynamic_cast<const attacks::PoiAttack*>(
-      harness_->attacks()[0].get());
-  ASSERT_NE(pit, nullptr);
-  ASSERT_NE(poi, nullptr);
-  const auto& pair = harness_->pairs().front();
-  const auto params = pit->params();
-
-  mobility::Trace window;
-  window.set_user(pair.test.user());
-  clustering::TrackedVisitStates stays(params,
-                                       pair.test.records().front().position);
-  profiles::CompiledMarkovProfile markov;
-  profiles::CompiledPoiProfile poi_profile;
-  for (const auto& record : pair.test.records()) {
-    window.append(record);
-    stays.update(window, 1, 0);
-    const auto states = stays.states();
-    markov = profiles::CompiledMarkovProfile::from_states(states);
-    poi_profile = profiles::CompiledPoiProfile::from_states(states);
-    expect_same_markov(markov, legacy_markov(window, params));
-    expect_same_poi(poi_profile, legacy_poi(window, params));
-  }
-  // The targeted queries therefore agree with the trace-based entry points.
-  attacks::Candidate folded(pair.test);
-  folded.use_stays(markov, poi_profile, params);
-  EXPECT_EQ(pit->reidentifies_target(folded, pair.test.user()),
-            pit->reidentifies_target(pair.test, pair.test.user()));
-  EXPECT_EQ(poi->reidentifies_target(folded, pair.test.user()),
-            poi->reidentifies_target(pair.test, pair.test.user()));
-}
-
-/// Same property under a sliding window: per-point add + front eviction.
-/// Once the front has been evicted the oracle is the same pipeline with
-/// the projection pinned at the first-ever record (extract_pois' origin
-/// overload) — clean prefix drops and the bounded rebuild fallback must
-/// both land exactly there.
-TEST_F(StreamTest, IncrementalMarkovAndPoiSurviveSlidingWindowEviction) {
-  const auto* pit = dynamic_cast<const attacks::PitAttack*>(
-      harness_->attacks()[1].get());
-  ASSERT_NE(pit, nullptr);
-  const auto& pair = harness_->pairs().front();
-  const auto& records = pair.test.records();
-  const auto params = pit->params();
-  const geo::GeoPoint origin = records.front().position;
-  const std::size_t cap = 60;
-
-  mobility::Trace window;
-  window.set_user(pair.test.user());
-  clustering::TrackedVisitStates stays(params, origin);
-  const auto oracle_states = [&] {
-    return clustering::build_visit_sequence(
-               clustering::extract_pois(window, params, origin),
-               params.max_diameter_m)
-        .states;
-  };
-  for (std::size_t i = 0; i < records.size(); ++i) {
-    window.append(records[i]);
-    std::size_t evicted = 0;
-    if (window.size() > cap) {
-      evicted = window.size() - cap;
-      window.drop_front(evicted);
-    }
-    stays.update(window, 1, evicted);
-    if (i % 16 == 0 || i + 1 == records.size()) {
-      const auto tracked = stays.states();
-      const auto states = oracle_states();
-      expect_same_markov(profiles::CompiledMarkovProfile::from_states(tracked),
-                         profiles::CompiledMarkovProfile::from_states(states));
-      expect_same_poi(profiles::CompiledPoiProfile::from_states(tracked),
-                      profiles::CompiledPoiProfile::from_states(states));
-    }
-  }
-  // The window slid, so the tracker really exercised the eviction paths.
-  EXPECT_GT(stays.tracker().updates(), 0u);
-  EXPECT_EQ(stays.tracker().origin().lat, origin.lat);
-  EXPECT_EQ(stays.tracker().origin().lon, origin.lon);
 }
 
 // ----------------------------------------- gateway vs batch harness ----
@@ -601,22 +415,6 @@ TEST_F(StreamTest, DecisionsAreIndependentOfShardsBatchAndParallelism) {
       EXPECT_EQ(decisions[i].searches, reference[i].searches);
     }
   }
-}
-
-TEST_F(StreamTest, StalenessBoundIsRepairedByFinish) {
-  const BatchOracle oracle = batch_oracle(*harness_);
-  StreamConfig config;
-  config.shards = 4;
-  config.staleness_points = 150;  // serve stale PIT/POI profiles mid-stream
-  const auto result = replay_with(config);
-  expect_matches_batch(result.decisions, oracle);
-
-  // The bound must actually have saved refresh work relative to the
-  // always-fresh default.
-  StreamConfig fresh = config;
-  fresh.staleness_points = 0;
-  EXPECT_LT(result.stats.profile_refreshes,
-            replay_with(fresh).stats.profile_refreshes);
 }
 
 TEST_F(StreamTest, WindowCapsBoundTheResidentWindow) {
@@ -1397,10 +1195,6 @@ constexpr std::pair<const char*, std::uint64_t StreamStats::*>
         {"protected_events", &StreamStats::protected_events},
         {"searches", &StreamStats::searches},
         {"rechecks", &StreamStats::rechecks},
-        {"profile_refreshes", &StreamStats::profile_refreshes},
-        {"stay_updates", &StreamStats::stay_updates},
-        {"stay_rebuilds", &StreamStats::stay_rebuilds},
-        {"heatmap_updates", &StreamStats::heatmap_updates},
         {"evicted_points", &StreamStats::evicted_points},
         {"evicted_users", &StreamStats::evicted_users},
         {"lppm_applications", &StreamStats::lppm_applications},

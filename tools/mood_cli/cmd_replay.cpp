@@ -12,9 +12,9 @@
 // DecisionKernel run in batch mode (one pass per full test trace), which
 // by construction equals evaluate_no_lppm's expose/protect set plus the
 // whole-trace mechanism-search winners. The check therefore gates the
-// *incremental* path (window folds, incremental profiles, staleness
-// short-cuts, recheck policy) against the one-shot path — the stream-smoke
-// CI gate. Exit 1 on any mismatch.
+// *incremental* path (window folds, held verdicts, recheck policy)
+// against the one-shot path — the stream-smoke CI gate. Exit 1 on any
+// mismatch.
 
 #include <chrono>
 #include <filesystem>
@@ -148,9 +148,6 @@ int cmd_replay(int argc, const char* const* argv, std::ostream& out,
   flags.add_int("loop-slack", 64,
                 "full re-decision every N folded events per user; held "
                 "verdicts between (0 = decide every event)");
-  flags.add_int("staleness", 0,
-                "points before the PIT/POI window profiles are recompiled "
-                "(0 = every decision; the AP heatmap is always exact)");
   flags.add_double("rate", 0.0,
                    "target ingest rate in events/second (0 = unpaced)");
   flags.add_bool("verify", true,
@@ -159,7 +156,7 @@ int cmd_replay(int argc, const char* const* argv, std::ostream& out,
                  "gate (skipped automatically for lossy window "
                  "configurations)");
   flags.add_string("checkpoint-dir", "",
-                   "directory for crash-consistent mood-snapshot/4 "
+                   "directory for crash-consistent mood-snapshot/5 "
                    "checkpoints (empty = checkpointing off)");
   flags.add_int("checkpoint-every", 0,
                 "write a checkpoint every N ingested events, at a quiesced "
@@ -237,8 +234,7 @@ int cmd_replay(int argc, const char* const* argv, std::ostream& out,
         std::to_string(stream::kMaxPendingPerShard));
   }
   if (flags.get_double("window-hours") < 0.0 || flags.get_int("max-points") < 0 ||
-      flags.get_int("max-users") < 0 || flags.get_int("staleness") < 0 ||
-      flags.get_double("rate") < 0.0) {
+      flags.get_int("max-users") < 0 || flags.get_double("rate") < 0.0) {
     throw support::UsageError(
         "mood replay: window/pacing knobs must be non-negative");
   }
@@ -350,8 +346,6 @@ int cmd_replay(int argc, const char* const* argv, std::ostream& out,
       static_cast<std::size_t>(flags.get_int("max-points"));
   stream_config.max_users_per_shard =
       static_cast<std::size_t>(flags.get_int("max-users"));
-  stream_config.staleness_points =
-      static_cast<std::size_t>(flags.get_int("staleness"));
   stream_config.resilience.on_bad_record = bad_record_policy;
   stream_config.resilience.max_pending_per_shard =
       static_cast<std::size_t>(flags.get_int("max-pending"));
