@@ -1,10 +1,12 @@
 #include "decision/mood_engine.h"
 
-#include <limits>
+#include <mutex>
+#include <utility>
 
 #include "attacks/pit_attack.h"
 #include "attacks/poi_attack.h"
 #include "support/error.h"
+#include "support/thread_pool.h"
 
 namespace mood::decision {
 
@@ -108,14 +110,49 @@ std::optional<MoodEngine::Candidate> MoodEngine::search(
   if (best) return best;
 
   // ---- Composition pass (lines 16-26) over C \ L.
-  for (const auto& composition : compositions_) {
-    auto outcome = try_mechanism(composition, trace, cost);
-    if (!outcome) continue;
-    if (!best || outcome->second < best->distortion) {
-      best = Candidate{composition.name(), ProtectionLevel::kComposition,
+  if (config_.first_hit) {  // ablation mode: stop at the first hit
+    for (const auto& composition : compositions_) {
+      auto outcome = try_mechanism(composition, trace, cost);
+      if (!outcome) continue;
+      return Candidate{composition.name(), ProtectionLevel::kComposition,
                        std::move(outcome->first), outcome->second};
     }
-    if (config_.first_hit) break;  // ablation mode: stop at the first hit
+    return std::nullopt;
+  }
+
+  // Each composition's output depends only on the trace and its own noise
+  // stream (rng_for), so the pass fans out over the shared pool. A failing
+  // output is dropped at once; a protecting one is merged into `best` by
+  // (distortion, position), which picks the serial strict-< scan's winner
+  // (the lowest position among equal minima) in any finishing order.
+  std::vector<std::pair<std::size_t, std::size_t>> costs(compositions_.size());
+  std::size_t best_position = 0;
+  std::mutex best_mutex;
+  support::parallel_for(compositions_.size(), [&](std::size_t i) {
+    const lppm::Composition& composition = compositions_[i];
+    ProtectionResult own;
+    auto outcome = try_mechanism(composition, trace, &own);
+    costs[i] = {own.lppm_applications, own.attack_invocations};
+    if (!outcome) return;
+    const double distortion = outcome->second;
+    std::optional<Candidate> displaced =
+        Candidate{composition.name(), ProtectionLevel::kComposition,
+                  std::move(outcome->first), distortion};
+    {
+      const std::lock_guard lock(best_mutex);
+      if (!best || distortion < best->distortion ||
+          (distortion == best->distortion && i < best_position)) {
+        best.swap(displaced);
+        best_position = i;
+      }
+    }
+    // `displaced` (the old best, or this output) is freed outside the lock.
+  });
+  if (cost != nullptr) {
+    for (const auto& [applications, invocations] : costs) {
+      cost->lppm_applications += applications;
+      cost->attack_invocations += invocations;
+    }
   }
   return best;
 }

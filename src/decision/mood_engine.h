@@ -16,7 +16,11 @@
 ///   4. otherwise erases the trace (it is counted as data loss).
 ///
 /// The engine is immutable and thread-safe after construction: callers
-/// typically fan protect() out across users with parallel_for.
+/// typically fan protect() out across users with parallel_for. search()
+/// itself fans its composition pass out over the shared pool; nested in
+/// such a per-user loop, that inner parallel_for runs serially on the
+/// calling thread (support/thread_pool.h), so only a search called from
+/// outside pool work (a gateway shard worker, a serial loop) spreads.
 
 #include <cstdint>
 #include <optional>
@@ -112,7 +116,11 @@ class MoodEngine {
 
   /// Runs the single-LPPM pass then the composition pass on one trace;
   /// no splitting. nullopt when nothing protects. `cost` (optional)
-  /// accumulates search-effort counters.
+  /// accumulates search-effort counters. The singles pass (and the whole
+  /// first_hit ablation) runs serially in order; the exhaustive composition
+  /// pass runs as a parallel_for over C \ L. Winner, output and counts
+  /// equal the serial scan's: lowest distortion, ties to the earliest
+  /// position.
   [[nodiscard]] std::optional<Candidate> search(
       const mobility::Trace& trace, ProtectionResult* cost = nullptr) const;
 

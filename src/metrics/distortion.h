@@ -49,6 +49,7 @@ class UtilityMetric {
   virtual ~UtilityMetric() = default;
 
   /// Distortion of `protected_trace` w.r.t. `original`; lower is better.
+  /// Never NaN (+inf is allowed): MooD's search ranks candidates by it.
   [[nodiscard]] virtual double distortion(
       const mobility::Trace& original,
       const mobility::Trace& protected_trace) const = 0;

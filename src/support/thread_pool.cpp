@@ -9,10 +9,21 @@
 namespace mood::support {
 
 namespace {
-// Set while a pool worker is executing a task; nested parallel_for calls
-// detect it and degrade to serial execution instead of deadlocking on the
-// shared pool.
-thread_local bool t_inside_pool_worker = false;
+// Set while a thread runs pool work: a worker executing a task, or a
+// parallel_for caller running its own share. Nested parallel_for calls
+// detect it and run serially on that thread, instead of queueing helper
+// tasks behind the outer loop's and blocking on them.
+thread_local bool t_inside_pool = false;
+
+// RAII keeps the flag correct on every exit path. packaged_task captures
+// exceptions into the future today, but nothing else should have to know
+// that for the flag to stay balanced.
+struct InsidePoolGuard {
+  InsidePoolGuard() { t_inside_pool = true; }
+  ~InsidePoolGuard() { t_inside_pool = false; }
+  InsidePoolGuard(const InsidePoolGuard&) = delete;
+  InsidePoolGuard& operator=(const InsidePoolGuard&) = delete;
+};
 
 // configure_shared() / shared() handshake: the requested size, and whether
 // the lazily-built shared pool already exists (after which reconfiguration
@@ -62,13 +73,7 @@ void ThreadPool::worker_loop() {
       task = std::move(queue_.front());
       queue_.pop();
     }
-    // RAII keeps the flag correct on every exit path. packaged_task
-    // captures exceptions into the future today, but nothing else should
-    // have to know that for the flag to stay balanced.
-    struct InsidePoolGuard {
-      InsidePoolGuard() { t_inside_pool_worker = true; }
-      ~InsidePoolGuard() { t_inside_pool_worker = false; }
-    } guard;
+    const InsidePoolGuard guard;
     task();  // exceptions propagate through the packaged_task's future
   }
 }
@@ -96,7 +101,7 @@ void parallel_for(std::size_t count,
   auto& pool = ThreadPool::shared();
   const std::size_t chunks =
       std::min((count + grain - 1) / grain, pool.size() + 1);
-  if (chunks <= 1 || t_inside_pool_worker) {
+  if (chunks <= 1 || t_inside_pool) {
     for (std::size_t i = 0; i < count; ++i) fn(i);
     return;
   }
@@ -129,7 +134,12 @@ void parallel_for(std::size_t count,
   for (std::size_t c = 0; c + 1 < chunks; ++c) {
     futures.push_back(pool.submit(body));
   }
-  body();  // the caller participates, guaranteeing forward progress
+  {
+    // The caller participates, guaranteeing forward progress; its share
+    // runs as pool work, so what it nests stays serial on this thread.
+    const InsidePoolGuard guard;
+    body();
+  }
   for (auto& f : futures) f.get();
   if (first_error) std::rethrow_exception(first_error);
 }

@@ -3,9 +3,16 @@
 /// \file thread_pool.h
 /// A fixed-size thread pool and a blocking parallel_for built on top of it.
 ///
-/// MooD's hot paths — training attacks across users and the per-user
-/// protection search — are embarrassingly parallel over immutable shared
-/// state, so a plain chunked parallel_for is all the machinery we need.
+/// MooD's hot paths — training attacks across users, the per-user
+/// protection search, and the candidates within one search — are
+/// embarrassingly parallel over immutable shared state, so a plain chunked
+/// parallel_for is all the machinery we need.
+///
+/// Nesting: a parallel_for runs serially on any thread that is already
+/// doing pool work, i.e. a pool worker or a parallel_for caller running
+/// its own share. So only the outermost loop fans out: a search nested in
+/// a per-user loop stays on its thread, while a search called from a plain
+/// std::thread (a gateway shard worker) spreads over the pool.
 
 #include <condition_variable>
 #include <cstddef>
@@ -63,8 +70,11 @@ class ThreadPool {
 };
 
 /// Runs fn(i) for every i in [0, count), chunked across the shared pool.
-/// Blocks until all iterations completed. Exceptions from iterations are
-/// rethrown (the first one encountered) after all chunks finish.
+/// The calling thread runs a share itself. Blocks until all iterations
+/// completed. Exceptions from iterations are rethrown (the first one
+/// encountered) after all chunks finish. Serial, in index order, when
+/// called from inside pool work (see the file comment) or when one chunk
+/// covers the range.
 ///
 /// fn must be safe to invoke concurrently for distinct i.
 void parallel_for(std::size_t count,

@@ -9,7 +9,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <string>
 #include <tuple>
@@ -23,6 +25,7 @@
 #include "decision/kernel.h"
 #include "metrics/distortion.h"
 #include "simulation/generator.h"
+#include "simulation/presets.h"
 #include "support/error.h"
 #include "support/logging.h"
 #include "support/thread_pool.h"
@@ -515,12 +518,16 @@ TEST_F(DecisionKernelTest, StepShedRunsNoLppmAndNoAttack) {
   EXPECT_GT(protected_users, 0u);
 }
 
-/// The batch evaluators fan MoodEngine::search out over the shared pool
-/// against one trained suite, so pool threads reach the POI and PIT scan
-/// counters, AP's posting buffers and the thread-local cell-count table
-/// (profiles::cell_counts) at once. Every search must answer as a serial
-/// one, and the attacks' counters must add up to the serial run's. The
-/// tsan preset runs this suite.
+/// MoodEngine::search runs on the shared pool two ways: the batch
+/// evaluators fan searches out across users (each search then runs
+/// serially on its pool thread), and a search called from outside pool
+/// work fans its own composition pass out. Either way pool threads reach
+/// the POI and PIT scan counters, AP's posting buffers and the
+/// thread-local cell-count table (profiles::cell_counts) at once. The
+/// serial reference runs the whole loop inside one pool task, where every
+/// nested parallel_for is serial; both parallel arms must answer as it
+/// does, and the attacks' counters must add up to its. The tsan preset
+/// runs this suite.
 class SearchConcurrency : public DecisionKernelTest {};
 
 TEST_F(SearchConcurrency, ParallelSearchesMatchASerialRun) {
@@ -540,23 +547,142 @@ TEST_F(SearchConcurrency, ParallelSearchesMatchASerialRun) {
                            candidate ? candidate->distortion : 0.0,
                            cost.lppm_applications, cost.attack_invocations);
   };
+  using Results = std::vector<decltype(run(0))>;
+
   const std::vector<std::uint64_t> start = work();
-  std::vector<decltype(run(0))> serial;
-  for (std::size_t i = 0; i < pairs.size(); ++i) serial.push_back(run(i));
+  Results serial;
+  support::ThreadPool::shared()
+      .submit([&] {
+        for (std::size_t i = 0; i < pairs.size(); ++i) {
+          serial.push_back(run(i));
+        }
+      })
+      .get();
   const std::vector<std::uint64_t> after_serial = work();
 
-  std::vector<decltype(run(0))> parallel(pairs.size());
+  Results across_users(pairs.size());
   support::parallel_for(pairs.size(),
-                        [&](std::size_t i) { parallel[i] = run(i); });
-  const std::vector<std::uint64_t> after_parallel = work();
+                        [&](std::size_t i) { across_users[i] = run(i); });
+  const std::vector<std::uint64_t> after_across = work();
+
+  Results within_search;
   for (std::size_t i = 0; i < pairs.size(); ++i) {
-    EXPECT_EQ(parallel[i], serial[i]) << pairs[i].test.user();
+    within_search.push_back(run(i));
+  }
+  const std::vector<std::uint64_t> after_within = work();
+
+  ASSERT_EQ(serial.size(), pairs.size());
+  for (std::size_t i = 0; i < pairs.size(); ++i) {
+    EXPECT_EQ(across_users[i], serial[i]) << pairs[i].test.user();
+    EXPECT_EQ(within_search[i], serial[i]) << pairs[i].test.user();
   }
   for (std::size_t a = 0; a < start.size(); ++a) {
-    EXPECT_EQ(after_parallel[a] - after_serial[a], after_serial[a] - start[a])
+    const std::uint64_t reference = after_serial[a] - start[a];
+    EXPECT_GT(reference, 0u) << engine.attacks()[a]->name();
+    EXPECT_EQ(after_across[a] - after_serial[a], reference)
         << engine.attacks()[a]->name();
-    EXPECT_GT(after_serial[a], start[a]) << engine.attacks()[a]->name();
+    EXPECT_EQ(after_within[a] - after_across[a], reference)
+        << engine.attacks()[a]->name();
   }
+}
+
+/// The serial reference for MoodEngine::search: every single, then (only
+/// if none protects) every composition, each asked through recheck() in
+/// the engine's position order, keeping the strict-< minimum. search()
+/// fans its composition pass out over the shared pool; it must still pick
+/// this scan's winner, with the same output, distortion bits and cost.
+/// Runs on the PrivaMov preset, on whole test traces and on prefixes.
+class SearchOracle : public ::testing::Test {
+ protected:
+  static void SetUpTestSuite() {
+    support::set_log_level(support::LogLevel::kWarn);
+    core::ExperimentConfig config;
+    config.min_records = 8;
+    harness_ = new core::ExperimentHarness(
+        simulation::make_preset_dataset("privamov", 0.05, 11), config,
+        /*seed=*/7);
+  }
+  static void TearDownTestSuite() {
+    delete harness_;
+    harness_ = nullptr;
+  }
+
+  struct Scan {
+    std::optional<MoodEngine::Candidate> best;
+    ProtectionResult cost;
+  };
+
+  static Scan serial_scan(const MoodEngine& engine,
+                          const mobility::Trace& trace) {
+    std::vector<std::string> singles;
+    for (const auto* single : harness_->registry().singles()) {
+      singles.push_back(single->name());
+    }
+    std::vector<std::string> compositions;
+    for (const auto& composition : harness_->registry().multi_compositions()) {
+      compositions.push_back(composition.name());
+    }
+    Scan scan;
+    for (const auto* phase : {&singles, &compositions}) {
+      for (const std::string& name : *phase) {
+        auto candidate = engine.recheck(name, trace, &scan.cost);
+        if (candidate &&
+            (!scan.best || candidate->distortion < scan.best->distortion)) {
+          scan.best = std::move(candidate);
+        }
+      }
+      if (scan.best) break;  // compositions run only when no single protects
+    }
+    return scan;
+  }
+
+  static core::ExperimentHarness* harness_;
+};
+
+core::ExperimentHarness* SearchOracle::harness_ = nullptr;
+
+TEST_F(SearchOracle, SearchMatchesTheSerialScan) {
+  const MoodEngine engine = harness_->make_engine();
+  std::size_t traces = 0;
+  std::size_t composition_passes = 0;  // no single protected
+  std::size_t composition_wins = 0;
+  for (const auto& pair : harness_->pairs()) {
+    const auto& records = pair.test.records();
+    for (const std::size_t size :
+         {records.size(), records.size() / 2, records.size() / 4}) {
+      if (size < 8) continue;
+      const mobility::Trace trace(
+          pair.test.user(),
+          std::vector<mobility::Record>(records.begin(),
+                                        records.begin() + size));
+      const std::string label =
+          pair.test.user() + " first " + std::to_string(size);
+      const Scan expected = serial_scan(engine, trace);
+      ProtectionResult cost;
+      const auto actual = engine.search(trace, &cost);
+      ++traces;
+      EXPECT_EQ(cost.lppm_applications, expected.cost.lppm_applications)
+          << label;
+      EXPECT_EQ(cost.attack_invocations, expected.cost.attack_invocations)
+          << label;
+      if (cost.lppm_applications > harness_->registry().singles().size()) {
+        ++composition_passes;
+      }
+      ASSERT_EQ(actual.has_value(), expected.best.has_value()) << label;
+      if (!actual) continue;
+      EXPECT_EQ(actual->lppm, expected.best->lppm) << label;
+      EXPECT_EQ(actual->level, expected.best->level) << label;
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(actual->distortion),
+                std::bit_cast<std::uint64_t>(expected.best->distortion))
+          << label;
+      EXPECT_EQ(actual->output, expected.best->output) << label;
+      if (actual->level == ProtectionLevel::kComposition) ++composition_wins;
+    }
+  }
+  // Not vacuous: composition passes ran, and some found a winner.
+  EXPECT_GT(traces, harness_->pairs().size());
+  EXPECT_GT(composition_passes, 0u);
+  EXPECT_GT(composition_wins, 0u);
 }
 
 }  // namespace

@@ -9,8 +9,10 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cmath>
 #include <set>
+#include <thread>
 
 #include "decision/mood_engine.h"
 #include "lppm/composition.h"
@@ -104,8 +106,65 @@ TEST_F(EngineTest, CompositionPassRunsOnlyWhenSinglesFail) {
   ASSERT_TRUE(candidate.has_value());
   EXPECT_EQ(candidate->level, ProtectionLevel::kComposition);
   EXPECT_NEAR(candidate->distortion, 210.0, 1.0);
-  // A+C or C+A — both shift 210 m; selection keeps the first minimum found.
-  EXPECT_TRUE(candidate->lppm == "A+C" || candidate->lppm == "C+A");
+  // A+C and C+A tie to the bit (both shift 210 m). The serial scan keeps
+  // the first of equal minima: A+C, at position 1 of C \ L (C+A is 4).
+  const auto a_c = engine.recheck("A+C", day_trace());
+  const auto c_a = engine.recheck("C+A", day_trace());
+  ASSERT_TRUE(a_c && c_a);
+  ASSERT_EQ(a_c->distortion, c_a->distortion);
+  EXPECT_EQ(candidate->lppm, "A+C");
+}
+
+/// ShiftLppm that sleeps before it shifts, so the composition pass's task
+/// applying it finishes after its peers. It waits on no other task, so a
+/// one-worker pool cannot hang on it.
+class SlowShiftLppm final : public lppm::Lppm {
+ public:
+  SlowShiftLppm(std::string name, double north_m)
+      : shift_(std::move(name), north_m) {}
+  [[nodiscard]] std::string name() const override { return shift_.name(); }
+  [[nodiscard]] Trace apply(const Trace& trace,
+                            support::RngStream rng) const override {
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    return shift_.apply(trace, rng);
+  }
+
+ private:
+  ShiftLppm shift_;
+};
+
+TEST_F(EngineTest, CompositionTieGoesToTheLowerPositionInAnyFinishOrder) {
+  // S and F both shift 60 m, so S+C and F+C produce the same output and
+  // tie to the bit; only S is slow. Whether the lower position finishes
+  // last (S+C first) or first (F+C first), it wins, as in a serial scan.
+  FakeAttack attack("fake", catches_below(200.0));
+  const std::vector<const attacks::Attack*> attacks{&attack};
+  SlowShiftLppm slow("S", 60.0);
+  ShiftLppm fast("F", 60.0);
+  using Stages = std::vector<const lppm::Lppm*>;
+  for (const bool slow_first : {true, false}) {
+    const Stages low = slow_first ? Stages{&slow, &c_} : Stages{&fast, &c_};
+    const Stages high = slow_first ? Stages{&fast, &c_} : Stages{&slow, &c_};
+    // Two failing compositions first, so the tie sits mid-pass.
+    const MoodEngine engine(
+        singles_,
+        {lppm::Composition({&a_, &b_}), lppm::Composition({&b_, &a_}),
+         lppm::Composition(low), lppm::Composition(high)},
+        attacks, &metric_, {});
+    const auto expected = engine.recheck(lppm::Composition(low).name(),
+                                         day_trace());
+    const auto other = engine.recheck(lppm::Composition(high).name(),
+                                      day_trace());
+    ASSERT_TRUE(expected && other);
+    ASSERT_EQ(expected->distortion, other->distortion);
+    ProtectionResult cost;
+    const auto candidate = engine.search(day_trace(), &cost);
+    ASSERT_TRUE(candidate.has_value());
+    EXPECT_EQ(candidate->lppm, expected->lppm) << "slow first: " << slow_first;
+    EXPECT_EQ(candidate->output, expected->output);
+    EXPECT_EQ(cost.lppm_applications, 3u + 4u);
+    EXPECT_EQ(cost.attack_invocations, 3u + 4u);
+  }
 }
 
 TEST_F(EngineTest, MultipleAttacksMustAllFail) {

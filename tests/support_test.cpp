@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <set>
 #include <sstream>
@@ -487,6 +488,37 @@ TEST(ParallelFor, NestedCallsDegradeGracefully) {
     parallel_for(8, [&](std::size_t) { counter++; });
   });
   EXPECT_EQ(counter.load(), 64);
+}
+
+TEST(ParallelFor, CallerIterationsNestSerially) {
+  // The caller runs a share of the outer loop as pool work: a parallel_for
+  // nested in one of its iterations stays on its thread, as one nested in
+  // a worker's does, instead of queueing helpers behind the outer loop.
+  // Workers' outer iterations are short, so they soon run out of outer work
+  // and would take any helper task the caller's nested loop queued. The
+  // sleeps wait on no other task.
+  const std::thread::id caller = std::this_thread::get_id();
+  const std::size_t outer = 4 * (ThreadPool::shared().size() + 1);
+  std::atomic<int> caller_iterations{0};
+  std::atomic<int> strays{0};
+  // The caller almost always takes an outer index before the woken workers
+  // drain them all; retry the rare run where it took none.
+  for (int attempt = 0; attempt < 10 && caller_iterations.load() == 0;
+       ++attempt) {
+    parallel_for(outer, [&](std::size_t) {
+      if (std::this_thread::get_id() != caller) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        return;
+      }
+      caller_iterations++;
+      parallel_for(8, [&](std::size_t) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(2));
+        if (std::this_thread::get_id() != caller) strays++;
+      });
+    });
+  }
+  EXPECT_GT(caller_iterations.load(), 0);
+  EXPECT_EQ(strays.load(), 0);
 }
 
 TEST(ParallelFor, RespectsGrainParameter) {
