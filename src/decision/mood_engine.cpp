@@ -1,5 +1,7 @@
 #include "decision/mood_engine.h"
 
+#include <algorithm>
+#include <map>
 #include <mutex>
 #include <utility>
 
@@ -64,23 +66,53 @@ MoodEngine::MoodEngine(std::vector<const lppm::Lppm*> singles,
       stay_params = stays;
     }
   }
+
+  // The prefix tree of C \ L, keyed by stage sequence. A single the
+  // singles pass applies is a length-1 node the composition pass reads.
+  std::map<std::vector<const lppm::Lppm*>, std::size_t> node_of;
+  single_nodes_.assign(singles_.size(), kNoNode);
+  for (std::size_t p = 0; p < compositions_.size(); ++p) {
+    const lppm::Composition& composition = compositions_[p];
+    support::expects(composition.length() >= 2,
+                     "MoodEngine: composition '" + composition.name() +
+                         "' has fewer than two stages");
+    const auto& stages = composition.stages();
+    std::size_t parent = kNoNode;
+    for (std::size_t length = 1; length <= stages.size(); ++length) {
+      const std::vector<const lppm::Lppm*> key(stages.begin(),
+                                               stages.begin() + length);
+      auto [it, added] = node_of.try_emplace(key, nodes_.size());
+      if (added) {
+        nodes_.push_back(PrefixNode{&composition, length, parent});
+        if (levels_.size() < length) levels_.resize(length);
+        const auto single = std::find(singles_.begin(), singles_.end(),
+                                      stages.front());
+        if (length == 1 && single != singles_.end()) {
+          single_nodes_[single - singles_.begin()] = it->second;
+        } else {
+          levels_[length - 1].push_back(it->second);
+        }
+      }
+      if (parent != kNoNode) nodes_[parent].extended = true;
+      parent = it->second;
+    }
+    support::expects(nodes_[parent].position == kNoNode,
+                     "MoodEngine: composition '" + composition.name() +
+                         "' is listed twice");
+    nodes_[parent].position = p;
+  }
 }
 
-support::RngStream MoodEngine::rng_for(const mobility::Trace& trace,
-                                       const std::string& lppm_name) const {
-  // Keyed by owner, mechanism and the sub-trace's start time, so that every
-  // (user, mechanism, sub-trace) triple draws an independent — yet fully
-  // reproducible — noise stream regardless of evaluation order.
-  const mobility::Timestamp t0 = trace.empty() ? 0 : trace.front().time;
-  return support::RngStream(config_.seed)
-      .fork(trace.user())
-      .fork(lppm_name, static_cast<std::uint64_t>(t0));
+support::RngStream MoodEngine::owner_stream(
+    const mobility::Trace& trace) const {
+  // Every (user, mechanism prefix, sub-trace start) draws an independent —
+  // yet fully reproducible — noise stream regardless of evaluation order.
+  return support::RngStream(config_.seed).fork(trace.user());
 }
 
-std::optional<std::pair<mobility::Trace, double>> MoodEngine::try_mechanism(
-    const lppm::Lppm& mechanism, const mobility::Trace& trace,
-    ProtectionResult* cost) const {
-  mobility::Trace output = mechanism.apply(trace, rng_for(trace, mechanism.name()));
+std::optional<double> MoodEngine::price(const mobility::Trace& trace,
+                                        const mobility::Trace& output,
+                                        ProtectionResult* cost) const {
   if (cost != nullptr) ++cost->lppm_applications;
   // Algorithm 1 lines 8-10: walk the attacks until one re-identifies.
   // They all read one candidate, so POI and PIT share one stay extraction.
@@ -89,22 +121,43 @@ std::optional<std::pair<mobility::Trace, double>> MoodEngine::try_mechanism(
           cost != nullptr ? &cost->attack_invocations : nullptr)) {
     return std::nullopt;  // this mechanism failed
   }
-  const double distortion = metric_->distortion(trace, output);
-  return std::make_pair(std::move(output), distortion);
+  return metric_->distortion(trace, output);
+}
+
+std::optional<MoodEngine::Candidate> MoodEngine::try_mechanism(
+    const lppm::Lppm& mechanism, ProtectionLevel level,
+    const mobility::Trace& trace, ProtectionResult* cost) const {
+  mobility::Trace output =
+      lppm::apply_keyed(mechanism, trace, owner_stream(trace));
+  const std::optional<double> distortion = price(trace, output, cost);
+  if (!distortion) return std::nullopt;
+  return Candidate{mechanism.name(), level, std::move(output), *distortion};
 }
 
 std::optional<MoodEngine::Candidate> MoodEngine::search(
     const mobility::Trace& trace, ProtectionResult* cost) const {
   if (trace.empty()) return std::nullopt;
+  const support::RngStream owner = owner_stream(trace);
+  // Prefix-tree outputs by node. A level's outputs are freed once the next
+  // level has read them.
+  std::vector<mobility::Trace> outputs(nodes_.size());
 
-  // ---- Single-LPPM pass (lines 4-14): keep the argmin-STD winner.
+  // ---- Single-LPPM pass (lines 4-14): keep the argmin-STD winner. A
+  // failing single the composition pass extends keeps its output.
   std::optional<Candidate> best;
-  for (const auto* single : singles_) {
-    auto outcome = try_mechanism(*single, trace, cost);
-    if (!outcome) continue;
-    if (!best || outcome->second < best->distortion) {
-      best = Candidate{single->name(), ProtectionLevel::kSingle,
-                       std::move(outcome->first), outcome->second};
+  for (std::size_t s = 0; s < singles_.size(); ++s) {
+    const lppm::Lppm& single = *singles_[s];
+    mobility::Trace output = lppm::apply_keyed(single, trace, owner);
+    const std::optional<double> distortion = price(trace, output, cost);
+    if (!distortion) {
+      if (single_nodes_[s] != kNoNode) {
+        outputs[single_nodes_[s]] = std::move(output);
+      }
+      continue;
+    }
+    if (!best || *distortion < best->distortion) {
+      best = Candidate{single.name(), ProtectionLevel::kSingle,
+                       std::move(output), *distortion};
     }
   }
   if (best) return best;
@@ -112,42 +165,59 @@ std::optional<MoodEngine::Candidate> MoodEngine::search(
   // ---- Composition pass (lines 16-26) over C \ L.
   if (config_.first_hit) {  // ablation mode: stop at the first hit
     for (const auto& composition : compositions_) {
-      auto outcome = try_mechanism(composition, trace, cost);
-      if (!outcome) continue;
-      return Candidate{composition.name(), ProtectionLevel::kComposition,
-                       std::move(outcome->first), outcome->second};
+      if (auto hit = try_mechanism(composition, ProtectionLevel::kComposition,
+                                   trace, cost)) {
+        return hit;
+      }
     }
     return std::nullopt;
   }
 
-  // Each composition's output depends only on the trace and its own noise
-  // stream (rng_for), so the pass fans out over the shared pool. A failing
-  // output is dropped at once; a protecting one is merged into `best` by
-  // (distortion, position), which picks the serial strict-< scan's winner
-  // (the lowest position among equal minima) in any finishing order.
+  // Level by level over the prefix tree: a node's output depends only on
+  // its prefix's output and its own stage stream, so each level fans out
+  // over the shared pool. A failing candidate is dropped at once; a
+  // protecting one is merged into `best` by (distortion, position), which
+  // picks the serial strict-< scan's winner (the lowest position among
+  // equal minima) in any finishing order.
   std::vector<std::pair<std::size_t, std::size_t>> costs(compositions_.size());
   std::size_t best_position = 0;
   std::mutex best_mutex;
-  support::parallel_for(compositions_.size(), [&](std::size_t i) {
-    const lppm::Composition& composition = compositions_[i];
-    ProtectionResult own;
-    auto outcome = try_mechanism(composition, trace, &own);
-    costs[i] = {own.lppm_applications, own.attack_invocations};
-    if (!outcome) return;
-    const double distortion = outcome->second;
-    std::optional<Candidate> displaced =
-        Candidate{composition.name(), ProtectionLevel::kComposition,
-                  std::move(outcome->first), distortion};
-    {
-      const std::lock_guard lock(best_mutex);
-      if (!best || distortion < best->distortion ||
-          (distortion == best->distortion && i < best_position)) {
-        best.swap(displaced);
-        best_position = i;
+  for (const std::vector<std::size_t>& level : levels_) {
+    support::parallel_for(level.size(), [&](std::size_t j) {
+      const PrefixNode& node = nodes_[level[j]];
+      const mobility::Trace& previous =
+          node.parent == kNoNode ? trace : outputs[node.parent];
+      mobility::Trace output = node.composition->apply_stage(
+          node.length - 1, previous, trace, owner);
+      if (node.position != kNoNode) {
+        ProtectionResult own;
+        const std::optional<double> distortion = price(trace, output, &own);
+        costs[node.position] = {own.lppm_applications, own.attack_invocations};
+        if (distortion) {
+          std::optional<Candidate> displaced = Candidate{
+              node.composition->prefix_name(node.length),
+              ProtectionLevel::kComposition,
+              node.extended ? output : std::move(output), *distortion};
+          {
+            const std::lock_guard lock(best_mutex);
+            if (!best || *distortion < best->distortion ||
+                (*distortion == best->distortion &&
+                 node.position < best_position)) {
+              best.swap(displaced);
+              best_position = node.position;
+            }
+          }
+          // `displaced` (the old best, or this output) is freed outside the
+          // lock.
+        }
       }
+      if (node.extended) outputs[level[j]] = std::move(output);
+    });
+    // This level's parents are read by no later level.
+    for (const std::size_t id : level) {
+      if (nodes_[id].parent != kNoNode) outputs[nodes_[id].parent] = {};
     }
-    // `displaced` (the old best, or this output) is freed outside the lock.
-  });
+  }
   if (cost != nullptr) {
     for (const auto& [applications, invocations] : costs) {
       cost->lppm_applications += applications;
@@ -162,18 +232,15 @@ std::optional<MoodEngine::Candidate> MoodEngine::recheck(
     ProtectionResult* cost) const {
   if (trace.empty()) return std::nullopt;
   for (const auto* single : singles_) {
-    if (single->name() != lppm_name) continue;
-    auto outcome = try_mechanism(*single, trace, cost);
-    if (!outcome) return std::nullopt;
-    return Candidate{single->name(), ProtectionLevel::kSingle,
-                     std::move(outcome->first), outcome->second};
+    if (single->name() == lppm_name) {
+      return try_mechanism(*single, ProtectionLevel::kSingle, trace, cost);
+    }
   }
   for (const auto& composition : compositions_) {
-    if (composition.name() != lppm_name) continue;
-    auto outcome = try_mechanism(composition, trace, cost);
-    if (!outcome) return std::nullopt;
-    return Candidate{composition.name(), ProtectionLevel::kComposition,
-                     std::move(outcome->first), outcome->second};
+    if (composition.name() == lppm_name) {
+      return try_mechanism(composition, ProtectionLevel::kComposition, trace,
+                           cost);
+    }
   }
   throw support::PreconditionError("MoodEngine::recheck: unknown mechanism '" +
                                    lppm_name + "'");

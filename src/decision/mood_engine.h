@@ -98,9 +98,10 @@ class MoodEngine {
  public:
   /// All pointers are non-owning and must outlive the engine. `attacks`
   /// must already be trained. `compositions` is C \ L (the engine runs the
-  /// single pass from `singles` itself). One candidate serves every attack
-  /// (attacks::Candidate), so throws PreconditionError when POI and PIT
-  /// attacks cluster stays with different params.
+  /// single pass from `singles` itself): each has at least two stages and
+  /// none is listed twice, else PreconditionError. One candidate serves
+  /// every attack (attacks::Candidate), so throws PreconditionError when
+  /// POI and PIT attacks cluster stays with different params.
   MoodEngine(std::vector<const lppm::Lppm*> singles,
              std::vector<lppm::Composition> compositions,
              std::vector<const attacks::Attack*> attacks,
@@ -116,11 +117,19 @@ class MoodEngine {
 
   /// Runs the single-LPPM pass then the composition pass on one trace;
   /// no splitting. nullopt when nothing protects. `cost` (optional)
-  /// accumulates search-effort counters. The singles pass (and the whole
-  /// first_hit ablation) runs serially in order; the exhaustive composition
-  /// pass runs as a parallel_for over C \ L. Winner, output and counts
-  /// equal the serial scan's: lowest distortion, ties to the earliest
-  /// position.
+  /// accumulates search-effort counters: lppm_applications counts the
+  /// candidates priced (one per single or composition), not stages.
+  ///
+  /// The singles pass (and the whole first_hit ablation) runs serially in
+  /// order. The exhaustive composition pass walks the prefix tree of C \ L
+  /// level by level (lppm/composition.h, Eq. 3 keying): each level is one
+  /// parallel_for whose nodes apply their last stage to their prefix's
+  /// output, so every node is applied once: 15 stages for three singles,
+  /// where applying each candidate from the trace would take 33. A prefix that is not itself a candidate (a list that is not
+  /// prefix-closed) is applied on demand in its level but not priced. Only
+  /// the outputs the next level reads, plus the current best, stay alive.
+  /// Winner, output and counts equal a serial recheck() scan's: lowest
+  /// distortion, ties to the earliest position in C \ L.
   [[nodiscard]] std::optional<Candidate> search(
       const mobility::Trace& trace, ProtectionResult* cost = nullptr) const;
 
@@ -136,11 +145,11 @@ class MoodEngine {
   /// Re-applies a previously selected mechanism (single or composition, by
   /// name) to `trace` and tests it against every attack — the streaming
   /// gateway's cheap "does the current choice still protect the grown
-  /// window?" check, one LPPM application instead of a full search().
-  /// The output is identical to what search() would produce for that
-  /// mechanism (same deterministic noise stream). nullopt when the
-  /// mechanism no longer protects; throws PreconditionError for names the
-  /// engine does not know.
+  /// window?" check. A composition is applied stage by stage from the
+  /// trace (lppm::apply_keyed), with the streams search() gives its prefix
+  /// tree's nodes, so the output is bit-identical to the one search()
+  /// prices for that mechanism. nullopt when the mechanism no longer
+  /// protects; throws PreconditionError for names the engine does not know.
   [[nodiscard]] std::optional<Candidate> recheck(
       const std::string& lppm_name, const mobility::Trace& trace,
       ProtectionResult* cost = nullptr) const;
@@ -158,24 +167,51 @@ class MoodEngine {
   }
 
  private:
-  /// Applies one mechanism and tests it against every attack (early exit on
-  /// the first successful re-identification, as in Algorithm 1's while
-  /// loop). Returns the protective output and its distortion, or nullopt.
-  [[nodiscard]] std::optional<std::pair<mobility::Trace, double>> try_mechanism(
-      const lppm::Lppm& mechanism, const mobility::Trace& trace,
-      ProtectionResult* cost) const;
+  static constexpr std::size_t kNoNode = static_cast<std::size_t>(-1);
+
+  /// One node of the prefix tree over `compositions_`: the first `length`
+  /// stages of `composition`, the first composition listed with that
+  /// prefix (which may extend it). search() applies each node once.
+  struct PrefixNode {
+    const lppm::Composition* composition = nullptr;
+    std::size_t length = 0;
+    std::size_t parent = kNoNode;    ///< node of the first length-1 stages
+    std::size_t position = kNoNode;  ///< index in compositions_ if priced
+    bool extended = false;           ///< a longer node reads its output
+  };
+
+  /// Tests one output against every attack (early exit on the first
+  /// successful re-identification, as in Algorithm 1's while loop) and
+  /// counts one LPPM application. Returns its distortion if it protects.
+  [[nodiscard]] std::optional<double> price(const mobility::Trace& trace,
+                                            const mobility::Trace& output,
+                                            ProtectionResult* cost) const;
+
+  /// apply_keyed + price, for the serial paths (first_hit, recheck).
+  [[nodiscard]] std::optional<Candidate> try_mechanism(
+      const lppm::Lppm& mechanism, ProtectionLevel level,
+      const mobility::Trace& trace, ProtectionResult* cost) const;
 
   void protect_recursive(const mobility::Trace& trace,
                          ProtectionResult& result) const;
 
-  [[nodiscard]] support::RngStream rng_for(const mobility::Trace& trace,
-                                           const std::string& lppm_name) const;
+  /// The per-user stream every stage stream is forked from
+  /// (lppm::stage_stream adds the mechanism prefix and start time).
+  [[nodiscard]] support::RngStream owner_stream(
+      const mobility::Trace& trace) const;
 
   std::vector<const lppm::Lppm*> singles_;
   std::vector<lppm::Composition> compositions_;
   std::vector<const attacks::Attack*> attacks_;
   const metrics::UtilityMetric* metric_;
   MoodConfig config_;
+  std::vector<PrefixNode> nodes_;
+  /// Node of each single the composition pass extends, else kNoNode.
+  std::vector<std::size_t> single_nodes_;
+  /// levels_[k]: the nodes of length k+1 the composition pass applies in
+  /// its k-th parallel_for (length-1 nodes the singles pass applied are
+  /// left out).
+  std::vector<std::vector<std::size_t>> levels_;
 };
 
 /// Renames every piece to "<owner>#<index>" — the renew_Ids step of

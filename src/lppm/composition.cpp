@@ -6,30 +6,49 @@
 
 namespace mood::lppm {
 
+support::RngStream stage_stream(const support::RngStream& owner,
+                                const mobility::Trace& input,
+                                std::string_view prefix) {
+  const mobility::Timestamp t0 = input.empty() ? 0 : input.front().time;
+  return owner.fork(prefix, static_cast<std::uint64_t>(t0));
+}
+
 Composition::Composition(std::vector<const Lppm*> stages)
     : stages_(std::move(stages)) {
   support::expects(!stages_.empty(), "Composition: needs at least one stage");
+  std::string prefix;
   for (const Lppm* stage : stages_) {
     support::expects(stage != nullptr, "Composition: null stage");
-  }
-  for (std::size_t i = 0; i < stages_.size(); ++i) {
-    if (i > 0) name_ += '+';
-    name_ += stages_[i]->name();
+    if (!prefix.empty()) prefix += '+';
+    prefix += stage->name();
+    prefix_names_.push_back(prefix);
   }
 }
 
 mobility::Trace Composition::apply(const mobility::Trace& trace,
                                    support::RngStream rng) const {
-  // Each stage gets an independent deterministic stream so that the same
-  // stage at the same position always draws the same noise. The first
-  // stage reads the input directly — copying it first would clone the
-  // whole record vector just to throw it away.
-  mobility::Trace current =
-      stages_.front()->apply(trace, rng.fork(stages_.front()->name(), 0));
+  // The first stage reads the input directly — copying it first would
+  // clone the whole record vector just to throw it away.
+  mobility::Trace current = apply_stage(0, trace, trace, rng);
   for (std::size_t i = 1; i < stages_.size(); ++i) {
-    current = stages_[i]->apply(current, rng.fork(stages_[i]->name(), i));
+    current = apply_stage(i, current, trace, rng);
   }
   return current;
+}
+
+mobility::Trace Composition::apply_stage(
+    std::size_t i, const mobility::Trace& previous,
+    const mobility::Trace& input, const support::RngStream& owner) const {
+  return stages_.at(i)->apply(previous,
+                              stage_stream(owner, input, prefix_name(i + 1)));
+}
+
+mobility::Trace apply_keyed(const Lppm& mechanism, const mobility::Trace& input,
+                            const support::RngStream& owner) {
+  if (const auto* composition = dynamic_cast<const Composition*>(&mechanism)) {
+    return composition->apply(input, owner);
+  }
+  return mechanism.apply(input, stage_stream(owner, input, mechanism.name()));
 }
 
 namespace {

@@ -123,7 +123,7 @@ inline constexpr const char* kResultSchema = "mood-result/1";
 ///                     "resume_events": 0,    // this process's checkpoint
 ///                     "quarantined_snapshots": 0},  // corrupt snapshot
 ///                          // files renamed aside during restore
-///                          // activity (mood-snapshot/5 files written /
+///                          // activity (mood-snapshot/6 files written /
 ///                          // the restore position) — deliberately
 ///                          // outside "cost": a restored run's per_user +
 ///                          // cost + decisions are bit-identical to the

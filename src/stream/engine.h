@@ -152,7 +152,7 @@ struct StreamStatField {
 };
 
 /// Every StreamStats counter in declaration order, which is also the order
-/// of the mood-snapshot/5 STATS section. Drives stats() continuation, the
+/// of the mood-snapshot/6 STATS section. Drives stats() continuation, the
 /// mood_gateway_* mirror gauges and the snapshot codec.
 inline constexpr StreamStatField kStreamStatFields[] = {
     {&StreamStats::events, "mood_gateway_events", true},
@@ -324,7 +324,7 @@ class StreamEngine {
 
   // ---- Checkpoint / restore ------------------------------------------
   /// Enables periodic crash-consistent snapshots (see snapshot.h for the
-  /// mood-snapshot/5 format and the write protocol). `context` is the
+  /// mood-snapshot/6 format and the write protocol). `context` is the
   /// identity fingerprint embedded in every snapshot.
   void configure_checkpoints(CheckpointPolicy policy, SnapshotContext context);
 

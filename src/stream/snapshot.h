@@ -1,7 +1,7 @@
 #pragma once
 
 /// \file snapshot.h
-/// mood-snapshot/5 — the gateway's versioned checkpoint format, and the
+/// mood-snapshot/6 — the gateway's versioned checkpoint format, and the
 /// crash-consistent file protocol around it.
 ///
 /// A deployed gateway (the paper's pitch) must survive restarts without
@@ -17,11 +17,13 @@
 /// ## File layout (little-endian throughout)
 ///
 ///   offset 0   magic   "MOODSNAP"            (8 bytes)
-///          8   u32     version (= 5; version 1 carried the retired
+///          8   u32     version (= 6; version 1 carried the retired
 ///                      micro-batch engine's fields, version 2 the
 ///                      retired recheck cadence, version 3 the compiled
 ///                      heatmap counts and PIT/POI forms, version 4 the
-///                      stay tracker and the staleness bound; all are
+///                      stay tracker and the staleness bound, version 5
+///                      this layout with winners chosen under the
+///                      retired whole-name composition noise; all are
 ///                      refused)
 ///         12   u32     section count (= 3)
 ///         16   sections, each:
@@ -99,7 +101,7 @@ class SnapshotError : public support::UsageError {
 
 inline constexpr char kSnapshotMagic[8] = {'M', 'O', 'O', 'D',
                                            'S', 'N', 'A', 'P'};
-inline constexpr std::uint32_t kSnapshotVersion = 5;
+inline constexpr std::uint32_t kSnapshotVersion = 6;
 inline constexpr const char* kSnapshotSuffix = ".moodsnap";
 
 /// Captured state of one resident user — a plain-value mirror of
@@ -129,7 +131,7 @@ struct UserSnapshot {
   mobility::Timestamp last_time = 0;    ///< newest admitted timestamp
 };
 
-/// One decoded (or to-be-encoded) mood-snapshot/5 document.
+/// One decoded (or to-be-encoded) mood-snapshot/6 document.
 struct SnapshotData {
   SnapshotContext context;  ///< three of its four fields are encoded
   StreamConfig config;  ///< window-knob subset is fingerprinted

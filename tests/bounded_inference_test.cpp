@@ -8,11 +8,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <functional>
 #include <limits>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -23,6 +25,7 @@
 #include "attacks/suite.h"
 #include "core/experiment.h"
 #include "geo/cell_grid.h"
+#include "lppm/composition.h"
 #include "profiles/heatmap.h"
 #include "profiles/markov_profile.h"
 #include "profiles/poi_profile.h"
@@ -618,12 +621,11 @@ TEST(OneCompiledCandidate, EverySearchedOutputMatchesTheLegacyOracle) {
     const Trace& trace = pair.test;
     const mobility::UserId& owner = trace.user();
     for (const lppm::Lppm* mechanism : mechanisms) {
-      // MoodEngine's noise stream for (owner, mechanism, start time).
-      const Trace output = mechanism->apply(
-          trace, support::RngStream(engine.config().seed)
-                     .fork(owner)
-                     .fork(mechanism->name(),
-                           static_cast<std::uint64_t>(trace.front().time)));
+      // MoodEngine's noise streams: the owner's, keyed per stage by
+      // (mechanism prefix, start time).
+      const Trace output = lppm::apply_keyed(
+          *mechanism, trace,
+          support::RngStream(engine.config().seed).fork(owner));
       const std::string label = mechanism->name() + " on " + owner;
       if (const auto kept = engine.recheck(mechanism->name(), trace)) {
         // Pins the stream above to the one search() draws from.
@@ -672,6 +674,68 @@ TEST(OneCompiledCandidate, EverySearchedOutputMatchesTheLegacyOracle) {
   EXPECT_EQ(outputs, harness.pairs().size() * mechanisms.size());
   EXPECT_GT(protecting, 0u);
   EXPECT_GT(stayless, 0u);
+}
+
+// ---------------------------------------------- Eq. 1 contract --------
+
+TEST(PrivacyContract, GatewayVerdictsHoldAgainstTheLegacyOracles) {
+  // Every final verdict checked against its definition (paper Eq. 1), not
+  // through the compiled candidates, pruning or the search that produced
+  // it. A protect verdict's winner is re-applied by name, its stages
+  // resolved through the registry, with the engine's streams: no legacy-
+  // profile oracle may name the owner from that output. An exposed raw
+  // trace must be named by no oracle, and an at-risk one by some oracle.
+  const auto harness = pruning_population();
+  const auto oracles = naive_oracles(harness);
+  const std::uint64_t seed = harness.make_engine().config().seed;
+  const auto named = [&](const Trace& trace, const mobility::UserId& owner) {
+    return std::any_of(oracles.begin(), oracles.end(),
+                       [&](const Oracle& oracle) {
+                         return oracle(trace) == owner;
+                       });
+  };
+  const core::GatewayResult result = harness.evaluate_gateway();
+  ASSERT_EQ(result.users.size(), harness.pairs().size());
+  std::size_t exposed = 0;
+  std::size_t protected_by_single = 0;
+  std::size_t protected_by_composition = 0;
+  std::size_t without_winner = 0;  // at risk, and nothing protects
+  for (std::size_t i = 0; i < result.users.size(); ++i) {
+    const Trace& trace = harness.pairs()[i].test;
+    const core::GatewayOutcome& outcome = result.users[i];
+    ASSERT_EQ(outcome.user, trace.user());
+    if (outcome.decision == decision::Decision::kExpose) {
+      EXPECT_FALSE(named(trace, outcome.user)) << outcome.user;
+      ++exposed;
+      continue;
+    }
+    EXPECT_TRUE(named(trace, outcome.user)) << outcome.user;
+    if (outcome.winner.empty()) {
+      ++without_winner;
+      continue;
+    }
+    std::vector<const lppm::Lppm*> stages;
+    std::string_view rest = outcome.winner;
+    while (!rest.empty()) {
+      const std::size_t plus = std::min(rest.find('+'), rest.size());
+      const lppm::Lppm* stage =
+          harness.registry().find(std::string(rest.substr(0, plus)));
+      ASSERT_NE(stage, nullptr) << outcome.winner;
+      stages.push_back(stage);
+      rest.remove_prefix(std::min(plus + 1, rest.size()));
+    }
+    const lppm::Composition mechanism(stages);
+    const Trace output =
+        mechanism.apply(trace, support::RngStream(seed).fork(outcome.user));
+    EXPECT_FALSE(named(output, outcome.user))
+        << outcome.winner << " on " << outcome.user;
+    ++(stages.size() == 1 ? protected_by_single : protected_by_composition);
+  }
+  // Not vacuous: every kind of verdict occurs.
+  EXPECT_GT(exposed, 0u);
+  EXPECT_GT(protected_by_single, 0u);
+  EXPECT_GT(protected_by_composition, 0u);
+  EXPECT_GT(without_winner, 0u);
 }
 
 // ------------------------------------------------ determinism ----------

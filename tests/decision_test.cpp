@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <mutex>
 #include <bit>
 #include <cstdint>
 #include <optional>
@@ -29,6 +30,7 @@
 #include "support/error.h"
 #include "support/logging.h"
 #include "support/thread_pool.h"
+#include "test_helpers.h"
 
 namespace mood::decision {
 namespace {
@@ -683,6 +685,63 @@ TEST_F(SearchOracle, SearchMatchesTheSerialScan) {
   EXPECT_GT(traces, harness_->pairs().size());
   EXPECT_GT(composition_passes, 0u);
   EXPECT_GT(composition_wins, 0u);
+}
+
+TEST_F(SearchOracle, EveryPricedOutputEqualsItsRecheck) {
+  // search() applies each composition as one stage on its prefix's output
+  // (Eq. 3); recheck() rebuilds it stage by stage from the trace. An attack
+  // asked first records every output search() prices. When the
+  // composition pass runs, the outputs must be exactly the recheck()
+  // outputs of the 15 mechanisms, one each, bit for bit.
+  std::mutex mutex;
+  std::vector<mobility::Trace> priced;
+  const testing::FakeAttack recorder(
+      "recorder",
+      [&](const mobility::Trace& output) -> std::optional<mobility::UserId> {
+        const std::lock_guard lock(mutex);
+        priced.push_back(output);
+        return std::nullopt;
+      });
+  std::vector<const attacks::Attack*> attacks{&recorder};
+  for (const auto& attack : harness_->attacks()) {
+    attacks.push_back(attack.get());
+  }
+  // Through an attack that names no one, recheck() returns every output.
+  const testing::FakeAttack nobody(
+      "nobody", [](const mobility::Trace&) -> std::optional<mobility::UserId> {
+        return std::nullopt;
+      });
+  const metrics::SpatialTemporalDistortion metric;
+  const MoodConfig config = harness_->make_engine().config();
+  const auto& registry = harness_->registry();
+  const MoodEngine engine(registry.singles(), registry.multi_compositions(),
+                          attacks, &metric, config);
+  const MoodEngine unchecked(registry.singles(),
+                             registry.multi_compositions(), {&nobody},
+                             &metric, config);
+  std::vector<std::string> names;
+  for (const auto* single : registry.singles()) names.push_back(single->name());
+  for (const auto& composition : registry.multi_compositions()) {
+    names.push_back(composition.name());
+  }
+  std::size_t composition_passes = 0;
+  for (const auto& pair : harness_->pairs()) {
+    const mobility::Trace& trace = pair.test;
+    priced.clear();
+    (void)engine.search(trace);
+    if (priced.size() == registry.singles().size()) continue;  // a single won
+    ASSERT_EQ(priced.size(), names.size()) << trace.user();
+    ++composition_passes;
+    for (const std::string& name : names) {
+      const auto expected = unchecked.recheck(name, trace);
+      ASSERT_TRUE(expected.has_value()) << name;
+      const auto match =
+          std::find(priced.begin(), priced.end(), expected->output);
+      ASSERT_NE(match, priced.end()) << name << " on " << trace.user();
+      priced.erase(match);
+    }
+  }
+  EXPECT_GT(composition_passes, 0u);
 }
 
 }  // namespace

@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <cmath>
 #include <set>
@@ -165,6 +166,101 @@ TEST_F(EngineTest, CompositionTieGoesToTheLowerPositionInAnyFinishOrder) {
     EXPECT_EQ(cost.lppm_applications, 3u + 4u);
     EXPECT_EQ(cost.attack_invocations, 3u + 4u);
   }
+}
+
+/// ShiftLppm that counts its applications, from any thread.
+class CountingShiftLppm final : public lppm::Lppm {
+ public:
+  CountingShiftLppm(std::string name, double north_m)
+      : shift_(std::move(name), north_m) {}
+  [[nodiscard]] std::string name() const override { return shift_.name(); }
+  [[nodiscard]] Trace apply(const Trace& trace,
+                            support::RngStream rng) const override {
+    applied_.fetch_add(1);
+    return shift_.apply(trace, rng);
+  }
+  [[nodiscard]] std::size_t applied() const { return applied_.load(); }
+
+ private:
+  ShiftLppm shift_;
+  mutable std::atomic<std::size_t> applied_{0};
+};
+
+TEST_F(EngineTest, FullSearchAppliesEachPrefixTreeNodeOnce) {
+  // A composition is its prefix plus one stage (Eq. 3), so a full search
+  // over three singles applies the 15 nodes of the prefix tree: 3 singles,
+  // 6 pairs, 6 triples. Applying every stage of every candidate from the
+  // trace would take 3 + 6x2 + 6x3 = 33.
+  CountingShiftLppm a("A", 60.0);
+  CountingShiftLppm b("B", 100.0);
+  CountingShiftLppm c("C", 150.0);
+  const std::vector<const lppm::Lppm*> singles{&a, &b, &c};
+  FakeAttack attack("fake", catches_below(1e9));
+  const MoodEngine engine(singles, lppm::enumerate_compositions(singles, 2, 3),
+                          {&attack}, &metric_, {});
+  ProtectionResult cost;
+  EXPECT_FALSE(engine.search(day_trace(), &cost).has_value());
+  // Each LPPM is one single, the last stage of 2 pairs and of 2 triples.
+  EXPECT_EQ(a.applied(), 5u);
+  EXPECT_EQ(b.applied(), 5u);
+  EXPECT_EQ(c.applied(), 5u);
+  // The counters still count candidates priced, one per mechanism.
+  EXPECT_EQ(cost.lppm_applications, 15u);
+  EXPECT_EQ(cost.attack_invocations, 15u);
+}
+
+TEST_F(EngineTest, MissingPrefixesAreAppliedOnDemandOnceAndNotPriced) {
+  // The list is not prefix-closed: no candidate is A+B, B+C or S, and S
+  // is not a single. Each missing prefix is applied once, in its level,
+  // and priced by no attack.
+  CountingShiftLppm a("A", 60.0);
+  CountingShiftLppm b("B", 100.0);
+  CountingShiftLppm c("C", 150.0);
+  CountingShiftLppm s("S", 60.0);
+  const std::vector<const lppm::Lppm*> singles{&a, &b, &c};
+  FakeAttack attack("fake", catches_below(300.0));
+  const MoodEngine engine(singles,
+                          {lppm::Composition({&a, &b, &c}),
+                           lppm::Composition({&b, &c, &a}),
+                           lppm::Composition({&s, &c})},
+                          {&attack}, &metric_, {});
+  ProtectionResult cost;
+  const auto candidate = engine.search(day_trace(), &cost);
+  // Singles A, B, C; then S; A+B, B+C, S+C; then A+B+C, B+C+A.
+  EXPECT_EQ(a.applied(), 1u + 1u);
+  EXPECT_EQ(b.applied(), 1u + 1u);
+  EXPECT_EQ(c.applied(), 1u + 2u + 1u);
+  EXPECT_EQ(s.applied(), 1u);
+  EXPECT_EQ(cost.lppm_applications, 3u + 3u);
+  EXPECT_EQ(cost.attack_invocations, 3u + 3u);
+  // Only the triples (310 m) protect; the winner is the one recheck()
+  // rebuilds from the trace, bit for bit.
+  ASSERT_TRUE(candidate.has_value());
+  EXPECT_EQ(candidate->level, ProtectionLevel::kComposition);
+  const auto expected = engine.recheck(candidate->lppm, day_trace());
+  ASSERT_TRUE(expected.has_value());
+  EXPECT_EQ(candidate->output, expected->output);
+  EXPECT_EQ(candidate->distortion, expected->distortion);
+  EXPECT_FALSE(engine.recheck("S+C", day_trace()).has_value());
+}
+
+TEST_F(EngineTest, CandidateListedAfterItsExtensionKeepsItsName) {
+  // A+B is a node of the tree before it is a candidate: A+B+C, listed
+  // first, put it there. Threshold 155 m: no single protects; A+B (160)
+  // beats A+B+C (310).
+  FakeAttack attack("fake", catches_below(155.0));
+  const MoodEngine engine(
+      singles_,
+      {lppm::Composition({&a_, &b_, &c_}), lppm::Composition({&a_, &b_})},
+      {&attack}, &metric_, {});
+  ProtectionResult cost;
+  const auto candidate = engine.search(day_trace(), &cost);
+  ASSERT_TRUE(candidate.has_value());
+  EXPECT_EQ(candidate->lppm, "A+B");
+  const auto expected = engine.recheck("A+B", day_trace());
+  ASSERT_TRUE(expected.has_value());
+  EXPECT_EQ(candidate->output, expected->output);
+  EXPECT_EQ(cost.lppm_applications, 3u + 2u);
 }
 
 TEST_F(EngineTest, MultipleAttacksMustAllFail) {
@@ -353,6 +449,20 @@ TEST_F(EngineTest, ValidatesConstruction) {
   MoodConfig bad;
   bad.delta = 0;
   EXPECT_THROW(MoodEngine(singles_, {}, attacks, &metric_, bad),
+               support::PreconditionError);
+}
+
+TEST_F(EngineTest, RejectsShortOrRepeatedCompositions) {
+  // C \ L holds compositions of two or more stages, each listed once.
+  FakeAttack attack("fake", catches_below(1.0));
+  const std::vector<const attacks::Attack*> attacks{&attack};
+  EXPECT_THROW(MoodEngine(singles_, {lppm::Composition({&a_})}, attacks,
+                          &metric_, {}),
+               support::PreconditionError);
+  EXPECT_THROW(MoodEngine(singles_,
+                          {lppm::Composition({&a_, &b_}),
+                           lppm::Composition({&a_, &b_})},
+                          attacks, &metric_, {}),
                support::PreconditionError);
 }
 

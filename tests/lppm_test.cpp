@@ -15,6 +15,7 @@
 #include "lppm/geo_ind.h"
 #include "lppm/heatmap_confusion.h"
 #include "lppm/registry.h"
+#include "lppm/time_distortion.h"
 #include "lppm/trilateration.h"
 #include "profiles/heatmap.h"
 #include "simulation/generator.h"
@@ -798,6 +799,53 @@ TEST(Composition, OrderChangesNameNotAdditiveShift) {
 TEST(Composition, RejectsEmptyAndNull) {
   EXPECT_THROW(Composition({}), support::PreconditionError);
   EXPECT_THROW(Composition({nullptr}), support::PreconditionError);
+}
+
+TEST(Composition, IsItsPrefixPlusOneStage) {
+  // Eq. 3 keying: stage i draws the owner stream forked by the name of the
+  // first i+1 stages and the input's start time. So every composition is
+  // its last stage applied to its prefix's output, and stage 0 is the
+  // single. TimeDist moves the start time: a later stage must still key on
+  // the input's, not on its prefix output's.
+  const GeoIndistinguishability geoi(0.01);
+  const Trilateration trl;
+  const TimeDistortion shift;
+  const Trace in = sample_trace();
+  const RngStream owner = RngStream(7).fork("u");
+  const auto all = enumerate_compositions({&geoi, &trl, &shift}, 1, 3);
+  for (const Composition& composition : all) {
+    const Trace out = composition.apply(in, owner);
+    EXPECT_EQ(apply_keyed(composition, in, owner), out) << composition.name();
+    const Lppm& last = *composition.stages().back();
+    if (composition.length() == 1) {
+      EXPECT_EQ(apply_keyed(last, in, owner), out) << composition.name();
+      EXPECT_EQ(last.apply(in, stage_stream(owner, in, last.name())), out)
+          << composition.name();
+      continue;
+    }
+    const Composition prefix(std::vector<const Lppm*>(
+        composition.stages().begin(), composition.stages().end() - 1));
+    EXPECT_EQ(composition.prefix_name(composition.length() - 1),
+              prefix.name());
+    const Trace previous = prefix.apply(in, owner);
+    EXPECT_EQ(last.apply(previous,
+                         stage_stream(owner, in, composition.name())),
+              out)
+        << composition.name();
+    EXPECT_EQ(composition.apply_stage(composition.length() - 1, previous, in,
+                                      owner),
+              out)
+        << composition.name();
+    EXPECT_EQ(composition.apply_stage(0, in, in, owner),
+              apply_keyed(*composition.stages().front(), in, owner))
+        << composition.name();
+  }
+  // Not vacuous: the keys differ, so the noise does.
+  const Composition geoi_trl({&geoi, &trl});
+  EXPECT_NE(geoi_trl.apply(in, owner),
+            geoi_trl.apply(in, RngStream(8).fork("u")));
+  EXPECT_NE(stage_stream(owner, in, "GeoI").next(),
+            stage_stream(owner, in, "GeoI+TRL").next());
 }
 
 TEST(CompositionEnumeration, CountsMatchClosedForm) {

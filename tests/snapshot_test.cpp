@@ -1,4 +1,4 @@
-// Tests for checkpoint/restore (src/stream/snapshot): the mood-snapshot/5
+// Tests for checkpoint/restore (src/stream/snapshot): the mood-snapshot/6
 // byte format (round trip, golden files, rejection of malformed input),
 // the crash-consistent file protocol under injected faults at every named
 // fail point — including SIGKILL-equivalent deaths — and the headline
@@ -452,7 +452,7 @@ TEST(SnapshotGolden, WriterMatchesCheckedInGoldenFile) {
   // must come with a version bump (or a deliberate fixture regeneration).
   ASSERT_EQ(stored.size(), bytes.size());
   EXPECT_TRUE(stored == bytes) << "writer output diverged from the "
-                                  "documented mood-snapshot/5 layout";
+                                  "documented mood-snapshot/6 layout";
 }
 
 TEST(SnapshotGolden, CheckedInGoldenFileDecodes) {
@@ -648,6 +648,14 @@ TEST(SnapshotGolden, VersionThreeFileIsRefusedByVersion) {
 /// stay tracker, staleness deltas and CONFIG's staleness bound).
 TEST(SnapshotGolden, VersionFourFileIsRefusedByVersion) {
   expect_refused_by_version("golden-v4.moodsnap", 4);
+}
+
+/// The last version-5 file ever written. Its layout is version 6's, but a
+/// version-5 checkpoint's composition winners were chosen under the
+/// retired whole-name noise keying, and its searched_events could let
+/// finish() keep such a winner without re-searching.
+TEST(SnapshotGolden, VersionFiveFileIsRefusedByVersion) {
+  expect_refused_by_version("golden-v5.moodsnap", 5);
 }
 
 // ----------------------------------------------- restore bit-identity --

@@ -156,7 +156,7 @@ int cmd_replay(int argc, const char* const* argv, std::ostream& out,
                  "gate (skipped automatically for lossy window "
                  "configurations)");
   flags.add_string("checkpoint-dir", "",
-                   "directory for crash-consistent mood-snapshot/5 "
+                   "directory for crash-consistent mood-snapshot/6 "
                    "checkpoints (empty = checkpointing off)");
   flags.add_int("checkpoint-every", 0,
                 "write a checkpoint every N ingested events, at a quiesced "
