@@ -38,6 +38,31 @@ std::array<std::size_t, 4> bands_from(
   return bands;
 }
 
+/// The per-user loop of every strategy that publishes one MoodEngine
+/// candidate per user: `pick` is that engine call on the user's test
+/// trace. A user it leaves unprotected keeps `unprotected_winner`.
+template <typename Pick>
+StrategyResult candidate_rows(std::string strategy,
+                              const std::vector<mobility::TrainTestPair>& pairs,
+                              const std::string& unprotected_winner,
+                              const Pick& pick) {
+  const WallTimer timer;
+  StrategyResult result;
+  result.strategy = std::move(strategy);
+  result.users.resize(pairs.size());
+  support::parallel_for(pairs.size(), [&](std::size_t i) {
+    const mobility::Trace& test = pairs[i].test;
+    const std::optional<MoodEngine::Candidate> candidate = pick(test);
+    result.users[i] =
+        candidate ? UserOutcome{test.user(), true, candidate->distortion,
+                                test.size(), candidate->lppm}
+                  : UserOutcome{test.user(), false, 0.0, test.size(),
+                                unprotected_winner};
+  });
+  result.wall_seconds = timer.seconds();
+  return result;
+}
+
 }  // namespace
 
 std::size_t StrategyResult::non_protected_users() const {
@@ -233,60 +258,35 @@ GatewayResult ExperimentHarness::evaluate_gateway(
 StrategyResult ExperimentHarness::evaluate_single(
     const std::string& lppm_name,
     const std::vector<std::size_t>& attack_subset) const {
-  const WallTimer timer;
-  const lppm::Lppm* mechanism = registry_.find(lppm_name);
-  support::expects(mechanism != nullptr,
+  support::expects(registry_.find(lppm_name) != nullptr,
                    "evaluate_single: unknown LPPM " + lppm_name);
-  const auto views = attack_views(attack_subset);
-  StrategyResult result;
-  result.strategy = lppm_name;
-  result.users.resize(pairs_.size());
-  support::parallel_for(pairs_.size(), [&](std::size_t i) {
-    const auto& pair = pairs_[i];
-    auto rng = support::RngStream(seed_)
-                   .fork(pair.test.user())
-                   .fork(mechanism->name());
-    const mobility::Trace output = mechanism->apply(pair.test, std::move(rng));
-    const bool caught =
-        attacks::any_reidentifies(views, output, pair.test.user());
-    const double distortion =
-        caught ? 0.0 : metric_.distortion(pair.test, output);
-    result.users[i] = UserOutcome{pair.test.user(), !caught, distortion,
-                                  pair.test.size(), lppm_name};
-  });
-  result.wall_seconds = timer.seconds();
-  return result;
+  const MoodEngine engine = make_engine(attack_subset);
+  return candidate_rows(lppm_name, pairs_, lppm_name,
+                        [&](const mobility::Trace& test) {
+                          return engine.recheck(lppm_name, test);
+                        });
 }
 
 StrategyResult ExperimentHarness::evaluate_hybrid(
     const std::vector<std::size_t>& attack_subset) const {
-  const WallTimer timer;
-  const auto views = attack_views(attack_subset);
-  const HybridLppm hybrid(registry_.singles(), views, &metric_, seed_);
-  StrategyResult result;
-  result.strategy = "HybridLPPM";
-  result.users.resize(pairs_.size());
-  support::parallel_for(pairs_.size(), [&](std::size_t i) {
-    const auto& pair = pairs_[i];
-    const auto outcome = hybrid.protect(pair.test);
-    if (outcome) {
-      result.users[i] = UserOutcome{pair.test.user(), true,
-                                    outcome->distortion, pair.test.size(),
-                                    outcome->lppm};
-    } else {
-      result.users[i] =
-          UserOutcome{pair.test.user(), false, 0.0, pair.test.size(), ""};
-    }
-  });
-  result.wall_seconds = timer.seconds();
-  return result;
+  const MoodEngine engine = engine_over({}, attack_subset);
+  return candidate_rows("HybridLPPM", pairs_, "",
+                        [&](const mobility::Trace& test) {
+                          return engine.search(test);
+                        });
 }
 
 MoodEngine ExperimentHarness::make_engine(
     const std::vector<std::size_t>& attack_subset) const {
+  return engine_over(registry_.multi_compositions(), attack_subset);
+}
+
+MoodEngine ExperimentHarness::engine_over(
+    std::vector<lppm::Composition> compositions,
+    const std::vector<std::size_t>& attack_subset) const {
   MoodConfig mood_config = config_.mood;
   mood_config.seed = seed_;
-  return MoodEngine(registry_.singles(), registry_.multi_compositions(),
+  return MoodEngine(registry_.singles(), std::move(compositions),
                     attack_views(attack_subset), &metric_, mood_config);
 }
 
@@ -298,25 +298,10 @@ decision::DecisionKernel ExperimentHarness::make_kernel(
 
 StrategyResult ExperimentHarness::evaluate_mood_search(
     const std::vector<std::size_t>& attack_subset) const {
-  const WallTimer timer;
   const MoodEngine engine = make_engine(attack_subset);
-  StrategyResult result;
-  result.strategy = "MooD";
-  result.users.resize(pairs_.size());
-  support::parallel_for(pairs_.size(), [&](std::size_t i) {
-    const auto& pair = pairs_[i];
-    const auto candidate = engine.search(pair.test);
-    if (candidate) {
-      result.users[i] = UserOutcome{pair.test.user(), true,
-                                    candidate->distortion, pair.test.size(),
-                                    candidate->lppm};
-    } else {
-      result.users[i] =
-          UserOutcome{pair.test.user(), false, 0.0, pair.test.size(), ""};
-    }
+  return candidate_rows("MooD", pairs_, "", [&](const mobility::Trace& test) {
+    return engine.search(test);
   });
-  result.wall_seconds = timer.seconds();
-  return result;
 }
 
 MoodResult ExperimentHarness::evaluate_mood_full(

@@ -12,8 +12,11 @@
 ///
 /// Strategy evaluators reproduce the experiment grid: no-LPPM / each single
 /// LPPM / HybridLPPM / MooD composition search / full MooD (with 24 h
-/// pre-slicing and recursive fine-grained protection). All evaluators
-/// parallelise over users and are deterministic for a fixed seed.
+/// pre-slicing and recursive fine-grained protection). Each one is a
+/// MoodEngine or DecisionKernel call per user, so every strategy draws a
+/// mechanism's noise from the same stream and the strategies nest per user.
+/// All evaluators parallelise over users and are deterministic for a fixed
+/// seed.
 
 #include <array>
 #include <cstdint>
@@ -23,7 +26,6 @@
 
 #include "attacks/attack.h"
 #include "attacks/suite.h"
-#include "core/hybrid.h"
 #include "decision/kernel.h"
 #include "decision/mood_engine.h"
 #include "lppm/heatmap_confusion.h"
@@ -166,17 +168,20 @@ class ExperimentHarness {
   [[nodiscard]] StrategyResult evaluate_no_lppm(
       const std::vector<std::size_t>& attack_subset = {}) const;
 
-  /// One fixed LPPM for everybody (Fig. 2/3/6/7 single-LPPM bars).
+  /// One fixed LPPM for everybody (Fig. 2/3/6/7 single-LPPM bars): the
+  /// engine's recheck of that LPPM, so a user's output is the one MooD's
+  /// singles pass prices. An unprotected row keeps the LPPM's name.
   [[nodiscard]] StrategyResult evaluate_single(
       const std::string& lppm_name,
       const std::vector<std::size_t>& attack_subset = {}) const;
 
-  /// HybridLPPM baseline: per-user best protective single LPPM.
+  /// HybridLPPM baseline: per-user best protective single LPPM, i.e. the
+  /// search of an engine with an empty C \ L (Algorithm 1 lines 4-14).
   [[nodiscard]] StrategyResult evaluate_hybrid(
       const std::vector<std::size_t>& attack_subset = {}) const;
 
   /// MooD's multi-LPPM composition search only (no fine-grained stage) —
-  /// the "MooD" bars of Fig. 6/7.
+  /// the "MooD" bars of Fig. 6/7: make_engine()'s search.
   [[nodiscard]] StrategyResult evaluate_mood_search(
       const std::vector<std::size_t>& attack_subset = {}) const;
 
@@ -221,6 +226,12 @@ class ExperimentHarness {
  private:
   [[nodiscard]] std::vector<const attacks::Attack*> attack_views(
       const std::vector<std::size_t>& subset) const;
+
+  /// make_engine() with `compositions` as C \ L; an empty list is
+  /// HybridLPPM.
+  [[nodiscard]] MoodEngine engine_over(
+      std::vector<lppm::Composition> compositions,
+      const std::vector<std::size_t>& attack_subset) const;
 
   ExperimentConfig config_;
   std::string dataset_name_;

@@ -99,7 +99,9 @@ class MoodEngine {
   /// All pointers are non-owning and must outlive the engine. `attacks`
   /// must already be trained. `compositions` is C \ L (the engine runs the
   /// single pass from `singles` itself): each has at least two stages and
-  /// none is listed twice, else PreconditionError. One candidate serves
+  /// none is listed twice, else PreconditionError. An empty list is
+  /// HybridLPPM: search() is then the singles pass alone, the per-user
+  /// best protective single LPPM. One candidate serves
   /// every attack (attacks::Candidate), so throws PreconditionError when
   /// POI and PIT attacks cluster stays with different params.
   MoodEngine(std::vector<const lppm::Lppm*> singles,

@@ -135,17 +135,19 @@ class SlowShiftLppm final : public lppm::Lppm {
 };
 
 TEST_F(EngineTest, CompositionTieGoesToTheLowerPositionInAnyFinishOrder) {
-  // S and F both shift 60 m, so S+C and F+C produce the same output and
-  // tie to the bit; only S is slow. Whether the lower position finishes
-  // last (S+C first) or first (F+C first), it wins, as in a serial scan.
+  // S and F both shift 60 m, so C+S and C+F produce the same output and
+  // tie to the bit; only S is slow. S is the last stage, so the pair
+  // level's task that applies it finishes after its peers (its prefix C
+  // is a single). Whether the lower position finishes last (C+S first)
+  // or first (C+F first), it wins, as in a serial scan.
   FakeAttack attack("fake", catches_below(200.0));
   const std::vector<const attacks::Attack*> attacks{&attack};
   SlowShiftLppm slow("S", 60.0);
   ShiftLppm fast("F", 60.0);
   using Stages = std::vector<const lppm::Lppm*>;
   for (const bool slow_first : {true, false}) {
-    const Stages low = slow_first ? Stages{&slow, &c_} : Stages{&fast, &c_};
-    const Stages high = slow_first ? Stages{&fast, &c_} : Stages{&slow, &c_};
+    const Stages low = slow_first ? Stages{&c_, &slow} : Stages{&c_, &fast};
+    const Stages high = slow_first ? Stages{&c_, &fast} : Stages{&c_, &slow};
     // Two failing compositions first, so the tie sits mid-pass.
     const MoodEngine engine(
         singles_,
@@ -275,6 +277,56 @@ TEST_F(EngineTest, MultipleAttacksMustAllFail) {
   ASSERT_TRUE(candidate.has_value());
   EXPECT_EQ(candidate->level, ProtectionLevel::kComposition);
   EXPECT_NEAR(candidate->distortion, 310.0, 1.0);
+}
+
+// ---- An empty C \ L: the engine is HybridLPPM, the per-user best
+// protective single LPPM with no composition pass.
+
+TEST_F(EngineTest, WithoutCompositionsPicksLowestDistortionProtectiveSingle) {
+  FakeAttack attack("fake", catches_below(80.0));
+  const MoodEngine engine(singles_, {}, {&attack}, &metric_, {});
+  const auto candidate = engine.search(day_trace());
+  ASSERT_TRUE(candidate.has_value());
+  EXPECT_EQ(candidate->level, ProtectionLevel::kSingle);
+  EXPECT_EQ(candidate->lppm, "B");  // 100 m beats 150 m, 60 m is caught
+  EXPECT_NEAR(candidate->distortion, 100.0, 1.0);
+}
+
+TEST_F(EngineTest, WithoutCompositionsAnOrphanYieldsNullopt) {
+  // No single reaches 200 m: the search gives up after the singles pass
+  // (the full engine's compositions would protect).
+  FakeAttack attack("fake", catches_below(200.0));
+  const MoodEngine engine(singles_, {}, {&attack}, &metric_, {});
+  ProtectionResult cost;
+  EXPECT_FALSE(engine.search(day_trace(), &cost).has_value());
+  EXPECT_EQ(cost.lppm_applications, 3u);
+  EXPECT_EQ(cost.attack_invocations, 3u);
+}
+
+TEST_F(EngineTest, WithoutCompositionsEveryAttackMustFail) {
+  FakeAttack weak("weak", catches_below(80.0));
+  FakeAttack strong("strong", catches_below(120.0));
+  const MoodEngine engine(singles_, {}, {&weak, &strong}, &metric_, {});
+  const auto candidate = engine.search(day_trace());
+  ASSERT_TRUE(candidate.has_value());
+  EXPECT_EQ(candidate->lppm, "C");  // only 150 m clears both thresholds
+}
+
+TEST_F(EngineTest, WithoutCompositionsAnEmptyTraceIsNotProtectable) {
+  FakeAttack attack("fake", catches_below(0.0));
+  const MoodEngine engine(singles_, {}, {&attack}, &metric_, {});
+  EXPECT_FALSE(engine.search(Trace("victim", {})).has_value());
+}
+
+TEST_F(EngineTest, WithoutCompositionsValidatesConstruction) {
+  // The singles-only engine keeps the full engine's preconditions.
+  FakeAttack attack("fake", catches_below(0.0));
+  EXPECT_THROW(MoodEngine({}, {}, {&attack}, &metric_, {}),
+               support::PreconditionError);
+  EXPECT_THROW(MoodEngine(singles_, {}, {}, &metric_, {}),
+               support::PreconditionError);
+  EXPECT_THROW(MoodEngine(singles_, {}, {&attack}, nullptr, {}),
+               support::PreconditionError);
 }
 
 TEST_F(EngineTest, SearchFailsWhenNothingProtects) {

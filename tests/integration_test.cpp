@@ -140,6 +140,54 @@ TEST_F(IntegrationTest, DeterministicAcrossHarnesses) {
             harness_->evaluate_mood_search().non_protected_users());
 }
 
+TEST_F(IntegrationTest, StrategiesNestPerUser) {
+  // Every strategy is a MoodEngine call drawing the same noise, so the
+  // paper's "MooD ⊇ HybridLPPM ⊇ each single" holds user by user, with
+  // bit-equal outputs, not only in aggregate.
+  const auto engine = harness_->make_engine();
+  const auto hybrid = harness_->evaluate_hybrid();
+  const auto search = harness_->evaluate_mood_search();
+  const auto full = harness_->evaluate_mood_full();
+  std::vector<StrategyResult> singles;
+  for (const auto* single : harness_->registry().singles()) {
+    singles.push_back(harness_->evaluate_single(single->name()));
+  }
+  std::size_t hybrid_protected = 0;
+  for (std::size_t i = 0; i < harness_->pairs().size(); ++i) {
+    const mobility::Trace& test = harness_->pairs()[i].test;
+    const UserOutcome& by_hybrid = hybrid.users[i];
+    const UserOutcome& by_search = search.users[i];
+    ASSERT_EQ(by_hybrid.user, test.user());
+    ASSERT_EQ(by_search.user, test.user());
+    const bool search_single =
+        by_search.is_protected &&
+        harness_->registry().find(by_search.winner) != nullptr;
+    EXPECT_EQ(by_hybrid.is_protected, search_single) << test.user();
+    if (by_hybrid.is_protected) {
+      ++hybrid_protected;
+      EXPECT_EQ(by_hybrid.winner, by_search.winner) << test.user();
+      EXPECT_EQ(by_hybrid.distortion, by_search.distortion) << test.user();
+      EXPECT_EQ(full.users[i].lost_records, 0u) << test.user();
+    }
+    for (const StrategyResult& single : singles) {
+      const UserOutcome& row = single.users[i];
+      const auto expected = engine.recheck(single.strategy, test);
+      EXPECT_EQ(row.winner, single.strategy) << test.user();
+      EXPECT_EQ(row.is_protected, expected.has_value())
+          << single.strategy << " on " << test.user();
+      if (!expected) continue;
+      EXPECT_EQ(row.distortion, expected->distortion)
+          << single.strategy << " on " << test.user();
+      EXPECT_TRUE(by_hybrid.is_protected) << test.user();
+      EXPECT_LE(by_hybrid.distortion, row.distortion)
+          << single.strategy << " on " << test.user();
+    }
+  }
+  // Not vacuous: HybridLPPM protects some users and leaves some to MooD.
+  EXPECT_GT(hybrid_protected, 0u);
+  EXPECT_GT(hybrid.non_protected_users(), search.non_protected_users());
+}
+
 TEST_F(IntegrationTest, StrategyResultAccountingIsConsistent) {
   const auto result = harness_->evaluate_hybrid();
   std::size_t protected_count = 0;
