@@ -22,7 +22,8 @@ int main(int argc, char** argv) {
   bench::print_header("Ablation 1: exhaustive vs first-hit search (" + name +
                       ")");
   {
-    const auto exhaustive = harness.evaluate_mood_full();
+    const auto exhaustive =
+        std::get<core::MoodResult>(harness.evaluate({"MooD-full"}).rows[0]);
     std::size_t apps = 0;
     double distortion = 0.0;
     std::size_t protected_users = 0;
@@ -77,7 +78,8 @@ int main(int argc, char** argv) {
     core::ExperimentConfig config;
     config.mood.delta = hours * mobility::kHour;
     const core::ExperimentHarness h(dataset, config, ctx.seed);
-    const auto result = h.evaluate_mood_full();
+    const auto result =
+        std::get<core::MoodResult>(h.evaluate({"MooD-full"}).rows[0]);
     std::printf("  %2d h     %9.2f%% %22zu\n", hours,
                 100.0 * result.data_loss(),
                 result.users.size() - result.non_protected_users());

@@ -14,13 +14,13 @@ int main(int argc, char** argv) {
   for (const auto& name : ctx.datasets) {
     const auto harness = bench::make_harness(ctx, name);
     const auto& paper = bench::kPaperFig10.at(name);
-    std::vector<double> losses{
-        harness.evaluate_single("GeoI").data_loss(),
-        harness.evaluate_single("TRL").data_loss(),
-        harness.evaluate_single("HMC").data_loss(),
-        harness.evaluate_hybrid().data_loss(),
-        harness.evaluate_mood_full().data_loss(),
-    };
+    const core::EvaluationGrid grid =
+        harness.evaluate({"GeoI", "TRL", "HMC", "HybridLPPM", "MooD-full"});
+    std::vector<double> losses;
+    for (const auto& row : grid.rows) {
+      losses.push_back(
+          std::visit([](const auto& r) { return r.data_loss(); }, row));
+    }
     std::printf("%-14s", name.c_str());
     for (std::size_t s = 0; s < losses.size(); ++s) {
       std::printf("  %6.2f%% | %5.2f", 100.0 * losses[s], paper[s]);

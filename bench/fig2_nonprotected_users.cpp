@@ -15,16 +15,13 @@ int main(int argc, char** argv) {
   for (const auto& name : ctx.datasets) {
     const auto harness = bench::make_harness(ctx, name);
     const auto& paper = bench::kPaperFig2.at(name);
-    const std::vector<core::StrategyResult> results{
-        harness.evaluate_single("GeoI"),
-        harness.evaluate_single("TRL"),
-        harness.evaluate_single("HMC"),
-        harness.evaluate_hybrid(),
-    };
-    std::printf("%-14s %6zu", name.c_str(), results[0].user_count());
-    for (std::size_t s = 0; s < results.size(); ++s) {
+    const core::EvaluationGrid grid =
+        harness.evaluate({"GeoI", "TRL", "HMC", "HybridLPPM"});
+    std::printf("%-14s %6zu", name.c_str(), harness.pairs().size());
+    for (std::size_t s = 0; s < grid.rows.size(); ++s) {
+      const auto& result = std::get<core::StrategyResult>(grid.rows[s]);
       std::printf("   %5.1f%% | %3.0f%%",
-                  100.0 * results[s].non_protected_ratio(), paper[s]);
+                  100.0 * result.non_protected_ratio(), paper[s]);
     }
     std::printf("\n");
   }

@@ -30,12 +30,12 @@ int main(int argc, char** argv) {
         simulation::make_preset_dataset(name, ctx.scale, ctx.seed);
     const core::ExperimentHarness harness(dataset, ctx.config, ctx.seed);
     const auto& paper = bench::kPaperFig3.at(name);
-    const std::vector<core::StrategyResult> results{
-        harness.evaluate_single("GeoI"),
-        harness.evaluate_single("TRL"),
-        harness.evaluate_single("HMC"),
-        harness.evaluate_hybrid(),
-    };
+    const core::EvaluationGrid grid =
+        harness.evaluate({"GeoI", "TRL", "HMC", "HybridLPPM"});
+    std::vector<core::StrategyResult> results;
+    for (const auto& result : grid.rows) {
+      results.push_back(std::get<core::StrategyResult>(result));
+    }
 
     std::vector<std::string> row{name, std::to_string(results[0].user_count())};
     for (std::size_t s = 0; s < results.size(); ++s) {
@@ -49,10 +49,10 @@ int main(int argc, char** argv) {
       meta.tool = "bench/fig3_data_loss";
       meta.dataset = harness.dataset_name();
       meta.seed = ctx.seed;
+      meta.timings.emplace_back("strategies", grid.wall_seconds);
+      meta.wall_seconds = grid.wall_seconds;
       std::vector<report::Json> strategies;
       for (const auto& result : results) {
-        meta.timings.emplace_back(result.strategy, result.wall_seconds);
-        meta.wall_seconds += result.wall_seconds;
         strategies.push_back(report::to_json(result, /*include_users=*/false));
       }
       report::Json entry = report::Json::object();

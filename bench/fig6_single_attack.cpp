@@ -16,18 +16,12 @@ int main(int argc, char** argv) {
     const auto harness = bench::make_harness(ctx, name);
     const std::vector<std::size_t> ap{harness.ap_attack_index()};
     const auto& paper = bench::kPaperFig6.at(name);
-    const std::vector<core::StrategyResult> results{
-        harness.evaluate_no_lppm(ap),
-        harness.evaluate_single("GeoI", ap),
-        harness.evaluate_single("TRL", ap),
-        harness.evaluate_single("HMC", ap),
-        harness.evaluate_hybrid(ap),
-        harness.evaluate_mood_search(ap),
-    };
-    std::printf("%-14s %6zu", name.c_str(), results[0].user_count());
-    for (std::size_t s = 0; s < results.size(); ++s) {
-      std::printf("   %4zu | %3.0f", results[s].non_protected_users(),
-                  paper[s]);
+    const core::EvaluationGrid grid = harness.evaluate(
+        {"no-LPPM", "GeoI", "TRL", "HMC", "HybridLPPM", "MooD"}, ap);
+    std::printf("%-14s %6zu", name.c_str(), harness.pairs().size());
+    for (std::size_t s = 0; s < grid.rows.size(); ++s) {
+      const auto& result = std::get<core::StrategyResult>(grid.rows[s]);
+      std::printf("   %4zu | %3.0f", result.non_protected_users(), paper[s]);
     }
     std::printf("\n");
   }

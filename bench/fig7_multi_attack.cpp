@@ -15,18 +15,12 @@ int main(int argc, char** argv) {
   for (const auto& name : ctx.datasets) {
     const auto harness = bench::make_harness(ctx, name);
     const auto& paper = bench::kPaperFig7.at(name);
-    const std::vector<core::StrategyResult> results{
-        harness.evaluate_no_lppm(),
-        harness.evaluate_single("GeoI"),
-        harness.evaluate_single("TRL"),
-        harness.evaluate_single("HMC"),
-        harness.evaluate_hybrid(),
-        harness.evaluate_mood_search(),
-    };
-    std::printf("%-14s %6zu", name.c_str(), results[0].user_count());
-    for (std::size_t s = 0; s < results.size(); ++s) {
-      std::printf("   %4zu | %3.0f", results[s].non_protected_users(),
-                  paper[s]);
+    const core::EvaluationGrid grid = harness.evaluate(
+        {"no-LPPM", "GeoI", "TRL", "HMC", "HybridLPPM", "MooD"});
+    std::printf("%-14s %6zu", name.c_str(), harness.pairs().size());
+    for (std::size_t s = 0; s < grid.rows.size(); ++s) {
+      const auto& result = std::get<core::StrategyResult>(grid.rows[s]);
+      std::printf("   %4zu | %3.0f", result.non_protected_users(), paper[s]);
     }
     std::printf("\n");
   }

@@ -15,7 +15,8 @@ int main(int argc, char** argv) {
   for (const auto& name : ctx.datasets) {
     const auto harness = bench::make_harness(ctx, name);
     const auto engine = harness.make_engine();
-    const auto search = harness.evaluate_mood_search();
+    const auto search =
+        std::get<core::StrategyResult>(harness.evaluate({"MooD"}).rows[0]);
 
     std::printf("\n%s:\n", name.c_str());
     char label = 'A';

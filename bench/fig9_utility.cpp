@@ -37,18 +37,16 @@ int main(int argc, char** argv) {
     const auto harness = bench::make_harness(ctx, name);
     std::printf("\n%s:%15s %7s %7s %7s\n", name.c_str(), "<500m", "<1km",
                 "<5km", ">=5km");
+    const core::EvaluationGrid grid =
+        harness.evaluate({"GeoI", "TRL", "HMC", "HybridLPPM", "MooD-full"});
     std::vector<Row> rows;
-    rows.push_back(Row{"GeoI", harness.evaluate_single("GeoI").distortion_bands(),
-                       harness.pairs().size()});
-    rows.push_back(Row{"TRL", harness.evaluate_single("TRL").distortion_bands(),
-                       harness.pairs().size()});
-    rows.push_back(Row{"HMC", harness.evaluate_single("HMC").distortion_bands(),
-                       harness.pairs().size()});
-    rows.push_back(Row{"HybridLPPM",
-                       harness.evaluate_hybrid().distortion_bands(),
-                       harness.pairs().size()});
-    rows.push_back(Row{"MooD", harness.evaluate_mood_full().distortion_bands(),
-                       harness.pairs().size()});
+    for (std::size_t s = 0; s < grid.rows.size(); ++s) {
+      rows.push_back(Row{
+          strategies[s],
+          std::visit([](const auto& r) { return r.distortion_bands(); },
+                     grid.rows[s]),
+          harness.pairs().size()});
+    }
     for (std::size_t s = 0; s < rows.size(); ++s) {
       print_row(rows[s]);
       for (int b = 0; b < 4; ++b) overall[s][b] += rows[s].bands[b];

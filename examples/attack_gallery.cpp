@@ -36,14 +36,16 @@ int main(int argc, char** argv) {
   }
   std::printf("\n");
 
-  const std::vector<std::string> protections{"raw", "GeoI", "TRL", "HMC"};
-  for (const auto& protection : protections) {
-    std::printf("%-12s", protection.c_str());
-    for (std::size_t a = 0; a < harness.attacks().size(); ++a) {
-      const auto result =
-          protection == "raw"
-              ? harness.evaluate_no_lppm({a})
-              : harness.evaluate_single(protection, {a});
+  // One pass per attack: grids[a].rows[p] is protection p against a.
+  const std::vector<std::string> protections{"no-LPPM", "GeoI", "TRL", "HMC"};
+  std::vector<core::EvaluationGrid> grids;
+  for (std::size_t a = 0; a < harness.attacks().size(); ++a) {
+    grids.push_back(harness.evaluate(protections, {a}));
+  }
+  for (std::size_t p = 0; p < protections.size(); ++p) {
+    std::printf("%-12s", p == 0 ? "raw" : protections[p].c_str());
+    for (const core::EvaluationGrid& grid : grids) {
+      const auto& result = std::get<core::StrategyResult>(grid.rows[p]);
       std::printf("%9zu/%-2zu", result.non_protected_users(),
                   result.user_count());
     }

@@ -37,17 +37,15 @@ int main(int argc, char** argv) {
                 100.0 * loss);
   };
 
-  const auto raw = harness.evaluate_no_lppm();
-  show("no-LPPM", raw.non_protected_users(), raw.user_count(),
-       raw.data_loss());
-  for (const char* lppm : {"GeoI", "TRL", "HMC"}) {
-    const auto r = harness.evaluate_single(lppm);
-    show(lppm, r.non_protected_users(), r.user_count(), r.data_loss());
+  // One pass: every row is read off the same per-user MooD search.
+  const core::EvaluationGrid grid = harness.evaluate(
+      {"no-LPPM", "GeoI", "TRL", "HMC", "HybridLPPM", "MooD-full"});
+  for (std::size_t r = 0; r + 1 < grid.rows.size(); ++r) {
+    const auto& row = std::get<core::StrategyResult>(grid.rows[r]);
+    show(row.strategy.c_str(), row.non_protected_users(), row.user_count(),
+         row.data_loss());
   }
-  const auto hybrid = harness.evaluate_hybrid();
-  show("HybridLPPM", hybrid.non_protected_users(), hybrid.user_count(),
-       hybrid.data_loss());
-  const auto mood = harness.evaluate_mood_full();
+  const auto& mood = std::get<core::MoodResult>(grid.rows.back());
   show("MooD", mood.non_protected_users(), mood.users.size(),
        mood.data_loss());
 

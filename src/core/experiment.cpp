@@ -1,7 +1,7 @@
 #include "core/experiment.h"
 
+#include <algorithm>
 #include <chrono>
-#include <numeric>
 
 #include "lppm/geo_ind.h"
 #include "lppm/trilateration.h"
@@ -13,8 +13,7 @@ namespace mood::core {
 
 namespace {
 
-/// Started at evaluator entry; read once into result.wall_seconds so every
-/// strategy reports how long it took (surfaced by src/report).
+/// Started at evaluate() entry; read once into the grid's wall_seconds.
 class WallTimer {
  public:
   [[nodiscard]] double seconds() const {
@@ -38,29 +37,50 @@ std::array<std::size_t, 4> bands_from(
   return bands;
 }
 
-/// The per-user loop of every strategy that publishes one MoodEngine
-/// candidate per user: `pick` is that engine call on the user's test
-/// trace. A user it leaves unprotected keeps `unprotected_winner`.
-template <typename Pick>
-StrategyResult candidate_rows(std::string strategy,
-                              const std::vector<mobility::TrainTestPair>& pairs,
-                              const std::string& unprotected_winner,
-                              const Pick& pick) {
-  const WallTimer timer;
-  StrategyResult result;
-  result.strategy = std::move(strategy);
-  result.users.resize(pairs.size());
-  support::parallel_for(pairs.size(), [&](std::size_t i) {
-    const mobility::Trace& test = pairs[i].test;
-    const std::optional<MoodEngine::Candidate> candidate = pick(test);
-    result.users[i] =
-        candidate ? UserOutcome{test.user(), true, candidate->distortion,
-                                test.size(), candidate->lppm}
-                  : UserOutcome{test.user(), false, 0.0, test.size(),
-                                unprotected_winner};
-  });
-  result.wall_seconds = timer.seconds();
-  return result;
+/// The "MooD-full" row of one user: the whole-trace search's outcome
+/// (`whole`, priced at `cost`), else (§4.2) every 24 h slice through full
+/// Algorithm 1.
+MoodUserOutcome full_outcome(const MoodEngine& engine,
+                             const mobility::Trace& test,
+                             const std::optional<MoodEngine::Candidate>& whole,
+                             const ProtectionResult& cost) {
+  MoodUserOutcome outcome;
+  outcome.user = test.user();
+  outcome.records = test.size();
+  outcome.lppm_applications = cost.lppm_applications;
+  outcome.attack_invocations = cost.attack_invocations;
+  if (whole) {
+    outcome.level = whole->level;
+    outcome.distortion = whole->distortion;
+    outcome.winner = whole->lppm;
+    return outcome;
+  }
+
+  outcome.level = ProtectionLevel::kFineGrained;
+  double weighted_distortion = 0.0;
+  std::size_t weighted_records = 0;
+  for (const auto& slice : test.slices(engine.config().preslice)) {
+    const ProtectionResult piece = engine.protect(slice);
+    ++outcome.subtraces;
+    if (piece.fully_protected()) ++outcome.protected_subtraces;
+    outcome.lost_records += piece.lost_records;
+    outcome.lppm_applications += piece.lppm_applications;
+    outcome.attack_invocations += piece.attack_invocations;
+    for (const auto& p : piece.pieces) {
+      weighted_distortion +=
+          p.distortion * static_cast<double>(p.original_records);
+      weighted_records += p.original_records;
+    }
+  }
+  outcome.distortion = weighted_records == 0
+                           ? 0.0
+                           : weighted_distortion /
+                                 static_cast<double>(weighted_records);
+  if (outcome.subtraces == 0) {
+    // Degenerate: empty test trace — nothing to lose or protect.
+    outcome.level = ProtectionLevel::kNone;
+  }
+  return outcome;
 }
 
 }  // namespace
@@ -218,30 +238,99 @@ std::size_t ExperimentHarness::ap_attack_index() const {
   throw support::LogicError("AP-Attack missing from suite");
 }
 
-StrategyResult ExperimentHarness::evaluate_no_lppm(
+EvaluationGrid ExperimentHarness::evaluate(
+    const std::vector<std::string>& strategies,
     const std::vector<std::size_t>& attack_subset) const {
   const WallTimer timer;
-  // The risk half of the shared decision kernel: compile the window
-  // profiles once per user and ask the one risk predicate over them — the
-  // same code path the online gateway's expose/protect verdicts run
-  // through.
-  const decision::DecisionKernel kernel = make_kernel(attack_subset);
-  StrategyResult result;
-  result.strategy = "no-LPPM";
-  result.users.resize(pairs_.size());
+  // Resolve every name once, before the pass over users.
+  enum class Row { kNoLppm, kSingle, kHybrid, kMood, kMoodFull };
+  std::vector<Row> kinds;
+  EvaluationGrid grid;
+  bool composes = false;      // a row reads compositions
+  bool reads_winner = false;  // a row reads the search winner
+  bool searches = false;      // a row reads the search
+  for (const std::string& name : strategies) {
+    const Row kind = name == "no-LPPM"      ? Row::kNoLppm
+                     : name == "HybridLPPM" ? Row::kHybrid
+                     : name == "MooD"       ? Row::kMood
+                     : name == "MooD-full"  ? Row::kMoodFull
+                                            : Row::kSingle;
+    support::expects(kind != Row::kSingle || registry_.find(name) != nullptr,
+                     "ExperimentHarness::evaluate: unknown strategy '" + name +
+                         "'");
+    composes |= kind == Row::kMood || kind == Row::kMoodFull;
+    reads_winner |= composes || kind == Row::kHybrid;
+    searches |= kind != Row::kNoLppm;
+    kinds.push_back(kind);
+    if (kind == Row::kMoodFull) {
+      grid.rows.emplace_back(
+          MoodResult{std::vector<MoodUserOutcome>(pairs_.size())});
+    } else {
+      grid.rows.emplace_back(
+          StrategyResult{name, std::vector<UserOutcome>(pairs_.size())});
+    }
+  }
+
+  // L of the one engine searched: the requested singles alone unless a row
+  // reads the search winner (or none is searched). A single's noise is
+  // keyed by its name, so its price does not depend on the rest of L.
+  std::vector<const lppm::Lppm*> singles;
+  for (const lppm::Lppm* single : registry_.singles()) {
+    if (reads_winner || !searches ||
+        std::count(strategies.begin(), strategies.end(), single->name())) {
+      singles.push_back(single);
+    }
+  }
+  std::vector<std::size_t> in_l;  // a single row's index into L
+  for (const std::string& name : strategies) {
+    in_l.push_back(static_cast<std::size_t>(
+        std::find(singles.begin(), singles.end(), registry_.find(name)) -
+        singles.begin()));
+  }
+
+  // One kernel answers the risk query and owns the one engine searched:
+  // without "MooD"/"MooD-full" its C \ L is empty, so no composition runs.
+  const decision::DecisionKernel kernel(engine_over(
+      singles,
+      composes ? registry_.multi_compositions()
+               : std::vector<lppm::Composition>{},
+      attack_subset));
+  const MoodEngine& engine = kernel.engine();
   support::parallel_for(pairs_.size(), [&](std::size_t i) {
-    const auto& pair = pairs_[i];
-    const bool caught = kernel.at_risk_trace(pair.test);
-    result.users[i] = UserOutcome{pair.test.user(), !caught, 0.0,
-                                  pair.test.size(), ""};
+    const mobility::Trace& test = pairs_[i].test;
+    ProtectionResult cost;
+    std::vector<std::optional<double>> prices;  // the singles pass, by L
+    std::optional<MoodEngine::Candidate> winner;
+    if (searches) winner = engine.search(test, &cost, &prices);
+    for (std::size_t r = 0; r < kinds.size(); ++r) {
+      if (kinds[r] == Row::kMoodFull) {
+        std::get<MoodResult>(grid.rows[r]).users[i] =
+            full_outcome(engine, test, winner, cost);
+        continue;
+      }
+      StrategyResult& result = std::get<StrategyResult>(grid.rows[r]);
+      UserOutcome row{test.user(), false, 0.0, test.size(), ""};
+      if (kinds[r] == Row::kNoLppm) {
+        row.is_protected = !kernel.at_risk_trace(test);
+      } else if (kinds[r] == Row::kSingle) {  // keeps its name unprotected
+        const std::optional<double>& price = prices[in_l[r]];
+        row = UserOutcome{test.user(), price.has_value(), price.value_or(0.0),
+                          test.size(), result.strategy};
+      } else if (winner && (kinds[r] == Row::kMood ||
+                            winner->level == ProtectionLevel::kSingle)) {
+        // HybridLPPM is the singles pass: a single-LPPM winner.
+        row = UserOutcome{test.user(), true, winner->distortion, test.size(),
+                          winner->lppm};
+      }
+      result.users[i] = std::move(row);
+    }
   });
-  result.wall_seconds = timer.seconds();
-  return result;
+  grid.wall_seconds = timer.seconds();
+  return grid;
 }
 
 GatewayResult ExperimentHarness::evaluate_gateway(
     const std::vector<std::size_t>& attack_subset) const {
-  const WallTimer timer;
   const decision::DecisionKernel kernel = make_kernel(attack_subset);
   GatewayResult result;
   result.users.resize(pairs_.size());
@@ -251,42 +340,22 @@ GatewayResult ExperimentHarness::evaluate_gateway(
     result.users[i] = GatewayOutcome{pair.test.user(), verdict.decision,
                                      verdict.winner, pair.test.size()};
   });
-  result.wall_seconds = timer.seconds();
   return result;
-}
-
-StrategyResult ExperimentHarness::evaluate_single(
-    const std::string& lppm_name,
-    const std::vector<std::size_t>& attack_subset) const {
-  support::expects(registry_.find(lppm_name) != nullptr,
-                   "evaluate_single: unknown LPPM " + lppm_name);
-  const MoodEngine engine = make_engine(attack_subset);
-  return candidate_rows(lppm_name, pairs_, lppm_name,
-                        [&](const mobility::Trace& test) {
-                          return engine.recheck(lppm_name, test);
-                        });
-}
-
-StrategyResult ExperimentHarness::evaluate_hybrid(
-    const std::vector<std::size_t>& attack_subset) const {
-  const MoodEngine engine = engine_over({}, attack_subset);
-  return candidate_rows("HybridLPPM", pairs_, "",
-                        [&](const mobility::Trace& test) {
-                          return engine.search(test);
-                        });
 }
 
 MoodEngine ExperimentHarness::make_engine(
     const std::vector<std::size_t>& attack_subset) const {
-  return engine_over(registry_.multi_compositions(), attack_subset);
+  return engine_over(registry_.singles(), registry_.multi_compositions(),
+                     attack_subset);
 }
 
 MoodEngine ExperimentHarness::engine_over(
+    std::vector<const lppm::Lppm*> singles,
     std::vector<lppm::Composition> compositions,
     const std::vector<std::size_t>& attack_subset) const {
   MoodConfig mood_config = config_.mood;
   mood_config.seed = seed_;
-  return MoodEngine(registry_.singles(), std::move(compositions),
+  return MoodEngine(std::move(singles), std::move(compositions),
                     attack_views(attack_subset), &metric_, mood_config);
 }
 
@@ -294,71 +363,6 @@ decision::DecisionKernel ExperimentHarness::make_kernel(
     const std::vector<std::size_t>& attack_subset,
     decision::KernelConfig kernel_config) const {
   return decision::DecisionKernel(make_engine(attack_subset), kernel_config);
-}
-
-StrategyResult ExperimentHarness::evaluate_mood_search(
-    const std::vector<std::size_t>& attack_subset) const {
-  const MoodEngine engine = make_engine(attack_subset);
-  return candidate_rows("MooD", pairs_, "", [&](const mobility::Trace& test) {
-    return engine.search(test);
-  });
-}
-
-MoodResult ExperimentHarness::evaluate_mood_full(
-    const std::vector<std::size_t>& attack_subset) const {
-  const WallTimer timer;
-  const MoodEngine engine = make_engine(attack_subset);
-  MoodResult result;
-  result.users.resize(pairs_.size());
-  support::parallel_for(pairs_.size(), [&](std::size_t i) {
-    const auto& pair = pairs_[i];
-    MoodUserOutcome outcome;
-    outcome.user = pair.test.user();
-    outcome.records = pair.test.size();
-
-    // Stage 1: whole-trace search (singles + compositions).
-    ProtectionResult cost;
-    if (auto whole = engine.search(pair.test, &cost)) {
-      outcome.level = whole->level;
-      outcome.distortion = whole->distortion;
-      outcome.winner = whole->lppm;
-      outcome.lppm_applications = cost.lppm_applications;
-      outcome.attack_invocations = cost.attack_invocations;
-      result.users[i] = std::move(outcome);
-      return;
-    }
-
-    // Stage 2 (§4.2): 24 h slices, each through full Algorithm 1.
-    outcome.level = ProtectionLevel::kFineGrained;
-    double weighted_distortion = 0.0;
-    std::size_t weighted_records = 0;
-    for (const auto& slice : pair.test.slices(engine.config().preslice)) {
-      const ProtectionResult piece = engine.protect(slice);
-      ++outcome.subtraces;
-      if (piece.fully_protected()) ++outcome.protected_subtraces;
-      outcome.lost_records += piece.lost_records;
-      outcome.lppm_applications += piece.lppm_applications;
-      outcome.attack_invocations += piece.attack_invocations;
-      for (const auto& p : piece.pieces) {
-        weighted_distortion +=
-            p.distortion * static_cast<double>(p.original_records);
-        weighted_records += p.original_records;
-      }
-    }
-    outcome.lppm_applications += cost.lppm_applications;
-    outcome.attack_invocations += cost.attack_invocations;
-    outcome.distortion = weighted_records == 0
-                             ? 0.0
-                             : weighted_distortion /
-                                   static_cast<double>(weighted_records);
-    if (outcome.subtraces == 0) {
-      // Degenerate: empty test trace — nothing to lose or protect.
-      outcome.level = ProtectionLevel::kNone;
-    }
-    result.users[i] = std::move(outcome);
-  });
-  result.wall_seconds = timer.seconds();
-  return result;
 }
 
 }  // namespace mood::core

@@ -10,18 +10,18 @@
 ///     (§4.1.2) and the derived composition set C \ L,
 ///   * the STD utility metric (§3.5).
 ///
-/// Strategy evaluators reproduce the experiment grid: no-LPPM / each single
-/// LPPM / HybridLPPM / MooD composition search / full MooD (with 24 h
-/// pre-slicing and recursive fine-grained protection). Each one is a
-/// MoodEngine or DecisionKernel call per user, so every strategy draws a
-/// mechanism's noise from the same stream and the strategies nest per user.
-/// All evaluators parallelise over users and are deterministic for a fixed
-/// seed.
+/// evaluate() reproduces the experiment grid: no-LPPM / each single LPPM /
+/// HybridLPPM / MooD composition search / full MooD (24 h pre-slicing and
+/// recursive fine-grained protection). It runs one MooD search per user
+/// and reads every requested row off it, so the rows nest per user by
+/// construction and a row does not depend on what else was requested.
+/// The pass parallelises over users and is deterministic for a fixed seed.
 
 #include <array>
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <variant>
 #include <vector>
 
 #include "attacks/attack.h"
@@ -73,7 +73,6 @@ struct UserOutcome {
 struct StrategyResult {
   std::string strategy;
   std::vector<UserOutcome> users;
-  double wall_seconds = 0.0;  ///< evaluator wall-clock time (set by harness)
 
   [[nodiscard]] std::size_t user_count() const { return users.size(); }
   [[nodiscard]] std::size_t non_protected_users() const;
@@ -118,7 +117,6 @@ struct GatewayOutcome {
 /// Aggregated result of the batch gateway pass.
 struct GatewayResult {
   std::vector<GatewayOutcome> users;  ///< in pairs() order
-  double wall_seconds = 0.0;
 
   [[nodiscard]] std::size_t exposed_users() const;
 };
@@ -126,7 +124,6 @@ struct GatewayResult {
 /// Aggregate view of the full-MooD outcomes.
 struct MoodResult {
   std::vector<MoodUserOutcome> users;
-  double wall_seconds = 0.0;  ///< evaluator wall-clock time (set by harness)
 
   [[nodiscard]] std::size_t non_protected_users() const;  ///< any loss
   [[nodiscard]] double data_loss() const;                 ///< Eq. 7, records
@@ -134,6 +131,14 @@ struct MoodResult {
   /// Aggregate search cost across users (for deployment-cost reporting).
   [[nodiscard]] std::size_t total_lppm_applications() const;
   [[nodiscard]] std::size_t total_attack_invocations() const;
+};
+
+/// The rows of one ExperimentHarness::evaluate() pass.
+struct EvaluationGrid {
+  /// One row per requested strategy, in request order ("MooD-full" is a
+  /// MoodResult, every other strategy a StrategyResult).
+  std::vector<std::variant<StrategyResult, MoodResult>> rows;
+  double wall_seconds = 0.0;  ///< the whole pass (its rows share the work)
 };
 
 class ExperimentHarness {
@@ -159,40 +164,30 @@ class ExperimentHarness {
   }
   [[nodiscard]] std::size_t total_test_records() const;
 
-  // ---- Strategy evaluators ------------------------------------------
+  // ---- Evaluation -----------------------------------------------------
   // `attack_subset` holds indices into attacks(); empty means "all".
-  // Subsets are read-only views — taken by const reference so callers
-  // reuse one vector across the whole strategy grid without copies.
 
-  /// Raw traces, no protection — the "no-LPPM" bar of Fig. 6/7.
-  [[nodiscard]] StrategyResult evaluate_no_lppm(
-      const std::vector<std::size_t>& attack_subset = {}) const;
-
-  /// One fixed LPPM for everybody (Fig. 2/3/6/7 single-LPPM bars): the
-  /// engine's recheck of that LPPM, so a user's output is the one MooD's
-  /// singles pass prices. An unprotected row keeps the LPPM's name.
-  [[nodiscard]] StrategyResult evaluate_single(
-      const std::string& lppm_name,
-      const std::vector<std::size_t>& attack_subset = {}) const;
-
-  /// HybridLPPM baseline: per-user best protective single LPPM, i.e. the
-  /// search of an engine with an empty C \ L (Algorithm 1 lines 4-14).
-  [[nodiscard]] StrategyResult evaluate_hybrid(
-      const std::vector<std::size_t>& attack_subset = {}) const;
-
-  /// MooD's multi-LPPM composition search only (no fine-grained stage) —
-  /// the "MooD" bars of Fig. 6/7: make_engine()'s search.
-  [[nodiscard]] StrategyResult evaluate_mood_search(
-      const std::vector<std::size_t>& attack_subset = {}) const;
-
-  /// Full MooD pipeline (§4.2): whole-trace search; failures go through
-  /// 24 h pre-slicing + recursive fine-grained protection — Fig. 8/10.
-  [[nodiscard]] MoodResult evaluate_mood_full(
+  /// The strategy grid in one pass over users. `strategies` names rows:
+  ///   * "no-LPPM": raw traces, the kernel's risk query (Fig. 6/7 bar);
+  ///   * a single LPPM of registry() ("GeoI", "TRL", "HMC"): that LPPM
+  ///     for everybody, priced by the search's singles pass; an
+  ///     unprotected row keeps the LPPM's name (Fig. 2/3/6/7 bars);
+  ///   * "HybridLPPM": the search winner when it is a single, i.e. the
+  ///     per-user best protective single (Algorithm 1 lines 4-14);
+  ///   * "MooD": the search winner, compositions included (Fig. 6/7);
+  ///   * "MooD-full": the search winner, else 24 h pre-slicing and
+  ///     recursive fine-grained protection (§4.2, Fig. 8/10).
+  /// Each user gets at most one MoodEngine::search: over C \ L only when
+  /// "MooD" or "MooD-full" is requested, over the requested singles alone
+  /// when no HybridLPPM or MooD row is, and none when only "no-LPPM" is.
+  /// Throws PreconditionError for an unknown name.
+  [[nodiscard]] EvaluationGrid evaluate(
+      const std::vector<std::string>& strategies,
       const std::vector<std::size_t>& attack_subset = {}) const;
 
   /// The online decision procedure in batch clothing: one DecisionKernel
   /// pass per full test trace (fold everything, finalise). The expose set
-  /// equals evaluate_no_lppm's protected set and every at-risk user's
+  /// equals the "no-LPPM" row's protected set and every at-risk user's
   /// winner equals the whole-trace search — structurally, because all
   /// three run through the same kernel.
   [[nodiscard]] GatewayResult evaluate_gateway(
@@ -204,8 +199,8 @@ class ExperimentHarness {
       const std::vector<std::size_t>& attack_subset = {}) const;
 
   /// Builds the shared batch/stream decision kernel over the given attack
-  /// subset. The default KernelConfig (no window, always fresh) is what
-  /// every batch evaluator uses; the streaming gateway passes its own.
+  /// subset. The default KernelConfig (no window, always fresh) is the
+  /// batch one; the streaming gateway passes its own.
   [[nodiscard]] decision::DecisionKernel make_kernel(
       const std::vector<std::size_t>& attack_subset = {},
       decision::KernelConfig kernel_config = {}) const;
@@ -227,9 +222,10 @@ class ExperimentHarness {
   [[nodiscard]] std::vector<const attacks::Attack*> attack_views(
       const std::vector<std::size_t>& subset) const;
 
-  /// make_engine() with `compositions` as C \ L; an empty list is
-  /// HybridLPPM.
+  /// make_engine() with `singles` as L and `compositions` as C \ L; an
+  /// empty C \ L is HybridLPPM.
   [[nodiscard]] MoodEngine engine_over(
+      std::vector<const lppm::Lppm*> singles,
       std::vector<lppm::Composition> compositions,
       const std::vector<std::size_t>& attack_subset) const;
 

@@ -135,7 +135,9 @@ std::optional<MoodEngine::Candidate> MoodEngine::try_mechanism(
 }
 
 std::optional<MoodEngine::Candidate> MoodEngine::search(
-    const mobility::Trace& trace, ProtectionResult* cost) const {
+    const mobility::Trace& trace, ProtectionResult* cost,
+    std::vector<std::optional<double>>* singles) const {
+  if (singles != nullptr) singles->assign(singles_.size(), std::nullopt);
   if (trace.empty()) return std::nullopt;
   const support::RngStream owner = owner_stream(trace);
   // Prefix-tree outputs by node. A level's outputs are freed once the next
@@ -149,6 +151,7 @@ std::optional<MoodEngine::Candidate> MoodEngine::search(
     const lppm::Lppm& single = *singles_[s];
     mobility::Trace output = lppm::apply_keyed(single, trace, owner);
     const std::optional<double> distortion = price(trace, output, cost);
+    if (singles != nullptr) (*singles)[s] = distortion;
     if (!distortion) {
       if (single_nodes_[s] != kNoNode) {
         outputs[single_nodes_[s]] = std::move(output);

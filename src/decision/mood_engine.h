@@ -121,6 +121,8 @@ class MoodEngine {
   /// no splitting. nullopt when nothing protects. `cost` (optional)
   /// accumulates search-effort counters: lppm_applications counts the
   /// candidates priced (one per single or composition), not stages.
+  /// `singles` (optional) receives each single's price in L's order, as
+  /// recheck() gives it: nullopt where an attack re-identifies its output.
   ///
   /// The singles pass (and the whole first_hit ablation) runs serially in
   /// order. The exhaustive composition pass walks the prefix tree of C \ L
@@ -133,7 +135,8 @@ class MoodEngine {
   /// Winner, output and counts equal a serial recheck() scan's: lowest
   /// distortion, ties to the earliest position in C \ L.
   [[nodiscard]] std::optional<Candidate> search(
-      const mobility::Trace& trace, ProtectionResult* cost = nullptr) const;
+      const mobility::Trace& trace, ProtectionResult* cost = nullptr,
+      std::vector<std::optional<double>>* singles = nullptr) const;
 
   /// Full Algorithm 1 (search + recursive fine-grained splitting).
   /// Sub-trace ids are renewed in the returned pieces.

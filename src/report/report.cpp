@@ -89,7 +89,6 @@ Json to_json(const core::StrategyResult& result, bool include_users) {
   object["non_protected_ratio"] = result.non_protected_ratio();
   object["data_loss"] = result.data_loss();
   object["distortion_bands"] = bands_json(result.distortion_bands());
-  object["wall_seconds"] = result.wall_seconds;
   if (include_users) {
     Json users = Json::array();
     for (const auto& user : result.users) users.push_back(to_json(user));
@@ -126,7 +125,6 @@ Json to_json(const core::MoodResult& result, bool include_users) {
                 static_cast<double>(result.users.size());
   object["data_loss"] = result.data_loss();
   object["distortion_bands"] = bands_json(result.distortion_bands());
-  object["wall_seconds"] = result.wall_seconds;
   Json cost = Json::object();
   cost["lppm_applications"] = result.total_lppm_applications();
   cost["attack_invocations"] = result.total_attack_invocations();
@@ -479,7 +477,7 @@ std::vector<std::vector<std::string>> stream_summary_rows(
   return rows;
 }
 
-std::vector<std::vector<std::string>> user_outcome_rows(
+std::vector<std::vector<std::string>> outcome_rows(
     const core::StrategyResult& result) {
   std::vector<std::vector<std::string>> rows;
   rows.push_back({"user", "protected", "distortion_m", "records", "winner"});
@@ -491,7 +489,7 @@ std::vector<std::vector<std::string>> user_outcome_rows(
   return rows;
 }
 
-std::vector<std::vector<std::string>> mood_outcome_rows(
+std::vector<std::vector<std::string>> outcome_rows(
     const core::MoodResult& result) {
   std::vector<std::vector<std::string>> rows;
   rows.push_back({"user", "level", "records", "lost_records", "subtraces",
@@ -514,7 +512,7 @@ std::vector<std::vector<std::string>> strategy_summary_rows(
     const Json& report_document) {
   std::vector<std::vector<std::string>> rows;
   rows.push_back({"dataset", "strategy", "users", "non_protected", "data_loss",
-                  "bands(l/m/h/x)", "seconds"});
+                  "bands(l/m/h/x)"});
   const Json* meta = report_document.find("meta");
   const std::string dataset =
       meta != nullptr ? meta->string_or("dataset", "?") : "?";
@@ -532,8 +530,7 @@ std::vector<std::vector<std::string>> strategy_summary_rows(
                     std::to_string(strategy.int_or("users", 0)),
                     std::to_string(strategy.int_or("non_protected_users", 0)),
                     format_percent(strategy.number_or("data_loss", 0.0)),
-                    format_bands(bands),
-                    format_double(strategy.number_or("wall_seconds", 0.0), 2)});
+                    format_bands(bands)});
   }
   return rows;
 }

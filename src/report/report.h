@@ -15,7 +15,7 @@
 ///   "schema": "mood-result/1",
 ///   "meta": {            // RunMetadata: provenance of the run
 ///     "tool": "mood evaluate", "dataset": "PrivaMov", "seed": 7,
-///     "wall_seconds": 12.3, "timings": {"harness": 1.9, "GeoI": 2.2},
+///     "wall_seconds": 12.3, "timings": {"harness": 1.9, "strategies": 8.1},
 ///     "config": { ... every ExperimentConfig knob ... }
 ///   },
 ///   "dataset": {         // summary statistics of the evaluated dataset
@@ -30,7 +30,6 @@
 ///       "data_loss": 0.3105,
 ///       "distortion_bands": {"low": 10, "medium": 9, "high": 8,
 ///                             "extremely_high": 2},
-///       "wall_seconds": 2.2,
 ///       "per_user": [ {"user": "u01", "protected": true, ...}, ... ]
 ///     },
 ///     {
@@ -45,8 +44,9 @@
 /// `data_loss` and the ratios are fractions in [0, 1]; distortions are
 /// metres; timestamps are Unix seconds. `per_user` is optional (large) and
 /// `search_cost` appears only on the full-pipeline strategy ("MooD-full",
-/// serialized from MoodResult — the other evaluators don't count search
-/// effort).
+/// serialized from MoodResult — the other rows don't count search
+/// effort). Strategy objects carry no timing: one harness pass shares
+/// their work, timed as `meta.timings.strategies`.
 
 #include <cstdint>
 #include <optional>
@@ -237,18 +237,19 @@ std::vector<std::vector<std::string>> stream_summary_rows(
 
 /// Per-user rows (header first): user, protected, distortion_m, records,
 /// winner.
-std::vector<std::vector<std::string>> user_outcome_rows(
+std::vector<std::vector<std::string>> outcome_rows(
     const core::StrategyResult& result);
 
 /// Per-user rows (header first) for the full pipeline: user, level,
 /// records, lost_records, subtraces, protected_subtraces, distortion_m,
 /// winner, lppm_applications, attack_invocations.
-std::vector<std::vector<std::string>> mood_outcome_rows(
+std::vector<std::vector<std::string>> outcome_rows(
     const core::MoodResult& result);
 
 /// One summary row per strategy object of a result document (header
-/// first): strategy, users, non_protected, data_loss, bands, seconds.
-/// Accepts any JSON produced by make_report().
+/// first): dataset, strategy, users, non_protected, data_loss, bands.
+/// Accepts any JSON produced by make_report(), including older documents
+/// whose strategy objects still carry `wall_seconds`.
 std::vector<std::vector<std::string>> strategy_summary_rows(
     const Json& report_document);
 

@@ -420,10 +420,12 @@ TEST(BoundedScanEquivalence, EvaluateMoodFullIndexMatchesScan) {
   const auto harness = pruning_population();
   ASSERT_GE(harness.pairs().size(), attacks::kIndexMinPopulation);
   harness.set_attack_query_mode(attacks::QueryMode::kScan);
-  const core::MoodResult scan = harness.evaluate_mood_full();
+  const auto scan =
+      std::get<core::MoodResult>(harness.evaluate({"MooD-full"}).rows[0]);
   const auto before = ap_attack(harness).index_stats();
   harness.set_attack_query_mode(attacks::QueryMode::kIndex);
-  const core::MoodResult index = harness.evaluate_mood_full();
+  const auto index =
+      std::get<core::MoodResult>(harness.evaluate({"MooD-full"}).rows[0]);
 
   ASSERT_EQ(scan.users.size(), index.users.size());
   for (std::size_t i = 0; i < scan.users.size(); ++i) {
@@ -741,14 +743,15 @@ TEST(PrivacyContract, GatewayVerdictsHoldAgainstTheLegacyOracles) {
 // ------------------------------------------------ determinism ----------
 
 TEST(EvaluatorDeterminism, ParallelMoodFullMatchesSerialReconstruction) {
-  // evaluate_mood_full fans users across the shared pool; its outcome must
+  // evaluate() fans users across the shared pool; its MooD-full rows must
   // equal a serial per-user reconstruction (the engine is pure), which
   // makes the result independent of worker count and scheduling (--jobs 1
   // vs --jobs N agree; the CI smoke also checks that across processes).
   const auto dataset = distinct_population(6);
   core::ExperimentConfig config;
   const core::ExperimentHarness harness(dataset, config, 7);
-  const auto parallel = harness.evaluate_mood_full();
+  const auto parallel =
+      std::get<core::MoodResult>(harness.evaluate({"MooD-full"}).rows[0]);
   const auto engine = harness.make_engine();
   ASSERT_EQ(parallel.users.size(), harness.pairs().size());
   for (std::size_t i = 0; i < harness.pairs().size(); ++i) {
@@ -766,7 +769,8 @@ TEST(EvaluatorDeterminism, ParallelMoodFullMatchesSerialReconstruction) {
     }
   }
   // And a second parallel run is bit-identical.
-  const auto again = harness.evaluate_mood_full();
+  const auto again =
+      std::get<core::MoodResult>(harness.evaluate({"MooD-full"}).rows[0]);
   for (std::size_t i = 0; i < parallel.users.size(); ++i) {
     EXPECT_EQ(parallel.users[i].winner, again.users[i].winner);
     EXPECT_EQ(parallel.users[i].distortion, again.users[i].distortion);

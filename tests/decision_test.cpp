@@ -100,11 +100,12 @@ TEST(DecisionNames, Stable) {
 }
 
 /// evaluate_gateway is the kernel in batch clothing: its expose set must
-/// equal evaluate_no_lppm's protected set, and every protect verdict must
+/// equal the no-LPPM row's protected set, and every protect verdict must
 /// carry the whole-trace search winner.
 TEST_F(DecisionKernelTest, GatewayMatchesNoLppmAndWholeTraceSearch) {
   const core::GatewayResult gateway = harness_->evaluate_gateway();
-  const core::StrategyResult no_lppm = harness_->evaluate_no_lppm();
+  const auto no_lppm =
+      std::get<core::StrategyResult>(harness_->evaluate({"no-LPPM"}).rows[0]);
   const MoodEngine engine = harness_->make_engine();
   ASSERT_EQ(gateway.users.size(), no_lppm.users.size());
   ASSERT_EQ(gateway.users.size(), harness_->pairs().size());

@@ -7,6 +7,7 @@
 #include "core/experiment.h"
 #include "simulation/generator.h"
 #include "simulation/presets.h"
+#include "support/error.h"
 #include "support/logging.h"
 
 namespace mood::core {
@@ -67,47 +68,46 @@ TEST_F(IntegrationTest, RegistryHoldsPaperLppms) {
   EXPECT_NE(harness_->registry().find("HMC"), nullptr);
 }
 
+/// Every strategy the harness evaluates, in the paper's order.
+const std::vector<std::string> kAllStrategies{
+    "no-LPPM", "GeoI", "TRL", "HMC", "HybridLPPM", "MooD", "MooD-full"};
+
+/// Row `r` of `grid`, a StrategyResult (every strategy but MooD-full).
+const StrategyResult& row(const EvaluationGrid& grid, std::size_t r) {
+  return std::get<StrategyResult>(grid.rows.at(r));
+}
+
+/// Row `r` of `grid`, full MooD's MoodResult.
+const MoodResult& full_row(const EvaluationGrid& grid, std::size_t r) {
+  return std::get<MoodResult>(grid.rows.at(r));
+}
+
 TEST_F(IntegrationTest, RawTracesAreVulnerable) {
-  const auto result = harness_->evaluate_no_lppm();
+  const auto result = row(harness_->evaluate({"no-LPPM"}), 0);
   // Distinct private POIs + no protection => most users re-identified.
   EXPECT_GT(result.non_protected_users(), result.user_count() / 2);
   EXPECT_GT(result.data_loss(), 0.0);
 }
 
 TEST_F(IntegrationTest, SingleLppmsProtectSomeUsers) {
-  const auto raw = harness_->evaluate_no_lppm();
-  const auto hmc = harness_->evaluate_single("HMC");
+  const auto grid = harness_->evaluate({"no-LPPM", "HMC"});
+  const auto& raw = row(grid, 0);
+  const auto& hmc = row(grid, 1);
   // HMC is built to defeat re-identification: strictly better than raw.
   EXPECT_LT(hmc.non_protected_users(), raw.non_protected_users());
 }
 
-TEST_F(IntegrationTest, HybridAtLeastAsGoodAsBestSingle) {
-  const auto geoi = harness_->evaluate_single("GeoI");
-  const auto trl = harness_->evaluate_single("TRL");
-  const auto hmc = harness_->evaluate_single("HMC");
-  const auto hybrid = harness_->evaluate_hybrid();
-  const std::size_t best_single =
-      std::min({geoi.non_protected_users(), trl.non_protected_users(),
-                hmc.non_protected_users()});
-  EXPECT_LE(hybrid.non_protected_users(), best_single);
-}
-
-TEST_F(IntegrationTest, MoodSearchAtLeastAsGoodAsHybrid) {
-  const auto hybrid = harness_->evaluate_hybrid();
-  const auto mood = harness_->evaluate_mood_search();
-  EXPECT_LE(mood.non_protected_users(), hybrid.non_protected_users());
-}
-
 TEST_F(IntegrationTest, FullMoodMinimisesDataLoss) {
-  const auto hybrid = harness_->evaluate_hybrid();
-  const auto mood = harness_->evaluate_mood_full();
+  const auto grid = harness_->evaluate({"HybridLPPM", "MooD-full"});
+  const auto& hybrid = row(grid, 0);
+  const auto& mood = full_row(grid, 1);
   EXPECT_LE(mood.data_loss(), hybrid.data_loss());
   // Fig. 10 shape: MooD's loss is (near) zero.
   EXPECT_LT(mood.data_loss(), 0.10);
 }
 
 TEST_F(IntegrationTest, MoodOutcomesAreInternallyConsistent) {
-  const auto mood = harness_->evaluate_mood_full();
+  const auto mood = full_row(harness_->evaluate({"MooD-full"}), 0);
   for (const auto& user : mood.users) {
     EXPECT_LE(user.lost_records, user.records);
     EXPECT_LE(user.protected_subtraces, user.subtraces);
@@ -125,8 +125,8 @@ TEST_F(IntegrationTest, SingleAttackSubsetIsWeaker) {
   // Fig. 6 vs Fig. 7: one attack re-identifies at most as many users as
   // three attacks do.
   const auto ap_only =
-      harness_->evaluate_no_lppm({harness_->ap_attack_index()});
-  const auto all = harness_->evaluate_no_lppm();
+      row(harness_->evaluate({"no-LPPM"}, {harness_->ap_attack_index()}), 0);
+  const auto all = row(harness_->evaluate({"no-LPPM"}), 0);
   EXPECT_LE(ap_only.non_protected_users(), all.non_protected_users());
 }
 
@@ -134,24 +134,29 @@ TEST_F(IntegrationTest, DeterministicAcrossHarnesses) {
   ExperimentConfig config;
   config.min_records = 8;
   const ExperimentHarness again(*dataset_, config, /*seed=*/21);
-  EXPECT_EQ(again.evaluate_no_lppm().non_protected_users(),
-            harness_->evaluate_no_lppm().non_protected_users());
-  EXPECT_EQ(again.evaluate_mood_search().non_protected_users(),
-            harness_->evaluate_mood_search().non_protected_users());
+  const auto one = again.evaluate({"no-LPPM", "MooD"});
+  const auto other = harness_->evaluate({"no-LPPM", "MooD"});
+  EXPECT_EQ(row(one, 0).non_protected_users(),
+            row(other, 0).non_protected_users());
+  EXPECT_EQ(row(one, 1).non_protected_users(),
+            row(other, 1).non_protected_users());
 }
 
 TEST_F(IntegrationTest, StrategiesNestPerUser) {
-  // Every strategy is a MoodEngine call drawing the same noise, so the
-  // paper's "MooD ⊇ HybridLPPM ⊇ each single" holds user by user, with
-  // bit-equal outputs, not only in aggregate.
+  // Every row is read off one MoodEngine search per user, so the paper's
+  // "MooD ⊇ HybridLPPM ⊇ each single" holds user by user, with bit-equal
+  // outputs, not only in aggregate. engine.recheck() prices each single
+  // row independently of that search.
   const auto engine = harness_->make_engine();
-  const auto hybrid = harness_->evaluate_hybrid();
-  const auto search = harness_->evaluate_mood_search();
-  const auto full = harness_->evaluate_mood_full();
-  std::vector<StrategyResult> singles;
-  for (const auto* single : harness_->registry().singles()) {
-    singles.push_back(harness_->evaluate_single(single->name()));
-  }
+  const EvaluationGrid grid = harness_->evaluate(kAllStrategies);
+  ASSERT_EQ(grid.rows.size(), 7u);
+  const StrategyResult& hybrid = row(grid, 4);
+  const StrategyResult& search = row(grid, 5);
+  const MoodResult& full = full_row(grid, 6);
+  const std::vector<StrategyResult> singles{row(grid, 1), row(grid, 2),
+                                            row(grid, 3)};
+  ASSERT_EQ(hybrid.strategy, "HybridLPPM");
+  ASSERT_EQ(search.strategy, "MooD");
   std::size_t hybrid_protected = 0;
   for (std::size_t i = 0; i < harness_->pairs().size(); ++i) {
     const mobility::Trace& test = harness_->pairs()[i].test;
@@ -170,16 +175,16 @@ TEST_F(IntegrationTest, StrategiesNestPerUser) {
       EXPECT_EQ(full.users[i].lost_records, 0u) << test.user();
     }
     for (const StrategyResult& single : singles) {
-      const UserOutcome& row = single.users[i];
+      const UserOutcome& by_single = single.users[i];
       const auto expected = engine.recheck(single.strategy, test);
-      EXPECT_EQ(row.winner, single.strategy) << test.user();
-      EXPECT_EQ(row.is_protected, expected.has_value())
+      EXPECT_EQ(by_single.winner, single.strategy) << test.user();
+      EXPECT_EQ(by_single.is_protected, expected.has_value())
           << single.strategy << " on " << test.user();
       if (!expected) continue;
-      EXPECT_EQ(row.distortion, expected->distortion)
+      EXPECT_EQ(by_single.distortion, expected->distortion)
           << single.strategy << " on " << test.user();
       EXPECT_TRUE(by_hybrid.is_protected) << test.user();
-      EXPECT_LE(by_hybrid.distortion, row.distortion)
+      EXPECT_LE(by_hybrid.distortion, by_single.distortion)
           << single.strategy << " on " << test.user();
     }
   }
@@ -188,8 +193,85 @@ TEST_F(IntegrationTest, StrategiesNestPerUser) {
   EXPECT_GT(hybrid.non_protected_users(), search.non_protected_users());
 }
 
+void expect_same_rows(const StrategyResult& alone, const StrategyResult& in,
+                      const std::string& context) {
+  EXPECT_EQ(alone.strategy, in.strategy) << context;
+  ASSERT_EQ(alone.users.size(), in.users.size()) << context;
+  for (std::size_t i = 0; i < alone.users.size(); ++i) {
+    const UserOutcome& a = alone.users[i];
+    const UserOutcome& b = in.users[i];
+    EXPECT_EQ(a.user, b.user) << context;
+    EXPECT_EQ(a.is_protected, b.is_protected) << context << " " << a.user;
+    EXPECT_EQ(a.distortion, b.distortion) << context << " " << a.user;
+    EXPECT_EQ(a.records, b.records) << context << " " << a.user;
+    EXPECT_EQ(a.winner, b.winner) << context << " " << a.user;
+  }
+}
+
+TEST_F(IntegrationTest, RowsDoNotDependOnTheRequest) {
+  // A row requested alone equals the same row of the whole grid, user by
+  // user — although alone, GeoI and HybridLPPM search an engine without
+  // compositions, and GeoI and TRL one whose L holds only them — for the
+  // full attack set and for AP alone.
+  for (const std::vector<std::size_t>& subset :
+       {std::vector<std::size_t>{},
+        std::vector<std::size_t>{harness_->ap_attack_index()}}) {
+    const std::string context =
+        subset.empty() ? "all attacks" : "AP attack only";
+    const EvaluationGrid grid = harness_->evaluate(kAllStrategies, subset);
+    ASSERT_EQ(grid.rows.size(), 7u);
+    expect_same_rows(row(harness_->evaluate({"GeoI"}, subset), 0),
+                     row(grid, 1), context);
+    const EvaluationGrid two = harness_->evaluate({"GeoI", "TRL"}, subset);
+    expect_same_rows(row(two, 0), row(grid, 1), context);
+    expect_same_rows(row(two, 1), row(grid, 2), context);
+    expect_same_rows(row(harness_->evaluate({"HybridLPPM"}, subset), 0),
+                     row(grid, 4), context);
+
+    const EvaluationGrid alone = harness_->evaluate({"MooD-full"}, subset);
+    ASSERT_EQ(alone.rows.size(), 1u);
+    const MoodResult& a = full_row(alone, 0);
+    const MoodResult& b = full_row(grid, 6);
+    ASSERT_EQ(a.users.size(), b.users.size());
+    for (std::size_t i = 0; i < a.users.size(); ++i) {
+      const MoodUserOutcome& x = a.users[i];
+      const MoodUserOutcome& y = b.users[i];
+      EXPECT_EQ(x.user, y.user) << context;
+      EXPECT_EQ(x.level, y.level) << context << " " << x.user;
+      EXPECT_EQ(x.records, y.records) << context << " " << x.user;
+      EXPECT_EQ(x.lost_records, y.lost_records) << context << " " << x.user;
+      EXPECT_EQ(x.subtraces, y.subtraces) << context << " " << x.user;
+      EXPECT_EQ(x.protected_subtraces, y.protected_subtraces)
+          << context << " " << x.user;
+      EXPECT_EQ(x.distortion, y.distortion) << context << " " << x.user;
+      EXPECT_EQ(x.winner, y.winner) << context << " " << x.user;
+      EXPECT_EQ(x.lppm_applications, y.lppm_applications)
+          << context << " " << x.user;
+      EXPECT_EQ(x.attack_invocations, y.attack_invocations)
+          << context << " " << x.user;
+    }
+  }
+}
+
+TEST_F(IntegrationTest, RowsComeInRequestOrder) {
+  const EvaluationGrid grid =
+      harness_->evaluate({"MooD", "MooD-full", "no-LPPM", "HMC"});
+  ASSERT_EQ(grid.rows.size(), 4u);
+  EXPECT_EQ(row(grid, 0).strategy, "MooD");
+  EXPECT_TRUE(std::holds_alternative<MoodResult>(grid.rows[1]));
+  EXPECT_EQ(row(grid, 2).strategy, "no-LPPM");
+  EXPECT_EQ(row(grid, 3).strategy, "HMC");
+}
+
+TEST_F(IntegrationTest, UnknownStrategyThrows) {
+  EXPECT_THROW((void)harness_->evaluate({"GeoI", "Promesse"}),
+               support::PreconditionError);
+  EXPECT_THROW((void)harness_->evaluate({"hybrid"}),
+               support::PreconditionError);
+}
+
 TEST_F(IntegrationTest, StrategyResultAccountingIsConsistent) {
-  const auto result = harness_->evaluate_hybrid();
+  const auto result = row(harness_->evaluate({"HybridLPPM"}), 0);
   std::size_t protected_count = 0;
   for (const auto& user : result.users) {
     if (user.is_protected) {

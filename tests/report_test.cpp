@@ -255,7 +255,6 @@ TEST(JsonFuzz, MutatedDocumentsParseOrThrowIoError) {
 core::StrategyResult sample_strategy() {
   core::StrategyResult result;
   result.strategy = "GeoI";
-  result.wall_seconds = 0.25;
   result.users.push_back({"alice", true, 120.0, 100, "GeoI"});
   result.users.push_back({"bob", false, 0.0, 300, ""});
   result.users.push_back({"carol", true, 700.0, 100, "GeoI"});
@@ -268,7 +267,8 @@ TEST(Serializers, StrategyResultFields) {
   EXPECT_EQ(doc.int_or("users", 0), 3);
   EXPECT_EQ(doc.int_or("non_protected_users", 0), 1);
   EXPECT_DOUBLE_EQ(doc.number_or("data_loss", -1.0), 0.6);  // 300 / 500
-  EXPECT_DOUBLE_EQ(doc.number_or("wall_seconds", -1.0), 0.25);
+  // One pass produces every row, so no row carries its own timing.
+  EXPECT_EQ(doc.find("wall_seconds"), nullptr);
   const Json* bands = doc.find("distortion_bands");
   ASSERT_NE(bands, nullptr);
   EXPECT_EQ(bands->int_or("low", -1), 1);     // 120 m
@@ -308,7 +308,6 @@ TEST(Serializers, InfiniteDistortionSerializesAsNull) {
 
 core::MoodResult sample_mood() {
   core::MoodResult result;
-  result.wall_seconds = 1.5;
   core::MoodUserOutcome a;
   a.user = "alice";
   a.level = core::ProtectionLevel::kSingle;
@@ -340,6 +339,7 @@ TEST(Serializers, MoodResultFields) {
   EXPECT_EQ(doc.string_or("strategy", ""), "MooD-full");
   EXPECT_EQ(doc.int_or("non_protected_users", -1), 1);  // bob lost records
   EXPECT_NEAR(doc.number_or("data_loss", -1.0), 20.0 / 300.0, 1e-12);
+  EXPECT_EQ(doc.find("wall_seconds"), nullptr);
   const Json* cost = doc.find("search_cost");
   ASSERT_NE(cost, nullptr);
   EXPECT_EQ(cost->int_or("lppm_applications", -1), 43);
@@ -407,12 +407,31 @@ TEST(Serializers, StrategySummaryRowsFromDocument) {
   EXPECT_EQ(rows[1][5], "1/1/0/0");
 }
 
+TEST(Serializers, StrategySummaryRowsRenderOlderDocuments) {
+  // Documents written before strategies shared one pass carry a
+  // per-strategy wall_seconds; they render the same rows, untimed.
+  report::RunMetadata meta;
+  meta.dataset = "tiny";
+  Json strategy = to_json(sample_strategy());
+  const Json current = make_report(meta, core::ExperimentConfig{},
+                                   Json::object(), {strategy});
+  strategy["wall_seconds"] = 0.25;
+  const Json older = make_report(meta, core::ExperimentConfig{},
+                                 Json::object(), {strategy});
+  const auto rows = strategy_summary_rows(older);
+  EXPECT_EQ(rows, strategy_summary_rows(current));
+  ASSERT_EQ(rows.size(), 2u);
+  EXPECT_EQ(rows[0].size(), 6u);
+  EXPECT_EQ(rows[0].back(), "bands(l/m/h/x)");
+  EXPECT_EQ(rows[1].back(), "1/1/0/0");
+}
+
 // ---------------------------------------------------------------- CSV --
 
 TEST(Csv, UserOutcomeRowsRoundTripThroughCsv) {
   core::StrategyResult result = sample_strategy();
   result.users[0].user = "has,comma";  // must be quoted on write
-  const auto rows = user_outcome_rows(result);
+  const auto rows = outcome_rows(result);
   ASSERT_EQ(rows.size(), 4u);
   EXPECT_EQ(rows[0][0], "user");
 
@@ -426,7 +445,7 @@ TEST(Csv, UserOutcomeRowsRoundTripThroughCsv) {
 }
 
 TEST(Csv, MoodOutcomeRows) {
-  const auto rows = mood_outcome_rows(sample_mood());
+  const auto rows = outcome_rows(sample_mood());
   ASSERT_EQ(rows.size(), 3u);
   EXPECT_EQ(rows[0].size(), 10u);
   EXPECT_EQ(rows[2][1], "fine-grained");

@@ -333,7 +333,8 @@ struct BatchOracle {
 
 BatchOracle batch_oracle(const core::ExperimentHarness& harness) {
   BatchOracle oracle;
-  const auto no_lppm = harness.evaluate_no_lppm();
+  const auto no_lppm =
+      std::get<core::StrategyResult>(harness.evaluate({"no-LPPM"}).rows[0]);
   const auto engine = harness.make_engine();
   for (const auto& user : no_lppm.users) {
     oracle.exposed[user.user] = user.is_protected;

@@ -4,10 +4,14 @@
 // "mood-result/1", see src/report/report.h) plus optional per-user CSVs.
 
 #include <algorithm>
+#include <array>
 #include <cctype>
 #include <chrono>
 #include <iostream>
 #include <string>
+#include <string_view>
+#include <utility>
+#include <variant>
 #include <vector>
 
 #include "core/experiment.h"
@@ -41,32 +45,35 @@ std::vector<std::string> split_list(const std::string& list) {
   return parts;
 }
 
-/// Canonical strategy keys, expanding the "singles" / "all" shorthands.
-std::vector<std::string> expand_strategies(const std::string& list) {
-  std::vector<std::string> expanded;
-  const auto push_unique = [&](const std::string& name) {
-    if (std::find(expanded.begin(), expanded.end(), name) == expanded.end()) {
-      expanded.push_back(name);
-    }
-  };
+/// A --strategies key and the harness's name for that row
+/// (ExperimentHarness::evaluate).
+using Strategy = std::pair<std::string_view, std::string_view>;
+
+/// Every strategy in "all" order; "singles" is entries 1 to 3.
+constexpr std::array<Strategy, 7> kStrategies{{{"no-lppm", "no-LPPM"},
+                                               {"geoi", "GeoI"},
+                                               {"trl", "TRL"},
+                                               {"hmc", "HMC"},
+                                               {"hybrid", "HybridLPPM"},
+                                               {"mood-search", "MooD"},
+                                               {"mood-full", "MooD-full"}}};
+
+/// The requested strategies, expanding the "singles" / "all" shorthands.
+std::vector<Strategy> expand_strategies(const std::string& list) {
+  std::vector<Strategy> expanded;
   for (const auto& name : split_list(list)) {
-    if (name == "singles") {
-      push_unique("geoi");
-      push_unique("trl");
-      push_unique("hmc");
-    } else if (name == "all") {
-      push_unique("no-lppm");
-      push_unique("geoi");
-      push_unique("trl");
-      push_unique("hmc");
-      push_unique("hybrid");
-      push_unique("mood-search");
-      push_unique("mood-full");
-    } else if (name == "no-lppm" || name == "geoi" || name == "trl" ||
-               name == "hmc" || name == "hybrid" || name == "mood-search" ||
-               name == "mood-full") {
-      push_unique(name);
-    } else {
+    bool known = false;
+    for (std::size_t s = 0; s < kStrategies.size(); ++s) {
+      if (name == "all" || name == kStrategies[s].first ||
+          (name == "singles" && s >= 1 && s <= 3)) {
+        known = true;
+        if (std::find(expanded.begin(), expanded.end(), kStrategies[s]) ==
+            expanded.end()) {
+          expanded.push_back(kStrategies[s]);
+        }
+      }
+    }
+    if (!known) {
       throw support::UsageError(
           "mood evaluate: unknown strategy '" + name +
           "' (expected no-lppm, geoi, trl, hmc, singles, hybrid, "
@@ -120,8 +127,8 @@ std::vector<std::size_t> attack_subset(const core::ExperimentHarness& harness,
   return subset;
 }
 
-std::string csv_path(const std::string& prefix, const std::string& strategy) {
-  return prefix + strategy + ".csv";
+std::string csv_path(const std::string& prefix, std::string_view strategy) {
+  return prefix + std::string(strategy) + ".csv";
 }
 
 }  // namespace
@@ -201,7 +208,7 @@ int cmd_evaluate(int argc, const char* const* argv, std::ostream& out,
                              : support::LogLevel::kWarn);
   // Vet the strategy/attack lists before any expensive work so typos fail
   // in milliseconds, not after dataset generation and attack training.
-  const std::vector<std::string> strategy_names =
+  const std::vector<Strategy> strategies =
       expand_strategies(flags.get_string("strategies"));
   const std::vector<std::string> attack_names =
       parse_attack_names(flags.get_string("attacks"));
@@ -269,42 +276,29 @@ int cmd_evaluate(int argc, const char* const* argv, std::ostream& out,
       attack_subset(harness, attack_names);
 
   // ---- Strategy grid --------------------------------------------------
+  // One harness pass serves every requested row, so it has one timing.
+  std::vector<std::string> harness_names;
+  for (const auto& [key, harness_name] : strategies) {
+    harness_names.emplace_back(harness_name);
+  }
+  err << "evaluating " << flags.get_string("strategies") << " on "
+      << harness.pairs().size() << " users...\n";
+  const core::EvaluationGrid grid = harness.evaluate(harness_names, attacks);
+  meta.timings.emplace_back("strategies", grid.wall_seconds);
+
   const bool per_user = flags.get_bool("per-user");
   const std::string csv_prefix = flags.get_string("csv");
   std::vector<report::Json> strategy_docs;
-  for (const auto& name : strategy_names) {
-    err << "evaluating " << name << " on " << harness.pairs().size()
-        << " users...\n";
-    if (name == "mood-full") {
-      const core::MoodResult result = harness.evaluate_mood_full(attacks);
-      meta.timings.emplace_back(name, result.wall_seconds);
-      strategy_docs.push_back(report::to_json(result, per_user));
-      if (!csv_prefix.empty()) {
-        support::write_csv_file(csv_path(csv_prefix, name),
-                                report::mood_outcome_rows(result));
-      }
-      continue;
-    }
-    core::StrategyResult result;
-    if (name == "no-lppm") {
-      result = harness.evaluate_no_lppm(attacks);
-    } else if (name == "geoi") {
-      result = harness.evaluate_single("GeoI", attacks);
-    } else if (name == "trl") {
-      result = harness.evaluate_single("TRL", attacks);
-    } else if (name == "hmc") {
-      result = harness.evaluate_single("HMC", attacks);
-    } else if (name == "hybrid") {
-      result = harness.evaluate_hybrid(attacks);
-    } else {  // mood-search (expand_strategies vetted the name)
-      result = harness.evaluate_mood_search(attacks);
-    }
-    meta.timings.emplace_back(name, result.wall_seconds);
-    strategy_docs.push_back(report::to_json(result, per_user));
-    if (!csv_prefix.empty()) {
-      support::write_csv_file(csv_path(csv_prefix, name),
-                              report::user_outcome_rows(result));
-    }
+  for (std::size_t r = 0; r < grid.rows.size(); ++r) {
+    std::visit(
+        [&](const auto& result) {
+          strategy_docs.push_back(report::to_json(result, per_user));
+          if (!csv_prefix.empty()) {
+            support::write_csv_file(csv_path(csv_prefix, strategies[r].first),
+                                    report::outcome_rows(result));
+          }
+        },
+        grid.rows[r]);
   }
 
   // ---- Result document ------------------------------------------------

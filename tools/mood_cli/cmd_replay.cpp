@@ -10,7 +10,7 @@
 // Unless the window knobs make the replay lossy, the final per-user
 // decisions are verified against harness.evaluate_gateway() — the same
 // DecisionKernel run in batch mode (one pass per full test trace), which
-// by construction equals evaluate_no_lppm's expose/protect set plus the
+// by construction equals the no-LPPM row's expose/protect set plus the
 // whole-trace mechanism-search winners. The check therefore gates the
 // *incremental* path (window folds, held verdicts, recheck policy)
 // against the one-shot path — the stream-smoke CI gate. Exit 1 on any

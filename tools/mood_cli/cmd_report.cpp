@@ -64,7 +64,7 @@ int cmd_report(int argc, const char* const* argv, std::ostream& out,
 
   std::vector<std::vector<std::string>> rows;
   rows.push_back({"source", "dataset", "strategy", "users", "non_protected",
-                  "data_loss", "bands(l/m/h/x)", "seconds"});
+                  "data_loss", "bands(l/m/h/x)"});
   /// (heading, rows) blocks for non-result schemas, rendered after the
   /// strategy table.
   std::vector<std::pair<std::string, std::vector<std::vector<std::string>>>>
