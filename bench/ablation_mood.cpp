@@ -39,8 +39,6 @@ int main(int argc, char** argv) {
                 apps, protected_users,
                 protected_users ? distortion / protected_users : 0.0);
     // First-hit engine: same context, early-exit composition pass.
-    auto config = harness.config();
-    (void)config;
     core::MoodEngine engine = harness.make_engine();
     core::MoodConfig first_hit_config = engine.config();
     first_hit_config.first_hit = true;

@@ -1,7 +1,7 @@
-// Micro-benchmarks (google-benchmark): LPPM application throughput and
-// composition enumeration — the per-candidate costs behind MooD's
-// brute-force search, which the paper's §6 singles out as its main
-// performance liability.
+// Micro-benchmarks (google-benchmark): LPPM application throughput, the
+// Eq. 8 distortion and composition enumeration — the per-candidate costs
+// behind MooD's brute-force search, which the paper's §6 singles out as
+// its main performance liability.
 
 #include <benchmark/benchmark.h>
 
@@ -14,6 +14,7 @@
 #include "lppm/geo_ind.h"
 #include "lppm/heatmap_confusion.h"
 #include "lppm/trilateration.h"
+#include "metrics/distortion.h"
 #include "profiles/heatmap.h"
 #include "simulation/generator.h"
 #include "support/rng.h"
@@ -56,6 +57,22 @@ void BM_TRL_Apply(benchmark::State& state) {
                           static_cast<std::int64_t>(trace.size()));
 }
 BENCHMARK(BM_TRL_Apply)->Arg(100)->Arg(400)->Arg(1600);
+
+/// The Eq. 8 distortion of a TRL output against its original, as the
+/// search prices every protective candidate: three records per protected
+/// timestamp (range(0) = records per user per day of the original).
+void BM_Distortion(benchmark::State& state) {
+  const auto trace = bench_trace(static_cast<std::size_t>(state.range(0)));
+  const auto output = lppm::Trilateration(1000.0).apply(trace,
+                                                        support::RngStream(1));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        metrics::spatial_temporal_distortion(trace, output));
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(output.size()));
+}
+BENCHMARK(BM_Distortion)->Arg(100)->Arg(400)->Arg(1600);
 
 /// A donor pool of `donors` generated users and the HMC over it, built
 /// once per argument pair (google-benchmark re-enters the function for

@@ -70,7 +70,7 @@ void DecisionKernel::select_mechanism(UserKernelState& state,
     // attack on the grown window?
     ++state.rechecks;
     rechecks_.fetch_add(1, kRelaxed);
-    if (engine_.recheck(state.winner, state.window, &cost)) {
+    if (engine_.still_protects(state.winner, state.window, &cost)) {
       lppm_applications_.fetch_add(cost.lppm_applications, kRelaxed);
       attack_invocations_.fetch_add(cost.attack_invocations, kRelaxed);
       return;

@@ -33,9 +33,10 @@
 /// state only.
 ///
 /// Mechanism selection applies the keep/recheck/search policy: keep the
-/// held LPPM while a cheap MoodEngine::recheck shows it still protects,
-/// full search() only on expose->protect transitions or when the
-/// mechanism breaks.
+/// held LPPM while a cheap MoodEngine::still_protects shows it still
+/// protects, full search() only on expose->protect transitions or when the
+/// mechanism breaks. The recheck needs only the verdict, so it applies the
+/// held LPPM and asks the attacks but prices no distortion.
 ///
 /// Thread-safety: the kernel itself is immutable after construction;
 /// fold/step mutate only the caller-owned UserKernelState plus

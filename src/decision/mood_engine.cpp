@@ -110,17 +110,21 @@ support::RngStream MoodEngine::owner_stream(
   return support::RngStream(config_.seed).fork(trace.user());
 }
 
-std::optional<double> MoodEngine::price(const mobility::Trace& trace,
-                                        const mobility::Trace& output,
-                                        ProtectionResult* cost) const {
+bool MoodEngine::protects(const mobility::Trace& trace,
+                          const mobility::Trace& output,
+                          ProtectionResult* cost) const {
   if (cost != nullptr) ++cost->lppm_applications;
   // Algorithm 1 lines 8-10: walk the attacks until one re-identifies.
   // They all read one candidate, so POI and PIT share one stay extraction.
-  if (attacks::any_reidentifies(
-          attacks_, output, trace.user(),
-          cost != nullptr ? &cost->attack_invocations : nullptr)) {
-    return std::nullopt;  // this mechanism failed
-  }
+  return !attacks::any_reidentifies(
+      attacks_, output, trace.user(),
+      cost != nullptr ? &cost->attack_invocations : nullptr);
+}
+
+std::optional<double> MoodEngine::price(const mobility::Trace& trace,
+                                        const mobility::Trace& output,
+                                        ProtectionResult* cost) const {
+  if (!protects(trace, output, cost)) return std::nullopt;  // it failed
   return metric_->distortion(trace, output);
 }
 
@@ -230,23 +234,38 @@ std::optional<MoodEngine::Candidate> MoodEngine::search(
   return best;
 }
 
-std::optional<MoodEngine::Candidate> MoodEngine::recheck(
-    const std::string& lppm_name, const mobility::Trace& trace,
-    ProtectionResult* cost) const {
-  if (trace.empty()) return std::nullopt;
+std::pair<const lppm::Lppm*, ProtectionLevel> MoodEngine::mechanism_named(
+    const std::string& lppm_name) const {
   for (const auto* single : singles_) {
     if (single->name() == lppm_name) {
-      return try_mechanism(*single, ProtectionLevel::kSingle, trace, cost);
+      return {single, ProtectionLevel::kSingle};
     }
   }
   for (const auto& composition : compositions_) {
     if (composition.name() == lppm_name) {
-      return try_mechanism(composition, ProtectionLevel::kComposition, trace,
-                           cost);
+      return {&composition, ProtectionLevel::kComposition};
     }
   }
   throw support::PreconditionError("MoodEngine::recheck: unknown mechanism '" +
                                    lppm_name + "'");
+}
+
+std::optional<MoodEngine::Candidate> MoodEngine::recheck(
+    const std::string& lppm_name, const mobility::Trace& trace,
+    ProtectionResult* cost) const {
+  if (trace.empty()) return std::nullopt;
+  const auto [mechanism, level] = mechanism_named(lppm_name);
+  return try_mechanism(*mechanism, level, trace, cost);
+}
+
+bool MoodEngine::still_protects(const std::string& lppm_name,
+                                const mobility::Trace& trace,
+                                ProtectionResult* cost) const {
+  if (trace.empty()) return false;
+  const lppm::Lppm& mechanism = *mechanism_named(lppm_name).first;
+  return protects(trace,
+                  lppm::apply_keyed(mechanism, trace, owner_stream(trace)),
+                  cost);
 }
 
 void MoodEngine::protect_recursive(const mobility::Trace& trace,

@@ -25,6 +25,7 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "attacks/attack.h"
@@ -148,16 +149,25 @@ class MoodEngine {
       const mobility::Trace& trace) const;
 
   /// Re-applies a previously selected mechanism (single or composition, by
-  /// name) to `trace` and tests it against every attack — the streaming
-  /// gateway's cheap "does the current choice still protect the grown
-  /// window?" check. A composition is applied stage by stage from the
-  /// trace (lppm::apply_keyed), with the streams search() gives its prefix
-  /// tree's nodes, so the output is bit-identical to the one search()
-  /// prices for that mechanism. nullopt when the mechanism no longer
-  /// protects; throws PreconditionError for names the engine does not know.
+  /// name) to `trace` and tests it against every attack, pricing the
+  /// output when it protects. A composition is applied stage by stage from
+  /// the trace (lppm::apply_keyed), with the streams search() gives its
+  /// prefix tree's nodes, so the output is bit-identical to the one
+  /// search() prices for that mechanism. nullopt when the mechanism no
+  /// longer protects; throws PreconditionError for names the engine does
+  /// not know.
   [[nodiscard]] std::optional<Candidate> recheck(
       const std::string& lppm_name, const mobility::Trace& trace,
       ProtectionResult* cost = nullptr) const;
+
+  /// recheck(lppm_name, trace, cost).has_value() without the distortion:
+  /// the streaming gateway's cheap "does the held choice still protect the
+  /// grown window?" check, which only needs the verdict. Applies the same
+  /// output and counts the same lppm_applications and attack_invocations
+  /// as recheck().
+  [[nodiscard]] bool still_protects(const std::string& lppm_name,
+                                    const mobility::Trace& trace,
+                                    ProtectionResult* cost = nullptr) const;
 
   /// The trained attack set this engine searches against (non-owning; in
   /// construction order) — the list attacks::any_reidentifies walks for
@@ -187,10 +197,20 @@ class MoodEngine {
 
   /// Tests one output against every attack (early exit on the first
   /// successful re-identification, as in Algorithm 1's while loop) and
-  /// counts one LPPM application. Returns its distortion if it protects.
+  /// counts one LPPM application. True if no attack re-identifies it.
+  [[nodiscard]] bool protects(const mobility::Trace& trace,
+                              const mobility::Trace& output,
+                              ProtectionResult* cost) const;
+
+  /// protects(), then the output's distortion if it protects.
   [[nodiscard]] std::optional<double> price(const mobility::Trace& trace,
                                             const mobility::Trace& output,
                                             ProtectionResult* cost) const;
+
+  /// The single or composition called `lppm_name` and its level; throws
+  /// PreconditionError for names the engine does not know.
+  [[nodiscard]] std::pair<const lppm::Lppm*, ProtectionLevel> mechanism_named(
+      const std::string& lppm_name) const;
 
   /// apply_keyed + price, for the serial paths (first_hit, recheck).
   [[nodiscard]] std::optional<Candidate> try_mechanism(

@@ -9,6 +9,7 @@
 /// cell size sees identical cell boundaries — a requirement for comparing
 /// heatmaps across users.
 
+#include <cmath>
 #include <cstdint>
 #include <functional>
 
@@ -47,25 +48,45 @@ class CellGrid {
   CellGrid(LocalProjection projection, double cell_size_m);
 
   /// Cell containing a geographic point.
-  [[nodiscard]] CellIndex cell_of(const GeoPoint& p) const;
+  [[nodiscard]] CellIndex cell_of(const GeoPoint& p) const {
+    return cell_of(projection_.to_enu(p));
+  }
 
   /// Cell containing a local point.
-  [[nodiscard]] CellIndex cell_of(const EnuPoint& p) const;
+  [[nodiscard]] CellIndex cell_of(const EnuPoint& p) const {
+    return CellIndex{
+        static_cast<std::int32_t>(std::floor(p.x / cell_size_m_)),
+        static_cast<std::int32_t>(std::floor(p.y / cell_size_m_))};
+  }
 
   /// Geographic centre of a cell.
-  [[nodiscard]] GeoPoint cell_center(const CellIndex& c) const;
+  [[nodiscard]] GeoPoint cell_center(const CellIndex& c) const {
+    return projection_.to_geo(EnuPoint{(c.ix + 0.5) * cell_size_m_,
+                                       (c.iy + 0.5) * cell_size_m_});
+  }
 
   /// Offset of a geographic point inside its cell, in metres from the cell's
   /// south-west corner; both components lie in [0, cell_size_m).
-  [[nodiscard]] EnuPoint offset_within_cell(const GeoPoint& p) const;
+  [[nodiscard]] EnuPoint offset_within_cell(const GeoPoint& p) const {
+    const EnuPoint local = projection_.to_enu(p);
+    return offset_from(cell_of(local), local);
+  }
 
-  /// The same offset of an already projected point: a caller that needs
-  /// both cell_of(local) and the offset projects once.
-  [[nodiscard]] EnuPoint offset_within_cell(const EnuPoint& local) const;
+  /// Offset of a local point from the south-west corner of `cell`: the
+  /// in-cell offset when `cell` is cell_of(local). A caller that needs
+  /// both the cell and the offset projects and takes the cell once.
+  [[nodiscard]] EnuPoint offset_from(const CellIndex& cell,
+                                     const EnuPoint& local) const {
+    return EnuPoint{local.x - cell.ix * cell_size_m_,
+                    local.y - cell.iy * cell_size_m_};
+  }
 
   /// Geographic point at a given in-cell offset (inverse of the above).
   [[nodiscard]] GeoPoint point_in_cell(const CellIndex& c,
-                                       const EnuPoint& offset) const;
+                                       const EnuPoint& offset) const {
+    return projection_.to_geo(EnuPoint{c.ix * cell_size_m_ + offset.x,
+                                       c.iy * cell_size_m_ + offset.y});
+  }
 
   [[nodiscard]] double cell_size_m() const { return cell_size_m_; }
   [[nodiscard]] const LocalProjection& projection() const {

@@ -19,11 +19,6 @@ double haversine_m(const GeoPoint& a, const GeoPoint& b) {
   return 2.0 * kEarthRadiusM * std::asin(std::min(1.0, std::sqrt(h)));
 }
 
-TrigPoint trig_point(const GeoPoint& p) {
-  const double lat_rad = deg_to_rad(p.lat);
-  return TrigPoint{lat_rad, p.lon, std::cos(lat_rad)};
-}
-
 double haversine_m(const TrigPoint& a, const TrigPoint& b) {
   // Mirrors haversine_m(GeoPoint, GeoPoint) operation for operation; only
   // deg_to_rad(lat) and cos(lat) come precomputed, which cannot change the
@@ -47,38 +42,11 @@ double euclidean_m(const EnuPoint& a, const EnuPoint& b) {
   return std::hypot(a.x - b.x, a.y - b.y);
 }
 
-GeoPoint destination(const GeoPoint& origin, double bearing_rad,
-                     double distance_m) {
-  // Same bound as LocalProjection: the equirectangular approximation (and
-  // the 1/cos(lat) term) degenerates near the poles, so fail loudly instead
-  // of silently returning a corrupted longitude.
-  support::expects(std::abs(origin.lat) < 89.0,
-                   "geo::destination: origin too close to a pole");
-  const double north_m = distance_m * std::cos(bearing_rad);
-  const double east_m = distance_m * std::sin(bearing_rad);
-  const double dlat = rad_to_deg(north_m / kEarthRadiusM);
-  const double cos_lat = std::cos(deg_to_rad(origin.lat));
-  const double dlon = rad_to_deg(east_m / (kEarthRadiusM * cos_lat));
-  return GeoPoint{origin.lat + dlat, origin.lon + dlon};
-}
-
 LocalProjection::LocalProjection(const GeoPoint& reference)
     : reference_(reference),
       cos_ref_lat_(std::cos(deg_to_rad(reference.lat))) {
   support::expects(std::abs(reference.lat) < 89.0,
                    "LocalProjection: reference too close to a pole");
-}
-
-EnuPoint LocalProjection::to_enu(const GeoPoint& p) const {
-  return EnuPoint{
-      kEarthRadiusM * deg_to_rad(p.lon - reference_.lon) * cos_ref_lat_,
-      kEarthRadiusM * deg_to_rad(p.lat - reference_.lat)};
-}
-
-GeoPoint LocalProjection::to_geo(const EnuPoint& p) const {
-  return GeoPoint{
-      reference_.lat + rad_to_deg(p.y / kEarthRadiusM),
-      reference_.lon + rad_to_deg(p.x / (kEarthRadiusM * cos_ref_lat_))};
 }
 
 void BoundingBox::extend(const GeoPoint& p) {

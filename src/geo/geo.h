@@ -10,10 +10,21 @@
 /// tolerate an equirectangular local projection: its distance error against
 /// the haversine distance is well below GPS noise at these scales, and it
 /// is cheap enough to call per record in the hot loops.
+///
+/// The per-record primitives (destination, LocalProjection::to_enu/to_geo)
+/// are defined here, inline: LPPMs and heatmaps call them tens of millions
+/// of times per gateway run, and a call into another translation unit
+/// costs as much as their arithmetic. Callers that repeat one input hoist
+/// its trigonometry instead of recomputing it: TRL's dummies share one
+/// DestinationFrame, and the Eq. 8 distortion takes one TrigPoint per
+/// distinct protected timestamp. Either way each value is the same
+/// expression in the same order, so every result keeps its bits.
 
 #include <cmath>
 #include <cstddef>
 #include <vector>
+
+#include "support/error.h"
 
 namespace mood::geo {
 
@@ -59,7 +70,10 @@ struct TrigPoint {
 };
 
 /// Precomputes the trigonometry of `p` for the haversine_m overload below.
-TrigPoint trig_point(const GeoPoint& p);
+inline TrigPoint trig_point(const GeoPoint& p) {
+  const double lat_rad = deg_to_rad(p.lat);
+  return TrigPoint{lat_rad, p.lon, std::cos(lat_rad)};
+}
 
 /// Haversine distance from cached trigonometry. Bit-identical to
 /// haversine_m on the original GeoPoints — hot paths may mix both forms.
@@ -96,11 +110,43 @@ inline double chord_m(const UnitVector& a, const UnitVector& b) {
 /// Euclidean distance between two ENU points, in metres.
 double euclidean_m(const EnuPoint& a, const EnuPoint& b);
 
+/// The part of destination() that depends on the origin alone: callers
+/// that hop from one origin several times (TRL's dummies) build it once.
+struct DestinationFrame {
+  GeoPoint origin;
+  double east_radius_m = 0.0;  ///< kEarthRadiusM * cos(origin latitude)
+};
+
+/// The frame of `origin`. Throws PreconditionError within 1 degree of a
+/// pole: the equirectangular approximation (and the 1/cos(lat) term)
+/// degenerates there, so fail loudly instead of silently returning a
+/// corrupted longitude.
+inline DestinationFrame destination_frame(const GeoPoint& origin) {
+  support::expects(std::abs(origin.lat) < 89.0,
+                   "geo::destination: origin too close to a pole");
+  const double cos_lat = std::cos(deg_to_rad(origin.lat));
+  return DestinationFrame{origin, kEarthRadiusM * cos_lat};
+}
+
+/// destination() from a prebuilt frame: the same expressions, so the same
+/// bits as destination(frame.origin, bearing_rad, distance_m).
+inline GeoPoint destination(const DestinationFrame& frame, double bearing_rad,
+                            double distance_m) {
+  const double north_m = distance_m * std::cos(bearing_rad);
+  const double east_m = distance_m * std::sin(bearing_rad);
+  const double dlat = rad_to_deg(north_m / kEarthRadiusM);
+  const double dlon = rad_to_deg(east_m / frame.east_radius_m);
+  return GeoPoint{frame.origin.lat + dlat, frame.origin.lon + dlon};
+}
+
 /// The point reached from `origin` by travelling `distance_m` metres along
 /// `bearing_rad` (0 = north, pi/2 = east). Small-displacement planar model,
 /// accurate for the sub-10-km hops mobility simulation performs.
-GeoPoint destination(const GeoPoint& origin, double bearing_rad,
-                     double distance_m);
+/// Precondition: |origin.lat| < 89 (see destination_frame).
+inline GeoPoint destination(const GeoPoint& origin, double bearing_rad,
+                            double distance_m) {
+  return destination(destination_frame(origin), bearing_rad, distance_m);
+}
 
 /// Equirectangular projection centred on a reference point.
 ///
@@ -113,10 +159,18 @@ class LocalProjection {
   explicit LocalProjection(const GeoPoint& reference);
 
   /// Geographic -> local metres.
-  [[nodiscard]] EnuPoint to_enu(const GeoPoint& p) const;
+  [[nodiscard]] EnuPoint to_enu(const GeoPoint& p) const {
+    return EnuPoint{
+        kEarthRadiusM * deg_to_rad(p.lon - reference_.lon) * cos_ref_lat_,
+        kEarthRadiusM * deg_to_rad(p.lat - reference_.lat)};
+  }
 
   /// Local metres -> geographic.
-  [[nodiscard]] GeoPoint to_geo(const EnuPoint& p) const;
+  [[nodiscard]] GeoPoint to_geo(const EnuPoint& p) const {
+    return GeoPoint{
+        reference_.lat + rad_to_deg(p.y / kEarthRadiusM),
+        reference_.lon + rad_to_deg(p.x / (kEarthRadiusM * cos_ref_lat_))};
+  }
 
   /// The projection centre.
   [[nodiscard]] const GeoPoint& reference() const { return reference_; }

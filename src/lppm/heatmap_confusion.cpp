@@ -175,9 +175,20 @@ const DonorPool::Entry* HeatmapConfusion::choose_donor(
 mobility::Trace HeatmapConfusion::apply(const mobility::Trace& trace,
                                         support::RngStream /*rng*/) const {
   if (trace.empty()) return trace;
+  // One projection per record: its local point and cell feed both the
+  // count and the relocation below.
+  const auto& records = trace.records();
+  std::vector<geo::EnuPoint> locals;
+  std::vector<geo::CellIndex> cells;
+  locals.reserve(records.size());
+  cells.reserve(records.size());
+  for (const auto& record : records) {
+    locals.push_back(grid_.projection().to_enu(record.position));
+    cells.push_back(grid_.cell_of(locals.back()));
+  }
   // The user's cells hottest first, counted without a Heatmap: the same
   // (cell, count) pairs in the same order as Heatmap::ranked_cells.
-  auto ranked = profiles::cell_counts(trace.records(), grid_);
+  auto ranked = profiles::cell_counts(cells);
   profiles::rank_cells(ranked);
   const UserPlan plan = plan_for(ranked, static_cast<double>(trace.size()));
   const Choice choice = cheapest_donor(plan, trace.user());
@@ -202,13 +213,11 @@ mobility::Trace HeatmapConfusion::apply(const mobility::Trace& trace,
   }
   std::sort(mapping.begin(), mapping.end());
 
-  // One projection per record: its cell and its in-cell offset both come
-  // from the same local point.
   std::vector<mobility::Record> out;
   out.reserve(trace.size());
-  for (const auto& record : trace.records()) {
-    const geo::EnuPoint local = grid_.projection().to_enu(record.position);
-    const geo::CellIndex cell = grid_.cell_of(local);
+  for (std::size_t i = 0; i < records.size(); ++i) {
+    const mobility::Record& record = records[i];
+    const geo::CellIndex& cell = cells[i];
     const auto mapped = std::lower_bound(
         mapping.begin(), mapping.end(), cell,
         [](const auto& entry, const geo::CellIndex& c) {
@@ -218,9 +227,9 @@ mobility::Trace HeatmapConfusion::apply(const mobility::Trace& trace,
       out.push_back(record);  // unmapped cell: residual leakage by design
       continue;
     }
-    out.push_back(mobility::Record{
-        grid_.point_in_cell(mapped->second, grid_.offset_within_cell(local)),
-        record.time});
+    const geo::EnuPoint offset = grid_.offset_from(cell, locals[i]);
+    out.push_back(mobility::Record{grid_.point_in_cell(mapped->second, offset),
+                                   record.time});
   }
   return mobility::Trace(trace.user(), std::move(out));
 }

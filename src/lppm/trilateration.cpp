@@ -25,13 +25,16 @@ mobility::Trace Trilateration::apply(const mobility::Trace& trace,
   // Uniform density over the annulus area: invert the CDF of r^2.
   const double inner2 = inner_fraction_ * inner_fraction_;
   for (const auto& record : trace.records()) {
+    // One pole check and one cos(lat) per origin, shared by its dummies:
+    // each hop is geo::destination's own expression.
+    const geo::DestinationFrame frame = geo::destination_frame(record.position);
     for (int d = 0; d < dummies_; ++d) {
       const double bearing = rng.uniform(0.0, 2.0 * geo::kPi);
       const double u = rng.uniform();
       const double distance =
           radius_m_ * std::sqrt(inner2 + (1.0 - inner2) * u);
       out.push_back(mobility::Record{
-          geo::destination(record.position, bearing, distance), record.time});
+          geo::destination(frame, bearing, distance), record.time});
     }
   }
   return mobility::Trace(trace.user(), std::move(out));

@@ -49,24 +49,35 @@ double spatial_temporal_distortion(const mobility::Trace& original,
   }
   // temporal_projection for every protected record, without its binary
   // search: protected records are time-sorted (Trace invariant), so the
-  // first original record with time >= t only moves forward.
+  // first original record with time >= t only moves forward. The projected
+  // point depends on t alone, so its trigonometry is taken once per
+  // distinct protected timestamp (TRL publishes 3 records per timestamp);
+  // haversine_m over TrigPoints is bit-identical to the GeoPoint form.
   const auto& records = original.records();
   const auto& first = records.front();
   const auto& last = records.back();
   std::size_t hi = 0;
   double total = 0.0;
-  for (const auto& record : protected_trace.records()) {
-    const mobility::Timestamp t = record.time;
-    geo::GeoPoint projected;
-    if (t <= first.time) {
-      projected = first.position;
-    } else if (t >= last.time) {
-      projected = last.position;
-    } else {
-      while (records[hi].time < t) ++hi;
-      projected = interpolate(records[hi - 1], records[hi], t);
+  const auto& published = protected_trace.records();
+  mobility::Timestamp projected_time = published.front().time;
+  geo::TrigPoint projected;
+  for (std::size_t i = 0; i < published.size(); ++i) {
+    const mobility::Timestamp t = published[i].time;
+    if (i == 0 || t != projected_time) {
+      geo::GeoPoint point;
+      if (t <= first.time) {
+        point = first.position;
+      } else if (t >= last.time) {
+        point = last.position;
+      } else {
+        while (records[hi].time < t) ++hi;
+        point = interpolate(records[hi - 1], records[hi], t);
+      }
+      projected = geo::trig_point(point);
+      projected_time = t;
     }
-    total += geo::haversine_m(record.position, projected);
+    total += geo::haversine_m(geo::trig_point(published[i].position),
+                              projected);
   }
   return total / static_cast<double>(protected_trace.size());
 }

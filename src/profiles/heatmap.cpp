@@ -116,21 +116,28 @@ class CellCounter {
   std::vector<std::uint32_t> used_;
 };
 
-}  // namespace
-
-std::vector<std::pair<geo::CellIndex, double>> cell_counts(
-    std::span<const mobility::Record> records, const geo::CellGrid& grid) {
-  if (records.empty()) return {};
-  support::expects(records.size() <= std::numeric_limits<std::uint32_t>::max(),
-                   "cell_counts: too many records for 32-bit counts");
-  // Per thread, so concurrent callers share nothing. Cleared on entry, not
-  // on exit: a call that throws midway leaves no stale counts behind.
+/// The calling thread's counter, shared by both cell_counts forms. Per
+/// thread, so concurrent callers share nothing.
+CellCounter& thread_counter() {
   thread_local CellCounter counter;
+  return counter;
+}
+
+/// Counts the cells cell_at(0..n-1) in the calling thread's CellCounter.
+template <typename CellAt>
+std::vector<std::pair<geo::CellIndex, double>> count_cells(std::size_t n,
+                                                           CellAt cell_at) {
+  if (n == 0) return {};
+  support::expects(n <= std::numeric_limits<std::uint32_t>::max(),
+                   "cell_counts: too many records for 32-bit counts");
+  // Cleared on entry, not on exit: a call that throws midway leaves no
+  // stale counts behind.
+  CellCounter& counter = thread_counter();
   counter.reset();
-  geo::CellIndex run_cell = grid.cell_of(records.front().position);
+  geo::CellIndex run_cell = cell_at(0);
   std::uint32_t run = 1;
-  for (std::size_t i = 1; i < records.size(); ++i) {
-    const geo::CellIndex cell = grid.cell_of(records[i].position);
+  for (std::size_t i = 1; i < n; ++i) {
+    const geo::CellIndex cell = cell_at(i);
     if (cell == run_cell) {
       ++run;
       continue;
@@ -141,6 +148,20 @@ std::vector<std::pair<geo::CellIndex, double>> cell_counts(
   }
   counter.add(run_cell, run);
   return counter.sorted();
+}
+
+}  // namespace
+
+std::vector<std::pair<geo::CellIndex, double>> cell_counts(
+    std::span<const mobility::Record> records, const geo::CellGrid& grid) {
+  return count_cells(records.size(), [&](std::size_t i) {
+    return grid.cell_of(records[i].position);
+  });
+}
+
+std::vector<std::pair<geo::CellIndex, double>> cell_counts(
+    std::span<const geo::CellIndex> cells) {
+  return count_cells(cells.size(), [&](std::size_t i) { return cells[i]; });
 }
 
 double topsoe_divergence(const Heatmap& a, const Heatmap& b) {

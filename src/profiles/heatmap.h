@@ -69,6 +69,12 @@ class Heatmap {
 std::vector<std::pair<geo::CellIndex, double>> cell_counts(
     std::span<const mobility::Record> records, const geo::CellGrid& grid);
 
+/// The same pairs over cells the caller already computed, one per record
+/// (HMC projects each record once and reuses its cell): equal to
+/// cell_counts(records, grid) when cells[i] is grid.cell_of(records[i]).
+std::vector<std::pair<geo::CellIndex, double>> cell_counts(
+    std::span<const geo::CellIndex> cells);
+
 /// Sorts (cell, count) pairs hottest first, ties by ascending cell: a total
 /// order over distinct cells, and the one Heatmap::ranked_cells returns.
 void rank_cells(std::vector<std::pair<geo::CellIndex, double>>& cells);

@@ -29,12 +29,6 @@ std::uint64_t derive_seed(std::uint64_t parent, std::string_view label,
   return splitmix64(h ^ (0x9E3779B97F4A7C15ULL * (index + 1)));
 }
 
-namespace {
-inline std::uint64_t rotl(std::uint64_t x, int k) {
-  return (x << k) | (x >> (64 - k));
-}
-}  // namespace
-
 RngStream::RngStream(std::uint64_t seed) : seed_(seed) {
   // Whiten the seed into four non-zero state words via splitmix64, the
   // initialisation recommended by the xoshiro authors.
@@ -47,29 +41,6 @@ RngStream::RngStream(std::uint64_t seed) : seed_(seed) {
 
 RngStream RngStream::fork(std::string_view label, std::uint64_t index) const {
   return RngStream(derive_seed(seed_, label, index));
-}
-
-std::uint64_t RngStream::next() {
-  // xoshiro256** step.
-  const std::uint64_t result = rotl(state_[1] * 5, 7) * 9;
-  const std::uint64_t t = state_[1] << 17;
-  state_[2] ^= state_[0];
-  state_[3] ^= state_[1];
-  state_[1] ^= state_[2];
-  state_[0] ^= state_[3];
-  state_[2] ^= t;
-  state_[3] = rotl(state_[3], 45);
-  return result;
-}
-
-double RngStream::uniform() {
-  // 53 random mantissa bits -> uniform double in [0, 1).
-  return static_cast<double>(next() >> 11) * 0x1.0p-53;
-}
-
-double RngStream::uniform(double lo, double hi) {
-  expects(lo <= hi, "RngStream::uniform: lo must be <= hi");
-  return lo + (hi - lo) * uniform();
 }
 
 std::uint64_t RngStream::uniform_index(std::uint64_t n) {

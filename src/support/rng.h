@@ -15,6 +15,8 @@
 #include <random>
 #include <string_view>
 
+#include "support/error.h"
+
 namespace mood::support {
 
 /// splitmix64 — used to whiten seeds before feeding the engine.
@@ -52,14 +54,32 @@ class RngStream {
   static constexpr result_type max() { return ~0ULL; }
   result_type operator()() { return next(); }
 
-  /// Next raw 64-bit value.
-  std::uint64_t next();
+  /// Next raw 64-bit value. The draws LPPMs make per record are inline,
+  /// so a noise loop pays no call per draw.
+  std::uint64_t next() {
+    // xoshiro256** step.
+    const std::uint64_t result = rotl(state_[1] * 5, 7) * 9;
+    const std::uint64_t t = state_[1] << 17;
+    state_[2] ^= state_[0];
+    state_[3] ^= state_[1];
+    state_[1] ^= state_[2];
+    state_[0] ^= state_[3];
+    state_[2] ^= t;
+    state_[3] = rotl(state_[3], 45);
+    return result;
+  }
 
   /// Uniform double in [0, 1).
-  double uniform();
+  double uniform() {
+    // 53 random mantissa bits -> uniform double in [0, 1).
+    return static_cast<double>(next() >> 11) * 0x1.0p-53;
+  }
 
   /// Uniform double in [lo, hi).
-  double uniform(double lo, double hi);
+  double uniform(double lo, double hi) {
+    expects(lo <= hi, "RngStream::uniform: lo must be <= hi");
+    return lo + (hi - lo) * uniform();
+  }
 
   /// Uniform integer in [0, n). Precondition: n > 0.
   std::uint64_t uniform_index(std::uint64_t n);
@@ -80,6 +100,10 @@ class RngStream {
   [[nodiscard]] std::uint64_t seed() const { return seed_; }
 
  private:
+  static std::uint64_t rotl(std::uint64_t x, int k) {
+    return (x << k) | (x >> (64 - k));
+  }
+
   std::uint64_t seed_;
   std::uint64_t state_[4];
   bool has_cached_normal_ = false;

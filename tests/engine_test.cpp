@@ -329,6 +329,40 @@ TEST_F(EngineTest, WithoutCompositionsValidatesConstruction) {
                support::PreconditionError);
 }
 
+TEST_F(EngineTest, StillProtectsIsRecheckWithoutTheDistortion) {
+  // The gateway's recheck asks still_protects, which prices no
+  // distortion. For every single and composition it must give recheck's
+  // verdict and move the same counters. Two attacks, so a mechanism the
+  // first one catches is asked fewer questions than one that defeats it.
+  FakeAttack weak("weak", catches_below(120.0));
+  FakeAttack strong("strong", catches_below(260.0));
+  const auto engine = make_engine(singles_, {&weak, &strong});
+  std::vector<std::string> names;
+  for (const auto* single : singles_) names.push_back(single->name());
+  for (const auto& composition :
+       lppm::enumerate_compositions(singles_, 2, singles_.size())) {
+    names.push_back(composition.name());
+  }
+  ASSERT_EQ(names.size(), engine.candidate_count());
+  std::set<bool> verdicts;
+  for (const std::string& name : names) {
+    SCOPED_TRACE(name);
+    ProtectionResult priced;
+    ProtectionResult asked;
+    const bool expected =
+        engine.recheck(name, day_trace(), &priced).has_value();
+    EXPECT_EQ(engine.still_protects(name, day_trace(), &asked), expected);
+    EXPECT_EQ(asked.lppm_applications, priced.lppm_applications);
+    EXPECT_EQ(asked.attack_invocations, priced.attack_invocations);
+    EXPECT_EQ(asked.lppm_applications, 1u);
+    verdicts.insert(expected);
+  }
+  EXPECT_EQ(verdicts, (std::set<bool>{false, true}));  // both outcomes seen
+  EXPECT_FALSE(engine.still_protects("A", Trace("victim", {})));
+  EXPECT_THROW((void)engine.still_protects("nope", day_trace()),
+               support::PreconditionError);
+}
+
 TEST_F(EngineTest, SearchFailsWhenNothingProtects) {
   FakeAttack attack("fake", catches_below(1e9));
   const std::vector<const attacks::Attack*> attacks{&attack};

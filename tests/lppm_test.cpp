@@ -185,6 +185,47 @@ TEST(Trl, DeterministicForSameStream) {
   EXPECT_EQ(trl.apply(in, RngStream(9)), trl.apply(in, RngStream(9)));
 }
 
+TEST(Trl, MatchesPerDummyDestination) {
+  // TRL shares one DestinationFrame among an origin's dummies; the oracle
+  // draws the same values from a copy of the stream and calls
+  // geo::destination once per dummy. Origins include one at 88.9 degrees,
+  // where 1/cos(lat) is largest, and both an annulus and a disk variant.
+  const Trace in("u", {testing::rec(45.7640, 4.8357, 0),
+                       testing::rec(-33.86, 151.21, 60),
+                       testing::rec(88.9, -179.5, 120),
+                       testing::rec(-88.9, 179.99, 180),
+                       testing::rec(0.0, 0.0, 240)});
+  for (const Trilateration& trl :
+       {Trilateration(1000.0), Trilateration(250.0, 5, 0.4)}) {
+    RngStream reference_rng(17);
+    const Trace out = trl.apply(in, reference_rng);
+    const double inner2 = trl.inner_fraction() * trl.inner_fraction();
+    std::size_t i = 0;
+    ASSERT_EQ(out.size(), in.size() * static_cast<std::size_t>(trl.dummies()));
+    for (const auto& record : in.records()) {
+      for (int d = 0; d < trl.dummies(); ++d, ++i) {
+        const double bearing = reference_rng.uniform(0.0, 2.0 * geo::kPi);
+        const double u = reference_rng.uniform();
+        const double distance =
+            trl.radius_m() * std::sqrt(inner2 + (1.0 - inner2) * u);
+        const GeoPoint expected =
+            geo::destination(record.position, bearing, distance);
+        EXPECT_EQ(out.at(i).position, expected) << "dummy " << i;
+        EXPECT_EQ(out.at(i).time, record.time);
+      }
+    }
+  }
+  // The pole check, and its message, are geo::destination's.
+  const Trace polar("u", {testing::rec(45.0, 5.0, 0),
+                          testing::rec(89.0, 5.0, 60)});
+  try {
+    (void)Trilateration(1000.0).apply(polar, RngStream(1));
+    FAIL() << "expected a PreconditionError";
+  } catch (const support::PreconditionError& error) {
+    EXPECT_STREQ(error.what(), "geo::destination: origin too close to a pole");
+  }
+}
+
 TEST(Trl, RejectsBadParameters) {
   EXPECT_THROW(Trilateration(0.0), support::PreconditionError);
   EXPECT_THROW(Trilateration(100.0, 0), support::PreconditionError);

@@ -110,6 +110,42 @@ TEST(Std, MatchesTemporalProjectionRecordByRecord) {
   }
 }
 
+TEST(Std, HoistedProjectionMatchesPerRecordOracle) {
+  // STD takes the projected point's trigonometry once per distinct
+  // protected timestamp. Against the oracle, a per-record
+  // temporal_projection and haversine_m on GeoPoints, the mean must agree
+  // bit for bit: on TRL outputs (3 records per timestamp) of a trace with
+  // repeated original timestamps, padded with protected records before
+  // and after the original's span and on its exact timestamps.
+  const Trace original(
+      "u", {rec(45.760, 4.830, 1000), rec(45.761, 4.832, 1000),
+            rec(45.765, 4.838, 1600), rec(45.771, 4.835, 2500),
+            rec(45.770, 4.840, 2500), rec(45.769, 4.841, 2500),
+            rec(45.775, 4.845, 4000), rec(45.780, 4.850, 7000)});
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    std::vector<mobility::Record> records =
+        lppm::Trilateration(800.0).apply(original, support::RngStream(seed))
+            .records();
+    for (const mobility::Timestamp t :
+         {-500, 0, 999, 1000, 1300, 2500, 3999, 7000, 7001, 9000}) {
+      for (int copy = 0; copy < 3; ++copy) {
+        records.push_back(rec(45.77 + 1e-4 * copy, 4.84 - 1e-4 * copy, t));
+      }
+    }
+    const Trace protected_trace("u", std::move(records));
+    ASSERT_LT(protected_trace.front().time, original.front().time);
+    ASSERT_GT(protected_trace.back().time, original.back().time);
+    double total = 0.0;
+    for (const auto& record : protected_trace.records()) {
+      total += geo::haversine_m(record.position,
+                                temporal_projection(original, record.time));
+    }
+    EXPECT_EQ(spatial_temporal_distortion(original, protected_trace),
+              total / static_cast<double>(protected_trace.size()))
+        << "seed " << seed;
+  }
+}
+
 TEST(Std, EmptyProtectedIsInfinite) {
   const Trace original("u", {rec(45.0, 5.0, 0)});
   EXPECT_TRUE(std::isinf(spatial_temporal_distortion(original,

@@ -414,6 +414,34 @@ TEST_F(HeatmapTest, CellCountsCountRunsThatLeaveAndComeBack) {
   expect_counts_match_legacy(three_place_trace(), grid_);  // dwells
 }
 
+TEST_F(HeatmapTest, CellCountsOverPrecomputedCellsMatchTheRecordForm) {
+  // HMC counts the cells it already took per record. Both forms share one
+  // per-thread table, so they are interleaved: each call must see only
+  // its own cells, whatever the previous call of either form left.
+  std::vector<mobility::Record> records;
+  mobility::Timestamp t = 0;
+  for (int k = 0; k < 900; ++k) {  // grows the table past 256 slots
+    records.push_back(in_cell(grid_, geo::CellIndex{k % 37 - 18, k / 37}, t++));
+  }
+  for (const auto& cell : {geo::CellIndex{0, 0}, geo::CellIndex{0, 0},
+                           geo::CellIndex{-2, 5}, geo::CellIndex{0, 0}}) {
+    records.push_back(in_cell(grid_, cell, t++));
+  }
+  const Trace scattered("u", std::move(records));
+  for (const Trace& trace :
+       {scattered, three_place_trace(), Trace("u", {}),
+        Trace("u", {in_cell(grid_, geo::CellIndex{-4, 9}, 0)})}) {
+    std::vector<geo::CellIndex> cells;
+    for (const auto& record : trace.records()) {
+      cells.push_back(grid_.cell_of(record.position));
+    }
+    const CountPairs by_record = cell_counts(trace.records(), grid_);
+    EXPECT_EQ(cell_counts(cells), by_record);
+    EXPECT_EQ(cell_counts(trace.records(), grid_), by_record);
+    EXPECT_EQ(cell_counts(cells), legacy_counts(trace, grid_));
+  }
+}
+
 TEST_F(HeatmapTest, CellCountsOfEmptyAndSingleRecordTraces) {
   const Trace empty("u", {});
   EXPECT_TRUE(cell_counts(empty.records(), grid_).empty());

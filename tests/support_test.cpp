@@ -29,6 +29,24 @@ TEST(RngStream, SameSeedSameSequence) {
   for (int i = 0; i < 100; ++i) EXPECT_EQ(a.next(), b.next());
 }
 
+TEST(RngStream, KnownAnswerSequence) {
+  // The xoshiro256** step and the 53-bit conversion are pinned: every LPPM
+  // output, and so every published figure, depends on these exact values.
+  RngStream raw(42);
+  EXPECT_EQ(raw.next(), 0x5c8961e1f2055d33ULL);
+  EXPECT_EQ(raw.next(), 0xe182e8e848466886ULL);
+  EXPECT_EQ(raw.next(), 0x9f7313650e290a18ULL);
+  EXPECT_EQ(raw.next(), 0xe6c0f551804ef0bbULL);
+  RngStream unit(42);
+  EXPECT_EQ(unit.uniform(), 0x1.72258787c8156p-2);
+  EXPECT_EQ(unit.uniform(), 0x1.c305d1d0908cdp-1);
+  EXPECT_EQ(unit.uniform(), 0x1.3ee626ca1c521p-1);
+  EXPECT_EQ(unit.uniform(), 0x1.cd81eaa3009dep-1);
+  RngStream ranged(42);
+  EXPECT_EQ(ranged.uniform(-3.0, 5.0), -0x1.bb4f0f06fd54p-4);
+  EXPECT_EQ(ranged.uniform(-3.0, 5.0), 0x1.0305d1d0908cdp+2);
+}
+
 TEST(RngStream, DifferentSeedsDiverge) {
   RngStream a(1), b(2);
   int equal = 0;
