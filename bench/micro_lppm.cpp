@@ -5,6 +5,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <cmath>
 #include <map>
 #include <memory>
 #include <utility>
@@ -17,6 +18,7 @@
 #include "metrics/distortion.h"
 #include "profiles/heatmap.h"
 #include "simulation/generator.h"
+#include "support/math.h"
 #include "support/rng.h"
 
 namespace {
@@ -44,7 +46,63 @@ void BM_GeoI_Apply(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(trace.size()));
 }
-BENCHMARK(BM_GeoI_Apply)->Arg(100)->Arg(400)->Arg(1600);
+BENCHMARK(BM_GeoI_Apply)
+    ->Arg(100)
+    ->Arg(400)
+    ->Arg(1600)
+    ->Repetitions(5)
+    ->ReportAggregatesOnly(true);
+
+/// W_{-1} of 4,096 arguments drawn as GeoI draws them (seed 7): one scalar
+/// call per argument, or the span form's interleaved lanes over all of
+/// them. Same bits either way; the gap is the lanes' overlap.
+const std::vector<double>& lambert_arguments() {
+  static const std::vector<double> arguments = [] {
+    support::RngStream rng(7);
+    std::vector<double> x(4096);
+    for (double& value : x) {
+      double p = rng.uniform();
+      if (p > 1.0 - 1e-12) p = 1.0 - 1e-12;
+      value = (p - 1.0) / std::exp(1.0);
+    }
+    return x;
+  }();
+  return arguments;
+}
+
+void BM_LambertW_scalar(benchmark::State& state) {
+  const std::vector<double>& x = lambert_arguments();
+  std::vector<double> w(x.size());
+  for (auto _ : state) {
+    for (std::size_t i = 0; i < x.size(); ++i) {
+      w[i] = support::lambert_w_minus1(x[i]);
+    }
+    benchmark::DoNotOptimize(w.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(x.size()));
+}
+BENCHMARK(BM_LambertW_scalar)
+    ->Name("BM_LambertW/scalar")
+    ->Repetitions(5)
+    ->ReportAggregatesOnly(true);
+
+void BM_LambertW_lanes(benchmark::State& state) {
+  const std::vector<double>& x = lambert_arguments();
+  std::vector<double> w(x.size());
+  for (auto _ : state) {
+    support::lambert_w_minus1(x, w);
+    benchmark::DoNotOptimize(w.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(x.size()));
+}
+BENCHMARK(BM_LambertW_lanes)
+    ->Name("BM_LambertW/lanes")
+    ->Repetitions(5)
+    ->ReportAggregatesOnly(true);
 
 void BM_TRL_Apply(benchmark::State& state) {
   const auto trace = bench_trace(static_cast<std::size_t>(state.range(0)));

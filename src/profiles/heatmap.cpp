@@ -1,6 +1,7 @@
 #include "profiles/heatmap.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstdint>
 #include <limits>
@@ -45,6 +46,9 @@ void rank_cells(std::vector<std::pair<geo::CellIndex, double>>& cells) {
 }
 
 namespace {
+
+/// Largest cell box counted densely: 16 KiB of 32-bit counts on the stack.
+constexpr std::int64_t kDenseBoxCells = 4096;
 
 /// Flat open-addressing cell -> count table with linear probing. A slot
 /// whose count is 0 is empty; `used_` lists the occupied slots, so
@@ -125,11 +129,8 @@ CellCounter& thread_counter() {
 
 /// Counts the cells cell_at(0..n-1) in the calling thread's CellCounter.
 template <typename CellAt>
-std::vector<std::pair<geo::CellIndex, double>> count_cells(std::size_t n,
-                                                           CellAt cell_at) {
-  if (n == 0) return {};
-  support::expects(n <= std::numeric_limits<std::uint32_t>::max(),
-                   "cell_counts: too many records for 32-bit counts");
+std::vector<std::pair<geo::CellIndex, double>> count_in_table(
+    std::size_t n, CellAt cell_at) {
   // Cleared on entry, not on exit: a call that throws midway leaves no
   // stale counts behind.
   CellCounter& counter = thread_counter();
@@ -150,18 +151,86 @@ std::vector<std::pair<geo::CellIndex, double>> count_cells(std::size_t n,
   return counter.sorted();
 }
 
+/// Counts the cells cell_at(0..n-1), n >= 1, whose box is [lo, hi]:
+/// densely on the stack when the box holds at most kDenseBoxCells cells,
+/// else in the table. The dense count also checks each cell against the
+/// box, so a coordinate beyond the grid's 32-bit range, whose cell the
+/// box does not bound, falls back to the table too.
+template <typename CellAt>
+std::vector<std::pair<geo::CellIndex, double>> count_cells(
+    std::size_t n, CellAt cell_at, geo::CellIndex lo, geo::CellIndex hi) {
+  support::expects(n <= std::numeric_limits<std::uint32_t>::max(),
+                   "cell_counts: too many records for 32-bit counts");
+  const std::int64_t width = std::int64_t{hi.ix} - lo.ix + 1;
+  const std::int64_t height = std::int64_t{hi.iy} - lo.iy + 1;
+  if (width <= 0 || height <= 0 || width * height > kDenseBoxCells) {
+    return count_in_table(n, cell_at);
+  }
+  // Slot (ix - lo.ix) * height + (iy - lo.iy): ascending slots are
+  // ascending cells. Only the box's slots are zeroed.
+  std::array<std::uint32_t, kDenseBoxCells> counts;
+  std::fill_n(counts.begin(), width * height, 0u);
+  for (std::size_t i = 0; i < n; ++i) {
+    const geo::CellIndex cell = cell_at(i);
+    const std::int64_t column = std::int64_t{cell.ix} - lo.ix;
+    const std::int64_t row = std::int64_t{cell.iy} - lo.iy;
+    if (column < 0 || column >= width || row < 0 || row >= height) {
+      return count_in_table(n, cell_at);
+    }
+    ++counts[column * height + row];
+  }
+  std::vector<std::pair<geo::CellIndex, double>> pairs;
+  pairs.reserve(static_cast<std::size_t>(
+      std::count_if(counts.begin(), counts.begin() + width * height,
+                    [](std::uint32_t count) { return count != 0; })));
+  for (std::int64_t column = 0; column < width; ++column) {
+    for (std::int64_t row = 0; row < height; ++row) {
+      const std::uint32_t count = counts[column * height + row];
+      if (count == 0) continue;
+      pairs.emplace_back(
+          geo::CellIndex{static_cast<std::int32_t>(lo.ix + column),
+                         static_cast<std::int32_t>(lo.iy + row)},
+          static_cast<double>(count));
+    }
+  }
+  return pairs;
+}
+
 }  // namespace
 
 std::vector<std::pair<geo::CellIndex, double>> cell_counts(
     std::span<const mobility::Record> records, const geo::CellGrid& grid) {
-  return count_cells(records.size(), [&](std::size_t i) {
-    return grid.cell_of(records[i].position);
-  });
+  if (records.empty()) return {};
+  // cell_of's ix reads only the longitude and its iy only the latitude,
+  // each through monotone rounded steps, so the cells of the extreme
+  // coordinates bound every record's cell.
+  geo::GeoPoint low = records.front().position;
+  geo::GeoPoint high = low;
+  for (const mobility::Record& record : records) {
+    low.lat = std::min(low.lat, record.position.lat);
+    low.lon = std::min(low.lon, record.position.lon);
+    high.lat = std::max(high.lat, record.position.lat);
+    high.lon = std::max(high.lon, record.position.lon);
+  }
+  return count_cells(
+      records.size(),
+      [&](std::size_t i) { return grid.cell_of(records[i].position); },
+      grid.cell_of(low), grid.cell_of(high));
 }
 
 std::vector<std::pair<geo::CellIndex, double>> cell_counts(
     std::span<const geo::CellIndex> cells) {
-  return count_cells(cells.size(), [&](std::size_t i) { return cells[i]; });
+  if (cells.empty()) return {};
+  geo::CellIndex low = cells.front();
+  geo::CellIndex high = low;
+  for (const geo::CellIndex& cell : cells) {
+    low.ix = std::min(low.ix, cell.ix);
+    low.iy = std::min(low.iy, cell.iy);
+    high.ix = std::max(high.ix, cell.ix);
+    high.iy = std::max(high.iy, cell.iy);
+  }
+  return count_cells(
+      cells.size(), [&](std::size_t i) { return cells[i]; }, low, high);
 }
 
 double topsoe_divergence(const Heatmap& a, const Heatmap& b) {

@@ -59,19 +59,29 @@ class Heatmap {
 /// cells in ascending index order, each distinct cell once. The counts are
 /// exact small integers, so they equal Heatmap::from_trace's bit for bit.
 ///
-/// Counts in a flat open-addressing table keyed by geo::CellIndexHash,
-/// one per thread and reused between calls: a call clears only the slots
-/// the previous one touched, grows the table by rehashing when it fills
-/// to half, and sorts only the distinct cells at the end. A run of
-/// consecutive records in one cell (a dwelling raw trace) costs one table
-/// probe; obfuscated outputs scatter their records, but over few cells,
-/// which is why they are counted and not sorted.
+/// Finds the range's cell box first: the cells of its minimum and maximum
+/// latitude and longitude. cell_of's ix reads only the longitude and its
+/// iy only the latitude, and every rounded step on the way (difference,
+/// degree-to-radian scaling, the products with R and cos(lat0), the
+/// division by the cell size, floor) is monotone, so those two cells
+/// bound every record's cell. When the box holds at most 4,096 cells, the
+/// records are counted in a zeroed array of the box on the stack and read
+/// out in ascending (ix, iy) order: no hashing, no probing and no sort.
+///
+/// Wider boxes count in a flat open-addressing table keyed by
+/// geo::CellIndexHash, one per thread and reused between calls: a call
+/// clears only the slots the previous one touched, grows the table by
+/// rehashing when it fills to half, and sorts only the distinct cells at
+/// the end. There a run of consecutive records in one cell (a dwelling
+/// raw trace) costs one table probe.
 std::vector<std::pair<geo::CellIndex, double>> cell_counts(
     std::span<const mobility::Record> records, const geo::CellGrid& grid);
 
 /// The same pairs over cells the caller already computed, one per record
 /// (HMC projects each record once and reuses its cell): equal to
 /// cell_counts(records, grid) when cells[i] is grid.cell_of(records[i]).
+/// Its box is the minimum and maximum index; the same 4,096-cell limit
+/// picks the array or the table.
 std::vector<std::pair<geo::CellIndex, double>> cell_counts(
     std::span<const geo::CellIndex> cells);
 

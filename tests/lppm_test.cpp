@@ -118,6 +118,50 @@ TEST(GeoI, LowerEpsilonMeansMoreNoise) {
   EXPECT_GT(mean_noise(0.001), mean_noise(0.1));
 }
 
+TEST(GeoI, BlockedApplyMatchesPerRecordSampler) {
+  // The oracle hops record by record: bearing, then sample_radius_m, then
+  // geo::destination. apply() draws a block's noise first and evaluates
+  // W_{-1} over the block; the outputs must agree bit for bit at every
+  // length around the block size.
+  const GeoIndistinguishability geoi(0.01);
+  constexpr std::size_t kBlock = GeoIndistinguishability::kBlock;
+  const Trace source = simulation::generate([] {
+    simulation::GeneratorParams params;
+    params.users = 1;
+    params.days = 6;
+    params.records_per_user_per_day = 200.0;
+    params.seed = 3;
+    return params;
+  }()).traces()[0];
+  ASSERT_GE(source.size(), 1000u);
+  for (const std::size_t n : {std::size_t{0}, std::size_t{1}, std::size_t{3},
+                              std::size_t{4}, std::size_t{5}, kBlock - 1,
+                              kBlock, kBlock + 1, std::size_t{1000}}) {
+    SCOPED_TRACE(n);
+    const Trace in("u", std::vector<mobility::Record>(
+                            source.records().begin(),
+                            source.records().begin() +
+                                static_cast<std::ptrdiff_t>(n)));
+    for (const std::uint64_t seed : {7u, 11u}) {
+      RngStream rng(seed);
+      std::vector<mobility::Record> expected;
+      for (const auto& record : in.records()) {
+        const double bearing = rng.uniform(0.0, 2.0 * geo::kPi);
+        const double radius = geoi.sample_radius_m(rng);
+        expected.push_back(mobility::Record{
+            geo::destination(record.position, bearing, radius), record.time});
+      }
+      const Trace out = geoi.apply(in, RngStream(seed));
+      ASSERT_EQ(out.size(), n);
+      for (std::size_t i = 0; i < n; ++i) {
+        ASSERT_EQ(out.at(i).position.lat, expected[i].position.lat) << i;
+        ASSERT_EQ(out.at(i).position.lon, expected[i].position.lon) << i;
+        ASSERT_EQ(out.at(i).time, expected[i].time) << i;
+      }
+    }
+  }
+}
+
 TEST(GeoI, RejectsNonPositiveEpsilon) {
   EXPECT_THROW(GeoIndistinguishability(0.0), support::PreconditionError);
   EXPECT_THROW(GeoIndistinguishability(-1.0), support::PreconditionError);

@@ -415,12 +415,13 @@ TEST_F(HeatmapTest, CellCountsCountRunsThatLeaveAndComeBack) {
 }
 
 TEST_F(HeatmapTest, CellCountsOverPrecomputedCellsMatchTheRecordForm) {
-  // HMC counts the cells it already took per record. Both forms share one
-  // per-thread table, so they are interleaved: each call must see only
-  // its own cells, whatever the previous call of either form left.
+  // HMC counts the cells it already took per record. Both forms share the
+  // dense box count and the per-thread table, so they are interleaved:
+  // each call must see only its own cells, whatever the previous call of
+  // either form left.
   std::vector<mobility::Record> records;
   mobility::Timestamp t = 0;
-  for (int k = 0; k < 900; ++k) {  // grows the table past 256 slots
+  for (int k = 0; k < 900; ++k) {  // a 37 x 25 box: counted densely
     records.push_back(in_cell(grid_, geo::CellIndex{k % 37 - 18, k / 37}, t++));
   }
   for (const auto& cell : {geo::CellIndex{0, 0}, geo::CellIndex{0, 0},
@@ -439,6 +440,111 @@ TEST_F(HeatmapTest, CellCountsOverPrecomputedCellsMatchTheRecordForm) {
     EXPECT_EQ(cell_counts(cells), by_record);
     EXPECT_EQ(cell_counts(trace.records(), grid_), by_record);
     EXPECT_EQ(cell_counts(cells), legacy_counts(trace, grid_));
+  }
+}
+
+/// Both cell_counts forms against the legacy heatmap.
+void expect_both_forms_match_legacy(const Trace& trace,
+                                    const geo::CellGrid& grid) {
+  std::vector<geo::CellIndex> cells;
+  for (const auto& record : trace.records()) {
+    cells.push_back(grid.cell_of(record.position));
+  }
+  const CountPairs expected = legacy_counts(trace, grid);
+  EXPECT_EQ(cell_counts(trace.records(), grid), expected);
+  EXPECT_EQ(cell_counts(cells), expected);
+}
+
+/// A trace whose cells span exactly the `width` x `height` box with
+/// south-west cell `low`: its four corners once each, then every
+/// `stride`-th cell of the box (k % 3 + 1 visits, the box walked column
+/// by column in a scattered order, so no run shortcut hides a count).
+Trace box_trace(const geo::CellGrid& grid, geo::CellIndex low, int width,
+                int height, int stride) {
+  std::vector<mobility::Record> records;
+  mobility::Timestamp t = 0;
+  for (const auto& [dx, dy] : {std::pair{0, 0}, std::pair{width - 1, 0},
+                               std::pair{0, height - 1},
+                               std::pair{width - 1, height - 1}}) {
+    records.push_back(
+        in_cell(grid, geo::CellIndex{low.ix + dx, low.iy + dy}, t++));
+  }
+  const int cells = width * height;
+  for (int visit = 0; visit < 3; ++visit) {
+    for (int k = 0; k < cells; k += stride) {
+      if (k % 3 < visit) continue;
+      const int slot = static_cast<int>(
+          (static_cast<std::int64_t>(k) * 7919) % cells);  // 7919 is prime
+      records.push_back(in_cell(
+          grid, geo::CellIndex{low.ix + slot / height, low.iy + slot % height},
+          t++));
+    }
+  }
+  return Trace("u", std::move(records));
+}
+
+TEST_F(HeatmapTest, CellCountsAtTheDenseBoxLimit) {
+  // A box of 4,096 cells is counted densely, one of 4,097 in the table;
+  // both must give the legacy counts, square or strip, on either side of
+  // the origin. 4,097 = 17 x 241.
+  struct Box {
+    geo::CellIndex low;
+    int width;
+    int height;
+  };
+  for (const Box& box : {Box{{-32, -32}, 64, 64}, Box{{-8, -120}, 17, 241},
+                         Box{{-2000, 3}, 4096, 1}, Box{{5, -2000}, 1, 4097},
+                         Box{{-3, -5}, 4097, 1}}) {
+    SCOPED_TRACE(::testing::Message() << box.width << " x " << box.height);
+    const Trace trace = box_trace(grid_, box.low, box.width, box.height, 5);
+    const CountPairs expected = legacy_counts(trace, grid_);
+    ASSERT_EQ(expected.front().first, box.low);
+    ASSERT_EQ(expected.back().first,
+              (geo::CellIndex{box.low.ix + box.width - 1,
+                              box.low.iy + box.height - 1}));
+    expect_both_forms_match_legacy(trace, grid_);
+  }
+}
+
+TEST_F(HeatmapTest, CellCountsOfASparseAndOfANegativeBox) {
+  // Records at least 100 km apart (125 cells of 800 m): a box far wider
+  // than 4,096 cells holding a handful, counted in the table.
+  std::vector<mobility::Record> sparse;
+  mobility::Timestamp t = 0;
+  for (const geo::CellIndex cell :
+       {geo::CellIndex{0, 0}, geo::CellIndex{130, -7}, geo::CellIndex{-140, 260},
+        geo::CellIndex{0, 0}, geo::CellIndex{265, 131}, geo::CellIndex{130, -7},
+        geo::CellIndex{-140, 260}, geo::CellIndex{-140, 260}}) {
+    sparse.push_back(in_cell(grid_, cell, t++));
+  }
+  const Trace far_apart("u", std::move(sparse));
+  EXPECT_EQ(cell_counts(far_apart.records(), grid_),
+            (CountPairs{{{-140, 260}, 3.0},
+                        {{0, 0}, 2.0},
+                        {{130, -7}, 2.0},
+                        {{265, 131}, 1.0}}));
+  expect_both_forms_match_legacy(far_apart, grid_);
+  // A dense box wholly south-west of the origin: every index negative.
+  expect_both_forms_match_legacy(box_trace(grid_, {-40, -30}, 31, 26, 2),
+                                 grid_);
+}
+
+TEST_F(HeatmapTest, CellCountsInterleaveTheDenseAndTheTablePaths) {
+  // Calls alternate between boxes counted densely and boxes counted in
+  // the per-thread table, in both forms: neither path may keep a count
+  // from another call.
+  const std::vector<Trace> traces = {
+      box_trace(grid_, {-10, -10}, 20, 20, 1),     // dense
+      box_trace(grid_, {-50, -50}, 100, 90, 7),    // table
+      box_trace(grid_, {3, -12}, 20, 20, 3),       // dense, overlapping
+      box_trace(grid_, {-50, -49}, 100, 90, 11),   // table, shifted
+      three_place_trace(),                         // dense, dwelling
+      box_trace(grid_, {-10, -10}, 20, 20, 1)};    // the first again
+  for (int round = 0; round < 2; ++round) {
+    for (std::size_t i = 0; i < traces.size(); ++i) {
+      SCOPED_TRACE(::testing::Message() << "round " << round << " trace " << i);
+      expect_both_forms_match_legacy(traces[i], grid_);
+    }
   }
 }
 

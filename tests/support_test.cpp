@@ -6,8 +6,10 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <limits>
 #include <set>
 #include <sstream>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -181,6 +183,153 @@ TEST(LambertW, RejectsOutsideDomain) {
   EXPECT_THROW(lambert_w_minus1(0.0), PreconditionError);
   EXPECT_THROW(lambert_w_minus1(0.5), PreconditionError);
   EXPECT_THROW(lambert_w_minus1(-0.5), PreconditionError);
+  EXPECT_THROW(lambert_w_minus1(std::nan("")), PreconditionError);
+  // Subnormals: e^w underflows before Halley converges (-denorm_min came
+  // out NaN, -1e-320 with a relative residual of 0.1), so the domain ends
+  // at -DBL_MIN, where the residual is still below 1e-12.
+  constexpr double kMin = std::numeric_limits<double>::min();
+  const double w = lambert_w_minus1(-kMin);
+  EXPECT_LT(std::abs(w * std::exp(w) + kMin), kMin * 1e-12);
+  const std::string message =
+      "lambert_w_minus1: argument outside [-1/e, -DBL_MIN]";
+  for (const double x : {-std::numeric_limits<double>::denorm_min(), -1e-320,
+                         -kMin / 2.0, -0.0}) {
+    SCOPED_TRACE(x);
+    try {
+      (void)lambert_w_minus1(x);
+      ADD_FAILURE() << "scalar form accepted it";
+    } catch (const PreconditionError& e) {
+      EXPECT_EQ(e.what(), message);
+    }
+    // The span form rejects it with the same message, wherever it sits,
+    // before writing any output.
+    const std::vector<double> xs = {-0.2, -0.1, x, -0.3, -0.05};
+    std::vector<double> out(xs.size(), 7.0);
+    try {
+      lambert_w_minus1(xs, out);
+      ADD_FAILURE() << "span form accepted it";
+    } catch (const PreconditionError& e) {
+      EXPECT_EQ(e.what(), message);
+    }
+    EXPECT_EQ(out, std::vector<double>(xs.size(), 7.0));
+  }
+  std::vector<double> two(2);
+  EXPECT_THROW(lambert_w_minus1(std::vector<double>{-0.2, -0.1, -0.3}, two),
+               PreconditionError);
+}
+
+/// W_{-1} as the scalar loop computed it before the lanes, verbatim, with
+/// the Halley steps it took: the bit-for-bit oracle of both forms.
+double ReferenceLambertW(double x, int* iterations = nullptr) {
+  constexpr double kMinusOneOverE = -0.367879441171442321595;  // -1/e
+  if (iterations != nullptr) *iterations = 0;
+
+  // At the branch point the value is exactly -1.
+  if (x <= kMinusOneOverE + 1e-16) return -1.0;
+
+  // Initial guess. Near the branch point use the square-root expansion
+  // w = -1 - p - p^2/3 with p = sqrt(2(1 + e x)); elsewhere the asymptotic
+  // log-log series w = L1 - L2 + L2/L1.
+  double w;
+  const double p2 = 2.0 * (1.0 + std::exp(1.0) * x);
+  if (p2 < 0.25) {
+    const double p = -std::sqrt(p2);
+    w = -1.0 + p - p2 / 6.0;
+  } else {
+    const double l1 = std::log(-x);
+    const double l2 = std::log(-l1);
+    w = l1 - l2 + l2 / l1;
+  }
+
+  // Halley iterations.
+  for (int iter = 0; iter < 32; ++iter) {
+    if (iterations != nullptr) *iterations = iter + 1;
+    const double ew = std::exp(w);
+    const double f = w * ew - x;
+    const double denominator =
+        ew * (w + 1.0) - (w + 2.0) * f / (2.0 * w + 2.0);
+    const double step = f / denominator;
+    w -= step;
+    if (std::abs(step) < 1e-14 * (1.0 + std::abs(w))) break;
+  }
+  return w;
+}
+
+/// The W_{-1} argument GeoI passes for a uniform draw p.
+double geoi_argument(double p) {
+  if (p > 1.0 - 1e-12) p = 1.0 - 1e-12;
+  return (p - 1.0) / std::exp(1.0);
+}
+
+/// Both forms against the oracle, with ==: the span form over all of x
+/// at once (so its lanes mix whatever x holds) and the scalar form per
+/// element.
+void expect_lanes_match_reference(const std::vector<double>& x) {
+  std::vector<double> lanes(x.size());
+  lambert_w_minus1(x, lanes);
+  for (std::size_t i = 0; i < x.size(); ++i) {
+    const double expected = ReferenceLambertW(x[i]);
+    ASSERT_EQ(lanes[i], expected) << "i=" << i << " x=" << x[i];
+    ASSERT_EQ(lambert_w_minus1(x[i]), expected) << "i=" << i << " x=" << x[i];
+  }
+}
+
+TEST(LambertW, LanesMatchScalarBitForBit) {
+  // 2^20 seed-7 arguments drawn as GeoI draws them (bearing, then p).
+  RngStream rng(7);
+  std::vector<double> draws(std::size_t{1} << 20);
+  int capped = 0;
+  for (double& x : draws) {
+    (void)rng.uniform(0.0, 2.0 * 3.14159265358979323846);
+    x = geoi_argument(rng.uniform());
+    int iterations = 0;
+    (void)ReferenceLambertW(x, &iterations);
+    capped += iterations == 32;
+  }
+  EXPECT_GE(capped, 1) << "no draw reached the 32-step cap";
+  expect_lanes_match_reference(draws);
+
+  // The branch point and its neighbourhood (returns -1 without a step).
+  constexpr double kMinusOneOverE = -0.367879441171442321595;
+  std::vector<double> branch = {kMinusOneOverE,
+                                std::nextafter(kMinusOneOverE, 0.0),
+                                kMinusOneOverE + 1e-16, kMinusOneOverE + 2e-16,
+                                kMinusOneOverE + 1e-12};
+  expect_lanes_match_reference(branch);
+
+  // p2 = 2 (1 + e x) < 0.25: the square-root initial guess, and its edge.
+  std::vector<double> near_branch;
+  for (double p = 1e-15; p < 0.2; p *= 1.37) {
+    near_branch.push_back(geoi_argument(p));
+  }
+  expect_lanes_match_reference(near_branch);
+
+  // Near-branch draws that run all 32 Halley steps, each in a block with
+  // lanes that leave after a few: a lane's cap and exit are its own.
+  const double capped_x = geoi_argument(1.0376658482247336e-05);
+  int iterations = 0;
+  (void)ReferenceLambertW(capped_x, &iterations);
+  ASSERT_EQ(iterations, 32);
+  const double fast_x = geoi_argument(0.5);
+  for (std::size_t slot = 0; slot < 4; ++slot) {
+    std::vector<double> block(4, fast_x);
+    block[slot] = capped_x;
+    expect_lanes_match_reference(block);
+  }
+  expect_lanes_match_reference(
+      {fast_x, capped_x, kMinusOneOverE, -1e-300, capped_x, fast_x});
+
+  // Every span length 0..9: full groups of lanes and every remainder (from
+  // length 4 on, the span holds draw 950, which runs 32 steps).
+  (void)ReferenceLambertW(draws[950], &iterations);
+  ASSERT_EQ(iterations, 32);
+  for (std::size_t n = 0; n <= 9; ++n) {
+    SCOPED_TRACE(n);
+    expect_lanes_match_reference(
+        std::vector<double>(draws.begin() + 947, draws.begin() + 947 + n));
+  }
+  std::vector<double> none;
+  lambert_w_minus1(none, none);
 }
 
 // ----------------------------------------------------------------- CSV --
