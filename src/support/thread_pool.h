@@ -13,7 +13,25 @@
 /// its own share. So only the outermost loop fans out: a search nested in
 /// a per-user loop stays on its thread, while a search called from a plain
 /// std::thread (a gateway shard worker) spreads over the pool.
+///
+/// Handoff: parallel_for queues helper tasks and runs a share itself. Its
+/// loop state lives in a shared_ptr the helpers hold, and a helper
+/// registers before it claims an iteration, so the caller returns as soon
+/// as every iteration was claimed and no claimed one is still running. A
+/// helper that starts later (queued behind other callers' tasks) finds the
+/// loop exhausted, touches only that shared state and exits.
+///
+/// Spin, then park: an idle worker, and a caller waiting for claimed
+/// iterations, poll with std::this_thread::yield() for kSpinBound (200 µs)
+/// before parking. Waking a parked thread took 13 µs at p50, 25 µs at p90
+/// and 160–200 µs at p99 on a 4-vCPU host (a condition_variable probe),
+/// against 50–150 µs of work per composition-level node, so a helper that
+/// has to be woken arrives after the caller ran most of the level. Work
+/// that arrives within the bound needs no wake-up; work that arrives later
+/// pays one, and the spin before it never cost more than a park/wake round
+/// trip. Idle workers poll a relaxed queued-task count, not the mutex.
 
+#include <atomic>
 #include <condition_variable>
 #include <cstddef>
 #include <functional>
@@ -66,15 +84,19 @@ class ThreadPool {
   std::queue<std::packaged_task<void()>> queue_;
   std::mutex mutex_;
   std::condition_variable cv_;
-  bool stopping_ = false;
+  // queue_.size(), written under mutex_ and polled by spinning workers.
+  std::atomic<std::size_t> queued_{0};
+  // Set under mutex_; spinning workers poll it too.
+  std::atomic<bool> stopping_{false};
 };
 
 /// Runs fn(i) for every i in [0, count), chunked across the shared pool.
-/// The calling thread runs a share itself. Blocks until all iterations
-/// completed. Exceptions from iterations are rethrown (the first one
-/// encountered) after all chunks finish. Serial, in index order, when
-/// called from inside pool work (see the file comment) or when one chunk
-/// covers the range.
+/// The calling thread runs a share itself. Returns once every iteration
+/// was claimed and every claimed iteration completed; helper tasks that
+/// have not started by then never call fn. Exceptions from iterations are
+/// rethrown (the first one encountered) after every claimed iteration
+/// ended. Serial, in index order, when called from inside pool work (see
+/// the file comment) or when one chunk covers the range.
 ///
 /// fn must be safe to invoke concurrently for distinct i.
 void parallel_for(std::size_t count,

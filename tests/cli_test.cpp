@@ -84,6 +84,12 @@ TEST(CliDispatch, SubcommandHelpExitsZero) {
             std::string::npos);
   EXPECT_NE(run_cli({"replay", "--help"}).out.find("--window-hours"),
             std::string::npos);
+  // The replay summary describes the gateway as it is: decision tiers and
+  // a canonical finish() pass, no incremental profiles (there are none).
+  const std::string replay = run_cli({"replay", "--help"}).out;
+  EXPECT_NE(replay.find("held tier"), std::string::npos);
+  EXPECT_NE(replay.find("finish() pass"), std::string::npos);
+  EXPECT_EQ(replay.find("incremental profile"), std::string::npos);
 }
 
 // -------------------------------------------------------------- flags --

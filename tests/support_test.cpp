@@ -6,9 +6,13 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <functional>
+#include <future>
 #include <limits>
+#include <memory>
 #include <set>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -20,6 +24,14 @@
 #include "support/options.h"
 #include "support/rng.h"
 #include "support/thread_pool.h"
+
+#if defined(__SANITIZE_ADDRESS__)
+// A pool helper that touched a parallel_for frame after the call returned
+// would read dead stack, which ASan reports only with fake stacks on.
+extern "C" const char* __asan_default_options() {
+  return "detect_stack_use_after_return=1";
+}
+#endif
 
 namespace mood::support {
 namespace {
@@ -692,6 +704,163 @@ TEST(ParallelFor, RespectsGrainParameter) {
   std::atomic<int> counter{0};
   parallel_for(1000, [&](std::size_t) { counter++; }, 128);
   EXPECT_EQ(counter.load(), 1000);
+}
+
+// Submits one task per worker that holds it until `gate` opens; returns
+// once every worker holds one.
+std::vector<std::future<void>> hold_workers(ThreadPool& pool,
+                                            std::shared_future<void> gate) {
+  auto held = std::make_shared<std::atomic<std::size_t>>(0);
+  std::vector<std::future<void>> holds;
+  for (std::size_t w = 0; w < pool.size(); ++w) {
+    holds.push_back(pool.submit([held, gate] {
+      ++*held;
+      gate.wait();
+    }));
+  }
+  while (held->load() < pool.size()) std::this_thread::yield();
+  return holds;
+}
+
+// Returns once every task queued before the call has finished: the queue
+// is FIFO, and one barrier task per worker, all running at once, leaves no
+// worker inside an earlier task.
+void wait_until_drained(ThreadPool& pool) {
+  auto arrived = std::make_shared<std::atomic<std::size_t>>(0);
+  const std::size_t workers = pool.size();
+  std::vector<std::future<void>> barriers;
+  for (std::size_t w = 0; w < workers; ++w) {
+    barriers.push_back(pool.submit([arrived, workers] {
+      ++*arrived;
+      while (arrived->load() < workers) std::this_thread::yield();
+    }));
+  }
+  for (auto& barrier : barriers) barrier.get();
+}
+
+TEST(ParallelFor, ReturnsOnlyAfterEveryClaimedIterationRan) {
+  // Iterations a helper claimed outlast the caller's own share by far: the
+  // caller must wait for them, not return once the cursor runs out. The
+  // flags are plain ints, so TSan also checks that the caller's return
+  // happens after their writes.
+  const std::thread::id caller = std::this_thread::get_id();
+  const std::size_t count = ThreadPool::shared().size() + 1;
+  std::atomic<int> helper_iterations{0};
+  std::vector<int> done;
+  // Helpers almost always claim an index while the caller sleeps in its
+  // first one; retry the rare run where the caller ran them all.
+  for (int attempt = 0; attempt < 10 && helper_iterations.load() == 0;
+       ++attempt) {
+    done.assign(count, 0);
+    parallel_for(count, [&](std::size_t i) {
+      if (std::this_thread::get_id() == caller) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(5));
+      } else {
+        helper_iterations++;
+        std::this_thread::sleep_for(std::chrono::milliseconds(50));
+      }
+      done[i] = 1;
+    });
+    EXPECT_EQ(done, std::vector<int>(count, 1));
+  }
+  EXPECT_GT(helper_iterations.load(), 0);
+}
+
+TEST(ParallelFor, LateHelpersTouchNoFreedState) {
+  // Every worker is held while the loop runs, so the caller runs every
+  // iteration itself and returns with its helpers still queued. They start
+  // after the loop's frame, its fn and fn's captures are gone, and must
+  // touch none of them (ASan reports it, fake stacks included, if they do).
+  ThreadPool& pool = ThreadPool::shared();
+  std::promise<void> open;
+  auto holds = hold_workers(pool, open.get_future().share());
+  std::vector<int> seen;
+  {
+    auto hits = std::make_unique<std::vector<int>>(16, 0);
+    auto fn = std::make_unique<std::function<void(std::size_t)>>(
+        [hits = hits.get()](std::size_t i) { ++(*hits)[i]; });
+    parallel_for(hits->size(), *fn);
+    seen = *hits;
+  }
+  open.set_value();
+  for (auto& hold : holds) hold.get();
+  wait_until_drained(pool);
+  EXPECT_EQ(seen, std::vector<int>(16, 1));
+}
+
+TEST(ParallelFor, RethrowsAHelpersExceptionAfterItsIterationEnds) {
+  // The helper's iteration is still unwinding (a destructor sleeps) when
+  // the caller's own share ends; the exception must reach the caller, and
+  // only after the unwinding finished.
+  struct SetWhenUnwound {
+    bool& unwound;
+    ~SetWhenUnwound() {
+      std::this_thread::sleep_for(std::chrono::milliseconds(20));
+      unwound = true;
+    }
+  };
+  const std::thread::id caller = std::this_thread::get_id();
+  const std::size_t count = ThreadPool::shared().size() + 1;
+  bool helper_threw = false;
+  for (int attempt = 0; attempt < 10 && !helper_threw; ++attempt) {
+    std::atomic<bool> thrown{false};
+    bool unwound = false;
+    try {
+      parallel_for(count, [&](std::size_t) {
+        if (std::this_thread::get_id() == caller) {
+          std::this_thread::sleep_for(std::chrono::milliseconds(5));
+          return;
+        }
+        if (thrown.exchange(true)) return;
+        const SetWhenUnwound guard{unwound};
+        throw std::runtime_error("helper");
+      });
+    } catch (const std::runtime_error&) {
+      helper_threw = true;
+      EXPECT_TRUE(unwound);
+    }
+  }
+  EXPECT_TRUE(helper_threw);
+}
+
+TEST(ThreadPool, RunsTasksSubmittedWhileSpinningAndAfterParking) {
+  ThreadPool pool(2);
+  std::atomic<int> ran{0};
+  // Right after a task its worker spins for the next one: a burst lands on
+  // spinning workers.
+  pool.submit([&] { ran++; }).get();
+  std::vector<std::future<void>> burst;
+  for (int i = 0; i < 64; ++i) burst.push_back(pool.submit([&] { ran++; }));
+  for (auto& f : burst) f.get();
+  // After an idle gap far beyond the spin bound every worker is parked,
+  // and a task must still wake one.
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  auto after_idle = pool.submit([&] { ran++; });
+  EXPECT_EQ(after_idle.wait_for(std::chrono::seconds(10)),
+            std::future_status::ready);
+  EXPECT_EQ(ran.load(), 66);
+}
+
+TEST(ThreadPool, DestructorJoinsIdleSpinningAndParkedWorkers) {
+  using Clock = std::chrono::steady_clock;
+  const auto join_time = [](const std::function<void(ThreadPool&)>& setup) {
+    Clock::time_point start;
+    {
+      ThreadPool pool(4);
+      setup(pool);
+      start = Clock::now();
+    }
+    return Clock::now() - start;
+  };
+  const auto prompt = std::chrono::seconds(2);
+  // Just started, spinning right after a task, parked after a long gap.
+  EXPECT_LT(join_time([](ThreadPool&) {}), prompt);
+  EXPECT_LT(join_time([](ThreadPool& pool) { pool.submit([] {}).get(); }),
+            prompt);
+  EXPECT_LT(join_time([](ThreadPool&) {
+              std::this_thread::sleep_for(std::chrono::milliseconds(20));
+            }),
+            prompt);
 }
 
 TEST(ThreadPool, ConfigureSharedAfterFirstUseFailsLoudly) {

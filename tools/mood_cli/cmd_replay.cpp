@@ -118,8 +118,10 @@ int cmd_replay(int argc, const char* const* argv, std::ostream& out,
   support::FlagSet flags(
       "mood replay",
       "Replay a dataset as a live event stream through the online MooD\n"
-      "gateway: sharded per-user sliding windows, incremental profile\n"
-      "maintenance, per-event protect/expose decisions. Writes a\n"
+      "gateway: sharded per-user sliding windows, per-event protect/expose\n"
+      "decisions (the full tier every --loop-slack events, the held tier\n"
+      "between them) and a canonical finish() pass over every user's final\n"
+      "window. Writes a\n"
       "mood-stream/1 JSON document with sustained throughput and decision\n"
       "latency percentiles; verifies the final decisions against the batch\n"
       "evaluators (exit 1 on mismatch) unless the window knobs make the\n"
